@@ -20,8 +20,8 @@ from .sector import (ModelParameters, SectorOperator, bethe_residual, bethe_stat
                      transfer_matrix)
 from .symfunc import EvaluationPoint, dual_grothendieck_eval, grothendieck_eval, schur_eval
 from .identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs,
-                         grothendieck_sum_check, orthogonality_check)
-from .tasep import (BetheSolution, GreenQuery, SectorState, bethe_solve, expectation,
+                         grothendieck_sum_check, orthogonality_check, orthogonality_matrix)
+from .tasep import (BetheSolution, GreenQuery, SectorState, Spectrum, bethe_solve, expectation,
                     form_factor_sum, green_function, green_function_table, master_oracle,
                     sum_rule_check)
 from .vertex import (VertexWeights, appendix_a_family_check, l_matrix, l_weights,

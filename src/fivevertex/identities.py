@@ -10,8 +10,9 @@ its M -> infinity product form, the weighted summation formulas, and the
 orthogonality of G and Gbar over the solutions of the z-form Bethe
 equations.  The z_j y_k = 1 kernel singularity is always removable and is
 resolved by L'Hopital inside the rational-function evaluation, so random
-draws (and the Green-function specialization y = 1/z) need no special
-casing.
+draws need no special casing.  At y = 1/z on a Bethe solution the
+determinant side equals 1/w(z), the closed-form orthogonality weight, which
+is what the Green functions use instead of resolving N removable poles.
 """
 
 from __future__ import annotations
@@ -207,6 +208,16 @@ def orthogonality_weight(z, beta, M, N):
     return w
 
 
+def _orthogonality_spectrum(M, N, beta, solutions):
+    from .tasep import Spectrum, bethe_solve
+
+    if solutions is None:
+        solutions = bethe_solve(M, N, beta=beta)
+    if is_zero(beta) and any(abs(abs(zj) - 1) > 1e-12 for s in solutions for zj in s.roots):
+        raise RuntimeError("beta = 0 Bethe roots must lie on the unit circle")
+    return Spectrum(solutions, M, N, beta)
+
+
 def orthogonality_check(M, N, beta, lam, mu, solutions=None):
     """sum over Bethe solution sets of w({z}) Gbar_lam(1/z;beta) G_mu(z;beta).
 
@@ -215,25 +226,15 @@ def orthogonality_check(M, N, beta, lam, mu, solutions=None):
     the roots are first verified to lie on the unit circle.  An incomplete
     solution enumeration raises.
     """
-    from .tasep import bethe_solve
+    spec = _orthogonality_spectrum(M, N, beta, solutions)
+    return complex(spec.stationary + spec.right(lam) @ spec.left(mu))
 
-    if solutions is None:
-        solutions = bethe_solve(M, N, beta=beta)
-    if len(solutions) != comb(M, N):
-        raise RuntimeError(
-            f"incomplete Bethe enumeration: {len(solutions)} of {comb(M, N)} solution sets")
-    if is_zero(beta):
-        for sol in solutions:
-            for zj in sol.roots:
-                if abs(abs(zj) - 1) > 1e-12:
-                    raise RuntimeError("beta = 0 Bethe roots must lie on the unit circle")
-    total = 0
-    for sol in solutions:
-        if sol.stationary:
-            total = total + 1 / comb(M, N)
-            continue
-        z = list(sol.roots)
-        z_inv = [1 / zj for zj in z]
-        total = total + orthogonality_weight(z, beta, M, N) \
-            * dual_grothendieck_eval(lam, z_inv, beta) * grothendieck_eval(mu, z, beta)
-    return total
+
+def orthogonality_matrix(M, N, beta, solutions=None):
+    """``orthogonality_check`` for every (lam, mu) of the box, in ``enumerate_box`` order.
+
+    Entry [i, k] pairs lam = box[i] with mu = box[k]; expected the identity.
+    """
+    spec = _orthogonality_spectrum(M, N, beta, solutions)
+    left, right = spec.box_vectors()
+    return spec.stationary + right @ left.T

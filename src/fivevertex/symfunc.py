@@ -8,11 +8,17 @@ beta = 0 reduces all three to the Schur polynomial.  Coincident variables are
 routed through the confluent determinant limit, with the columns stored as
 exact rational functions and differentiated symbolically; this is what makes
 z -> (1,...,1) limits such as G_lambda(1^N; -1) = 1 computable directly.
+
+``BialternantStack`` is the complex float lane for many points at once: one
+stacked LU determinant over an (S, N, N) bialternant tensor per partition.
+The scalar evaluators are its exact-lane oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .confluent import det_ratio_columns, group_points, sign_pairs
 from .linalg import Matrix, det
@@ -108,3 +114,35 @@ def dual_grothendieck_eval(lam, z, beta):
     # z^(lam_k+N-k) (1+beta/z)^(1-k) = z^(lam_k+N-1) (z+beta)^(1-k)
     cols = [linear_power(parts[k] + n - 1, beta, 1, -k) for k in range(n)]
     return sign_pairs(n) * det_ratio_columns(cols, z)
+
+
+class BialternantStack:
+    """G_lambda(z_s; beta), or Gbar_lambda with ``dual``, at every row z_s of an (S, N) array.
+
+    The lambda-independent factors (1 + beta z)^k or (1 + beta/z)^-k and the
+    row Vandermondes are computed once; each call is one stacked complex
+    determinant.  There is no confluent limit here, so coincident variables
+    in a row raise, as do (for the dual) a zero variable or a vanishing
+    1 + beta/z.
+    """
+
+    def __init__(self, z, beta, dual: bool = False):
+        z = np.asarray(z, dtype=complex)
+        n = z.shape[1]
+        j, k = np.triu_indices(n, 1)
+        gaps = z[:, j] - z[:, k]
+        if np.any(np.abs(gaps) <= COINCIDENCE_TOL):
+            raise ValueError("coincident variables need the confluent scalar evaluators")
+        if dual and np.any(np.abs(z) <= COINCIDENCE_TOL):
+            raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
+        base = 1 + beta / z if dual else 1 + beta * z
+        if dual and n > 1 and np.any(np.abs(base) <= COINCIDENCE_TOL):
+            raise ZeroDivisionError("vanishing (1 + beta/z) with negative exponent")
+        self._factors = base[:, :, None] ** ((-1 if dual else 1) * np.arange(n))
+        self._z = z[:, :, None]
+        self._vandermonde = np.prod(gaps, axis=1)
+
+    def __call__(self, lam) -> np.ndarray:
+        n = self._z.shape[1]
+        exps = np.array(_parts(lam, n)) + n - 1 - np.arange(n)
+        return np.linalg.det(self._z ** exps * self._factors) / self._vandermonde

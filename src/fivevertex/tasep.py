@@ -11,11 +11,15 @@ every solution set has energy H(z) = -N + sum_j 1/z_j, and the Green
 function is a sum over solution sets of Grothendieck-polynomial weights,
 
     G_t(x'|x) = sum_z  G_mu(z;-1) Gbar_lam(1/z;-1)
-                / [ sum_gamma G_gamma(z;-1) Gbar_gamma(1/z;-1) ]  e^{H(z) t},
+                / [ sum_gamma G_gamma(z;-1) Gbar_gamma(1/z;-1) ]  e^{H(z) t}.
 
-with the denominator evaluated through the Cauchy-identity determinant at
-y = 1/z.  The stationary solution (all roots at 1) contributes the analytic
-1/binomial(M,N).
+On a Bethe solution the denominator, which is the Cauchy-identity
+determinant at y = 1/z, equals 1/w(z) for the closed-form orthogonality
+weight ``identities.orthogonality_weight``; that product is used, so no
+removable pole at z_j y_k = 1 has to be resolved.  The stationary solution
+(all roots at 1) contributes the analytic 1/binomial(M,N).  ``Spectrum``
+holds these data for one solution list, and every quantity below (Green
+function and table, sum rule, expectations) is a contraction of it.
 
 The solver follows the self-consistency strategy: for a trial value of
 Y = prod (1+beta z_j), the single-root equation is a degree-M polynomial
@@ -37,18 +41,18 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from ._threads import parallel_map
-from .identities import cauchy_rhs
+from .identities import orthogonality_weight
 from .partitions import ParticleConfiguration, config_to_partition, enumerate_box, partition_to_config
 from .linalg import Matrix, det
 from .sector import basis_index, hamiltonian, sector_basis
-from .symfunc import dual_grothendieck_eval, grothendieck_eval
+from .symfunc import BialternantStack
 from .vertex import ModelParameters
 
 __all__ = [
     "BetheSolution",
     "GreenQuery",
     "SectorState",
+    "Spectrum",
     "bethe_solve",
     "green_function",
     "sum_rule_check",
@@ -210,7 +214,7 @@ def bethe_solve(M: int, N: int, beta=-1.0):
             return ("stationary", subset, None)
         return ("failed", subset, chosen)
 
-    results = parallel_map(flow, combinations(range(M), N))
+    results = [flow(subset) for subset in combinations(range(M), N)]
     solutions = []
     failures = []
     for status, subset, chosen in results:
@@ -246,73 +250,82 @@ def bethe_solve(M: int, N: int, beta=-1.0):
     return solutions
 
 
-def _spectral_terms(solutions, lam, M, N):
-    """Pairs (coefficient(lam), energy) with the Cauchy-normalized denominators.
+class Spectrum:
+    """The spectral decomposition of one Bethe solution list, built once.
 
-    coefficient = Gbar_lam(1/z; -1) / sum_gamma G Gbar for proper solutions;
-    the stationary solution is marked by energy 0 and coefficient None.
+    Holds, over the non-stationary solution sets s, the roots z_s, energies
+    E_s and orthogonality weights w_s = 1 / sum_gamma G_gamma(z_s) Gbar_gamma(1/z_s),
+    plus the stationary weight 1/binomial(M,N) (0 when there is no stationary
+    set).  Every TASEP quantity is a contraction
+
+        a0 * stationary + sum_s a_s right(lam)_s e^{E_s t},
+
+    where a is a left vector (G_mu(z_s), or a sum of them) and a0 its value
+    at the stationary point, where every G_mu is 1.
     """
-    terms = []
-    for sol in solutions:
-        if sol.stationary:
-            terms.append((None, 0j))
-            continue
-        z = list(sol.roots)
-        z_inv = [1 / zj for zj in z]
-        denom = cauchy_rhs(M, N, z, z_inv, -1.0)
-        gbar = dual_grothendieck_eval(lam, z_inv, -1.0)
-        terms.append(((gbar / denom, z), sol.energy))
-    return terms
+
+    def __init__(self, solutions, M: int, N: int, beta=-1.0):
+        if len(solutions) != comb(M, N):
+            raise RuntimeError(
+                f"incomplete Bethe solution set: {len(solutions)} of {comb(M, N)}")
+        proper = [s for s in solutions if not s.stationary]
+        self.M, self.N = M, N
+        self.stationary = (len(solutions) - len(proper)) / comb(M, N)
+        self.roots = np.array([s.roots for s in proper], dtype=complex).reshape(-1, N)
+        # energies are undefined at beta = 0, where only left/right are used
+        self.energies = np.array([np.nan if s.energy is None else s.energy for s in proper],
+                                 dtype=complex)
+        self.weights = orthogonality_weight(list(self.roots.T), beta, M, N)
+        if not np.all(np.isfinite(self.weights)):
+            raise ZeroDivisionError("orthogonality weight has a pole at a Bethe root")
+        # left(mu) = G_mu(z_s; beta) over the solution axis
+        self.left = BialternantStack(self.roots, beta)
+        self._dual = BialternantStack(1 / self.roots, beta, dual=True)
+
+    def right(self, lam) -> np.ndarray:
+        """w_s Gbar_lam(1/z_s; beta) over the solution axis."""
+        return self.weights * self._dual(lam)
+
+    def box_vectors(self):
+        """left and right for every partition of the box, stacked in ``enumerate_box`` order."""
+        box = list(enumerate_box(self.M - self.N, self.N))
+        return np.array([self.left(mu) for mu in box]), np.array([self.right(lam) for lam in box])
+
+    def evolve(self, a, a0, lam, t) -> float:
+        """Real part of a0 * stationary + sum_s a_s right(lam)_s e^{E_s t}."""
+        total = a0 * self.stationary + a @ (self.right(lam) * np.exp(self.energies * t))
+        if abs(total.imag) > 1e-7:
+            raise RuntimeError(f"spectral sum came out non-real: {total}")
+        return float(total.real)
+
+
+def _spectrum(solutions, M, N) -> Spectrum:
+    """``solutions`` as a Spectrum: a prebuilt one, a solution list, or None to solve."""
+    if isinstance(solutions, Spectrum):
+        return solutions
+    return Spectrum(bethe_solve(M, N) if solutions is None else solutions, M, N)
 
 
 def green_function(query: GreenQuery, solutions=None) -> float:
     """Transition probability G_t(x'|x) through the Grothendieck form."""
     M = query.initial.ring_size
     N = len(query.initial)
-    if solutions is None:
-        solutions = bethe_solve(M, N)
-    if len(solutions) != comb(M, N):
-        raise RuntimeError("incomplete Bethe solution set")
-    lam = config_to_partition(query.initial)
+    spec = _spectrum(solutions, M, N)
     mu = config_to_partition(query.final)
-    total = 0j
-    for coeff, energy in _spectral_terms(solutions, lam, M, N):
-        if coeff is None:
-            total += 1 / comb(M, N)
-            continue
-        weight, z = coeff
-        total += grothendieck_eval(mu, z, -1.0) * weight * np.exp(energy * query.t)
-    if abs(total.imag) > 1e-7:
-        raise RuntimeError(f"Green function came out non-real: {total}")
-    return float(total.real)
+    return spec.evolve(spec.left(mu), 1, config_to_partition(query.initial), query.t)
 
 
 def green_function_table(M: int, N: int, t: float, solutions=None) -> np.ndarray:
     """Matrix of G_t(x'|x) over the configuration basis (rows x', columns x).
 
-    Same spectral data as ``green_function``, assembled once per solution
-    set; used for all-pairs sweeps against the master-equation oracle.
+    Same spectral data as ``green_function``, contracted for all pairs in one
+    matrix product; used for all-pairs sweeps against the master-equation oracle.
     """
-    if solutions is None:
-        solutions = bethe_solve(M, N)
-    dim = comb(M, N)
+    spec = _spectrum(solutions, M, N)
     index = basis_index(M, N)
-    box = list(enumerate_box(M - N, N))
-    config_idx = [index[partition_to_config(lam, M).positions] for lam in box]
-    out = np.zeros((dim, dim), dtype=complex)
-    for sol in solutions:
-        if sol.stationary:
-            out += 1 / dim
-            continue
-        z = list(sol.roots)
-        z_inv = [1 / zj for zj in z]
-        denom = cauchy_rhs(M, N, z, z_inv, -1.0)
-        g_vec = np.zeros(dim, dtype=complex)
-        gb_vec = np.zeros(dim, dtype=complex)
-        for lam, idx in zip(box, config_idx):
-            g_vec[idx] = grothendieck_eval(lam, z, -1.0)
-            gb_vec[idx] = dual_grothendieck_eval(lam, z_inv, -1.0)
-        out += np.exp(sol.energy * t) * np.outer(g_vec, gb_vec) / denom
+    order = [index[partition_to_config(lam, M).positions] for lam in enumerate_box(M - N, N)]
+    left, right = (v[np.argsort(order)] for v in spec.box_vectors())
+    out = spec.stationary + (left * np.exp(spec.energies * t)) @ right.T
     if np.max(np.abs(out.imag)) > 1e-7:
         raise RuntimeError("Green-function table came out non-real")
     return out.real
@@ -320,18 +333,8 @@ def green_function_table(M: int, N: int, t: float, solutions=None) -> np.ndarray
 
 def sum_rule_check(x: ParticleConfiguration, t: float, solutions=None) -> float:
     """sum over final configurations of G_t(x'|x); expected 1."""
-    M, N = x.ring_size, len(x)
-    if solutions is None:
-        solutions = bethe_solve(M, N)
-    lam = config_to_partition(x)
-    total = 0j
-    for coeff, energy in _spectral_terms(solutions, lam, M, N):
-        if coeff is None:
-            total += 1
-            continue
-        weight, z = coeff
-        total += form_factor_sum(1, 0, z, M) * weight * np.exp(energy * t)
-    return float(total.real)
+    # the empty window (l, n) = (1, 0) is the observable A = 1
+    return expectation_via_form_factors([(1, 1, 0)], x, t, solutions)
 
 
 def expectation(observable, x: ParticleConfiguration, t: float, solutions=None):
@@ -345,25 +348,12 @@ def expectation(observable, x: ParticleConfiguration, t: float, solutions=None):
     dim = comb(M, N)
     if a_mat.shape != (dim, dim):
         raise ValueError(f"observable must be {dim} x {dim} on the configuration basis")
-    if solutions is None:
-        solutions = bethe_solve(M, N)
-    lam = config_to_partition(x)
+    spec = _spectrum(solutions, M, N)
     col_sums = a_mat.sum(axis=0)
     index = basis_index(M, N)
-    total = 0j
-    for coeff, energy in _spectral_terms(solutions, lam, M, N):
-        if coeff is None:
-            total += a_mat.sum() / comb(M, N)
-            continue
-        weight, z = coeff
-        num = 0j
-        for mu in enumerate_box(M - N, N):
-            pos = partition_to_config(mu, M).positions
-            num += col_sums[index[pos]] * grothendieck_eval(mu, z, -1.0)
-        total += num * weight * np.exp(energy * t)
-    if abs(total.imag) > 1e-7:
-        raise RuntimeError(f"expectation came out non-real: {total}")
-    return float(total.real)
+    a = sum(col_sums[index[partition_to_config(mu, M).positions]] * spec.left(mu)
+            for mu in enumerate_box(M - N, N))
+    return spec.evolve(a, a_mat.sum(), config_to_partition(x), t)
 
 
 def form_factor_sum(l: int, n: int, z, M: int):
@@ -417,19 +407,11 @@ def current_terms(i: int):
 def expectation_via_form_factors(terms, x: ParticleConfiguration, t: float, solutions=None):
     """<A>_t with the numerator evaluated through the form-factor determinants."""
     M, N = x.ring_size, len(x)
-    if solutions is None:
-        solutions = bethe_solve(M, N)
-    lam = config_to_partition(x)
-    total = 0j
-    stationary_value = sum(coef * comb(M - n, N) for coef, _, n in terms) / comb(M, N)
-    for coeff, energy in _spectral_terms(solutions, lam, M, N):
-        if coeff is None:
-            total += stationary_value
-            continue
-        weight, z = coeff
-        num = sum(coef * form_factor_sum(l, n, z, M) for coef, l, n in terms)
-        total += num * weight * np.exp(energy * t)
-    return float(total.real)
+    spec = _spectrum(solutions, M, N)
+    a = np.array([sum(coef * form_factor_sum(l, n, z, M) for coef, l, n in terms)
+                  for z in spec.roots], dtype=complex)
+    a0 = sum(coef * comb(M - n, N) for coef, _, n in terms)
+    return spec.evolve(a, a0, config_to_partition(x), t)
 
 
 def sector_generator(M: int, N: int) -> np.ndarray:

@@ -1,26 +1,12 @@
-from fractions import Fraction
 from random import Random
 
 import pytest
+
+# the seeded draws the tests use, shared with the CLI and the acceptance battery
+from fivevertex.sampling import distinct_square_fractions as distinct_squares  # noqa: F401
+from fivevertex.sampling import rand_fraction  # noqa: F401
 
 
 @pytest.fixture
 def rng():
     return Random(20130514)
-
-
-def rand_fraction(rng, nonzero=True, span=9):
-    while True:
-        f = Fraction(rng.randint(-span, span), rng.randint(1, span))
-        if not nonzero or f != 0:
-            return f
-
-
-def distinct_squares(rng, count):
-    out = []
-    while len(out) < count:
-        f = rand_fraction(rng)
-        if any(f * f == g * g for g in out):
-            continue
-        out.append(f)
-    return out

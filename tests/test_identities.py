@@ -7,7 +7,7 @@ import pytest
 
 from fivevertex.identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs,
                                    grothendieck_sum_check, grothendieck_sum_det,
-                                   orthogonality_check)
+                                   orthogonality_check, orthogonality_matrix)
 from fivevertex.partitions import enumerate_box
 from fivevertex.symfunc import schur_eval
 
@@ -135,6 +135,20 @@ def test_orthogonality_small_case():
             val = orthogonality_check(M, N, -1.0, lam, mu, sols)
             want = 1.0 if lam.parts == mu.parts else 0.0
             assert abs(val - want) <= 1e-8
+
+
+def test_orthogonality_matrix_matches_pairwise_checks():
+    from fivevertex.tasep import bethe_solve
+
+    M, N, beta = 6, 2, -0.5
+    sols = bethe_solve(M, N, beta=beta)
+    box = list(enumerate_box(M - N, N))
+    gram = orthogonality_matrix(M, N, beta, sols)
+    assert gram.shape == (len(box), len(box))
+    for i, lam in enumerate(box):
+        for k, mu in enumerate(box):
+            assert abs(gram[i, k] - orthogonality_check(M, N, beta, lam, mu, sols)) <= 1e-12
+            assert abs(gram[i, k] - (1.0 if i == k else 0.0)) <= 1e-8
 
 
 def test_orthogonality_rejects_incomplete_enumeration():

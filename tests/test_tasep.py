@@ -1,15 +1,18 @@
 """TASEP dynamics: Bethe solver, Green functions, observables, master oracle."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from fivevertex.identities import cauchy_rhs
 from fivevertex.partitions import ParticleConfiguration as PC
 from fivevertex.partitions import enumerate_box, partition_to_config
-from fivevertex.symfunc import grothendieck_eval
-from fivevertex.tasep import (GreenQuery, bethe_solve, current_terms, density_terms,
+from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval
+from fivevertex.tasep import (GreenQuery, Spectrum, bethe_solve, current_terms, density_terms,
                               expectation, expectation_via_form_factors, form_factor_sum,
                               green_function, green_function_table, master_oracle,
                               sector_generator, sum_rule_check)
@@ -184,3 +187,54 @@ def test_master_oracle_expm_fallback(monkeypatch):
     monkeypatch.setattr(np.linalg, "cond", lambda m: 1e9)
     fallback = master_oracle(x0, 0.8).amplitudes
     assert np.max(np.abs(direct - fallback)) < 1e-12
+
+
+def test_green_table_and_sum_rule_at_11_8():
+    # cauchy_rhs(z, 1/z) meets an unresolved kernel pole on some (11,8)
+    # roots; the closed-form weight the spectral sums use has none
+    M, N = 11, 8
+    sols = bethe_solve(M, N)
+    gen = sector_generator(M, N)
+    x0 = PC((1, 2, 3, 5, 6, 8, 9, 10), M)
+    column = sector_basis(M, N).index(x0.positions)
+    for t in (0.1, 1.0):
+        oracle = expm(gen * t)
+        assert np.max(np.abs(green_function_table(M, N, t, sols) - oracle)) <= 1e-8
+        assert abs(sum_rule_check(x0, t, sols) - oracle[:, column].sum()) <= 1e-8
+
+
+@pytest.mark.parametrize("M, N", [(6, 3), (8, 4)])
+def test_spectrum_weights_invert_the_cauchy_determinant(M, N):
+    spec = Spectrum(bethe_solve(M, N), M, N)
+    for z, w in zip(spec.roots, spec.weights):
+        z = [complex(zj) for zj in z]
+        assert abs(w * cauchy_rhs(M, N, z, [1 / zj for zj in z], -1.0) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.5])
+def test_spectrum_vectors_match_scalar_evaluators(beta):
+    M, N = 7, 3
+    spec = Spectrum(bethe_solve(M, N, beta=beta), M, N, beta)
+    box = list(enumerate_box(M - N, N))
+    want_left = np.array([[grothendieck_eval(mu, list(z), beta) for z in spec.roots]
+                          for mu in box])
+    want_right = np.array([[w * dual_grothendieck_eval(lam, list(1 / z), beta)
+                            for z, w in zip(spec.roots, spec.weights)] for lam in box])
+    left, right = spec.box_vectors()
+    assert np.max(np.abs(left - want_left)) <= 1e-12 * np.max(np.abs(want_left))
+    assert np.max(np.abs(right - want_right)) <= 1e-12 * np.max(np.abs(want_right))
+
+
+def test_spectrum_refuses_degenerate_input():
+    M, N = 6, 2
+    sols = bethe_solve(M, N)
+    with pytest.raises(RuntimeError, match="incomplete"):
+        Spectrum(sols[:-1], M, N)
+    k, proper = next((k, s) for k, s in enumerate(sols) if not s.stationary)
+    coincident = replace(proper, roots=(proper.roots[0],) * N)
+    with pytest.raises(ValueError, match="coincident"):
+        Spectrum(sols[:k] + [coincident] + sols[k + 1:], M, N)
+    # a root at 1 makes 1 + beta/y vanish at y = 1/z for beta = -1
+    at_pole = replace(proper, roots=(1.0 + 0j,) + proper.roots[1:])
+    with pytest.raises(ZeroDivisionError, match="1 \\+ beta/z"):
+        Spectrum(sols[:k] + [at_pole] + sols[k + 1:], M, N)
