@@ -116,18 +116,20 @@ def criterion_3_wavefunctions(seed: int = 103) -> dict:
                     if dual_wavefunction_det(x, u, alpha, M) != bra[i]:
                         return _result("3 wavefunction master", False, t0,
                                        f"<psi|x> mismatch at M={M}, N={N}, x={x}")
-    import sympy
+    # The closed forms are proved in the field QQ(alpha, u_1..u_N), whose
+    # elements are stored as reduced fractions: a difference is the zero
+    # rational function exactly when its numerator is the zero polynomial.
+    from sympy import QQ
+    from sympy.polys.fields import field
 
     for N in range(1, 4):
         M = 2 * N + 1
-        alpha = sympy.symbols("a", positive=True)
-        u = sympy.symbols(f"u1:{N + 1}", positive=True)
-        step = dual_wavefunction_det(tuple(range(1, N + 1)), list(u), alpha, M)
-        if sympy.simplify(step - step_overlap_value(list(u), alpha, M)) != 0:
+        _, alpha, *u = field(["a"] + [f"u{j}" for j in range(1, N + 1)], QQ)
+        step = dual_wavefunction_det(tuple(range(1, N + 1)), u, alpha, M)
+        if step - step_overlap_value(u, alpha, M):
             return _result("3 wavefunction master", False, t0, f"step closed form N={N}")
-        stair = dual_wavefunction_det(tuple(2 * j - 1 for j in range(1, N + 1)),
-                                      list(u), alpha, M)
-        if sympy.simplify(stair - staircase_overlap_value(list(u), alpha, M)) != 0:
+        stair = dual_wavefunction_det(tuple(2 * j - 1 for j in range(1, N + 1)), u, alpha, M)
+        if stair - staircase_overlap_value(u, alpha, M):
             return _result("3 wavefunction master", False, t0, f"staircase closed form N={N}")
     return _result("3 wavefunction master", True, t0,
                    "all configs M<=5 N<=3 x 10 draws exact; closed forms symbolic N<=3")

@@ -30,14 +30,14 @@ import numpy as np
 
 from . import acceptance
 from .identities import cauchy_lhs, cauchy_rhs, grothendieck_sum_check, orthogonality_matrix
-from .partitions import ParticleConfiguration, Partition
+from .partitions import ParticleConfiguration, Partition, config_to_partition
 from .sampling import distinct_square_fractions, rand_fraction
 from .scalarprod import (IntermediateSpec, domain_wall_value, intermediate_scalar_det,
                          norm_det, recursion_check, scalar_product_det)
 from .sector import ModelParameters, commutation_checks, transfer_matrix
 from .symfunc import dual_grothendieck_eval, grothendieck_eval, schur_eval
 from .tasep import (GreenQuery, Spectrum, bethe_solve, current_terms, density_terms,
-                    expectation_via_form_factors, green_function, master_oracle)
+                    green_function, master_oracle)
 from .vertex import rll_check, rtilde_check, ybe_check
 from .wavefunc import dual_wavefunction_det, wavefunction_det
 
@@ -361,10 +361,12 @@ def _cmd_tasep(args, t0, timing) -> int:
         return 1
     x0 = ParticleConfiguration(tuple(args.initial), args.M)
     spec = Spectrum(bethe_solve(args.M, args.N), args.M, args.N)
+    a, a0 = spec.form_factors(terms)  # t-independent, so built once for the grid
+    lam = config_to_partition(x0)
     print("t,value")
     k = 0
     while (t := start + k * step) <= stop + 1e-12:
-        print(f"{t},{expectation_via_form_factors(terms, x0, t, spec)}")
+        print(f"{t},{spec.evolve(a, a0, lam, t)}")
         k += 1
     return 0
 

@@ -8,11 +8,13 @@ The deformed Cauchy identity over the (M-N)^N box,
 
 its M -> infinity product form, the weighted summation formulas, and the
 orthogonality of G and Gbar over the solutions of the z-form Bethe
-equations.  The z_j y_k = 1 kernel singularity is always removable and is
-resolved by L'Hopital inside the rational-function evaluation, so random
-draws need no special casing.  At y = 1/z on a Bethe solution the
-determinant side equals 1/w(z), the closed-form orthogonality weight, which
-is what the Green functions use instead of resolving N removable poles.
+equations.  The z_j y_k = 1 kernel singularity is always removable: with
+distinct y the determinant columns are the kernel's exact quotient
+polynomials, so the float lane is finite at y = 1/z; only the transposed
+branch (coincident y) resolves it by L'Hopital inside the rational-function
+evaluation.  At y = 1/z on a Bethe solution the determinant side equals
+1/w(z), the closed-form orthogonality weight, which is what the Green
+functions use.
 """
 
 from __future__ import annotations
@@ -49,13 +51,17 @@ def cauchy_rhs(M, N, z, y, beta):
     if not (z_distinct or y_distinct):
         raise ValueError("coincidences in both variable groups are not supported")
     if y_distinct:
-        # columns are rational functions of z, labelled by y_k; coincident
-        # z-points go through the confluent row limit
+        # columns are polynomials in z, labelled by y_k: the kernel's exact
+        # quotient by z y_k - 1, with a = 1 + beta z and b = 1 + beta/y_k,
+        #   sum_{i<M} (y_k z)^i - (beta/y_k) sum_{i<N-1} a^i b^(-1-i);
+        # coincident z-points go through the confluent row limit
         cols = []
         for yk in y:
-            c_k = (1 + beta * yk ** -1) ** (1 - N)
-            num = (yk ** M) * Poly.monomial(M) - c_k * Poly([1, beta]) ** (N - 1)
-            cols.append(RatFunc(num, Poly([-1, yk])))
+            col = Poly([yk ** i for i in range(M)])
+            b = 1 + beta * yk ** -1
+            for i in range(N - 1):
+                col = col - (beta * yk ** -1 * b ** (-1 - i)) * Poly([1, beta]) ** i
+            cols.append(col)
         ratio = sign_pairs(N) * det_ratio_columns(cols, z)
         pref = 1
         for j in range(N):

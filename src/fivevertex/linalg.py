@@ -150,7 +150,10 @@ def det(m):
 
     Dispatch: any float/complex entry selects the LU route (partial
     pivoting, via numpy); otherwise fraction-free Bareiss elimination, which
-    is exact over ints, Fractions and sympy expressions.
+    is exact over ints, Fractions and canonical field elements such as those
+    of ``sympy.polys.fields.field``.  Bareiss pivots on ``x == 0``, so symbolic
+    expression entries (anything with ``free_symbols``), whose equality is
+    structural, raise ``TypeError``.
     """
     a = m.data if isinstance(m, Matrix) else [list(row) for row in m]
     n = len(a)
@@ -158,7 +161,16 @@ def det(m):
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1
-    if any(is_inexact(x) for row in a for x in row):
+    inexact = False
+    for row in a:
+        for x in row:
+            if is_inexact(x):
+                inexact = True
+            elif hasattr(x, "free_symbols"):
+                raise TypeError(
+                    f"det cannot test the expression entry {x!r} for zero; pass elements "
+                    "of a rational-function field from sympy.polys.fields.field instead")
+    if inexact:
         return complex(np.linalg.det(np.array(a, dtype=complex)))
     return _det_bareiss([list(row) for row in a])
 

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .confluent import det_ratio_columns, group_points
 from .linalg import Matrix, det
 from .ratfunc import Poly, RatFunc
-from .scalars import exact_div, is_inexact, rational_sqrt
+from .scalars import COINCIDENCE_TOL, exact_div, is_inexact, is_zero, rational_sqrt
 
 
 @dataclass(frozen=True)
@@ -102,14 +103,61 @@ def _d_inhom(x, w, alpha):
     return out
 
 
+def _removable_at(spec: IntermediateSpec, j: int, x) -> bool:
+    """u_j = x makes the determinant formula 0/0, though S is finite there.
+
+    That is alpha x^2 = w_l^2 for some l > M-N+n (a zero of the u-column
+    denominator), or x^2 equal to the square of another u; complex values
+    coincide within ``COINCIDENCE_TOL``.
+    """
+    tol = COINCIDENCE_TOL if is_inexact(x) else 0
+    if any(is_zero(spec.alpha * x * x - wl * wl, tol) for wl in spec.w[spec.M - spec.N + spec.n:]):
+        return True
+    return any(is_zero(x * x - uk * uk, tol) for k, uk in enumerate(spec.u) if k != j)
+
+
+def _interpolated_at(spec: IntermediateSpec, j: int):
+    """S at a removable point of u_j, by Property 2.
+
+    u_j^(M+2n-2N-1) S is a polynomial of degree M-N+n-1 in u_j^2, so S is
+    its Lagrange interpolant through M-N+n regular points u_j = 1, 2, 3, ...
+    """
+    n, u, M, N = spec.n, spec.u, spec.M, spec.N
+    power = M + 2 * n - 2 * N - 1
+    one = 1.0 + 0j if is_inexact(u[j]) else Fraction(1)
+    points = []
+    k = 0
+    while len(points) < M - N + n:
+        k += 1
+        x = k * one
+        if _removable_at(spec, j, x):
+            continue
+        sample = IntermediateSpec(n, u[:j] + (x,) + u[j + 1:], spec.v, spec.w, spec.alpha, M, N)
+        points.append((x * x, x ** power * intermediate_scalar_det(sample)))
+    target = u[j] * u[j]
+    total = 0
+    for i, (si, fi) in enumerate(points):
+        term = fi
+        for m, (sm, _) in enumerate(points):
+            if m != i:
+                term = term * (target - sm) / (si - sm)
+        total = total + term
+    return total * u[j] ** -power
+
+
 def intermediate_scalar_det(spec: IntermediateSpec):
-    """S({u}_n | {v}_N | {w}) as the two-case N x N determinant."""
+    """S({u}_n | {v}_N | {w}) as the two-case N x N determinant.
+
+    Where the formula is 0/0 in some u_j (see ``_removable_at``), S comes
+    from ``_interpolated_at`` instead.
+    """
     n, u, v, w, alpha, M, N = spec.n, spec.u, spec.v, spec.w, spec.alpha, spec.M, spec.N
     if N == 0:
         return 1
+    for j, uj in enumerate(u):
+        if _removable_at(spec, j, uj):
+            return _interpolated_at(spec, j)
     s_u = [x * x for x in u]
-    if not _all_distinct(s_u):
-        raise ValueError("coincident u-squares in the intermediate product are not supported")
     w_sq = [x * x for x in w]
     w_prod = 1
     for wl in w:

@@ -1,9 +1,12 @@
 """Scalar helpers shared by the exact and floating arithmetic lanes.
 
-Exact mode works with python ints and ``fractions.Fraction`` (sympy
-expressions are also tolerated, for symbolic cross-checks); identities are
-then literal equalities.  Floating mode works with ``complex``; comparisons
-always go through an explicit tolerance.
+Exact mode works with python ints, ``fractions.Fraction`` and elements of
+any field whose equality is canonical, such as a rational-function field
+QQ(alpha, u_1, ...) that stores its elements reduced: ``x == 0`` is then a
+zero test and ``a / b`` an exact quotient, so identities are literal
+equalities.  Symbolic expression trees, whose ``==`` is only structural, are
+not exact scalars (``linalg.det`` refuses them).  Floating mode works with
+``complex``; comparisons always go through an explicit tolerance.
 """
 
 from __future__ import annotations
@@ -26,21 +29,10 @@ def is_inexact(x) -> bool:
     return isinstance(x, _INEXACT)
 
 
-def is_sympy(x) -> bool:
-    return type(x).__module__.partition(".")[0] == "sympy"
-
-
 def is_zero(x, tol: float = COMPLEX_EQ_TOL) -> bool:
-    """Zero test: exact for rationals/ints, ``|x| <= tol`` for floats."""
+    """Zero test: exact for exact scalars, ``|x| <= tol`` for floats."""
     if is_inexact(x):
         return abs(x) <= tol
-    if is_sympy(x):
-        flag = x.is_zero
-        if flag is None:
-            import sympy
-
-            flag = sympy.simplify(x).is_zero
-        return bool(flag)
     return x == 0
 
 
@@ -53,10 +45,6 @@ def exact_div(a, b):
     if isinstance(a, int) and isinstance(b, int):
         q, r = divmod(a, b)
         return q if r == 0 else Fraction(a, b)
-    if is_sympy(a) or is_sympy(b):
-        import sympy
-
-        return sympy.cancel(a / b)
     return a / b
 
 

@@ -291,6 +291,16 @@ class Spectrum:
         box = list(enumerate_box(self.M - self.N, self.N))
         return np.array([self.left(mu) for mu in box]), np.array([self.right(lam) for lam in box])
 
+    def form_factors(self, terms):
+        """(a, a0) of the window observable sum coef * s_l ... s_{l+n-1}, for ``evolve``.
+
+        a_s is the form-factor sum at z_s; a0 its value at the stationary
+        point, sum coef * binomial(M-n, N).  Neither depends on t.
+        """
+        a = np.array([sum(coef * form_factor_sum(l, n, z, self.M) for coef, l, n in terms)
+                      for z in self.roots], dtype=complex)
+        return a, sum(coef * comb(self.M - n, self.N) for coef, _, n in terms)
+
     def evolve(self, a, a0, lam, t) -> float:
         """Real part of a0 * stationary + sum_s a_s right(lam)_s e^{E_s t}."""
         total = a0 * self.stationary + a @ (self.right(lam) * np.exp(self.energies * t))
@@ -406,12 +416,8 @@ def current_terms(i: int):
 
 def expectation_via_form_factors(terms, x: ParticleConfiguration, t: float, solutions=None):
     """<A>_t with the numerator evaluated through the form-factor determinants."""
-    M, N = x.ring_size, len(x)
-    spec = _spectrum(solutions, M, N)
-    a = np.array([sum(coef * form_factor_sum(l, n, z, M) for coef, l, n in terms)
-                  for z in spec.roots], dtype=complex)
-    a0 = sum(coef * comb(M - n, N) for coef, _, n in terms)
-    return spec.evolve(a, a0, config_to_partition(x), t)
+    spec = _spectrum(solutions, x.ring_size, len(x))
+    return spec.evolve(*spec.form_factors(terms), config_to_partition(x), t)
 
 
 def sector_generator(M: int, N: int) -> np.ndarray:

@@ -4,7 +4,9 @@ Run with -s to see the one-line pass/fail report per criterion; the same
 battery backs ``fivevertex verify-all --level desk``.
 """
 
-from fivevertex import acceptance
+import pytest
+
+from fivevertex import acceptance, wavefunc
 
 
 def _run(criterion):
@@ -24,6 +26,17 @@ def test_criterion_02_operator_algebra_suite():
 
 def test_criterion_03_wavefunction_master_check():
     _run(acceptance.criterion_3_wavefunctions)
+
+
+@pytest.mark.parametrize("name, label", [("step_overlap_value", "step"),
+                                         ("staircase_overlap_value", "staircase")])
+def test_criterion_03_rejects_a_wrong_closed_form(monkeypatch, name, label):
+    # M -> M+1 in one closed form must break its proof in QQ(alpha, u)
+    right = getattr(wavefunc, name)
+    monkeypatch.setattr(acceptance, name, lambda u, alpha, M: right(u, alpha, M + 1))
+    result = acceptance.criterion_3_wavefunctions()
+    assert not result["passed"]
+    assert result["detail"] == f"{label} closed form N=1"
 
 
 def test_criterion_04_scalar_product_suite():

@@ -1,7 +1,12 @@
 """CLI surface: JSON envelopes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import fivevertex
 from fivevertex.cli import run
 
 
@@ -127,3 +132,14 @@ def test_negative_rational_option_values(capsys):
     assert code == 0
     assert payload["inputs"]["beta"] == "-1/2"
     assert payload["inputs"]["z"] == ["-1/2", "1/3"]
+
+
+def test_package_imports_leave_sympy_out():
+    # sympy is only imported by criterion 3's proof and by tests
+    src = str(Path(fivevertex.__file__).resolve().parents[1])
+    code = ("import sys, fivevertex, fivevertex.cli, fivevertex.acceptance; "
+            "print('sympy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -108,3 +108,31 @@ def test_confluent_limit_against_richardson_oracle():
 def test_confluent_requires_derivatives():
     with pytest.raises(ValueError):
         confluent_det_ratio(lambda u, v: u * v, [F(1), F(1)], [F(2), F(3)])
+
+
+def test_bareiss_over_rational_function_field_matches_berkowitz():
+    import sympy
+    from sympy.polys.fields import field
+
+    K, a, u1, u2, u3 = field("a,u1,u2,u3", sympy.QQ)
+    cases = [
+        [[a, u1, 1], [u2, a * u3, u1 ** 2], [1, u3, a * u1 - u2]],
+        # zero leading entry: Bareiss swaps rows at step 0
+        [[0, a, u1, 1], [u2, 1, a * u3, u1], [a * u1 - 1, u3, 0, u2 ** 2],
+         [1, u1 * u2, a, u3]],
+        # leading 2x2 minor vanishes: the swap happens at step 1
+        [[a, u1, u2, 1], [a * u2, u1 * u2, u3, a], [u3, 1, a, u1], [1, a, u1 * u3, u2]],
+        # rows 0 and 2 proportional: the determinant is the zero function
+        [[a, u1, u2], [u3, 1, a * u1], [a * u3, u1 * u3, u2 * u3]],
+    ]
+    for rows in cases:
+        oracle = sympy.Matrix([[K(x).as_expr() for x in row] for row in rows])
+        assert det(Matrix(rows)) == K.from_expr(oracle.det(method="berkowitz"))
+
+
+def test_det_refuses_expression_entries():
+    import sympy
+
+    x = sympy.Symbol("x")
+    with pytest.raises(TypeError, match="sympy.polys.fields.field"):
+        det(Matrix([[x, 1], [1, x]]))

@@ -160,3 +160,31 @@ def test_intermediate_polynomial_degree_property(rng):
                 term = term * (held_s - sj) / (si - sj)
         interp += term
     assert interp == held_val
+
+
+def _monodromy_oracle(spec):
+    params = ModelParameters(alpha=spec.alpha, M=spec.M, w=spec.w)
+    vec = [1]
+    for k, vk in enumerate(spec.v):
+        vec = build_monodromy_element("B", vk, params, k).apply(vec)
+    for k in range(spec.n):
+        vec = build_monodromy_element("C", spec.u[k], params, spec.N - k).apply(vec)
+    bra_cfg = tuple(range(spec.M - spec.N + spec.n + 1, spec.M + 1))
+    return vec[sector_basis(spec.M, spec.N - spec.n).index(bra_cfg)]
+
+
+# alpha u_1^2 = w_l^2 with l > M-N+n, drawn by criterion 4 at seeds 2 and 10;
+# then two u-squares coinciding, as seed 2's recursion check at n = 2 makes them
+_W2 = (F(4, 7), F(7), F(9), F(4, 9))
+_V2 = (F(1), F(8, 7), F(-3, 4))
+REMOVABLE_POINTS = [
+    IntermediateSpec(1, (F(-3),), _V2, _W2, F(9), 4, 3),
+    IntermediateSpec(1, (F(-1),), (F(1, 4), F(1), F(2, 3)),
+                     (F(-1, 7), F(5, 6), F(2, 5), F(3, 4)), F(9, 16), 4, 3),
+    IntermediateSpec(2, (F(-3), F(3)), _V2, _W2, F(9), 4, 3),
+]
+
+
+@pytest.mark.parametrize("spec", REMOVABLE_POINTS, ids=["seed2", "seed10", "coincident"])
+def test_intermediate_at_removable_points_matches_oracle(spec):
+    assert intermediate_scalar_det(spec) == _monodromy_oracle(spec)

@@ -189,11 +189,15 @@ def test_master_oracle_expm_fallback(monkeypatch):
     assert np.max(np.abs(direct - fallback)) < 1e-12
 
 
-def test_green_table_and_sum_rule_at_11_8():
-    # cauchy_rhs(z, 1/z) meets an unresolved kernel pole on some (11,8)
-    # roots; the closed-form weight the spectral sums use has none
+@pytest.fixture(scope="module")
+def sols_11_8():
+    return bethe_solve(11, 8)
+
+
+def test_green_table_and_sum_rule_at_11_8(sols_11_8):
+    # the largest sector the solver completes, against expm
     M, N = 11, 8
-    sols = bethe_solve(M, N)
+    sols = sols_11_8
     gen = sector_generator(M, N)
     x0 = PC((1, 2, 3, 5, 6, 8, 9, 10), M)
     column = sector_basis(M, N).index(x0.positions)
@@ -209,6 +213,17 @@ def test_spectrum_weights_invert_the_cauchy_determinant(M, N):
     for z, w in zip(spec.roots, spec.weights):
         z = [complex(zj) for zj in z]
         assert abs(w * cauchy_rhs(M, N, z, [1 / zj for zj in z], -1.0) - 1) <= 1e-12
+
+
+def test_cauchy_rhs_finite_at_y_inverse_z_on_every_11_8_root(sols_11_8):
+    # its columns are the kernel's exact quotient polynomials, so no
+    # z_j y_k = 1 pole is left to decide with a tolerance
+    M, N = 11, 8
+    spec = Spectrum(sols_11_8, M, N)
+    assert len(spec.roots) == 164
+    for z, w in zip(spec.roots, spec.weights):
+        z = [complex(zj) for zj in z]
+        assert abs(w * cauchy_rhs(M, N, z, [1 / zj for zj in z], -1.0) - 1) <= 1e-8
 
 
 @pytest.mark.parametrize("beta", [-1.0, -0.5])
