@@ -21,16 +21,15 @@ from scipy.optimize import linear_sum_assignment
 
 from .identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs,
                          grothendieck_sum_check, orthogonality_matrix)
-from .partitions import ParticleConfiguration, enumerate_box
+from .partitions import ParticleConfiguration, config_to_partition, enumerate_box
 from .sampling import distinct_square_fractions, rand_fraction, spectral_draw
 from .scalarprod import (IntermediateSpec, domain_wall_value, intermediate_scalar_det,
                          norm_det, recursion_check, scalar_product_det)
 from .sector import (ModelParameters, bethe_state, commutation_checks, dual_bethe_state,
                      rtt_check, sector_basis, transfer_matrix)
 from .symfunc import schur_eval
-from .tasep import (Spectrum, bethe_solve, current_terms, density_terms,
-                    expectation_via_form_factors, green_function_table, master_oracle,
-                    sector_generator, sum_rule_check)
+from .tasep import (Spectrum, bethe_solve, current_terms, density_terms, green_function_table,
+                    master_oracle, sector_generator, sum_rule_check)
 from .vertex import appendix_a_family_check, rll_check, rtilde_check, ybe_check
 from .wavefunc import (dual_wavefunction_det, dual_wavefunction_sum, step_overlap_value,
                        staircase_overlap_value, wavefunction_det, wavefunction_sum)
@@ -365,12 +364,16 @@ def criterion_10_observables() -> dict:
     density_diag = np.diag([1.0 if site in cfg else 0.0 for cfg in basis])
     current_diag = np.diag([1.0 if (site in cfg and site + 1 not in cfg) else 0.0
                             for cfg in basis])
+    lam0 = config_to_partition(x0)
+    # the form-factor vectors do not depend on t: one per observable
+    observables = [(spec.form_factors(terms), diag, label)
+                   for terms, diag, label in ((density_terms(site), density_diag, "density"),
+                                              (current_terms(site), current_diag, "current"))]
     t_grid = [0.5 * k for k in range(21)]
     for t in t_grid:
         vec = master_oracle(x0, t).amplitudes
-        for terms, diag, label in ((density_terms(site), density_diag, "density"),
-                                   (current_terms(site), current_diag, "current")):
-            got = expectation_via_form_factors(terms, x0, t, spec)
+        for (a, a0), diag, label in observables:
+            got = spec.evolve(a, a0, lam0, t)
             want = float(np.ones(len(vec)) @ diag @ vec)
             if abs(got - want) > 1e-8:
                 return _result("10 observables", False, t0,

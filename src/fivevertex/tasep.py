@@ -26,14 +26,21 @@ Y = prod (1+beta z_j), the single-root equation is a degree-M polynomial
 whose companion-matrix roots are computed numerically; each N-subset of
 roots is iterated to a fixed point of Y with damping and
 continuity-tracked root matching, deduplicated, Newton-polished, and
-validated against the per-root residual target.  ``beta`` generalizes the
-equations to (1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j), as needed
-by the orthogonality relation (beta = -1 is the TASEP point).
+validated against the per-root residual target.  All subsets advance
+together: a damped step is one stacked ``eigvals`` over the companion
+matrices of the subsets still moving and one broadcast nearest-root
+matching (``linear_sum_assignment`` only where two roots claim the same
+new one), and a Newton step is one stacked solve.  Every floating-point
+operation is the one a subset-at-a-time loop would do, so the solution
+sets are the same to the bit.  ``beta`` generalizes the equations to
+(1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j), as needed by the
+orthogonality relation (beta = -1 is the TASEP point).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -122,41 +129,80 @@ class SectorState:
 
 
 def _bethe_poly_roots(M, N, beta, Y):
-    """Companion-matrix roots of (1 + beta z)^N - (-1)^(N-1) Y z^M."""
-    c = np.zeros(M + 1, dtype=complex)
+    """Roots of (1 + beta z)^N - (-1)^(N-1) Y_s z^M, one row per entry of Y.
+
+    The companion matrices are built exactly as ``np.roots`` builds them
+    (leading coefficient divided out) and stacked into one ``eigvals`` call.
+    """
+    Y = np.asarray(Y, dtype=complex).reshape(-1)
+    c = np.zeros((len(Y), M + 1), dtype=complex)
     for k in range(N + 1):
-        c[k] += comb(N, k) * beta ** k
-    c[M] -= (-1) ** (N - 1) * Y
-    return list(np.roots(c[::-1]))
+        c[:, k] += comb(N, k) * beta ** k
+    c[:, M] -= (-1) ** (N - 1) * Y
+    p = c[:, ::-1]
+    companion = np.zeros((len(Y), M, M), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(M - 1)
+    companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+    return np.linalg.eigvals(companion)
 
 
 def _canonical(roots):
     return tuple(sorted(roots, key=lambda z: (round(z.real, 10), round(z.imag, 10))))
 
 
+def _abs(z):
+    """|z| elementwise, bit for bit the scalar ``abs`` (``np.abs`` can differ in the last bit)."""
+    return np.hypot(z.real, z.imag)
+
+
 def _match(chosen, new_roots):
-    cost = np.array([[abs(c - r) for r in new_roots] for c in chosen])
-    _, cols = linear_sum_assignment(cost)
-    return [new_roots[c] for c in cols]
+    """Row s of ``new_roots`` (S, M) reordered to follow row s of ``chosen`` (S, N).
+
+    Each row is the min-sum assignment on |chosen_j - new_k|.  When the
+    row-wise nearest roots are distinct they are that assignment; only rows
+    where two chosen roots share a nearest root go to ``linear_sum_assignment``.
+    """
+    cost = _abs(chosen[:, :, None] - new_roots[:, None, :])
+    cols = cost.argmin(axis=2)
+    ranked = np.sort(cols, axis=1)
+    for s in np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)):
+        cols[s] = linear_sum_assignment(cost[s])[1]
+    return np.take_along_axis(new_roots, cols, axis=1)
 
 
 def _newton_polish(z, M, N, beta, iters=40):
+    """Newton on the Bethe equations for each row of z (S, N), one stacked solve per step.
+
+    A row stops once its own max|f| < 1e-15, or when its Jacobian is singular.
+    """
     z = np.array(z, dtype=complex)
     sgn = (-1) ** (N - 1)
+    live = np.arange(len(z))
+    diag = np.arange(N)
     for _ in range(iters):
-        prod_factors = 1 + beta * z
-        Y = np.prod(prod_factors)
-        f_val = prod_factors ** N - sgn * z ** M * Y
-        if np.max(np.abs(f_val)) < 1e-15:
+        zl = z[live]
+        prod_factors = 1 + beta * zl
+        Y = np.prod(prod_factors, axis=1)[:, None]
+        f_val = prod_factors ** N - sgn * zl ** M * Y
+        moving = ~(np.max(np.abs(f_val), axis=1) < 1e-15)
+        live, zl, prod_factors, Y, f_val = (v[moving] for v in (live, zl, prod_factors, Y, f_val))
+        if not len(live):
             break
-        jac = np.diag(N * beta * prod_factors ** (N - 1) - sgn * M * z ** (M - 1) * Y)
+        jac = np.zeros((len(live), N, N), dtype=complex)
+        jac[:, diag, diag] = N * beta * prod_factors ** (N - 1) - sgn * M * zl ** (M - 1) * Y
         for l in range(N):
-            partial = beta * np.prod([prod_factors[j] for j in range(N) if j != l])
-            jac[:, l] -= sgn * z ** M * partial
+            # a C-ordered copy keeps the product in the scalar reduction order
+            partial = beta * np.prod(np.delete(prod_factors, l, axis=1), axis=1)[:, None]
+            jac[:, :, l] -= sgn * zl ** M * partial
         try:
-            z = z - np.linalg.solve(jac, f_val)
+            z[live] = zl - np.linalg.solve(jac, f_val[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            break
+            for r in range(len(live)):
+                try:
+                    z[live[r]] = zl[r] - np.linalg.solve(jac[r], f_val[r])
+                except np.linalg.LinAlgError:
+                    live[r] = -1
+            live = live[live >= 0]
     return z
 
 
@@ -173,13 +219,45 @@ def _energy(z, beta):
     return complex(-len(z) + alpha * sum(1 / zj for zj in z))
 
 
+def _flow(M, N, beta, subsets):
+    """Damped self-consistency flow in Y from Y = 1, all subsets advanced together.
+
+    Returns per subset its status ("converged", "stationary" or "failed"),
+    its roots in flow order, and its last |Y_new - Y|.
+    """
+    start = np.array(_canonical(_bethe_poly_roots(M, N, beta, 1.0)[0]))
+    chosen = start[np.array(subsets)]
+    status = np.full(len(subsets), "failed", dtype=object)
+    y_cur = np.ones(len(subsets), dtype=complex)
+    y_new = np.empty_like(y_cur)
+    gap = np.zeros(len(subsets))
+    active = np.arange(len(subsets))
+    for _ in range(MAX_ITER):
+        y_new[active] = np.prod(1 + beta * chosen[active], axis=1)
+        gap[active] = _abs(y_new[active] - y_cur[active])
+        stationary = _abs(y_new[active]) < 1e-11
+        converged = ~stationary & (gap[active] <= Y_TOL)
+        status[active[stationary]] = "stationary"
+        status[active[converged]] = "converged"
+        active = active[~(stationary | converged)]
+        if not len(active):
+            break
+        y_cur[active] = 0.5 * y_cur[active] + 0.5 * y_new[active]
+        chosen[active] = _match(chosen[active], _bethe_poly_roots(M, N, beta, y_cur[active]))
+    frozen_point = -1 / beta
+    for s in active:
+        if abs(y_new[s]) < 1e-3 and all(abs(z - frozen_point) < 0.05 for z in chosen[s]):
+            status[s] = "stationary"
+    return status, chosen, gap
+
+
 def bethe_solve(M: int, N: int, beta=-1.0):
     """All binomial(M,N) solution sets of the z-form Bethe equations.
 
     For beta = -1 the stationary set (all roots at 1, Y = 0) is inserted
     analytically; subsets whose self-consistency flow collapses onto it are
-    discarded.  Convergence or completeness failures raise with a
-    diagnostic.
+    discarded.  Convergence or completeness failures raise, naming every
+    choice that gave no new solution set and why.
     """
     if not 1 <= N <= M - 1:
         raise ValueError("need 1 <= N <= M-1 (N = M is the frozen ring)")
@@ -188,65 +266,59 @@ def bethe_solve(M: int, N: int, beta=-1.0):
     if expected > comb(12, 6):
         raise ValueError(
             f"{expected} root-choice subsets exceed the desk-scale cap of {comb(12, 6)}")
+    subsets = list(combinations(range(M), N))
     if abs(beta) < 1e-15:
         # roots of 1 + (-1)^N z^M: all N-subsets solve the equations with Y = 1
-        roots = _canonical(_bethe_poly_roots(M, N, beta, 1.0))
+        roots = _canonical(_bethe_poly_roots(M, N, beta, 1.0)[0])
         sols = []
-        for subset in combinations(range(M), N):
+        for subset in subsets:
             z = tuple(roots[i] for i in subset)
             sols.append(BetheSolution(z, 1.0 + 0j, None, _residuals(z, M, N, beta), subset))
         return sols
-    is_tasep = abs(beta + 1) < 1e-15
-    frozen_point = -1 / beta
-
-    def flow(subset):
-        y_cur = 1.0 + 0j
-        chosen = [_canonical(_bethe_poly_roots(M, N, beta, y_cur))[i] for i in subset]
-        for _ in range(MAX_ITER):
-            y_new = np.prod([1 + beta * z for z in chosen])
-            if abs(y_new) < 1e-11:
-                return ("stationary", subset, None)
-            if abs(y_new - y_cur) <= Y_TOL:
-                return ("converged", subset, chosen)
-            y_cur = 0.5 * y_cur + 0.5 * y_new
-            chosen = _match(chosen, _bethe_poly_roots(M, N, beta, y_cur))
-        if abs(y_new) < 1e-3 and all(abs(z - frozen_point) < 0.05 for z in chosen):
-            return ("stationary", subset, None)
-        return ("failed", subset, chosen)
-
-    results = [flow(subset) for subset in combinations(range(M), N)]
+    status, chosen, gap = _flow(M, N, beta, subsets)
+    flowed = status == "converged"
+    chosen[flowed] = _newton_polish(chosen[flowed], M, N, beta)
     solutions = []
-    failures = []
-    for status, subset, chosen in results:
-        if status == "failed":
-            failures.append(subset)
+    kept = np.empty((len(subsets), N), dtype=complex)  # roots of solutions, row by row
+    rejected = []  # (subset, reason) for every choice that gave no new solution set
+    failed = 0
+    for subset, state, z, dy in zip(subsets, status, chosen, gap):
+        if state == "failed":
+            failed += 1
+            rejected.append((subset, f"no fixed point after {MAX_ITER} iterations, "
+                                     f"final |dY| {dy:.3g}"))
             continue
-        if status == "stationary":
+        if state == "stationary":
+            rejected.append((subset, "flowed to Y = 0 (all roots at -1/beta)"))
             continue
-        z = _canonical(_newton_polish(chosen, M, N, beta))
+        z = _canonical(z)
         res = _residuals(z, M, N, beta)
         if max(res) > RESIDUAL_TOL:
-            failures.append(subset)
+            failed += 1
+            rejected.append((subset, f"residual {max(res):.3g} above {RESIDUAL_TOL:g}"))
             continue
         for j in range(N):
             for k in range(j + 1, N):
                 if abs(z[j] - z[k]) <= DEDUP_TOL:
                     raise RuntimeError(
                         f"coincident roots in a non-stationary solution (choice {subset})")
-        if any(max(abs(a - b) for a, b in zip(z, s.roots)) <= DEDUP_TOL for s in solutions):
+        twins = np.flatnonzero(_abs(kept[:len(solutions)] - z).max(axis=1) <= DEDUP_TOL)
+        if len(twins):
+            rejected.append((subset, f"same solution set as choice "
+                                     f"{solutions[twins[0]].choice_id}"))
             continue
+        kept[len(solutions)] = z
         solutions.append(BetheSolution(z, complex(np.prod(1 + beta * np.array(z))),
                                        _energy(z, beta), res, subset))
-    if is_tasep:
+    if abs(beta + 1) < 1e-15:
         solutions.append(BetheSolution((1.0 + 0j,) * N, 0j, 0j, (0.0,) * N,
                                        None, stationary=True))
-    if failures and len(solutions) != expected:
-        raise RuntimeError(
-            f"fixed-point iteration failed for choices {failures[:5]} "
-            f"({len(solutions)} of {expected} solution sets found)")
     if len(solutions) != expected:
-        raise RuntimeError(
-            f"completeness failure: {len(solutions)} of {expected} solution sets found")
+        found = f"{len(solutions)} of {expected} solution sets found"
+        head = (f"fixed-point iteration failed for {failed} of {expected} choices ({found})"
+                if failed else f"completeness failure: {found}")
+        raise RuntimeError("\n".join([f"{head}; choices without a new solution set:"]
+                                     + [f"  {subset}: {why}" for subset, why in rejected]))
     return solutions
 
 
@@ -309,11 +381,22 @@ class Spectrum:
         return float(total.real)
 
 
-def _spectrum(solutions, M, N) -> Spectrum:
-    """``solutions`` as a Spectrum: a prebuilt one, a solution list, or None to solve."""
+@lru_cache(maxsize=1, typed=True)
+def _cached_spectrum(solutions: tuple, M, N, beta) -> Spectrum:
+    return Spectrum(solutions, M, N, beta)
+
+
+def _spectrum(solutions, M, N, beta=-1.0) -> Spectrum:
+    """``solutions`` as a Spectrum: a prebuilt one, a solution list, or None to solve.
+
+    The Spectrum of the last solution list is kept, so callers handed the same
+    list again (one orthogonality check per (lam, mu), say) build it once.
+    """
     if isinstance(solutions, Spectrum):
         return solutions
-    return Spectrum(bethe_solve(M, N) if solutions is None else solutions, M, N)
+    if solutions is None:
+        solutions = bethe_solve(M, N, beta)
+    return _cached_spectrum(tuple(solutions), M, N, beta)
 
 
 def green_function(query: GreenQuery, solutions=None) -> float:

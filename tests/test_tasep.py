@@ -1,21 +1,25 @@
 """TASEP dynamics: Bethe solver, Green functions, observables, master oracle."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 from fivevertex.identities import cauchy_rhs
 from fivevertex.partitions import ParticleConfiguration as PC
 from fivevertex.partitions import enumerate_box, partition_to_config
 from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval
-from fivevertex.tasep import (GreenQuery, Spectrum, bethe_solve, current_terms, density_terms,
-                              expectation, expectation_via_form_factors, form_factor_sum,
-                              green_function, green_function_table, master_oracle,
-                              sector_generator, sum_rule_check)
+from fivevertex.tasep import (DEDUP_TOL, MAX_ITER, RESIDUAL_TOL, Y_TOL, GreenQuery, Spectrum,
+                              _match, _newton_polish, _spectrum, bethe_solve, current_terms,
+                              density_terms, expectation, expectation_via_form_factors,
+                              form_factor_sum, green_function, green_function_table,
+                              master_oracle, sector_generator, sum_rule_check)
 from fivevertex.sector import sector_basis
 
 from conftest import distinct_squares
@@ -253,3 +257,132 @@ def test_spectrum_refuses_degenerate_input():
     at_pole = replace(proper, roots=(1.0 + 0j,) + proper.roots[1:])
     with pytest.raises(ZeroDivisionError, match="1 \\+ beta/z"):
         Spectrum(sols[:k] + [at_pole] + sols[k + 1:], M, N)
+
+
+def _polish_one(z, M, N, beta, iters=40):
+    """Newton on one root set, one subset at a time: the reference for the stacked polish."""
+    z = np.array(z, dtype=complex)
+    sgn = (-1) ** (N - 1)
+    for _ in range(iters):
+        pf = 1 + beta * z
+        Y = np.prod(pf)
+        f = pf ** N - sgn * z ** M * Y
+        if np.max(np.abs(f)) < 1e-15:
+            break
+        jac = np.diag(N * beta * pf ** (N - 1) - sgn * M * z ** (M - 1) * Y)
+        for l in range(N):
+            partial = beta * np.prod(np.delete(pf, l))
+            jac[:, l] -= sgn * z ** M * partial
+        try:
+            z = z - np.linalg.solve(jac, f)
+        except np.linalg.LinAlgError:
+            break
+    return z
+
+
+def _reference_solve(M, N, beta):
+    """(choice, roots) of each new solution set, solving one root choice at a time.
+
+    The same damped Y flow from Y = 1 as ``bethe_solve``, with ``np.roots``,
+    ``linear_sum_assignment`` and ``_polish_one`` per subset; the stationary
+    set is left out.
+    """
+    sgn = (-1) ** (N - 1)
+
+    def roots(Y):
+        c = np.zeros(M + 1, dtype=complex)
+        for k in range(N + 1):
+            c[k] += comb(N, k) * beta ** k
+        c[M] -= sgn * Y
+        return list(np.roots(c[::-1]))
+
+    def canonical(z):
+        return tuple(sorted(z, key=lambda w: (round(w.real, 10), round(w.imag, 10))))
+
+    found = []
+    for subset in combinations(range(M), N):
+        y = 1.0 + 0j
+        chosen = [canonical(roots(y))[i] for i in subset]
+        for _ in range(MAX_ITER):
+            y_new = np.prod([1 + beta * z for z in chosen])
+            if abs(y_new) < 1e-11:
+                break
+            if abs(y_new - y) <= Y_TOL:
+                z = canonical(_polish_one(chosen, M, N, beta))
+                w = np.array(z)
+                res = np.abs(w ** (-M) * (1 + beta * w) ** N - sgn * np.prod(1 + beta * w))
+                if max(res) <= RESIDUAL_TOL and not any(
+                        max(abs(a - b) for a, b in zip(z, other)) <= DEDUP_TOL
+                        for _, other in found):
+                    found.append((subset, z))
+                break
+            y = 0.5 * y + 0.5 * y_new
+            new = roots(y)
+            cols = linear_sum_assignment([[abs(c - r) for r in new] for c in chosen])[1]
+            chosen = [new[c] for c in cols]
+    return found
+
+
+def test_vectorised_matching_equals_linear_sum_assignment():
+    rng = np.random.default_rng(20130514)
+    S, N, M = 300, 4, 9
+    new = rng.normal(size=(S, M)) + 1j * rng.normal(size=(S, M))
+    chosen = new[:, :N] + 0.3 * (rng.normal(size=(S, N)) + 1j * rng.normal(size=(S, N)))
+    # in every other row two chosen roots sit beside the same new root
+    chosen[::2, 0] = new[::2, 0] - 1e-3
+    chosen[::2, 1] = new[::2, 0] + 1e-3j
+    cost = np.abs(chosen[:, :, None] - new[:, None, :])
+    nearest = np.sort(cost.argmin(axis=2), axis=1)
+    clashes = np.any(nearest[:, 1:] == nearest[:, :-1], axis=1)
+    assert clashes[::2].all() and clashes.sum() < S
+    got = _match(chosen, new)
+    for s in range(S):
+        assert np.array_equal(got[s], new[s][linear_sum_assignment(cost[s])[1]])
+
+
+def test_stacked_newton_polish_equals_row_by_row():
+    M, N, beta = 7, 3, -1.0 + 0j
+    rng = np.random.default_rng(7)
+    proper = np.array([s.roots for s in bethe_solve(M, N) if not s.stationary][:6])
+    rows = proper + 1e-4 * (rng.normal(size=proper.shape) + 1j * rng.normal(size=proper.shape))
+    # beside the stationary point |f| ~ 1e-17 already, yet a Newton step would
+    # move the roots by ~1e-6; two roots at 1 give two zero Jacobian rows
+    converged = 1 + np.array([1, -2, 3j]) * 1e-6
+    singular = np.array([1, 1, 0.5], dtype=complex)
+    z = np.vstack([rows[:3], converged, singular, rows[3:]])
+    got = _newton_polish(z, M, N, beta)
+    want = np.array([_polish_one(row, M, N, beta) for row in z])
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[3], converged) and np.array_equal(got[4], singular)
+    moved = np.delete(np.arange(len(z)), [3, 4])
+    assert np.all(np.abs(got[moved] - z[moved]).max(axis=1) > 1e-6)
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.5])
+@pytest.mark.parametrize("M, N", [(6, 3), (8, 4), (9, 6)])
+def test_bethe_solve_matches_per_subset_reference(M, N, beta):
+    sols = [s for s in bethe_solve(M, N, beta) if not s.stationary]
+    ref = _reference_solve(M, N, complex(beta))
+    assert [s.choice_id for s in sols] == [choice for choice, _ in ref]
+    for s, (_, z) in zip(sols, ref):
+        assert np.max(np.abs(np.array(s.roots) - np.array(z))) <= 1e-12
+
+
+def test_solver_failure_names_every_rejected_choice():
+    with pytest.raises(RuntimeError, match="^fixed-point iteration failed") as info:
+        bethe_solve(9, 4)
+    head, *lines = str(info.value).splitlines()
+    found = int(re.search(r"\((\d+) of 126 solution sets found\)", head).group(1))
+    # the stationary set is inserted, so every other missing set is a named choice
+    assert len(lines) == 126 - (found - 1)
+    reason = (r"no fixed point after 500 iterations, final \|dY\| \S+|residual \S+ above 1e-10"
+              r"|flowed to Y = 0 \(all roots at -1/beta\)|same solution set as choice \(.*\)")
+    assert all(re.fullmatch(rf"  \(\d(, \d)*\): ({reason})", line) for line in lines)
+    assert any("(5, 6, 7, 8): no fixed point" in line for line in lines)
+
+
+def test_spectrum_reused_for_the_same_solution_list():
+    sols = bethe_solve(6, 3, beta=-0.5)
+    spec = _spectrum(sols, 6, 3, -0.5)
+    assert _spectrum(list(sols), 6, 3, -0.5) is spec
+    assert _spectrum(sols[::-1], 6, 3, -0.5) is not spec
