@@ -34,6 +34,6 @@ print("monodromy exchange relations on the 2-particle sector:",
 
 # At alpha = 1 the Hamiltonian is the TASEP generator: columns sum to zero
 gen = hamiltonian(ModelParameters(alpha=1, M=5), 2)
-col_sums = [sum(gen.entries[r][c] for r in range(len(gen.entries)))
-            for c in range(len(gen.entries))]
+col_sums = [sum(gen.data[r][c] for r in range(len(gen.data)))
+            for c in range(len(gen.data))]
 print("alpha=1 generator column sums:", col_sums)

@@ -126,7 +126,9 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
     }
 
 
-def _sum_matrix_primal(M, N, z, beta):
+def sum_matrix_primal(M, N, z, beta):
+    """N x N matrix of the primal summation determinant (``grothendieck_sum_det``
+    divides its determinant by the Vandermonde); exact for exact z and beta."""
     rows = []
     for j in range(1, N + 1):
         row = []
@@ -135,7 +137,8 @@ def _sum_matrix_primal(M, N, z, beta):
             if j <= N - 1:
                 val = 0
                 for m in range(0, j):
-                    val = val + (-1) ** m * (-beta) ** (j - N) * comb(M, m) * base ** (m - j + N - 1)
+                    val = val + (-1) ** m * exact_div(1, (-beta) ** (N - j)) * comb(M, m) \
+                        * base ** (m - j + N - 1)
             else:
                 val = 0
                 for m in range(max(N - 1, 1), M + 1):
@@ -183,7 +186,7 @@ def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
     for j in range(N):
         for k in range(j + 1, N):
             pref = exact_div(pref, z[k] - z[j])
-    return pref * det(_sum_matrix_primal(M, N, z, beta))
+    return pref * det(sum_matrix_primal(M, N, z, beta))
 
 
 def grothendieck_sum_check(M, N, z, beta, dual: bool = False) -> bool:

@@ -1,4 +1,12 @@
-"""Dense matrices over a generic scalar, with exact and complex determinants.
+"""The package's one dense matrix type, with exact and complex determinants.
+
+``Matrix`` is a row-major matrix over duck-typed scalars (ints, Fractions,
+field elements, complex).  Its product, sum, difference, scaling, ``apply``
+and equality (exact for exact entries, tolerant for floats) serve every
+layer, including the sector oracle, whose ``sector.SectorOperator`` is a
+``Matrix`` with particle-number labels.  Any dimension may be zero: a product
+with a zero inner dimension is the zero matrix of the outer shape, which is
+how an operator that leaves the sectors 0..M acts.
 
 Exact determinants use fraction-free (Bareiss) one-step elimination, which
 keeps intermediate growth polynomial for the large rational entries produced
@@ -62,30 +70,37 @@ class Matrix:
             shape=(self.rows, self.cols),
         )
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, s):
         return Matrix([[s * a for a in row] for row in self.data], shape=(self.rows, self.cols))
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return Matrix(mat_mul(self.data, other.data, self.cols), shape=(self.rows, other.cols))
-        return self.scale(other)
+        """Matrix product, or scaling by a scalar ``other``."""
+        if not isinstance(other, Matrix):
+            return self.scale(other)
+        inner, cols = self.cols, other.cols
+        if other.rows != inner:
+            raise ValueError("shape mismatch in product")
+        b = other.data
+        out = []
+        for ra in self.data:
+            row = []
+            for c in range(cols):
+                acc = 0
+                for k in range(inner):
+                    acc = acc + ra[k] * b[k][c]
+                row.append(acc)
+            out.append(row)
+        return Matrix(out, shape=(self.rows, cols))
 
     def __rmul__(self, s):
         return self.scale(s)
 
-    def transpose(self):
-        return Matrix([[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)],
-                      shape=(self.cols, self.rows))
-
-    def kron(self, other):
-        out = []
-        for ra in self.data:
-            for rb in other.data:
-                out.append([a * b for a in ra for b in rb])
-        return Matrix(out, shape=(self.rows * other.rows, self.cols * other.cols))
+    def apply(self, vec):
+        """The product with a column vector given as a list."""
+        cols = self.cols
+        if len(vec) != cols:
+            raise ValueError("vector length does not match the column count")
+        return [sum((row[i] * vec[i] for i in range(cols)), 0) for row in self.data]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -100,26 +115,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.data!r})"
-
-    def det(self):
-        return det(self)
-
-
-def mat_mul(a, b, inner):
-    """Product of list-of-list matrices; handles zero-dimensional factors."""
-    if inner and len(b) != inner:
-        raise ValueError("shape mismatch in product")
-    cols = len(b[0]) if b else 0
-    out = []
-    for ra in a:
-        row = []
-        for c in range(cols):
-            acc = 0
-            for k in range(inner):
-                acc = acc + ra[k] * b[k][c]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def mat_solve(a, b):

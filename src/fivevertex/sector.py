@@ -7,6 +7,12 @@ operators are dense matrices between binomial(M,n) configuration bases,
 computed by sweeping the auxiliary bit through sites 1..M (site 1 first) and
 branching over the five admissible vertices.
 
+A ``SectorOperator`` is a ``linalg.Matrix`` labelled with its source and
+target sectors and ring size; the matrix arithmetic is ``Matrix``'s, and the
+labels only refuse compositions and sums whose sectors do not fit.  A sector
+outside 0..M has dimension zero, so an element that leaves the ring's
+sectors composes to the zero operator with no special case.
+
 This module is the brute-force oracle layer: every determinant formula in the
 package is tested against matrix elements produced here.
 """
@@ -16,8 +22,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .linalg import mat_mul
-from .scalars import exact_div, is_inexact, is_zero
+from .linalg import Matrix
+from .scalars import exact_div, is_zero
 from .vertex import ModelParameters, f_weight
 
 __all__ = [
@@ -56,69 +62,58 @@ def basis_index(M: int, n: int):
     return {cfg: i for i, cfg in enumerate(sector_basis(M, n))}
 
 
-class SectorOperator:
-    """Dense matrix between the n-particle (source) and n'-particle bases."""
+class SectorOperator(Matrix):
+    """Dense matrix from the n-particle (source) to the n'-particle (target) basis.
 
-    __slots__ = ("entries", "source", "target", "M")
+    Products chain sectors (``A * B`` needs ``B.target == A.source`` and maps
+    ``B.source`` to ``A.target``), sums need equal sectors, and operators on
+    different sectors compare unequal even when their shapes agree.
+    """
 
-    def __init__(self, entries, source, target, M):
-        self.entries = entries
+    __slots__ = ("source", "target", "M")
+
+    def __init__(self, data, source, target, M):
+        super().__init__(data, shape=(sector_dim(M, target), sector_dim(M, source)))
         self.source = source
         self.target = target
         self.M = M
-        if len(entries) != sector_dim(M, target):
-            raise ValueError("row count does not match target sector")
 
     @classmethod
     def zero(cls, source, target, M):
-        rows = sector_dim(M, target)
-        cols = sector_dim(M, source)
-        return cls([[0] * cols for _ in range(rows)], source, target, M)
+        return cls(Matrix.zeros(sector_dim(M, target), sector_dim(M, source)).data,
+                   source, target, M)
+
+    def _labelled(self, m: Matrix, source):
+        """``m`` as an operator from sector ``source`` to this operator's target."""
+        return SectorOperator(m.data, source, self.target, self.M)
+
+    def _same_sectors(self, other):
+        return (other.source, other.target, other.M) == (self.source, self.target, self.M)
 
     def __mul__(self, other):
-        if isinstance(other, SectorOperator):
-            if other.target != self.source or other.M != self.M:
-                raise ValueError("sector mismatch in composition")
-            inner = sector_dim(self.M, self.source)
-            if inner == 0:
-                return SectorOperator.zero(other.source, self.target, self.M)
-            return SectorOperator(mat_mul(self.entries, other.entries, inner),
-                                  other.source, self.target, self.M)
-        return self.scale(other)
-
-    def __rmul__(self, s):
-        return self.scale(s)
+        if not isinstance(other, SectorOperator):
+            return Matrix.__mul__(self, other)
+        if (other.target, other.M) != (self.source, self.M):
+            raise ValueError("sector mismatch in composition")
+        return self._labelled(Matrix.__mul__(self, other), other.source)
 
     def scale(self, s):
-        return SectorOperator([[s * x for x in row] for row in self.entries],
-                              self.source, self.target, self.M)
+        return self._labelled(Matrix.scale(self, s), self.source)
 
     def __add__(self, other):
-        if (other.source, other.target, other.M) != (self.source, self.target, self.M):
+        if not self._same_sectors(other):
             raise ValueError("sector mismatch in sum")
-        return SectorOperator(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            self.source, self.target, self.M)
+        return self._labelled(Matrix.__add__(self, other), self.source)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        if not self._same_sectors(other):
+            raise ValueError("sector mismatch in difference")
+        return self._labelled(Matrix.__sub__(self, other), self.source)
 
     def __eq__(self, other):
-        if not isinstance(other, SectorOperator):
-            return NotImplemented
-        if (other.source, other.target, other.M) != (self.source, self.target, self.M):
+        if isinstance(other, SectorOperator) and not self._same_sectors(other):
             return False
-        return all(
-            is_zero(a - b, 0) if not (is_inexact(a) or is_inexact(b)) else is_zero(a - b)
-            for ra, rb in zip(self.entries, other.entries)
-            for a, b in zip(ra, rb)
-        )
-
-    def apply(self, vec):
-        cols = sector_dim(self.M, self.source)
-        if len(vec) != cols:
-            raise ValueError("vector does not match source sector")
-        return [sum((row[i] * vec[i] for i in range(cols)), 0) for row in self.entries]
+        return Matrix.__eq__(self, other)
 
     def __repr__(self):
         return f"SectorOperator({self.source}->{self.target}, M={self.M})"
@@ -225,13 +220,10 @@ def bethe_state(v_list, params: ModelParameters):
 
 def dual_bethe_state(u_list, params: ModelParameters):
     """<Omega| prod_j C(u_j) as an amplitude covector on the len(u)-sector."""
-    bra = [1]
+    bra = Matrix([[1]])
     for k, u in enumerate(u_list):
-        c_op = build_monodromy_element("C", u, params, k + 1)
-        cols = sector_dim(params.M, k + 1)
-        bra = [sum((bra[r] * c_op.entries[r][c] for r in range(len(bra))), 0)
-               for c in range(cols)]
-    return bra
+        bra = bra * build_monodromy_element("C", u, params, k + 1)
+    return bra.data[0]
 
 
 def _a_func(u, params):
@@ -342,10 +334,8 @@ def rtt_check(u, v, params: ModelParameters, sectors=None) -> bool:
             cache[key] = build_monodromy_element(kind, x, params, sec, strict=False)
         return cache[key]
 
-    def safe_product(outer_pair, x_outer, inner_pair, x_inner, n, n_fin):
+    def product(outer_pair, x_outer, inner_pair, x_inner, n):
         n_mid = n + (inner_pair[1] - inner_pair[0])
-        if sector_dim(M, n_mid) == 0:
-            return SectorOperator.zero(n, n_fin, M)
         return elem(outer_pair, x_outer, n_mid) * elem(inner_pair, x_inner, n)
 
     for n in sectors:
@@ -362,14 +352,14 @@ def rtt_check(u, v, params: ModelParameters, sectors=None) -> bool:
                                 coeff = r[2 * a_p + c_p, 2 * a + c]
                                 if is_zero(coeff, 0):
                                     continue
-                                lhs = lhs + safe_product((a, b), u, (c, d), v, n, n_fin).scale(coeff)
+                                lhs = lhs + product((a, b), u, (c, d), v, n).scale(coeff)
                         rhs = SectorOperator.zero(n, n_fin, M)
                         for b_p in (0, 1):
                             for d_p in (0, 1):
                                 coeff = r[2 * b_p + d_p, 2 * b + d]
                                 if is_zero(coeff, 0):
                                     continue
-                                rhs = rhs + safe_product((c_p, d_p), v, (a_p, b_p), u, n, n_fin).scale(coeff)
+                                rhs = rhs + product((c_p, d_p), v, (a_p, b_p), u, n).scale(coeff)
                         if lhs != rhs:
                             return False
     return True

@@ -48,9 +48,9 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from .identities import orthogonality_weight
+from .identities import orthogonality_weight, sum_matrix_primal
 from .partitions import ParticleConfiguration, config_to_partition, enumerate_box, partition_to_config
-from .linalg import Matrix, det
+from .linalg import det
 from .sector import basis_index, hamiltonian, sector_basis
 from .symfunc import BialternantStack
 from .vertex import ModelParameters
@@ -461,23 +461,7 @@ def form_factor_sum(l: int, n: int, z, M: int):
     N = len(z)
     if not (-l + 1 <= n <= M):
         raise ValueError("window length must satisfy -l+1 <= n <= M")
-    m_eff = M - n
-    rows = []
-    for j in range(1, N + 1):
-        row = []
-        for zk in z:
-            base = 1 - zk
-            if j <= N - 1:
-                val = 0
-                for m in range(0, j):
-                    val += (-1) ** m * comb(m_eff, m) * base ** (m - j + N - 1)
-            else:
-                val = 0
-                for m in range(max(N - 1, 1), m_eff + 1):
-                    val -= (-1) ** m * comb(m_eff, m) * base ** (m - 1)
-            row.append(val)
-        rows.append(row)
-    det_val = det(Matrix(rows)) if rows else 1
+    det_val = det(sum_matrix_primal(M - n, N, z, -1))
     pref = 1
     for zj in z:
         pref = pref * zj ** (l + n - 1)
@@ -506,7 +490,7 @@ def expectation_via_form_factors(terms, x: ParticleConfiguration, t: float, solu
 def sector_generator(M: int, N: int) -> np.ndarray:
     """The TASEP generator (alpha = 1 Hamiltonian) as a float matrix."""
     h = hamiltonian(ModelParameters(alpha=1, M=M), N)
-    gen = np.array([[float(x) for x in row] for row in h.entries])
+    gen = np.array([[float(x) for x in row] for row in h.data])
     col_sums = gen.sum(axis=0)
     if np.max(np.abs(col_sums)) > 1e-12:
         raise AssertionError("generator columns must sum to zero")

@@ -63,6 +63,16 @@ def test_complex_route_matches_exact():
     assert abs(det(Matrix(rows)) - (-2)) < 1e-12
 
 
+def test_product_with_a_zero_inner_dimension_is_zero():
+    a = Matrix([[], []], shape=(2, 0))
+    product = a * Matrix([], shape=(0, 3))
+    assert (product.rows, product.cols) == (2, 3)
+    assert product.data == [[0, 0, 0], [0, 0, 0]]
+    # the inner dimensions must still agree when one of them is zero
+    with pytest.raises(ValueError):
+        a * Matrix([[1, 2]])
+
+
 def test_mat_solve_exact():
     a = [[F(2), F(1)], [F(1), F(3)]]
     b = [[F(1)], [F(0)]]

@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from fivevertex.linalg import mat_solve
-from fivevertex.sector import (ModelParameters, bethe_residual, bethe_state,
+from fivevertex.linalg import Matrix, mat_solve
+from fivevertex.sector import (ModelParameters, SectorOperator, bethe_residual, bethe_state,
                                build_monodromy_element, commutation_checks,
                                dual_bethe_state, hamiltonian, rtt_check, sector_basis,
                                transfer_eigenvalue, transfer_matrix)
@@ -17,7 +17,7 @@ from conftest import distinct_squares, rand_fraction
 def test_single_site_b_creates():
     params = ModelParameters(alpha=F(3, 4), M=1)
     b = build_monodromy_element("B", F(2, 3), params, 0)
-    assert b.entries == [[1]]
+    assert b.data == [[1]]
 
 
 def test_two_site_c_elements():
@@ -27,8 +27,8 @@ def test_two_site_c_elements():
     alpha, u = F(3, 4), F(2, 3)
     params = ModelParameters(alpha=alpha, M=2)
     c = build_monodromy_element("C", u, params, 1)
-    assert c.entries[0][0] == alpha * u - 1 / u
-    assert c.entries[0][1] == u
+    assert c.data[0][0] == alpha * u - 1 / u
+    assert c.data[0][1] == u
 
 
 def test_sector_overflow():
@@ -36,7 +36,39 @@ def test_sector_overflow():
     with pytest.raises(ValueError):
         build_monodromy_element("B", F(2, 3), params, 2)
     b = build_monodromy_element("B", F(2, 3), params, 2, strict=False)
-    assert b.entries == []  # B annihilates the full ring
+    assert b.data == []  # B annihilates the full ring
+
+
+def test_sector_labels_chain_and_guard(rng):
+    M = 4
+    params = ModelParameters(alpha=rand_fraction(rng), M=M)
+    u, v = distinct_squares(rng, 2)
+
+    def elem(kind, x, n):
+        return build_monodromy_element(kind, x, params, n)
+
+    b1, b2, a2 = elem("B", u, 1), elem("B", v, 2), elem("A", u, 2)
+    assert isinstance(b1, Matrix)
+    # B(v) B(u): sector 1 -> 3; B(v) A(u): sector 2 -> 3
+    bb = b2 * b1
+    assert (bb.source, bb.target, bb.M) == (1, 3, M)
+    ba = b2 * a2
+    assert (ba.source, ba.target) == (2, 3)
+    scaled = 3 * ba - ba.scale(2)
+    assert (scaled.source, scaled.target) == (2, 3)
+    assert scaled == ba
+    with pytest.raises(ValueError):
+        b1 * b2  # B(u) on sector 1 cannot follow an operator into sector 3
+    # A on sectors 1 and 3 of four sites: equal 4 x 4 shapes, different sectors
+    a1, a3 = elem("A", u, 1), elem("A", u, 3)
+    assert (a1.rows, a1.cols) == (a3.rows, a3.cols)
+    with pytest.raises(ValueError):
+        a1 + a3
+    with pytest.raises(ValueError):
+        a1 - a3
+    zero1, zero3 = SectorOperator.zero(1, 1, M), SectorOperator.zero(3, 3, M)
+    assert zero1.data == zero3.data
+    assert zero1 != zero3
 
 
 def test_b_operators_commute_on_every_sector(rng):
@@ -87,10 +119,10 @@ def test_hamiltonian_is_tasep_generator():
                     target = tuple(sorted(occupied - {j} | {(j % M) + 1}))
                     if index[target] == row:
                         expected = 1
-            assert h.entries[row][col] == expected
+            assert h.data[row][col] == expected
     # columns of a stochastic generator sum to zero
     for col in range(len(basis)):
-        assert sum(h.entries[row][col] for row in range(len(basis))) == 0
+        assert sum(h.data[row][col] for row in range(len(basis))) == 0
 
 
 @pytest.mark.parametrize("alpha,sqrt_alpha", [(F(1), F(1)), (F(4), F(2))])
@@ -105,11 +137,11 @@ def test_baxter_logarithmic_derivative(alpha, sqrt_alpha):
     c = 1 / sqrt_alpha
     for n in (1, 2):
         dim = comb(M, n)
-        tau_c = transfer_matrix(c, params, n).entries
+        tau_c = transfer_matrix(c, params, n).data
 
         def derivative(eps):
-            plus = transfer_matrix(c + eps, params, n).entries
-            minus = transfer_matrix(c - eps, params, n).entries
+            plus = transfer_matrix(c + eps, params, n).data
+            minus = transfer_matrix(c - eps, params, n).data
             return [[(plus[r][k] - minus[r][k]) / (2 * eps) for k in range(dim)]
                     for r in range(dim)]
 
@@ -118,7 +150,7 @@ def test_baxter_logarithmic_derivative(alpha, sqrt_alpha):
         d2 = derivative(eps / 2)
         tau_prime = [[(4 * d2[r][k] - d1[r][k]) / 3 for k in range(dim)] for r in range(dim)]
         ratio = mat_solve(tau_c, tau_prime)  # tau(c)^-1 tau'(c)
-        h = hamiltonian(params, n).entries
+        h = hamiltonian(params, n).data
         for r in range(dim):
             for k in range(dim):
                 log_der = ratio[r][k] - (r == k) * M * sqrt_alpha
