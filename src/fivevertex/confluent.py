@@ -5,13 +5,15 @@ Evaluates
     lim  det_N[ Phi(u_j, v_k) ] / prod_{j<k} (u_k - u_j)
 
 as groups of u-points collide: a group of r coincident points t contributes
-the derivative rows Phi(t, .), Phi'(t, .), ..., Phi^{(r-1)}(t, .)/(r-1)! and
+the Taylor rows Phi(t, .), Phi'(t, .), ..., Phi^{(r-1)}(t, .)/(r-1)! and
 the within-group Vandermonde factors cancel, leaving the across-group factor
-prod_{g<h} (t_h - t_g)^{r_g r_h}.  With all points distinct this reduces to
-a plain determinant ratio.
+prod_{g<h} (t_h - t_g)^{r_g r_h}.  With all points distinct every group is
+one point and this is the plain determinant ratio.
 
-Coincidence is decided by exact equality for exact scalars and by an
-absolute tolerance (default 1e-12) for complex ones.
+For the package's bialternant columns (``det_ratio_columns``) the Taylor
+rows are the closed-form coefficients of ``ratfunc.taylor``.  Coincidence is
+decided by exact equality for exact scalars and by an absolute tolerance
+(default 1e-12) for complex ones.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 from math import factorial
 
 from .linalg import Matrix, det
-from .ratfunc import RatFunc
-from .scalars import COINCIDENCE_TOL, exact_div, is_inexact, is_zero
+from .ratfunc import taylor
+from .scalars import COINCIDENCE_TOL, exact_div, is_inexact
 
 
 def group_points(points, tol: float = COINCIDENCE_TOL):
@@ -28,13 +30,34 @@ def group_points(points, tol: float = COINCIDENCE_TOL):
     groups = []
     for p in points:
         for i, (q, cnt) in enumerate(groups):
-            zero_tol = tol if (is_inexact(p) or is_inexact(q)) else 0
-            if is_zero(p - q, zero_tol):
+            inexact = is_inexact(p) or is_inexact(q)
+            if abs(p - q) <= tol if inexact else p == q:
                 groups[i] = (q, cnt + 1)
                 break
         else:
             groups.append((p, 1))
     return groups
+
+
+def all_distinct(points, tol: float = COINCIDENCE_TOL) -> bool:
+    """No two points coincide (in the sense of ``group_points``)."""
+    return len(group_points(points, tol)) == len(points)
+
+
+def _grouped_ratio(points, rows_at, tol):
+    """det of the Taylor rows ``rows_at(t, r)`` of each group over the cross factor."""
+    groups = group_points(points, tol)
+    rows = []
+    for t, count in groups:
+        rows.extend(rows_at(t, count))
+    cross = 1
+    for h in range(1, len(groups)):
+        th, rh = groups[h]
+        for g in range(h):
+            tg, rg = groups[g]
+            gap = th - tg
+            cross = cross * (gap if rg * rh == 1 else gap ** (rg * rh))
+    return exact_div(det(Matrix(rows)), cross)
 
 
 def confluent_det_ratio(phi, u_points, v_points, u_derivative=None,
@@ -43,56 +66,35 @@ def confluent_det_ratio(phi, u_points, v_points, u_derivative=None,
 
     ``phi(u, v)`` evaluates the matrix entry; ``u_derivative(order, u, v)``
     must supply its order-th u-derivative (order >= 1) whenever u-points
-    coincide (symbolic for exact scalars, caller-supplied closed forms
-    otherwise).  The value is invariant under permutations of ``u_points``.
+    coincide.  The value is invariant under permutations of ``u_points``.
     """
     n = len(u_points)
     if len(v_points) != n:
         raise ValueError("need as many v-points as u-points")
     if n == 0:
         return 1
-    groups = group_points(u_points, tol)
-    if len(groups) == n:
-        mat = Matrix([[phi(u, v) for v in v_points] for u in u_points])
-        vandermonde = 1
-        for k in range(n):
-            for j in range(k):
-                vandermonde = vandermonde * (u_points[k] - u_points[j])
-        return exact_div(det(mat), vandermonde)
-    if u_derivative is None:
-        raise ValueError("coincident u-points need u-derivatives of phi")
-    rows = []
-    for t, count in groups:
-        for order in range(count):
-            if order == 0:
-                rows.append([phi(t, v) for v in v_points])
-            else:
-                rows.append([exact_div(u_derivative(order, t, v), factorial(order))
-                             for v in v_points])
-    cross = 1
-    for h in range(len(groups)):
-        th, rh = groups[h]
-        for g in range(h):
-            tg, rg = groups[g]
-            cross = cross * (th - tg) ** (rg * rh)
-    return exact_div(det(Matrix(rows)), cross)
+
+    def rows_at(t, count):
+        if count > 1 and u_derivative is None:
+            raise ValueError("coincident u-points need u-derivatives of phi")
+        return [[phi(t, v) if order == 0
+                 else exact_div(u_derivative(order, t, v), factorial(order))
+                 for v in v_points] for order in range(count)]
+
+    return _grouped_ratio(list(u_points), rows_at, tol)
 
 
 def det_ratio_columns(columns, points, tol: float = COINCIDENCE_TOL):
     """det[columns[k](points[j])] / prod_{j<k}(points[k] - points[j]).
 
-    ``columns`` are RatFunc objects in the row variable; coincident points
-    are routed through the confluent path with exact derivatives.
+    ``columns`` are ``ratfunc.RatFunc`` term sums in the row variable; a
+    point of multiplicity r gets its first r Taylor coefficients as rows.
     """
-    cols = [c if isinstance(c, RatFunc) else RatFunc(c) for c in columns]
-
-    def phi(u, k):
-        return cols[k](u, tol)
-
-    def dphi(order, u, k):
-        return cols[k].nth_derivative(order)(u, tol)
-
-    return confluent_det_ratio(phi, list(points), list(range(len(cols))), dphi, tol)
+    if len(columns) != len(points):
+        raise ValueError("need as many columns as points")
+    if not points:
+        return 1
+    return _grouped_ratio(list(points), lambda t, r: taylor(columns, t, r), tol)
 
 
 def sign_pairs(n: int) -> int:

@@ -8,23 +8,22 @@ The deformed Cauchy identity over the (M-N)^N box,
 
 its M -> infinity product form, the weighted summation formulas, and the
 orthogonality of G and Gbar over the solutions of the z-form Bethe
-equations.  The z_j y_k = 1 kernel singularity is always removable: with
-distinct y the determinant columns are the kernel's exact quotient
-polynomials, so the float lane is finite at y = 1/z; only the transposed
-branch (coincident y) resolves it by L'Hopital inside the rational-function
-evaluation.  At y = 1/z on a Bethe solution the determinant side equals
-1/w(z), the closed-form orthogonality weight, which is what the Green
-functions use.
+equations.  The z_j y_k = 1 kernel singularity is always removable: the
+determinant columns are the kernel's exact quotient, written in z (distinct
+y) or, transposed, in y (coincident y), so both branches are finite and free
+of cancellation at and near y = 1/z in the float lane.  At y = 1/z on a
+Bethe solution the determinant side equals 1/w(z), the closed-form
+orthogonality weight, which is what the Green functions use.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .confluent import det_ratio_columns, group_points, sign_pairs
+from .confluent import all_distinct, det_ratio_columns, sign_pairs
 from .linalg import Matrix, det
 from .partitions import enumerate_box
-from .ratfunc import Poly, RatFunc
+from .ratfunc import RatFunc
 from .scalars import exact_div, is_inexact, is_zero
 from .symfunc import dual_grothendieck_eval, grothendieck_eval
 
@@ -37,8 +36,26 @@ def cauchy_lhs(M, N, z, y, beta):
     return total
 
 
-def _distinct(points):
-    return len(group_points(points)) == len(points)
+def _kernel_terms(x, M, N, beta, in_y: bool):
+    """The Cauchy kernel's exact quotient as column terms, one variable fixed at x.
+
+    ((z y)^M - ((1+beta z)/(1+beta/y))^(N-1)) / (z y - 1) equals
+
+        sum_{i<M} (z y)^i - beta sum_{i<N-1} (1+beta z)^i y^i (y+beta)^(-1-i),
+
+    written as terms of a column in z (y = x, ``in_y`` false; linear factor
+    1 + beta z) or in y (z = x; linear factor y + beta), so the removable
+    z y = 1 point is never a pole.
+    """
+    terms = [(x ** i, i, 0) for i in range(M)]
+    if is_zero(beta, 0):
+        return terms  # the geometric sum alone
+    for i in range(N - 1):
+        if in_y:  # z = x: -beta (1+beta x)^i y^i (y+beta)^(-1-i)
+            terms.append((-beta * (1 + beta * x) ** i, i, -1 - i))
+        else:  # y = x: -beta x^i (x+beta)^(-1-i) (1+beta z)^i
+            terms.append((-beta * x ** i * exact_div(1, (x + beta) ** (1 + i)), 0, i))
+    return terms
 
 
 def cauchy_rhs(M, N, z, y, beta):
@@ -46,43 +63,23 @@ def cauchy_rhs(M, N, z, y, beta):
     z, y = list(z), list(y)
     if len(z) != N or len(y) != N:
         raise ValueError("need N variables on both sides")
-    z_distinct = _distinct(z)
-    y_distinct = _distinct(y)
-    if not (z_distinct or y_distinct):
-        raise ValueError("coincidences in both variable groups are not supported")
-    if y_distinct:
-        # columns are polynomials in z, labelled by y_k: the kernel's exact
-        # quotient by z y_k - 1, with a = 1 + beta z and b = 1 + beta/y_k,
-        #   sum_{i<M} (y_k z)^i - (beta/y_k) sum_{i<N-1} a^i b^(-1-i);
-        # coincident z-points go through the confluent row limit
-        cols = []
-        for yk in y:
-            col = Poly([yk ** i for i in range(M)])
-            b = 1 + beta * yk ** -1
-            for i in range(N - 1):
-                col = col - (beta * yk ** -1 * b ** (-1 - i)) * Poly([1, beta]) ** i
-            cols.append(col)
-        ratio = sign_pairs(N) * det_ratio_columns(cols, z)
-        pref = 1
-        for j in range(N):
-            for k in range(j + 1, N):
-                pref = exact_div(pref, y[j] - y[k])
+    if all_distinct(y):
+        # columns in z labelled by y_k; coincident z go through the confluent rows
+        if any(is_zero(yk, 0) for yk in y):
+            raise ZeroDivisionError("distinct-y kernel columns need y_k != 0")
+        rows, labels, in_y = z, y, False
+    elif all_distinct(z):
+        # transposed: columns in y labelled by z_j
+        rows, labels, in_y = y, z, True
     else:
-        # transpose: columns are rational functions of y, labelled by z_j
-        cols = []
-        for zj in z:
-            # (1 + beta/y)^(1-N) = y^(N-1) (y + beta)^(1-N)
-            c_j = (1 + beta * zj) ** (N - 1)
-            num = (zj ** M) * Poly.monomial(M) * Poly([beta, 1]) ** (N - 1) \
-                - c_j * Poly.monomial(N - 1)
-            den = Poly([-1, zj]) * Poly([beta, 1]) ** (N - 1)
-            cols.append(RatFunc(num, den))
-        ratio = sign_pairs(N) * det_ratio_columns(cols, y)
-        pref = 1
-        for j in range(N):
-            for k in range(j + 1, N):
-                pref = exact_div(pref, z[j] - z[k])
-    return pref * ratio
+        raise ValueError("coincidences in both variable groups are not supported")
+    lin = (beta, 1) if in_y else (1, beta)
+    cols = [RatFunc(_kernel_terms(x, M, N, beta, in_y), lin) for x in labels]
+    pref = 1
+    for j in range(N):
+        for k in range(j + 1, N):
+            pref = exact_div(pref, labels[j] - labels[k])
+    return pref * (sign_pairs(N) * det_ratio_columns(cols, rows))
 
 
 def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
@@ -153,16 +150,17 @@ def _sum_matrix_dual(M, N, y, beta):
     for j in range(1, N + 1):
         row = []
         for yk in y:
-            base = 1 + beta * yk ** -1
+            base = 1 + exact_div(beta, yk)
             if j == 1:
                 val = 0
                 for m in range(max(N - 1, 1), M + 1):
-                    val = val - (-1) ** m * (-beta) ** (-M + N) * comb(M, m) * base ** (m - N)
+                    val = val - (-1) ** m * exact_div(1, (-beta) ** (M - N)) * comb(M, m) \
+                        * base ** (m - N)
             else:
                 val = 0
                 for m in range(0, N - j + 1):
-                    val = val + (-1) ** m * (-beta) ** (-j + 1 - M + N) * comb(M, m) \
-                        * base ** (m + j - N - 1)
+                    val = val + (-1) ** m * exact_div(1, (-beta) ** (j - 1 + M - N)) \
+                        * comb(M, m) * base ** (m + j - N - 1)
             row.append(val)
         rows.append(row)
     return Matrix(rows)
@@ -194,7 +192,8 @@ def grothendieck_sum_check(M, N, z, beta, dual: bool = False) -> bool:
     total = 0
     for lam in enumerate_box(M - N, N):
         if dual:
-            total = total + (-beta) ** (-lam.weight) * dual_grothendieck_eval(lam, z, beta)
+            total = total + exact_div(1, (-beta) ** lam.weight) \
+                * dual_grothendieck_eval(lam, z, beta)
         else:
             total = total + (-beta) ** lam.weight * grothendieck_eval(lam, z, beta)
     rhs = grothendieck_sum_det(M, N, z, beta, dual)

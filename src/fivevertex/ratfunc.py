@@ -1,22 +1,39 @@
-"""Univariate polynomials and rational functions over a generic field.
+"""Bialternant columns as short sums of closed-form terms, and their Taylor coefficients.
 
-This is the symbolic backbone of the confluent (coincident-point)
-determinant paths: column functions like z^a (1 + beta z)^b are stored
-exactly, differentiated by the quotient rule, and evaluated with a L'Hopital
-fallback at removable singularities such as the z*y = 1 point of the Cauchy
-kernel.  Coefficients may be ints, Fractions or complex numbers.
+Every determinant column the package builds is a function of its row
+variable t of the form
+
+    f(t) = sum_i c_i t^(a_i) (A + B t)^(k_i)
+
+with one linear factor A + B t per column and integer exponents of either
+sign: Grothendieck columns z^(lam_k+N-k) (1 + beta z)^(k-1), wavefunction
+columns s^(k-x_k) (alpha s - 1)^(x_k), the Cauchy kernel's exact quotient,
+and polynomials.  A removable singularity never reaches this module:
+callers write such a column as its exact quotient, which is a sum of this
+form without the pole.
+
+At a point of multiplicity r the confluent determinant limit needs the rows
+f(t), f'(t), ..., f^(r-1)(t)/(r-1)!, the first r Taylor coefficients of f
+at t.  For one term they are a binomial convolution (L = A + B t):
+
+    [h^j] (t + h)^a (L + B h)^k = sum_{i<=j} C(a, i) t^(a-i) C(k, j-i) L^(k-j+i) B^(j-i),
+
+with generalised binomials C(a, i) for negative a.  At a distinct point
+r = 1 and this is the direct value.  Nothing is differentiated symbolically
+and no pole is decided with a tolerance: a negative power of an exactly
+zero base raises ``ZeroDivisionError``.  Coefficients and points may be
+ints, Fractions, complex numbers or elements of an exact field.
+
+``Poly`` is the dense polynomial from which ``scalarprod`` builds its
+scalar-product columns: products of linear factors, and the exact quotient
+by s - u^2 of a numerator that vanishes at s = u^2.
 """
 
 from __future__ import annotations
 
-from .scalars import COINCIDENCE_TOL, exact_div, is_inexact, is_zero
+from math import comb
 
-
-def _trim(coeffs):
-    c = list(coeffs)
-    while c and is_zero(c[-1], 0):
-        c.pop()
-    return c
+from .scalars import exact_div, is_zero
 
 
 class Poly:
@@ -25,46 +42,17 @@ class Poly:
     __slots__ = ("c",)
 
     def __init__(self, coeffs=()):
-        self.c = _trim(coeffs)
-
-    @classmethod
-    def const(cls, a):
-        return cls([a])
-
-    @classmethod
-    def monomial(cls, n, coeff=1):
-        return cls([0] * n + [coeff])
-
-    @property
-    def degree(self):
-        return len(self.c) - 1
-
-    def __bool__(self):
-        return bool(self.c)
+        self.c = list(coeffs)
 
     def __add__(self, other):
-        other = other if isinstance(other, Poly) else Poly.const(other)
         n = max(len(self.c), len(other.c))
         a = self.c + [0] * (n - len(self.c))
         b = other.c + [0] * (n - len(other.c))
         return Poly([x + y for x, y in zip(a, b)])
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-x for x in self.c])
-
-    def __sub__(self, other):
-        return self + (-(other if isinstance(other, Poly) else Poly.const(other)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return Poly([other * x for x in self.c])
-        if not self.c or not other.c:
-            return Poly()
         out = [0] * (len(self.c) + len(other.c) - 1)
         for i, x in enumerate(self.c):
             for j, y in enumerate(other.c):
@@ -73,113 +61,117 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def quotient(self, root):
+        """Quotient by (t - root) of a polynomial that vanishes at root.
 
-    def derivative(self):
-        return Poly([i * x for i, x in enumerate(self.c)][1:])
+        Synthetic division from the leading coefficient when |root| <= 1 and
+        from the constant term otherwise, so that the float lane's rounding
+        is damped, not amplified, by powers of root.
+        """
+        c, out, acc = self.c, [], 0
+        if abs(root) <= 1:
+            for x in reversed(c[1:]):
+                acc = acc * root + x
+                out.append(acc)
+            return Poly(out[::-1])
+        for x in c[:-1]:
+            acc = exact_div(acc - x, root)
+            out.append(acc)
+        return Poly(out)
 
-    def __call__(self, x):
-        acc = 0
-        for coeff in reversed(self.c):
-            acc = acc * x + coeff
-        return acc
+    def column(self):
+        """The polynomial as a column, one monomial term per coefficient."""
+        return RatFunc([(c, i, 0) for i, c in enumerate(self.c)])
 
     def __repr__(self):
         return f"Poly({self.c!r})"
 
 
 class RatFunc:
-    """Ratio of two polynomials; derivatives are cached per order."""
+    """One column sum_i c_i t^(a_i) (A + B t)^(k_i); ``terms`` holds (c_i, a_i, k_i).
 
-    __slots__ = ("num", "den", "_derivs")
-
-    def __init__(self, num, den=None):
-        self.num = num if isinstance(num, Poly) else Poly.const(num)
-        self.den = Poly([1]) if den is None else (den if isinstance(den, Poly) else Poly.const(den))
-        if not self.den:
-            raise ZeroDivisionError("zero denominator polynomial")
-        self._derivs = None
-
-    def derivative(self):
-        n, d = self.num, self.den
-        return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
-
-    def nth_derivative(self, order):
-        if self._derivs is None:
-            self._derivs = [self]
-        while len(self._derivs) <= order:
-            self._derivs.append(self._derivs[-1].derivative())
-        return self._derivs[order]
-
-    def __add__(self, other):
-        other = other if isinstance(other, RatFunc) else RatFunc(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-(other if isinstance(other, RatFunc) else RatFunc(other)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = other if isinstance(other, RatFunc) else RatFunc(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = other if isinstance(other, RatFunc) else RatFunc(other)
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __call__(self, x, tol=COINCIDENCE_TOL):
-        """Evaluate, resolving removable singularities by L'Hopital."""
-        den_val = self.den(x)
-        zero_tol = tol if is_inexact(den_val) or is_inexact(x) else 0
-        if not is_zero(den_val, zero_tol):
-            return exact_div(self.num(x), den_val)
-        num, den = self.num, self.den
-        for _ in range(self.den.degree + 1):
-            num_val = num(x)
-            if not is_zero(num_val, zero_tol):
-                raise ZeroDivisionError("pole encountered in rational-function evaluation")
-            num, den = num.derivative(), den.derivative()
-            den_val = den(x)
-            if not is_zero(den_val, zero_tol):
-                return exact_div(num(x), den_val)
-        raise ZeroDivisionError("pole encountered in rational-function evaluation")
-
-
-def linear_power(exp_z, a, b, exp_lin):
-    """z^exp_z * (a + b*z)^exp_lin as a RatFunc (either exponent may be negative).
-
-    Covers every bialternant column in the package: Grothendieck columns are
-    z^(lam_k+N-k) (1+beta*z)^(k-1), the dual ones z^(lam_k+N-1) (z+beta)^(1-k),
-    wavefunction columns s^(k-x_k) (alpha*s-1)^(x_k), and so on.
+    Columns of one determinant should share their ``lin = (A, B)`` object:
+    ``taylor`` then computes A + B t once per point.
     """
-    num = Poly([1])
-    den = Poly([1])
-    if exp_z >= 0:
-        num = Poly.monomial(exp_z)
-    else:
-        den = Poly.monomial(-exp_z)
-    lin = Poly([a, b])
-    if exp_lin >= 0:
-        num = num * lin ** exp_lin
-    else:
-        den = den * lin ** (-exp_lin)
-    return RatFunc(num, den)
+
+    __slots__ = ("terms", "lin")
+
+    def __init__(self, terms, lin=(1, 0)):
+        self.terms = list(terms)
+        self.lin = lin
+
+
+def _binom(e, i):
+    """Generalised binomial C(e, i) for any integer e and i >= 0."""
+    if e >= 0:
+        return comb(e, i) if i <= e else 0
+    return (-1) ** i * comb(i - e - 1, i)
+
+
+def _pow(x, e):
+    """x^e; a negative power of an int stays exact, and of an exact zero raises."""
+    if e >= 0:
+        return x ** e
+    if is_zero(x, 0):
+        raise ZeroDivisionError("column pole: a negative power of a zero base")
+    return exact_div(1, x ** -e) if isinstance(x, int) else x ** e
+
+
+def _series(x, b, e, r):
+    """Taylor coefficients of (x + b h)^e in h, orders 0 .. r-1."""
+    out = []
+    for i in range(r):
+        c = _binom(e, i)
+        out.append(c * _pow(x, e - i) * b ** i if c else 0)
+    return out
+
+
+def taylor(columns, t, r: int = 1):
+    """The first r Taylor coefficients at t of every column, as r rows.
+
+    Row i holds f^(i)(t)/i! for each column f; with r = 1 that is the single
+    row of values f(t).  Powers of t and of each column's A + B t are shared
+    between terms and columns.
+    """
+    zero = t * 0  # a zero of the point's type, as an exact sum of zero terms would give
+    t_memo, lin_memo = {}, {}
+    rows = [[] for _ in range(r)]
+    for col in columns:
+        entry = lin_memo.get(id(col.lin))
+        if entry is None:
+            a_, b_ = col.lin
+            entry = lin_memo[id(col.lin)] = (a_ + b_ * t, b_, {})
+        base, b, l_memo = entry
+        if r == 1:
+            total = zero
+            for i, (c, a, k) in enumerate(col.terms):
+                v = t_memo.get(a)
+                if v is None:
+                    v = t_memo[a] = _pow(t, a)
+                if k:
+                    w = l_memo.get(k)
+                    if w is None:
+                        w = l_memo[k] = _pow(base, k)
+                    v = v * w
+                if c != 1:
+                    v = c * v
+                total = total + v if i else v
+            rows[0].append(total)
+            continue
+        coeffs = [zero] * r
+        for c, a, k in col.terms:
+            ts = t_memo.get(a)
+            if ts is None:
+                ts = t_memo[a] = _series(t, 1, a, r)
+            ls = l_memo.get(k)
+            if ls is None:
+                ls = l_memo[k] = _series(base, b, k, r)
+            for j in range(r):
+                acc = zero
+                for i in range(j + 1):
+                    if ts[i] and ls[j - i]:
+                        acc = acc + ts[i] * ls[j - i]
+                coeffs[j] = coeffs[j] + c * acc
+        for j in range(r):
+            rows[j].append(coeffs[j])
+    return rows

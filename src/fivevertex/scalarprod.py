@@ -7,11 +7,11 @@ matrix element (homogeneous case, a(x) = x^M, d(x) = (alpha x - 1/x)^M)
     Q_jk = [a(u_j) d(v_k) v_k^(2N-2) - a(v_k) d(u_j) u_j^(2N-2)]
            / (v_k/u_j - u_j/v_k)
 
-is, after pulling out v_k^(2N-1-M) per column, a rational function of
-s = v_k^2 whose apparent poles at s = u_j^2 are removable; everything here
-is evaluated through that representation, so u/v collisions and coincident
-v's (the norm limit) need no special casing beyond the confluent
-determinant machinery.
+is, after pulling out v_k^(2N-1-M) per column, a function of s = v_k^2
+whose apparent pole at s = u_j^2 is removable.  Each column is written as
+the exact quotient, a polynomial in s (see ``scalar_product_det``), so u/v
+collisions are ordinary points, the float lane has no cancellation near
+them, and coincident v's (the norm limit) take the confluent Taylor rows.
 
 The intermediate scalar products S({u}_n | {v}_N | {w}) interpolate between
 the domain-wall partition function (n = 0) and the full scalar product
@@ -24,10 +24,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .confluent import det_ratio_columns, group_points
+from .confluent import all_distinct, det_ratio_columns
 from .linalg import Matrix, det
-from .ratfunc import Poly, RatFunc
+from .ratfunc import Poly
 from .scalars import COINCIDENCE_TOL, exact_div, is_inexact, is_zero, rational_sqrt
 
 
@@ -57,10 +58,6 @@ def _d_hom(x, alpha, M):
     return (alpha * x - x ** -1) ** M
 
 
-def _all_distinct(points):
-    return len(group_points(points)) == len(points)
-
-
 def scalar_product_det(u, v, alpha, M):
     """<psi({u}_N)|psi({v}_N)> in the homogeneous limit, arbitrary off-shell."""
     u, v = list(u), list(v)
@@ -70,16 +67,19 @@ def scalar_product_det(u, v, alpha, M):
     if n == 0:
         return 1
     s_u = [x * x for x in u]
-    if not _all_distinct(s_u):
-        if _all_distinct([x * x for x in v]):
+    if not all_distinct(s_u):
+        if all_distinct([x * x for x in v]):
             return scalar_product_det(v, u, alpha, M)  # exactly symmetric
         raise ValueError("coincident squares in both parameter groups are not supported")
-    # column functions of s = v^2; column factor v^(2N-1-M) pulled out per column
+    # column functions of s = v^2, with v^(2N-1-M) pulled out per column: the
+    # quotient by s - s_u of u^(M+1) (alpha s - 1)^M - c_u s^(M-N+1), which
+    # vanishes at s = s_u (c_u = u^(2N-1-M) (alpha s_u - 1)^M)
+    power = Poly([(-1) ** (M - i) * comb(M, i) * alpha ** i for i in range(M + 1)])
     cols = []
-    for j, uj in enumerate(u):
-        cu = uj ** (2 * n - 1 - M) * (alpha * uj * uj - 1) ** M
-        num = (uj ** (M + 1)) * Poly([-1, alpha]) ** M - cu * Poly.monomial(M - n + 1)
-        cols.append(RatFunc(num, Poly([-s_u[j], 1])))
+    for uj, su in zip(u, s_u):
+        c_u = uj ** (2 * n - 1 - M) * (alpha * su - 1) ** M
+        num = power * uj ** (M + 1) + Poly([0] * (M - n + 1) + [-c_u])
+        cols.append(num.quotient(su).column())
     pref = 1
     for j in range(n):
         for k in range(j + 1, n):
@@ -169,15 +169,16 @@ def intermediate_scalar_det(spec: IntermediateSpec):
     cols = []
     for j in range(1, N + 1):
         if j <= n:
+            # u_j a_u P(s) - u_j b_u s^(M-N+1) vanishes at s = u_j^2, so its
+            # quotient by s - u_j^2 is a polynomial
             uj = u[j - 1]
             a_u = uj ** M / w_prod / w_prod
             b_u = _d_inhom(uj, w, alpha) * uj ** (2 * N - 2) / w_prod
             r_u = 1
             for l in range(M - N + n + 1, M + 1):
                 r_u = r_u * (uj * uj - w_sq[l - 1] / alpha)
-            num = (uj * a_u) * p_full - (uj * b_u) * Poly.monomial(M - N + 1)
-            den = Poly([-s_u[j - 1], 1]) * r_u
-            cols.append(RatFunc(num, den))
+            num = p_full * (uj * a_u) + Poly([0] * (M - N + 1) + [-uj * b_u])
+            cols.append((num.quotient(s_u[j - 1]) * exact_div(1, r_u)).column())
         else:
             skip = M - N + j
             poly = Poly([1])
@@ -187,7 +188,7 @@ def intermediate_scalar_det(spec: IntermediateSpec):
                     continue
                 poly = poly * Poly([-w_sq[l - 1], alpha])
                 denom = denom * w[l - 1]
-            cols.append(RatFunc(poly * exact_div(1, denom)))
+            cols.append((poly * exact_div(1, denom)).column())
     pref = 1
     for j in range(M - N + n + 1, M + 1):
         for k in range(j + 1, M + 1):

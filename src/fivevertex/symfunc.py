@@ -4,10 +4,12 @@
     G_lambda(z; beta)    = det[ z_j^(lam_k+N-k) (1+beta z_j)^(k-1) ] / prod_{j<k}(z_j - z_k)
     Gbar_lambda(z; beta) = det[ z_j^(lam_k+N-k) (1+beta/z_j)^(1-k) ] / prod_{j<k}(z_j - z_k)
 
-beta = 0 reduces all three to the Schur polynomial.  Coincident variables are
-routed through the confluent determinant limit, with the columns stored as
-exact rational functions and differentiated symbolically; this is what makes
-z -> (1,...,1) limits such as G_lambda(1^N; -1) = 1 computable directly.
+beta = 0 reduces all three to the Schur polynomial.  Each column is one
+closed-form term z^a (A + B z)^k (``ratfunc.RatFunc``): at distinct
+variables it is evaluated directly, and a variable repeated r times gets the
+column's first r Taylor coefficients as rows of the confluent determinant
+limit.  This is what makes z -> (1,...,1) limits such as
+G_lambda(1^N; -1) = 1 computable directly.
 
 ``BialternantStack`` is the complex float lane for many points at once: one
 stacked LU determinant over an (S, N, N) bialternant tensor per partition.
@@ -20,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confluent import det_ratio_columns, group_points, sign_pairs
-from .linalg import Matrix, det
+from .confluent import det_ratio_columns, sign_pairs
 from .partitions import Partition
-from .ratfunc import linear_power
-from .scalars import COINCIDENCE_TOL, exact_div, is_inexact, is_zero
+from .ratfunc import RatFunc
+from .scalars import COINCIDENCE_TOL, is_zero
 
 
 @dataclass(frozen=True)
@@ -58,19 +59,6 @@ def _parts(lam, n):
     return parts + (0,) * (n - len(parts))
 
 
-def _all_distinct(z):
-    return len(group_points(z)) == len(z)
-
-
-def _vandermonde(z):
-    """prod_{j<k} (z_j - z_k)."""
-    out = 1
-    for j in range(len(z)):
-        for k in range(j + 1, len(z)):
-            out = out * (z[j] - z[k])
-    return out
-
-
 def schur_eval(lam, z):
     """Schur polynomial s_lambda(z) via the bialternant ratio."""
     return grothendieck_eval(lam, z, 0)
@@ -81,15 +69,10 @@ def grothendieck_eval(lam, z, beta):
     z = list(z)
     n = len(z)
     parts = _parts(lam, n)
-    exps = [parts[k] + n - 1 - k for k in range(n)]
-    if _all_distinct(z):
-        rows = []
-        for zj in z:
-            base = 1 + beta * zj
-            rows.append([zj ** exps[k] * base ** k for k in range(n)])
-        return exact_div(det(Matrix(rows)), _vandermonde(z))
-    cols = [linear_power(exps[k], 1, beta, k) for k in range(n)]
-    return sign_pairs(n) * det_ratio_columns(cols, z)
+    lin = (1, beta)
+    cols = [RatFunc([(1, parts[k] + n - 1 - k, k)], lin) for k in range(n)]
+    ratio = det_ratio_columns(cols, z)
+    return ratio if sign_pairs(n) > 0 else -ratio
 
 
 def dual_grothendieck_eval(lam, z, beta):
@@ -97,23 +80,14 @@ def dual_grothendieck_eval(lam, z, beta):
     z = list(z)
     n = len(z)
     parts = _parts(lam, n)
-    for zj in z:
-        if is_zero(zj, 0 if not is_inexact(zj) else COINCIDENCE_TOL):
-            raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
-    if _all_distinct(z):
-        rows = []
-        for zj in z:
-            base = 1 + beta * zj ** -1
-            row = []
-            for k in range(n):
-                if k and is_zero(base, 0 if not is_inexact(base) else COINCIDENCE_TOL):
-                    raise ZeroDivisionError("vanishing (1 + beta/z) with negative exponent")
-                row.append(zj ** (parts[k] + n - 1 - k) * base ** (-k))
-            rows.append(row)
-        return exact_div(det(Matrix(rows)), _vandermonde(z))
-    # z^(lam_k+N-k) (1+beta/z)^(1-k) = z^(lam_k+N-1) (z+beta)^(1-k)
-    cols = [linear_power(parts[k] + n - 1, beta, 1, -k) for k in range(n)]
-    return sign_pairs(n) * det_ratio_columns(cols, z)
+    if any(is_zero(zj, 0) for zj in z):
+        raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
+    # z^(lam_k+N-k) (1+beta/z)^(1-k) = z^(lam_k+N-1) (z+beta)^(1-k); a vanishing
+    # z + beta under a negative power raises ZeroDivisionError
+    lin = (beta, 1)
+    cols = [RatFunc([(1, parts[k] + n - 1, -k)], lin) for k in range(n)]
+    ratio = det_ratio_columns(cols, z)
+    return ratio if sign_pairs(n) > 0 else -ratio
 
 
 class BialternantStack:
@@ -121,9 +95,9 @@ class BialternantStack:
 
     The lambda-independent factors (1 + beta z)^k or (1 + beta/z)^-k and the
     row Vandermondes are computed once; each call is one stacked complex
-    determinant.  There is no confluent limit here, so coincident variables
-    in a row raise, as do (for the dual) a zero variable or a vanishing
-    1 + beta/z.
+    determinant.  There is no confluent limit here, so variables of a row
+    that coincide within ``COINCIDENCE_TOL`` raise, as do (for the dual) a
+    zero variable or a 1 + beta/z that is exactly zero.
     """
 
     def __init__(self, z, beta, dual: bool = False):
@@ -133,10 +107,10 @@ class BialternantStack:
         gaps = z[:, j] - z[:, k]
         if np.any(np.abs(gaps) <= COINCIDENCE_TOL):
             raise ValueError("coincident variables need the confluent scalar evaluators")
-        if dual and np.any(np.abs(z) <= COINCIDENCE_TOL):
+        if dual and np.any(z == 0):
             raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
         base = 1 + beta / z if dual else 1 + beta * z
-        if dual and n > 1 and np.any(np.abs(base) <= COINCIDENCE_TOL):
+        if dual and n > 1 and np.any(base == 0):
             raise ZeroDivisionError("vanishing (1 + beta/z) with negative exponent")
         self._factors = base[:, :, None] ** ((-1 if dual else 1) * np.arange(n))
         self._z = z[:, :, None]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .confluent import det_ratio_columns, sign_pairs
 from .linalg import Matrix, det
 from .partitions import ParticleConfiguration
-from .ratfunc import linear_power
+from .ratfunc import RatFunc
 from .scalars import eq, exact_div, is_inexact, is_zero
 
 from math import comb
@@ -56,7 +56,8 @@ def wavefunction_det(x, v, alpha, M):
             raise ZeroDivisionError("wavefunction pole at v = 0 or alpha v^2 = 1")
         pref = pref * vj ** (M - 1) * (alpha * vj * vj - 1) ** -1
     # entry v^(2k) (alpha - v^-2)^(x_k) = s^(k - x_k) (alpha s - 1)^(x_k), s = v^2
-    cols = [linear_power(k - pos[k - 1], -1, alpha, pos[k - 1]) for k in range(1, n + 1)]
+    lin = (-1, alpha)
+    cols = [RatFunc([(1, k - pos[k - 1], pos[k - 1])], lin) for k in range(1, n + 1)]
     return pref * det_ratio_columns(cols, [vj * vj for vj in v])
 
 
@@ -74,7 +75,8 @@ def dual_wavefunction_det(x, u, alpha, M):
         if is_zero(uj, 0) or is_zero(alpha * uj * uj - 1, 0):
             raise ZeroDivisionError("dual wavefunction pole at u = 0 or alpha = u^-2")
         pref = pref * (alpha * uj - uj ** -1) ** M * uj ** (2 * n - 1)
-    cols = [linear_power(pos[k - 1] - k, -1, alpha, -pos[k - 1]) for k in range(1, n + 1)]
+    lin = (-1, alpha)
+    cols = [RatFunc([(1, pos[k - 1] - k, -pos[k - 1])], lin) for k in range(1, n + 1)]
     return pref * sign_pairs(n) * det_ratio_columns(cols, [uj * uj for uj in u])
 
 

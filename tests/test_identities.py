@@ -173,3 +173,35 @@ def test_orthogonality_beta_zero_on_circle():
     lam, mu = box[0], box[3]
     assert abs(orthogonality_check(M, N, 0.0, lam, lam, sols) - 1) <= 1e-8
     assert abs(orthogonality_check(M, N, 0.0, lam, mu, sols)) <= 1e-8
+
+
+def test_dual_sum_with_int_beta_stays_exact(monkeypatch):
+    import fivevertex.identities as identities
+
+    y = [F(1, 3), F(2, 5)]
+    value = grothendieck_sum_det(4, 2, y, -1, dual=True)
+    assert type(value) is F and value == F(13, 75)
+    assert grothendieck_sum_check(4, 2, y, -1, dual=True)
+    # the check compares exactly: a determinant side off by 1e-12 must fail it
+    exact_det = identities.grothendieck_sum_det
+    monkeypatch.setattr(identities, "grothendieck_sum_det",
+                        lambda *a, **k: exact_det(*a, **k) + F(1, 10 ** 12))
+    assert not grothendieck_sum_check(4, 2, y, -1, dual=True)
+
+
+def _exact(x):
+    return F(complex(x).real)
+
+
+@pytest.mark.parametrize("d", [1e-6, 1e-9, 1e-11])
+@pytest.mark.parametrize("M", [4, 6])
+def test_float_lane_coincident_y_near_the_kernel_pole(M, d):
+    # y_1 = y_2 = (1 + d)/z_1 puts z_1 y within d of the removable z y = 1
+    # point; the float value must match the exact value at the same inputs
+    z = [0.5 + 0j, 0.3 + 0j]
+    y = [(1 + d) / z[0]] * 2
+    beta = -0.5 + 0j
+    got = cauchy_rhs(M, 2, z, y, beta)
+    exact = complex(cauchy_rhs(M, 2, [_exact(x) for x in z], [_exact(x) for x in y],
+                               _exact(beta)))
+    assert abs(got - exact) <= 1e-12 * abs(exact)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivevertex.linalg import Matrix, det, mat_solve
-from fivevertex.confluent import confluent_det_ratio
+from fivevertex.confluent import confluent_det_ratio, det_ratio_columns
+from fivevertex.ratfunc import RatFunc, taylor
 
 from conftest import rand_fraction
 
@@ -146,3 +147,36 @@ def test_det_refuses_expression_entries():
     x = sympy.Symbol("x")
     with pytest.raises(TypeError, match="sympy.polys.fields.field"):
         det(Matrix([[x, 1], [1, x]]))
+
+
+def test_taylor_rows_match_sympy_series(rng):
+    # terms c t^a (A + B t)^k with exponents of both signs, against sympy's series
+    import sympy
+
+    h = sympy.Symbol("h")
+    for _ in range(6):
+        lin = (rand_fraction(rng), rand_fraction(rng))
+        terms = [(rand_fraction(rng), rng.randint(-3, 4), rng.randint(-3, 4)) for _ in range(3)]
+        t = rand_fraction(rng)
+        while t == 0 or lin[0] + lin[1] * t == 0:
+            t = rand_fraction(rng)
+        expr = sum(sympy.Rational(c.numerator, c.denominator)
+                   * (t + h) ** a * (lin[0] + lin[1] * (t + h)) ** k for c, a, k in terms)
+        series = sympy.series(expr, h, 0, 4).removeO()
+        rows = taylor([RatFunc(terms, lin)], t, 4)
+        for i in range(4):
+            coeff = sympy.Rational(series.coeff(h, i))
+            assert rows[i][0] == F(int(coeff.p), int(coeff.q))
+        assert taylor([RatFunc(terms, lin)], t)[0][0] == rows[0][0]
+
+
+def test_column_poles_raise():
+    # (t - 1)^-1 at t = 1, and t^-2 at t = 0: exact zero bases under negative powers
+    with pytest.raises(ZeroDivisionError):
+        taylor([RatFunc([(1, 0, -1)], (-1, 1))], F(1), 2)
+    with pytest.raises(ZeroDivisionError):
+        taylor([RatFunc([(1, -2, 0)])], F(0))
+    # a nonnegative power of a zero base is fine, and t^2 has no t^3 coefficient
+    assert taylor([RatFunc([(1, 2, 0)])], F(0), 4) == [[0], [0], [1], [0]]
+    with pytest.raises(ValueError):
+        det_ratio_columns([RatFunc([(1, 0, 0)])], [F(1), F(2)])

@@ -188,3 +188,31 @@ REMOVABLE_POINTS = [
 @pytest.mark.parametrize("spec", REMOVABLE_POINTS, ids=["seed2", "seed10", "coincident"])
 def test_intermediate_at_removable_points_matches_oracle(spec):
     assert intermediate_scalar_det(spec) == _monodromy_oracle(spec)
+
+
+@pytest.mark.parametrize("d", [1e-6, 1e-9, 1e-11])
+def test_float_lane_near_the_removable_point_u_equals_v(d):
+    # v_1 = u_1 (1 + d) is within d of the entry's removable s = u^2 point;
+    # the float value must match the exact value at the same inputs
+    u = [0.7 + 0j, 1.3 + 0j]
+    v = [u[0] * (1 + d), 0.9 + 0j]
+    alpha, M = 0.8 + 0j, 5
+    got = scalar_product_det(u, v, alpha, M)
+    exact = complex(scalar_product_det([F(x.real) for x in u], [F(x.real) for x in v],
+                                       F(alpha.real), M))
+    assert abs(got - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("u", [(0.77, 0.77), (0.77, -0.77)], ids=["equal", "opposite"])
+def test_float_lane_interpolated_intermediate_matches_exact(u):
+    # coinciding u-squares route S through samples at u = 1, ..., 7, where the
+    # column quotients divide by s - 49; the Lagrange step itself costs about
+    # 1e-7 here, while rounding amplified by powers of 49 would cost O(1)
+    v, w = (1.27, 0.6, 0.09), (0.98, 0.67, -0.71, -0.04, -1.44, -1.22, -1.07, -1.04)
+    alpha = 1.45 if u[0] == u[1] else 0.55
+    spec = IntermediateSpec(2, [complex(x) for x in u], [complex(x) for x in v],
+                            [complex(x) for x in w], complex(alpha), 8, 3)
+    exact = IntermediateSpec(2, [F(x) for x in u], [F(x) for x in v], [F(x) for x in w],
+                             F(alpha), 8, 3)
+    want = complex(intermediate_scalar_det(exact))
+    assert abs(intermediate_scalar_det(spec) - want) <= 1e-5 * abs(want)

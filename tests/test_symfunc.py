@@ -147,3 +147,65 @@ def test_evaluation_point_wrapper(rng):
     assert point.grothendieck((1,)) == grothendieck_eval((1,), z, beta)
     assert point.dual_grothendieck((1,)) == dual_grothendieck_eval((1,), z, beta)
     assert point.schur((1,)) == schur_eval((1,), z)
+
+
+def set_valued_tableaux_value(shape, z, beta):
+    """Independent oracle (Buch, Acta Math. 189 (2002) 37): G_lambda(z; beta) is
+    the sum over set-valued tableaux T of shape lambda with entries 1..N of
+    beta^(|T| - |lambda|) z^T.  Each box holds a nonempty set; along a row
+    max(left) <= min(right), down a column max(above) < min(below)."""
+    n = len(z)
+    subsets = []
+    for mask in range(1, 2 ** n):
+        entries = [e for e in range(n) if mask >> e & 1]
+        weight = 1
+        for e in entries:
+            weight = weight * z[e]
+        subsets.append((entries[0], entries[-1], len(entries), weight))
+    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
+    placed = {}
+
+    def fill(idx):
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        total = 0
+        for lo, hi, size, weight in subsets:
+            if c > 0 and lo < placed[(r, c - 1)]:
+                continue
+            if r > 0 and lo <= placed[(r - 1, c)]:
+                continue
+            placed[(r, c)] = hi
+            total = total + beta ** (size - 1) * weight * fill(idx + 1)
+        placed.pop((r, c), None)
+        return total
+
+    return fill(0)
+
+
+def _shapes_in_box(rows, cols):
+    """Partitions with at most ``rows`` parts, each at most ``cols``."""
+    shapes = [()]
+    for _ in range(rows):
+        shapes = [s + (p,) for s in shapes for p in range(cols + 1) if not s or p <= s[-1]]
+    return sorted({tuple(p for p in s if p) for s in shapes})
+
+
+def test_set_valued_tableau_oracle_hand_values():
+    z1, z2, beta = F(2, 3), F(5, 7), F(-3, 4)
+    assert set_valued_tableaux_value((1,), [z1, z2], beta) == z1 + z2 + beta * z1 * z2
+    assert set_valued_tableaux_value((), [z1, z2], beta) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grothendieck_matches_set_valued_tableaux(rng, n):
+    beta = rand_fraction(rng)
+    distinct = distinct_squares(rng, n)
+    a, b = rand_fraction(rng), rand_fraction(rng)
+    coincident = [[a] * n] + ([[a, a, b][:n]] if n > 1 else [])
+    for lam in _shapes_in_box(n, 3):
+        for z in [distinct] + coincident:
+            assert grothendieck_eval(lam, z, beta) == set_valued_tableaux_value(lam, z, beta)
+        ones = [F(1)] * n
+        assert set_valued_tableaux_value(lam, ones, F(-1)) == 1
+        assert grothendieck_eval(lam, ones, F(-1)) == 1
