@@ -39,9 +39,9 @@ def group_points(points, tol: float = COINCIDENCE_TOL):
     return groups
 
 
-def all_distinct(points, tol: float = COINCIDENCE_TOL) -> bool:
+def all_distinct(points) -> bool:
     """No two points coincide (in the sense of ``group_points``)."""
-    return len(group_points(points, tol)) == len(points)
+    return len(group_points(points)) == len(points)
 
 
 def _grouped_ratio(points, rows_at, tol):

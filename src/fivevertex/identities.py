@@ -24,7 +24,7 @@ from .confluent import all_distinct, det_ratio_columns, sign_pairs
 from .linalg import Matrix, det
 from .partitions import enumerate_box
 from .ratfunc import RatFunc
-from .scalars import exact_div, is_inexact, is_zero
+from .scalars import exact_div, exact_pow, is_inexact, is_zero
 from .symfunc import dual_grothendieck_eval, grothendieck_eval
 
 
@@ -155,12 +155,12 @@ def _sum_matrix_dual(M, N, y, beta):
                 val = 0
                 for m in range(max(N - 1, 1), M + 1):
                     val = val - (-1) ** m * exact_div(1, (-beta) ** (M - N)) * comb(M, m) \
-                        * base ** (m - N)
+                        * exact_pow(base, m - N)
             else:
                 val = 0
                 for m in range(0, N - j + 1):
                     val = val + (-1) ** m * exact_div(1, (-beta) ** (j - 1 + M - N)) \
-                        * comb(M, m) * base ** (m + j - N - 1)
+                        * comb(M, m) * exact_pow(base, m + j - N - 1)
             row.append(val)
         rows.append(row)
     return Matrix(rows)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .scalars import exact_div, is_zero
+from .scalars import exact_div, exact_pow
 
 
 class Poly:
@@ -88,11 +88,7 @@ class Poly:
 
 
 class RatFunc:
-    """One column sum_i c_i t^(a_i) (A + B t)^(k_i); ``terms`` holds (c_i, a_i, k_i).
-
-    Columns of one determinant should share their ``lin = (A, B)`` object:
-    ``taylor`` then computes A + B t once per point.
-    """
+    """One column sum_i c_i t^(a_i) (A + B t)^(k_i); ``terms`` holds (c_i, a_i, k_i)."""
 
     __slots__ = ("terms", "lin")
 
@@ -108,21 +104,12 @@ def _binom(e, i):
     return (-1) ** i * comb(i - e - 1, i)
 
 
-def _pow(x, e):
-    """x^e; a negative power of an int stays exact, and of an exact zero raises."""
-    if e >= 0:
-        return x ** e
-    if is_zero(x, 0):
-        raise ZeroDivisionError("column pole: a negative power of a zero base")
-    return exact_div(1, x ** -e) if isinstance(x, int) else x ** e
-
-
 def _series(x, b, e, r):
     """Taylor coefficients of (x + b h)^e in h, orders 0 .. r-1."""
     out = []
     for i in range(r):
         c = _binom(e, i)
-        out.append(c * _pow(x, e - i) * b ** i if c else 0)
+        out.append(c * exact_pow(x, e - i) * b ** i if c else 0)
     return out
 
 
@@ -137,21 +124,21 @@ def taylor(columns, t, r: int = 1):
     t_memo, lin_memo = {}, {}
     rows = [[] for _ in range(r)]
     for col in columns:
-        entry = lin_memo.get(id(col.lin))
+        entry = lin_memo.get(col.lin)
         if entry is None:
             a_, b_ = col.lin
-            entry = lin_memo[id(col.lin)] = (a_ + b_ * t, b_, {})
+            entry = lin_memo[col.lin] = (a_ + b_ * t, b_, {})
         base, b, l_memo = entry
-        if r == 1:
+        if r == 1:  # the plain value: the convolution's extra exact arithmetic is slow
             total = zero
             for i, (c, a, k) in enumerate(col.terms):
                 v = t_memo.get(a)
                 if v is None:
-                    v = t_memo[a] = _pow(t, a)
+                    v = t_memo[a] = exact_pow(t, a)
                 if k:
                     w = l_memo.get(k)
                     if w is None:
-                        w = l_memo[k] = _pow(base, k)
+                        w = l_memo[k] = exact_pow(base, k)
                     v = v * w
                 if c != 1:
                     v = c * v

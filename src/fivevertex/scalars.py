@@ -48,6 +48,15 @@ def exact_div(a, b):
     return a / b
 
 
+def exact_pow(x, e):
+    """x^e; a negative power of an int stays exact, and of an exact zero raises."""
+    if e >= 0:
+        return x ** e
+    if is_zero(x, 0):
+        raise ZeroDivisionError("a negative power of a zero base")
+    return exact_div(1, x ** -e) if isinstance(x, int) else x ** e
+
+
 def rational_sqrt(x) -> Fraction:
     """Square root of a perfect-square rational, as a ``Fraction``."""
     f = Fraction(x)

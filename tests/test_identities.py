@@ -187,6 +187,14 @@ def test_dual_sum_with_int_beta_stays_exact(monkeypatch):
     monkeypatch.setattr(identities, "grothendieck_sum_det",
                         lambda *a, **k: exact_det(*a, **k) + F(1, 10 ** 12))
     assert not grothendieck_sum_check(4, 2, y, -1, dual=True)
+    # int y dividing an int beta: the bases 1 + beta/y are ints under negative powers
+    value = grothendieck_sum_det(4, 2, [1, 2], -4, dual=True)
+    assert type(value) is F and value == F(35, 192)
+    monkeypatch.undo()
+    assert grothendieck_sum_check(4, 2, [1, 2], -4, dual=True)
+    monkeypatch.setattr(identities, "grothendieck_sum_det",
+                        lambda *a, **k: exact_det(*a, **k) + F(1, 10 ** 12))
+    assert not grothendieck_sum_check(4, 2, [1, 2], -4, dual=True)
 
 
 def _exact(x):
