@@ -25,6 +25,9 @@ det_val = scalar_product_det(u, v, alpha, M)
 print("off-shell scalar product <psi(u)|psi(v)>:")
 print("  operator oracle :", oracle)
 print("  determinant     :", det_val, " equal:", det_val == oracle)
+u_c, v_c = [F(2, 3), F(-2, 3)], [F(3, 5), F(3, 5)]  # both groups coincident
+oracle_c = sum(b * k for b, k in zip(dual_bethe_state(u_c, params), bethe_state(v_c, params)))
+print("  u = (a, -a), v = (c, c):", scalar_product_det(u_c, v_c, alpha, M) == oracle_c)
 
 spec = IntermediateSpec(1, (u[0],), tuple(v), w, alpha, M, N)
 print("\nintermediate scalar products (inhomogeneous):")

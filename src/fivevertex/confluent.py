@@ -11,9 +11,15 @@ prod_{g<h} (t_h - t_g)^{r_g r_h}.  With all points distinct every group is
 one point and this is the plain determinant ratio.
 
 For the package's bialternant columns (``det_ratio_columns``) the Taylor
-rows are the closed-form coefficients of ``ratfunc.taylor``.  Coincidence is
-decided by exact equality for exact scalars and by an absolute tolerance
-(default 1e-12) for complex ones.
+rows are the closed-form coefficients of ``ratfunc.taylor``.
+
+Columns may themselves depend on a label t_k and be divided by the label
+Vandermonde prod_{j<k} (t_k - t_j) as well (``det_ratio_labelled``: the
+scalar-product kernel K(s, u^2), the Cauchy kernel in z labelled by y).  A
+group of r coincident labels contributes the r Taylor columns in the label,
+and the across-group factor is the same prod_{g<h} (t_h - t_g)^{r_g r_h}.
+Rows and columns may be confluent at once.  Coincidence is decided by exact
+equality for exact scalars and by ``COINCIDENCE_TOL`` for complex ones.
 """
 
 from __future__ import annotations
@@ -25,13 +31,13 @@ from .ratfunc import taylor
 from .scalars import COINCIDENCE_TOL, exact_div, is_inexact
 
 
-def group_points(points, tol: float = COINCIDENCE_TOL):
+def group_points(points):
     """Group coincident points by first occurrence; returns [(value, count)]."""
     groups = []
     for p in points:
         for i, (q, cnt) in enumerate(groups):
             inexact = is_inexact(p) or is_inexact(q)
-            if abs(p - q) <= tol if inexact else p == q:
+            if abs(p - q) <= COINCIDENCE_TOL if inexact else p == q:
                 groups[i] = (q, cnt + 1)
                 break
         else:
@@ -39,17 +45,8 @@ def group_points(points, tol: float = COINCIDENCE_TOL):
     return groups
 
 
-def all_distinct(points) -> bool:
-    """No two points coincide (in the sense of ``group_points``)."""
-    return len(group_points(points)) == len(points)
-
-
-def _grouped_ratio(points, rows_at, tol):
-    """det of the Taylor rows ``rows_at(t, r)`` of each group over the cross factor."""
-    groups = group_points(points, tol)
-    rows = []
-    for t, count in groups:
-        rows.extend(rows_at(t, count))
+def _cross_factor(groups):
+    """prod_{g<h} (t_h - t_g)^(r_g r_h) over the groups [(t, r)]."""
     cross = 1
     for h in range(1, len(groups)):
         th, rh = groups[h]
@@ -57,11 +54,19 @@ def _grouped_ratio(points, rows_at, tol):
             tg, rg = groups[g]
             gap = th - tg
             cross = cross * (gap if rg * rh == 1 else gap ** (rg * rh))
-    return exact_div(det(Matrix(rows)), cross)
+    return cross
 
 
-def confluent_det_ratio(phi, u_points, v_points, u_derivative=None,
-                        tol: float = COINCIDENCE_TOL):
+def _grouped_ratio(points, rows_at):
+    """det of the Taylor rows ``rows_at(t, r)`` of each group over the cross factor."""
+    groups = group_points(points)
+    rows = []
+    for t, count in groups:
+        rows.extend(rows_at(t, count))
+    return exact_div(det(Matrix(rows)), _cross_factor(groups))
+
+
+def confluent_det_ratio(phi, u_points, v_points, u_derivative=None):
     """lim det[phi(u_j, v_k)] / prod_{j<k}(u_k - u_j) with coincident u's.
 
     ``phi(u, v)`` evaluates the matrix entry; ``u_derivative(order, u, v)``
@@ -81,10 +86,10 @@ def confluent_det_ratio(phi, u_points, v_points, u_derivative=None,
                  else exact_div(u_derivative(order, t, v), factorial(order))
                  for v in v_points] for order in range(count)]
 
-    return _grouped_ratio(list(u_points), rows_at, tol)
+    return _grouped_ratio(list(u_points), rows_at)
 
 
-def det_ratio_columns(columns, points, tol: float = COINCIDENCE_TOL):
+def det_ratio_columns(columns, points):
     """det[columns[k](points[j])] / prod_{j<k}(points[k] - points[j]).
 
     ``columns`` are ``ratfunc.RatFunc`` term sums in the row variable; a
@@ -94,7 +99,22 @@ def det_ratio_columns(columns, points, tol: float = COINCIDENCE_TOL):
         raise ValueError("need as many columns as points")
     if not points:
         return 1
-    return _grouped_ratio(list(points), lambda t, r: taylor(columns, t, r), tol)
+    return _grouped_ratio(list(points), lambda t, r: taylor(columns, t, r))
+
+
+def det_ratio_labelled(column_at, labels, points, fixed=()):
+    """``det_ratio_columns`` of labelled columns, also over prod_{j<k}(labels[k] - labels[j]).
+
+    ``column_at(t, r)`` returns the first r Taylor coefficients in the label
+    t of the labelled column, each a ``ratfunc.RatFunc`` in the row variable;
+    a label of multiplicity r is asked for all r at once.  The unlabelled
+    columns ``fixed`` follow the labelled ones.
+    """
+    groups = group_points(labels)
+    columns = []
+    for t, count in groups:
+        columns.extend(column_at(t, count))
+    return exact_div(det_ratio_columns(columns + list(fixed), points), _cross_factor(groups))
 
 
 def sign_pairs(n: int) -> int:

@@ -9,9 +9,10 @@ The deformed Cauchy identity over the (M-N)^N box,
 its M -> infinity product form, the weighted summation formulas, and the
 orthogonality of G and Gbar over the solutions of the z-form Bethe
 equations.  The z_j y_k = 1 kernel singularity is always removable: the
-determinant columns are the kernel's exact quotient, written in z (distinct
-y) or, transposed, in y (coincident y), so both branches are finite and free
-of cancellation at and near y = 1/z in the float lane.  At y = 1/z on a
+determinant columns are the kernel's exact quotient as a function of z,
+labelled by y, so they are finite and free of cancellation at and near
+y = 1/z in the float lane.  Coincident z take Taylor rows, coincident y
+Taylor columns in the label, and both may coincide at once.  At y = 1/z on a
 Bethe solution the determinant side equals 1/w(z), the closed-form
 orthogonality weight, which is what the Green functions use.
 """
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 from math import comb
 
-from .confluent import all_distinct, det_ratio_columns, sign_pairs
+from .confluent import det_ratio_labelled
 from .linalg import Matrix, det
 from .partitions import enumerate_box
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, taylor
 from .scalars import exact_div, exact_pow, is_inexact, is_zero
 from .symfunc import dual_grothendieck_eval, grothendieck_eval
 
@@ -36,50 +37,41 @@ def cauchy_lhs(M, N, z, y, beta):
     return total
 
 
-def _kernel_terms(x, M, N, beta, in_y: bool):
-    """The Cauchy kernel's exact quotient as column terms, one variable fixed at x.
+def _kernel_coefficients(M, N, beta):
+    """The Cauchy kernel's exact quotient as z-terms with coefficients in y.
 
     ((z y)^M - ((1+beta z)/(1+beta/y))^(N-1)) / (z y - 1) equals
 
-        sum_{i<M} (z y)^i - beta sum_{i<N-1} (1+beta z)^i y^i (y+beta)^(-1-i),
+        sum_{i<M} y^i z^i - beta sum_{i<N-1} y^i (y+beta)^(-1-i) (1+beta z)^i,
 
-    written as terms of a column in z (y = x, ``in_y`` false; linear factor
-    1 + beta z) or in y (z = x; linear factor y + beta), so the removable
-    z y = 1 point is never a pole.
+    so the removable z y = 1 point is never a pole.  Returns the coefficients
+    y^i and -beta y^i (y+beta)^(-1-i) as columns in y (linear factor y + beta),
+    in the order of the z-terms z^i and (1+beta z)^i.
     """
-    terms = [(x ** i, i, 0) for i in range(M)]
+    coeffs = [RatFunc([(1, i, 0)], (beta, 1)) for i in range(M)]
     if is_zero(beta, 0):
-        return terms  # the geometric sum alone
-    for i in range(N - 1):
-        if in_y:  # z = x: -beta (1+beta x)^i y^i (y+beta)^(-1-i)
-            terms.append((-beta * (1 + beta * x) ** i, i, -1 - i))
-        else:  # y = x: -beta x^i (x+beta)^(-1-i) (1+beta z)^i
-            terms.append((-beta * x ** i * exact_div(1, (x + beta) ** (1 + i)), 0, i))
-    return terms
+        return coeffs  # the geometric sum alone
+    return coeffs + [RatFunc([(-beta, i, -1 - i)], (beta, 1)) for i in range(N - 1)]
 
 
 def cauchy_rhs(M, N, z, y, beta):
-    """Determinant side of the deformed Cauchy identity."""
+    """Determinant side of the deformed Cauchy identity.
+
+    The columns are the kernel in z labelled by y: coincident z take Taylor
+    rows, coincident y the Taylor columns in y of the kernel's coefficients.
+    """
     z, y = list(z), list(y)
     if len(z) != N or len(y) != N:
         raise ValueError("need N variables on both sides")
-    if all_distinct(y):
-        # columns in z labelled by y_k; coincident z go through the confluent rows
-        if any(is_zero(yk, 0) for yk in y):
-            raise ZeroDivisionError("distinct-y kernel columns need y_k != 0")
-        rows, labels, in_y = z, y, False
-    elif all_distinct(z):
-        # transposed: columns in y labelled by z_j
-        rows, labels, in_y = y, z, True
-    else:
-        raise ValueError("coincidences in both variable groups are not supported")
-    lin = (beta, 1) if in_y else (1, beta)
-    cols = [RatFunc(_kernel_terms(x, M, N, beta, in_y), lin) for x in labels]
-    pref = 1
-    for j in range(N):
-        for k in range(j + 1, N):
-            pref = exact_div(pref, labels[j] - labels[k])
-    return pref * (sign_pairs(N) * det_ratio_columns(cols, rows))
+    if any(is_zero(yk, 0) for yk in y):
+        raise ZeroDivisionError("the dual variables need y_k != 0, as Gbar(y) does")
+    coeffs = _kernel_coefficients(M, N, beta)
+
+    def column_at(t, r):
+        return [RatFunc([(c, i, 0) if i < M else (c, 0, i - M) for i, c in enumerate(row)],
+                        (1, beta)) for row in taylor(coeffs, t, r)]
+
+    return det_ratio_labelled(column_at, y, z)
 
 
 def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:

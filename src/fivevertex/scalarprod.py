@@ -1,35 +1,41 @@
 """Determinant formulas for scalar products of off-shell Bethe states.
 
-The scalar product <psi({u}_N)|psi({v}_N)> of the five-vertex model is a
-single N x N determinant, valid without any Bethe-equation constraint.  The
-matrix element (homogeneous case, a(x) = x^M, d(x) = (alpha x - 1/x)^M)
-
-    Q_jk = [a(u_j) d(v_k) v_k^(2N-2) - a(v_k) d(u_j) u_j^(2N-2)]
-           / (v_k/u_j - u_j/v_k)
-
-is, after pulling out v_k^(2N-1-M) per column, a function of s = v_k^2
-whose apparent pole at s = u_j^2 is removable.  Each column is written as
-the exact quotient, a polynomial in s (see ``scalar_product_det``), so u/v
-collisions are ordinary points, the float lane has no cancellation near
-them, and coincident v's (the norm limit) take the confluent Taylor rows.
-
 The intermediate scalar products S({u}_n | {v}_N | {w}) interpolate between
 the domain-wall partition function (n = 0) and the full scalar product
-(n = N) and satisfy the recursion that freezes the top lattice row at
-u_n = +- alpha^(-1/2) w_{M-N+n}.
+<psi({u}_N)|psi({v}_N)> (n = N, every w_l = 1), and satisfy the recursion
+that freezes the top lattice row at u_n = +- alpha^(-1/2) w_{M-N+n}.  Each
+is one N x N determinant in the row variable s = v_k^2 (with v_k^(2N-1-M)
+pulled out per row), valid without any Bethe-equation constraint.
+
+Its last N - n columns are prod_{l != M-N+j} (alpha s - w_l^2) / w_l.  Its
+first n columns are, up to the factor alpha^(N-n) u_j^(2N-1-M) / prod(w)^2,
+the kernel
+
+    K(s, t) = [t^m Q(s) - Q(t) s^m] / (s - t),   t = u_j^2, m = M-N+1,
+    Q(s) = prod_{l <= M-N+n} (alpha s - w_l^2),
+
+a polynomial in s, taken as one exact quotient.  Up to u_j^(2N-1-M) /
+prod(w)^2, the paper's column is [t^m P(s) - P(t) s^m] / (s - t) times
+alpha^(N-n) / R(t), with P = Q R and R(s) = prod_{l > M-N+n} (alpha s -
+w_l^2), which vanishes at alpha u_j^2 = w_l^2.  Subtracting multiples of the
+last N - n columns, which span Q(s) times every polynomial of degree below
+N - n, leaves R(t) K(s, t), and R(t) cancels.  So alpha u_j^2 = w_l^2 is
+an ordinary point, as is u = v, and the float lane has no cancellation near
+either.  Coincident u-squares take the Taylor columns of K in its label t,
+coincident v-squares the Taylor rows in s (``confluent.det_ratio_labelled``),
+so every coincidence is a limit, not a refusal.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .confluent import all_distinct, det_ratio_columns
+from .confluent import det_ratio_labelled, sign_pairs
 from .linalg import Matrix, det
-from .ratfunc import Poly
-from .scalars import COINCIDENCE_TOL, exact_div, is_inexact, is_zero, rational_sqrt
+from .ratfunc import Poly, taylor
+from .scalars import exact_div, exact_pow, is_inexact, rational_sqrt
 
 
 @dataclass(frozen=True)
@@ -54,151 +60,77 @@ class IntermediateSpec:
             raise ValueError("parameter list lengths do not match (n, N, M)")
 
 
-def _d_hom(x, alpha, M):
-    return (alpha * x - x ** -1) ** M
-
-
 def scalar_product_det(u, v, alpha, M):
-    """<psi({u}_N)|psi({v}_N)> in the homogeneous limit, arbitrary off-shell."""
-    u, v = list(u), list(v)
-    n = len(u)
-    if len(v) != n:
+    """<psi({u}_N)|psi({v}_N)> in the homogeneous limit, arbitrary off-shell.
+
+    This is the intermediate product at n = N with every w_l = 1.
+    """
+    u, v = tuple(u), tuple(v)
+    if len(v) != len(u):
         raise ValueError("need equally many u and v parameters")
-    if n == 0:
-        return 1
-    s_u = [x * x for x in u]
-    if not all_distinct(s_u):
-        if all_distinct([x * x for x in v]):
-            return scalar_product_det(v, u, alpha, M)  # exactly symmetric
-        raise ValueError("coincident squares in both parameter groups are not supported")
-    # column functions of s = v^2, with v^(2N-1-M) pulled out per column: the
-    # quotient by s - s_u of u^(M+1) (alpha s - 1)^M - c_u s^(M-N+1), which
-    # vanishes at s = s_u (c_u = u^(2N-1-M) (alpha s_u - 1)^M)
-    power = Poly([(-1) ** (M - i) * comb(M, i) * alpha ** i for i in range(M + 1)])
-    cols = []
-    for uj, su in zip(u, s_u):
-        c_u = uj ** (2 * n - 1 - M) * (alpha * su - 1) ** M
-        num = power * uj ** (M + 1) + Poly([0] * (M - n + 1) + [-c_u])
-        cols.append(num.quotient(su).column())
-    pref = 1
-    for j in range(n):
-        for k in range(j + 1, n):
-            pref = exact_div(pref, s_u[j] - s_u[k])
-    for vk in v:
-        pref = pref * vk ** (2 * n - 1 - M)
-    return pref * det_ratio_columns(cols, [x * x for x in v])
+    return intermediate_scalar_det(IntermediateSpec(len(u), u, v, (1,) * M, alpha, M, len(u)))
 
 
-def _a_inhom(x, w):
-    out = 1
-    for wl in w:
-        out = out * (x / wl)
-    return out
+def _kernel_columns(q, m, t, r):
+    """Taylor coefficients K_0 .. K_(r-1) in t of K(s, t), as polynomial columns in s.
 
-
-def _d_inhom(x, w, alpha):
-    out = 1
-    for wl in w:
-        out = out * (alpha * x / wl - wl / x)
-    return out
-
-
-def _removable_at(spec: IntermediateSpec, j: int, x) -> bool:
-    """u_j = x makes the determinant formula 0/0, though S is finite there.
-
-    That is alpha x^2 = w_l^2 for some l > M-N+n (a zero of the u-column
-    denominator), or x^2 equal to the square of another u; complex values
-    coincide within ``COINCIDENCE_TOL``.
+    K(s, t) = [t^m Q(s) - Q(t) s^m] / (s - t); expanding (s - t - h) K(s, t + h)
+    in h gives (s - t) K_i = C(m, i) t^(m-i) Q(s) - Q_i(t) s^m + K_(i-1), whose
+    right side vanishes at s = t, so each K_i is one more exact quotient.
     """
-    tol = COINCIDENCE_TOL if is_inexact(x) else 0
-    if any(is_zero(spec.alpha * x * x - wl * wl, tol) for wl in spec.w[spec.M - spec.N + spec.n:]):
-        return True
-    return any(is_zero(x * x - uk * uk, tol) for k, uk in enumerate(spec.u) if k != j)
-
-
-def _interpolated_at(spec: IntermediateSpec, j: int):
-    """S at a removable point of u_j, by Property 2.
-
-    u_j^(M+2n-2N-1) S is a polynomial of degree M-N+n-1 in u_j^2, so S is
-    its Lagrange interpolant through M-N+n regular points u_j = 1, 2, 3, ...
-    """
-    n, u, M, N = spec.n, spec.u, spec.M, spec.N
-    power = M + 2 * n - 2 * N - 1
-    one = 1.0 + 0j if is_inexact(u[j]) else Fraction(1)
-    points = []
-    k = 0
-    while len(points) < M - N + n:
-        k += 1
-        x = k * one
-        if _removable_at(spec, j, x):
-            continue
-        sample = IntermediateSpec(n, u[:j] + (x,) + u[j + 1:], spec.v, spec.w, spec.alpha, M, N)
-        points.append((x * x, x ** power * intermediate_scalar_det(sample)))
-    target = u[j] * u[j]
-    total = 0
-    for i, (si, fi) in enumerate(points):
-        term = fi
-        for m, (sm, _) in enumerate(points):
-            if m != i:
-                term = term * (target - sm) / (si - sm)
-        total = total + term
-    return total * u[j] ** -power
+    q_t = taylor([q.column()], t, r)
+    out, prev = [], Poly()
+    for i in range(r):
+        num = prev + Poly([0] * m + [-q_t[i][0]])
+        if i <= m:
+            num = num + q * (comb(m, i) * t ** (m - i))
+        prev = num.quotient(t)
+        out.append(prev.column())
+    return out
 
 
 def intermediate_scalar_det(spec: IntermediateSpec):
     """S({u}_n | {v}_N | {w}) as the two-case N x N determinant.
 
-    Where the formula is 0/0 in some u_j (see ``_removable_at``), S comes
-    from ``_interpolated_at`` instead.
+    Column j <= n is u_j^(2N-1-M) alpha^(N-n) / prod(w)^2 times the kernel
+    K(s, u_j^2) of the module docstring; the other N - n columns are the
+    products prod_{l != M-N+j} (alpha s - w_l^2) / w_l.  Coincident u-squares
+    take Taylor columns in the label u^2, coincident v-squares Taylor rows.
     """
     n, u, v, w, alpha, M, N = spec.n, spec.u, spec.v, spec.w, spec.alpha, spec.M, spec.N
     if N == 0:
         return 1
-    for j, uj in enumerate(u):
-        if _removable_at(spec, j, uj):
-            return _interpolated_at(spec, j)
-    s_u = [x * x for x in u]
     w_sq = [x * x for x in w]
     w_prod = 1
     for wl in w:
         w_prod = w_prod * wl
-    # P(s) = prod_l (alpha s - w_l^2)
-    p_full = Poly([1])
-    for wl2 in w_sq:
-        p_full = p_full * Poly([-wl2, alpha])
-    cols = []
-    for j in range(1, N + 1):
-        if j <= n:
-            # u_j a_u P(s) - u_j b_u s^(M-N+1) vanishes at s = u_j^2, so its
-            # quotient by s - u_j^2 is a polynomial
-            uj = u[j - 1]
-            a_u = uj ** M / w_prod / w_prod
-            b_u = _d_inhom(uj, w, alpha) * uj ** (2 * N - 2) / w_prod
-            r_u = 1
-            for l in range(M - N + n + 1, M + 1):
-                r_u = r_u * (uj * uj - w_sq[l - 1] / alpha)
-            num = p_full * (uj * a_u) + Poly([0] * (M - N + 1) + [-uj * b_u])
-            cols.append((num.quotient(s_u[j - 1]) * exact_div(1, r_u)).column())
-        else:
-            skip = M - N + j
-            poly = Poly([1])
-            denom = 1
-            for l in range(1, M + 1):
-                if l == skip:
-                    continue
-                poly = poly * Poly([-w_sq[l - 1], alpha])
-                denom = denom * w[l - 1]
-            cols.append((poly * exact_div(1, denom)).column())
+    # Q(s) = prod_{l <= M-N+n} (alpha s - w_l^2)
+    q = Poly([1])
+    for wl2 in w_sq[:M - N + n]:
+        q = q * Poly([-wl2, alpha])
+    fixed = []
+    for j in range(n + 1, N + 1):
+        skip = M - N + j
+        poly = Poly([1])
+        denom = 1
+        for l in range(1, M + 1):
+            if l == skip:
+                continue
+            poly = poly * Poly([-w_sq[l - 1], alpha])
+            denom = denom * w[l - 1]
+        fixed.append((poly * exact_div(1, denom)).column())
     pref = 1
     for j in range(M - N + n + 1, M + 1):
         for k in range(j + 1, M + 1):
             pref = exact_div(pref, w_sq[j - 1] - w_sq[k - 1])
-    for j in range(n):
-        for k in range(j + 1, n):
-            pref = exact_div(pref, s_u[j] - s_u[k])
+    for uj in u:
+        pref = pref * exact_div(alpha ** (N - n), w_prod * w_prod) * exact_pow(uj, 2 * N - 1 - M)
     for vk in v:
-        pref = pref * vk ** (2 * N - 1 - M)
-    return pref * det_ratio_columns(cols, [x * x for x in v])
+        pref = pref * exact_pow(vk, 2 * N - 1 - M)
+    m = M - N + 1
+    ratio = det_ratio_labelled(lambda t, r: _kernel_columns(q, m, t, r),
+                               [x * x for x in u], [x * x for x in v], fixed)
+    return pref * (sign_pairs(n) * ratio)
 
 
 def domain_wall_value(spec: IntermediateSpec):

@@ -72,10 +72,24 @@ def test_confluent_variable_groups():
     y = [F(1, 3), F(1, 5)]
     beta = F(1, 4)
     assert cauchy_lhs(4, 2, z, y, beta) == cauchy_rhs(4, 2, z, y, beta)
-    # and coincidences on the y side go through the transposed branch
+    # coincident y take the Taylor columns of the kernel in its label y
     z2 = [F(1, 3), F(1, 5)]
     y2 = [F(1, 2), F(1, 2)]
     assert cauchy_lhs(4, 2, z2, y2, beta) == cauchy_rhs(4, 2, z2, y2, beta)
+    # and both groups may coincide at once
+    z3 = [F(1, 2), F(1, 2)]
+    y3 = [F(1, 3), F(1, 3)]
+    assert cauchy_lhs(4, 2, z3, y3, beta) == cauchy_rhs(4, 2, z3, y3, beta)
+
+
+@pytest.mark.parametrize("y", [[F(0), F(0)], [F(0), F(1, 2)]], ids=["coincident", "distinct"])
+def test_zero_y_is_refused(y):
+    # the dual side Gbar(y) needs y != 0, so both sides refuse a zero y
+    z, beta = [F(1, 3), F(1, 5)], F(1, 4)
+    with pytest.raises(ZeroDivisionError):
+        cauchy_rhs(4, 2, z, y, beta)
+    with pytest.raises(ZeroDivisionError):
+        cauchy_lhs(4, 2, z, y, beta)
 
 
 def test_infinite_limit_simple_case():

@@ -185,9 +185,81 @@ REMOVABLE_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("spec", REMOVABLE_POINTS, ids=["seed2", "seed10", "coincident"])
-def test_intermediate_at_removable_points_matches_oracle(spec):
-    assert intermediate_scalar_det(spec) == _monodromy_oracle(spec)
+def _complex_spec(spec):
+    c = lambda xs: tuple(complex(x) for x in xs)
+    return IntermediateSpec(spec.n, c(spec.u), c(spec.v), c(spec.w), complex(spec.alpha),
+                            spec.M, spec.N)
+
+
+REMOVABLE_IDS = ["seed2", "seed10", "coincident"]
+
+
+# the exact lane keeps the bare ids; the complex lane's carry a suffix
+@pytest.mark.parametrize("spec, lane", [
+    pytest.param(spec, lane, id=name if lane == "exact" else f"{name}-{lane}")
+    for lane in ("exact", "complex") for spec, name in zip(REMOVABLE_POINTS, REMOVABLE_IDS)])
+def test_intermediate_at_removable_points_matches_oracle(spec, lane):
+    oracle = _monodromy_oracle(spec)
+    if lane == "exact":
+        assert intermediate_scalar_det(spec) == oracle
+    else:
+        got = intermediate_scalar_det(_complex_spec(spec))
+        assert abs(got - complex(oracle)) <= 1e-12 * abs(oracle)
+
+
+# regular; alpha u_j^2 = w_l^2 with l > M-N+n; u_2 = +-u_1; v_N = +-v_1; the last two at once
+SWEEP_CASES = ["regular", "removable", "coincident-u", "coincident-v", "both-groups"]
+
+
+def _sweep_draw(rng, M, N, n, case):
+    """Seeded exact parameters of S({u}_n|{v}_N|{w}) forced into one kind of point."""
+    a = rand_fraction(rng)
+    u = distinct_squares(rng, n)
+    v = distinct_squares(rng, N)
+    w = tuple(distinct_squares(rng, M))
+    sign = rng.choice((1, -1))
+    if case == "removable":
+        if n == 0 or n == N:
+            return None  # no w_l with l > M-N+n to meet
+        u[rng.randrange(n)] = sign * w[rng.randrange(M - N + n, M)] / a
+    if case in ("coincident-u", "both-groups"):
+        if n < 2:
+            return None
+        u[1] = sign * u[0]
+    if case in ("coincident-v", "both-groups"):
+        if N < 2:
+            return None
+        v[-1] = rng.choice((1, -1)) * v[0]
+    return IntermediateSpec(n, tuple(u), tuple(v), w, a * a, M, N)
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_intermediate_oracle_sweep(rng, case):
+    # every M <= 5, N <= 3, 0 <= n <= N against the B/C-operator products,
+    # with the point forced to the removable or coincident kind of ``case``
+    checked = 0
+    for M in range(1, 6):
+        for N in range(1, min(3, M) + 1):
+            for n in range(N + 1):
+                spec = _sweep_draw(rng, M, N, n, case)
+                if spec is None:
+                    continue
+                assert intermediate_scalar_det(spec) == _monodromy_oracle(spec), (M, N, n)
+                checked += 1
+    assert checked >= 10
+
+
+A, B, C, D = F(2, 3), F(-5, 4), F(3, 7), F(6, 5)
+
+
+# at M = 3 the triple u-square takes a Taylor column of order 2 > m = M - N + 1
+@pytest.mark.parametrize("u, v, M", [([A, -A, B], [C, C, D], 5), ([A, -A, A], [C, -C, D], 3)],
+                         ids=["pairs", "triple"])
+def test_scalar_product_with_both_groups_coincident(u, v, M):
+    alpha = F(4, 9)
+    params = ModelParameters(alpha=alpha, M=M)
+    oracle = sum(x * y for x, y in zip(dual_bethe_state(u, params), bethe_state(v, params)))
+    assert scalar_product_det(u, v, alpha, M) == oracle
 
 
 @pytest.mark.parametrize("d", [1e-6, 1e-9, 1e-11])
@@ -204,10 +276,9 @@ def test_float_lane_near_the_removable_point_u_equals_v(d):
 
 
 @pytest.mark.parametrize("u", [(0.77, 0.77), (0.77, -0.77)], ids=["equal", "opposite"])
-def test_float_lane_interpolated_intermediate_matches_exact(u):
-    # coinciding u-squares route S through samples at u = 1, ..., 7, where the
-    # column quotients divide by s - 49; the Lagrange step itself costs about
-    # 1e-7 here, while rounding amplified by powers of 49 would cost O(1)
+def test_float_lane_intermediate_matches_exact(u):
+    # coinciding u-squares take the Taylor column of the kernel K(s, u^2) in
+    # its label; the float value must match the exact value at the same inputs
     v, w = (1.27, 0.6, 0.09), (0.98, 0.67, -0.71, -0.04, -1.44, -1.22, -1.07, -1.04)
     alpha = 1.45 if u[0] == u[1] else 0.55
     spec = IntermediateSpec(2, [complex(x) for x in u], [complex(x) for x in v],
@@ -215,4 +286,4 @@ def test_float_lane_interpolated_intermediate_matches_exact(u):
     exact = IntermediateSpec(2, [F(x) for x in u], [F(x) for x in v], [F(x) for x in w],
                              F(alpha), 8, 3)
     want = complex(intermediate_scalar_det(exact))
-    assert abs(intermediate_scalar_det(spec) - want) <= 1e-5 * abs(want)
+    assert abs(intermediate_scalar_det(spec) - want) <= 1e-10 * abs(want)
