@@ -16,8 +16,6 @@ from math import comb
 from random import Random
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import linear_sum_assignment
 
 from .identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs,
                          grothendieck_sum_check, orthogonality_matrix)
@@ -281,6 +279,7 @@ def criterion_6_summation(seed: int = 106) -> dict:
 
 def criterion_7_bethe_completeness() -> dict:
     """Counts, residuals <= 1e-10, energy multiset vs sector spectrum (1e-7)."""
+    from scipy.optimize import linear_sum_assignment
     t0 = time.time()
     for (M, N) in [(4, 2), (5, 2), (6, 2), (6, 3), (8, 4)]:
         sols = bethe_solve(M, N)
@@ -307,6 +306,7 @@ def criterion_7_bethe_completeness() -> dict:
 
 def criterion_8_green_functions() -> dict:
     """All-pairs Green functions vs the matrix-exponential oracle at 1e-8."""
+    from scipy.linalg import expm
     t0 = time.time()
     for (M, N) in [(6, 2), (6, 3)]:
         spec = Spectrum(bethe_solve(M, N), M, N)

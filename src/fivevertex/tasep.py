@@ -32,7 +32,11 @@ matrices of the subsets still moving and one broadcast nearest-root
 matching (``linear_sum_assignment`` only where two roots claim the same
 new one), and a Newton step is one stacked solve.  Every floating-point
 operation is the one a subset-at-a-time loop would do, so the solution
-sets are the same to the bit.  ``beta`` generalizes the equations to
+sets are the same to the bit.  At beta = -1 the choice that collapses onto
+the stationary set is retired as soon as it contracts on the N roots nearest
+1 below |Y| = ``STATIONARY_BOUND``: Y = 0 is a neutral fixed point of the
+flow, which would creep towards it for all ``MAX_ITER`` steps without ever
+meeting ``Y_TOL``.  ``beta`` generalizes the equations to
 (1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j), as needed by the
 orthogonality relation (beta = -1 is the TASEP point).
 """
@@ -45,8 +49,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import linear_sum_assignment
 
 from .identities import orthogonality_weight, sum_matrix_primal
 from .partitions import ParticleConfiguration, config_to_partition, enumerate_box, partition_to_config
@@ -76,6 +78,9 @@ RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-9
 Y_TOL = 1e-13
 MAX_ITER = 500
+# at beta = -1, |Y| below which a flow contracting on the N roots nearest 1 is
+# retired as the stationary set (see ``_flow``)
+STATIONARY_BOUND = 0.5
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,7 @@ def _match(chosen, new_roots):
     cols = cost.argmin(axis=2)
     ranked = np.sort(cols, axis=1)
     for s in np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)):
+        from scipy.optimize import linear_sum_assignment  # rare, and slow to import
         cols[s] = linear_sum_assignment(cost[s])[1]
     return np.take_along_axis(new_roots, cols, axis=1)
 
@@ -219,14 +225,32 @@ def _energy(z, beta):
     return complex(-len(z) + alpha * sum(1 / zj for zj in z))
 
 
+def _on_stationary_cluster(chosen, roots, y_new, y_cur):
+    """Rows contracting below STATIONARY_BOUND on the N roots of ``roots`` nearest 1.
+
+    ``chosen`` (S, N) holds entries of ``roots`` (S, M), the roots of the
+    polynomial at ``y_cur``, so comparing distances to 1 is exact.
+    """
+    N = chosen.shape[1]
+    nth_nearest = np.partition(_abs(roots - 1), N - 1, axis=1)[:, N - 1]
+    nearest = _abs(chosen - 1).max(axis=1) <= nth_nearest
+    return nearest & (_abs(y_new) < _abs(y_cur)) & (_abs(y_new) < STATIONARY_BOUND)
+
+
 def _flow(M, N, beta, subsets):
     """Damped self-consistency flow in Y from Y = 1, all subsets advanced together.
 
     Returns per subset its status ("converged", "stationary" or "failed"),
-    its roots in flow order, and its last |Y_new - Y|.
+    its roots in flow order, and its last |Y_new - Y|.  At beta = -1 a row is
+    "stationary" as soon as it contracts on the N roots nearest 1 below
+    STATIONARY_BOUND: there Y_new = Y (prod z_j)^(M/N) up to a root of unity,
+    a map with derivative 1 at Y = 0, which the damped flow approaches only
+    like k^(-N/2) and never to Y_TOL.
     """
     start = np.array(_canonical(_bethe_poly_roots(M, N, beta, 1.0)[0]))
     chosen = start[np.array(subsets)]
+    roots = np.tile(start, (len(subsets), 1))  # the roots each row was last matched against
+    tasep_point = abs(beta + 1) < 1e-15
     status = np.full(len(subsets), "failed", dtype=object)
     y_cur = np.ones(len(subsets), dtype=complex)
     y_new = np.empty_like(y_cur)
@@ -236,6 +260,9 @@ def _flow(M, N, beta, subsets):
         y_new[active] = np.prod(1 + beta * chosen[active], axis=1)
         gap[active] = _abs(y_new[active] - y_cur[active])
         stationary = _abs(y_new[active]) < 1e-11
+        if tasep_point:
+            stationary |= _on_stationary_cluster(chosen[active], roots[active],
+                                                 y_new[active], y_cur[active])
         converged = ~stationary & (gap[active] <= Y_TOL)
         status[active[stationary]] = "stationary"
         status[active[converged]] = "converged"
@@ -243,11 +270,8 @@ def _flow(M, N, beta, subsets):
         if not len(active):
             break
         y_cur[active] = 0.5 * y_cur[active] + 0.5 * y_new[active]
-        chosen[active] = _match(chosen[active], _bethe_poly_roots(M, N, beta, y_cur[active]))
-    frozen_point = -1 / beta
-    for s in active:
-        if abs(y_new[s]) < 1e-3 and all(abs(z - frozen_point) < 0.05 for z in chosen[s]):
-            status[s] = "stationary"
+        roots[active] = _bethe_poly_roots(M, N, beta, y_cur[active])
+        chosen[active] = _match(chosen[active], roots[active])
     return status, chosen, gap
 
 
@@ -256,8 +280,10 @@ def bethe_solve(M: int, N: int, beta=-1.0):
 
     For beta = -1 the stationary set (all roots at 1, Y = 0) is inserted
     analytically; subsets whose self-consistency flow collapses onto it are
-    discarded.  Convergence or completeness failures raise, naming every
-    choice that gave no new solution set and why.
+    discarded as soon as they contract on the N roots nearest 1 below
+    |Y| = ``STATIONARY_BOUND``, since Y = 0 is a neutral fixed point that the
+    flow would approach only like k^(-N/2).  Convergence or completeness
+    failures raise, naming every choice that gave no new solution set and why.
     """
     if not 1 <= N <= M - 1:
         raise ValueError("need 1 <= N <= M-1 (N = M is the frozen ring)")
@@ -511,6 +537,7 @@ def master_oracle(x: ParticleConfiguration, t: float) -> SectorState:
     e_x[sector_basis(M, N).index(x.positions)] = 1.0
     vals, vecs = np.linalg.eig(gen)
     if np.linalg.cond(vecs) > 1e8:
+        from scipy.linalg import expm
         result = expm(gen * t) @ e_x
     else:
         result = (vecs @ np.diag(np.exp(vals * t)) @ np.linalg.inv(vecs) @ e_x).real

@@ -134,12 +134,23 @@ def test_negative_rational_option_values(capsys):
     assert payload["inputs"]["z"] == ["-1/2", "1/3"]
 
 
-def test_package_imports_leave_sympy_out():
-    # sympy is only imported by criterion 3's proof and by tests
+def _loaded_after_import(modules):
+    """Which of ``modules`` a fresh interpreter has loaded after importing the package."""
     src = str(Path(fivevertex.__file__).resolve().parents[1])
     code = ("import sys, fivevertex, fivevertex.cli, fivevertex.acceptance; "
-            "print('sympy' in sys.modules)")
+            f"print([m for m in {modules!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_package_imports_leave_sympy_out():
+    # sympy is only imported by criterion 3's proof and by tests
+    assert _loaded_after_import(["sympy"]) == "[]"
+
+
+def test_package_imports_leave_scipy_solvers_out():
+    # linear_sum_assignment and expm are imported where they are used, so the
+    # CLI start-up does not pay for scipy.optimize and scipy.linalg
+    assert _loaded_after_import(["scipy.optimize", "scipy.linalg"]) == "[]"

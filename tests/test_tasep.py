@@ -11,15 +11,18 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
+from fivevertex import tasep
 from fivevertex.identities import cauchy_rhs
 from fivevertex.partitions import ParticleConfiguration as PC
 from fivevertex.partitions import enumerate_box, partition_to_config
 from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval
-from fivevertex.tasep import (DEDUP_TOL, MAX_ITER, RESIDUAL_TOL, Y_TOL, GreenQuery, Spectrum,
-                              _match, _newton_polish, _spectrum, bethe_solve, current_terms,
-                              density_terms, expectation, expectation_via_form_factors,
-                              form_factor_sum, green_function, green_function_table,
-                              master_oracle, sector_generator, sum_rule_check)
+from fivevertex.tasep import (DEDUP_TOL, MAX_ITER, RESIDUAL_TOL, STATIONARY_BOUND, Y_TOL,
+                              GreenQuery, Spectrum, _bethe_poly_roots, _flow, _match,
+                              _newton_polish, _on_stationary_cluster, _spectrum, bethe_solve,
+                              current_terms, density_terms, expectation,
+                              expectation_via_form_factors, form_factor_sum, green_function,
+                              green_function_table, master_oracle, sector_generator,
+                              sum_rule_check)
 from fivevertex.sector import sector_basis
 
 from conftest import distinct_squares
@@ -359,7 +362,7 @@ def test_stacked_newton_polish_equals_row_by_row():
 
 
 @pytest.mark.parametrize("beta", [-1.0, -0.5])
-@pytest.mark.parametrize("M, N", [(6, 3), (8, 4), (9, 6)])
+@pytest.mark.parametrize("M, N", [(3, 1), (4, 2), (6, 3), (8, 4), (9, 6), (9, 8)])
 def test_bethe_solve_matches_per_subset_reference(M, N, beta):
     sols = [s for s in bethe_solve(M, N, beta) if not s.stationary]
     ref = _reference_solve(M, N, complex(beta))
@@ -369,16 +372,52 @@ def test_bethe_solve_matches_per_subset_reference(M, N, beta):
 
 
 def test_solver_failure_names_every_rejected_choice():
-    with pytest.raises(RuntimeError, match="^fixed-point iteration failed") as info:
+    with pytest.raises(RuntimeError, match="^completeness failure") as info:
         bethe_solve(9, 4)
     head, *lines = str(info.value).splitlines()
-    found = int(re.search(r"\((\d+) of 126 solution sets found\)", head).group(1))
+    found = int(re.fullmatch(r"completeness failure: (\d+) of 126 solution sets found; "
+                             r"choices without a new solution set:", head).group(1))
     # the stationary set is inserted, so every other missing set is a named choice
     assert len(lines) == 126 - (found - 1)
     reason = (r"no fixed point after 500 iterations, final \|dY\| \S+|residual \S+ above 1e-10"
               r"|flowed to Y = 0 \(all roots at -1/beta\)|same solution set as choice \(.*\)")
     assert all(re.fullmatch(rf"  \(\d(, \d)*\): ({reason})", line) for line in lines)
-    assert any("(5, 6, 7, 8): no fixed point" in line for line in lines)
+    assert any("(5, 6, 7, 8): flowed to Y = 0 (all roots at -1/beta)" in line
+               for line in lines)
+
+
+def test_stationary_cluster_needs_all_three_conditions():
+    # nearest 1, contracting, and below STATIONARY_BOUND; each alone is not enough
+    M, N = 7, 3
+    roots = _bethe_poly_roots(M, N, -1.0, [0.3, 0.9])
+    order = np.argsort(np.abs(roots - 1), axis=1)
+    nearest = np.take_along_axis(roots, order[:, :N], axis=1)
+    farther = np.take_along_axis(roots, order[:, 1:N + 1], axis=1)
+    y_cur = np.array([0.3, 0.9], dtype=complex)
+    below, above = STATIONARY_BOUND - 0.1, STATIONARY_BOUND + 0.1
+    assert _on_stationary_cluster(nearest, roots, np.array([0.2, below]), y_cur).all()
+    assert not _on_stationary_cluster(farther, roots, np.array([0.2, below]), y_cur).any()
+    assert not _on_stationary_cluster(nearest, roots, np.array([0.35, 0.95]), y_cur).any()
+    assert list(_on_stationary_cluster(nearest, roots, np.array([0.2, above]), y_cur)) \
+        == [True, False]
+
+
+@pytest.mark.parametrize("M, N", [(3, 1), (8, 4), (9, 8)])
+def test_stationary_bound_flow_is_retired_early(M, N, monkeypatch):
+    # the flow onto the stationary set is neutral at Y = 0 and would run to
+    # MAX_ITER (1 + 500 root calls); it is retired once identified
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _bethe_poly_roots(*args)
+
+    monkeypatch.setattr(tasep, "_bethe_poly_roots", counted)
+    subsets = list(combinations(range(M), N))
+    status, _, _ = _flow(M, N, -1.0 + 0j, subsets)
+    assert len(calls) < 100
+    assert status[-1] == "stationary"
+    assert sum(s.stationary for s in bethe_solve(M, N)) == 1
 
 
 def test_spectrum_reused_for_the_same_solution_list():
