@@ -36,6 +36,7 @@ print("  converged below 1e-10:", report["converged"])
 print("\nweighted box sums (determinant forms vs enumeration):")
 print("  primal:", grothendieck_sum_check(M, N, z, beta))
 print("  dual:  ", grothendieck_sum_check(M, N, z, beta, dual=True))
+print("  primal at coincident z = (a, a):", grothendieck_sum_check(M, N, [z[0], z[0]], beta))
 direct = sum((-beta) ** lam.weight * grothendieck_eval(lam, z, beta)
              for lam in enumerate_box(M - N, N))
 print("  weighted sum value:", direct, "=", grothendieck_sum_det(M, N, z, beta))

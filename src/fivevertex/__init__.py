@@ -8,7 +8,6 @@ the periodic TASEP; every formula is verifiable against brute-force oracles
 (dense sector operators, box enumeration, master-equation exponentials).
 """
 
-from .confluent import confluent_det_ratio
 from .linalg import Matrix, det
 from .partitions import (ParticleConfiguration, Partition, box_size, config_to_partition,
                          enumerate_box, partition_to_config)
@@ -18,7 +17,7 @@ from .sector import (ModelParameters, SectorOperator, bethe_residual, bethe_stat
                      build_monodromy_element, commutation_checks, dual_bethe_state,
                      hamiltonian, rtt_check, sector_basis, transfer_eigenvalue,
                      transfer_matrix)
-from .symfunc import EvaluationPoint, dual_grothendieck_eval, grothendieck_eval, schur_eval
+from .symfunc import dual_grothendieck_eval, grothendieck_eval, schur_eval
 from .identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs,
                          grothendieck_sum_check, orthogonality_check, orthogonality_matrix)
 from .tasep import (BetheSolution, GreenQuery, SectorState, Spectrum, bethe_solve, expectation,

@@ -227,8 +227,6 @@ def criterion_5_cauchy(seed: int = 105) -> dict:
                 z = distinct_square_fractions(rng, N)
                 y = distinct_square_fractions(rng, N)
                 beta = rand_fraction(rng)
-                if any(zj * yk == 1 for zj in z for yk in y):
-                    continue
                 if any(1 + beta / yk == 0 for yk in y):
                     continue
                 if cauchy_lhs(M, N, z, y, beta) != cauchy_rhs(M, N, z, y, beta):

@@ -1,17 +1,18 @@
-"""Confluent determinant ratios.
+"""Confluent determinant ratios of bialternant columns.
 
 Evaluates
 
-    lim  det_N[ Phi(u_j, v_k) ] / prod_{j<k} (u_k - u_j)
+    lim  det_N[ f_k(t_j) ] / prod_{j<k} (t_k - t_j)
 
-as groups of u-points collide: a group of r coincident points t contributes
-the Taylor rows Phi(t, .), Phi'(t, .), ..., Phi^{(r-1)}(t, .)/(r-1)! and
-the within-group Vandermonde factors cancel, leaving the across-group factor
-prod_{g<h} (t_h - t_g)^{r_g r_h}.  With all points distinct every group is
-one point and this is the plain determinant ratio.
-
-For the package's bialternant columns (``det_ratio_columns``) the Taylor
-rows are the closed-form coefficients of ``ratfunc.taylor``.
+for columns f_k given as ``ratfunc.RatFunc`` term sums, as groups of points
+t_j collide: a group of r coincident points t contributes the Taylor rows
+f(t), f'(t), ..., f^{(r-1)}(t)/(r-1)!, the closed-form coefficients of
+``ratfunc.taylor``, and the within-group Vandermonde factors cancel, leaving
+the across-group factor prod_{g<h} (t_h - t_g)^{r_g r_h}.  With all points
+distinct every group is one point and this is the plain determinant ratio.
+Every determinant ratio of the package goes through ``det_ratio_columns``:
+G and Gbar, the wavefunctions, the weighted summation determinants and, via
+``det_ratio_labelled``, the scalar products and the Cauchy kernel.
 
 Columns may themselves depend on a label t_k and be divided by the label
 Vandermonde prod_{j<k} (t_k - t_j) as well (``det_ratio_labelled``: the
@@ -23,8 +24,6 @@ equality for exact scalars and by ``COINCIDENCE_TOL`` for complex ones.
 """
 
 from __future__ import annotations
-
-from math import factorial
 
 from .linalg import Matrix, det
 from .ratfunc import taylor
@@ -57,38 +56,6 @@ def _cross_factor(groups):
     return cross
 
 
-def _grouped_ratio(points, rows_at):
-    """det of the Taylor rows ``rows_at(t, r)`` of each group over the cross factor."""
-    groups = group_points(points)
-    rows = []
-    for t, count in groups:
-        rows.extend(rows_at(t, count))
-    return exact_div(det(Matrix(rows)), _cross_factor(groups))
-
-
-def confluent_det_ratio(phi, u_points, v_points, u_derivative=None):
-    """lim det[phi(u_j, v_k)] / prod_{j<k}(u_k - u_j) with coincident u's.
-
-    ``phi(u, v)`` evaluates the matrix entry; ``u_derivative(order, u, v)``
-    must supply its order-th u-derivative (order >= 1) whenever u-points
-    coincide.  The value is invariant under permutations of ``u_points``.
-    """
-    n = len(u_points)
-    if len(v_points) != n:
-        raise ValueError("need as many v-points as u-points")
-    if n == 0:
-        return 1
-
-    def rows_at(t, count):
-        if count > 1 and u_derivative is None:
-            raise ValueError("coincident u-points need u-derivatives of phi")
-        return [[phi(t, v) if order == 0
-                 else exact_div(u_derivative(order, t, v), factorial(order))
-                 for v in v_points] for order in range(count)]
-
-    return _grouped_ratio(list(u_points), rows_at)
-
-
 def det_ratio_columns(columns, points):
     """det[columns[k](points[j])] / prod_{j<k}(points[k] - points[j]).
 
@@ -99,7 +66,11 @@ def det_ratio_columns(columns, points):
         raise ValueError("need as many columns as points")
     if not points:
         return 1
-    return _grouped_ratio(list(points), lambda t, r: taylor(columns, t, r))
+    groups = group_points(points)
+    rows = []
+    for t, count in groups:
+        rows.extend(taylor(columns, t, count))
+    return exact_div(det(Matrix(rows)), _cross_factor(groups))
 
 
 def det_ratio_labelled(column_at, labels, points, fixed=()):

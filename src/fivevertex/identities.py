@@ -15,17 +15,21 @@ y = 1/z in the float lane.  Coincident z take Taylor rows, coincident y
 Taylor columns in the label, and both may coincide at once.  At y = 1/z on a
 Bethe solution the determinant side equals 1/w(z), the closed-form
 orthogonality weight, which is what the Green functions use.
+
+The weighted summation determinants have columns that are short sums of
+powers of 1 + beta z, or for the dual of (1 + beta/y)^p = y^(-p) (y + beta)^p,
+so they go through the same confluent ratio and coincident variables take
+Taylor rows; the dual refuses a zero y, as Gbar(y) does.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .confluent import det_ratio_labelled
-from .linalg import Matrix, det
+from .confluent import det_ratio_columns, det_ratio_labelled
 from .partitions import enumerate_box
 from .ratfunc import RatFunc, taylor
-from .scalars import exact_div, exact_pow, is_inexact, is_zero
+from .scalars import exact_div, is_inexact, is_zero
 from .symfunc import dual_grothendieck_eval, grothendieck_eval
 
 
@@ -115,68 +119,42 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
     }
 
 
-def sum_matrix_primal(M, N, z, beta):
-    """N x N matrix of the primal summation determinant (``grothendieck_sum_det``
-    divides its determinant by the Vandermonde); exact for exact z and beta."""
-    rows = []
-    for j in range(1, N + 1):
-        row = []
-        for zk in z:
-            base = 1 + beta * zk
-            if j <= N - 1:
-                val = 0
-                for m in range(0, j):
-                    val = val + (-1) ** m * exact_div(1, (-beta) ** (N - j)) * comb(M, m) \
-                        * base ** (m - j + N - 1)
-            else:
-                val = 0
-                for m in range(max(N - 1, 1), M + 1):
-                    val = val - (-1) ** m * comb(M, m) * base ** (m - 1)
-            row.append(val)
-        rows.append(row)
-    return Matrix(rows)
-
-
-def _sum_matrix_dual(M, N, y, beta):
-    rows = []
-    for j in range(1, N + 1):
-        row = []
-        for yk in y:
-            base = 1 + exact_div(beta, yk)
-            if j == 1:
-                val = 0
-                for m in range(max(N - 1, 1), M + 1):
-                    val = val - (-1) ** m * exact_div(1, (-beta) ** (M - N)) * comb(M, m) \
-                        * exact_pow(base, m - N)
-            else:
-                val = 0
-                for m in range(0, N - j + 1):
-                    val = val + (-1) ** m * exact_div(1, (-beta) ** (j - 1 + M - N)) \
-                        * comb(M, m) * exact_pow(base, m + j - N - 1)
-            row.append(val)
-        rows.append(row)
-    return Matrix(rows)
-
-
 def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
-    """Determinant side of the weighted Grothendieck summation formula."""
+    """Determinant side of the weighted Grothendieck summation formula.
+
+    Column j is a short sum of c (1+beta z)^k; with ``dual`` a sum of
+    c (1+beta/y)^p = c y^(-p) (y+beta)^p, times prod y^(M-1).  Coincident
+    variables take Taylor rows.
+    """
     if is_zero(beta, 0):
         raise ValueError("the summation determinants carry negative powers of beta; "
                          "use the Schur specialization for beta = 0")
     z = list(z)
-    if dual:
-        pref = 1
-        for yj in z:
-            pref = pref * yj ** (M - 1)
-        for j in range(N):
-            for k in range(j + 1, N):
-                pref = exact_div(pref, z[k] - z[j])
-        return pref * det(_sum_matrix_dual(M, N, z, beta))
+    top = range(max(N - 1, 1), M + 1)
+    if not dual:
+        def column(j):
+            if j < N:
+                return [((-1) ** m * exact_div(1, (-beta) ** (N - j)) * comb(M, m),
+                         0, m - j + N - 1) for m in range(j)]
+            return [(-(-1) ** m * comb(M, m), 0, m - 1) for m in top]
+
+        cols = [RatFunc(column(j), (1, beta)) for j in range(1, N + 1)]
+        return det_ratio_columns(cols, z)
+    if any(is_zero(yk, 0) for yk in z):
+        raise ZeroDivisionError("the dual variables need y_k != 0, as Gbar(y) does")
+
+    def dual_column(j):
+        if j == 1:
+            return [(-((-1) ** m * exact_div(1, (-beta) ** (M - N)) * comb(M, m)),
+                     N - m, m - N) for m in top]
+        return [((-1) ** m * exact_div(1, (-beta) ** (j - 1 + M - N)) * comb(M, m),
+                 N + 1 - m - j, m + j - N - 1) for m in range(N - j + 1)]
+
     pref = 1
-    for j in range(N):
-        for k in range(j + 1, N):
-            pref = exact_div(pref, z[k] - z[j])
-    return pref * det(sum_matrix_primal(M, N, z, beta))
+    for yk in z:
+        pref = pref * yk ** (M - 1)
+    cols = [RatFunc(dual_column(j), (beta, 1)) for j in range(1, N + 1)]
+    return pref * det_ratio_columns(cols, z)
 
 
 def grothendieck_sum_check(M, N, z, beta, dual: bool = False) -> bool:

@@ -18,38 +18,12 @@ The scalar evaluators are its exact-lane oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .confluent import det_ratio_columns, sign_pairs
 from .partitions import Partition
 from .ratfunc import RatFunc
 from .scalars import COINCIDENCE_TOL, is_zero
-
-
-@dataclass(frozen=True)
-class EvaluationPoint:
-    """Variables z and deformation beta for the polynomial evaluators.
-
-    Coincident z's are allowed (they go through the confluent path); the
-    dual evaluator additionally needs every z_j nonzero.
-    """
-
-    z: tuple
-    beta: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(self.z))
-
-    def grothendieck(self, lam):
-        return grothendieck_eval(lam, list(self.z), self.beta)
-
-    def dual_grothendieck(self, lam):
-        return dual_grothendieck_eval(lam, list(self.z), self.beta)
-
-    def schur(self, lam):
-        return schur_eval(lam, list(self.z))
 
 
 def _parts(lam, n):

@@ -50,9 +50,8 @@ from math import comb
 
 import numpy as np
 
-from .identities import orthogonality_weight, sum_matrix_primal
+from .identities import grothendieck_sum_det, orthogonality_weight
 from .partitions import ParticleConfiguration, config_to_partition, enumerate_box, partition_to_config
-from .linalg import det
 from .sector import basis_index, hamiltonian, sector_basis
 from .symfunc import BialternantStack
 from .vertex import ModelParameters
@@ -481,20 +480,17 @@ def form_factor_sum(l: int, n: int, z, M: int):
     Equals sum_{nu,mu} A_mu^nu G_mu(z;-1) for arbitrary complex z (windows
     that wrap around the ring are only guaranteed on-shell), via
 
-        prod_j z_j^(l+n-1) prod_{j<k} (z_k - z_j)^-1 det V^(M-n).
+        prod_j z_j^(l+n-1) * grothendieck_sum_det(M-n, N, z, -1),
+
+    the primal summation determinant; coincident z take its confluent limit.
     """
     z = list(z)
-    N = len(z)
     if not (-l + 1 <= n <= M):
         raise ValueError("window length must satisfy -l+1 <= n <= M")
-    det_val = det(sum_matrix_primal(M - n, N, z, -1))
     pref = 1
     for zj in z:
         pref = pref * zj ** (l + n - 1)
-    for j in range(N):
-        for k in range(j + 1, N):
-            pref = pref / (z[k] - z[j])
-    return pref * det_val
+    return pref * grothendieck_sum_det(M - n, len(z), z, -1)
 
 
 def density_terms(i: int):

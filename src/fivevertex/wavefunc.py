@@ -11,6 +11,9 @@ chain, x_1 < ... < x_N):
 
 Both are symmetric in the spectral parameters and, under
 z_j = alpha - v_j^-2, are Grothendieck polynomials up to explicit factors.
+They and the weighted summation formulas (``wavefunction_sum``,
+``dual_wavefunction_sum``) are confluent determinant ratios in s = v^2, so
+spectral parameters with equal squares take the confluent limit.
 
 The independent construction behind these formulas is a matrix product over
 the 2^N auxiliary product space: the column-to-row transposed monodromy
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .confluent import det_ratio_columns, sign_pairs
-from .linalg import Matrix, det
+from .linalg import Matrix
 from .partitions import ParticleConfiguration
 from .ratfunc import RatFunc
 from .scalars import eq, exact_div, is_inexact, is_zero
@@ -266,55 +269,47 @@ def wavefunction_trace(x, u, alpha, M, mps: MatrixProductState = None, dual: boo
     return result[top, 0] if dual else result[0, top]
 
 
+def _sum_weight(alpha, M, m):
+    return (-1) ** m * alpha ** (M - m) * comb(M, m)
+
+
 def wavefunction_sum(v, alpha, M):
-    """sum_x alpha^(MN - sum x_j) <x|psi({v}_N)> over increasing configurations."""
+    """sum_x alpha^(MN - sum x_j) <x|psi({v}_N)> over increasing configurations.
+
+    Column j is a short sum of c s^(-p) in s = v^2, times prod v^(M+1);
+    coincident s take Taylor rows.
+    """
     v = list(v)
     n = len(v)
-    rows = []
-    for j in range(1, n + 1):
-        row = []
-        for vk in v:
-            if j <= n - 1:
-                val = 0
-                for m in range(0, j):
-                    val = val + (-1) ** m * alpha ** (M - m) * comb(M, m) * vk ** (-2 * (m - j + 1))
-            else:
-                val = 0
-                for m in range(max(n - 1, 1), M + 1):
-                    val = val - (-1) ** m * alpha ** (M - m) * comb(M, m) * vk ** (-2 * (m - n + 1))
-            row.append(val)
-        rows.append(row)
+
+    def column(j):
+        if j < n:
+            return [(_sum_weight(alpha, M, m), j - 1 - m, 0) for m in range(j)]
+        return [(-_sum_weight(alpha, M, m), n - 1 - m, 0) for m in range(max(n - 1, 1), M + 1)]
+
     pref = 1
     for vj in v:
         pref = pref * vj ** (M + 1)
-    for j in range(n):
-        for k in range(j + 1, n):
-            pref = exact_div(pref, v[k] ** 2 - v[j] ** 2)
-    return pref * det(Matrix(rows))
+    cols = [RatFunc(column(j)) for j in range(1, n + 1)]
+    return pref * det_ratio_columns(cols, [vj * vj for vj in v])
 
 
 def dual_wavefunction_sum(u, alpha, M):
-    """sum_x alpha^(sum x_j - N) <psi({u}_N)|x> over increasing configurations."""
+    """sum_x alpha^(sum x_j - N) <psi({u}_N)|x> over increasing configurations.
+
+    Columns in s = u^2 as for ``wavefunction_sum``, times prod u^(M+1).
+    """
     u = list(u)
     n = len(u)
-    rows = []
-    for j in range(1, n + 1):
-        row = []
-        for uk in u:
-            if j == 1:
-                val = 0
-                for m in range(max(n - 1, 1), M + 1):
-                    val = val - (-1) ** m * alpha ** (M - m) * comb(M, m) * uk ** (-2 * (m - n + 1))
-            else:
-                val = 0
-                for m in range(0, n - j + 1):
-                    val = val + (-1) ** m * alpha ** (M - m) * comb(M, m) * uk ** (-2 * (m + j - n))
-            row.append(val)
-        rows.append(row)
+
+    def column(j):
+        if j == 1:
+            return [(-_sum_weight(alpha, M, m), n - 1 - m, 0)
+                    for m in range(max(n - 1, 1), M + 1)]
+        return [(_sum_weight(alpha, M, m), n - m - j, 0) for m in range(n - j + 1)]
+
     pref = 1
     for uj in u:
         pref = pref * uj ** (M + 1)
-    for j in range(n):
-        for k in range(j + 1, n):
-            pref = exact_div(pref, u[j] ** 2 - u[k] ** 2)
-    return pref * det(Matrix(rows))
+    cols = [RatFunc(column(j)) for j in range(1, n + 1)]
+    return pref * sign_pairs(n) * det_ratio_columns(cols, [uj * uj for uj in u])

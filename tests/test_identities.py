@@ -138,6 +138,31 @@ def test_sum_rejects_beta_zero(rng):
         grothendieck_sum_det(4, 2, distinct_squares(rng, 2), 0)
 
 
+@pytest.mark.parametrize("z", [[F(2, 3), F(2, 3)], [F(-1, 2), F(-1, 2), F(3, 5)]],
+                         ids=["a,a", "a,a,b"])
+def test_sum_checks_at_coincident_variables(z):
+    # coincident variables take the confluent limit of both determinant sides
+    N = len(z)
+    for M in range(N, 7):
+        for beta in (F(-2, 7), F(3, 4), -1):
+            assert grothendieck_sum_check(M, N, z, beta)
+            assert grothendieck_sum_check(M, N, z, beta, dual=True)
+
+
+def test_dual_sum_refuses_zero_y():
+    # at M = N the columns y^(-p) (y+beta)^p are finite at y = 0, but Gbar(y) is not
+    with pytest.raises(ZeroDivisionError, match="y_k != 0"):
+        grothendieck_sum_det(2, 2, [F(0), F(1, 2)], F(1, 3), dual=True)
+    with pytest.raises(ZeroDivisionError, match="y_k != 0"):
+        grothendieck_sum_det(4, 2, [0, 0], 2, dual=True)
+    # 1 + beta/y = 0 under a negative power is a pole, coincident y or not
+    for y in ([F(-1, 3), F(1, 2)], [F(-1, 3), F(-1, 3)]):
+        with pytest.raises(ZeroDivisionError, match="negative power of a zero base"):
+            grothendieck_sum_det(4, 2, y, F(1, 3), dual=True)
+    with pytest.raises(ValueError):
+        grothendieck_sum_det(4, 2, [F(0), F(1, 2)], 0, dual=True)
+
+
 def test_orthogonality_small_case():
     M, N = 4, 2
     from fivevertex.tasep import bethe_solve

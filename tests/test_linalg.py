@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivevertex.linalg import Matrix, det, mat_solve
-from fivevertex.confluent import confluent_det_ratio, det_ratio_columns
+from fivevertex.confluent import det_ratio_columns
 from fivevertex.ratfunc import RatFunc, taylor
 
 from conftest import rand_fraction
@@ -82,10 +82,15 @@ def test_mat_solve_exact():
     assert a[1][0] * x[0][0] + a[1][1] * x[1][0] == b[1][0]
 
 
+def _square_columns(v_pts):
+    """(1 + u v)^2 in the row variable u, one column per v."""
+    return [RatFunc([(1, 0, 2)], (1, v)) for v in v_pts]
+
+
 def test_confluent_proportional_rows_vanish():
-    phi = lambda u, v: u * u * v
-    dphi = lambda order, u, v: 2 * u * v if order == 1 else 2 * v
-    assert confluent_det_ratio(phi, [F(1), F(1)], [F(2), F(3)], dphi) == 0
+    # u^2 v at u = (1, 1): the Taylor rows [v], [2 v] are proportional
+    columns = [RatFunc([(v, 2, 0)]) for v in (F(2), F(3))]
+    assert det_ratio_columns(columns, [F(1), F(1)]) == 0
 
 
 def test_confluent_distinct_equals_plain_ratio(rng):
@@ -93,7 +98,7 @@ def test_confluent_distinct_equals_plain_ratio(rng):
     u_pts = [F(1), F(2)]
     v_pts = [F(2), F(3)]
     plain = det(Matrix([[phi(u, v) for v in v_pts] for u in u_pts])) / (u_pts[1] - u_pts[0])
-    assert confluent_det_ratio(phi, u_pts, v_pts) == plain
+    assert det_ratio_columns(_square_columns(v_pts), u_pts) == plain
 
 
 def test_confluent_limit_against_richardson_oracle():
@@ -110,15 +115,9 @@ def test_confluent_limit_against_richardson_oracle():
     e1, e2 = F(1, 10**4), F(1, 10**5)
     v1, v2 = ratio(e1), ratio(e2)
     extrapolated = (e1 * v2 - e2 * v1) / (e1 - e2)
-    dphi = lambda order, u, v: 2 * v * (1 + u * v) if order == 1 else 2 * v * v
-    value = confluent_det_ratio(phi, [F(1), F(1)], [F(2), F(3)], dphi)
+    value = det_ratio_columns(_square_columns((2, 3)), [F(1), F(1)])
     assert value == 24  # frozen from the oracle below
     assert abs(float(extrapolated - value)) < 1e-6
-
-
-def test_confluent_requires_derivatives():
-    with pytest.raises(ValueError):
-        confluent_det_ratio(lambda u, v: u * v, [F(1), F(1)], [F(2), F(3)])
 
 
 def test_bareiss_over_rational_function_field_matches_berkowitz():

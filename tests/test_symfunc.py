@@ -138,17 +138,6 @@ def test_too_few_variables_rejected():
         schur_eval((2, 1, 1), [F(1), F(2)])
 
 
-def test_evaluation_point_wrapper(rng):
-    from fivevertex.symfunc import EvaluationPoint
-
-    z = distinct_squares(rng, 2)
-    beta = rand_fraction(rng)
-    point = EvaluationPoint(tuple(z), beta)
-    assert point.grothendieck((1,)) == grothendieck_eval((1,), z, beta)
-    assert point.dual_grothendieck((1,)) == dual_grothendieck_eval((1,), z, beta)
-    assert point.schur((1,)) == schur_eval((1,), z)
-
-
 def set_valued_tableaux_value(shape, z, beta):
     """Independent oracle (Buch, Acta Math. 189 (2002) 37): G_lambda(z; beta) is
     the sum over set-valued tableaux T of shape lambda with entries 1..N of

@@ -118,20 +118,22 @@ def test_density_and_current_match_oracle():
 
 
 def test_form_factor_window_enumeration(rng):
-    # A = s_1 (empty site 1): direct enumeration over the box, exact arithmetic
+    # A = s_1 (empty site 1): direct enumeration over the box, exact arithmetic;
+    # coincident z take the confluent limit of the determinant side
     M, N = 5, 2
     z = distinct_squares(rng, N)
     while any(zj == 1 for zj in z):
         z = distinct_squares(rng, N)
-    total = 0
-    for mu in enumerate_box(M - N, N):
-        pos = partition_to_config(mu, M).positions
-        if 1 not in pos:
-            total += grothendieck_eval(mu, z, F(-1))
-    assert form_factor_sum(1, 1, z, M) == total
-    # n = 0, l = 1 is the plain box sum of G_mu(z;-1)
-    full = sum(grothendieck_eval(mu, z, F(-1)) for mu in enumerate_box(M - N, N))
-    assert form_factor_sum(1, 0, z, M) == full
+    for zs in (z, [z[0], z[0]]):
+        total = 0
+        for mu in enumerate_box(M - N, N):
+            pos = partition_to_config(mu, M).positions
+            if 1 not in pos:
+                total += grothendieck_eval(mu, zs, F(-1))
+        assert form_factor_sum(1, 1, zs, M) == total
+        # n = 0, l = 1 is the plain box sum of G_mu(z;-1)
+        full = sum(grothendieck_eval(mu, zs, F(-1)) for mu in enumerate_box(M - N, N))
+        assert form_factor_sum(1, 0, zs, M) == full
 
 
 def test_form_factor_full_window_vanishes(rng):

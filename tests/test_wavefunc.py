@@ -150,6 +150,22 @@ def test_sums_match_enumeration(rng):
     assert dual_wavefunction_sum(u, alpha, M) == total_dual
 
 
+def test_sums_at_coincident_squares_match_enumeration():
+    # v = (a, -a, b): two equal squares s = v^2 take the confluent limit
+    alpha = F(2, 3)
+    a, b = F(1, 2), F(-3, 4)
+    v = [a, -a, b]
+    N = len(v)
+    for M in (3, 5, 6):
+        configs = list(combinations(range(1, M + 1), N))
+        total_wave = sum(alpha ** (M * N - sum(x)) * wavefunction_det(x, v, alpha, M)
+                         for x in configs)
+        total_dual = sum(alpha ** (sum(x) - N) * dual_wavefunction_det(x, v, alpha, M)
+                         for x in configs)
+        assert wavefunction_sum(v, alpha, M) == total_wave
+        assert dual_wavefunction_sum(v, alpha, M) == total_dual
+
+
 def test_sum_connects_to_grothendieck_sum_at_alpha_one(rng):
     # at alpha = 1 (beta = -1) the weighted sum is prod v^(M-1) times the
     # box sum of G_lambda(z;-1) under the dictionary z = 1 - v^-2
