@@ -5,7 +5,7 @@ family of five-vertex models: wavefunction and scalar-product determinants,
 the Grothendieck-polynomial dictionary with its deformed Cauchy identity,
 summation and orthogonality formulas, and the exact relaxation dynamics of
 the periodic TASEP; every formula is verifiable against brute-force oracles
-(dense sector operators, box enumeration, master-equation exponentials).
+(sector operators, box enumeration, master-equation exponentials).
 """
 
 from .linalg import Matrix, det

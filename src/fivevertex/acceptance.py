@@ -23,8 +23,8 @@ from .partitions import ParticleConfiguration, config_to_partition, enumerate_bo
 from .sampling import distinct_square_fractions, rand_fraction, spectral_draw
 from .scalarprod import (IntermediateSpec, domain_wall_value, intermediate_scalar_det,
                          norm_det, recursion_check, scalar_product_det)
-from .sector import (ModelParameters, bethe_state, commutation_checks, dual_bethe_state,
-                     rtt_check, sector_basis, transfer_matrix)
+from .sector import (ModelParameters, bethe_state, build_monodromy_element, commutation_checks,
+                     dual_bethe_state, rtt_check, sector_basis, transfer_matrix)
 from .symfunc import schur_eval
 from .tasep import (Spectrum, bethe_solve, current_terms, density_terms, green_function_table,
                     master_oracle, sector_generator, sum_rule_check)
@@ -161,7 +161,6 @@ def criterion_4_scalar_products(seed: int = 104) -> dict:
                 spec = IntermediateSpec(n, tuple(u_full[:n]), tuple(v), w, alpha, M, N)
                 val = intermediate_scalar_det(spec)
                 vec = [1]
-                from .sector import build_monodromy_element
                 for k, vk in enumerate(v):
                     vec = build_monodromy_element("B", vk, params_w, k).apply(vec)
                 for k in range(n):

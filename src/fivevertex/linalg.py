@@ -4,9 +4,12 @@
 field elements, complex).  Its product, sum, difference, scaling, ``apply``
 and equality (exact for exact entries, tolerant for floats) serve every
 layer, including the sector oracle, whose ``sector.SectorOperator`` is a
-``Matrix`` with particle-number labels.  Any dimension may be zero: a product
-with a zero inner dimension is the zero matrix of the outer shape, which is
-how an operator that leaves the sectors 0..M acts.
+``Matrix`` with particle-number labels.  Products and ``apply`` skip exact-zero
+entries (an inline ``x == 0`` test; sector operators are mostly zeros) and
+add the remaining terms in the order of the plain triple loop; an entry with
+no nonzero term is the int 0.  Any dimension may be zero: a product with a
+zero inner dimension is the zero matrix of the outer shape, which is how an
+operator that leaves the sectors 0..M acts.
 
 Exact determinants use fraction-free (Bareiss) one-step elimination, which
 keeps intermediate growth polynomial for the large rational entries produced
@@ -80,15 +83,16 @@ class Matrix:
         inner, cols = self.cols, other.cols
         if other.rows != inner:
             raise ValueError("shape mismatch in product")
-        b = other.data
+        # each row of ``other`` once as its nonzero (column, entry) pairs
+        b = [[(c, x) for c, x in enumerate(row) if not x == 0] for row in other.data]
         out = []
         for ra in self.data:
-            row = []
-            for c in range(cols):
-                acc = 0
-                for k in range(inner):
-                    acc = acc + ra[k] * b[k][c]
-                row.append(acc)
+            row = [0] * cols
+            for a, bk in zip(ra, b):
+                if a == 0:
+                    continue
+                for c, x in bk:
+                    row[c] = row[c] + a * x
             out.append(row)
         return Matrix(out, shape=(self.rows, cols))
 
@@ -100,7 +104,16 @@ class Matrix:
         cols = self.cols
         if len(vec) != cols:
             raise ValueError("vector length does not match the column count")
-        return [sum((row[i] * vec[i] for i in range(cols)), 0) for row in self.data]
+        nonzero = [(i, x) for i, x in enumerate(vec) if not x == 0]
+        out = []
+        for row in self.data:
+            acc = 0
+            for i, x in nonzero:
+                a = row[i]
+                if not a == 0:
+                    acc = acc + a * x
+            out.append(acc)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

@@ -43,6 +43,8 @@ def eq(a, b, tol: float = COMPLEX_EQ_TOL) -> bool:
 def exact_div(a, b):
     """Division that stays in the smallest ring the operands allow."""
     if isinstance(a, int) and isinstance(b, int):
+        if b == 0:
+            raise ZeroDivisionError("division by zero")  # as a / b says it
         q, r = divmod(a, b)
         return q if r == 0 else Fraction(a, b)
     return a / b

@@ -1,11 +1,19 @@
-"""Dense monodromy-matrix operators on particle-number sectors.
+"""Monodromy-matrix operators on particle-number sectors, by site sweeps.
 
 The monodromy matrix T(u,{w}) = L_M(u/w_M) ... L_1(u/w_1) has auxiliary-space
 blocks A, B, C, D acting on the M-site quantum chain.  All four conserve or
-shift the particle number by one, so the full 2^M space is never built:
-operators are dense matrices between binomial(M,n) configuration bases,
-computed by sweeping the auxiliary bit through sites 1..M (site 1 first) and
-branching over the five admissible vertices.
+shift the particle number by one, so the full 2^M space is never built.  An
+element is applied one site at a time: a sweep state maps (configuration
+bitmask, auxiliary bit), packed into one int key, to an amplitude, and site j
+branches it over the five admissible vertices of L_j(u/w_j), whose weights
+come from ``vertex.l_weights`` once per site and spectral value.  Every
+column of a source sector is swept at once, so an element's entries come
+out column by column with only the entries a vertex path reaches.
+
+``bethe_state`` and ``dual_bethe_state`` contract those entries with the
+current (co)vector and build no matrix; a dense matrix between
+binomial(M,n) configuration bases is made only when an operator is asked
+for (``build_monodromy_element``, ``transfer_matrix``, ``hamiltonian``).
 
 A ``SectorOperator`` is a ``linalg.Matrix`` labelled with its source and
 target sectors and ring size; the matrix arithmetic is ``Matrix``'s, and the
@@ -24,7 +32,7 @@ from math import comb
 
 from .linalg import Matrix
 from .scalars import exact_div, is_zero
-from .vertex import ModelParameters, f_weight
+from .vertex import ModelParameters, f_weight, g_weight, l_weights, r_matrix
 
 __all__ = [
     "ModelParameters",
@@ -119,15 +127,75 @@ class SectorOperator(Matrix):
         return f"SectorOperator({self.source}->{self.target}, M={self.M})"
 
 
-def _vertex_branches(aux, occ, x, alpha):
-    """Admissible vertices for (aux_in, site_in) at spectral value x."""
-    if aux == 0:
-        if occ == 0:
-            return ((0, 0, x),)
-        return ((1, 0, 1),)
-    if occ == 0:
-        return ((0, 1, 1), (1, 0, alpha * x - x ** -1))
-    return ((1, 1, alpha * x),)
+def _mask(cfg):
+    """Bitmask of a configuration: site j is bit j - 1."""
+    return sum(1 << (x - 1) for x in cfg)
+
+
+def _row_index(M, n):
+    """Position in the sector-n basis of each configuration mask."""
+    return {_mask(cfg): i for i, cfg in enumerate(sector_basis(M, n))}
+
+
+def _site_tables(u, params: ModelParameters):
+    """Per-site branch tables of L_j(u/w_j), site 1 first.
+
+    A sweep state is keyed by ``mask << 1 | aux``, so site j is bit j of the
+    key.  The table of site j is indexed by 2*aux + occ and lists each
+    admissible vertex as (key xor, weight).  The exchange vertices b and c
+    have unit weight: their branches (weight ``None``) flip the auxiliary
+    bit and site j and carry the amplitude over without a multiplication.
+    """
+    tables = []
+    for j, wj in enumerate(params.w, start=1):
+        wts = l_weights(exact_div(u, wj), params.alpha)
+        flip = 1 | (1 << j)
+        tables.append((j, (((0, wts.a1),), ((flip, None),),
+                           ((flip, None), (0, wts.d)), ((0, wts.e),))))
+    return tables
+
+
+def _sweep(state, tables):
+    """Push the amplitudes ``{key: amp}`` through the sites of ``tables`` in order."""
+    for j, table in tables:
+        swept = {}
+        for key, amp in state.items():
+            for flip, weight in table[((key & 1) << 1) | ((key >> j) & 1)]:
+                out = key ^ flip
+                val = amp if weight is None else amp * weight
+                if out in swept:
+                    swept[out] = swept[out] + val
+                else:
+                    swept[out] = val
+        state = swept
+    return state
+
+
+def _columns(kind, u, params: ModelParameters, n: int, strict: bool = True):
+    """The entries of element ``kind`` at u on sector n, column by column.
+
+    Returns ``(col, row mask, entry)`` for every entry a vertex path
+    reaches, grouped by ascending column; no other entry can be nonzero.
+    Every column of the source basis is swept at once, its index held in
+    the key bits above site M.  The vertices conserve particles + aux, so
+    an exit with aux = a_out always lands in the target sector.  Refuses
+    u = 0, then (if ``strict``) a sector overflow.
+    """
+    if is_zero(u, 0):
+        raise ZeroDivisionError("monodromy elements are singular at u = 0")
+    a_out, b_in = _KIND_AUX[kind]
+    M = params.M
+    if strict and not (0 <= n <= M and 0 <= n + (b_in - a_out) <= M):
+        raise ValueError(f"sector overflow: {kind} cannot act on sector {n} of {M} sites")
+    shift = M + 1
+    # aux leaves site M as 0 only from an empty site M, so A and B vanish on
+    # the columns with site M occupied
+    state = {(col << shift) | (_mask(cfg) << 1) | b_in: 1
+             for col, cfg in enumerate(sector_basis(M, n)) if a_out or M not in cfg}
+    sites = (1 << shift) - 1
+    return [(key >> shift, (key & sites) >> 1, amp)
+            for key, amp in _sweep(state, _site_tables(u, params)).items()
+            if key & 1 == a_out]
 
 
 def build_monodromy_element(kind, u, params: ModelParameters, n: int,
@@ -143,39 +211,13 @@ def build_monodromy_element(kind, u, params: ModelParameters, n: int,
     """
     if kind not in _KIND_AUX:
         raise ValueError(f"unknown monodromy element {kind!r}")
-    if is_zero(u, 0):
-        raise ZeroDivisionError("monodromy elements are singular at u = 0")
     a_out, b_in = _KIND_AUX[kind]
-    if strict and not (0 <= n <= params.M and 0 <= n + (b_in - a_out) <= params.M):
-        raise ValueError(f"sector overflow: {kind} cannot act on sector {n} of {params.M} sites")
-    M, alpha, w = params.M, params.alpha, params.w
+    M = params.M
     n_out = n + (b_in - a_out)
-    src = sector_basis(M, n)
-    dst_index = basis_index(M, n_out)
-    rows = sector_dim(M, n_out)
-    entries = [[0] * len(src) for _ in range(rows)]
-    for col, cfg in enumerate(src):
-        occ = [0] * (M + 1)
-        for x in cfg:
-            occ[x] = 1
-        states = {(b_in, ()): 1}
-        for j in range(1, M + 1):
-            xj = u / w[j - 1]
-            new_states = {}
-            for (aux, out_bits), amp in states.items():
-                for (aux2, s_out, weight) in _vertex_branches(aux, occ[j], xj, alpha):
-                    key = (aux2, out_bits + (s_out,))
-                    val = amp * weight
-                    if key in new_states:
-                        new_states[key] = new_states[key] + val
-                    else:
-                        new_states[key] = val
-            states = new_states
-        for (aux, out_bits), amp in states.items():
-            if aux != a_out:
-                continue
-            out_cfg = tuple(j + 1 for j, b in enumerate(out_bits) if b)
-            entries[dst_index[out_cfg]][col] = entries[dst_index[out_cfg]][col] + amp
+    row_of = _row_index(M, n_out)
+    entries = [[0] * sector_dim(M, n) for _ in range(len(row_of))]
+    for col, mask, amp in _columns(kind, u, params, n, strict):
+        entries[row_of[mask]][col] = amp
     return SectorOperator(entries, n, n_out, M)
 
 
@@ -214,29 +256,41 @@ def bethe_state(v_list, params: ModelParameters):
     """prod_j B(v_j) |Omega> as an amplitude vector on the len(v)-sector."""
     vec = [1]
     for k, v in enumerate(v_list):
-        vec = build_monodromy_element("B", v, params, k).apply(vec)
+        row_of = _row_index(params.M, k + 1)
+        out = [0] * len(row_of)
+        for col, mask, amp in _columns("B", v, params, k):
+            r = row_of[mask]
+            out[r] = out[r] + amp * vec[col]
+        vec = out
     return vec
 
 
 def dual_bethe_state(u_list, params: ModelParameters):
     """<Omega| prod_j C(u_j) as an amplitude covector on the len(u)-sector."""
-    bra = Matrix([[1]])
+    bra = [1]
     for k, u in enumerate(u_list):
-        bra = bra * build_monodromy_element("C", u, params, k + 1)
-    return bra.data[0]
+        row_of = _row_index(params.M, k)
+        out = [0] * sector_dim(params.M, k + 1)
+        # each column sums its rows in ascending order, as the product bra * C
+        # would, so that float amplitudes round alike
+        for col, r, amp in sorted((col, row_of[mask], amp)
+                                  for col, mask, amp in _columns("C", u, params, k + 1)):
+            out[col] = out[col] + bra[r] * amp
+        bra = out
+    return bra
 
 
 def _a_func(u, params):
     out = 1
     for wj in params.w:
-        out = out * (u / wj)
+        out = out * exact_div(u, wj)
     return out
 
 
 def _d_func(u, params):
     out = 1
     for wj in params.w:
-        out = out * (params.alpha * u / wj - wj / u)
+        out = out * (exact_div(params.alpha * u, wj) - exact_div(wj, u))
     return out
 
 
@@ -253,8 +307,8 @@ def bethe_residual(u_set, params: ModelParameters):
         prod_sq = prod_sq * u * u
     out = []
     for uj in u_set:
-        ratio = (-1) ** n * uj ** (2 * n) / prod_sq
-        out.append(_a_func(uj, params) / _d_func(uj, params) + ratio)
+        ratio = exact_div((-1) ** n * uj ** (2 * n), prod_sq)
+        out.append(exact_div(_a_func(uj, params), _d_func(uj, params)) + ratio)
     return out
 
 
@@ -272,6 +326,18 @@ def transfer_eigenvalue(u, u_set, params: ModelParameters):
     return term_a + term_d
 
 
+def _element_cache(params: ModelParameters):
+    """``elem(kind, x, n)``: non-strict monodromy elements, each built once."""
+    cache = {}
+
+    def elem(kind, x, n):
+        key = (kind, x, n)
+        if key not in cache:
+            cache[key] = build_monodromy_element(kind, x, params, n, strict=False)
+        return cache[key]
+    return elem
+
+
 def commutation_checks(u, v, params: ModelParameters, n: int) -> dict:
     """The four quadratic relations of the monodromy algebra on sector n.
 
@@ -283,10 +349,7 @@ def commutation_checks(u, v, params: ModelParameters, n: int) -> dict:
     Valid on every sector including the boundaries, where overflowing
     elements act as zero-dimensional operators.
     """
-    from .vertex import g_weight
-
-    def elem(kind, x, sec):
-        return build_monodromy_element(kind, x, params, sec, strict=False)
+    elem = _element_cache(params)
 
     f_uv = f_weight(u, v)
     f_vu = f_weight(v, u)
@@ -318,25 +381,16 @@ def rtt_check(u, v, params: ModelParameters, sectors=None) -> bool:
     side is a sector operator; all 16 blocks must agree exactly on every
     requested quantum sector.
     """
-    from .vertex import r_matrix
-
     M = params.M
     r = r_matrix(u, v)
     if sectors is None:
         sectors = range(M + 1)
-    cache = {}
-
-    def elem(kind_pair, x, sec):
-        key = (kind_pair, x, sec)
-        if key not in cache:
-            a_out, b_in = kind_pair
-            kind = {(0, 0): "A", (0, 1): "B", (1, 0): "C", (1, 1): "D"}[(a_out, b_in)]
-            cache[key] = build_monodromy_element(kind, x, params, sec, strict=False)
-        return cache[key]
+    elem = _element_cache(params)
+    kind_of = {aux: kind for kind, aux in _KIND_AUX.items()}
 
     def product(outer_pair, x_outer, inner_pair, x_inner, n):
         n_mid = n + (inner_pair[1] - inner_pair[0])
-        return elem(outer_pair, x_outer, n_mid) * elem(inner_pair, x_inner, n)
+        return elem(kind_of[outer_pair], x_outer, n_mid) * elem(kind_of[inner_pair], x_inner, n)
 
     for n in sectors:
         if sector_dim(M, n) == 0:

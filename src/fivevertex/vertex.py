@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .linalg import Matrix
-from .scalars import is_zero
+from .scalars import exact_div, exact_pow, is_zero
 
 
 class VertexWeights(NamedTuple):
@@ -51,12 +51,12 @@ class ModelParameters:
 
 def f_weight(a, b):
     """f(a, b) = b^2 / (b^2 - a^2)."""
-    return b * b / (b * b - a * a)
+    return exact_div(b * b, b * b - a * a)
 
 
 def g_weight(a, b):
     """g(a, b) = a*b / (b^2 - a^2)."""
-    return a * b / (b * b - a * a)
+    return exact_div(a * b, b * b - a * a)
 
 
 def l_weights(u, alpha) -> VertexWeights:
@@ -64,7 +64,7 @@ def l_weights(u, alpha) -> VertexWeights:
     if is_zero(u, 0):
         raise ZeroDivisionError("L-operator is singular at u = 0")
     one = u ** 0
-    return VertexWeights(u, one, one, alpha * u - u ** -1, alpha * u)
+    return VertexWeights(u, one, one, alpha * u - exact_pow(u, -1), alpha * u)
 
 
 def l_matrix(u, alpha) -> Matrix:

@@ -33,7 +33,7 @@ from .confluent import det_ratio_columns, sign_pairs
 from .linalg import Matrix
 from .partitions import ParticleConfiguration
 from .ratfunc import RatFunc
-from .scalars import eq, exact_div, is_inexact, is_zero
+from .scalars import eq, exact_div, exact_pow, is_inexact, is_zero
 
 from math import comb
 
@@ -57,7 +57,7 @@ def wavefunction_det(x, v, alpha, M):
     for vj in v:
         if is_zero(vj, 0) or is_zero(alpha * vj * vj - 1, 0):
             raise ZeroDivisionError("wavefunction pole at v = 0 or alpha v^2 = 1")
-        pref = pref * vj ** (M - 1) * (alpha * vj * vj - 1) ** -1
+        pref = pref * vj ** (M - 1) * exact_pow(alpha * vj * vj - 1, -1)
     # entry v^(2k) (alpha - v^-2)^(x_k) = s^(k - x_k) (alpha s - 1)^(x_k), s = v^2
     lin = (-1, alpha)
     cols = [RatFunc([(1, k - pos[k - 1], pos[k - 1])], lin) for k in range(1, n + 1)]
@@ -77,7 +77,7 @@ def dual_wavefunction_det(x, u, alpha, M):
     for uj in u:
         if is_zero(uj, 0) or is_zero(alpha * uj * uj - 1, 0):
             raise ZeroDivisionError("dual wavefunction pole at u = 0 or alpha = u^-2")
-        pref = pref * (alpha * uj - uj ** -1) ** M * uj ** (2 * n - 1)
+        pref = pref * (alpha * uj - exact_pow(uj, -1)) ** M * uj ** (2 * n - 1)
     lin = (-1, alpha)
     cols = [RatFunc([(1, pos[k - 1] - k, -pos[k - 1])], lin) for k in range(1, n + 1)]
     return pref * sign_pairs(n) * det_ratio_columns(cols, [uj * uj for uj in u])

@@ -74,6 +74,40 @@ def test_product_with_a_zero_inner_dimension_is_zero():
         a * Matrix([[1, 2]])
 
 
+def _sparse_entry(rng, lane):
+    if rng.random() < 0.6:
+        return 0
+    if lane == "fraction":
+        return rand_fraction(rng)
+    if lane == "int":
+        return rng.randint(-9, 9)
+    return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+
+@pytest.mark.parametrize("lane", ["fraction", "int", "complex"])
+def test_products_skip_zeros_and_match_the_naive_loop(rng, lane):
+    # Products skip exact-zero entries; the values must still be those of
+    # the plain triple loop, on sparse draws with zero inner dimensions,
+    # all-zero rows and columns, and zero vector entries.
+    for _ in range(40):
+        rows, inner, cols = rng.randint(0, 5), rng.randint(0, 5), rng.randint(1, 5)
+        a = [[_sparse_entry(rng, lane) for _ in range(inner)] for _ in range(rows)]
+        b = [[_sparse_entry(rng, lane) for _ in range(cols)] for _ in range(inner)]
+        if rows:
+            a[rng.randrange(rows)] = [0] * inner  # an all-zero row
+        zero_col = rng.randrange(cols)
+        for row in b:
+            row[zero_col] = 0 * row[zero_col]  # an all-zero column, zeros of the lane's type
+        product = Matrix(a, shape=(rows, inner)) * Matrix(b, shape=(inner, cols))
+        assert (product.rows, product.cols) == (rows, cols)
+        expected = [[sum((a[r][k] * b[k][c] for k in range(inner)), 0) for c in range(cols)]
+                    for r in range(rows)]
+        assert product.data == expected
+        vec = [_sparse_entry(rng, lane) for _ in range(inner)]
+        assert Matrix(a, shape=(rows, inner)).apply(vec) == [
+            sum((ra[k] * vec[k] for k in range(inner)), 0) for ra in a]
+
+
 def test_mat_solve_exact():
     a = [[F(2), F(1)], [F(1), F(3)]]
     b = [[F(1)], [F(0)]]

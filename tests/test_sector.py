@@ -1,8 +1,10 @@
 """Dense sector operators: monodromy elements, transfer matrix, Hamiltonian, BAE."""
 
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from fivevertex.linalg import Matrix, mat_solve
@@ -10,6 +12,7 @@ from fivevertex.sector import (ModelParameters, SectorOperator, bethe_residual, 
                                build_monodromy_element, commutation_checks,
                                dual_bethe_state, hamiltonian, rtt_check, sector_basis,
                                transfer_eigenvalue, transfer_matrix)
+from fivevertex.vertex import l_matrix
 
 from conftest import distinct_squares, rand_fraction
 
@@ -196,3 +199,94 @@ def test_scalar_product_oracle_agreement(rng):
     from fivevertex.scalarprod import scalar_product_det
 
     assert scalar_product_det(u, v, alpha, M) == sum(b * k for b, k in zip(bra, ket))
+
+
+def _full_monodromy(u, alpha, w):
+    """T(u) = L_M(u/w_M) ... L_1(u/w_1) on aux x sites 1..M, from l_matrix alone.
+
+    Basis index aux * 2^M + sum_j occ_j 2^(M-j); each L_j is the 4x4
+    l_matrix (basis 2*aux + occ) embedded on the aux space and site j.
+    """
+    M = len(w)
+    dim = 2 ** (M + 1)
+    total = np.identity(dim, dtype=object)
+    for j in range(1, M + 1):
+        l4 = l_matrix(u / w[j - 1], alpha)
+        bit = 1 << (M - j)
+        product = np.zeros((dim, dim), dtype=object)
+        for col in range(dim):
+            aux, occ = col >> M, 1 if col & bit else 0
+            for aux2 in (0, 1):
+                for occ2 in (0, 1):
+                    weight = l4[2 * aux2 + occ2, 2 * aux + occ]
+                    row = (aux2 << M) | (col & (2 ** M - 1) & ~bit) | (bit if occ2 else 0)
+                    product[row] += weight * total[col]  # (L_j total)[row] += L_j[row, col] total[col]
+        total = product
+    return total
+
+
+def _configs(M, n):
+    """Full-space site bits of the sector-n basis, in combinations order."""
+    if not 0 <= n <= M:
+        return []
+    return [sum(1 << (M - x) for x in cfg) for cfg in combinations(range(1, M + 1), n)]
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_sector_blocks_match_the_full_space_monodromy(rng, M):
+    # The sector oracle against the definition of T(u) on the full 2^(M+1)
+    # space: every A, B, C, D block on every sector, and the Bethe states as
+    # products of the full-space B and C blocks.
+    alpha = rand_fraction(rng)
+    w = tuple(distinct_squares(rng, M))
+    params = ModelParameters(alpha=alpha, M=M, w=w)
+    u_list = distinct_squares(rng, M)
+    full = {u: _full_monodromy(u, alpha, w) for u in u_list}
+    size = 2 ** M
+    for u, t in full.items():
+        for kind, (a_out, b_in) in {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}.items():
+            for n in range(-1, M + 2):
+                n_out = n + b_in - a_out
+                rows, cols = _configs(M, n_out), _configs(M, n)
+                expected = [[t[a_out * size + r, b_in * size + c] for c in cols] for r in rows]
+                strict = 0 <= n <= M and 0 <= n_out <= M
+                op = build_monodromy_element(kind, u, params, n, strict=strict)
+                assert (op.rows, op.cols) == (len(rows), len(cols))
+                assert op.data == expected, (kind, n)
+    b_blocks = {u: t[:size, size:] for u, t in full.items()}
+    c_blocks = {u: t[size:, :size] for u, t in full.items()}
+    for N in range(M + 1):
+        v = u_list[:N]
+        ket = np.zeros(size, dtype=object)
+        ket[0] = 1
+        bra = ket.copy()
+        for x in v:
+            ket = b_blocks[x].dot(ket)
+            bra = bra.dot(c_blocks[x])
+        configs = _configs(M, N)
+        assert bethe_state(v, params) == [ket[bits] for bits in configs]
+        assert dual_bethe_state(v, params) == [bra[bits] for bits in configs]
+
+
+def test_int_spectral_parameters_stay_exact():
+    # Every division and negative power of a spectral parameter stays in the
+    # exact lane: int inputs give the values of the same Fraction inputs.
+    from fivevertex.vertex import l_weights
+    from fivevertex.wavefunc import dual_wavefunction_det, wavefunction_det
+
+    def exact(values):
+        return all(isinstance(x, (int, F)) for x in values)
+
+    params, params_f = ModelParameters(1, 5), ModelParameters(F(1), 5)
+    ket, bra = bethe_state([2, 3], params), dual_bethe_state([2, 3], params)
+    assert ket[:3] == [1296, 1260, 1201] and bra[2] == F(2402, 3)
+    assert exact(ket) and exact(bra)
+    assert ket == bethe_state([F(2), F(3)], params_f)
+    assert bra == dual_bethe_state([F(2), F(3)], params_f)
+    assert l_weights(2, 1).d == F(3, 2) and exact(l_weights(2, 1))
+    psi = wavefunction_det((1, 3), [2, 3], 1, 5)
+    dual = dual_wavefunction_det((1, 3), [2, 3], 1, 5)
+    assert exact([psi, dual]) and (psi, dual) == (1260, 560)
+    inhomogeneous = ModelParameters(2, 3, w=(1, 2, 3))
+    assert exact(build_monodromy_element("D", 5, inhomogeneous, 1).data[0])
+    assert exact(bethe_residual([2, 3], inhomogeneous))
