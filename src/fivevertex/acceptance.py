@@ -20,7 +20,7 @@ import numpy as np
 from .identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs,
                          grothendieck_sum_check, orthogonality_matrix)
 from .partitions import ParticleConfiguration, config_to_partition, enumerate_box
-from .sampling import distinct_square_fractions, rand_fraction, spectral_draw
+from .sampling import distinct_square_fractions, norm_safe_draw, rand_fraction, spectral_draw
 from .scalarprod import (IntermediateSpec, domain_wall_value, intermediate_scalar_det,
                          norm_det, recursion_check, scalar_product_det)
 from .sector import (ModelParameters, bethe_state, build_monodromy_element, commutation_checks,
@@ -142,10 +142,7 @@ def criterion_4_scalar_products(seed: int = 104) -> dict:
             alpha = rand_fraction(rng) ** 2  # perfect square for the recursion property
             if alpha == 0:
                 alpha = Fraction(9, 4)
-            u_full = distinct_square_fractions(rng, N)
-            while any(alpha == uj ** -2 or alpha * N + (M - N) * uj ** -2 == 0
-                      for uj in u_full):
-                u_full = distinct_square_fractions(rng, N)
+            u_full = norm_safe_draw(rng, N, alpha)
             v = distinct_square_fractions(rng, N)
             w = tuple(distinct_square_fractions(rng, M, avoid_squares=[0]))
             params_h = ModelParameters(alpha=alpha, M=M)

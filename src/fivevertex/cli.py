@@ -31,7 +31,7 @@ import numpy as np
 from . import acceptance
 from .identities import cauchy_lhs, cauchy_rhs, grothendieck_sum_check, orthogonality_matrix
 from .partitions import ParticleConfiguration, Partition, config_to_partition
-from .sampling import distinct_square_fractions, rand_fraction
+from .sampling import distinct_square_fractions, norm_safe_draw, rand_fraction
 from .scalarprod import (IntermediateSpec, domain_wall_value, intermediate_scalar_det,
                          norm_det, recursion_check, scalar_product_det)
 from .sector import ModelParameters, commutation_checks, transfer_matrix
@@ -241,7 +241,7 @@ def _cmd_scalar(args, t0, timing) -> int:
     alpha = rand_fraction(rng) ** 2
     if alpha == 0:
         alpha = Fraction(9, 4)
-    u = distinct_square_fractions(rng, N)
+    u = norm_safe_draw(rng, N, alpha)
     v = distinct_square_fractions(rng, N)
     w = tuple(distinct_square_fractions(rng, M))
     checks = {}

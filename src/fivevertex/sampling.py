@@ -34,3 +34,15 @@ def spectral_draw(rng: Random, count: int, alpha: Fraction) -> list:
             continue
         out.append(f)
     return out
+
+
+def norm_safe_draw(rng: Random, count: int, alpha: Fraction) -> list:
+    """``distinct_square_fractions``, drawn again whole until no u has alpha*u^2 = 1.
+
+    alpha*u^2 = 1 is the pole of ``scalarprod.norm_det``; a first draw clear
+    of it is returned as is, so the seeded draws stay those of the plain call.
+    """
+    u = distinct_square_fractions(rng, count)
+    while any(alpha * uj * uj == 1 for uj in u):
+        u = distinct_square_fractions(rng, count)
+    return u

@@ -24,19 +24,23 @@ function and table, sum rule, expectations) is a contraction of it.
 The solver follows the self-consistency strategy: for a trial value of
 Y = prod (1+beta z_j), the single-root equation is a degree-M polynomial
 whose companion-matrix roots are computed numerically; each N-subset of
-roots is iterated to a fixed point of Y with damping and
-continuity-tracked root matching, deduplicated, Newton-polished, and
-validated against the per-root residual target.  All subsets advance
-together: a damped step is one stacked ``eigvals`` over the companion
-matrices of the subsets still moving and one broadcast nearest-root
-matching (``linear_sum_assignment`` only where two roots claim the same
-new one), and a Newton step is one stacked solve.  Every floating-point
-operation is the one a subset-at-a-time loop would do, so the solution
-sets are the same to the bit.  At beta = -1 the choice that collapses onto
-the stationary set is retired as soon as it contracts on the N roots nearest
-1 below |Y| = ``STATIONARY_BOUND``: Y = 0 is a neutral fixed point of the
-flow, which would creep towards it for all ``MAX_ITER`` steps without ever
-meeting ``Y_TOL``.  ``beta`` generalizes the equations to
+roots follows a damped flow in Y with continuity-tracked root matching
+until |Y_new - Y| <= ``Y_TOL`` = 1e-4, Newton on the Bethe equations
+finishes from there, and the sets are validated against the per-root
+residual target and deduplicated.  All subsets advance together: a damped
+step is one stacked ``eigvals`` over the companion matrices of the subsets
+still moving and one broadcast nearest-root matching
+(``linear_sum_assignment`` only where two roots claim the same new one),
+and a Newton step is one stacked solve.  Every floating-point operation is
+the one a subset-at-a-time loop would do, so the solution sets are the same
+to the bit.  A Newton finish that reaches |Y| < ``Y_ZERO`` has all its
+roots at -1/beta and gives no solution set.  At beta = -1, where that is
+the stationary set, the choice that collapses onto it is retired as soon as
+it contracts on the N roots nearest 1 below |Y| = ``STATIONARY_BOUND``.
+Y = 0 is a neutral fixed point of the flow there, which creeps towards it;
+the creeping flow would meet the loose ``Y_TOL`` and Newton would accept
+the near-stationary cluster as one set too many, so the retirement is what
+keeps it out.  ``beta`` generalizes the equations to
 (1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j), as needed by the
 orthogonality relation (beta = -1 is the TASEP point).
 """
@@ -75,8 +79,15 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-9
-Y_TOL = 1e-13
+# the damped flow stops at |Y_new - Y| <= Y_TOL and Newton finishes.  Each
+# decade below costs the flow about three steps, and 1e-13 sat at the
+# rounding floor once |Y| ~ 3; at 1e-2 Newton takes a (12,8) choice onto
+# coincident roots
+Y_TOL = 1e-4
 MAX_ITER = 500
+# |Y| below which a Newton-finished set has reached Y = 0: all roots at
+# -1/beta, not a solution set
+Y_ZERO = 1e-11
 # at beta = -1, |Y| below which a flow contracting on the N roots nearest 1 is
 # retired as the stationary set (see ``_flow``)
 STATIONARY_BOUND = 0.5
@@ -244,7 +255,8 @@ def _flow(M, N, beta, subsets):
     "stationary" as soon as it contracts on the N roots nearest 1 below
     STATIONARY_BOUND: there Y_new = Y (prod z_j)^(M/N) up to a root of unity,
     a map with derivative 1 at Y = 0, which the damped flow approaches only
-    like k^(-N/2) and never to Y_TOL.
+    like k^(-N/2).  That test runs before the ``Y_TOL`` test, which the
+    creeping flow would otherwise meet near Y = 0.
     """
     start = np.array(_canonical(_bethe_poly_roots(M, N, beta, 1.0)[0]))
     chosen = start[np.array(subsets)]
@@ -258,10 +270,10 @@ def _flow(M, N, beta, subsets):
     for _ in range(MAX_ITER):
         y_new[active] = np.prod(1 + beta * chosen[active], axis=1)
         gap[active] = _abs(y_new[active] - y_cur[active])
-        stationary = _abs(y_new[active]) < 1e-11
+        stationary = np.zeros(len(active), dtype=bool)
         if tasep_point:
-            stationary |= _on_stationary_cluster(chosen[active], roots[active],
-                                                 y_new[active], y_cur[active])
+            stationary = _on_stationary_cluster(chosen[active], roots[active],
+                                                y_new[active], y_cur[active])
         converged = ~stationary & (gap[active] <= Y_TOL)
         status[active[stationary]] = "stationary"
         status[active[converged]] = "converged"
@@ -277,12 +289,17 @@ def _flow(M, N, beta, subsets):
 def bethe_solve(M: int, N: int, beta=-1.0):
     """All binomial(M,N) solution sets of the z-form Bethe equations.
 
-    For beta = -1 the stationary set (all roots at 1, Y = 0) is inserted
-    analytically; subsets whose self-consistency flow collapses onto it are
+    Each subset's damped Y flow stops at |Y_new - Y| <= ``Y_TOL`` = 1e-4 and
+    Newton finishes; a set Newton takes to |Y| < ``Y_ZERO`` (all roots at
+    -1/beta) is discarded.  For beta = -1 the stationary set (all roots at 1,
+    Y = 0) is inserted analytically; subsets whose flow collapses onto it are
     discarded as soon as they contract on the N roots nearest 1 below
-    |Y| = ``STATIONARY_BOUND``, since Y = 0 is a neutral fixed point that the
-    flow would approach only like k^(-N/2).  Convergence or completeness
-    failures raise, naming every choice that gave no new solution set and why.
+    |Y| = ``STATIONARY_BOUND``.  Y = 0 is a neutral fixed point the flow
+    creeps towards, so without that retirement it would meet ``Y_TOL`` there
+    and Newton would accept the near-stationary cluster as a surplus set.
+    Convergence or completeness failures raise, naming every choice that gave
+    no new solution set and why; more sets than binomial(M,N) raise an
+    over-count naming the surplus choices.
     """
     if not 1 <= N <= M - 1:
         raise ValueError("need 1 <= N <= M-1 (N = M is the frozen ring)")
@@ -303,6 +320,8 @@ def bethe_solve(M: int, N: int, beta=-1.0):
     status, chosen, gap = _flow(M, N, beta, subsets)
     flowed = status == "converged"
     chosen[flowed] = _newton_polish(chosen[flowed], M, N, beta)
+    # a flow onto Y = 0 meets Y_TOL short of it, and Newton takes it there
+    status[flowed & (_abs(np.prod(1 + beta * chosen, axis=1)) < Y_ZERO)] = "stationary"
     solutions = []
     kept = np.empty((len(subsets), N), dtype=complex)  # roots of solutions, row by row
     rejected = []  # (subset, reason) for every choice that gave no new solution set
@@ -338,6 +357,15 @@ def bethe_solve(M: int, N: int, beta=-1.0):
     if abs(beta + 1) < 1e-15:
         solutions.append(BetheSolution((1.0 + 0j,) * N, 0j, 0j, (0.0,) * N,
                                        None, stationary=True))
+    if len(solutions) > expected:
+        # the only known way: a flow onto the stationary set that Newton
+        # accepted, so the surplus are the sets nearest Y = 0
+        surplus = sorted((s for s in solutions if not s.stationary),
+                         key=lambda s: abs(s.Y))[:len(solutions) - expected]
+        raise RuntimeError(
+            f"over-count: {len(solutions)} of {expected} solution sets found; surplus choices "
+            f"(the sets nearest Y = 0): "
+            + ", ".join(f"{s.choice_id} with |Y| {abs(s.Y):.3g}" for s in surplus))
     if len(solutions) != expected:
         found = f"{len(solutions)} of {expected} solution sets found"
         head = (f"fixed-point iteration failed for {failed} of {expected} choices ({found})"

@@ -61,6 +61,16 @@ def test_scalar_check_passes(capsys):
     assert payload["result"]["passed"] is True
 
 
+def test_scalar_check_draws_u_clear_of_the_norm_pole(capsys):
+    # about one draw in ten used to hit alpha u^2 = 1 and exit 1 from norm_det
+    for M, N in [(4, 2), (5, 3), (6, 3)]:
+        for seed in range(1, 101):
+            code, out = invoke(capsys, ["scalar", "check", "--seed", str(seed),
+                                        "--M", str(M), "--N", str(N)])
+            assert code == 0, (M, N, seed)
+            assert json.loads(out)["result"]["passed"] is True
+
+
 def test_vertex_checks(capsys):
     code, out = invoke(capsys, ["vertex", "rll-check", "--seed", "2", "--draws", "3"])
     assert code == 0

@@ -16,7 +16,7 @@ from fivevertex.identities import cauchy_rhs
 from fivevertex.partitions import ParticleConfiguration as PC
 from fivevertex.partitions import enumerate_box, partition_to_config
 from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval
-from fivevertex.tasep import (DEDUP_TOL, MAX_ITER, RESIDUAL_TOL, STATIONARY_BOUND, Y_TOL,
+from fivevertex.tasep import (DEDUP_TOL, MAX_ITER, RESIDUAL_TOL, STATIONARY_BOUND,
                               GreenQuery, Spectrum, _bethe_poly_roots, _flow, _match,
                               _newton_polish, _on_stationary_cluster, _spectrum, bethe_solve,
                               current_terms, density_terms, expectation,
@@ -288,9 +288,11 @@ def _polish_one(z, M, N, beta, iters=40):
 def _reference_solve(M, N, beta):
     """(choice, roots) of each new solution set, solving one root choice at a time.
 
-    The same damped Y flow from Y = 1 as ``bethe_solve``, with ``np.roots``,
+    The same damped Y flow from Y = 1 as ``bethe_solve``, run to a strict
+    |dY| <= 1e-13 rather than the solver's loose ``Y_TOL``, with ``np.roots``,
     ``linear_sum_assignment`` and ``_polish_one`` per subset; the stationary
-    set is left out.
+    set is left out.  It has no stationary retirement: its flow onto Y = 0
+    creeps for ``MAX_ITER`` steps and never meets 1e-13.
     """
     sgn = (-1) ** (N - 1)
 
@@ -312,7 +314,7 @@ def _reference_solve(M, N, beta):
             y_new = np.prod([1 + beta * z for z in chosen])
             if abs(y_new) < 1e-11:
                 break
-            if abs(y_new - y) <= Y_TOL:
+            if abs(y_new - y) <= 1e-13:
                 z = canonical(_polish_one(chosen, M, N, beta))
                 w = np.array(z)
                 res = np.abs(w ** (-M) * (1 + beta * w) ** N - sgn * np.prod(1 + beta * w))
@@ -420,6 +422,57 @@ def test_stationary_bound_flow_is_retired_early(M, N, monkeypatch):
     assert len(calls) < 100
     assert status[-1] == "stationary"
     assert sum(s.stationary for s in bethe_solve(M, N)) == 1
+
+
+def test_retirement_keeps_the_stationary_cluster_out(monkeypatch):
+    # unretired, the flow creeping onto Y = 0 meets the loose Y_TOL and Newton
+    # accepts the near-stationary cluster as a tenth set of nine
+    monkeypatch.setattr(tasep, "_on_stationary_cluster",
+                        lambda chosen, *_: np.zeros(len(chosen), dtype=bool))
+    with pytest.raises(RuntimeError, match=r"^over-count: 10 of 9 solution sets found; "
+                                           r"surplus choices \(the sets nearest Y = 0\): "
+                                           r"\(1, 2, 3, 4, 5, 6, 7, 8\) with \|Y\| \S+$"):
+        bethe_solve(9, 8)
+
+
+@pytest.mark.parametrize("M, N", [(2, 1), (5, 2), (9, 8)])
+def test_newton_finish_onto_y_zero_gives_no_set(M, N):
+    # at beta = -2, Y = 0 attracts the flow, which meets the loose Y_TOL close
+    # to it; Newton then takes it on to all roots at -1/beta = 1/2
+    with pytest.raises(RuntimeError, match="^completeness failure") as info:
+        bethe_solve(M, N, -2.0)
+    assert "flowed to Y = 0 (all roots at -1/beta)" in str(info.value)
+
+
+def _matched_gap(a, b):
+    """Largest entry gap between the rows of a and b after a min-max row matching."""
+    cost = np.zeros((len(a), len(b)))
+    for k in range(a.shape[1]):
+        cost = np.maximum(cost, np.abs(a[:, None, k] - b[None, :, k]))
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].max()
+
+
+def test_12_10_energies_match_the_generator_spectrum():
+    # one (12,10) choice used to stall at |dY| ~ 8e-13, the rounding floor of
+    # an absolute 1e-13 flow tolerance at |Y| ~ 3
+    sols = bethe_solve(12, 10)
+    assert len(sols) == comb(12, 10)
+    energies = np.array([[s.energy] for s in sols])
+    spectrum = np.linalg.eigvals(sector_generator(12, 10))[:, None]
+    assert _matched_gap(energies, spectrum) <= 1e-8
+
+
+@pytest.mark.parametrize("M, N, beta", [(10, 3, -1.0), (11, 8, -1.0),
+                                        (11, 8, -0.5), (10, 5, -0.5), (12, 6, -0.5)])
+def test_loose_flow_with_newton_matches_the_strict_flow(M, N, beta, monkeypatch):
+    loose = bethe_solve(M, N, beta)
+    monkeypatch.setattr(tasep, "Y_TOL", 1e-13)
+    strict = bethe_solve(M, N, beta)
+    assert len(loose) == len(strict) == comb(M, N)
+    # the elementary symmetric functions of each set, which ignore root order
+    esf = [np.array([np.poly(s.roots) for s in sols]) for sols in (loose, strict)]
+    assert _matched_gap(*esf) <= 1e-12
 
 
 def test_spectrum_reused_for_the_same_solution_list():
