@@ -9,8 +9,8 @@ the periodic TASEP; every formula is verifiable against brute-force oracles
 """
 
 from .linalg import Matrix, det
-from .partitions import (ParticleConfiguration, Partition, box_size, config_to_partition,
-                         enumerate_box, partition_to_config)
+from .partitions import (ParticleConfiguration, Partition, config_to_partition, enumerate_box,
+                         partition_to_config)
 from .scalarprod import (IntermediateSpec, domain_wall_value, intermediate_scalar_det,
                          norm_det, recursion_check, scalar_product_det)
 from .sector import (ModelParameters, SectorOperator, bethe_residual, bethe_state,

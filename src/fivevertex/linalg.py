@@ -130,29 +130,6 @@ class Matrix:
         return f"Matrix({self.data!r})"
 
 
-def mat_solve(a, b):
-    """Solve A X = B exactly by Gaussian elimination (A square, entries exact)."""
-    n = len(a)
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    width = n + (len(b[0]) if b else 0)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not is_zero(aug[i][k], 0)), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        pv = aug[k][k]
-        for j in range(k, width):
-            aug[k][j] = exact_div(aug[k][j], pv)
-        for i in range(n):
-            if i == k or is_zero(aug[i][k], 0):
-                continue
-            f = aug[i][k]
-            for j in range(k, width):
-                aug[i][j] = aug[i][j] - f * aug[k][j]
-    return [row[n:] for row in aug]
-
-
 def det(m):
     """Determinant of a square matrix.
 

@@ -9,7 +9,6 @@ corresponds bijectively to the diagram lambda inside the (M-N)^N box via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator
 
 
@@ -88,8 +87,3 @@ def enumerate_box(m: int, n: int) -> Iterator[Partition]:
             yield from rec(prefix + [p], remaining - 1, p)
 
     yield from rec([], n, m)
-
-
-def box_size(m: int, n: int) -> int:
-    """Number of partitions in the m^n box."""
-    return comb(m + n, n)

@@ -6,10 +6,11 @@ from fractions import Fraction
 from random import Random
 
 
-def rand_fraction(rng: Random, nonzero: bool = True, span: int = 9) -> Fraction:
+def rand_fraction(rng: Random) -> Fraction:
+    """A nonzero p/q with |p| <= 9 and 1 <= q <= 9."""
     while True:
-        f = Fraction(rng.randint(-span, span), rng.randint(1, span))
-        if not nonzero or f != 0:
+        f = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if f != 0:
             return f
 
 

@@ -161,12 +161,8 @@ def _sweep(state, tables):
         swept = {}
         for key, amp in state.items():
             for flip, weight in table[((key & 1) << 1) | ((key >> j) & 1)]:
-                out = key ^ flip
-                val = amp if weight is None else amp * weight
-                if out in swept:
-                    swept[out] = swept[out] + val
-                else:
-                    swept[out] = val
+                # no out repeats: keys equal off bit j and aux share a column, which fixes both
+                swept[key ^ flip] = amp if weight is None else amp * weight
         state = swept
     return state
 
@@ -374,17 +370,15 @@ def commutation_checks(u, v, params: ModelParameters, n: int) -> dict:
             "DB": db_lhs == db_rhs, "BB": bb, "CC": cc}
 
 
-def rtt_check(u, v, params: ModelParameters, sectors=None) -> bool:
+def rtt_check(u, v, params: ModelParameters) -> bool:
     """R(u,v) T1(u) T2(v) = T2(v) T1(u) R(u,v) on (aux)x(aux)x(sector space).
 
     Checked blockwise: for auxiliary indices the block (a'c'),(bd) of either
     side is a sector operator; all 16 blocks must agree exactly on every
-    requested quantum sector.
+    quantum sector.
     """
     M = params.M
     r = r_matrix(u, v)
-    if sectors is None:
-        sectors = range(M + 1)
     elem = _element_cache(params)
     kind_of = {aux: kind for kind, aux in _KIND_AUX.items()}
 
@@ -392,7 +386,7 @@ def rtt_check(u, v, params: ModelParameters, sectors=None) -> bool:
         n_mid = n + (inner_pair[1] - inner_pair[0])
         return elem(kind_of[outer_pair], x_outer, n_mid) * elem(kind_of[inner_pair], x_inner, n)
 
-    for n in sectors:
+    for n in range(M + 1):
         if sector_dim(M, n) == 0:
             continue
         for a_p in (0, 1):

@@ -186,16 +186,17 @@ def _match(chosen, new_roots):
     return np.take_along_axis(new_roots, cols, axis=1)
 
 
-def _newton_polish(z, M, N, beta, iters=40):
+def _newton_polish(z, M, N, beta):
     """Newton on the Bethe equations for each row of z (S, N), one stacked solve per step.
 
-    A row stops once its own max|f| < 1e-15, or when its Jacobian is singular.
+    A row stops once its own max|f| < 1e-15, when its Jacobian is singular,
+    or after 40 steps.
     """
     z = np.array(z, dtype=complex)
     sgn = (-1) ** (N - 1)
     live = np.arange(len(z))
     diag = np.arange(N)
-    for _ in range(iters):
+    for _ in range(40):
         zl = z[live]
         prod_factors = 1 + beta * zl
         Y = np.prod(prod_factors, axis=1)[:, None]

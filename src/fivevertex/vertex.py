@@ -173,7 +173,7 @@ def ansatz_l_matrix(u, A, B, C, D, f):
     ])
 
 
-def appendix_a_family_check(A, C, D, f, B=None, points=((2, 3), (5, 7), (3, 11))) -> bool:
+def appendix_a_family_check(A, C, D, f, B=None) -> bool:
     """Check the ansatz family against the RLL relation at sample points.
 
     B defaults to A*D (the solvability constraint); passing any other B is
@@ -184,7 +184,7 @@ def appendix_a_family_check(A, C, D, f, B=None, points=((2, 3), (5, 7), (3, 11))
 
     b_const = A * D if B is None else B
     checked = 0
-    for (u0, v0) in points:
+    for (u0, v0) in ((2, 3), (5, 7), (3, 11)):
         u, v = Fraction(u0), Fraction(v0)
         if is_zero(f(u), 0) or is_zero(f(v), 0):
             continue

@@ -38,7 +38,7 @@ from .scalars import eq, exact_div, exact_pow, is_inexact, is_zero
 from math import comb
 
 
-def _positions(x, M=None):
+def _positions(x):
     if isinstance(x, ParticleConfiguration):
         return x.positions
     return tuple(x)
@@ -126,7 +126,6 @@ class MatrixProductState:
     a_diag: list
     b_split: dict = field(default_factory=dict)
     c_split: dict = field(default_factory=dict)
-    h_list: list = field(default_factory=list)
 
     @property
     def n(self):
@@ -207,7 +206,6 @@ def matrix_product_build(u, alpha) -> MatrixProductState:
     g_mat = Matrix.identity(2)
     g_inv = Matrix.identity(2)
     a_diag = [u1, d1]
-    h_list = []
     q_weights = [uj / (alpha * uj - uj ** -1) for uj in u]
     for step in range(1, len(u)):
         t = u[step]
@@ -223,7 +221,6 @@ def matrix_product_build(u, alpha) -> MatrixProductState:
             h_mat = h_mat + split[j].scale(coeff)
         h_mat = Matrix([[exact_div(h_mat[r, c], a_diag[r]) for c in range(dim)]
                         for r in range(dim)])
-        h_list.append(h_mat)
         zero = Matrix.zeros(dim, dim)
         a_new = _block2(a_mat.scale(t), b_mat, zero, a_mat.scale(dt))
         b_new = _block2(zero, zero, a_mat, b_mat.scale(alpha * t))
@@ -235,7 +232,7 @@ def matrix_product_build(u, alpha) -> MatrixProductState:
         g_mat, g_inv = g_new, g_inv_new
         a_diag = [t * x for x in a_diag] + [dt * x for x in a_diag]
     mps = MatrixProductState(u, alpha, a_mat, b_mat, c_mat, d_mat,
-                             g_mat, g_inv, a_diag, h_list=h_list)
+                             g_mat, g_inv, a_diag)
     mps.b_split = _split_by_weight(mps.b_script(), a_diag, q_weights, "B")
     mps.c_split = _split_by_weight(mps.c_script(), a_diag, q_weights, "C")
     return mps

@@ -12,7 +12,7 @@ from fivevertex import acceptance, wavefunc
 def _run(criterion):
     result = criterion()
     status = "PASS" if result["passed"] else "FAIL"
-    print(f"{status}  criterion {result['name']}  [{result['elapsed_s']}s]  {result['detail']}")
+    print(f"{status}  criterion {result['name']}  {result['detail']}")
     assert result["passed"], result["detail"]
 
 

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import fivevertex
+from fivevertex import acceptance
 from fivevertex.cli import run
 
 
@@ -24,6 +25,43 @@ def test_cauchy_check_json(capsys):
     assert payload["result"]["equal"] is True
     assert payload["provenance"] == "determinant"
     assert "elapsed_ms" not in payload
+
+
+def test_cauchy_check_draws_y_clear_of_the_kernel_pole(capsys):
+    # y_k = -beta is a pole of the N >= 2 kernel; seed 20 at (4,2) and, under
+    # --beta 1/2, seed 3 at (5,3) used to draw it and exit 1
+    for M, N in [(4, 2), (5, 3), (6, 2)]:
+        for beta in ([], ["--beta", "1/2"]):
+            for seed in range(1, 101):
+                code, out = invoke(capsys, ["identity", "cauchy", "--M", str(M), "--N", str(N),
+                                            "--seed", str(seed)] + beta)
+                assert code == 0, (M, N, beta, seed)
+                assert json.loads(out)["result"]["equal"] is True
+
+
+def test_verify_all_prints_one_json_object_and_reports_on_stderr(capsys, monkeypatch):
+    def passing():
+        return {"name": "1 stub", "passed": True, "detail": "fine"}
+
+    def failing():
+        return {"name": "2 stub", "passed": False, "detail": "broken"}
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [passing, failing])
+    runs = []
+    for _ in range(2):
+        code = run(["verify-all"])
+        runs.append(capsys.readouterr())
+        assert code == 2
+    assert runs[0].out == runs[1].out
+    payload = json.loads(runs[0].out)
+    assert payload["result"] == {"passed": False, "criteria": [passing(), failing()]}
+    lines = runs[0].err.splitlines()
+    assert [line.split()[:3] for line in lines] == [["PASS", "criterion", "1"],
+                                                   ["FAIL", "criterion", "2"]]
+    code = run(["--timing", "verify-all"])
+    timed = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert all("elapsed_s" in r for r in timed["result"]["criteria"])
 
 
 def test_green_at_time_zero_is_diagonal(capsys):

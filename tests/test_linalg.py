@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fivevertex.linalg import Matrix, det, mat_solve
+from fivevertex.linalg import Matrix, det
 from fivevertex.confluent import det_ratio_columns
 from fivevertex.ratfunc import RatFunc, taylor
 
@@ -106,14 +106,6 @@ def test_products_skip_zeros_and_match_the_naive_loop(rng, lane):
         vec = [_sparse_entry(rng, lane) for _ in range(inner)]
         assert Matrix(a, shape=(rows, inner)).apply(vec) == [
             sum((ra[k] * vec[k] for k in range(inner)), 0) for ra in a]
-
-
-def test_mat_solve_exact():
-    a = [[F(2), F(1)], [F(1), F(3)]]
-    b = [[F(1)], [F(0)]]
-    x = mat_solve(a, b)
-    assert a[0][0] * x[0][0] + a[0][1] * x[1][0] == b[0][0]
-    assert a[1][0] * x[0][0] + a[1][1] * x[1][0] == b[1][0]
 
 
 def _square_columns(v_pts):

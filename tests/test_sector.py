@@ -7,7 +7,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from fivevertex.linalg import Matrix, mat_solve
+from fivevertex.linalg import Matrix
+from fivevertex.scalars import exact_div, is_zero
 from fivevertex.sector import (ModelParameters, SectorOperator, bethe_residual, bethe_state,
                                build_monodromy_element, commutation_checks,
                                dual_bethe_state, hamiltonian, rtt_check, sector_basis,
@@ -15,6 +16,40 @@ from fivevertex.sector import (ModelParameters, SectorOperator, bethe_residual, 
 from fivevertex.vertex import l_matrix
 
 from conftest import distinct_squares, rand_fraction
+
+
+def mat_solve(a, b):
+    """Solve A X = B exactly by Gaussian elimination (A square, entries exact).
+
+    Only the Hamiltonian-from-transfer-matrix test below needs it.
+    """
+    n = len(a)
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    width = n + (len(b[0]) if b else 0)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not is_zero(aug[i][k], 0)), None)
+        if piv is None:
+            raise ZeroDivisionError("singular system")
+        if piv != k:
+            aug[k], aug[piv] = aug[piv], aug[k]
+        pv = aug[k][k]
+        for j in range(k, width):
+            aug[k][j] = exact_div(aug[k][j], pv)
+        for i in range(n):
+            if i == k or is_zero(aug[i][k], 0):
+                continue
+            f = aug[i][k]
+            for j in range(k, width):
+                aug[i][j] = aug[i][j] - f * aug[k][j]
+    return [row[n:] for row in aug]
+
+
+def test_mat_solve_exact():
+    a = [[F(2), F(1)], [F(1), F(3)]]
+    b = [[F(1)], [F(0)]]
+    x = mat_solve(a, b)
+    assert a[0][0] * x[0][0] + a[0][1] * x[1][0] == b[0][0]
+    assert a[1][0] * x[0][0] + a[1][1] * x[1][0] == b[1][0]
 
 
 def test_single_site_b_creates():
