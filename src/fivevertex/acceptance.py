@@ -196,15 +196,14 @@ def criterion_4_scalar_products(seed: int = 104) -> dict:
             if case["scalar_product"] != sum(b * k for b, k in zip(bra, ket)):
                 return _result("4 scalar products", False, f"scalar product at M={M}, N={N}")
             # intermediate products for all n, inhomogeneous, vs oracle
+            ket_w = bethe_state(v, params_w)
             for n in range(N + 1):
                 spec = IntermediateSpec(n, tuple(u_full[:n]), tuple(v), w, alpha, M, N)
                 if n in case["intermediate"]:
                     val = case["intermediate"][n]
                 else:
                     val = intermediate_scalar_det(spec)
-                vec = [1]
-                for k, vk in enumerate(v):
-                    vec = build_monodromy_element("B", vk, params_w, k).apply(vec)
+                vec = ket_w
                 for k in range(n):
                     vec = build_monodromy_element("C", u_full[k], params_w, N - k).apply(vec)
                 bra_cfg = tuple(range(M - N + n + 1, M + 1))

@@ -233,8 +233,9 @@ def _cmd_vertex(args, t0, timing) -> int:
 
 def _cmd_scalar(args, t0, timing) -> int:
     M, N = args.M, args.N
-    if not 1 <= N <= M - 1:
-        print("error: need 1 <= N <= M-1", file=sys.stderr)
+    if M < 2 or not 1 <= N <= M:
+        # the w-swap check exchanges two sites
+        print("error: need M >= 2 and 1 <= N <= M", file=sys.stderr)
         return 1
     checks = acceptance.scalar_product_case(Random(args.seed), M, N)["checks"]
     passed = all(checks.values())
@@ -314,10 +315,14 @@ def _cmd_tasep(args, t0, timing) -> int:
         print(f"error: unknown observable {args.observable!r}", file=sys.stderr)
         return 1
     try:
-        start_s, stop_s, step_s = args.t_grid.split(":")
-        start, stop, step = float(start_s), float(stop_s), float(step_s)
+        start, stop, step = (float(part) for part in args.t_grid.split(":"))
     except ValueError:
         print(f"error: bad t-grid {args.t_grid!r}, expected start:stop:step", file=sys.stderr)
+        return 1
+    if not (np.isfinite([start, stop, step]).all() and start >= 0 and step > 0):
+        # any of these would never end the grid, or evaluate negative times
+        print(f"error: bad t-grid {args.t_grid!r}, need finite values, start >= 0 "
+              f"and step > 0", file=sys.stderr)
         return 1
     x0 = ParticleConfiguration(tuple(args.initial), args.M)
     spec = Spectrum(bethe_solve(args.M, args.N), args.M, args.N)

@@ -34,15 +34,11 @@ still moving and one broadcast nearest-root matching
 and a Newton step is one stacked solve.  Every floating-point operation is
 the one a subset-at-a-time loop would do, so the solution sets are the same
 to the bit.  A Newton finish that reaches |Y| < ``Y_ZERO`` has all its
-roots at -1/beta and gives no solution set.  At beta = -1, where that is
-the stationary set, the choice that collapses onto it is retired as soon as
-it contracts on the N roots nearest 1 below |Y| = ``STATIONARY_BOUND``.
-Y = 0 is a neutral fixed point of the flow there, which creeps towards it;
-the creeping flow would meet the loose ``Y_TOL`` and Newton would accept
-the near-stationary cluster as one set too many, so the retirement is what
-keeps it out.  ``beta`` generalizes the equations to
-(1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j), as needed by the
-orthogonality relation (beta = -1 is the TASEP point).
+roots at -1/beta and gives no solution set.  At beta = -1 the choice of the
+N start roots nearest 1, whose flow collapses onto the stationary set, is
+not flowed: that set is inserted analytically.  ``beta`` generalizes the
+equations to (1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j), as needed
+by the orthogonality relation (beta = -1 is the TASEP point).
 """
 
 from __future__ import annotations
@@ -88,9 +84,6 @@ MAX_ITER = 500
 # |Y| below which a Newton-finished set has reached Y = 0: all roots at
 # -1/beta, not a solution set
 Y_ZERO = 1e-11
-# at beta = -1, |Y| below which a flow contracting on the N roots nearest 1 is
-# retired as the stationary set (see ``_flow``)
-STATIONARY_BOUND = 0.5
 
 
 @dataclass(frozen=True)
@@ -236,34 +229,25 @@ def _energy(z, beta):
     return complex(-len(z) + alpha * sum(1 / zj for zj in z))
 
 
-def _on_stationary_cluster(chosen, roots, y_new, y_cur):
-    """Rows contracting below STATIONARY_BOUND on the N roots of ``roots`` nearest 1.
+def _stationary_choice(start, N):
+    """Indices of the N roots of ``start`` nearest 1.
 
-    ``chosen`` (S, N) holds entries of ``roots`` (S, M), the roots of the
-    polynomial at ``y_cur``, so comparing distances to 1 is exact.
+    At beta = -1 this is the choice whose flow collapses onto the stationary
+    set, the ground-state choice of Golinelli & Mallick (J. Stat. Mech. (2004)
+    P12001).
     """
-    N = chosen.shape[1]
-    nth_nearest = np.partition(_abs(roots - 1), N - 1, axis=1)[:, N - 1]
-    nearest = _abs(chosen - 1).max(axis=1) <= nth_nearest
-    return nearest & (_abs(y_new) < _abs(y_cur)) & (_abs(y_new) < STATIONARY_BOUND)
+    return tuple(sorted(np.argsort(_abs(start - 1), kind="stable")[:N].tolist()))
 
 
-def _flow(M, N, beta, subsets):
+def _flow(M, N, beta, start, subsets):
     """Damped self-consistency flow in Y from Y = 1, all subsets advanced together.
 
-    Returns per subset its status ("converged", "stationary" or "failed"),
-    its roots in flow order, and its last |Y_new - Y|.  At beta = -1 a row is
-    "stationary" as soon as it contracts on the N roots nearest 1 below
-    STATIONARY_BOUND: there Y_new = Y (prod z_j)^(M/N) up to a root of unity,
-    a map with derivative 1 at Y = 0, which the damped flow approaches only
-    like k^(-N/2).  That test runs before the ``Y_TOL`` test, which the
-    creeping flow would otherwise meet near Y = 0.
+    ``start`` holds the roots at Y = 1 in canonical order.  Returns per subset
+    whether its flow met ``Y_TOL``, its roots in flow order, and its last
+    |Y_new - Y|.
     """
-    start = np.array(_canonical(_bethe_poly_roots(M, N, beta, 1.0)[0]))
     chosen = start[np.array(subsets)]
-    roots = np.tile(start, (len(subsets), 1))  # the roots each row was last matched against
-    tasep_point = abs(beta + 1) < 1e-15
-    status = np.full(len(subsets), "failed", dtype=object)
+    converged = np.zeros(len(subsets), dtype=bool)
     y_cur = np.ones(len(subsets), dtype=complex)
     y_new = np.empty_like(y_cur)
     gap = np.zeros(len(subsets))
@@ -271,20 +255,14 @@ def _flow(M, N, beta, subsets):
     for _ in range(MAX_ITER):
         y_new[active] = np.prod(1 + beta * chosen[active], axis=1)
         gap[active] = _abs(y_new[active] - y_cur[active])
-        stationary = np.zeros(len(active), dtype=bool)
-        if tasep_point:
-            stationary = _on_stationary_cluster(chosen[active], roots[active],
-                                                y_new[active], y_cur[active])
-        converged = ~stationary & (gap[active] <= Y_TOL)
-        status[active[stationary]] = "stationary"
-        status[active[converged]] = "converged"
-        active = active[~(stationary | converged)]
+        done = gap[active] <= Y_TOL
+        converged[active[done]] = True
+        active = active[~done]
         if not len(active):
             break
         y_cur[active] = 0.5 * y_cur[active] + 0.5 * y_new[active]
-        roots[active] = _bethe_poly_roots(M, N, beta, y_cur[active])
-        chosen[active] = _match(chosen[active], roots[active])
-    return status, chosen, gap
+        chosen[active] = _match(chosen[active], _bethe_poly_roots(M, N, beta, y_cur[active]))
+    return converged, chosen, gap
 
 
 def bethe_solve(M: int, N: int, beta=-1.0):
@@ -293,11 +271,9 @@ def bethe_solve(M: int, N: int, beta=-1.0):
     Each subset's damped Y flow stops at |Y_new - Y| <= ``Y_TOL`` = 1e-4 and
     Newton finishes; a set Newton takes to |Y| < ``Y_ZERO`` (all roots at
     -1/beta) is discarded.  For beta = -1 the stationary set (all roots at 1,
-    Y = 0) is inserted analytically; subsets whose flow collapses onto it are
-    discarded as soon as they contract on the N roots nearest 1 below
-    |Y| = ``STATIONARY_BOUND``.  Y = 0 is a neutral fixed point the flow
-    creeps towards, so without that retirement it would meet ``Y_TOL`` there
-    and Newton would accept the near-stationary cluster as a surplus set.
+    Y = 0) is inserted analytically, and the choice that collapses onto it is
+    not flowed: Y = 0 is a neutral fixed point that its flow creeps towards,
+    meeting ``Y_TOL`` there, and Newton would accept the cluster as a surplus set.
     Convergence or completeness failures raise, naming every choice that gave
     no new solution set and why; more sets than binomial(M,N) raise an
     over-count naming the surplus choices.
@@ -310,30 +286,36 @@ def bethe_solve(M: int, N: int, beta=-1.0):
         raise ValueError(
             f"{expected} root-choice subsets exceed the desk-scale cap of {comb(12, 6)}")
     subsets = list(combinations(range(M), N))
+    start = np.array(_canonical(_bethe_poly_roots(M, N, beta, 1.0)[0]))
     if abs(beta) < 1e-15:
         # roots of 1 + (-1)^N z^M: all N-subsets solve the equations with Y = 1
-        roots = _canonical(_bethe_poly_roots(M, N, beta, 1.0)[0])
         sols = []
         for subset in subsets:
-            z = tuple(roots[i] for i in subset)
+            z = tuple(start[list(subset)])
             sols.append(BetheSolution(z, 1.0 + 0j, None, _residuals(z, M, N, beta), subset))
         return sols
-    status, chosen, gap = _flow(M, N, beta, subsets)
-    flowed = status == "converged"
-    chosen[flowed] = _newton_polish(chosen[flowed], M, N, beta)
+    tasep_point = abs(beta + 1) < 1e-15
+    stationary = _stationary_choice(start, N) if tasep_point else None
+    converged, chosen, gap = _flow(M, N, beta, start, [s for s in subsets if s != stationary])
+    chosen[converged] = _newton_polish(chosen[converged], M, N, beta)
     # a flow onto Y = 0 meets Y_TOL short of it, and Newton takes it there
-    status[flowed & (_abs(np.prod(1 + beta * chosen, axis=1)) < Y_ZERO)] = "stationary"
+    at_zero = _abs(np.prod(1 + beta * chosen, axis=1)) < Y_ZERO
+    flowed = iter(zip(converged, at_zero, chosen, gap))
     solutions = []
     kept = np.empty((len(subsets), N), dtype=complex)  # roots of solutions, row by row
     rejected = []  # (subset, reason) for every choice that gave no new solution set
     failed = 0
-    for subset, state, z, dy in zip(subsets, status, chosen, gap):
-        if state == "failed":
+    for subset in subsets:
+        if subset == stationary:
+            rejected.append((subset, "the stationary set (all roots at 1), inserted analytically"))
+            continue
+        ok, zero, z, dy = next(flowed)
+        if not ok:
             failed += 1
             rejected.append((subset, f"no fixed point after {MAX_ITER} iterations, "
                                      f"final |dY| {dy:.3g}"))
             continue
-        if state == "stationary":
+        if zero:
             rejected.append((subset, "flowed to Y = 0 (all roots at -1/beta)"))
             continue
         z = _canonical(z)
@@ -355,7 +337,7 @@ def bethe_solve(M: int, N: int, beta=-1.0):
         kept[len(solutions)] = z
         solutions.append(BetheSolution(z, complex(np.prod(1 + beta * np.array(z))),
                                        _energy(z, beta), res, subset))
-    if abs(beta + 1) < 1e-15:
+    if tasep_point:
         solutions.append(BetheSolution((1.0 + 0j,) * N, 0j, 0j, (0.0,) * N,
                                        None, stationary=True))
     if len(solutions) > expected:

@@ -106,13 +106,12 @@ def rtilde_matrix(u, alpha) -> Matrix:
     ])
 
 
-def embed_two_site(m4: Matrix, pos, nspaces: int = 3) -> Matrix:
-    """Embed a two-site 4x4 operator at spaces ``pos`` of an nspaces chain."""
+def embed_two_site(m4: Matrix, pos) -> Matrix:
+    """Embed a two-site 4x4 operator at spaces ``pos`` of a three-space chain."""
     p, q = pos
-    dim = 2 ** nspaces
-    out = [[0] * dim for _ in range(dim)]
-    for col in range(dim):
-        bits = [(col >> (nspaces - 1 - i)) & 1 for i in range(nspaces)]
+    out = [[0] * 8 for _ in range(8)]
+    for col in range(8):
+        bits = [(col >> (2 - i)) & 1 for i in range(3)]
         cin = 2 * bits[p] + bits[q]
         for rp in (0, 1):
             for rq in (0, 1):
@@ -121,7 +120,7 @@ def embed_two_site(m4: Matrix, pos, nspaces: int = 3) -> Matrix:
                     continue
                 ob = list(bits)
                 ob[p], ob[q] = rp, rq
-                row = sum(b << (nspaces - 1 - i) for i, b in enumerate(ob))
+                row = sum(b << (2 - i) for i, b in enumerate(ob))
                 out[row][col] = out[row][col] + w
     return Matrix(out)
 

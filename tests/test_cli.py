@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fivevertex
 from fivevertex import acceptance
 from fivevertex.cli import run
@@ -109,6 +111,19 @@ def test_scalar_check_draws_u_clear_of_the_norm_pole(capsys):
             assert json.loads(out)["result"]["passed"] is True
 
 
+def test_scalar_check_takes_n_equal_to_m_and_refuses_the_rest(capsys):
+    code, out = invoke(capsys, ["scalar", "check", "--M", "3", "--N", "3"])
+    assert code == 0
+    assert json.loads(out)["result"]["passed"] is True
+    # M = 1 has no second site for the w-swap and used to raise IndexError
+    for M, N in [(1, 1), (3, 0), (3, 4)]:
+        code = run(["scalar", "check", "--M", str(M), "--N", str(N)])
+        captured = capsys.readouterr()
+        assert code == 1, (M, N)
+        assert captured.out == ""
+        assert captured.err == "error: need M >= 2 and 1 <= N <= M\n"
+
+
 def test_vertex_checks(capsys):
     code, out = invoke(capsys, ["vertex", "rll-check", "--seed", "2", "--draws", "3"])
     assert code == 0
@@ -152,6 +167,19 @@ def test_relax_emits_csv(capsys):
     assert abs(t0_value - 1.0) < 1e-8  # site 1 occupied in the initial condition
 
 
+@pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.5", "0:inf:1", "-0.5:1:0.5"])
+def test_relax_refuses_a_grid_that_never_ends(grid):
+    # each of these used to loop forever (the last over negative times); in a
+    # subprocess with a timeout such a run fails the test instead of hanging it
+    argv = ["tasep", "relax", "--M", "5", "--N", "2", "--from", "1,2",
+            "--observable", "density:1", f"--t-grid={grid}"]
+    done = _fresh_python(["-m", "fivevertex.cli", *argv], timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (f"error: bad t-grid {grid!r}, need finite values, start >= 0 "
+                           f"and step > 0\n")
+
+
 def test_wavefunction_eval(capsys):
     code, out = invoke(capsys, ["wavefunction", "eval", "--config", "1,3",
                                 "--params", "2/3,5/7", "--alpha", "3/4", "--M", "4"])
@@ -182,15 +210,19 @@ def test_negative_rational_option_values(capsys):
     assert payload["inputs"]["z"] == ["-1/2", "1/3"]
 
 
+def _fresh_python(args, **kwargs):
+    """Run a fresh interpreter on ``args`` with this package on its path."""
+    src = str(Path(fivevertex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
 def _loaded_after_import(modules):
     """Which of ``modules`` a fresh interpreter has loaded after importing the package."""
-    src = str(Path(fivevertex.__file__).resolve().parents[1])
     code = ("import sys, fivevertex, fivevertex.cli, fivevertex.acceptance; "
             f"print([m for m in {modules!r} if m in sys.modules])")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    return out.stdout.strip()
+    return _fresh_python(["-c", code], check=True).stdout.strip()
 
 
 def test_package_imports_leave_sympy_out():
