@@ -47,9 +47,10 @@ from .wavefunc import dual_wavefunction_det, wavefunction_det
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # admit negative rationals like -1/2, and lists like -1/2,1/3, as values
+        # admit negative rationals like -1/2, and lists like -1/2,1/3 or grids
+        # like -0.5:1:0.5, as values
         token = r"(\d+(/\d+)?|\d*\.\d+)"
-        self._negative_number_matcher = re.compile(rf"^-{token}(,-?{token})*$")
+        self._negative_number_matcher = re.compile(rf"^-{token}([,:]-?{token})*$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -280,6 +281,13 @@ def _cmd_identity(args, t0, timing) -> int:
     return 0 if case["primal"] and case["dual"] else 2
 
 
+def _configuration(positions, M, N) -> ParticleConfiguration:
+    if len(positions) != N:
+        raise ValueError(f"configuration {','.join(map(str, positions))} has "
+                         f"{len(positions)} particles, not N = {N}")
+    return ParticleConfiguration(tuple(positions), M)
+
+
 def _cmd_tasep(args, t0, timing) -> int:
     if args.action == "bethe":
         sols = bethe_solve(args.M, args.N, beta=args.beta)
@@ -291,15 +299,15 @@ def _cmd_tasep(args, t0, timing) -> int:
               "determinant", t0, timing)
         return 0
     if args.action == "green":
-        query = GreenQuery(ParticleConfiguration(tuple(args.initial), args.M),
-                           ParticleConfiguration(tuple(args.final), args.M), args.t)
+        query = GreenQuery(_configuration(args.initial, args.M, args.N),
+                           _configuration(args.final, args.M, args.N), args.t)
         value = green_function(query)
         _emit("tasep green", {"M": args.M, "N": args.N, "from": args.initial,
                               "to": args.final, "t": args.t},
               value, "determinant", t0, timing)
         return 0
     if args.action == "oracle":
-        state = master_oracle(ParticleConfiguration(tuple(args.initial), args.M), args.t)
+        state = master_oracle(_configuration(args.initial, args.M, args.N), args.t)
         _emit("tasep oracle", {"M": args.M, "N": args.N, "from": args.initial, "t": args.t},
               {"basis": [list(c) for c in state.basis], "amplitudes": state.amplitudes},
               "oracle", t0, timing)
@@ -307,13 +315,13 @@ def _cmd_tasep(args, t0, timing) -> int:
     # relax: CSV time series
     kind, _, site_text = args.observable.partition(":")
     site = int(site_text) if site_text else 1
-    if kind == "density":
-        terms = density_terms(site)
-    elif kind == "current":
-        terms = current_terms(site)
-    else:
+    if kind not in ("density", "current"):
         print(f"error: unknown observable {args.observable!r}", file=sys.stderr)
         return 1
+    if not 1 <= site <= args.M:
+        print(f"error: observable site {site} outside 1..{args.M}", file=sys.stderr)
+        return 1
+    terms = density_terms(site) if kind == "density" else current_terms(site)
     try:
         start, stop, step = (float(part) for part in args.t_grid.split(":"))
     except ValueError:
@@ -324,7 +332,7 @@ def _cmd_tasep(args, t0, timing) -> int:
         print(f"error: bad t-grid {args.t_grid!r}, need finite values, start >= 0 "
               f"and step > 0", file=sys.stderr)
         return 1
-    x0 = ParticleConfiguration(tuple(args.initial), args.M)
+    x0 = _configuration(args.initial, args.M, args.N)
     spec = Spectrum(bethe_solve(args.M, args.N), args.M, args.N)
     a, a0 = spec.form_factors(terms)  # t-independent, so built once for the grid
     lam = config_to_partition(x0)

@@ -102,6 +102,11 @@ class BetheSolution:
         return max(self.residuals) if self.residuals else 0.0
 
 
+def _check_time(t):
+    if not 0 <= t < np.inf:
+        raise ValueError(f"time must be finite and nonnegative, got t = {t}")
+
+
 @dataclass(frozen=True)
 class GreenQuery:
     """Transition probability query: initial and final configurations, time t."""
@@ -114,8 +119,7 @@ class GreenQuery:
         if self.initial.ring_size != self.final.ring_size \
                 or len(self.initial) != len(self.final):
             raise ValueError("initial and final configurations must share M and N")
-        if self.t < 0:
-            raise ValueError("time must be nonnegative")
+        _check_time(self.t)
 
 
 @dataclass
@@ -125,11 +129,10 @@ class SectorState:
     amplitudes: np.ndarray
     M: int
     n: int
-    basis: tuple = field(default=None)
+    basis: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.basis is None:
-            self.basis = sector_basis(self.M, self.n)
+        self.basis = sector_basis(self.M, self.n)
 
     def __getitem__(self, config):
         pos = config.positions if isinstance(config, ParticleConfiguration) else tuple(config)
@@ -522,8 +525,7 @@ def expectation_via_form_factors(terms, x: ParticleConfiguration, t: float, solu
 
 def sector_generator(M: int, N: int) -> np.ndarray:
     """The TASEP generator (alpha = 1 Hamiltonian) as a float matrix."""
-    h = hamiltonian(ModelParameters(alpha=1, M=M), N)
-    gen = np.array([[float(x) for x in row] for row in h.data])
+    gen = np.array(hamiltonian(ModelParameters(alpha=1, M=M), N).data, dtype=float)
     col_sums = gen.sum(axis=0)
     if np.max(np.abs(col_sums)) > 1e-12:
         raise AssertionError("generator columns must sum to zero")
@@ -531,21 +533,14 @@ def sector_generator(M: int, N: int) -> np.ndarray:
 
 
 def master_oracle(x: ParticleConfiguration, t: float) -> SectorState:
-    """e^{Ht}|x> by eigendecomposition of the dense sector generator.
+    """e^{Ht}|x>: column x of scipy's scaling-and-squaring ``expm`` of the dense generator.
 
-    Falls back to scaling-and-squaring (scipy expm) when the eigenvector
-    condition estimate exceeds 1e8.  Requires M <= 12.
+    Requires M <= 12 and a finite t >= 0.
     """
     M, N = x.ring_size, len(x)
     if M > 12:
         raise ValueError("dense oracle limited to M <= 12")
-    gen = sector_generator(M, N)
-    e_x = np.zeros(len(gen))
-    e_x[sector_basis(M, N).index(x.positions)] = 1.0
-    vals, vecs = np.linalg.eig(gen)
-    if np.linalg.cond(vecs) > 1e8:
-        from scipy.linalg import expm
-        result = expm(gen * t) @ e_x
-    else:
-        result = (vecs @ np.diag(np.exp(vals * t)) @ np.linalg.inv(vecs) @ e_x).real
-    return SectorState(np.asarray(result).real, M, N)
+    _check_time(t)
+    from scipy.linalg import expm  # slow to import, so kept out of the CLI start-up
+    column = sector_basis(M, N).index(x.positions)
+    return SectorState(expm(sector_generator(M, N) * t)[:, column], M, N)

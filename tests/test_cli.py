@@ -180,6 +180,52 @@ def test_relax_refuses_a_grid_that_never_ends(grid):
                            f"and step > 0\n")
 
 
+def test_negative_grid_start_reaches_the_grid_check(capsys):
+    # "-0.5:1:0.5" as a separate argument used to look like an option to argparse
+    code = run(["tasep", "relax", "--M", "5", "--N", "2", "--from", "1,2",
+                "--observable", "density:1", "--t-grid", "-0.5:1:0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: bad t-grid '-0.5:1:0.5', need finite values, "
+                            "start >= 0 and step > 0\n")
+
+
+@pytest.mark.parametrize("action", ["green", "oracle"])
+@pytest.mark.parametrize("t", ["-1", "nan", "inf"])
+def test_tasep_refuses_a_bad_time(capsys, action, t):
+    to = ["--to", "2,4"] if action == "green" else []
+    code = run(["tasep", action, "--M", "6", "--N", "2", "--from", "1,2", *to, "--t", t])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: time must be finite and nonnegative, got t = {float(t)}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["green", "--M", "6", "--N", "3", "--from", "1,2", "--to", "1,3", "--t", "1"],
+     "configuration 1,2 has 2 particles, not N = 3"),
+    (["oracle", "--M", "6", "--N", "3", "--from", "1,2", "--t", "1"],
+     "configuration 1,2 has 2 particles, not N = 3"),
+    (["relax", "--M", "6", "--N", "3", "--from", "1,2", "--observable", "density:1"],
+     "configuration 1,2 has 2 particles, not N = 3"),
+    (["relax", "--M", "6", "--N", "1", "--from", "1,2", "--observable", "density:1"],
+     "configuration 1,2 has 2 particles, not N = 1"),
+    (["relax", "--M", "6", "--N", "2", "--from", "1,2", "--observable", "density:7"],
+     "observable site 7 outside 1..6"),
+    (["relax", "--M", "6", "--N", "2", "--from", "1,2", "--observable", "current:-3"],
+     "observable site -3 outside 1..6"),
+])
+def test_tasep_refuses_a_configuration_off_n_and_a_site_off_the_ring(capsys, argv, message):
+    # these used to compute at len(--from) particles under the echoed N, wrap
+    # site 7 to site 1, or fail only after the CSV header
+    code = run(["tasep", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_wavefunction_eval(capsys):
     code, out = invoke(capsys, ["wavefunction", "eval", "--config", "1,3",
                                 "--params", "2/3,5/7", "--alpha", "3/4", "--M", "4"])
