@@ -21,24 +21,26 @@ removable pole at z_j y_k = 1 has to be resolved.  The stationary solution
 holds these data for one solution list, and every quantity below (Green
 function and table, sum rule, expectations) is a contraction of it.
 
-The solver follows the self-consistency strategy: for a trial value of
-Y = prod (1+beta z_j), the single-root equation is a degree-M polynomial
-whose companion-matrix roots are computed numerically; each N-subset of
-roots follows a damped flow in Y with continuity-tracked root matching
-until |Y_new - Y| <= ``Y_TOL`` = 1e-4, Newton on the Bethe equations
-finishes from there, and the sets are validated against the per-root
-residual target and deduplicated.  All subsets advance together: a damped
-step is one stacked ``eigvals`` over the companion matrices of the subsets
-still moving and one broadcast nearest-root matching
-(``linear_sum_assignment`` only where two roots claim the same new one),
-and a Newton step is one stacked solve.  Every floating-point operation is
-the one a subset-at-a-time loop would do, so the solution sets are the same
-to the bit.  A Newton finish that reaches |Y| < ``Y_ZERO`` has all its
-roots at -1/beta and gives no solution set.  At beta = -1 the choice of the
-N start roots nearest 1, whose flow collapses onto the stationary set, is
-not flowed: that set is inserted analytically.  ``beta`` generalizes the
-equations to (1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j), as needed
-by the orthogonality relation (beta = -1 is the TASEP point).
+The solver continues in beta from the free-fermion point beta = 0, where
+the equations decouple into z^M = (-1)^(N-1) and every N-subset of those M
+roots is a solution set (Hao, Nepomechie & Sommese, Phys. Rev. E 88 (2013)
+052113, test Bethe-equation completeness the same way).  Each subset is
+tracked along beta(s) = s beta + ``GAMMA`` s (1-s) from s = 0 to s = 1; the
+complex ``GAMMA`` keeps the paths apart for real beta (the gamma trick of
+Sommese & Wampler, The Numerical Solution of Systems of Polynomials, 2005).
+All paths advance together, each with its own step: an Euler predictor, then
+at most ``CORRECTOR_STEPS`` stacked Newton steps, accepted at
+max|F| <= ``CORRECTOR_TOL`` (1 + max|z^M Y|).  ``choice_id`` is the subset,
+as indices into the beta = 0 roots in ``_canonical`` order.  Newton on the
+Bethe equations finishes every path that reached s = 1, and the sets are
+validated against the per-root residual target, checked for coincident
+roots and deduplicated.  At beta = -1 the subset of the N beta = 0 roots
+nearest 1, whose path ends on the stationary set, is not tracked: that set
+is inserted analytically.  ``beta`` generalizes the equations to
+(1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j), as needed by the
+orthogonality relation (beta = -1 is the TASEP point).  A sector that gives
+fewer or more than binomial(M,N) sets raises, naming every subset without a
+new set and why; so does one past the binomial(12,6) cap, or N outside 1..M-1.
 """
 
 from __future__ import annotations
@@ -75,15 +77,16 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-9
-# the damped flow stops at |Y_new - Y| <= Y_TOL and Newton finishes.  Each
-# decade below costs the flow about three steps, and 1e-13 sat at the
-# rounding floor once |Y| ~ 3; at 1e-2 Newton takes a (12,8) choice onto
-# coincident roots
-Y_TOL = 1e-4
-MAX_ITER = 500
-# |Y| below which a Newton-finished set has reached Y = 0: all roots at
-# -1/beta, not a solution set
-Y_ZERO = 1e-11
+# the paths, beta(s) = s beta + GAMMA s (1-s), and their step rule: an
+# accepted step grows by 3/2 up to STEP_MAX, a rejected one halves, and a path
+# whose step falls below STEP_MIN has stalled
+GAMMA = 0.7 + 0.3j
+STEP_MAX = 0.2
+STEP_MIN = 1e-8
+CORRECTOR_STEPS = 6
+# relative to 1 + max|z^M Y|: with an absolute test paths with N >= 8 stall
+# near s = 0.9, where |z^M Y| ~ 1e5
+CORRECTOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -139,26 +142,13 @@ class SectorState:
         return self.amplitudes[self.basis.index(pos)]
 
 
-def _bethe_poly_roots(M, N, beta, Y):
-    """Roots of (1 + beta z)^N - (-1)^(N-1) Y_s z^M, one row per entry of Y.
-
-    The companion matrices are built exactly as ``np.roots`` builds them
-    (leading coefficient divided out) and stacked into one ``eigvals`` call.
-    """
-    Y = np.asarray(Y, dtype=complex).reshape(-1)
-    c = np.zeros((len(Y), M + 1), dtype=complex)
-    for k in range(N + 1):
-        c[:, k] += comb(N, k) * beta ** k
-    c[:, M] -= (-1) ** (N - 1) * Y
-    p = c[:, ::-1]
-    companion = np.zeros((len(Y), M, M), dtype=complex)
-    companion[:, 1:, :-1] = np.eye(M - 1)
-    companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-    return np.linalg.eigvals(companion)
-
-
 def _canonical(roots):
     return tuple(sorted(roots, key=lambda z: (round(z.real, 10), round(z.imag, 10))))
+
+
+def _free_roots(M, N):
+    """The beta = 0 roots, z^M = (-1)^(N-1), in canonical order."""
+    return np.array(_canonical(np.exp(1j * np.pi * (2 * np.arange(M) + (N - 1) % 2) / M)))
 
 
 def _abs(z):
@@ -166,20 +156,45 @@ def _abs(z):
     return np.hypot(z.real, z.imag)
 
 
-def _match(chosen, new_roots):
-    """Row s of ``new_roots`` (S, M) reordered to follow row s of ``chosen`` (S, N).
+def _solve_rows(jac, rhs):
+    """jac^-1 rhs for each row of rhs (S, N) in one stacked solve; a singular row comes out NaN."""
+    try:
+        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for r in range(len(rhs)):
+            try:
+                out[r] = np.linalg.solve(jac[r], rhs[r])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
-    Each row is the min-sum assignment on |chosen_j - new_k|.  When the
-    row-wise nearest roots are distinct they are that assignment; only rows
-    where two chosen roots share a nearest root go to ``linear_sum_assignment``.
+
+def _bethe_residual(z, M, N, beta):
+    """F_k = (1+beta z_k)^N - (-1)^(N-1) z_k^M Y and z_k^M Y for each row of z (S, N).
+
+    Y = prod_j (1+beta z_j); ``beta`` is a scalar or one value per row, (S, 1).
     """
-    cost = _abs(chosen[:, :, None] - new_roots[:, None, :])
-    cols = cost.argmin(axis=2)
-    ranked = np.sort(cols, axis=1)
-    for s in np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)):
-        from scipy.optimize import linear_sum_assignment  # rare, and slow to import
-        cols[s] = linear_sum_assignment(cost[s])[1]
-    return np.take_along_axis(new_roots, cols, axis=1)
+    pf = 1 + beta * z
+    zMY = (-1) ** (N - 1) * z ** M * np.prod(pf, axis=1)[:, None]
+    return pf ** N - zMY, zMY
+
+
+def _bethe_jacobian(z, M, N, beta):
+    """dF/dz (S, N, N) and dF/dbeta (S, N) of ``_bethe_residual``."""
+    sgn = (-1) ** (N - 1)
+    pf = 1 + beta * z
+    Y = np.prod(pf, axis=1)[:, None]
+    zM = sgn * z ** M
+    # prod_{j != l} (1 + beta z_j); a C-ordered copy keeps the product in the
+    # scalar reduction order
+    cofactor = np.stack([np.prod(np.delete(pf, l, axis=1), axis=1) for l in range(N)], axis=1)
+    diag = np.arange(N)
+    jac = np.zeros((len(z), N, N), dtype=complex)
+    jac[:, diag, diag] = N * beta * pf ** (N - 1) - sgn * M * z ** (M - 1) * Y
+    jac -= zM[:, :, None] * (beta * cofactor)[:, None, :]
+    dbeta = N * z * pf ** (N - 1) - zM * np.sum(z * cofactor, axis=1)[:, None]
+    return jac, dbeta
 
 
 def _newton_polish(z, M, N, beta):
@@ -189,33 +204,17 @@ def _newton_polish(z, M, N, beta):
     or after 40 steps.
     """
     z = np.array(z, dtype=complex)
-    sgn = (-1) ** (N - 1)
     live = np.arange(len(z))
-    diag = np.arange(N)
     for _ in range(40):
-        zl = z[live]
-        prod_factors = 1 + beta * zl
-        Y = np.prod(prod_factors, axis=1)[:, None]
-        f_val = prod_factors ** N - sgn * zl ** M * Y
+        f_val = _bethe_residual(z[live], M, N, beta)[0]
         moving = ~(np.max(np.abs(f_val), axis=1) < 1e-15)
-        live, zl, prod_factors, Y, f_val = (v[moving] for v in (live, zl, prod_factors, Y, f_val))
+        live, f_val = live[moving], f_val[moving]
         if not len(live):
             break
-        jac = np.zeros((len(live), N, N), dtype=complex)
-        jac[:, diag, diag] = N * beta * prod_factors ** (N - 1) - sgn * M * zl ** (M - 1) * Y
-        for l in range(N):
-            # a C-ordered copy keeps the product in the scalar reduction order
-            partial = beta * np.prod(np.delete(prod_factors, l, axis=1), axis=1)[:, None]
-            jac[:, :, l] -= sgn * zl ** M * partial
-        try:
-            z[live] = zl - np.linalg.solve(jac, f_val[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            for r in range(len(live)):
-                try:
-                    z[live[r]] = zl[r] - np.linalg.solve(jac[r], f_val[r])
-                except np.linalg.LinAlgError:
-                    live[r] = -1
-            live = live[live >= 0]
+        step = _solve_rows(_bethe_jacobian(z[live], M, N, beta)[0], f_val)
+        singular = np.isnan(step).any(axis=1)
+        z[live[~singular]] -= step[~singular]
+        live = live[~singular]
     return z
 
 
@@ -235,51 +234,63 @@ def _energy(z, beta):
 def _stationary_choice(start, N):
     """Indices of the N roots of ``start`` nearest 1.
 
-    At beta = -1 this is the choice whose flow collapses onto the stationary
-    set, the ground-state choice of Golinelli & Mallick (J. Stat. Mech. (2004)
-    P12001).
+    At beta = -1 this is the subset whose path ends on the stationary set, the
+    ground-state choice of Golinelli & Mallick (J. Stat. Mech. (2004) P12001).
     """
     return tuple(sorted(np.argsort(_abs(start - 1), kind="stable")[:N].tolist()))
 
 
-def _flow(M, N, beta, start, subsets):
-    """Damped self-consistency flow in Y from Y = 1, all subsets advanced together.
+def _path(s, beta):
+    """beta(s) = s beta + GAMMA s (1-s) and its derivative in s."""
+    return s * beta + GAMMA * s * (1 - s), beta + GAMMA * (1 - 2 * s)
 
-    ``start`` holds the roots at Y = 1 in canonical order.  Returns per subset
-    whether its flow met ``Y_TOL``, its roots in flow order, and its last
-    |Y_new - Y|.
+
+def _track(z, M, N, beta):
+    """Track each row of z (S, N), a solution set at beta = 0, along beta(s) to s = 1.
+
+    Returns the rows at their last accepted s, and that s: 1 unless the path
+    stalled, its step halved below ``STEP_MIN``.
     """
-    chosen = start[np.array(subsets)]
-    converged = np.zeros(len(subsets), dtype=bool)
-    y_cur = np.ones(len(subsets), dtype=complex)
-    y_new = np.empty_like(y_cur)
-    gap = np.zeros(len(subsets))
-    active = np.arange(len(subsets))
-    for _ in range(MAX_ITER):
-        y_new[active] = np.prod(1 + beta * chosen[active], axis=1)
-        gap[active] = _abs(y_new[active] - y_cur[active])
-        done = gap[active] <= Y_TOL
-        converged[active[done]] = True
-        active = active[~done]
-        if not len(active):
-            break
-        y_cur[active] = 0.5 * y_cur[active] + 0.5 * y_new[active]
-        chosen[active] = _match(chosen[active], _bethe_poly_roots(M, N, beta, y_cur[active]))
-    return converged, chosen, gap
+    z = np.array(z, dtype=complex)
+    s = np.zeros(len(z))
+    h = np.full(len(z), STEP_MAX)
+    live = np.arange(len(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(live):
+            zl, sl = z[live], s[live]
+            b, db = _path(sl, beta)
+            jac, dbeta = _bethe_jacobian(zl, M, N, b[:, None])
+            s_new = np.minimum(sl + h[live], 1.0)
+            zc = zl - (s_new - sl)[:, None] * _solve_rows(jac, dbeta * db[:, None])
+            b_new = _path(s_new, beta)[0][:, None]
+            ok = np.zeros(len(live), dtype=bool)
+            for k in range(CORRECTOR_STEPS + 1):
+                todo = np.flatnonzero(~ok)
+                f, zMY = _bethe_residual(zc[todo], M, N, b_new[todo])
+                met = np.max(_abs(f), axis=1) <= CORRECTOR_TOL * (1 + np.max(_abs(zMY), axis=1))
+                ok[todo] = met
+                todo, f = todo[~met], f[~met]
+                if k == CORRECTOR_STEPS or not len(todo):
+                    break
+                zc[todo] -= _solve_rows(_bethe_jacobian(zc[todo], M, N, b_new[todo])[0], f)
+            z[live[ok]], s[live[ok]] = zc[ok], s_new[ok]
+            h[live] = np.where(ok, np.minimum(1.5 * h[live], STEP_MAX), h[live] / 2)
+            live = live[(s[live] < 1) & (h[live] >= STEP_MIN)]
+    return z, s
 
 
 def bethe_solve(M: int, N: int, beta=-1.0):
     """All binomial(M,N) solution sets of the z-form Bethe equations.
 
-    Each subset's damped Y flow stops at |Y_new - Y| <= ``Y_TOL`` = 1e-4 and
-    Newton finishes; a set Newton takes to |Y| < ``Y_ZERO`` (all roots at
-    -1/beta) is discarded.  For beta = -1 the stationary set (all roots at 1,
-    Y = 0) is inserted analytically, and the choice that collapses onto it is
-    not flowed: Y = 0 is a neutral fixed point that its flow creeps towards,
-    meeting ``Y_TOL`` there, and Newton would accept the cluster as a surplus set.
-    Convergence or completeness failures raise, naming every choice that gave
-    no new solution set and why; more sets than binomial(M,N) raise an
-    over-count naming the surplus choices.
+    Every N-subset of the beta = 0 roots is tracked to ``beta`` and polished
+    by Newton; ``choice_id`` is that subset.  For beta = -1 the stationary set
+    (all roots at 1, Y = 0) is inserted analytically, and the subset whose
+    path ends there (the N beta = 0 roots nearest 1) is not tracked: Newton
+    would accept its endpoint cluster as a surplus set.  A path that stalls,
+    or ends off the residual target, on coincident roots or on another path's
+    set gives no solution set; a shortfall raises, naming every such subset
+    with the s its path reached and why.  More sets than binomial(M,N) raise
+    an over-count naming the surplus subsets.
     """
     if not 1 <= N <= M - 1:
         raise ValueError("need 1 <= N <= M-1 (N = M is the frozen ring)")
@@ -289,9 +300,9 @@ def bethe_solve(M: int, N: int, beta=-1.0):
         raise ValueError(
             f"{expected} root-choice subsets exceed the desk-scale cap of {comb(12, 6)}")
     subsets = list(combinations(range(M), N))
-    start = np.array(_canonical(_bethe_poly_roots(M, N, beta, 1.0)[0]))
+    start = _free_roots(M, N)
     if abs(beta) < 1e-15:
-        # roots of 1 + (-1)^N z^M: all N-subsets solve the equations with Y = 1
+        # all N-subsets solve the equations with Y = 1
         sols = []
         for subset in subsets:
             z = tuple(start[list(subset)])
@@ -299,43 +310,33 @@ def bethe_solve(M: int, N: int, beta=-1.0):
         return sols
     tasep_point = abs(beta + 1) < 1e-15
     stationary = _stationary_choice(start, N) if tasep_point else None
-    converged, chosen, gap = _flow(M, N, beta, start, [s for s in subsets if s != stationary])
-    chosen[converged] = _newton_polish(chosen[converged], M, N, beta)
-    # a flow onto Y = 0 meets Y_TOL short of it, and Newton takes it there
-    at_zero = _abs(np.prod(1 + beta * chosen, axis=1)) < Y_ZERO
-    flowed = iter(zip(converged, at_zero, chosen, gap))
+    tracked = [subset for subset in subsets if subset != stationary]
+    ends, reached = _track(start[np.array(tracked)], M, N, beta)
+    ends[reached == 1] = _newton_polish(ends[reached == 1], M, N, beta)
+    paths = iter(zip(ends, reached))
     solutions = []
     kept = np.empty((len(subsets), N), dtype=complex)  # roots of solutions, row by row
-    rejected = []  # (subset, reason) for every choice that gave no new solution set
-    failed = 0
+    rejected = []  # (subset, reason) for every subset that gave no new solution set
     for subset in subsets:
         if subset == stationary:
             rejected.append((subset, "the stationary set (all roots at 1), inserted analytically"))
             continue
-        ok, zero, z, dy = next(flowed)
-        if not ok:
-            failed += 1
-            rejected.append((subset, f"no fixed point after {MAX_ITER} iterations, "
-                                     f"final |dY| {dy:.3g}"))
-            continue
-        if zero:
-            rejected.append((subset, "flowed to Y = 0 (all roots at -1/beta)"))
+        z, s = next(paths)
+        if s < 1:
+            rejected.append((subset, f"stalled (step below {STEP_MIN:g}) at s = {s:.6g}"))
             continue
         z = _canonical(z)
         res = _residuals(z, M, N, beta)
         if max(res) > RESIDUAL_TOL:
-            failed += 1
-            rejected.append((subset, f"residual {max(res):.3g} above {RESIDUAL_TOL:g}"))
+            rejected.append((subset, f"residual {max(res):.3g} above {RESIDUAL_TOL:g} at s = 1"))
             continue
-        for j in range(N):
-            for k in range(j + 1, N):
-                if abs(z[j] - z[k]) <= DEDUP_TOL:
-                    raise RuntimeError(
-                        f"coincident roots in a non-stationary solution (choice {subset})")
+        if any(abs(z[j] - z[k]) <= DEDUP_TOL for j in range(N) for k in range(j + 1, N)):
+            rejected.append((subset, "coincident roots at s = 1"))
+            continue
         twins = np.flatnonzero(_abs(kept[:len(solutions)] - z).max(axis=1) <= DEDUP_TOL)
         if len(twins):
             rejected.append((subset, f"same solution set as choice "
-                                     f"{solutions[twins[0]].choice_id}"))
+                                     f"{solutions[twins[0]].choice_id} at s = 1"))
             continue
         kept[len(solutions)] = z
         solutions.append(BetheSolution(z, complex(np.prod(1 + beta * np.array(z))),
@@ -344,7 +345,7 @@ def bethe_solve(M: int, N: int, beta=-1.0):
         solutions.append(BetheSolution((1.0 + 0j,) * N, 0j, 0j, (0.0,) * N,
                                        None, stationary=True))
     if len(solutions) > expected:
-        # the only known way: a flow onto the stationary set that Newton
+        # the only known way: a path onto the stationary set that Newton
         # accepted, so the surplus are the sets nearest Y = 0
         surplus = sorted((s for s in solutions if not s.stationary),
                          key=lambda s: abs(s.Y))[:len(solutions) - expected]
@@ -353,11 +354,10 @@ def bethe_solve(M: int, N: int, beta=-1.0):
             f"(the sets nearest Y = 0): "
             + ", ".join(f"{s.choice_id} with |Y| {abs(s.Y):.3g}" for s in surplus))
     if len(solutions) != expected:
-        found = f"{len(solutions)} of {expected} solution sets found"
-        head = (f"fixed-point iteration failed for {failed} of {expected} choices ({found})"
-                if failed else f"completeness failure: {found}")
-        raise RuntimeError("\n".join([f"{head}; choices without a new solution set:"]
-                                     + [f"  {subset}: {why}" for subset, why in rejected]))
+        raise RuntimeError("\n".join(
+            [f"completeness failure: {len(solutions)} of {expected} solution sets found; "
+             f"choices without a new solution set:"]
+            + [f"  {subset}: {why}" for subset, why in rejected]))
     return solutions
 
 
@@ -392,15 +392,24 @@ class Spectrum:
         # left(mu) = G_mu(z_s; beta) over the solution axis
         self.left = BialternantStack(self.roots, beta)
         self._dual = BialternantStack(1 / self.roots, beta, dual=True)
+        self._box = None
 
     def right(self, lam) -> np.ndarray:
         """w_s Gbar_lam(1/z_s; beta) over the solution axis."""
         return self.weights * self._dual(lam)
 
     def box_vectors(self):
-        """left and right for every partition of the box, stacked in ``enumerate_box`` order."""
-        box = list(enumerate_box(self.M - self.N, self.N))
-        return np.array([self.left(mu) for mu in box]), np.array([self.right(lam) for lam in box])
+        """left and right for every partition of the box, stacked in ``enumerate_box`` order.
+
+        Built on the first call and kept: later calls return the same read-only arrays.
+        """
+        if self._box is None:
+            box = list(enumerate_box(self.M - self.N, self.N))
+            self._box = (np.array([self.left(mu) for mu in box]),
+                         np.array([self.right(lam) for lam in box]))
+            for v in self._box:
+                v.flags.writeable = False
+        return self._box
 
     def form_factors(self, terms):
         """(a, a0) of the window observable sum coef * s_l ... s_{l+n-1}, for ``evolve``.
@@ -413,7 +422,8 @@ class Spectrum:
         return a, sum(coef * comb(self.M - n, self.N) for coef, _, n in terms)
 
     def evolve(self, a, a0, lam, t) -> float:
-        """Real part of a0 * stationary + sum_s a_s right(lam)_s e^{E_s t}."""
+        """Real part of a0 * stationary + sum_s a_s right(lam)_s e^{E_s t}, for finite t >= 0."""
+        _check_time(t)
         total = a0 * self.stationary + a @ (self.right(lam) * np.exp(self.energies * t))
         if abs(total.imag) > 1e-7:
             raise RuntimeError(f"spectral sum came out non-real: {total}")
@@ -453,6 +463,7 @@ def green_function_table(M: int, N: int, t: float, solutions=None) -> np.ndarray
     Same spectral data as ``green_function``, contracted for all pairs in one
     matrix product; used for all-pairs sweeps against the master-equation oracle.
     """
+    _check_time(t)
     spec = _spectrum(solutions, M, N)
     index = basis_index(M, N)
     order = [index[partition_to_config(lam, M).positions] for lam in enumerate_box(M - N, N)]

@@ -16,9 +16,9 @@ from fivevertex.identities import cauchy_rhs
 from fivevertex.partitions import ParticleConfiguration as PC
 from fivevertex.partitions import enumerate_box, partition_to_config
 from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval
-from fivevertex.tasep import (DEDUP_TOL, MAX_ITER, RESIDUAL_TOL, GreenQuery, Spectrum,
-                              _bethe_poly_roots, _flow, _match, _newton_polish, _spectrum,
-                              _stationary_choice, bethe_solve,
+from fivevertex.tasep import (CORRECTOR_STEPS, CORRECTOR_TOL, DEDUP_TOL, GAMMA, RESIDUAL_TOL,
+                              STEP_MAX, STEP_MIN, GreenQuery, Spectrum, _newton_polish,
+                              _spectrum, bethe_solve,
                               current_terms, density_terms, expectation,
                               expectation_via_form_factors, form_factor_sum, green_function,
                               green_function_table, master_oracle, sector_generator,
@@ -193,6 +193,25 @@ def test_master_oracle_and_green_query_refuse_a_bad_time(t):
         GreenQuery(x0, PC((2, 4), 6), t)
 
 
+@pytest.mark.parametrize("entry", ["green_function_table", "sum_rule_check", "expectation",
+                                   "expectation_via_form_factors"])
+def test_every_contraction_refuses_a_bad_time(entry):
+    # each used to evaluate the spectral sum anyway: a table at t = -1 held
+    # "probabilities" from -7.42 to 7.56, and the sum rule at t = nan was nan
+    M, N = 6, 2
+    sols = bethe_solve(M, N)
+    x0 = PC((1, 2), M)
+    call = {"green_function_table": lambda t: green_function_table(M, N, t, sols),
+            "sum_rule_check": lambda t: sum_rule_check(x0, t, sols),
+            "expectation": lambda t: expectation(np.eye(comb(M, N)), x0, t, sols),
+            "expectation_via_form_factors":
+                lambda t: expectation_via_form_factors(density_terms(1), x0, t, sols)}[entry]
+    for t in (-1.0, float("nan"), float("inf")):
+        message = re.escape(f"time must be finite and nonnegative, got t = {t}")
+        with pytest.raises(ValueError, match=message):
+            call(t)
+
+
 # solution lists of the unpatched solver, shared by the larger tests
 _UNPATCHED = dict(vars(tasep))
 _SOLVED = {}
@@ -229,6 +248,16 @@ def test_green_table_and_sum_rule_at_11_8(sols_11_8):
         assert abs(sum_rule_check(x0, t, sols) - oracle[:, column].sum()) <= 1e-8
 
 
+def test_green_tables_match_expm_over_the_solver_domain():
+    # every sector under the solver's cap, the whole table at t = 1
+    for M in range(2, 13):
+        for N in range(1, M):
+            if comb(M, N) > comb(12, 6):
+                continue
+            table = green_function_table(M, N, 1.0, _solve_once(M, N, -1.0))
+            assert np.max(np.abs(table - expm(sector_generator(M, N)))) <= 1e-8, (M, N)
+
+
 @pytest.mark.parametrize("M, N", [(6, 3), (8, 4)])
 def test_spectrum_weights_invert_the_cauchy_determinant(M, N):
     spec = Spectrum(bethe_solve(M, N), M, N)
@@ -258,6 +287,7 @@ def test_spectrum_vectors_match_scalar_evaluators(beta):
     want_right = np.array([[w * dual_grothendieck_eval(lam, list(1 / z), beta)
                             for z, w in zip(spec.roots, spec.weights)] for lam in box])
     left, right = spec.box_vectors()
+    assert spec.box_vectors()[0] is left  # built once per Spectrum
     assert np.max(np.abs(left - want_left)) <= 1e-12 * np.max(np.abs(want_left))
     assert np.max(np.abs(right - want_right)) <= 1e-12 * np.max(np.abs(want_right))
 
@@ -298,66 +328,74 @@ def _polish_one(z, M, N, beta, iters=40):
     return z
 
 
-def _reference_solve(M, N, beta):
-    """(choice, roots) of each new solution set, solving one root choice at a time.
+def _track_one(z, M, N, beta):
+    """One subset's path from beta = 0 to ``beta``, one root set at a time.
 
-    The same damped Y flow from Y = 1 as ``bethe_solve``, run to a strict
-    |dY| <= 1e-13 rather than the solver's loose ``Y_TOL``, with ``np.roots``,
-    ``linear_sum_assignment`` and ``_polish_one`` per subset; the stationary
-    set is left out.  It has no stationary retirement: its flow onto Y = 0
-    creeps for ``MAX_ITER`` steps and never meets 1e-13.
+    The reference for the stacked tracker: the same path, predictor,
+    corrector and step rule.  Returns None if the step falls below the floor.
     """
     sgn = (-1) ** (N - 1)
 
-    def roots(Y):
-        c = np.zeros(M + 1, dtype=complex)
-        for k in range(N + 1):
-            c[k] += comb(N, k) * beta ** k
-        c[M] -= sgn * Y
-        return list(np.roots(c[::-1]))
+    def system(z, b):
+        pf = 1 + b * z
+        Y = np.prod(pf)
+        f = pf ** N - sgn * z ** M * Y
+        jac = np.diag(N * b * pf ** (N - 1) - sgn * M * z ** (M - 1) * Y)
+        dbeta = N * z * pf ** (N - 1)
+        for l in range(N):
+            cofactor = np.prod(np.delete(pf, l))
+            jac[:, l] -= sgn * z ** M * b * cofactor
+            dbeta = dbeta - sgn * z ** M * z[l] * cofactor
+        return f, jac, dbeta, np.max(np.abs(z ** M * Y))
+
+    s, h = 0.0, STEP_MAX
+    while s < 1:
+        if h < STEP_MIN:
+            return None
+        s_new = min(s + h, 1.0)
+        _, jac, dbeta, _ = system(z, s * beta + GAMMA * s * (1 - s))
+        zc = z - (s_new - s) * np.linalg.solve(jac, dbeta * (beta + GAMMA * (1 - 2 * s)))
+        for k in range(CORRECTOR_STEPS + 1):
+            f, jac, _, scale = system(zc, s_new * beta + GAMMA * s_new * (1 - s_new))
+            if np.max(np.abs(f)) <= CORRECTOR_TOL * (1 + scale):
+                z, s, h = zc, s_new, min(1.5 * h, STEP_MAX)
+                break
+            if k == CORRECTOR_STEPS:
+                h /= 2
+                break
+            zc = zc - np.linalg.solve(jac, f)
+    return z
+
+
+def _reference_solve(M, N, beta):
+    """(choice, roots) of each new solution set, tracking one subset at a time.
+
+    The subsets index the beta = 0 roots sorted by (real, imaginary) part, as
+    ``bethe_solve`` numbers them; at beta = -1 the N roots nearest 1, whose
+    path ends on the stationary set, are left out.
+    """
+    sgn = (-1) ** (N - 1)
 
     def canonical(z):
         return tuple(sorted(z, key=lambda w: (round(w.real, 10), round(w.imag, 10))))
 
+    free = np.array(canonical(np.exp(1j * np.pi * (2 * np.arange(M) + (N - 1) % 2) / M)))
+    stationary = tuple(sorted(np.argsort(np.abs(free - 1))[:N])) if beta == -1 else None
     found = []
     for subset in combinations(range(M), N):
-        y = 1.0 + 0j
-        chosen = [canonical(roots(y))[i] for i in subset]
-        for _ in range(MAX_ITER):
-            y_new = np.prod([1 + beta * z for z in chosen])
-            if abs(y_new) < 1e-11:
-                break
-            if abs(y_new - y) <= 1e-13:
-                z = canonical(_polish_one(chosen, M, N, beta))
-                w = np.array(z)
-                res = np.abs(w ** (-M) * (1 + beta * w) ** N - sgn * np.prod(1 + beta * w))
-                if max(res) <= RESIDUAL_TOL and not any(
-                        max(abs(a - b) for a, b in zip(z, other)) <= DEDUP_TOL
-                        for _, other in found):
-                    found.append((subset, z))
-                break
-            y = 0.5 * y + 0.5 * y_new
-            new = roots(y)
-            cols = linear_sum_assignment([[abs(c - r) for r in new] for c in chosen])[1]
-            chosen = [new[c] for c in cols]
+        if subset == stationary:
+            continue
+        end = _track_one(free[list(subset)], M, N, beta)
+        if end is None:
+            continue
+        z = canonical(_polish_one(end, M, N, beta))
+        w = np.array(z)
+        res = np.abs(w ** (-M) * (1 + beta * w) ** N - sgn * np.prod(1 + beta * w))
+        if max(res) <= RESIDUAL_TOL and all(abs(a - b) > DEDUP_TOL for a, b in combinations(z, 2)) \
+                and not any(max(abs(a - b) for a, b in zip(z, other)) <= DEDUP_TOL
+                            for _, other in found):
+            found.append((subset, z))
     return found
-
-
-def test_vectorised_matching_equals_linear_sum_assignment():
-    rng = np.random.default_rng(20130514)
-    S, N, M = 300, 4, 9
-    new = rng.normal(size=(S, M)) + 1j * rng.normal(size=(S, M))
-    chosen = new[:, :N] + 0.3 * (rng.normal(size=(S, N)) + 1j * rng.normal(size=(S, N)))
-    # in every other row two chosen roots sit beside the same new root
-    chosen[::2, 0] = new[::2, 0] - 1e-3
-    chosen[::2, 1] = new[::2, 0] + 1e-3j
-    cost = np.abs(chosen[:, :, None] - new[:, None, :])
-    nearest = np.sort(cost.argmin(axis=2), axis=1)
-    clashes = np.any(nearest[:, 1:] == nearest[:, :-1], axis=1)
-    assert clashes[::2].all() and clashes.sum() < S
-    got = _match(chosen, new)
-    for s in range(S):
-        assert np.array_equal(got[s], new[s][linear_sum_assignment(cost[s])[1]])
 
 
 def test_stacked_newton_polish_equals_row_by_row():
@@ -388,7 +426,10 @@ def test_bethe_solve_matches_per_subset_reference(M, N, beta):
         assert np.max(np.abs(np.array(s.roots) - np.array(z))) <= 1e-12
 
 
-def test_solver_failure_names_every_rejected_choice():
+def test_solver_failure_names_every_rejected_choice(monkeypatch):
+    # with the step floor above half the largest step, a path that has to
+    # halve a step stalls
+    monkeypatch.setattr(tasep, "STEP_MIN", 0.15)
     with pytest.raises(RuntimeError, match="^completeness failure") as info:
         bethe_solve(9, 4)
     head, *lines = str(info.value).splitlines()
@@ -396,55 +437,22 @@ def test_solver_failure_names_every_rejected_choice():
                              r"choices without a new solution set:", head).group(1))
     # the stationary set is inserted, so every other missing set is a named choice
     assert len(lines) == 126 - (found - 1)
-    reason = (r"no fixed point after 500 iterations, final \|dY\| \S+|residual \S+ above 1e-10"
-              r"|flowed to Y = 0 \(all roots at -1/beta\)|same solution set as choice \(.*\)"
-              r"|the stationary set \(all roots at 1\), inserted analytically")
+    reason = (r"stalled \(step below 0\.15\) at s = 0\.\d+"
+              r"|(residual \S+ above 1e-10|coincident roots|same solution set as choice \(.*\))"
+              r" at s = 1|the stationary set \(all roots at 1\), inserted analytically")
     assert all(re.fullmatch(rf"  \(\d(, \d)*\): ({reason})", line) for line in lines)
+    assert any("stalled" in line for line in lines)
     assert "  (5, 6, 7, 8): the stationary set (all roots at 1), inserted analytically" in lines
 
 
-@pytest.mark.parametrize("M, N", [(3, 1), (8, 4), (9, 8)])
-def test_stationary_bound_flow_is_retired_early(M, N, monkeypatch):
-    # the flow onto the stationary set is neutral at Y = 0 and would run to
-    # MAX_ITER (1 + 500 root calls); the choice is named before the flow starts
-    calls, flows = [], []
-
-    def counted(*args):
-        calls.append(args)
-        return _bethe_poly_roots(*args)
-
-    def recorded(M, N, beta, start, subsets):
-        flows.append((start, subsets))
-        return _flow(M, N, beta, start, subsets)
-
-    monkeypatch.setattr(tasep, "_bethe_poly_roots", counted)
-    monkeypatch.setattr(tasep, "_flow", recorded)
-    sols = bethe_solve(M, N)
-    assert len(calls) < 100
-    [(start, flowed)] = flows
-    stationary = _stationary_choice(start, N)
-    assert len(stationary) == N and stationary not in flowed
-    assert len(flowed) == comb(M, N) - 1
-    assert sum(s.stationary for s in sols) == 1
-
-
 def test_retirement_keeps_the_stationary_cluster_out(monkeypatch):
-    # flowed, the choice creeping onto Y = 0 meets the loose Y_TOL and Newton
-    # accepts the near-stationary cluster as a tenth set of nine
+    # tracked, the path onto the stationary set ends in a cluster at Y ~ 0
+    # that Newton accepts as a tenth set of nine
     monkeypatch.setattr(tasep, "_stationary_choice", lambda *_: None)
     with pytest.raises(RuntimeError, match=r"^over-count: 10 of 9 solution sets found; "
                                            r"surplus choices \(the sets nearest Y = 0\): "
                                            r"\(1, 2, 3, 4, 5, 6, 7, 8\) with \|Y\| \S+$"):
         bethe_solve(9, 8)
-
-
-@pytest.mark.parametrize("M, N", [(2, 1), (5, 2), (9, 8)])
-def test_newton_finish_onto_y_zero_gives_no_set(M, N):
-    # at beta = -2, Y = 0 attracts the flow, which meets the loose Y_TOL close
-    # to it; Newton then takes it on to all roots at -1/beta = 1/2
-    with pytest.raises(RuntimeError, match="^completeness failure") as info:
-        bethe_solve(M, N, -2.0)
-    assert "flowed to Y = 0 (all roots at -1/beta)" in str(info.value)
 
 
 def _matched_gap(a, b):
@@ -456,54 +464,35 @@ def _matched_gap(a, b):
     return cost[rows, cols].max()
 
 
-# the beta = -1 sectors where the flow misses sets (ROADMAP item 1's continuation)
-INCOMPLETE_AT_TASEP_POINT = {(9, 4), (9, 5), (10, 4), (10, 5), (10, 6), (11, 4), (11, 5),
-                             (11, 6), (11, 7), (12, 3), (12, 4), (12, 5), (12, 6), (12, 7),
-                             (12, 8), (12, 9)}
+def _check_energy_multisets(beta, M_max):
+    """Every sector with M <= M_max under the solver's cap is complete.
+
+    A complete solution list has binomial(M,N) sets, residuals <= 1e-10 and
+    the generator's spectrum as its energy multiset (alpha = -1/beta).
+    """
+    for M in range(2, M_max + 1):
+        for N in range(1, M):
+            if comb(M, N) > comb(12, 6):
+                continue
+            sols = _solve_once(M, N, beta)
+            assert len(sols) == comb(M, N), (M, N)
+            assert max(s.max_residual for s in sols) <= 1e-10, (M, N)
+            generator = np.array(hamiltonian(ModelParameters(alpha=-1 / F(beta), M=M),
+                                             N).data, dtype=float)
+            energies = np.array([[s.energy] for s in sols])
+            spectrum = np.linalg.eigvals(generator)[:, None]
+            assert _matched_gap(energies, spectrum) <= 1e-8, (M, N)
 
 
 @pytest.mark.parametrize("beta", [-1.0, -0.5])
 def test_energy_multisets_match_the_generator_over_the_solver_domain(beta):
-    # every sector under the solver's cap: a complete solution list has
-    # binomial(M,N) sets, residuals <= 1e-10 and the generator's spectrum as its
-    # energy multiset (alpha = -1/beta); at beta = -1 only the known incomplete
-    # sectors may raise, and they say so.  (12,10) at beta = -1 is complete: one
-    # of its choices used to stall at |dY| ~ 8e-13, the rounding floor of an
-    # absolute 1e-13 flow tolerance at |Y| ~ 3
-    incomplete = set()
-    for M in range(2, 13):
-        for N in range(1, M):
-            if comb(M, N) > comb(12, 6):
-                continue
-            try:
-                sols = _solve_once(M, N, beta)
-            except RuntimeError as exc:
-                assert str(exc).startswith("completeness failure"), (M, N)
-                incomplete.add((M, N))
-                continue
-            assert len(sols) == comb(M, N), (M, N)
-            assert max(s.max_residual for s in sols) <= 1e-10, (M, N)
-            if beta == -1.0:
-                generator = sector_generator(M, N)
-            else:
-                generator = np.array(hamiltonian(ModelParameters(alpha=-1 / F(beta), M=M),
-                                                 N).data, dtype=float)
-            energies = np.array([[s.energy] for s in sols])
-            spectrum = np.linalg.eigvals(generator)[:, None]
-            assert _matched_gap(energies, spectrum) <= 1e-8, (M, N)
-    assert incomplete <= (INCOMPLETE_AT_TASEP_POINT if beta == -1.0 else set())
+    _check_energy_multisets(beta, 12)
 
 
-@pytest.mark.parametrize("M, N, beta", [(10, 3, -1.0), (11, 8, -1.0),
-                                        (11, 8, -0.5), (10, 5, -0.5), (12, 6, -0.5)])
-def test_loose_flow_with_newton_matches_the_strict_flow(M, N, beta, monkeypatch):
-    loose = _solve_once(M, N, beta)
-    monkeypatch.setattr(tasep, "Y_TOL", 1e-13)
-    strict = bethe_solve(M, N, beta)
-    assert len(loose) == len(strict) == comb(M, N)
-    # the elementary symmetric functions of each set, which ignore root order
-    esf = [np.array([np.poly(s.roots) for s in sols]) for sols in (loose, strict)]
-    assert _matched_gap(*esf) <= 1e-12
+def test_energy_multisets_match_the_generator_at_beta_minus_three_halves():
+    # past the TASEP point; at M = 10..12 paths still jump onto each other in
+    # eight sectors, which raise a completeness failure
+    _check_energy_multisets(-1.5, 9)
 
 
 def test_spectrum_reused_for_the_same_solution_list():
