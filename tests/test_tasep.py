@@ -17,8 +17,9 @@ from fivevertex.partitions import ParticleConfiguration as PC
 from fivevertex.partitions import enumerate_box, partition_to_config
 from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval
 from fivevertex.tasep import (CORRECTOR_STEPS, CORRECTOR_TOL, DEDUP_TOL, GAMMA, RESIDUAL_TOL,
-                              STEP_MAX, STEP_MIN, GreenQuery, Spectrum, _newton_polish,
-                              _spectrum, bethe_solve,
+                              STEP_MAX, STEP_MIN, GreenQuery, Spectrum, _free_roots,
+                              _newton_polish, _spectrum, _stationary_choice, _track,
+                              bethe_solve,
                               current_terms, density_terms, expectation,
                               expectation_via_form_factors, form_factor_sum, green_function,
                               green_function_table, master_oracle, sector_generator,
@@ -445,6 +446,28 @@ def test_solver_failure_names_every_rejected_choice(monkeypatch):
     assert "  (5, 6, 7, 8): the stationary set (all roots at 1), inserted analytically" in lines
 
 
+@pytest.mark.parametrize("M, N", [(3, 1), (8, 4), (9, 8)])
+def test_stationary_bound_flow_is_retired_early(M, N, monkeypatch):
+    # the path onto the stationary set is never tracked: its subset, the N
+    # beta = 0 roots nearest 1, is named before tracking starts
+    tracked = []
+
+    def recorded(z, M, N, beta):
+        tracked.append(np.array(z))
+        return _track(z, M, N, beta)
+
+    monkeypatch.setattr(tasep, "_track", recorded)
+    sols = bethe_solve(M, N)
+    [rows] = tracked
+    start = _free_roots(M, N)
+    stationary = _stationary_choice(start, N)
+    assert len(stationary) == N and len(rows) == comb(M, N) - 1
+    assert not np.any(np.all(rows == start[list(stationary)], axis=1))
+    assert {s.choice_id for s in sols if not s.stationary} \
+        == set(combinations(range(M), N)) - {stationary}
+    assert sum(s.stationary for s in sols) == 1
+
+
 def test_retirement_keeps_the_stationary_cluster_out(monkeypatch):
     # tracked, the path onto the stationary set ends in a cluster at Y ~ 0
     # that Newton accepts as a tenth set of nine
@@ -493,6 +516,21 @@ def test_energy_multisets_match_the_generator_at_beta_minus_three_halves():
     # past the TASEP point; at M = 10..12 paths still jump onto each other in
     # eight sectors, which raise a completeness failure
     _check_energy_multisets(-1.5, 9)
+
+
+@pytest.mark.parametrize("M, N, beta", [(10, 3, -1.0), (11, 8, -1.0),
+                                        (11, 8, -0.5), (10, 5, -0.5), (12, 6, -0.5)])
+def test_loose_flow_with_newton_matches_the_strict_flow(M, N, beta, monkeypatch):
+    # the corrector's loose relative tolerance, finished by the Newton polish,
+    # gives the same sets as paths corrected a thousand times tighter
+    loose = _solve_once(M, N, beta)
+    monkeypatch.setattr(tasep, "CORRECTOR_TOL", CORRECTOR_TOL / 1000)
+    strict = bethe_solve(M, N, beta)
+    assert len(loose) == len(strict) == comb(M, N)
+    assert [s.choice_id for s in loose] == [s.choice_id for s in strict]
+    # the elementary symmetric functions of each set, which ignore root order
+    esf = [np.array([np.poly(s.roots) for s in sols]) for sols in (loose, strict)]
+    assert _matched_gap(*esf) <= 1e-12
 
 
 def test_spectrum_reused_for_the_same_solution_list():
