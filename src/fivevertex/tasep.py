@@ -32,15 +32,17 @@ All paths advance together, each with its own step: an Euler predictor, then
 at most ``CORRECTOR_STEPS`` stacked Newton steps, accepted at
 max|F| <= ``CORRECTOR_TOL`` (1 + max|z^M Y|).  ``choice_id`` is the subset,
 as indices into the beta = 0 roots in ``_canonical`` order.  Newton on the
-Bethe equations finishes every path that reached s = 1, and the sets are
-validated against the per-root residual target, checked for coincident
-roots and deduplicated.  At beta = -1 the subset of the N beta = 0 roots
-nearest 1, whose path ends on the stationary set, is not tracked: that set
-is inserted analytically.  ``beta`` generalizes the equations to
-(1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j), as needed by the
-orthogonality relation (beta = -1 is the TASEP point).  A sector that gives
-fewer or more than binomial(M,N) sets raises, naming every subset without a
-new set and why; so does one past the binomial(12,6) cap, or N outside 1..M-1.
+Bethe equations finishes every path that reached s = 1, stopping once a
+row's step is within a few ulps of its roots (one or two steps).  Residuals,
+Y, energies and coincident roots are checked on all endpoints at once; only
+the search for an already-kept set runs subset by subset.  At beta = -1 the
+subset of the N beta = 0 roots nearest 1, whose path ends on the stationary
+set, is not tracked: that set is inserted analytically.  ``beta``
+generalizes the equations to (1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j),
+as needed by the orthogonality relation (beta = -1 is the TASEP point).  A
+sector that gives fewer or more than binomial(M,N) sets raises, naming every
+subset without a new set and why; so does one past the binomial(12,6) cap,
+or N outside 1..M-1.
 """
 
 from __future__ import annotations
@@ -142,13 +144,15 @@ class SectorState:
         return self.amplitudes[self.basis.index(pos)]
 
 
-def _canonical(roots):
-    return tuple(sorted(roots, key=lambda z: (round(z.real, 10), round(z.imag, 10))))
+def _canonical(z):
+    """Each row of z sorted by (real, imaginary) part rounded to 10 decimals, ties kept in order."""
+    order = np.lexsort((np.round(z.imag, 10), np.round(z.real, 10)), axis=-1)
+    return np.take_along_axis(z, order, axis=-1)
 
 
 def _free_roots(M, N):
     """The beta = 0 roots, z^M = (-1)^(N-1), in canonical order."""
-    return np.array(_canonical(np.exp(1j * np.pi * (2 * np.arange(M) + (N - 1) % 2) / M)))
+    return _canonical(np.exp(1j * np.pi * (2 * np.arange(M) + (N - 1) % 2) / M))
 
 
 def _abs(z):
@@ -186,9 +190,9 @@ def _bethe_jacobian(z, M, N, beta):
     pf = 1 + beta * z
     Y = np.prod(pf, axis=1)[:, None]
     zM = sgn * z ** M
-    # prod_{j != l} (1 + beta z_j); a C-ordered copy keeps the product in the
-    # scalar reduction order
-    cofactor = np.stack([np.prod(np.delete(pf, l, axis=1), axis=1) for l in range(N)], axis=1)
+    # prod_{j != l} (1 + beta z_j): pf with its own factor set to 1, multiplied
+    # in the scalar reduction order
+    cofactor = np.prod(np.where(np.eye(N, dtype=bool), 1, pf[:, None, :]), axis=2)
     diag = np.arange(N)
     jac = np.zeros((len(z), N, N), dtype=complex)
     jac[:, diag, diag] = N * beta * pf ** (N - 1) - sgn * M * z ** (M - 1) * Y
@@ -201,7 +205,8 @@ def _newton_polish(z, M, N, beta):
     """Newton on the Bethe equations for each row of z (S, N), one stacked solve per step.
 
     A row stops once its own max|f| < 1e-15, when its Jacobian is singular,
-    or after 40 steps.
+    once the step it has just taken is within a few ulps of its roots,
+    max|step| <= 4 eps max|z|, or after 40 steps.
     """
     z = np.array(z, dtype=complex)
     live = np.arange(len(z))
@@ -212,23 +217,19 @@ def _newton_polish(z, M, N, beta):
         if not len(live):
             break
         step = _solve_rows(_bethe_jacobian(z[live], M, N, beta)[0], f_val)
-        singular = np.isnan(step).any(axis=1)
-        z[live[~singular]] -= step[~singular]
-        live = live[~singular]
+        regular = ~np.isnan(step).any(axis=1)
+        live, step = live[regular], step[regular]
+        z[live] -= step
+        floor = 4 * np.finfo(float).eps * np.max(np.abs(z[live]), axis=1)
+        live = live[~(np.max(np.abs(step), axis=1) <= floor)]
     return z
 
 
-def _residuals(z, M, N, beta):
-    """Per-root residuals of z^-M (1+beta z)^N - (-1)^(N-1) prod(1+beta z)."""
-    z = np.asarray(z, dtype=complex)
-    Y = np.prod(1 + beta * z)
-    return tuple(np.abs(z ** (-M) * (1 + beta * z) ** N - (-1) ** (N - 1) * Y))
-
-
-def _energy(z, beta):
-    """-N + alpha sum 1/z_j with alpha = -1/beta (logarithmic transfer derivative)."""
-    alpha = -1 / beta
-    return complex(-len(z) + alpha * sum(1 / zj for zj in z))
+def _root_residuals(z, M, N, beta):
+    """Per-root residuals |z^-M (1+beta z)^N - (-1)^(N-1) Y| and Y = prod(1+beta z), by row."""
+    pf = 1 + beta * z
+    Y = np.prod(pf, axis=1)
+    return np.abs(z ** (-M) * pf ** N - (-1) ** (N - 1) * Y[:, None]), Y
 
 
 def _stationary_choice(start, N):
@@ -303,44 +304,48 @@ def bethe_solve(M: int, N: int, beta=-1.0):
     start = _free_roots(M, N)
     if abs(beta) < 1e-15:
         # all N-subsets solve the equations with Y = 1
-        sols = []
-        for subset in subsets:
-            z = tuple(start[list(subset)])
-            sols.append(BetheSolution(z, 1.0 + 0j, None, _residuals(z, M, N, beta), subset))
-        return sols
+        z = start[np.array(subsets)]
+        res = _root_residuals(z, M, N, beta)[0]
+        return [BetheSolution(tuple(row), 1.0 + 0j, None, tuple(r), subset)
+                for row, r, subset in zip(z, res, subsets)]
     tasep_point = abs(beta + 1) < 1e-15
     stationary = _stationary_choice(start, N) if tasep_point else None
     tracked = [subset for subset in subsets if subset != stationary]
-    ends, reached = _track(start[np.array(tracked)], M, N, beta)
-    ends[reached == 1] = _newton_polish(ends[reached == 1], M, N, beta)
-    paths = iter(zip(ends, reached))
+    z, reached = _track(start[np.array(tracked)], M, N, beta)
+    z[reached == 1] = _newton_polish(z[reached == 1], M, N, beta)
+    # every test but the twin search, on all endpoints at once
+    z = _canonical(z)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        res, Y = _root_residuals(z, M, N, beta)
+        # -N + alpha sum_j 1/z_j, summed column by column as the scalar sum
+        alpha = -1 / beta
+        energy = -N + alpha * sum(1 / z.T)
+    worst = np.max(res, axis=1)
+    j, k = np.triu_indices(N, 1)
+    coincident = np.any(_abs(z[:, j] - z[:, k]) <= DEDUP_TOL, axis=1)
     solutions = []
     kept = np.empty((len(subsets), N), dtype=complex)  # roots of solutions, row by row
     rejected = []  # (subset, reason) for every subset that gave no new solution set
-    for subset in subsets:
-        if subset == stationary:
-            rejected.append((subset, "the stationary set (all roots at 1), inserted analytically"))
+    if tasep_point:
+        rejected.append((stationary, "the stationary set (all roots at 1), inserted analytically"))
+    for r, subset in enumerate(tracked):
+        if reached[r] < 1:
+            rejected.append((subset, f"stalled (step below {STEP_MIN:g}) at s = {reached[r]:.6g}"))
             continue
-        z, s = next(paths)
-        if s < 1:
-            rejected.append((subset, f"stalled (step below {STEP_MIN:g}) at s = {s:.6g}"))
+        if not worst[r] <= RESIDUAL_TOL:
+            rejected.append((subset, f"residual {worst[r]:.3g} above {RESIDUAL_TOL:g} at s = 1"))
             continue
-        z = _canonical(z)
-        res = _residuals(z, M, N, beta)
-        if max(res) > RESIDUAL_TOL:
-            rejected.append((subset, f"residual {max(res):.3g} above {RESIDUAL_TOL:g} at s = 1"))
-            continue
-        if any(abs(z[j] - z[k]) <= DEDUP_TOL for j in range(N) for k in range(j + 1, N)):
+        if coincident[r]:
             rejected.append((subset, "coincident roots at s = 1"))
             continue
-        twins = np.flatnonzero(_abs(kept[:len(solutions)] - z).max(axis=1) <= DEDUP_TOL)
+        twins = np.flatnonzero(_abs(kept[:len(solutions)] - z[r]).max(axis=1) <= DEDUP_TOL)
         if len(twins):
             rejected.append((subset, f"same solution set as choice "
                                      f"{solutions[twins[0]].choice_id} at s = 1"))
             continue
-        kept[len(solutions)] = z
-        solutions.append(BetheSolution(z, complex(np.prod(1 + beta * np.array(z))),
-                                       _energy(z, beta), res, subset))
+        kept[len(solutions)] = z[r]
+        solutions.append(BetheSolution(tuple(z[r]), complex(Y[r]), complex(energy[r]),
+                                       tuple(res[r]), subset))
     if tasep_point:
         solutions.append(BetheSolution((1.0 + 0j,) * N, 0j, 0j, (0.0,) * N,
                                        None, stationary=True))
@@ -357,7 +362,7 @@ def bethe_solve(M: int, N: int, beta=-1.0):
         raise RuntimeError("\n".join(
             [f"completeness failure: {len(solutions)} of {expected} solution sets found; "
              f"choices without a new solution set:"]
-            + [f"  {subset}: {why}" for subset, why in rejected]))
+            + [f"  {subset}: {why}" for subset, why in sorted(rejected)]))
     return solutions
 
 

@@ -323,8 +323,11 @@ def _polish_one(z, M, N, beta, iters=40):
             partial = beta * np.prod(np.delete(pf, l))
             jac[:, l] -= sgn * z ** M * partial
         try:
-            z = z - np.linalg.solve(jac, f)
+            step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
+            break
+        z = z - step
+        if np.max(np.abs(step)) <= 4 * np.finfo(float).eps * np.max(np.abs(z)):
             break
     return z
 
@@ -417,6 +420,24 @@ def test_stacked_newton_polish_equals_row_by_row():
     assert np.all(np.abs(got[moved] - z[moved]).max(axis=1) > 1e-6)
 
 
+@pytest.mark.parametrize("M, N", [(6, 3), (9, 4), (12, 6)])
+def test_newton_polish_stops_at_the_rounding_floor(M, N, monkeypatch):
+    # a row retires once its step is within a few ulps of its roots, so the
+    # polish after tracking takes a few sweeps, one Jacobian each, not 40
+    ends = []
+    monkeypatch.setattr(tasep, "_newton_polish",
+                        lambda z, *args: ends.append(np.array(z)) or _newton_polish(z, *args))
+    bethe_solve(M, N)
+    sweeps = []
+    jacobian = tasep._bethe_jacobian
+    monkeypatch.setattr(tasep, "_bethe_jacobian",
+                        lambda z, *args: sweeps.append(len(z)) or jacobian(z, *args))
+    [z] = ends
+    _newton_polish(z, M, N, -1.0 + 0j)
+    assert len(z) == comb(M, N) - 1
+    assert 1 <= len(sweeps) <= 4
+
+
 @pytest.mark.parametrize("beta", [-1.0, -0.5])
 @pytest.mark.parametrize("M, N", [(3, 1), (4, 2), (6, 3), (8, 4), (9, 6), (9, 8)])
 def test_bethe_solve_matches_per_subset_reference(M, N, beta):
@@ -444,6 +465,29 @@ def test_solver_failure_names_every_rejected_choice(monkeypatch):
     assert all(re.fullmatch(rf"  \(\d(, \d)*\): ({reason})", line) for line in lines)
     assert any("stalled" in line for line in lines)
     assert "  (5, 6, 7, 8): the stationary set (all roots at 1), inserted analytically" in lines
+
+
+def test_each_rejection_reason_reaches_the_report(monkeypatch):
+    # crafted endpoints, all at s = 1: row 3 repeats row 0's set, row 5 has
+    # every root at 1, and row 9, (1, 1, 1/2), has a singular Jacobian at f != 0
+    def crafted(z, M, N, beta):
+        ends = _track(z, M, N, beta)[0]
+        ends[3] = ends[0]
+        ends[5] = 1
+        ends[9] = (1, 1, 0.5)
+        return ends, np.ones(len(ends))
+
+    monkeypatch.setattr(tasep, "_track", crafted)
+    with pytest.raises(RuntimeError) as info:
+        bethe_solve(7, 3)
+    assert str(info.value).splitlines() == [
+        "completeness failure: 32 of 35 solution sets found; "
+        "choices without a new solution set:",
+        "  (0, 1, 5): same solution set as choice (0, 1, 2) at s = 1",
+        "  (0, 2, 3): coincident roots at s = 1",
+        "  (0, 3, 4): residual 16 above 1e-10 at s = 1",
+        "  (4, 5, 6): the stationary set (all roots at 1), inserted analytically",
+    ]
 
 
 @pytest.mark.parametrize("M, N", [(3, 1), (8, 4), (9, 8)])
