@@ -29,7 +29,7 @@ import numpy as np
 from .identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs,
                          grothendieck_sum_check, orthogonality_matrix)
 from .partitions import ParticleConfiguration, config_to_partition, enumerate_box
-from .sampling import distinct_square_fractions, norm_safe_draw, rand_fraction, spectral_draw
+from .sampling import distinct_square_fractions, norm_safe_draw, rand_fraction
 from .scalarprod import (IntermediateSpec, domain_wall_value, intermediate_scalar_det,
                          norm_det, recursion_check, scalar_product_det)
 from .sector import (ModelParameters, bethe_state, build_monodromy_element, commutation_checks,
@@ -112,8 +112,8 @@ def criterion_3_wavefunctions(seed: int = 103) -> dict:
         for N in range(1, min(3, M) + 1):
             for _ in range(10):
                 alpha = rand_fraction(rng)
-                v = spectral_draw(rng, N, alpha)
-                u = spectral_draw(rng, N, alpha)
+                v = distinct_square_fractions(rng, N, avoid_squares=[1 / alpha])
+                u = distinct_square_fractions(rng, N, avoid_squares=[1 / alpha])
                 params = ModelParameters(alpha=alpha, M=M)
                 ket = bethe_state(v, params)
                 bra = dual_bethe_state(u, params)
@@ -322,8 +322,8 @@ def criterion_6_summation(seed: int = 106) -> dict:
     for M in range(2, 7):
         for N in range(1, min(3, M) + 1):
             alpha = rand_fraction(rng)
-            v = spectral_draw(rng, N, alpha)
-            u = spectral_draw(rng, N, alpha)
+            v = distinct_square_fractions(rng, N, avoid_squares=[1 / alpha])
+            u = distinct_square_fractions(rng, N, avoid_squares=[1 / alpha])
             enum_wave = 0
             enum_dual = 0
             for x in combinations(range(1, M + 1), N):

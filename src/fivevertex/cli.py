@@ -16,6 +16,13 @@ The seeded checks ``vertex rll-check|ybe-check``, ``scalar check`` and
 
 Exit codes: 0 success, 2 identity-check failure, 1 usage error.
 
+The parser is one table, built once per process, in which every leaf
+command names its handler.  A handler takes the parsed arguments, returns
+its exit code and JSON payload (None when it prints its own output, as
+``tasep relax`` does) and refuses bad input by raising ``ValueError``.
+``run`` alone dispatches to it, turns a refusal into one ``error: ...`` line,
+adds ``--timing``'s elapsed_ms and prints the payload.
+
 Exact rationals serialize as "p/q" strings, complex numbers as [re, im]
 pairs.
 """
@@ -28,6 +35,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from math import comb
 from random import Random
 
@@ -96,25 +104,25 @@ def _parse_int_list(text: str):
     return [int(part) for part in text.split(",") if part]
 
 
-def _emit(command, inputs, result, provenance, t0, timing, extra=None):
-    payload = {"command": command, "inputs": _jsonable(inputs), "result": _jsonable(result),
-               "provenance": provenance}
-    if extra:
-        payload.update(_jsonable(extra))
-    if timing:
-        payload["elapsed_ms"] = int((time.time() - t0) * 1000)
-    print(json.dumps(payload))
-
-
-def _build_parser() -> _Parser:
+@cache
+def _parser() -> _Parser:
+    """The command table, built once per process; each leaf sets its ``handler``."""
     parser = _Parser(prog="fivevertex",
                      description="Five-vertex model / Grothendieck / TASEP engine")
     parser.add_argument("--timing", action="store_true", help="include elapsed_ms in output")
     sub = parser.add_subparsers(dest="command", required=True)
+    sector = argparse.ArgumentParser(add_help=False)
+    sector.add_argument("--M", type=int, required=True)
+    sector.add_argument("--N", type=int, required=True)
+
+    def leaf(group, name, handler, *parents):
+        cmd = group.add_parser(name, parents=list(parents))
+        cmd.set_defaults(handler=handler)
+        return cmd
 
     groth = sub.add_parser("groth", help="symmetric-function evaluation").add_subparsers(
         dest="action", required=True)
-    g_eval = groth.add_parser("eval")
+    g_eval = leaf(groth, "eval", _groth_eval)
     g_eval.add_argument("--lam", type=_parse_int_list, required=True)
     g_eval.add_argument("--z", type=_parse_fraction_list, required=True)
     g_eval.add_argument("--beta", type=_parse_fraction, default=Fraction(0))
@@ -124,23 +132,23 @@ def _build_parser() -> _Parser:
     vertex = sub.add_parser("vertex", help="integrability checks").add_subparsers(
         dest="action", required=True)
     for name in ("rll-check", "ybe-check"):
-        v_cmd = vertex.add_parser(name)
+        v_cmd = leaf(vertex, name, _vertex_relation)
         v_cmd.add_argument("--seed", type=int, default=1)
         v_cmd.add_argument("--draws", type=int, default=10)
-    v_comm = vertex.add_parser("commutation-check")
+    v_comm = leaf(vertex, "commutation-check", _vertex_commutation)
     v_comm.add_argument("--M", type=int, default=4)
     v_comm.add_argument("--seed", type=int, default=1)
 
     scalar = sub.add_parser("scalar", help="scalar-product invariants").add_subparsers(
         dest="action", required=True)
-    s_check = scalar.add_parser("check")
+    s_check = leaf(scalar, "check", _scalar_check)
     s_check.add_argument("--seed", type=int, default=1)
     s_check.add_argument("--M", type=int, default=4)
     s_check.add_argument("--N", type=int, default=2)
 
     wave = sub.add_parser("wavefunction", help="overlap evaluation").add_subparsers(
         dest="action", required=True)
-    w_eval = wave.add_parser("eval")
+    w_eval = leaf(wave, "eval", _wavefunction_eval)
     w_eval.add_argument("--config", type=_parse_int_list, required=True)
     w_eval.add_argument("--params", type=_parse_fraction_list, required=True)
     w_eval.add_argument("--alpha", type=_parse_fraction, required=True)
@@ -149,42 +157,28 @@ def _build_parser() -> _Parser:
 
     ident = sub.add_parser("identity", help="identity checks").add_subparsers(
         dest="action", required=True)
-    i_cauchy = ident.add_parser("cauchy")
-    i_cauchy.add_argument("--M", type=int, required=True)
-    i_cauchy.add_argument("--N", type=int, required=True)
+    i_cauchy = leaf(ident, "cauchy", _identity_cauchy, sector)
     i_cauchy.add_argument("--beta", type=_parse_fraction, default=None)
     i_cauchy.add_argument("--seed", type=int, default=1)
-    i_orth = ident.add_parser("orthogonality")
-    i_orth.add_argument("--M", type=int, required=True)
-    i_orth.add_argument("--N", type=int, required=True)
+    i_orth = leaf(ident, "orthogonality", _identity_orthogonality, sector)
     i_orth.add_argument("--beta", type=float, default=-1.0)
     i_orth.add_argument("--seed", type=int, default=1)
-    i_sum = ident.add_parser("sum")
-    i_sum.add_argument("--M", type=int, required=True)
-    i_sum.add_argument("--N", type=int, required=True)
+    i_sum = leaf(ident, "sum", _identity_sum, sector)
     i_sum.add_argument("--beta", type=_parse_fraction, default=None)
     i_sum.add_argument("--seed", type=int, default=1)
 
     tasep = sub.add_parser("tasep", help="TASEP dynamics").add_subparsers(
         dest="action", required=True)
-    t_bethe = tasep.add_parser("bethe")
-    t_bethe.add_argument("--M", type=int, required=True)
-    t_bethe.add_argument("--N", type=int, required=True)
+    t_bethe = leaf(tasep, "bethe", _tasep_bethe, sector)
     t_bethe.add_argument("--beta", type=float, default=-1.0)
-    t_green = tasep.add_parser("green")
-    t_green.add_argument("--M", type=int, required=True)
-    t_green.add_argument("--N", type=int, required=True)
+    t_green = leaf(tasep, "green", _tasep_green, sector)
     t_green.add_argument("--from", dest="initial", type=_parse_int_list, required=True)
     t_green.add_argument("--to", dest="final", type=_parse_int_list, required=True)
     t_green.add_argument("--t", type=float, required=True)
-    t_oracle = tasep.add_parser("oracle")
-    t_oracle.add_argument("--M", type=int, required=True)
-    t_oracle.add_argument("--N", type=int, required=True)
+    t_oracle = leaf(tasep, "oracle", _tasep_oracle, sector)
     t_oracle.add_argument("--from", dest="initial", type=_parse_int_list, required=True)
     t_oracle.add_argument("--t", type=float, required=True)
-    t_relax = tasep.add_parser("relax")
-    t_relax.add_argument("--M", type=int, required=True)
-    t_relax.add_argument("--N", type=int, required=True)
+    t_relax = leaf(tasep, "relax", _tasep_relax, sector)
     t_relax.add_argument("--from", dest="initial", type=_parse_int_list, required=True)
     t_relax.add_argument("--observable", required=True,
                          help="density:<site> or current:<site>")
@@ -192,30 +186,33 @@ def _build_parser() -> _Parser:
                          help="start:stop:step")
 
     verify = sub.add_parser("verify-all", help="run the acceptance suite")
+    verify.set_defaults(handler=_verify_all)
     verify.add_argument("--level", default="desk", choices=["desk"])
     return parser
 
 
-def _cmd_groth(args, t0, timing) -> int:
+def _groth_eval(args):
     fn = {"grothendieck": lambda: grothendieck_eval(args.lam, args.z, args.beta),
           "dual": lambda: dual_grothendieck_eval(args.lam, args.z, args.beta),
           "schur": lambda: schur_eval(args.lam, args.z)}[args.kind]
     lam = Partition(tuple(args.lam), (max(args.lam or [0]), len(args.lam)))
-    _emit("groth eval",
-          {"lam": args.lam, "z": args.z, "beta": args.beta, "kind": args.kind},
-          fn(), "determinant", t0, timing, extra={"partition": lam.text()})
-    return 0
+    return 0, {"command": "groth eval",
+               "inputs": {"lam": args.lam, "z": args.z, "beta": args.beta, "kind": args.kind},
+               "result": fn(), "provenance": "determinant", "partition": lam.text()}
 
 
-def _cmd_vertex(args, t0, timing) -> int:
+def _vertex_relation(args):
     rng = Random(args.seed)
-    if args.action in ("rll-check", "ybe-check"):
-        relation = args.action.split("-")[0]
-        cases = [acceptance.integrability_case(rng) for _ in range(args.draws)]
-        passed = all(case[relation] and case["rtilde"] for case in cases)
-        _emit(f"vertex {args.action}", {"seed": args.seed, "draws": args.draws},
-              {"passed": passed}, "determinant", t0, timing)
-        return 0 if passed else 2
+    relation = args.action.split("-")[0]
+    cases = [acceptance.integrability_case(rng) for _ in range(args.draws)]
+    passed = all(case[relation] and case["rtilde"] for case in cases)
+    return (0 if passed else 2), {
+        "command": f"vertex {args.action}", "inputs": {"seed": args.seed, "draws": args.draws},
+        "result": {"passed": passed}, "provenance": "determinant"}
+
+
+def _vertex_commutation(args):
+    rng = Random(args.seed)
     u, v = distinct_square_fractions(rng, 2)
     alpha = rand_fraction(rng)
     params = ModelParameters(alpha=alpha, M=args.M)
@@ -227,58 +224,60 @@ def _cmd_vertex(args, t0, timing) -> int:
         checks["tau"] = t_u * t_v == t_v * t_u
         detail[f"sector {n}"] = checks
         passed = passed and all(checks.values())
-    _emit("vertex commutation-check", {"M": args.M, "seed": args.seed},
-          {"passed": passed, "relations": detail}, "oracle", t0, timing)
-    return 0 if passed else 2
+    return (0 if passed else 2), {
+        "command": "vertex commutation-check", "inputs": {"M": args.M, "seed": args.seed},
+        "result": {"passed": passed, "relations": detail}, "provenance": "oracle"}
 
 
-def _cmd_scalar(args, t0, timing) -> int:
+def _scalar_check(args):
     M, N = args.M, args.N
     if M < 2 or not 1 <= N <= M:
         # the w-swap check exchanges two sites
-        print("error: need M >= 2 and 1 <= N <= M", file=sys.stderr)
-        return 1
+        raise ValueError("need M >= 2 and 1 <= N <= M")
     checks = acceptance.scalar_product_case(Random(args.seed), M, N)["checks"]
     passed = all(checks.values())
-    _emit("scalar check", {"seed": args.seed, "M": M, "N": N},
-          {"passed": passed, "checks": checks}, "determinant", t0, timing)
-    return 0 if passed else 2
+    return (0 if passed else 2), {
+        "command": "scalar check", "inputs": {"seed": args.seed, "M": M, "N": N},
+        "result": {"passed": passed, "checks": checks}, "provenance": "determinant"}
 
 
-def _cmd_wavefunction(args, t0, timing) -> int:
+def _wavefunction_eval(args):
     fn = dual_wavefunction_det if args.dual else wavefunction_det
     value = fn(tuple(args.config), args.params, args.alpha, args.M)
-    _emit("wavefunction eval",
-          {"config": args.config, "params": args.params, "alpha": args.alpha,
-           "M": args.M, "dual": args.dual},
-          value, "determinant", t0, timing)
-    return 0
+    return 0, {"command": "wavefunction eval",
+               "inputs": {"config": args.config, "params": args.params, "alpha": args.alpha,
+                          "M": args.M, "dual": args.dual},
+               "result": value, "provenance": "determinant"}
 
 
-def _cmd_identity(args, t0, timing) -> int:
-    rng = Random(args.seed)
-    M, N = args.M, args.N
-    if args.action == "cauchy":
-        case = acceptance.cauchy_case(rng, M, N, args.beta)
-        _emit("identity cauchy", {"M": M, "N": N, "seed": args.seed,
-                                  "z": case["z"], "y": case["y"], "beta": case["beta"]},
-              {"equal": case["equal"]}, "determinant", t0, timing)
-        return 0 if case["equal"] else 2
-    if args.action == "orthogonality":
-        sols = bethe_solve(M, N, beta=args.beta)
-        gram = orthogonality_matrix(M, N, args.beta, sols)
-        worst = float(np.max(np.abs(gram - np.eye(len(gram)))))
-        passed = worst <= 1e-8
-        _emit("identity orthogonality",
-              {"M": M, "N": N, "beta": args.beta, "seed": args.seed},
-              {"passed": passed, "max_deviation": worst, "solution_sets": len(sols)},
-              "determinant", t0, timing)
-        return 0 if passed else 2
-    case = acceptance.summation_case(rng, M, N, args.beta)
-    _emit("identity sum", {"M": M, "N": N, "beta": case["beta"], "seed": args.seed,
-                           "z": case["z"]},
-          {"primal": case["primal"], "dual": case["dual"]}, "determinant", t0, timing)
-    return 0 if case["primal"] and case["dual"] else 2
+def _identity_cauchy(args):
+    case = acceptance.cauchy_case(Random(args.seed), args.M, args.N, args.beta)
+    return (0 if case["equal"] else 2), {
+        "command": "identity cauchy",
+        "inputs": {"M": args.M, "N": args.N, "seed": args.seed, "z": case["z"], "y": case["y"],
+                   "beta": case["beta"]},
+        "result": {"equal": case["equal"]}, "provenance": "determinant"}
+
+
+def _identity_orthogonality(args):
+    sols = bethe_solve(args.M, args.N, beta=args.beta)
+    gram = orthogonality_matrix(args.M, args.N, args.beta, sols)
+    worst = float(np.max(np.abs(gram - np.eye(len(gram)))))
+    passed = worst <= 1e-8
+    return (0 if passed else 2), {
+        "command": "identity orthogonality",
+        "inputs": {"M": args.M, "N": args.N, "beta": args.beta, "seed": args.seed},
+        "result": {"passed": passed, "max_deviation": worst, "solution_sets": len(sols)},
+        "provenance": "determinant"}
+
+
+def _identity_sum(args):
+    case = acceptance.summation_case(Random(args.seed), args.M, args.N, args.beta)
+    return (0 if case["primal"] and case["dual"] else 2), {
+        "command": "identity sum",
+        "inputs": {"M": args.M, "N": args.N, "beta": case["beta"], "seed": args.seed,
+                   "z": case["z"]},
+        "result": {"primal": case["primal"], "dual": case["dual"]}, "provenance": "determinant"}
 
 
 def _configuration(positions, M, N) -> ParticleConfiguration:
@@ -288,50 +287,53 @@ def _configuration(positions, M, N) -> ParticleConfiguration:
     return ParticleConfiguration(tuple(positions), M)
 
 
-def _cmd_tasep(args, t0, timing) -> int:
-    if args.action == "bethe":
-        sols = bethe_solve(args.M, args.N, beta=args.beta)
-        payload = [{"roots": list(s.roots), "Y": s.Y, "energy": s.energy,
-                    "residuals": list(s.residuals), "choice_id": s.choice_id,
-                    "stationary": s.stationary} for s in sols]
-        _emit("tasep bethe", {"M": args.M, "N": args.N, "beta": args.beta},
-              {"solutions": payload, "count": len(sols), "expected": comb(args.M, args.N)},
-              "determinant", t0, timing)
-        return 0
-    if args.action == "green":
-        query = GreenQuery(_configuration(args.initial, args.M, args.N),
-                           _configuration(args.final, args.M, args.N), args.t)
-        value = green_function(query)
-        _emit("tasep green", {"M": args.M, "N": args.N, "from": args.initial,
-                              "to": args.final, "t": args.t},
-              value, "determinant", t0, timing)
-        return 0
-    if args.action == "oracle":
-        state = master_oracle(_configuration(args.initial, args.M, args.N), args.t)
-        _emit("tasep oracle", {"M": args.M, "N": args.N, "from": args.initial, "t": args.t},
-              {"basis": [list(c) for c in state.basis], "amplitudes": state.amplitudes},
-              "oracle", t0, timing)
-        return 0
-    # relax: CSV time series
+def _tasep_bethe(args):
+    sols = bethe_solve(args.M, args.N, beta=args.beta)
+    solutions = [{"roots": list(s.roots), "Y": s.Y, "energy": s.energy,
+                  "residuals": list(s.residuals), "choice_id": s.choice_id,
+                  "stationary": s.stationary} for s in sols]
+    return 0, {"command": "tasep bethe",
+               "inputs": {"M": args.M, "N": args.N, "beta": args.beta},
+               "result": {"solutions": solutions, "count": len(sols),
+                          "expected": comb(args.M, args.N)},
+               "provenance": "determinant"}
+
+
+def _tasep_green(args):
+    query = GreenQuery(_configuration(args.initial, args.M, args.N),
+                       _configuration(args.final, args.M, args.N), args.t)
+    return 0, {"command": "tasep green",
+               "inputs": {"M": args.M, "N": args.N, "from": args.initial, "to": args.final,
+                          "t": args.t},
+               "result": green_function(query), "provenance": "determinant"}
+
+
+def _tasep_oracle(args):
+    state = master_oracle(_configuration(args.initial, args.M, args.N), args.t)
+    return 0, {"command": "tasep oracle",
+               "inputs": {"M": args.M, "N": args.N, "from": args.initial, "t": args.t},
+               "result": {"basis": [list(c) for c in state.basis],
+                          "amplitudes": state.amplitudes},
+               "provenance": "oracle"}
+
+
+def _tasep_relax(args):
+    """Print the observable's time series as CSV."""
     kind, _, site_text = args.observable.partition(":")
     site = int(site_text) if site_text else 1
     if kind not in ("density", "current"):
-        print(f"error: unknown observable {args.observable!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown observable {args.observable!r}")
     if not 1 <= site <= args.M:
-        print(f"error: observable site {site} outside 1..{args.M}", file=sys.stderr)
-        return 1
+        raise ValueError(f"observable site {site} outside 1..{args.M}")
     terms = density_terms(site) if kind == "density" else current_terms(site)
     try:
         start, stop, step = (float(part) for part in args.t_grid.split(":"))
     except ValueError:
-        print(f"error: bad t-grid {args.t_grid!r}, expected start:stop:step", file=sys.stderr)
-        return 1
+        raise ValueError(f"bad t-grid {args.t_grid!r}, expected start:stop:step") from None
     if not (np.isfinite([start, stop, step]).all() and start >= 0 and step > 0):
         # any of these would never end the grid, or evaluate negative times
-        print(f"error: bad t-grid {args.t_grid!r}, need finite values, start >= 0 "
-              f"and step > 0", file=sys.stderr)
-        return 1
+        raise ValueError(f"bad t-grid {args.t_grid!r}, need finite values, start >= 0 "
+                         f"and step > 0")
     x0 = _configuration(args.initial, args.M, args.N)
     spec = Spectrum(bethe_solve(args.M, args.N), args.M, args.N)
     a, a0 = spec.form_factors(terms)  # t-independent, so built once for the grid
@@ -341,46 +343,36 @@ def _cmd_tasep(args, t0, timing) -> int:
     while (t := start + k * step) <= stop + 1e-12:
         print(f"{t},{spec.evolve(a, a0, lam, t)}")
         k += 1
-    return 0
+    return 0, None
 
 
-def _cmd_verify_all(args, t0, timing) -> int:
+def _verify_all(args):
     results = acceptance.run_all()
     passed = all(r["passed"] for r in results)
-    if not timing:
+    if not args.timing:
         results = [{k: v for k, v in r.items() if k != "elapsed_s"} for r in results]
-    _emit("verify-all", {"level": args.level},
-          {"passed": passed, "criteria": results}, "determinant", t0, timing)
-    return 0 if passed else 2
+    return (0 if passed else 2), {
+        "command": "verify-all", "inputs": {"level": args.level},
+        "result": {"passed": passed, "criteria": results}, "provenance": "determinant"}
 
 
 def run(argv) -> int:
     """Entry point; returns the process exit code."""
     t0 = time.time()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    timing = args.timing
     try:
-        if args.command == "groth":
-            return _cmd_groth(args, t0, timing)
-        if args.command == "vertex":
-            return _cmd_vertex(args, t0, timing)
-        if args.command == "scalar":
-            return _cmd_scalar(args, t0, timing)
-        if args.command == "wavefunction":
-            return _cmd_wavefunction(args, t0, timing)
-        if args.command == "identity":
-            return _cmd_identity(args, t0, timing)
-        if args.command == "tasep":
-            return _cmd_tasep(args, t0, timing)
-        if args.command == "verify-all":
-            return _cmd_verify_all(args, t0, timing)
+        code, payload = args.handler(args)
     except (ValueError, ZeroDivisionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
+    if payload is not None:
+        if args.timing:
+            payload["elapsed_ms"] = int((time.time() - t0) * 1000)
+        print(json.dumps(_jsonable(payload)))
+    return code
 
 
 def main():

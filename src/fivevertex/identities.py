@@ -187,11 +187,11 @@ def orthogonality_weight(z, beta, M, N):
 
 
 def _orthogonality_spectrum(M, N, beta, solutions):
-    from .tasep import _spectrum, bethe_solve
+    from .tasep import _free_point, _spectrum, bethe_solve
 
     if solutions is None:
         solutions = bethe_solve(M, N, beta=beta)
-    if is_zero(beta) and any(abs(abs(zj) - 1) > 1e-12 for s in solutions for zj in s.roots):
+    if _free_point(beta) and any(abs(abs(zj) - 1) > 1e-12 for s in solutions for zj in s.roots):
         raise RuntimeError("beta = 0 Bethe roots must lie on the unit circle")
     return _spectrum(solutions, M, N, beta)
 

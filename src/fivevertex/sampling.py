@@ -26,17 +26,6 @@ def distinct_square_fractions(rng: Random, count: int, avoid_squares=()) -> list
     return out
 
 
-def spectral_draw(rng: Random, count: int, alpha: Fraction) -> list:
-    """Distinct-square nonzero rationals u with alpha*u^2 != 1 (wavefunction-safe)."""
-    out = []
-    while len(out) < count:
-        f = rand_fraction(rng)
-        if alpha * f * f == 1 or any(f * f == g * g for g in out):
-            continue
-        out.append(f)
-    return out
-
-
 def norm_safe_draw(rng: Random, count: int, alpha: Fraction) -> list:
     """``distinct_square_fractions``, drawn again whole until no u has alpha*u^2 = 1.
 

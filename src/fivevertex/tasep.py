@@ -155,6 +155,11 @@ def _free_roots(M, N):
     return _canonical(np.exp(1j * np.pi * (2 * np.arange(M) + (N - 1) % 2) / M))
 
 
+def _free_point(beta) -> bool:
+    """Whether ``beta`` is the free-fermion point beta = 0, where nothing is tracked."""
+    return abs(beta) < 1e-15
+
+
 def _abs(z):
     """|z| elementwise, bit for bit the scalar ``abs`` (``np.abs`` can differ in the last bit)."""
     return np.hypot(z.real, z.imag)
@@ -290,8 +295,7 @@ def bethe_solve(M: int, N: int, beta=-1.0):
     would accept its endpoint cluster as a surplus set.  A path that stalls,
     or ends off the residual target, on coincident roots or on another path's
     set gives no solution set; a shortfall raises, naming every such subset
-    with the s its path reached and why.  More sets than binomial(M,N) raise
-    an over-count naming the surplus subsets.
+    with the s its path reached and why.
     """
     if not 1 <= N <= M - 1:
         raise ValueError("need 1 <= N <= M-1 (N = M is the frozen ring)")
@@ -302,7 +306,7 @@ def bethe_solve(M: int, N: int, beta=-1.0):
             f"{expected} root-choice subsets exceed the desk-scale cap of {comb(12, 6)}")
     subsets = list(combinations(range(M), N))
     start = _free_roots(M, N)
-    if abs(beta) < 1e-15:
+    if _free_point(beta):
         # all N-subsets solve the equations with Y = 1
         z = start[np.array(subsets)]
         res = _root_residuals(z, M, N, beta)[0]
@@ -349,15 +353,6 @@ def bethe_solve(M: int, N: int, beta=-1.0):
     if tasep_point:
         solutions.append(BetheSolution((1.0 + 0j,) * N, 0j, 0j, (0.0,) * N,
                                        None, stationary=True))
-    if len(solutions) > expected:
-        # the only known way: a path onto the stationary set that Newton
-        # accepted, so the surplus are the sets nearest Y = 0
-        surplus = sorted((s for s in solutions if not s.stationary),
-                         key=lambda s: abs(s.Y))[:len(solutions) - expected]
-        raise RuntimeError(
-            f"over-count: {len(solutions)} of {expected} solution sets found; surplus choices "
-            f"(the sets nearest Y = 0): "
-            + ", ".join(f"{s.choice_id} with |Y| {abs(s.Y):.3g}" for s in surplus))
     if len(solutions) != expected:
         raise RuntimeError("\n".join(
             [f"completeness failure: {len(solutions)} of {expected} solution sets found; "

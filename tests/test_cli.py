@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fivevertex
-from fivevertex import acceptance
+from fivevertex import acceptance, cli
 from fivevertex.cli import run
 
 
@@ -235,11 +235,14 @@ def test_wavefunction_eval(capsys):
 
 
 def test_orthogonality_command(capsys):
-    code, out = invoke(capsys, ["identity", "orthogonality", "--M", "4", "--N", "2"])
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["result"]["passed"] is True
-    assert payload["result"]["max_deviation"] <= 1e-8
+    # beta = 1e-11 is tracked, not taken for beta = 0: it used to exit 1 on the
+    # unit-circle check, its roots sitting 3e-12 off the circle
+    for argv in (["--M", "4", "--N", "2"], ["--M", "6", "--N", "2", "--beta", "1e-11"]):
+        code, out = invoke(capsys, ["identity", "orthogonality", *argv])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["result"]["passed"] is True
+        assert payload["result"]["max_deviation"] <= 1e-8
 
 
 def test_timing_flag_adds_elapsed(capsys):
@@ -254,6 +257,48 @@ def test_negative_rational_option_values(capsys):
     assert code == 0
     assert payload["inputs"]["beta"] == "-1/2"
     assert payload["inputs"]["z"] == ["-1/2", "1/3"]
+
+
+def test_runs_build_the_parser_once(capsys):
+    cli._parser.cache_clear()
+    run(["groth", "eval", "--lam", "1", "--z", "1/2"])
+    run(["scalar", "check", "--M", "1"])
+    capsys.readouterr()
+    assert cli._parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv, handler", [
+    (["groth", "eval", "--lam", "1", "--z", "1"], "_groth_eval"),
+    (["vertex", "rll-check"], "_vertex_relation"),
+    (["vertex", "ybe-check"], "_vertex_relation"),
+    (["vertex", "commutation-check"], "_vertex_commutation"),
+    (["scalar", "check"], "_scalar_check"),
+    (["wavefunction", "eval", "--config", "1", "--params", "1", "--alpha", "1", "--M", "2"],
+     "_wavefunction_eval"),
+    (["identity", "cauchy", "--M", "4", "--N", "2"], "_identity_cauchy"),
+    (["identity", "orthogonality", "--M", "4", "--N", "2"], "_identity_orthogonality"),
+    (["identity", "sum", "--M", "4", "--N", "2"], "_identity_sum"),
+    (["tasep", "bethe", "--M", "4", "--N", "2"], "_tasep_bethe"),
+    (["tasep", "green", "--M", "4", "--N", "2", "--from", "1,2", "--to", "1,2", "--t", "1"],
+     "_tasep_green"),
+    (["tasep", "oracle", "--M", "4", "--N", "2", "--from", "1,2", "--t", "1"], "_tasep_oracle"),
+    (["tasep", "relax", "--M", "4", "--N", "2", "--from", "1,2", "--observable", "density:1"],
+     "_tasep_relax"),
+    (["verify-all"], "_verify_all"),
+])
+def test_every_leaf_command_reaches_its_handler(argv, handler):
+    assert cli._parser().parse_args(argv).handler is getattr(cli, handler)
+
+
+_GOLDEN = [line for line in (Path(__file__).parent / "cli_golden.txt").read_text().splitlines()
+           if not line.startswith("#")]
+GOLDEN = dict(zip(_GOLDEN[::2], _GOLDEN[1::2]))  # "$ argv" -> its stdout line
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_exact_lane_output_matches_the_golden_bytes(capsys, command):
+    assert run(command.removeprefix("$ ").split()) == 0
+    assert capsys.readouterr().out == GOLDEN[command] + "\n"
 
 
 def _fresh_python(args, **kwargs):

@@ -1,8 +1,10 @@
 """Cauchy identity, summation formulas, and orthogonality."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 
+import numpy as np
 import pytest
 
 from fivevertex.identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs,
@@ -212,6 +214,22 @@ def test_orthogonality_beta_zero_on_circle():
     lam, mu = box[0], box[3]
     assert abs(orthogonality_check(M, N, 0.0, lam, lam, sols) - 1) <= 1e-8
     assert abs(orthogonality_check(M, N, 0.0, lam, mu, sols)) <= 1e-8
+
+
+def test_orthogonality_checks_the_circle_where_bethe_solve_takes_beta_zero():
+    from fivevertex.tasep import bethe_solve
+
+    M, N = 6, 2
+    # beta = 1e-11 is tracked, and its roots sit about 3e-12 off the unit circle;
+    # it used to be taken for beta = 0 here and refused
+    sols = bethe_solve(M, N, beta=1e-11)
+    assert max(abs(abs(zj) - 1) for s in sols for zj in s.roots) > 1e-12
+    gram = orthogonality_matrix(M, N, 1e-11, sols)
+    assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-8
+    sols = bethe_solve(M, N, beta=0.0)
+    sols[0] = replace(sols[0], roots=tuple(1.001 * zj for zj in sols[0].roots))
+    with pytest.raises(RuntimeError, match="^beta = 0 Bethe roots must lie on the unit circle$"):
+        orthogonality_matrix(M, N, 0.0, sols)
 
 
 def test_dual_sum_with_int_beta_stays_exact(monkeypatch):
