@@ -21,12 +21,31 @@ group of r coincident labels contributes the r Taylor columns in the label,
 and the across-group factor is the same prod_{g<h} (t_h - t_g)^{r_g r_h}.
 Rows and columns may be confluent at once.  Coincidence is decided by exact
 equality for exact scalars and by ``COINCIDENCE_TOL`` for complex ones.
+
+Integer lane.  When every point, every column coefficient and every
+``lin`` of ``det_ratio_columns`` is an int or a Fraction and some point is
+a Fraction, each column's coefficient denominators are cleared once,
+``ratfunc.int_rows`` gives the rows as ints over one denominator per row,
+``linalg.det`` runs Bareiss on the int matrix (its exact division stays in
+the ints), the cross factor prod (p_h q_g - p_g q_h) / (q_h q_g) is taken
+in ints, and one ``Fraction(num, den)`` ends the ratio.  Fraction-free
+elimination only pays off on integer entries (Bareiss, Math. Comp. 22
+(1968) 565).  On these inputs the generic path's result is always a
+Fraction: the rows at a Fraction point are Fractions, and with two or more
+groups the cross factor is one too.  So the lane returns the same value and
+type; ``det_ratio_labelled`` divides it by the labels' cross factor as
+before, which keeps a Fraction a Fraction.  All-int inputs, which may give
+an int, complex points and field elements such as criterion 3's
+QQ(alpha, u) take the generic ``taylor`` + Bareiss path.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .linalg import Matrix, det
-from .ratfunc import taylor
+from .ratfunc import RatFunc, int_rows, taylor
 from .scalars import COINCIDENCE_TOL, exact_div, is_inexact
 
 
@@ -56,6 +75,52 @@ def _cross_factor(groups):
     return cross
 
 
+def _rational(x) -> bool:
+    return type(x) is int or type(x) is Fraction
+
+
+def _int_cross(groups):
+    """``_cross_factor`` of rational groups as ints (num, den)."""
+    num = den = 1
+    for h in range(1, len(groups)):
+        th, rh = groups[h]
+        for g in range(h):
+            tg, rg = groups[g]
+            e = rg * rh
+            num *= (th.numerator * tg.denominator - tg.numerator * th.denominator) ** e
+            den *= (th.denominator * tg.denominator) ** e
+    return num, den
+
+
+def _int_ratio(columns, groups):
+    """The ratio of ``det_ratio_columns`` as ints (num, den).
+
+    Returns None off the integer lane.  The lane is taken when every point,
+    coefficient and ``lin`` is an int or a Fraction and some point is a
+    Fraction; the generic path's result is then always a Fraction, which
+    ``Fraction(num, den)`` reproduces.
+    """
+    if not all(_rational(t) for t, _ in groups) or not any(type(t) is Fraction for t, _ in groups):
+        return None
+    den, cleared = 1, []
+    for col in columns:
+        if not (_rational(col.lin[0]) and _rational(col.lin[1])
+                and all(_rational(c) for c, _, _ in col.terms)):
+            return None
+        d = lcm(*(c.denominator for c, _, _ in col.terms))
+        cleared.append(RatFunc([(c.numerator * (d // c.denominator), a, k)
+                                for c, a, k in col.terms], col.lin))
+        den *= d
+    rows = []
+    for t, count in groups:
+        block, dens = int_rows(cleared, t, count)
+        rows.extend(block)
+        for d in dens:
+            den *= d
+    cross_num, cross_den = _int_cross(groups)
+    return det(rows) * cross_den, den * cross_num
+
+
 def det_ratio_columns(columns, points):
     """det[columns[k](points[j])] / prod_{j<k}(points[k] - points[j]).
 
@@ -67,6 +132,9 @@ def det_ratio_columns(columns, points):
     if not points:
         return 1
     groups = group_points(points)
+    parts = _int_ratio(columns, groups)
+    if parts is not None:
+        return Fraction(*parts)
     rows = []
     for t, count in groups:
         rows.extend(taylor(columns, t, count))

@@ -24,6 +24,13 @@ and no pole is decided with a tolerance: a negative power of an exactly
 zero base raises ``ZeroDivisionError``.  Coefficients and points may be
 ints, Fractions, complex numbers or elements of an exact field.
 
+``int_rows`` is the same convolution over the integers, for columns with
+int coefficients at a rational point t = p/q: each row is a list of ints
+over one row denominator, built from nonnegative powers of p, q and the
+numerator and denominator of A + B t and of B, so no ``Fraction`` is formed
+and no gcd is taken per entry.  ``confluent`` takes it for Fraction points
+(see there); ``taylor`` stays the path for every other scalar.
+
 ``Poly`` is the dense polynomial from which ``scalarprod`` builds its
 scalar-product columns: products of linear factors, and the exact quotient
 by s - u^2 of a numerator that vanishes at s = u^2.
@@ -31,7 +38,7 @@ by s - u^2 of a numerator that vanishes at s = u^2.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
 
 from .scalars import exact_div, exact_pow
 
@@ -162,3 +169,81 @@ def taylor(columns, t, r: int = 1):
         for j in range(r):
             rows[j].append(coeffs[j])
     return rows
+
+
+def int_rows(columns, t, r: int = 1):
+    """``taylor`` over the integers: r rows of ints and one denominator per row.
+
+    The columns' coefficients must be ints, and t and every ``lin`` ints or
+    Fractions.  Returns ``(rows, dens)`` with rows[i][k] / dens[i] equal to
+    ``taylor(columns, t, r)[i][k]``.  With t = p/q, A + B t = Ln/Ld and
+    B = Bn/Bd, every term of a coefficient is an int times
+    p^e q^-e Ln^f Ld^-f Bn^g Bd^-g; the row denominator
+    p^-lo q^hi Ln^-flo Ld^fhi Bd^ghi, over the exponent ranges of the row
+    (widened to hold 0), leaves only nonnegative powers in the row.  As in
+    ``taylor``, a negative power of an exactly zero t or A + B t raises.
+    """
+    p, q = t.numerator, t.denominator
+    lins, bases, col_lin = [], [], []  # lins by position: a Fraction's hash is slow
+    for col in columns:
+        for i, lin in enumerate(lins):
+            if lin is col.lin or lin == col.lin:
+                break
+        else:
+            i = len(lins)
+            lins.append(col.lin)
+            a_, b_ = col.lin
+            n = a_.numerator * b_.denominator * q + b_.numerator * a_.denominator * p
+            d = a_.denominator * b_.denominator * q
+            g = gcd(n, d)
+            bases.append((n // g, d // g, b_.numerator, b_.denominator))
+        col_lin.append(i)
+    rows, dens = [], []
+    for j in range(r):
+        # each column's terms of the convolution as (coefficient, e, lin, f, g)
+        lo = hi = 0
+        spans = [[0, 0, 0] for _ in lins]  # lo and hi of f, hi of g
+        cells = []
+        for col, li in zip(columns, col_lin):
+            span, zero_l = spans[li], bases[li][0] == 0
+            cell = []
+            for c, a, k in col.terms:
+                for i in range(j + 1):
+                    m = _binom(a, i) * _binom(k, j - i) if j else 1
+                    if not m:
+                        continue
+                    e, f = a - i, k - j + i
+                    if e < 0 and p == 0 or f < 0 and zero_l:
+                        raise ZeroDivisionError("a negative power of a zero base")
+                    if e < lo:
+                        lo = e
+                    elif e > hi:
+                        hi = e
+                    if f < span[0]:
+                        span[0] = f
+                    elif f > span[1]:
+                        span[1] = f
+                    if j - i > span[2]:
+                        span[2] = j - i
+                    cell.append((c * m, e, li, f, j - i))
+            cells.append(cell)
+        den = p ** -lo * q ** hi
+        for (flo, fhi, ghi), (ln, ld, _, bd) in zip(spans, bases):
+            den *= ln ** -flo * ld ** fhi * bd ** ghi
+        t_memo, l_memo, row = {}, {}, []
+        for cell in cells:
+            total = 0
+            for c, e, li, f, g in cell:
+                x = t_memo.get(e)
+                if x is None:
+                    x = t_memo[e] = p ** (e - lo) * q ** (hi - e)
+                y = l_memo.get((li, f, g))
+                if y is None:
+                    (flo, fhi, ghi), (ln, ld, bn, bd) = spans[li], bases[li]
+                    y = l_memo[li, f, g] = (ln ** (f - flo) * ld ** (fhi - f)
+                                            * bn ** g * bd ** (ghi - g))
+                total += c * x * y
+            row.append(total)
+        rows.append(row)
+        dens.append(den)
+    return rows, dens

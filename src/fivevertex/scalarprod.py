@@ -104,10 +104,17 @@ def intermediate_scalar_det(spec: IntermediateSpec):
     w_prod = 1
     for wl in w:
         w_prod = w_prod * wl
-    # Q(s) = prod_{l <= M-N+n} (alpha s - w_l^2)
-    q = Poly([1])
-    for wl2 in w_sq[:M - N + n]:
-        q = q * Poly([-wl2, alpha])
+    # Q(s) = prod_{l <= M-N+n} (alpha s - w_l^2); binomially when the w_l are equal,
+    # as they are in scalar_product_det (no power 0 is taken, to keep the products' types)
+    m_q = M - N + n
+    if all(x == w_sq[0] for x in w_sq[:m_q]):
+        c = -w_sq[0]
+        q = Poly([comb(m_q, i) * (alpha ** i if i else 1) * (c ** (m_q - i) if i < m_q else 1)
+                  for i in range(m_q + 1)])
+    else:
+        q = Poly([1])
+        for wl2 in w_sq[:m_q]:
+            q = q * Poly([-wl2, alpha])
     fixed = []
     for j in range(n + 1, N + 1):
         skip = M - N + j

@@ -56,8 +56,12 @@ def dual_grothendieck_eval(lam, z, beta):
     parts = _parts(lam, n)
     if any(is_zero(zj, 0) for zj in z):
         raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
-    # z^(lam_k+N-k) (1+beta/z)^(1-k) = z^(lam_k+N-1) (z+beta)^(1-k); a vanishing
-    # z + beta under a negative power raises ZeroDivisionError
+    # z^(lam_k+N-k) (1+beta/z)^(1-k) = z^(lam_k+N-1) (z+beta)^(1-k): for N >= 2 the
+    # column k = 1 has a pole at z + beta = 0; at N = 1 the point is regular
+    if n > 1:
+        for j, zj in enumerate(z, 1):
+            if is_zero(zj + beta, 0):
+                raise ZeroDivisionError(f"dual Grothendieck pole at z_{j} + beta = 0")
     lin = (beta, 1)
     cols = [RatFunc([(1, parts[k] + n - 1, -k)], lin) for k in range(n)]
     ratio = det_ratio_columns(cols, z)

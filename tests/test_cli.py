@@ -259,6 +259,18 @@ def test_negative_rational_option_values(capsys):
     assert payload["inputs"]["z"] == ["-1/2", "1/3"]
 
 
+def test_dual_grothendieck_pole_is_named(capsys):
+    # z_1 = 1/2 = -beta is a pole of the N = 2 dual columns; at N = 1 the point is regular
+    assert run(["groth", "eval", "--lam", "2,1", "--z", "1/2,1/3", "--beta", "-1/2",
+                "--kind", "dual"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dual Grothendieck pole at z_1 + beta = 0\n"
+    code, out = invoke(capsys, ["groth", "eval", "--lam", "2", "--z", "1/2", "--beta", "-1/2",
+                                "--kind", "dual"])
+    assert code == 0 and json.loads(out)["result"] == "1/4"
+
+
 def test_runs_build_the_parser_once(capsys):
     cli._parser.cache_clear()
     run(["groth", "eval", "--lam", "1", "--z", "1/2"])

@@ -1,14 +1,16 @@
 """Determinants: exact Bareiss vs a cofactor-expansion oracle, and confluent limits."""
 
 from fractions import Fraction as F
+from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivevertex.linalg import Matrix, det
-from fivevertex.confluent import det_ratio_columns
-from fivevertex.ratfunc import RatFunc, taylor
+from fivevertex.confluent import det_ratio_columns, det_ratio_labelled
+from fivevertex.ratfunc import RatFunc, int_rows, taylor
 
 from conftest import rand_fraction
 
@@ -193,6 +195,18 @@ def test_taylor_rows_match_sympy_series(rng):
             coeff = sympy.Rational(series.coeff(h, i))
             assert rows[i][0] == F(int(coeff.p), int(coeff.q))
         assert taylor([RatFunc(terms, lin)], t)[0][0] == rows[0][0]
+        # the integer lane: the column times the lcm of its coefficient denominators,
+        # as int rows over one denominator per row
+        d = 1
+        for c, _, _ in terms:
+            d = d * c.denominator // gcd(d, c.denominator)
+        cleared = RatFunc([(int(c * d), a, k) for c, a, k in terms], lin)
+        for r in (1, 2, 3):
+            ints, dens = int_rows([cleared], t, r)
+            assert all(type(x) is int for x in ints[0] + dens)
+            for i in range(r):
+                coeff = sympy.Rational(series.coeff(h, i))
+                assert F(ints[i][0], dens[i]) == F(int(coeff.p), int(coeff.q)) * d
 
 
 def test_column_poles_raise():
@@ -205,3 +219,137 @@ def test_column_poles_raise():
     assert taylor([RatFunc([(1, 2, 0)])], F(0), 4) == [[0], [0], [1], [0]]
     with pytest.raises(ValueError):
         det_ratio_columns([RatFunc([(1, 0, 0)])], [F(1), F(2)])
+
+
+def _power_series(x, b, e, r):
+    """(x + b h)^e to order h^(r-1) for x != 0: x^e by Fraction ** times (1 + (b/x) h)^e."""
+    x = F(x)
+    y = F(b) / x
+    out = [F(1)] + [F(0)] * (r - 1)
+    for _ in range(abs(e)):
+        out = [out[j] + (y * out[j - 1] if j else 0) for j in range(r)]
+    if e < 0:  # invert the series of (1 + y h)^|e|
+        inv = [F(1)] + [F(0)] * (r - 1)
+        for j in range(1, r):
+            inv[j] = -sum(out[i] * inv[j - i] for i in range(1, j + 1))
+        out = inv
+    return [x ** e * c for c in out]
+
+
+def _term_series(c, a, k, lin, t, r):
+    """c t^a (A + B t)^k at t + h, to order h^(r-1)."""
+    ts = _power_series(t, 1, a, r)
+    ls = _power_series(lin[0] + lin[1] * t, lin[1], k, r)
+    return [c * sum(ts[i] * ls[j - i] for i in range(j + 1)) for j in range(r)]
+
+
+def _groups(points):
+    out = []
+    for p in points:
+        for g in out:
+            if g[0] == p:
+                g[1] += 1
+                break
+        else:
+            out.append([p, 1])
+    return out
+
+
+def _cross(groups):
+    out = F(1)
+    for h in range(len(groups)):
+        for g in range(h):
+            out *= (F(groups[h][0]) - groups[g][0]) ** (groups[g][1] * groups[h][1])
+    return out
+
+
+def _reference(columns, points, labelled=(), labels=()):
+    """Taylor rows from power series, a generic det of the Fraction matrix, over both crosses.
+
+    ``columns`` are (terms, lin) pairs; each labelled column is (terms, lin, label_lin) with
+    terms (c, a, k, b, m) meaning c s^a (A + B s)^k t^b (C + D t)^m, t its label.
+    """
+    label_cols = []  # per label group, its Taylor columns in the label as (terms, lin)
+    for t, r in _groups(labels):
+        for i in range(r):
+            for terms, lin, label_lin in labelled:
+                label_cols.append(([(_term_series(c, b, m, label_lin, t, r)[i], a, k)
+                                   for c, a, k, b, m in terms], lin))
+    cols = label_cols + list(columns)
+    rows = []
+    for p, r in _groups(points):
+        block = [[F(0)] * len(cols) for _ in range(r)]
+        for kcol, (terms, lin) in enumerate(cols):
+            for c, a, k in terms:
+                for j, v in enumerate(_term_series(c, a, k, lin, p, r)):
+                    block[j][kcol] += v
+        rows.extend(block)
+    return det(Matrix(rows)) / (_cross(_groups(points)) * _cross(_groups(labels)))
+
+
+_POOL = [F(1, 2), F(-2, 3), F(3), 2, F(5, 7), -1, F(7, 4), F(-9, 5)]
+
+
+def _draw_terms(rng, count, label=False):
+    def coeff():
+        return rng.choice([rng.randint(-4, 4), F(rng.randint(-9, 9), rng.randint(1, 6))])
+    extra = (rng.randint(-2, 2), rng.randint(-1, 2)) if label else ()
+    return [(coeff(), rng.randint(-2, 3), rng.randint(-2, 2)) + extra for _ in range(count)]
+
+
+def _draw_lin(rng, points):
+    while True:
+        lin = (rng.choice([1, F(1, 3), -2]), rng.choice([0, 1, F(-1, 2), F(3, 4)]))
+        if all(lin[0] + lin[1] * p != 0 for p in points):
+            return lin
+
+
+def test_integer_lane_matches_a_naive_reference():
+    # distinct and confluent points, rows and labels coincident at once, against
+    # Fraction ** powers, a generic det and the Vandermondes taken directly
+    rng = Random(41)
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        points = [rng.choice(_POOL) for _ in range(n)]
+        lin = _draw_lin(rng, points)
+        columns = [(_draw_terms(rng, rng.randint(1, 3)), lin) for _ in range(n)]
+        got = det_ratio_columns([RatFunc(t, l) for t, l in columns], points)
+        assert got == _reference(columns, points)
+        if any(type(p) is F for p in points):
+            assert type(got) is F
+
+        labels = [rng.choice(_POOL) for _ in range(rng.randint(0, n))]
+        label_lin = _draw_lin(rng, labels)
+        labelled = [(_draw_terms(rng, rng.randint(1, 2), label=True), lin, label_lin)]
+        fixed = columns[len(labels):]
+
+        def column_at(t, r, labelled=labelled):
+            out = []
+            for i in range(r):
+                for terms, lin_s, lin_t in labelled:
+                    out.append(RatFunc([(_term_series(c, b, m, lin_t, t, r)[i], a, k)
+                                        for c, a, k, b, m in terms], lin_s))
+            return out
+
+        got = det_ratio_labelled(column_at, labels, points,
+                                 [RatFunc(t, l) for t, l in fixed])
+        assert got == _reference(fixed, points, labelled, labels)
+        if any(type(p) is F for p in points):
+            assert type(got) is F
+
+
+def test_integer_lane_refuses_zero_bases_as_the_generic_path():
+    message = "^a negative power of a zero base$"
+    # t^-1 at t = 0, among Fraction points
+    with pytest.raises(ZeroDivisionError, match=message):
+        det_ratio_columns([RatFunc([(1, 0, 0)]), RatFunc([(1, -1, 0)])], [F(1, 2), F(0)])
+    # (1 - 2t)^-2 at t = 1/2, also as a Taylor row
+    for points in ([F(1, 2), F(1, 3)], [F(1, 2), F(1, 2)]):
+        with pytest.raises(ZeroDivisionError, match=message):
+            det_ratio_columns([RatFunc([(1, 0, 0)], (1, -2)), RatFunc([(1, 1, -2)], (1, -2))],
+                              points)
+    # a nonnegative power of a zero base is fine; t^2 has no t^3 coefficient
+    assert det_ratio_columns([RatFunc([(1, 2, 0)]), RatFunc([(1, 0, 0)])],
+                             [F(0), F(0)]) == 0
+    assert det_ratio_columns([RatFunc([(1, 0, 0)]), RatFunc([(1, 1, 3)], (1, -2))],
+                             [F(0), F(1, 2)]) == F(0)

@@ -133,6 +133,36 @@ def test_dual_rejects_vanishing_base():
         dual_grothendieck_eval((1, 1), [F(2), F(-1, 2)], F(1, 2))
 
 
+def test_dual_pole_refused_before_any_column(monkeypatch):
+    # z_2 + beta = 0 is named up front; no determinant is set up for it
+    import fivevertex.symfunc as symfunc
+
+    def no_determinant(*args):
+        raise AssertionError("a determinant was set up at a pole")
+
+    monkeypatch.setattr(symfunc, "det_ratio_columns", no_determinant)
+    with pytest.raises(ZeroDivisionError, match=r"^dual Grothendieck pole at z_2 \+ beta = 0$"):
+        dual_grothendieck_eval((2, 1), [F(1, 3), F(1, 2), F(2)], F(-1, 2))
+    with pytest.raises(ZeroDivisionError, match=r"z_1 \+ beta = 0"):
+        dual_grothendieck_eval((1, 1), [F(-3, 2), F(-3, 2)], F(3, 2))
+
+
+def test_dual_single_variable_is_regular_at_minus_beta():
+    # at N = 1 the column is z^lam (z + beta)^0 = z^lam
+    assert dual_grothendieck_eval((2,), [F(1, 2)], F(-1, 2)) == F(1, 4)
+    assert dual_grothendieck_eval((3,), [2], -2) == 8
+
+
+def test_result_types_follow_the_inputs():
+    # all-int inputs stay ints; any Fraction point gives a Fraction, also when integral
+    assert type(schur_eval((1,), [2, 3])) is int and schur_eval((1,), [2, 3]) == 5
+    assert type(grothendieck_eval((2, 1), [2, 3, 5], 1)) is int
+    assert repr(schur_eval((1,), [F(2), F(3)])) == "Fraction(5, 1)"
+    assert repr(schur_eval((1,), [2, F(3)])) == "Fraction(5, 1)"
+    assert repr(schur_eval((1,), [F(1, 2), F(1, 2)])) == "Fraction(1, 1)"
+    assert type(dual_grothendieck_eval((2, 1), [F(1, 2), 3], 1)) is F
+
+
 def test_too_few_variables_rejected():
     with pytest.raises(ValueError):
         schur_eval((2, 1, 1), [F(1), F(2)])
