@@ -10,9 +10,14 @@ f(t), f'(t), ..., f^{(r-1)}(t)/(r-1)!, the closed-form coefficients of
 ``ratfunc.taylor``, and the within-group Vandermonde factors cancel, leaving
 the across-group factor prod_{g<h} (t_h - t_g)^{r_g r_h}.  With all points
 distinct every group is one point and this is the plain determinant ratio.
-Every determinant ratio of the package goes through ``det_ratio_columns``:
-G and Gbar, the wavefunctions, the weighted summation determinants and, via
-``det_ratio_labelled``, the scalar products and the Cauchy kernel.
+Every determinant ratio of the package goes through ``det_ratios``, which
+takes many column sets at the same points, or its one-set case
+``det_ratio_columns``: G and Gbar over a whole box of partitions, the
+wavefunctions, the weighted summation determinants and, via
+``det_ratio_labelled``, the scalar products and the Cauchy kernel.  What
+depends only on the points is done once per call: the grouping, the cross
+factor, and the rows of every distinct column (shared between sets by
+identity), which each set slices; per set there remains its determinant.
 
 Columns may themselves depend on a label t_k and be divided by the label
 Vandermonde prod_{j<k} (t_k - t_j) as well (``det_ratio_labelled``: the
@@ -23,14 +28,15 @@ Rows and columns may be confluent at once.  Coincidence is decided by exact
 equality for exact scalars and by ``COINCIDENCE_TOL`` for complex ones.
 
 Integer lane.  When every point, every column coefficient and every
-``lin`` of ``det_ratio_columns`` is an int or a Fraction and some point is
-a Fraction, each column's coefficient denominators are cleared once,
-``ratfunc.int_rows`` gives the rows as ints over one denominator per row,
-``linalg.det`` runs Bareiss on the int matrix (its exact division stays in
-the ints), the cross factor prod (p_h q_g - p_g q_h) / (q_h q_g) is taken
-in ints, and one ``Fraction(num, den)`` ends the ratio.  Fraction-free
-elimination only pays off on integer entries (Bareiss, Math. Comp. 22
-(1968) 565).  On these inputs the generic path's result is always a
+``lin`` of a ``det_ratios`` call is an int or a Fraction and some point is
+a Fraction, each distinct column's coefficient denominators are cleared
+once, ``ratfunc.int_rows`` gives the rows of all of them as ints over one
+denominator per row, once per point group, the cross factor
+prod (p_h q_g - p_g q_h) / (q_h q_g) is taken in ints once, and per set
+``linalg.det`` runs Bareiss on the sliced int matrix (its exact division
+stays in the ints) and one ``Fraction(num, den)`` ends the ratio.
+Fraction-free elimination only pays off on integer entries (Bareiss,
+Math. Comp. 22 (1968) 565).  On these inputs the generic path's result is always a
 Fraction: the rows at a Fraction point are Fractions, and with two or more
 groups the cross factor is one too.  So the lane returns the same value and
 type; ``det_ratio_labelled`` divides it by the labels' cross factor as
@@ -44,22 +50,23 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .linalg import Matrix, det
+from .linalg import det
 from .ratfunc import RatFunc, int_rows, taylor
 from .scalars import COINCIDENCE_TOL, exact_div, is_inexact
 
 
 def group_points(points):
     """Group coincident points by first occurrence; returns [(value, count)]."""
-    groups = []
+    groups, inexact = [], []  # each group's exactness beside it, tested once per point
     for p in points:
+        p_inexact = is_inexact(p)
         for i, (q, cnt) in enumerate(groups):
-            inexact = is_inexact(p) or is_inexact(q)
-            if abs(p - q) <= COINCIDENCE_TOL if inexact else p == q:
+            if abs(p - q) <= COINCIDENCE_TOL if p_inexact or inexact[i] else p == q:
                 groups[i] = (q, cnt + 1)
                 break
         else:
             groups.append((p, 1))
+            inexact.append(p_inexact)
     return groups
 
 
@@ -92,17 +99,19 @@ def _int_cross(groups):
     return num, den
 
 
-def _int_ratio(columns, groups):
-    """The ratio of ``det_ratio_columns`` as ints (num, den).
+def _int_lane(columns, groups):
+    """The integer lane's rows of ``columns`` at ``groups``: (rows, den, col_dens).
 
-    Returns None off the integer lane.  The lane is taken when every point,
-    coefficient and ``lin`` is an int or a Fraction and some point is a
-    Fraction; the generic path's result is then always a Fraction, which
-    ``Fraction(num, den)`` reproduces.
+    Row entry [i][k] over den * col_dens[k] is the generic path's entry, with
+    den the product of the row denominators and col_dens[k] the lcm of column
+    k's coefficient denominators.  Returns None off the integer lane, which
+    is taken when every point, coefficient and ``lin`` is an int or a
+    Fraction and some point is a Fraction; the generic path's ratio is then
+    always a Fraction, which ``Fraction(num, den)`` reproduces.
     """
     if not all(_rational(t) for t, _ in groups) or not any(type(t) is Fraction for t, _ in groups):
         return None
-    den, cleared = 1, []
+    cleared, col_dens = [], []
     for col in columns:
         if not (_rational(col.lin[0]) and _rational(col.lin[1])
                 and all(_rational(c) for c, _, _ in col.terms)):
@@ -110,15 +119,58 @@ def _int_ratio(columns, groups):
         d = lcm(*(c.denominator for c, _, _ in col.terms))
         cleared.append(RatFunc([(c.numerator * (d // c.denominator), a, k)
                                 for c, a, k in col.terms], col.lin))
-        den *= d
-    rows = []
+        col_dens.append(d)
+    rows, den = [], 1
     for t, count in groups:
         block, dens = int_rows(cleared, t, count)
         rows.extend(block)
         for d in dens:
             den *= d
-    cross_num, cross_den = _int_cross(groups)
-    return det(rows) * cross_den, den * cross_num
+    return rows, den, col_dens
+
+
+def det_ratios(column_sets, points):
+    """``[det_ratio_columns(columns, points) for columns in column_sets]``.
+
+    Everything that depends only on the points is done once: the grouping,
+    the cross factor, and the rows of every distinct column (columns are
+    shared between sets by identity), integer-lane denominators included.
+    Each set then slices its columns out of the shared rows, and only its
+    determinant is its own.  A set that ``det_ratio_columns`` refuses makes
+    the whole call refuse, with the same exception.
+    """
+    if any(len(columns) != len(points) for columns in column_sets):
+        raise ValueError("need as many columns as points")
+    if not points:
+        return [1] * len(column_sets)
+    groups = group_points(points)
+    union, position, picks = [], {}, []  # by identity: a Fraction's hash is slow
+    for columns in column_sets:
+        pick = []
+        for col in columns:
+            k = position.get(id(col))
+            if k is None:
+                k = position[id(col)] = len(union)
+                union.append(col)
+            pick.append(k)
+        picks.append(pick)
+    lane = _int_lane(union, groups)
+    if lane is not None:
+        rows, den, col_dens = lane
+        cross_num, cross_den = _int_cross(groups)
+        out = []
+        for pick in picks:
+            set_den = den * cross_num
+            for k in pick:
+                set_den *= col_dens[k]
+            out.append(Fraction(det([[row[k] for k in pick] for row in rows]) * cross_den,
+                                set_den))
+        return out
+    rows = []
+    for t, count in groups:
+        rows.extend(taylor(union, t, count))
+    cross = _cross_factor(groups)
+    return [exact_div(det([[row[k] for k in pick] for row in rows]), cross) for pick in picks]
 
 
 def det_ratio_columns(columns, points):
@@ -126,19 +178,9 @@ def det_ratio_columns(columns, points):
 
     ``columns`` are ``ratfunc.RatFunc`` term sums in the row variable; a
     point of multiplicity r gets its first r Taylor coefficients as rows.
+    The one-set case of ``det_ratios``.
     """
-    if len(columns) != len(points):
-        raise ValueError("need as many columns as points")
-    if not points:
-        return 1
-    groups = group_points(points)
-    parts = _int_ratio(columns, groups)
-    if parts is not None:
-        return Fraction(*parts)
-    rows = []
-    for t, count in groups:
-        rows.extend(taylor(columns, t, count))
-    return exact_div(det(Matrix(rows)), _cross_factor(groups))
+    return det_ratios([columns], points)[0]
 
 
 def det_ratio_labelled(column_at, labels, points, fixed=()):

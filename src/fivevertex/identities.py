@@ -24,21 +24,39 @@ Taylor rows; the dual refuses a zero y, as Gbar(y) does.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from math import comb
 
 from .confluent import det_ratio_columns, det_ratio_labelled
 from .partitions import enumerate_box
 from .ratfunc import RatFunc, taylor
 from .scalars import exact_div, is_inexact, is_zero
-from .symfunc import dual_grothendieck_eval, grothendieck_eval
+from .symfunc import grothendieck_evals
+
+
+def _check_counts(N, *sides):
+    """Refuse, up front, a list of variables whose length is not N."""
+    for side in sides:
+        if len(side) != N:
+            raise ValueError(f"need N = {N} variables, got {len(side)}")
+
+
+def _box_sum(lams, z, y, beta, total=0):
+    """total + sum over lam in lams of G_lam(z;beta) Gbar_lam(y;beta), term by term.
+
+    One batched evaluation per side.
+    """
+    for g, gbar in zip(grothendieck_evals(lams, z, beta),
+                       grothendieck_evals(lams, y, beta, dual=True)):
+        total = total + g * gbar
+    return total
 
 
 def cauchy_lhs(M, N, z, y, beta):
     """sum over lam in the (M-N)^N box of G_lam(z;beta) Gbar_lam(y;beta)."""
-    total = 0
-    for lam in enumerate_box(M - N, N):
-        total = total + grothendieck_eval(lam, z, beta) * dual_grothendieck_eval(lam, y, beta)
-    return total
+    z, y = list(z), list(y)
+    _check_counts(N, z, y)
+    return _box_sum(list(enumerate_box(M - N, N)), z, y, beta)
 
 
 def _kernel_coefficients(M, N, beta):
@@ -65,8 +83,7 @@ def cauchy_rhs(M, N, z, y, beta):
     rows, coincident y the Taylor columns in y of the kernel's coefficients.
     """
     z, y = list(z), list(y)
-    if len(z) != N or len(y) != N:
-        raise ValueError("need N variables on both sides")
+    _check_counts(N, z, y)
     if any(is_zero(yk, 0) for yk in y):
         raise ZeroDivisionError("the dual variables need y_k != 0, as Gbar(y) does")
     coeffs = _kernel_coefficients(M, N, beta)
@@ -86,6 +103,7 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
     convergence flag.
     """
     z, y = list(z), list(y)
+    _check_counts(N, z, y)
     for zj in z:
         for yk in y:
             if abs(complex(zj * yk)) >= 1:
@@ -99,14 +117,12 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
     partials = []
     distances = []
     running = 0
-    previous_shells = set()
     for m in range(1, M_max + 1):
-        for lam in enumerate_box(m, N):
-            if lam.parts in previous_shells:
-                continue
-            previous_shells.add(lam.parts)
-            running = running + grothendieck_eval(lam, z, beta) \
-                * dual_grothendieck_eval(lam, y, beta)
+        # the m^N box less the (m-1)^N box: lam_1 = m, which enumerate_box yields
+        # first; the 1^N box is new whole, the empty partition included
+        box = enumerate_box(m, N)
+        shell = list(box) if m == 1 else list(takewhile(lambda lam: lam.parts[:1] == (m,), box))
+        running = _box_sum(shell, z, y, beta, running)
         partials.append(running)
         distances.append(abs(complex(running - product)))
     monotone = all(distances[i + 1] <= distances[i] + 1e-15 for i in range(len(distances) - 1))
@@ -126,10 +142,11 @@ def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
     c (1+beta/y)^p = c y^(-p) (y+beta)^p, times prod y^(M-1).  Coincident
     variables take Taylor rows.
     """
+    z = list(z)
+    _check_counts(N, z)
     if is_zero(beta, 0):
         raise ValueError("the summation determinants carry negative powers of beta; "
                          "use the Schur specialization for beta = 0")
-    z = list(z)
     top = range(max(N - 1, 1), M + 1)
     if not dual:
         def column(j):
@@ -159,13 +176,16 @@ def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
 
 def grothendieck_sum_check(M, N, z, beta, dual: bool = False) -> bool:
     """Weighted sum over the box against the determinant form, exactly."""
+    z = list(z)
+    _check_counts(N, z)
+    box = list(enumerate_box(M - N, N))
+    if dual:
+        weights = [exact_div(1, (-beta) ** lam.weight) for lam in box]
+    else:
+        weights = [(-beta) ** lam.weight for lam in box]
     total = 0
-    for lam in enumerate_box(M - N, N):
-        if dual:
-            total = total + exact_div(1, (-beta) ** lam.weight) \
-                * dual_grothendieck_eval(lam, z, beta)
-        else:
-            total = total + (-beta) ** lam.weight * grothendieck_eval(lam, z, beta)
+    for w, g in zip(weights, grothendieck_evals(box, z, beta, dual)):
+        total = total + w * g
     rhs = grothendieck_sum_det(M, N, z, beta, dual)
     diff = total - rhs
     return is_zero(diff, 1e-9 if is_inexact(diff) else 0)

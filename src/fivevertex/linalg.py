@@ -19,6 +19,8 @@ determinants go through LAPACK's partially pivoted LU via ``numpy``.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from .scalars import exact_div, is_inexact, is_zero
@@ -149,6 +151,8 @@ def det(m):
     inexact = False
     for row in a:
         for x in row:
+            if type(x) is int or type(x) is Fraction:  # the common exact entries, tested cheaply
+                continue
             if is_inexact(x):
                 inexact = True
             elif hasattr(x, "free_symbols"):

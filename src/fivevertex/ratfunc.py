@@ -227,9 +227,11 @@ def int_rows(columns, t, r: int = 1):
                         span[2] = j - i
                     cell.append((c * m, e, li, f, j - i))
             cells.append(cell)
+        lin_dens = [ln ** -flo * ld ** fhi * bd ** ghi
+                    for (flo, fhi, ghi), (ln, ld, _, bd) in zip(spans, bases)]
         den = p ** -lo * q ** hi
-        for (flo, fhi, ghi), (ln, ld, _, bd) in zip(spans, bases):
-            den *= ln ** -flo * ld ** fhi * bd ** ghi
+        for d in lin_dens:
+            den *= d
         t_memo, l_memo, row = {}, {}, []
         for cell in cells:
             total = 0
@@ -240,8 +242,11 @@ def int_rows(columns, t, r: int = 1):
                 y = l_memo.get((li, f, g))
                 if y is None:
                     (flo, fhi, ghi), (ln, ld, bn, bd) = spans[li], bases[li]
-                    y = l_memo[li, f, g] = (ln ** (f - flo) * ld ** (fhi - f)
-                                            * bn ** g * bd ** (ghi - g))
+                    y = ln ** (f - flo) * ld ** (fhi - f) * bn ** g * bd ** (ghi - g)
+                    for i, d in enumerate(lin_dens):  # the row denominator's other lins
+                        if i != li:
+                            y *= d
+                    l_memo[li, f, g] = y
                 total += c * x * y
             row.append(total)
         rows.append(row)

@@ -11,6 +11,14 @@ column's first r Taylor coefficients as rows of the confluent determinant
 limit.  This is what makes z -> (1,...,1) limits such as
 G_lambda(1^N; -1) = 1 computable directly.
 
+``grothendieck_evals`` is the exact lane for many partitions at one point
+set, as the Cauchy and summation sums over a box need: the variables are
+checked once (for the dual, a zero variable and a pole z_j + beta = 0), a
+column is built once per distinct exponent pair, and one
+``confluent.det_ratios`` call shares the point work between the
+partitions.  ``grothendieck_eval`` and ``dual_grothendieck_eval`` are its
+one-partition case.
+
 ``BialternantStack`` is the complex float lane for many points at once: one
 stacked LU determinant over an (S, N, N) bialternant tensor per partition.
 The scalar evaluators are its exact-lane oracle.
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .confluent import det_ratio_columns, sign_pairs
+from .confluent import det_ratios, sign_pairs
 from .partitions import Partition
 from .ratfunc import RatFunc
 from .scalars import COINCIDENCE_TOL, is_zero
@@ -40,32 +48,48 @@ def schur_eval(lam, z):
 
 def grothendieck_eval(lam, z, beta):
     """Grothendieck polynomial G_lambda(z; beta)."""
-    z = list(z)
-    n = len(z)
-    parts = _parts(lam, n)
-    lin = (1, beta)
-    cols = [RatFunc([(1, parts[k] + n - 1 - k, k)], lin) for k in range(n)]
-    ratio = det_ratio_columns(cols, z)
-    return ratio if sign_pairs(n) > 0 else -ratio
+    return grothendieck_evals([lam], z, beta)[0]
 
 
 def dual_grothendieck_eval(lam, z, beta):
     """Dual Grothendieck polynomial Gbar_lambda(z; beta); needs z_j != 0."""
+    return grothendieck_evals([lam], z, beta, dual=True)[0]
+
+
+def grothendieck_evals(lams, z, beta, dual: bool = False):
+    """[G_lambda(z; beta) for lambda in lams], or Gbar_lambda with ``dual``.
+
+    The variables are checked once, and ``confluent.det_ratios`` does the
+    point work once for every lambda; a column is shared by every partition
+    that has its exponents.
+    """
     z = list(z)
     n = len(z)
-    parts = _parts(lam, n)
-    if any(is_zero(zj, 0) for zj in z):
-        raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
-    # z^(lam_k+N-k) (1+beta/z)^(1-k) = z^(lam_k+N-1) (z+beta)^(1-k): for N >= 2 the
-    # column k = 1 has a pole at z + beta = 0; at N = 1 the point is regular
-    if n > 1:
-        for j, zj in enumerate(z, 1):
-            if is_zero(zj + beta, 0):
-                raise ZeroDivisionError(f"dual Grothendieck pole at z_{j} + beta = 0")
-    lin = (beta, 1)
-    cols = [RatFunc([(1, parts[k] + n - 1, -k)], lin) for k in range(n)]
-    ratio = det_ratio_columns(cols, z)
-    return ratio if sign_pairs(n) > 0 else -ratio
+    parts = [_parts(lam, n) for lam in lams]
+    if dual:
+        if any(is_zero(zj, 0) for zj in z):
+            raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
+        # z^(lam_k+N-k) (1+beta/z)^(1-k) = z^(lam_k+N-1) (z+beta)^(1-k): for N >= 2 the
+        # column k = 1 has a pole at z + beta = 0; at N = 1 the point is regular
+        if n > 1:
+            for j, zj in enumerate(z, 1):
+                if is_zero(zj + beta, 0):
+                    raise ZeroDivisionError(f"dual Grothendieck pole at z_{j} + beta = 0")
+        lin = (beta, 1)
+    else:
+        lin = (1, beta)
+    columns, column_sets = {}, []
+    for p in parts:
+        cols = []
+        for k in range(n):
+            key = (p[k] + n - 1, -k) if dual else (p[k] + n - 1 - k, k)
+            col = columns.get(key)
+            if col is None:
+                col = columns[key] = RatFunc([(1, *key)], lin)
+            cols.append(col)
+        column_sets.append(cols)
+    ratios = det_ratios(column_sets, z)
+    return ratios if sign_pairs(n) > 0 else [-ratio for ratio in ratios]
 
 
 class BialternantStack:

@@ -11,7 +11,7 @@ from fivevertex.identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs
                                    grothendieck_sum_check, grothendieck_sum_det,
                                    orthogonality_check, orthogonality_matrix)
 from fivevertex.partitions import enumerate_box
-from fivevertex.symfunc import schur_eval
+from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval, schur_eval
 
 from conftest import distinct_squares, rand_fraction
 
@@ -111,6 +111,34 @@ def test_infinite_limit_two_variables():
 def test_infinite_limit_rejects_divergent_input():
     with pytest.raises(ValueError):
         cauchy_infinite_check(1, [F(2)], [F(1)], 0, M_max=5)
+
+
+def test_infinite_partials_are_the_box_sums():
+    # the partial sum at m is the sum over the whole m^N box, shell by shell
+    z, y, beta = [F(1, 3), F(1, 4)], [F(1, 2), F(2, 5)], F(1, 6)
+    report = cauchy_infinite_check(2, z, y, beta, M_max=5)
+    for m, partial in enumerate(report["partials"], 1):
+        box = enumerate_box(m, 2)
+        assert partial == sum(grothendieck_eval(lam, z, beta) * dual_grothendieck_eval(lam, y, beta)
+                              for lam in box)
+
+
+_THREE, _ONE = [F(1, 2), F(1, 3), F(1, 5)], [F(1, 2)]
+
+
+@pytest.mark.parametrize("call, got", [
+    (lambda: cauchy_lhs(4, 2, _THREE, _THREE, F(1, 4)), 3),
+    (lambda: cauchy_lhs(4, 2, _THREE[:2], _ONE, F(1, 4)), 1),
+    (lambda: cauchy_rhs(4, 2, _THREE, _THREE, F(1, 4)), 3),
+    (lambda: grothendieck_sum_check(4, 2, _THREE, F(1, 4)), 3),
+    (lambda: grothendieck_sum_check(4, 2, _ONE, F(1, 4), dual=True), 1),
+    (lambda: grothendieck_sum_det(4, 2, _ONE, F(1, 4)), 1),
+    (lambda: cauchy_infinite_check(2, _THREE, _THREE[:2], F(1, 4), M_max=3), 3),
+], ids=["cauchy_lhs", "cauchy_lhs_y", "cauchy_rhs", "sum_check", "sum_check_dual", "sum_det",
+        "cauchy_infinite"])
+def test_wrong_variable_counts_are_refused_up_front(call, got):
+    with pytest.raises(ValueError, match=rf"^need N = 2 variables, got {got}$"):
+        call()
 
 
 def test_sum_single_variable_hand_check(rng):

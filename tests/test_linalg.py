@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivevertex.linalg import Matrix, det
-from fivevertex.confluent import det_ratio_columns, det_ratio_labelled
+from fivevertex.confluent import det_ratio_columns, det_ratio_labelled, det_ratios
 from fivevertex.ratfunc import RatFunc, int_rows, taylor
 
-from conftest import rand_fraction
+from conftest import outcome, rand_fraction
 
 
 def det_cofactor(rows):
@@ -64,6 +64,10 @@ def test_nonsquare_rejected():
 def test_complex_route_matches_exact():
     rows = [[1.0, 2.0], [3.0, 4.0]]
     assert abs(det(Matrix(rows)) - (-2)) < 1e-12
+    # one float or complex entry among ints and Fractions still takes the LU route
+    for last in (4.0, 4 + 0j):
+        value = det([[1, F(2)], [3, last]])
+        assert type(value) is complex and abs(value - (-2)) < 1e-12
 
 
 def test_product_with_a_zero_inner_dimension_is_zero():
@@ -174,6 +178,9 @@ def test_det_refuses_expression_entries():
     x = sympy.Symbol("x")
     with pytest.raises(TypeError, match="sympy.polys.fields.field"):
         det(Matrix([[x, 1], [1, x]]))
+    # also behind int and Fraction entries, which the scan passes over cheaply
+    with pytest.raises(TypeError, match="sympy.polys.fields.field"):
+        det(Matrix([[1, F(1, 2)], [2, x]]))
 
 
 def test_taylor_rows_match_sympy_series(rng):
@@ -308,6 +315,7 @@ def test_integer_lane_matches_a_naive_reference():
     # distinct and confluent points, rows and labels coincident at once, against
     # Fraction ** powers, a generic det and the Vandermondes taken directly
     rng = Random(41)
+    set_rng = Random(43)  # the multi-set draws, apart from the single-set ones
     for _ in range(120):
         n = rng.randint(1, 4)
         points = [rng.choice(_POOL) for _ in range(n)]
@@ -317,6 +325,17 @@ def test_integer_lane_matches_a_naive_reference():
         assert got == _reference(columns, points)
         if any(type(p) is F for p in points):
             assert type(got) is F
+
+        # several sets at the same points, sharing columns of two lins, in one call
+        other = _draw_lin(set_rng, points)
+        pool = columns + [(_draw_terms(set_rng, set_rng.randint(1, 3)), other) for _ in range(3)]
+        funcs = [RatFunc(t, l) for t, l in pool]
+        picks = [[set_rng.randrange(len(pool)) for _ in range(n)] for _ in range(4)]
+        batch = det_ratios([[funcs[k] for k in pick] for pick in picks], points)
+        for pick, got in zip(picks, batch):
+            assert got == _reference([pool[k] for k in pick], points)
+            if any(type(p) is F for p in points):
+                assert type(got) is F
 
         labels = [rng.choice(_POOL) for _ in range(rng.randint(0, n))]
         label_lin = _draw_lin(rng, labels)
@@ -353,3 +372,38 @@ def test_integer_lane_refuses_zero_bases_as_the_generic_path():
                              [F(0), F(0)]) == 0
     assert det_ratio_columns([RatFunc([(1, 0, 0)]), RatFunc([(1, 1, 3)], (1, -2))],
                              [F(0), F(1, 2)]) == F(0)
+
+
+def _lane_point(rng, lane):
+    if lane == "int":
+        return rng.randint(-3, 3)
+    if lane == "complex":
+        return complex(rng.randint(-3, 3), rng.randint(-3, 3)) / 4
+    if lane == "fraction":
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+    return rng.choice([rng.randint(-3, 3), F(rng.randint(-6, 6), rng.randint(1, 4))])
+
+
+@pytest.mark.parametrize("lane", ["int", "fraction", "mixed", "complex"])
+def test_batched_ratios_match_one_set_calls(lane):
+    # det_ratios against one det_ratio_columns call per set, in repr (types, and the
+    # complex lane's bits, included), with coincident points and zero-base refusals
+    rng = Random(47)
+    for _ in range(150):
+        n = rng.randint(0, 4)
+        points = [_lane_point(rng, lane) for _ in range(n)]
+        if n >= 2 and rng.random() < 0.4:
+            points[-1] = points[0]
+        lins = [(1, _lane_point(rng, lane)), (_lane_point(rng, lane), 1)]
+        pool = [RatFunc([(_lane_point(rng, lane) or 1, rng.randint(-1, 4), rng.randint(-2, 2))
+                         for _ in range(rng.randint(1, 2))], rng.choice(lins))
+                for _ in range(n + 3)]
+        sets = [[rng.choice(pool) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        batch = outcome(lambda: det_ratios(sets, points))
+        one_by_one = outcome(lambda: [det_ratio_columns(cols, points) for cols in sets])
+        assert batch == one_by_one
+    # a set of the wrong length is refused as the one-set call refuses it
+    sets = [[RatFunc([(1, 0, 0)])], [RatFunc([(1, 0, 0)])] * 2]
+    assert outcome(lambda: det_ratios(sets, [F(1, 2)])) \
+        == outcome(lambda: [det_ratio_columns(cols, [F(1, 2)]) for cols in sets]) \
+        == "ValueError: need as many columns as points"

@@ -6,9 +6,10 @@ from itertools import permutations
 import pytest
 
 from fivevertex.partitions import enumerate_box
-from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval, schur_eval
+from fivevertex.symfunc import (dual_grothendieck_eval, grothendieck_eval, grothendieck_evals,
+                               schur_eval)
 
-from conftest import distinct_squares, rand_fraction
+from conftest import distinct_squares, outcome, rand_fraction
 
 
 def semistandard_tableaux_count(shape, max_entry):
@@ -140,11 +141,58 @@ def test_dual_pole_refused_before_any_column(monkeypatch):
     def no_determinant(*args):
         raise AssertionError("a determinant was set up at a pole")
 
-    monkeypatch.setattr(symfunc, "det_ratio_columns", no_determinant)
+    monkeypatch.setattr(symfunc, "det_ratios", no_determinant)
     with pytest.raises(ZeroDivisionError, match=r"^dual Grothendieck pole at z_2 \+ beta = 0$"):
         dual_grothendieck_eval((2, 1), [F(1, 3), F(1, 2), F(2)], F(-1, 2))
     with pytest.raises(ZeroDivisionError, match=r"z_1 \+ beta = 0"):
         dual_grothendieck_eval((1, 1), [F(-3, 2), F(-3, 2)], F(3, 2))
+
+
+@pytest.mark.parametrize("lane", ["int", "fraction", "complex"])
+def test_batched_evaluator_matches_scalar_calls(lane):
+    # one grothendieck_evals call over a list of partitions against one scalar call per
+    # partition, in repr: types and the complex lane's bits included, with coincident
+    # variables, zero variables and z_j + beta = 0 poles refused alike
+    from random import Random
+
+    rng = Random(53)
+
+    def draw():
+        if lane == "int":
+            return rng.randint(-2, 3)
+        if lane == "complex":
+            return complex(rng.randint(-3, 3), rng.randint(-3, 3)) / 4
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        z = [draw() for _ in range(n)]
+        if n >= 2 and rng.random() < 0.4:
+            z[-1] = z[0]
+        beta = rng.choice([0, draw(), -z[0]])
+        box = list(enumerate_box(rng.randint(0, 3), n))
+        lams = box[:1] + [lam for lam in box[1:] if rng.random() < 0.6]
+        for dual, scalar in ((False, grothendieck_eval), (True, dual_grothendieck_eval)):
+            batch = outcome(lambda: grothendieck_evals(lams, z, beta, dual))
+            one_by_one = outcome(lambda: [scalar(lam, z, beta) for lam in lams])
+            assert batch == one_by_one
+    # a partition with more parts than variables, in the same words
+    lams = [(1,), (1, 1, 1)]
+    assert outcome(lambda: grothendieck_evals(lams, [F(1, 2), F(1, 3)], 1)) \
+        == outcome(lambda: [grothendieck_eval(lam, [F(1, 2), F(1, 3)], 1) for lam in lams]) \
+        == "ValueError: partition has 3 parts but only 2 variables"
+
+
+def test_batched_evaluator_over_a_rational_function_field():
+    import sympy
+    from sympy.polys.fields import field
+
+    # field elements take the generic lane, here with a coincident variable (Taylor rows)
+    _, z1, z2, beta = field("z1,z2,beta", sympy.QQ)
+    lams = list(enumerate_box(2, 3))
+    for dual, scalar in ((False, grothendieck_eval), (True, dual_grothendieck_eval)):
+        assert grothendieck_evals(lams, [z1, z2, z1], beta, dual) \
+            == [scalar(lam, [z1, z2, z1], beta) for lam in lams]
 
 
 def test_dual_single_variable_is_regular_at_minus_beta():
