@@ -26,7 +26,7 @@ from .tasep import (BetheSolution, GreenQuery, SectorState, Spectrum, bethe_solv
 from .vertex import (VertexWeights, appendix_a_family_check, l_matrix, l_weights,
                      r_matrix, rll_check, rtilde_check, rtilde_matrix, ybe_check)
 from .wavefunc import (MatrixProductState, dual_wavefunction_det, dual_wavefunction_sum,
-                       matrix_product_build, wavefunction_det, wavefunction_sum,
-                       wavefunction_trace)
+                       matrix_product_build, wavefunction_det, wavefunction_dets,
+                       wavefunction_sum, wavefunction_trace)
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ from __future__ import annotations
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from random import Random
 
@@ -39,7 +38,7 @@ from .tasep import (Spectrum, bethe_solve, current_terms, density_terms, green_f
                     master_oracle, sector_generator, sum_rule_check)
 from .vertex import appendix_a_family_check, rll_check, rtilde_check, ybe_check
 from .wavefunc import (dual_wavefunction_det, dual_wavefunction_sum, step_overlap_value,
-                       staircase_overlap_value, wavefunction_det, wavefunction_sum)
+                       staircase_overlap_value, wavefunction_dets, wavefunction_sum)
 
 
 def _result(name, passed, detail):
@@ -115,13 +114,15 @@ def criterion_3_wavefunctions(seed: int = 103) -> dict:
                 v = distinct_square_fractions(rng, N, avoid_squares=[1 / alpha])
                 u = distinct_square_fractions(rng, N, avoid_squares=[1 / alpha])
                 params = ModelParameters(alpha=alpha, M=M)
-                ket = bethe_state(v, params)
-                bra = dual_bethe_state(u, params)
-                for i, x in enumerate(sector_basis(M, N)):
-                    if wavefunction_det(x, v, alpha, M) != ket[i]:
+                basis = sector_basis(M, N)
+                kets = zip(wavefunction_dets(basis, v, alpha, M), bethe_state(v, params))
+                bras = zip(wavefunction_dets(basis, u, alpha, M, dual=True),
+                           dual_bethe_state(u, params))
+                for x, (ket, ket_oracle), (bra, bra_oracle) in zip(basis, kets, bras):
+                    if ket != ket_oracle:
                         return _result("3 wavefunction master", False,
                                        f"<x|psi> mismatch at M={M}, N={N}, x={x}")
-                    if dual_wavefunction_det(x, u, alpha, M) != bra[i]:
+                    if bra != bra_oracle:
                         return _result("3 wavefunction master", False,
                                        f"<psi|x> mismatch at M={M}, N={N}, x={x}")
     # The closed forms are proved in the field QQ(alpha, u_1..u_N), whose
@@ -324,11 +325,13 @@ def criterion_6_summation(seed: int = 106) -> dict:
             alpha = rand_fraction(rng)
             v = distinct_square_fractions(rng, N, avoid_squares=[1 / alpha])
             u = distinct_square_fractions(rng, N, avoid_squares=[1 / alpha])
+            basis = sector_basis(M, N)
             enum_wave = 0
             enum_dual = 0
-            for x in combinations(range(1, M + 1), N):
-                enum_wave += alpha ** (M * N - sum(x)) * wavefunction_det(x, v, alpha, M)
-                enum_dual += alpha ** (sum(x) - N) * dual_wavefunction_det(x, u, alpha, M)
+            for x, ket, bra in zip(basis, wavefunction_dets(basis, v, alpha, M),
+                                   wavefunction_dets(basis, u, alpha, M, dual=True)):
+                enum_wave += alpha ** (M * N - sum(x)) * ket
+                enum_dual += alpha ** (sum(x) - N) * bra
             if wavefunction_sum(v, alpha, M) != enum_wave:
                 return _result("6 summation", False, f"wavefunction sum M={M} N={N}")
             if dual_wavefunction_sum(u, alpha, M) != enum_dual:

@@ -49,7 +49,7 @@ from .sector import ModelParameters, commutation_checks, transfer_matrix
 from .symfunc import dual_grothendieck_eval, grothendieck_eval, schur_eval
 from .tasep import (GreenQuery, Spectrum, bethe_solve, current_terms, density_terms,
                     green_function, master_oracle)
-from .wavefunc import dual_wavefunction_det, wavefunction_det
+from .wavefunc import wavefunction_dets
 
 
 class _Parser(argparse.ArgumentParser):
@@ -242,8 +242,7 @@ def _scalar_check(args):
 
 
 def _wavefunction_eval(args):
-    fn = dual_wavefunction_det if args.dual else wavefunction_det
-    value = fn(tuple(args.config), args.params, args.alpha, args.M)
+    value = wavefunction_dets([args.config], args.params, args.alpha, args.M, dual=args.dual)[0]
     return 0, {"command": "wavefunction eval",
                "inputs": {"config": args.config, "params": args.params, "alpha": args.alpha,
                           "M": args.M, "dual": args.dual},

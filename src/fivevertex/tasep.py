@@ -299,6 +299,8 @@ def bethe_solve(M: int, N: int, beta=-1.0):
     """
     if not 1 <= N <= M - 1:
         raise ValueError("need 1 <= N <= M-1 (N = M is the frozen ring)")
+    if not np.isfinite(complex(beta)):
+        raise ValueError(f"beta must be finite, got beta = {beta}")
     beta = complex(beta)
     expected = comb(M, N)
     if expected > comb(12, 6):
@@ -379,6 +381,9 @@ class Spectrum:
         if len(solutions) != comb(M, N):
             raise RuntimeError(
                 f"incomplete Bethe solution set: {len(solutions)} of {comb(M, N)}")
+        for s in solutions:
+            if len(s.roots) != N:
+                raise ValueError(f"solution sets must hold N = {N} roots, found {len(s.roots)}")
         proper = [s for s in solutions if not s.stationary]
         self.M, self.N = M, N
         self.stationary = (len(solutions) - len(proper)) / comb(M, N)

@@ -14,6 +14,8 @@ z_j = alpha - v_j^-2, are Grothendieck polynomials up to explicit factors.
 They and the weighted summation formulas (``wavefunction_sum``,
 ``dual_wavefunction_sum``) are confluent determinant ratios in s = v^2, so
 spectral parameters with equal squares take the confluent limit.
+``wavefunction_dets`` takes either overlap over a list of configurations in one
+``det_ratios`` call; the scalar overlaps are its one-configuration case.
 
 The independent construction behind these formulas is a matrix product over
 the 2^N auxiliary product space: the column-to-row transposed monodromy
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .confluent import det_ratio_columns, sign_pairs
+from .confluent import det_ratio_columns, det_ratios, sign_pairs
 from .linalg import Matrix
 from .partitions import ParticleConfiguration
 from .ratfunc import RatFunc
@@ -38,49 +40,56 @@ from .scalars import eq, exact_div, exact_pow, is_inexact, is_zero
 from math import comb
 
 
-def _positions(x):
-    if isinstance(x, ParticleConfiguration):
-        return x.positions
-    return tuple(x)
+def _positions(x, M):
+    """The positions of ``x``, refused unless 1 <= x_1 < ... < x_N <= M."""
+    pos = x.positions if isinstance(x, ParticleConfiguration) else tuple(x)
+    if any(a >= b for a, b in zip(pos, pos[1:])) or pos and (pos[0] < 1 or pos[-1] > M):
+        raise ValueError(f"configuration {pos} needs 1 <= x_1 < ... < x_N <= {M}")
+    return pos
 
 
 def wavefunction_det(x, v, alpha, M):
     """<x_1...x_N | psi({v}_N)> as a determinant; poles at v = 0, alpha v^2 = 1."""
-    pos = _positions(x)
-    v = list(v)
-    n = len(v)
-    if len(pos) != n:
-        raise ValueError("configuration size must match the number of parameters")
-    if n == 0:
-        return 1
-    pref = 1
-    for vj in v:
-        if is_zero(vj, 0) or is_zero(alpha * vj * vj - 1, 0):
-            raise ZeroDivisionError("wavefunction pole at v = 0 or alpha v^2 = 1")
-        pref = pref * vj ** (M - 1) * exact_pow(alpha * vj * vj - 1, -1)
-    # entry v^(2k) (alpha - v^-2)^(x_k) = s^(k - x_k) (alpha s - 1)^(x_k), s = v^2
-    lin = (-1, alpha)
-    cols = [RatFunc([(1, k - pos[k - 1], pos[k - 1])], lin) for k in range(1, n + 1)]
-    return pref * det_ratio_columns(cols, [vj * vj for vj in v])
+    return wavefunction_dets([x], v, alpha, M)[0]
 
 
 def dual_wavefunction_det(x, u, alpha, M):
     """<psi({u}_N) | x_1...x_N> as a determinant; also needs alpha != u^-2."""
-    pos = _positions(x)
-    u = list(u)
-    n = len(u)
-    if len(pos) != n:
-        raise ValueError("configuration size must match the number of parameters")
-    if n == 0:
-        return 1
+    return wavefunction_dets([x], u, alpha, M, dual=True)[0]
+
+
+def wavefunction_dets(configs, v, alpha, M, dual: bool = False):
+    """[<x|psi({v}_N)> for x in configs], or <psi({v}_N)|x> with ``dual``.
+
+    The poles are checked once, a column is built once per distinct (k, x_k)
+    and shared by every configuration that has it, and one
+    ``confluent.det_ratios`` call over s = v^2 does the point work once.  A
+    configuration outside 1 <= x_1 < ... < x_N <= M is refused.
+    """
+    v = list(v)
+    n = len(v)
+    positions = []
+    for x in configs:
+        if len(x) != n:
+            raise ValueError("configuration size must match the number of parameters")
+        positions.append(_positions(x, M))
     pref = 1
-    for uj in u:
-        if is_zero(uj, 0) or is_zero(alpha * uj * uj - 1, 0):
-            raise ZeroDivisionError("dual wavefunction pole at u = 0 or alpha = u^-2")
-        pref = pref * (alpha * uj - exact_pow(uj, -1)) ** M * uj ** (2 * n - 1)
+    for vj in v:
+        if is_zero(vj, 0) or is_zero(alpha * vj * vj - 1, 0):
+            raise ZeroDivisionError("dual wavefunction pole at u = 0 or alpha = u^-2" if dual
+                                    else "wavefunction pole at v = 0 or alpha v^2 = 1")
+        if dual:
+            pref = pref * (alpha * vj - exact_pow(vj, -1)) ** M * vj ** (2 * n - 1)
+        else:
+            pref = pref * vj ** (M - 1) * exact_pow(alpha * vj * vj - 1, -1)
+    if dual:
+        pref = pref * sign_pairs(n)
+    # entry v^(2k) (alpha - v^-2)^(x_k) = s^(k - x_k) (alpha s - 1)^(x_k), s = v^2; dual: 1/entry
     lin = (-1, alpha)
-    cols = [RatFunc([(1, pos[k - 1] - k, -pos[k - 1])], lin) for k in range(1, n + 1)]
-    return pref * sign_pairs(n) * det_ratio_columns(cols, [uj * uj for uj in u])
+    columns = {(k, xk): RatFunc([(1, xk - k, -xk) if dual else (1, k - xk, xk)], lin)
+               for k, xk in {key for pos in positions for key in enumerate(pos, 1)}}
+    column_sets = [[columns[key] for key in enumerate(pos, 1)] for pos in positions]
+    return [pref * ratio for ratio in det_ratios(column_sets, [vj * vj for vj in v])]
 
 
 def step_overlap_value(u, alpha, M):
@@ -88,7 +97,7 @@ def step_overlap_value(u, alpha, M):
     n = len(u)
     out = alpha ** (n * (n - 1) // 2)
     for uj in u:
-        out = out * uj ** (n - 1) * (alpha * uj - uj ** -1) ** (M - n)
+        out = out * uj ** (n - 1) * (alpha * uj - exact_pow(uj, -1)) ** (M - n)
     return out
 
 
@@ -97,7 +106,7 @@ def staircase_overlap_value(u, alpha, M):
     n = len(u)
     out = 1
     for uj in u:
-        out = out * (alpha * uj - uj ** -1) ** (M - 2 * n + 1)
+        out = out * (alpha * uj - exact_pow(uj, -1)) ** (M - 2 * n + 1)
     for j in range(n):
         for k in range(j + 1, n):
             out = out * (alpha ** 2 * u[j] ** 2 * u[k] ** 2 - 1)
@@ -168,7 +177,8 @@ def _split_by_weight(mat, a_diag, q_weights, conjugation="B"):
             val = mat[r, c]
             if is_zero(val, 0 if not is_inexact(val) else 1e-14):
                 continue
-            ratio = a_diag[c] / a_diag[r] if conjugation == "B" else a_diag[r] / a_diag[c]
+            ratio = (exact_div(a_diag[c], a_diag[r]) if conjugation == "B"
+                     else exact_div(a_diag[r], a_diag[c]))
             for j, q in enumerate(q_weights, start=1):
                 if eq(ratio, q, 1e-9):
                     split[j][r, c] = val
@@ -198,7 +208,7 @@ def matrix_product_build(u, alpha) -> MatrixProductState:
         if is_zero(uj, 0) or is_zero(alpha * uj * uj - 1, 0):
             raise ZeroDivisionError("matrix product needs u != 0 and alpha u^2 != 1")
     u1 = u[0]
-    d1 = alpha * u1 - u1 ** -1
+    d1 = alpha * u1 - exact_pow(u1, -1)
     a_mat = Matrix([[u1, 0], [0, d1]])
     b_mat = Matrix([[0, 0], [1, 0]])
     c_mat = Matrix([[0, 1], [0, 0]])
@@ -206,10 +216,10 @@ def matrix_product_build(u, alpha) -> MatrixProductState:
     g_mat = Matrix.identity(2)
     g_inv = Matrix.identity(2)
     a_diag = [u1, d1]
-    q_weights = [uj / (alpha * uj - uj ** -1) for uj in u]
+    q_weights = [exact_div(uj, alpha * uj - exact_pow(uj, -1)) for uj in u]
     for step in range(1, len(u)):
         t = u[step]
-        dt = alpha * t - t ** -1
+        dt = alpha * t - exact_pow(t, -1)
         dim = a_mat.rows
         # script-frame B of the current level, split by exchange weight
         b_script = g_inv * b_mat * g_mat
@@ -217,7 +227,8 @@ def matrix_product_build(u, alpha) -> MatrixProductState:
         h_mat = Matrix.zeros(dim, dim)
         for j in range(1, step + 1):
             uj = u[j - 1]
-            coeff = (alpha * uj - uj ** -1) / (uj ** -1 * t - uj * t ** -1)
+            coeff = exact_div(alpha * uj - exact_pow(uj, -1),
+                              exact_pow(uj, -1) * t - uj * exact_pow(t, -1))
             h_mat = h_mat + split[j].scale(coeff)
         h_mat = Matrix([[exact_div(h_mat[r, c], a_diag[r]) for c in range(dim)]
                         for r in range(dim)])
@@ -242,9 +253,10 @@ def wavefunction_trace(x, u, alpha, M, mps: MatrixProductState = None, dual: boo
     """Trace-formula evaluation of the overlap through the matrix product.
 
     dual=True gives <psi({u}_N)|x> (B-string against P = |0^N><1^N|),
-    dual=False gives <x|psi({u}_N)> (C-string against Q = |1^N><0^N|).
+    dual=False gives <x|psi({u}_N)> (C-string against Q = |1^N><0^N|).  A
+    configuration outside 1 <= x_1 < ... < x_N <= M is refused.
     """
-    pos = _positions(x)
+    pos = _positions(x, M)
     n = len(pos)
     if mps is None:
         mps = matrix_product_build(u, alpha)
@@ -276,37 +288,29 @@ def wavefunction_sum(v, alpha, M):
     Column j is a short sum of c s^(-p) in s = v^2, times prod v^(M+1);
     coincident s take Taylor rows.
     """
-    v = list(v)
-    n = len(v)
-
-    def column(j):
-        if j < n:
-            return [(_sum_weight(alpha, M, m), j - 1 - m, 0) for m in range(j)]
-        return [(-_sum_weight(alpha, M, m), n - 1 - m, 0) for m in range(max(n - 1, 1), M + 1)]
-
-    pref = 1
-    for vj in v:
-        pref = pref * vj ** (M + 1)
-    cols = [RatFunc(column(j)) for j in range(1, n + 1)]
-    return pref * det_ratio_columns(cols, [vj * vj for vj in v])
+    return _weighted_sum(v, alpha, M, dual=False)
 
 
 def dual_wavefunction_sum(u, alpha, M):
     """sum_x alpha^(sum x_j - N) <psi({u}_N)|x> over increasing configurations.
 
-    Columns in s = u^2 as for ``wavefunction_sum``, times prod u^(M+1).
+    The columns of ``wavefunction_sum`` in reverse order, times sign_pairs(N) prod u^(M+1).
     """
-    u = list(u)
-    n = len(u)
+    return _weighted_sum(u, alpha, M, dual=True)
 
-    def column(j):
-        if j == 1:
-            return [(-_sum_weight(alpha, M, m), n - 1 - m, 0)
-                    for m in range(max(n - 1, 1), M + 1)]
-        return [(_sum_weight(alpha, M, m), n - m - j, 0) for m in range(n - j + 1)]
 
+def _weighted_sum(v, alpha, M, dual):
+    v = list(v)
+    n = len(v)
+    cols = [RatFunc([(_sum_weight(alpha, M, m), j - 1 - m, 0) for m in range(j)])
+            for j in range(1, n)]
+    if n:
+        top = RatFunc([(-_sum_weight(alpha, M, m), n - 1 - m, 0)
+                       for m in range(max(n - 1, 1), M + 1)])
+        cols = [top] + cols[::-1] if dual else cols + [top]
     pref = 1
-    for uj in u:
-        pref = pref * uj ** (M + 1)
-    cols = [RatFunc(column(j)) for j in range(1, n + 1)]
-    return pref * sign_pairs(n) * det_ratio_columns(cols, [uj * uj for uj in u])
+    for vj in v:
+        pref = pref * vj ** (M + 1)
+    if dual:
+        pref = pref * sign_pairs(n)
+    return pref * det_ratio_columns(cols, [vj * vj for vj in v])

@@ -234,6 +234,30 @@ def test_wavefunction_eval(capsys):
     assert "/" in payload["result"]  # exact rational output
 
 
+@pytest.mark.parametrize("config, M, dual", [("1,9", "5", []), ("2,2", "5", ["--dual"]),
+                                            ("1,2", "1", [])])
+def test_wavefunction_eval_refuses_an_impossible_configuration(capsys, config, M, dual):
+    # these used to print -1152845/324, 343/162 and 2 with exit code 0
+    code = run(["wavefunction", "eval", "--config", config, "--params", "1/2,1/3",
+                "--alpha", "2", "--M", M, *dual])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    positions = tuple(int(x) for x in config.split(","))
+    assert captured.err == f"error: configuration {positions} needs 1 <= x_1 < ... < x_N <= {M}\n"
+
+
+@pytest.mark.parametrize("argv", [["tasep", "bethe", "--M", "4", "--N", "2", "--beta", "inf"],
+                                  ["identity", "orthogonality", "--M", "6", "--N", "2",
+                                   "--beta", "nan"]])
+def test_non_finite_beta_is_refused_up_front(capsys, argv):
+    # these used to track every path and print a completeness failure
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: beta must be finite, got beta = {float(argv[-1])}\n"
+
+
 def test_orthogonality_command(capsys):
     # beta = 1e-11 is tracked, not taken for beta = 0: it used to exit 1 on the
     # unit-circle check, its roots sitting 3e-12 off the circle

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from fivevertex import tasep
-from fivevertex.identities import cauchy_rhs
+from fivevertex.identities import cauchy_rhs, orthogonality_matrix
 from fivevertex.partitions import ParticleConfiguration as PC
 from fivevertex.partitions import enumerate_box, partition_to_config
 from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval
@@ -182,6 +182,14 @@ def test_solver_cap():
         bethe_solve(14, 7)
 
 
+@pytest.mark.parametrize("beta", [float("inf"), float("nan"), complex(-1, float("inf"))])
+def test_bethe_solve_refuses_a_non_finite_beta(beta):
+    # these used to track every path and report a completeness failure with
+    # one "stalled ... at s = 0" line per subset
+    with pytest.raises(ValueError, match=re.escape(f"beta must be finite, got beta = {beta}")):
+        bethe_solve(4, 2, beta)
+
+
 @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
 def test_master_oracle_and_green_query_refuse_a_bad_time(t):
     # t < 0 used to give "probabilities" outside [0, 1], t = inf all zeros,
@@ -306,6 +314,14 @@ def test_spectrum_refuses_degenerate_input():
     at_pole = replace(proper, roots=(1.0 + 0j,) + proper.roots[1:])
     with pytest.raises(ZeroDivisionError, match="1 \\+ beta/z"):
         Spectrum(sols[:k] + [at_pole] + sols[k + 1:], M, N)
+    # binomial(6,2) = binomial(6,4): the list passes the count check at N = 4;
+    # the orthogonality matrix used to come out 0.92 off the identity, and the
+    # table and sum rule failed only on a numpy broadcast
+    for call in (lambda: orthogonality_matrix(M, 4, -1.0, sols),
+                 lambda: green_function_table(M, 4, 1.0, sols),
+                 lambda: sum_rule_check(PC((1, 2, 3, 4), M), 1.0, sols)):
+        with pytest.raises(ValueError, match="solution sets must hold N = 4 roots, found 2"):
+            call()
 
 
 def _polish_one(z, M, N, beta, iters=40):

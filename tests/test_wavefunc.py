@@ -1,5 +1,6 @@
 """Wavefunction determinants, the matrix-product route, and summation formulas."""
 
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -11,7 +12,8 @@ from fivevertex.symfunc import grothendieck_eval
 from fivevertex.wavefunc import (dual_wavefunction_det,
                                  dual_wavefunction_sum, matrix_product_build,
                                  step_overlap_value, staircase_overlap_value,
-                                 wavefunction_det, wavefunction_sum, wavefunction_trace)
+                                 wavefunction_det, wavefunction_dets, wavefunction_sum,
+                                 wavefunction_trace)
 
 from conftest import rand_fraction
 
@@ -39,16 +41,30 @@ def test_consecutive_block_closed_forms(rng):
 
 
 def test_oracle_agreement(rng):
-    M, N = 4, 2
-    alpha = rand_fraction(rng)
-    v = spectral(rng, N, alpha)
-    u = spectral(rng, N, alpha)
-    params = ModelParameters(alpha=alpha, M=M)
-    ket = bethe_state(v, params)
-    bra = dual_bethe_state(u, params)
-    for i, x in enumerate(sector_basis(M, N)):
-        assert wavefunction_det(x, v, alpha, M) == ket[i]
-        assert dual_wavefunction_det(x, u, alpha, M) == bra[i]
+    # whole sector bases in one call each, against the operator oracle; the
+    # last parameter sets hold two equal squares, v = (a, -a, b)
+    for M in range(1, 8):
+        for N in range(1, min(3, M) + 1):
+            alpha = rand_fraction(rng)
+            draws = [(spectral(rng, N, alpha), spectral(rng, N, alpha))]
+            if N == 3:
+                a, b = spectral(rng, 2, alpha)
+                draws.append(([a, -a, b], [b, a, -b]))
+            params = ModelParameters(alpha=alpha, M=M)
+            basis = sector_basis(M, N)
+            for v, u in draws:
+                assert wavefunction_dets(basis, v, alpha, M) == list(bethe_state(v, params))
+                assert wavefunction_dets(basis, u, alpha, M, dual=True) \
+                    == list(dual_bethe_state(u, params))
+    # the scalar functions are its one-configuration case, bit for bit on complex draws
+    for M, N in [(4, 2), (6, 3), (7, 3)]:
+        alpha = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        v = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(N)]
+        v[1] = -v[0]
+        basis = sector_basis(M, N)
+        for dual, one in [(False, wavefunction_det), (True, dual_wavefunction_det)]:
+            assert [repr(w) for w in wavefunction_dets(basis, v, alpha, M, dual=dual)] \
+                == [repr(one(x, v, alpha, M)) for x in basis]
 
 
 def test_grothendieck_dictionary(rng):
@@ -156,12 +172,14 @@ def test_sums_at_coincident_squares_match_enumeration():
     a, b = F(1, 2), F(-3, 4)
     v = [a, -a, b]
     N = len(v)
-    for M in (3, 5, 6):
+    for M in (3, 5, 6, 7):
         configs = list(combinations(range(1, M + 1), N))
-        total_wave = sum(alpha ** (M * N - sum(x)) * wavefunction_det(x, v, alpha, M)
-                         for x in configs)
-        total_dual = sum(alpha ** (sum(x) - N) * dual_wavefunction_det(x, v, alpha, M)
-                         for x in configs)
+        kets = wavefunction_dets(configs, v, alpha, M)
+        bras = wavefunction_dets(configs, v, alpha, M, dual=True)
+        assert kets == [wavefunction_det(x, v, alpha, M) for x in configs]
+        assert bras == [dual_wavefunction_det(x, v, alpha, M) for x in configs]
+        total_wave = sum(alpha ** (M * N - sum(x)) * ket for x, ket in zip(configs, kets))
+        total_dual = sum(alpha ** (sum(x) - N) * bra for x, bra in zip(configs, bras))
         assert wavefunction_sum(v, alpha, M) == total_wave
         assert dual_wavefunction_sum(v, alpha, M) == total_dual
 
@@ -196,3 +214,35 @@ def test_pole_conditions():
         wavefunction_det((1,), [F(1)], F(1), 3)  # alpha v^2 = 1
     with pytest.raises(ZeroDivisionError):
         dual_wavefunction_det((1,), [F(0)], F(2), 3)
+
+
+@pytest.mark.parametrize("x, M", [((1, 9), 5), ((2, 2), 5), ((1, 2), 1), ((0, 2), 5),
+                                  ((3, 2), 5)])
+def test_impossible_configurations_are_refused(x, M):
+    # these used to return a value: (1, 9) at M = 5 gave -1152845/324, and the
+    # trace took a position past M as a negative power of A
+    u = [F(1, 2), F(1, 3)]
+    message = re.escape(f"configuration {x} needs 1 <= x_1 < ... < x_N <= {M}")
+    for call in (lambda: wavefunction_dets([(1, 2), x], u, F(2), M),
+                 lambda: wavefunction_det(x, u, F(2), M),
+                 lambda: dual_wavefunction_det(x, u, F(2), M),
+                 lambda: wavefunction_trace(x, u, F(2), M)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_int_parameters_stay_exact():
+    # u^-1 of an int used to be a float: the step form gave 383.9999999999999
+    # and the trace 560.0
+    u, alpha, M = (2, 3), 1, 5
+    step = step_overlap_value(u, alpha, M)
+    stair = staircase_overlap_value(u, alpha, M)
+    assert step == dual_wavefunction_det((1, 2), u, alpha, M) == 384
+    assert stair == dual_wavefunction_det((1, 3), u, alpha, M) == 560
+    mps = matrix_product_build(u, alpha)
+    traces = [wavefunction_trace((1, 3), u, alpha, M, mps, dual=d) for d in (True, False)]
+    assert traces == [560, wavefunction_det((1, 3), u, alpha, M)]
+    entries = [step, stair, *traces, *mps.a_diag]
+    for mat in (mps.A, mps.B, mps.C, mps.D, mps.G, mps.G_inv):
+        entries.extend(e for row in mat.data for e in row)
+    assert all(type(e) in (int, F) for e in entries)
