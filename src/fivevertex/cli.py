@@ -202,6 +202,9 @@ def _groth_eval(args):
 
 
 def _vertex_relation(args):
+    if args.draws < 1:
+        # with no draws nothing is checked, yet the result would read passed
+        raise ValueError(f"--draws must be at least 1, got {args.draws}")
     rng = Random(args.seed)
     relation = args.action.split("-")[0]
     cases = [acceptance.integrability_case(rng) for _ in range(args.draws)]
@@ -212,6 +215,10 @@ def _vertex_relation(args):
 
 
 def _vertex_commutation(args):
+    if args.M > 8:
+        # the checks multiply dense exact sector operators: about 1.4 s at
+        # M = 8, and about 3.5 times that per further site
+        raise ValueError(f"commutation-check takes --M up to 8, got {args.M}")
     rng = Random(args.seed)
     u, v = distinct_square_fractions(rng, 2)
     alpha = rand_fraction(rng)

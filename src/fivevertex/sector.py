@@ -21,14 +21,31 @@ labels only refuse compositions and sums whose sectors do not fit.  A sector
 outside 0..M has dimension zero, so an element that leaves the ring's
 sectors composes to the zero operator with no special case.
 
+Integer lane.  When every u/w_j is a Fraction and alpha is an int or a
+Fraction, site j's weights a1, d and e are scaled by D_j, the lcm of their
+denominators, and the exchange vertices b and c weigh D_j too, so every
+vertex path carries exactly one factor per site: the sweep runs on ints and
+an entry is its int over prod_j D_j, with no Fraction formed on the way.
+``build_monodromy_element`` (and so ``transfer_matrix``, ``commutation_checks``
+and ``rtt_check``) divides once per entry; ``bethe_state`` and
+``dual_bethe_state`` contract ints over one running denominator and divide
+once per output entry.  The generic path's result is then a Fraction at
+every entry whose path crosses an a1, d or e vertex, which the division
+reproduces; the one path through exchange vertices only, which flips every
+site, carries the int 1 there and is given back as that int.  Complex
+inputs, field elements such as criterion 3's QQ(alpha, u), and int inputs
+with some u/w_j an int take the generic path, as does every Bethe state at
+M = 1.
+
 This module is the brute-force oracle layer: every determinant formula in the
 package is tested against matrix elements produced here.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .linalg import Matrix
 from .scalars import exact_div, is_zero
@@ -138,21 +155,39 @@ def _row_index(M, n):
 
 
 def _site_tables(u, params: ModelParameters):
-    """Per-site branch tables of L_j(u/w_j), site 1 first.
+    """Per-site branch tables of L_j(u/w_j), site 1 first, and their denominator.
 
     A sweep state is keyed by ``mask << 1 | aux``, so site j is bit j of the
     key.  The table of site j is indexed by 2*aux + occ and lists each
     admissible vertex as (key xor, weight).  The exchange vertices b and c
-    have unit weight: their branches (weight ``None``) flip the auxiliary
-    bit and site j and carry the amplitude over without a multiplication.
+    flip the auxiliary bit and site j; a weight ``None`` carries the
+    amplitude over without a multiplication.  Off the integer lane the
+    weights are ``l_weights``' own, b and c are ``None`` and the denominator
+    is None; on it they are scaled by D_j (b and c weigh D_j, ``None`` when
+    D_j = 1) and the denominator is prod_j D_j.
     """
-    tables = []
+    # by identity: the default w repeats one object, and equal w_j of other
+    # types may give weights of other types
+    vertices = {}
+    for wj in params.w:
+        if id(wj) not in vertices:
+            vertices[id(wj)] = l_weights(exact_div(u, wj), params.alpha)
+    lane = type(params.alpha) in (int, Fraction) and all(type(v.a1) is Fraction
+                                                          for v in vertices.values())
+    for key, (a1, _, _, d, e) in vertices.items():
+        dj = 1
+        if lane:
+            dj = lcm(a1.denominator, d.denominator, e.denominator)
+            a1, d, e = (x.numerator * (dj // x.denominator) for x in (a1, d, e))
+        vertices[key] = dj, a1, d, e
+    tables, den = [], 1
     for j, wj in enumerate(params.w, start=1):
-        wts = l_weights(exact_div(u, wj), params.alpha)
+        dj, a1, d, e = vertices[id(wj)]
+        den *= dj
+        unit = dj if dj != 1 else None
         flip = 1 | (1 << j)
-        tables.append((j, (((0, wts.a1),), ((flip, None),),
-                           ((flip, None), (0, wts.d)), ((0, wts.e),))))
-    return tables
+        tables.append((j, (((0, a1),), ((flip, unit),), ((flip, unit), (0, d)), ((0, e),))))
+    return tables, den if lane else None
 
 
 def _sweep(state, tables):
@@ -170,12 +205,16 @@ def _sweep(state, tables):
 def _columns(kind, u, params: ModelParameters, n: int, strict: bool = True):
     """The entries of element ``kind`` at u on sector n, column by column.
 
-    Returns ``(col, row mask, entry)`` for every entry a vertex path
-    reaches, grouped by ascending column; no other entry can be nonzero.
-    Every column of the source basis is swept at once, its index held in
-    the key bits above site M.  The vertices conserve particles + aux, so
-    an exit with aux = a_out always lands in the target sector.  Refuses
-    u = 0, then (if ``strict``) a sector overflow.
+    Returns ``(entries, den, unit)``: ``entries`` lists ``(col, row mask,
+    entry)`` for every entry a vertex path reaches, grouped by ascending
+    column; no other entry can be nonzero.  Every column of the source basis
+    is swept at once, its index held in the key bits above site M.  The
+    vertices conserve particles + aux, so an exit with aux = a_out always
+    lands in the target sector.  Off the integer lane ``den`` and ``unit``
+    are None and an entry is its value; on it an entry is an int over
+    ``den``, and ``unit`` is the (col, row mask) of the path through exchange
+    vertices only, if the sector has it, or None.  Refuses u = 0, then (if
+    ``strict``) a sector overflow.
     """
     if is_zero(u, 0):
         raise ZeroDivisionError("monodromy elements are singular at u = 0")
@@ -184,14 +223,51 @@ def _columns(kind, u, params: ModelParameters, n: int, strict: bool = True):
     if strict and not (0 <= n <= M and 0 <= n + (b_in - a_out) <= M):
         raise ValueError(f"sector overflow: {kind} cannot act on sector {n} of {M} sites")
     shift = M + 1
+    basis = sector_basis(M, n)
     # aux leaves site M as 0 only from an empty site M, so A and B vanish on
     # the columns with site M occupied
     state = {(col << shift) | (_mask(cfg) << 1) | b_in: 1
-             for col, cfg in enumerate(sector_basis(M, n)) if a_out or M not in cfg}
+             for col, cfg in enumerate(basis) if a_out or M not in cfg}
+    tables, den = _site_tables(u, params)
     sites = (1 << shift) - 1
-    return [(key >> shift, (key & sites) >> 1, amp)
-            for key, amp in _sweep(state, _site_tables(u, params)).items()
-            if key & 1 == a_out]
+    entries = [(key >> shift, (key & sites) >> 1, amp)
+               for key, amp in _sweep(state, tables).items() if key & 1 == a_out]
+    unit = None
+    # an exchange-only path flips every site, so aux alternates along it: it
+    # starts from the sites 1 + b_in, 3 + b_in, ... and leaves with aux = (b_in + M) mod 2
+    alternating = tuple(range(1 + b_in, M + 1, 2))
+    if den is not None and len(alternating) == n and (b_in + M) % 2 == a_out:
+        unit = (basis.index(alternating), ((1 << M) - 1) ^ _mask(alternating))
+    return entries, den, unit
+
+
+def _values(entries, den, unit):
+    """``_columns``' entries as the generic path's values: one division each on the lane."""
+    if den is None:
+        return entries
+    return [(col, mask, 1 if (col, mask) == unit else Fraction(amp, den))
+            for col, mask, amp in entries]
+
+
+def _bethe_steps(kind, params: ModelParameters, steps):
+    """The ``_columns`` of ``kind`` at each (spectral value, sector) of ``steps``.
+
+    Returns (entries per step, den): on the integer lane the entries of every
+    step are ints and a contraction of them is an int over den; otherwise den
+    is None and they are values.  A lane Bethe state is a Fraction at every
+    entry on the generic path too when M >= 2: each step reaches every entry
+    of its target (B from the row less its last particle, C down to the
+    column less its first), and the first step's paths all cross an a1, d or
+    e vertex, so from there on every term is a Fraction.  At M = 1 the one
+    step is the exchange-only path, whose int 1 only the generic path keeps.
+    """
+    cols = [_columns(kind, x, params, n) for x, n in steps]
+    if not cols or params.M < 2 or any(den is None for _, den, _ in cols):
+        return [_values(*c) for c in cols], None
+    den = 1
+    for _, d, _ in cols:
+        den *= d
+    return [entries for entries, _, _ in cols], den
 
 
 def build_monodromy_element(kind, u, params: ModelParameters, n: int,
@@ -212,7 +288,7 @@ def build_monodromy_element(kind, u, params: ModelParameters, n: int,
     n_out = n + (b_in - a_out)
     row_of = _row_index(M, n_out)
     entries = [[0] * sector_dim(M, n) for _ in range(len(row_of))]
-    for col, mask, amp in _columns(kind, u, params, n, strict):
+    for col, mask, amp in _values(*_columns(kind, u, params, n, strict)):
         entries[row_of[mask]][col] = amp
     return SectorOperator(entries, n, n_out, M)
 
@@ -248,32 +324,37 @@ def hamiltonian(params: ModelParameters, n: int) -> SectorOperator:
     return SectorOperator(entries, n, n, M)
 
 
+def _divided(vec, den):
+    return vec if den is None else [Fraction(x, den) for x in vec]
+
+
 def bethe_state(v_list, params: ModelParameters):
     """prod_j B(v_j) |Omega> as an amplitude vector on the len(v)-sector."""
+    steps, den = _bethe_steps("B", params, [(v, k) for k, v in enumerate(v_list)])
     vec = [1]
-    for k, v in enumerate(v_list):
+    for k, entries in enumerate(steps):
         row_of = _row_index(params.M, k + 1)
         out = [0] * len(row_of)
-        for col, mask, amp in _columns("B", v, params, k):
+        for col, mask, amp in entries:
             r = row_of[mask]
             out[r] = out[r] + amp * vec[col]
         vec = out
-    return vec
+    return _divided(vec, den)
 
 
 def dual_bethe_state(u_list, params: ModelParameters):
     """<Omega| prod_j C(u_j) as an amplitude covector on the len(u)-sector."""
+    steps, den = _bethe_steps("C", params, [(u, k + 1) for k, u in enumerate(u_list)])
     bra = [1]
-    for k, u in enumerate(u_list):
+    for k, entries in enumerate(steps):
         row_of = _row_index(params.M, k)
         out = [0] * sector_dim(params.M, k + 1)
         # each column sums its rows in ascending order, as the product bra * C
         # would, so that float amplitudes round alike
-        for col, r, amp in sorted((col, row_of[mask], amp)
-                                  for col, mask, amp in _columns("C", u, params, k + 1)):
+        for col, r, amp in sorted((col, row_of[mask], amp) for col, mask, amp in entries):
             out[col] = out[col] + bra[r] * amp
         bra = out
-    return bra
+    return _divided(bra, den)
 
 
 def _a_func(u, params):

@@ -40,6 +40,8 @@ class ModelParameters:
     w: tuple = None
 
     def __post_init__(self):
+        if not isinstance(self.M, int) or self.M < 0:
+            raise ValueError(f"M must be a nonnegative int, got {self.M!r}")
         w = self.w if self.w is not None else (1,) * self.M
         w = tuple(w)
         if len(w) != self.M:

@@ -136,6 +136,22 @@ def test_vertex_checks(capsys):
     assert json.loads(out)["result"]["passed"] is True
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["commutation-check", "--M", "-2"], "M must be a nonnegative int, got -2"),
+    (["commutation-check", "--M", "9"], "commutation-check takes --M up to 8, got 9"),
+    (["rll-check", "--draws", "0"], "--draws must be at least 1, got 0"),
+    (["ybe-check", "--draws", "-3"], "--draws must be at least 1, got -3"),
+])
+def test_vertex_checks_refuse_a_bad_size_up_front(capsys, argv, message):
+    # -2 sites used to fail as "need one inhomogeneity per site", M = 20 to
+    # start on 184756-square sector matrices, and no draws to report a pass
+    code = run(["vertex", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_bethe_payload(capsys):
     code, out = invoke(capsys, ["tasep", "bethe", "--M", "5", "--N", "2"])
     payload = json.loads(out)

@@ -13,9 +13,9 @@ from fivevertex.sector import (ModelParameters, SectorOperator, bethe_residual, 
                                build_monodromy_element, commutation_checks,
                                dual_bethe_state, hamiltonian, rtt_check, sector_basis,
                                transfer_eigenvalue, transfer_matrix)
-from fivevertex.vertex import l_matrix
+from fivevertex.vertex import l_matrix, l_weights
 
-from conftest import distinct_squares, rand_fraction
+from conftest import distinct_squares, outcome, rand_fraction
 
 
 def mat_solve(a, b):
@@ -75,6 +75,13 @@ def test_sector_overflow():
         build_monodromy_element("B", F(2, 3), params, 2)
     b = build_monodromy_element("B", F(2, 3), params, 2, strict=False)
     assert b.data == []  # B annihilates the full ring
+
+
+@pytest.mark.parametrize("M", [-2, 2.0, "3", None])
+def test_ring_size_must_be_a_nonnegative_int(M):
+    # -2 used to fail only as "need one inhomogeneity per site"
+    with pytest.raises(ValueError, match=f"M must be a nonnegative int, got {M!r}"):
+        ModelParameters(1, M)
 
 
 def test_sector_labels_chain_and_guard(rng):
@@ -325,3 +332,117 @@ def test_int_spectral_parameters_stay_exact():
     inhomogeneous = ModelParameters(2, 3, w=(1, 2, 3))
     assert exact(build_monodromy_element("D", 5, inhomogeneous, 1).data[0])
     assert exact(bethe_residual([2, 3], inhomogeneous))
+
+
+_KINDS = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
+
+
+def _path_entries(kind, u, params, n):
+    """Element ``kind`` on sector n as {(row, col): entry}, one vertex path per entry.
+
+    The two configurations fix the path: a site whose occupation changes
+    takes the exchange vertex b or c (unit weight, no multiplication), an
+    empty one a1 (aux 0) or d (aux 1), an occupied one e (aux 1).  Weights
+    multiply in site order from the int 1, so an entry has the generic
+    path's value and type; entries no path reaches are absent.
+    """
+    a_out, b_in = _KINDS[kind]
+    weights = [l_weights(exact_div(u, wj), params.alpha) for wj in params.w]
+    out = {}
+    for c, col in enumerate(sector_basis(params.M, n)):
+        for r, row in enumerate(sector_basis(params.M, n + b_in - a_out)):
+            aux, amp = b_in, 1
+            for j, wts in enumerate(weights, start=1):
+                occ_in, occ_out = j in col, j in row
+                if occ_in != occ_out:
+                    if aux != occ_out:
+                        break
+                    aux = occ_in
+                elif occ_in:
+                    if not aux:
+                        break
+                    amp = amp * wts.e
+                else:
+                    amp = amp * (wts.d if aux else wts.a1)
+            else:
+                if aux == a_out:
+                    out[r, c] = amp
+    return out
+
+
+def _path_element(kind, u, params, n):
+    a_out, b_in = _KINDS[kind]
+    entries = _path_entries(kind, u, params, n)
+    cols = len(sector_basis(params.M, n))
+    return [[entries.get((r, c), 0) for c in range(cols)]
+            for r in range(len(sector_basis(params.M, n + b_in - a_out)))]
+
+
+def _path_state(x_list, params, dual):
+    """The (dual) Bethe state from ``_path_entries``, summed in the oracle's order."""
+    vec = [1]
+    for k, x in enumerate(x_list):
+        out = [0] * comb(params.M, k + 1)
+        if dual:  # each column over its rows
+            for (c, r), amp in sorted(((c, r), amp) for (r, c), amp
+                                      in _path_entries("C", x, params, k + 1).items()):
+                out[c] = out[c] + vec[r] * amp
+        else:  # each row over its columns
+            for (r, c), amp in sorted(_path_entries("B", x, params, k).items()):
+                out[r] = out[r] + amp * vec[c]
+        vec = out
+    return vec
+
+
+def _parity_cases(rng):
+    """(params, spectral values) draws for the integer-lane parity test."""
+    from sympy import QQ
+    from sympy.polys.fields import field
+
+    cases = []
+    for M in (1, 2, 3):  # exchange-only paths, and the int 1 of M = 1
+        cases.append((ModelParameters(rand_fraction(rng), M), distinct_squares(rng, M)))
+    for alpha in (F(1), F(1, 4)):  # v v' = 1 cancels entries to Fraction(0, 1)
+        cases.append((ModelParameters(alpha, 4), [F(2), F(1, 2), F(1), F(-2)]))
+    for M in (3, 5):  # inhomogeneous, rational and int
+        w = tuple(distinct_squares(rng, M))
+        cases.append((ModelParameters(rand_fraction(rng), M, w=w), distinct_squares(rng, 3)))
+        cases.append((ModelParameters(2, M, w=tuple(range(1, M + 1))), [F(1, 3), 5, 7]))
+    # int spectral values, some u/w_j ints, and int/Fraction mixes
+    cases.append((ModelParameters(F(2, 3), 4), [2, 3, -1]))
+    cases.append((ModelParameters(3, 4, w=(1, 2, F(1, 2), 3)), [2, F(1, 3), 6]))
+    cases.append((ModelParameters(F(3), 3, w=(F(2), F(1, 3), 1)), [F(4), 2, F(-1, 5)]))
+    # complex inputs take the generic path, bit for bit
+    cases.append((ModelParameters(0.7 - 0.2j, 4, w=(1, F(1, 2), 2, 1)),
+                  [0.9 + 0.3j, F(2, 3), -1.1 + 0.5j]))
+    cases.append((ModelParameters(F(3, 4), 3), [1.5 + 0.25j, 0.5 - 1j]))
+    # a field draw, as criterion 3's QQ(alpha, u)
+    _, a, x, y = field("a,x,y", QQ)
+    cases.append((ModelParameters(a, 3), [x, y, 2 * x]))
+    return cases
+
+
+def test_integer_lane_matches_the_generic_path_in_value_and_type(rng):
+    # repr compares types too: Fraction(1, 1) is not the exchange-only path's
+    # int 1, nor int 0 a cancelled Fraction(0, 1)
+    from fivevertex.sector import _site_tables
+
+    lane_draws = 0
+    for params, x_list in _parity_cases(rng):
+        M = params.M
+        for length in range(min(len(x_list), M) + 1):
+            for dual in (False, True):
+                x = x_list[:length]
+                got = outcome(lambda: (dual_bethe_state if dual else bethe_state)(x, params))
+                assert got == outcome(lambda: _path_state(x, params, dual)), (params, x, dual)
+        for u in x_list:
+            lane_draws += _site_tables(u, params)[1] is not None
+            for kind, (a_out, b_in) in _KINDS.items():
+                for n in range(-1, M + 2):
+                    in_range = 0 <= n <= M and 0 <= n + b_in - a_out <= M
+                    for strict in (False, True) if in_range else (False,):
+                        got = outcome(lambda: build_monodromy_element(kind, u, params, n,
+                                                                      strict=strict).data)
+                        assert got == outcome(lambda: _path_element(kind, u, params, n)), \
+                            (params, u, kind, n, strict)
+    assert lane_draws >= 20
