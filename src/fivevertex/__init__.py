@@ -15,8 +15,8 @@ from .scalarprod import (IntermediateSpec, domain_wall_value, intermediate_scala
                          norm_det, recursion_check, scalar_product_det)
 from .sector import (ModelParameters, SectorOperator, bethe_residual, bethe_state,
                      build_monodromy_element, commutation_checks, dual_bethe_state,
-                     hamiltonian, rtt_check, sector_basis, transfer_eigenvalue,
-                     transfer_matrix)
+                     hamiltonian, rtt_check, sector_basis, transfer_commute,
+                     transfer_eigenvalue, transfer_matrix)
 from .symfunc import dual_grothendieck_eval, grothendieck_eval, schur_eval
 from .identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs,
                          grothendieck_sum_check, orthogonality_check, orthogonality_matrix)

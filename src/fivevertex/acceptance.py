@@ -32,7 +32,7 @@ from .sampling import distinct_square_fractions, norm_safe_draw, rand_fraction
 from .scalarprod import (IntermediateSpec, domain_wall_value, intermediate_scalar_det,
                          norm_det, recursion_check, scalar_product_det)
 from .sector import (ModelParameters, bethe_state, build_monodromy_element, commutation_checks,
-                     dual_bethe_state, rtt_check, sector_basis, transfer_matrix)
+                     dual_bethe_state, rtt_check, sector_basis, transfer_commute)
 from .symfunc import schur_eval
 from .tasep import (Spectrum, bethe_solve, current_terms, density_terms, green_function_table,
                     master_oracle, sector_generator, sum_rule_check)
@@ -95,9 +95,7 @@ def criterion_2_operator_algebra(seed: int = 102) -> dict:
         u, v = distinct_square_fractions(rng, 2)
         params = ModelParameters(alpha=rand_fraction(rng), M=M)
         for n in range(M + 1):
-            t_u = transfer_matrix(u, params, n)
-            t_v = transfer_matrix(v, params, n)
-            if not (t_u * t_v == t_v * t_u):
+            if not transfer_commute(u, v, params, n):
                 return _result("2 operator algebra", False, f"[tau,tau] != 0 at M={M}")
     return _result("2 operator algebra", time.perf_counter() - t0 < 60,
                    "commutation M<=5, RTT M<=5, [tau,tau] M<=6, budget 60s")

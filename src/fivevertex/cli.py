@@ -45,7 +45,7 @@ from . import acceptance
 from .identities import orthogonality_matrix
 from .partitions import ParticleConfiguration, Partition, config_to_partition
 from .sampling import distinct_square_fractions, rand_fraction
-from .sector import ModelParameters, commutation_checks, transfer_matrix
+from .sector import ModelParameters, commutation_checks, transfer_commute
 from .symfunc import dual_grothendieck_eval, grothendieck_eval, schur_eval
 from .tasep import (GreenQuery, Spectrum, bethe_solve, current_terms, density_terms,
                     green_function, master_oracle)
@@ -215,10 +215,10 @@ def _vertex_relation(args):
 
 
 def _vertex_commutation(args):
-    if args.M > 8:
-        # the checks multiply dense exact sector operators: about 1.4 s at
-        # M = 8, and about 3.5 times that per further site
-        raise ValueError(f"commutation-check takes --M up to 8, got {args.M}")
+    if args.M > 10:
+        # the checks multiply the sweep's int numerators: the command takes
+        # about 0.7 s at M = 10 and about 3 s at M = 11
+        raise ValueError(f"commutation-check takes --M up to 10, got {args.M}")
     rng = Random(args.seed)
     u, v = distinct_square_fractions(rng, 2)
     alpha = rand_fraction(rng)
@@ -227,8 +227,7 @@ def _vertex_commutation(args):
     passed = True
     for n in range(args.M + 1):
         checks = commutation_checks(u, v, params, n)
-        t_u, t_v = transfer_matrix(u, params, n), transfer_matrix(v, params, n)
-        checks["tau"] = t_u * t_v == t_v * t_u
+        checks["tau"] = transfer_commute(u, v, params, n)
         detail[f"sector {n}"] = checks
         passed = passed and all(checks.values())
     return (0 if passed else 2), {

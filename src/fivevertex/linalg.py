@@ -122,8 +122,10 @@ class Matrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
+        rational = (int, Fraction)  # as in det, these pairs skip the is_inexact tests
         return all(
-            is_zero(a - b, 0) if not (is_inexact(a) or is_inexact(b)) else is_zero(a - b)
+            a == b if type(a) in rational and type(b) in rational
+            else is_zero(a - b) if is_inexact(a) or is_inexact(b) else is_zero(a - b, 0)
             for ra, rb in zip(self.data, other.data)
             for a, b in zip(ra, rb)
         )

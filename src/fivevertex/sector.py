@@ -26,16 +26,25 @@ Fraction, site j's weights a1, d and e are scaled by D_j, the lcm of their
 denominators, and the exchange vertices b and c weigh D_j too, so every
 vertex path carries exactly one factor per site: the sweep runs on ints and
 an entry is its int over prod_j D_j, with no Fraction formed on the way.
-``build_monodromy_element`` (and so ``transfer_matrix``, ``commutation_checks``
-and ``rtt_check``) divides once per entry; ``bethe_state`` and
-``dual_bethe_state`` contract ints over one running denominator and divide
-once per output entry.  The generic path's result is then a Fraction at
-every entry whose path crosses an a1, d or e vertex, which the division
-reproduces; the one path through exchange vertices only, which flips every
-site, carries the int 1 there and is given back as that int.  Complex
-inputs, field elements such as criterion 3's QQ(alpha, u), and int inputs
-with some u/w_j an int take the generic path, as does every Bethe state at
-M = 1.
+``build_monodromy_element`` (and so ``transfer_matrix``) divides once per
+entry; ``bethe_state`` and ``dual_bethe_state`` contract ints over one
+running denominator and divide once per output entry.  The generic path's
+result is then a Fraction at every entry whose path crosses an a1, d or e
+vertex, which the division reproduces; the one path through exchange
+vertices only, which flips every site, carries the int 1 there and is given
+back as that int.  Complex inputs, field elements such as criterion 3's
+QQ(alpha, u), and int inputs with some u/w_j an int take the generic path,
+as does every Bethe state at M = 1.
+
+The relation checks ``commutation_checks``, ``rtt_check`` and
+``transfer_commute`` divide nowhere.  Every product in them is one element
+at u times one at v, so both sides of a relation sit over den_u den_v; when
+both spectral values are on the lane and the coefficients (f and g, or the
+R-matrix entries) are ints or Fractions, the coefficients are scaled by the
+lcm of their denominators and each relation is checked as a vanishing int
+combination of products of the sweep's numerators, one source column at a
+time.  Otherwise they multiply ``SectorOperator``s with ``Matrix``'s
+arithmetic and tolerant equality.
 
 This module is the brute-force oracle layer: every determinant formula in the
 package is tested against matrix elements produced here.
@@ -44,7 +53,8 @@ package is tested against matrix elements produced here.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 from math import comb, lcm
 
 from .linalg import Matrix
@@ -65,6 +75,7 @@ __all__ = [
     "bethe_residual",
     "transfer_eigenvalue",
     "commutation_checks",
+    "transfer_commute",
     "rtt_check",
 ]
 
@@ -164,8 +175,10 @@ def _site_tables(u, params: ModelParameters):
     amplitude over without a multiplication.  Off the integer lane the
     weights are ``l_weights``' own, b and c are ``None`` and the denominator
     is None; on it they are scaled by D_j (b and c weigh D_j, ``None`` when
-    D_j = 1) and the denominator is prod_j D_j.
+    D_j = 1) and the denominator is prod_j D_j.  Refuses u = 0.
     """
+    if is_zero(u, 0):
+        raise ZeroDivisionError("monodromy elements are singular at u = 0")
     # by identity: the default w repeats one object, and equal w_j of other
     # types may give weights of other types
     vertices = {}
@@ -202,49 +215,53 @@ def _sweep(state, tables):
     return state
 
 
-def _columns(kind, u, params: ModelParameters, n: int, strict: bool = True):
-    """The entries of element ``kind`` at u on sector n, column by column.
-
-    Returns ``(entries, den, unit)``: ``entries`` lists ``(col, row mask,
-    entry)`` for every entry a vertex path reaches, grouped by ascending
-    column; no other entry can be nonzero.  Every column of the source basis
-    is swept at once, its index held in the key bits above site M.  The
-    vertices conserve particles + aux, so an exit with aux = a_out always
-    lands in the target sector.  Off the integer lane ``den`` and ``unit``
-    are None and an entry is its value; on it an entry is an int over
-    ``den``, and ``unit`` is the (col, row mask) of the path through exchange
-    vertices only, if the sector has it, or None.  Refuses u = 0, then (if
-    ``strict``) a sector overflow.
-    """
-    if is_zero(u, 0):
-        raise ZeroDivisionError("monodromy elements are singular at u = 0")
+def _refuse_overflow(kind, M: int, n: int):
     a_out, b_in = _KIND_AUX[kind]
-    M = params.M
-    if strict and not (0 <= n <= M and 0 <= n + (b_in - a_out) <= M):
+    if not (0 <= n <= M and 0 <= n + (b_in - a_out) <= M):
         raise ValueError(f"sector overflow: {kind} cannot act on sector {n} of {M} sites")
+
+
+def _columns(kind, sites, M: int, n: int, strict: bool = True):
+    """The entries of element ``kind`` on sector n, column by column.
+
+    ``sites`` is ``_site_tables``' result at the element's spectral value.
+    Returns ``(col, row mask, entry)`` for every entry a vertex path reaches,
+    grouped by ascending column; no other entry can be nonzero.  Every column
+    of the source basis is swept at once, its index held in the key bits
+    above site M.  The vertices conserve particles + aux, so an exit with
+    aux = a_out always lands in the target sector.  Off the integer lane an
+    entry is its value; on it an entry is an int over the tables'
+    denominator, the exchange-only path's included.  Refuses (if ``strict``)
+    a sector overflow.
+    """
+    if strict:
+        _refuse_overflow(kind, M, n)
+    a_out, b_in = _KIND_AUX[kind]
     shift = M + 1
-    basis = sector_basis(M, n)
     # aux leaves site M as 0 only from an empty site M, so A and B vanish on
     # the columns with site M occupied
     state = {(col << shift) | (_mask(cfg) << 1) | b_in: 1
-             for col, cfg in enumerate(basis) if a_out or M not in cfg}
-    tables, den = _site_tables(u, params)
-    sites = (1 << shift) - 1
-    entries = [(key >> shift, (key & sites) >> 1, amp)
-               for key, amp in _sweep(state, tables).items() if key & 1 == a_out]
-    unit = None
-    # an exchange-only path flips every site, so aux alternates along it: it
-    # starts from the sites 1 + b_in, 3 + b_in, ... and leaves with aux = (b_in + M) mod 2
-    alternating = tuple(range(1 + b_in, M + 1, 2))
-    if den is not None and len(alternating) == n and (b_in + M) % 2 == a_out:
-        unit = (basis.index(alternating), ((1 << M) - 1) ^ _mask(alternating))
-    return entries, den, unit
+             for col, cfg in enumerate(sector_basis(M, n)) if a_out or M not in cfg}
+    sites_mask = (1 << shift) - 1
+    return [(key >> shift, (key & sites_mask) >> 1, amp)
+            for key, amp in _sweep(state, sites[0]).items() if key & 1 == a_out]
 
 
-def _values(entries, den, unit):
-    """``_columns``' entries as the generic path's values: one division each on the lane."""
+def _values(kind, entries, den, M: int, n: int):
+    """``_columns``' entries as the generic path's values: one division each on the lane.
+
+    The generic path multiplies no weight along the path through exchange
+    vertices only, so that entry is the int 1 there.  The path flips every
+    site, so aux alternates along it: it starts from the sites 1 + b_in,
+    3 + b_in, ... and leaves with aux = (b_in + M) mod 2.
+    """
     if den is None:
         return entries
+    a_out, b_in = _KIND_AUX[kind]
+    unit = None
+    alternating = tuple(range(1 + b_in, M + 1, 2))
+    if len(alternating) == n and (b_in + M) % 2 == a_out:
+        unit = (sector_basis(M, n).index(alternating), ((1 << M) - 1) ^ _mask(alternating))
     return [(col, mask, 1 if (col, mask) == unit else Fraction(amp, den))
             for col, mask, amp in entries]
 
@@ -261,9 +278,13 @@ def _bethe_steps(kind, params: ModelParameters, steps):
     e vertex, so from there on every term is a Fraction.  At M = 1 the one
     step is the exchange-only path, whose int 1 only the generic path keeps.
     """
-    cols = [_columns(kind, x, params, n) for x, n in steps]
-    if not cols or params.M < 2 or any(den is None for _, den, _ in cols):
-        return [_values(*c) for c in cols], None
+    M = params.M
+    cols = []
+    for x, n in steps:
+        sites = _site_tables(x, params)
+        cols.append((_columns(kind, sites, M, n), sites[1], n))
+    if not cols or M < 2 or any(den is None for _, den, _ in cols):
+        return [_values(kind, entries, den, M, n) for entries, den, n in cols], None
     den = 1
     for _, d, _ in cols:
         den *= d
@@ -283,19 +304,37 @@ def build_monodromy_element(kind, u, params: ModelParameters, n: int,
     """
     if kind not in _KIND_AUX:
         raise ValueError(f"unknown monodromy element {kind!r}")
+    return _element(kind, _site_tables(u, params), params.M, n, strict)
+
+
+def _element(kind, sites, M: int, n: int, strict: bool = True) -> SectorOperator:
+    """``build_monodromy_element`` from the site tables of its spectral value."""
     a_out, b_in = _KIND_AUX[kind]
-    M = params.M
     n_out = n + (b_in - a_out)
     row_of = _row_index(M, n_out)
     entries = [[0] * sector_dim(M, n) for _ in range(len(row_of))]
-    for col, mask, amp in _values(*_columns(kind, u, params, n, strict)):
+    for col, mask, amp in _values(kind, _columns(kind, sites, M, n, strict), sites[1], M, n):
         entries[row_of[mask]][col] = amp
     return SectorOperator(entries, n, n_out, M)
 
 
+def _int_element(kind, sites, M: int, n: int, strict: bool = True) -> dict:
+    """Element ``kind`` on the integer lane as ``{source mask: [(target mask, int)]}``.
+
+    Each int is the entry's numerator over the tables' denominator; a source
+    configuration no vertex path leaves is absent.
+    """
+    masks = [_mask(cfg) for cfg in sector_basis(M, n)]
+    out = {}
+    for col, row, amp in _columns(kind, sites, M, n, strict):
+        out.setdefault(masks[col], []).append((row, amp))
+    return out
+
+
 def transfer_matrix(u, params: ModelParameters, n: int) -> SectorOperator:
     """tau(u) = A(u) + D(u) on the n-particle sector."""
-    return build_monodromy_element("A", u, params, n) + build_monodromy_element("D", u, params, n)
+    sites = _site_tables(u, params)
+    return _element("A", sites, params.M, n) + _element("D", sites, params.M, n)
 
 
 def hamiltonian(params: ModelParameters, n: int) -> SectorOperator:
@@ -376,8 +415,10 @@ def bethe_residual(u_set, params: ModelParameters):
 
     The k = j factor of the product is its algebraic continuation
     -u_j^2/u_k^2 = -1, which makes a vanishing residual equivalent to the
-    z-form Bethe equations under z = alpha - u^{-2}.
+    z-form Bethe equations under z = alpha - u^{-2}.  Refuses a zero root.
     """
+    if any(is_zero(u, 0) for u in u_set):
+        raise ZeroDivisionError("Bethe residuals are singular at a zero root")
     n = len(u_set)
     prod_sq = 1
     for u in u_set:
@@ -403,16 +444,60 @@ def transfer_eigenvalue(u, u_set, params: ModelParameters):
     return term_a + term_d
 
 
-def _element_cache(params: ModelParameters):
-    """``elem(kind, x, n)``: non-strict monodromy elements, each built once."""
-    cache = {}
+def _operators(M: int, tables, lane: bool):
+    """One ``at(kind, n)`` per entry of ``tables``: the non-strict element on sector n.
 
-    def elem(kind, x, n):
-        key = (kind, x, n)
-        if key not in cache:
-            cache[key] = build_monodromy_element(kind, x, params, n, strict=False)
-        return cache[key]
-    return elem
+    Each element is built once from its spectral value's site tables: on the
+    integer lane as ``_int_element``'s map of numerators over the value's
+    denominator, otherwise as a ``SectorOperator``.
+    """
+    build = _int_element if lane else _element
+
+    def at(sites):
+        return cache(lambda kind, n: build(kind, sites, M, n, strict=False))
+    return [at(sites) for sites in tables]
+
+
+def _cleared(tables, coeffs=()):
+    """``coeffs`` times the lcm of their denominators, as ints, or None off the lane.
+
+    A relation check takes the integer lane when every spectral value's site
+    tables are on it and every coefficient is an int or a Fraction.
+    """
+    if any(den is None for _, den in tables) or \
+            not all(type(c) is int or type(c) is Fraction for c in coeffs):
+        return None
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _vanishes(terms) -> bool:
+    """Whether sum_i c_i X_i Y_i is zero, for int c_i and ``_int_element`` maps.
+
+    Every Y_i acts on one source sector and every X_i lands in one target
+    sector; one source column is accumulated at a time.
+    """
+    sources = set()
+    for _, _, y in terms:
+        sources.update(y)
+    for src in sources:
+        acc = {}
+        for c, x, y in terms:
+            for mid, b in y.get(src, ()):
+                cb = c * b
+                for dst, a in x.get(mid, ()):
+                    acc[dst] = acc.get(dst, 0) + cb * a
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _int_sum(x: dict, y: dict) -> dict:
+    """The sum of two ``_int_element`` maps between the same sectors."""
+    out = dict(x)
+    for src, col in y.items():
+        out[src] = out.get(src, []) + col
+    return out
 
 
 def commutation_checks(u, v, params: ModelParameters, n: int) -> dict:
@@ -424,31 +509,72 @@ def commutation_checks(u, v, params: ModelParameters, n: int) -> dict:
     BB/CC:  [B(u),B(v)] = [C(u),C(v)] = 0
 
     Valid on every sector including the boundaries, where overflowing
-    elements act as zero-dimensional operators.
+    elements act as zero-dimensional operators.  On the integer lane every
+    product is one element at u times one at v, so over den_u den_v on both
+    sides; with f and g cleared of their denominators each relation is a
+    vanishing int combination.
     """
-    elem = _element_cache(params)
-
     f_uv = f_weight(u, v)
     f_vu = f_weight(v, u)
     g_uv = g_weight(u, v)
     g_vu = g_weight(v, u)
+    tables = [_site_tables(x, params) for x in (u, v)]
+    cleared = _cleared(tables, (1, f_uv, f_vu, g_uv, g_vu))
+    at_u, at_v = _operators(params.M, tables, cleared is not None)
 
-    cb_lhs = elem("C", u, n + 1) * elem("B", v, n)
-    cb_rhs = (elem("A", u, n) * elem("D", v, n) - elem("A", v, n) * elem("D", u, n)).scale(g_uv)
+    if cleared is not None:
+        one, f_uv, f_vu, g_uv, g_vu = cleared
+        return {
+            "CB": _vanishes([(one, at_u("C", n + 1), at_v("B", n)),
+                             (-g_uv, at_u("A", n), at_v("D", n)),
+                             (g_uv, at_v("A", n), at_u("D", n))]),
+            "AB": _vanishes([(one, at_u("A", n + 1), at_v("B", n)),
+                             (-f_uv, at_v("B", n), at_u("A", n)),
+                             (-g_vu, at_u("B", n), at_v("A", n))]),
+            "DB": _vanishes([(one, at_u("D", n + 1), at_v("B", n)),
+                             (-f_vu, at_v("B", n), at_u("D", n)),
+                             (-g_uv, at_u("B", n), at_v("D", n))]),
+            "BB": _vanishes([(1, at_u("B", n + 1), at_v("B", n)),
+                             (-1, at_v("B", n + 1), at_u("B", n))]),
+            "CC": _vanishes([(1, at_u("C", n - 1), at_v("C", n)),
+                             (-1, at_v("C", n - 1), at_u("C", n))]),
+        }
 
-    ab_lhs = elem("A", u, n + 1) * elem("B", v, n)
-    ab_rhs = (elem("B", v, n) * elem("A", u, n)).scale(f_uv) \
-        + (elem("B", u, n) * elem("A", v, n)).scale(g_vu)
+    cb_lhs = at_u("C", n + 1) * at_v("B", n)
+    cb_rhs = (at_u("A", n) * at_v("D", n) - at_v("A", n) * at_u("D", n)).scale(g_uv)
 
-    db_lhs = elem("D", u, n + 1) * elem("B", v, n)
-    db_rhs = (elem("B", v, n) * elem("D", u, n)).scale(f_vu) \
-        + (elem("B", u, n) * elem("D", v, n)).scale(g_uv)
+    ab_lhs = at_u("A", n + 1) * at_v("B", n)
+    ab_rhs = (at_v("B", n) * at_u("A", n)).scale(f_uv) \
+        + (at_u("B", n) * at_v("A", n)).scale(g_vu)
 
-    bb = elem("B", u, n + 1) * elem("B", v, n) == elem("B", v, n + 1) * elem("B", u, n)
-    cc = elem("C", u, n - 1) * elem("C", v, n) == elem("C", v, n - 1) * elem("C", u, n)
+    db_lhs = at_u("D", n + 1) * at_v("B", n)
+    db_rhs = (at_v("B", n) * at_u("D", n)).scale(f_vu) \
+        + (at_u("B", n) * at_v("D", n)).scale(g_uv)
+
+    bb = at_u("B", n + 1) * at_v("B", n) == at_v("B", n + 1) * at_u("B", n)
+    cc = at_u("C", n - 1) * at_v("C", n) == at_v("C", n - 1) * at_u("C", n)
 
     return {"CB": cb_lhs == cb_rhs, "AB": ab_lhs == ab_rhs,
             "DB": db_lhs == db_rhs, "BB": bb, "CC": cc}
+
+
+def transfer_commute(u, v, params: ModelParameters, n: int) -> bool:
+    """Whether tau(u) tau(v) == tau(v) tau(u) on the n-particle sector.
+
+    Refuses what ``transfer_matrix`` refuses, in its order: u = 0, a sector
+    outside 0..M, then v = 0.
+    """
+    M = params.M
+    tables = [_site_tables(u, params)]
+    _refuse_overflow("A", M, n)
+    tables.append(_site_tables(v, params))
+    lane = _cleared(tables) is not None
+    ats = _operators(M, tables, lane)
+    if not lane:
+        t_u, t_v = (at("A", n) + at("D", n) for at in ats)
+        return t_u * t_v == t_v * t_u
+    t_u, t_v = (_int_sum(at("A", n), at("D", n)) for at in ats)
+    return _vanishes([(1, t_u, t_v), (-1, t_v, t_u)])
 
 
 def rtt_check(u, v, params: ModelParameters) -> bool:
@@ -456,39 +582,39 @@ def rtt_check(u, v, params: ModelParameters) -> bool:
 
     Checked blockwise: for auxiliary indices the block (a'c'),(bd) of either
     side is a sector operator; all 16 blocks must agree exactly on every
-    quantum sector.
+    quantum sector.  On the integer lane the R-matrix entries are cleared of
+    their denominators and each block is a vanishing int combination.
     """
     M = params.M
     r = r_matrix(u, v)
-    elem = _element_cache(params)
+    tables = [_site_tables(x, params) for x in (u, v)]
+    cleared = _cleared(tables, [x for row in r.data for x in row])
+    at_u, at_v = _operators(M, tables, cleared is not None)
+    if cleared is not None:
+        r = Matrix([cleared[i:i + 4] for i in range(0, 16, 4)])
     kind_of = {aux: kind for kind, aux in _KIND_AUX.items()}
-
-    def product(outer_pair, x_outer, inner_pair, x_inner, n):
-        n_mid = n + (inner_pair[1] - inner_pair[0])
-        return elem(kind_of[outer_pair], x_outer, n_mid) * elem(kind_of[inner_pair], x_inner, n)
+    pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     for n in range(M + 1):
-        if sector_dim(M, n) == 0:
-            continue
-        for a_p in (0, 1):
-            for c_p in (0, 1):
-                for b in (0, 1):
-                    for d in (0, 1):
-                        n_fin = n + (b + d) - (a_p + c_p)
-                        lhs = SectorOperator.zero(n, n_fin, M)
-                        for a in (0, 1):
-                            for c in (0, 1):
-                                coeff = r[2 * a_p + c_p, 2 * a + c]
-                                if is_zero(coeff, 0):
-                                    continue
-                                lhs = lhs + product((a, b), u, (c, d), v, n).scale(coeff)
-                        rhs = SectorOperator.zero(n, n_fin, M)
-                        for b_p in (0, 1):
-                            for d_p in (0, 1):
-                                coeff = r[2 * b_p + d_p, 2 * b + d]
-                                if is_zero(coeff, 0):
-                                    continue
-                                rhs = rhs + product((c_p, d_p), v, (a_p, b_p), u, n).scale(coeff)
-                        if lhs != rhs:
-                            return False
+        for (a_p, c_p), (b, d) in product(pairs, pairs):
+            # T_ab(u) T_cd(v) and T_c'd'(v) T_a'b'(u), each after its R entry
+            lhs = [(coeff, at_u(kind_of[a, b], n + d - c), at_v(kind_of[c, d], n))
+                   for a, c in pairs if not is_zero(coeff := r[2 * a_p + c_p, 2 * a + c], 0)]
+            rhs = [(coeff, at_v(kind_of[c_p, d_p], n + b_p - a_p), at_u(kind_of[a_p, b_p], n))
+                   for b_p, d_p in pairs if not is_zero(coeff := r[2 * b_p + d_p, 2 * b + d], 0)]
+            if cleared is not None:
+                if not _vanishes(lhs + [(-c, x, y) for c, x, y in rhs]):
+                    return False
+            else:
+                n_fin = n + (b + d) - (a_p + c_p)
+                if not _combination(lhs, n, n_fin, M) == _combination(rhs, n, n_fin, M):
+                    return False
     return True
+
+
+def _combination(terms, n, n_fin, M) -> SectorOperator:
+    """sum_i c_i X_i Y_i from sector n to n_fin, each product scaled in turn."""
+    out = SectorOperator.zero(n, n_fin, M)
+    for coeff, x, y in terms:
+        out = out + (x * y).scale(coeff)
+    return out

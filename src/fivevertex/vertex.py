@@ -51,14 +51,22 @@ class ModelParameters:
         object.__setattr__(self, "w", w)
 
 
+def _fg_denominator(a, b):
+    """b^2 - a^2, refused at the pole a^2 = b^2 of f and g."""
+    den = b * b - a * a
+    if is_zero(den, 0):
+        raise ZeroDivisionError("f/g weight pole at a^2 = b^2")
+    return den
+
+
 def f_weight(a, b):
     """f(a, b) = b^2 / (b^2 - a^2)."""
-    return exact_div(b * b, b * b - a * a)
+    return exact_div(b * b, _fg_denominator(a, b))
 
 
 def g_weight(a, b):
     """g(a, b) = a*b / (b^2 - a^2)."""
-    return exact_div(a * b, b * b - a * a)
+    return exact_div(a * b, _fg_denominator(a, b))
 
 
 def l_weights(u, alpha) -> VertexWeights:

@@ -138,7 +138,7 @@ def test_vertex_checks(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["commutation-check", "--M", "-2"], "M must be a nonnegative int, got -2"),
-    (["commutation-check", "--M", "9"], "commutation-check takes --M up to 8, got 9"),
+    (["commutation-check", "--M", "11"], "commutation-check takes --M up to 10, got 11"),
     (["rll-check", "--draws", "0"], "--draws must be at least 1, got 0"),
     (["ybe-check", "--draws", "-3"], "--draws must be at least 1, got -3"),
 ])

@@ -80,6 +80,24 @@ def test_product_with_a_zero_inner_dimension_is_zero():
         a * Matrix([[1, 2]])
 
 
+def test_equality_is_exact_for_exact_entries_and_tolerant_for_floats(monkeypatch):
+    from fivevertex import linalg
+
+    a = Matrix([[1, F(1, 2)], [F(3), 0]])
+    assert a == Matrix([[F(1), F(1, 2)], [3, F(0)]])
+    assert a != Matrix([[1, F(1, 2)], [3, F(1, 10**30)]])
+    assert a == Matrix([[1 + 1e-12, 0.5], [3, 1e-12j]])  # float entries keep the tolerance
+    assert a != Matrix([[1 + 1e-6, 0.5], [3, 0]])
+    assert Matrix([[True]]) == Matrix([[1]])
+
+    # int and Fraction pairs compare by == alone, with no float test
+    def refuse(x):
+        raise AssertionError("is_inexact called on an int/Fraction pair")
+    monkeypatch.setattr(linalg, "is_inexact", refuse)
+    assert a == Matrix([[F(1), F(1, 2)], [3, F(0)]])
+    assert a != Matrix([[1, F(1, 3)], [3, 0]])
+
+
 def _sparse_entry(rng, lane):
     if rng.random() < 0.6:
         return 0

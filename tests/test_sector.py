@@ -1,7 +1,7 @@
 """Dense sector operators: monodromy elements, transfer matrix, Hamiltonian, BAE."""
 
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -9,11 +9,12 @@ import pytest
 
 from fivevertex.linalg import Matrix
 from fivevertex.scalars import exact_div, is_zero
+from fivevertex import sector, vertex
 from fivevertex.sector import (ModelParameters, SectorOperator, bethe_residual, bethe_state,
                                build_monodromy_element, commutation_checks,
                                dual_bethe_state, hamiltonian, rtt_check, sector_basis,
-                               transfer_eigenvalue, transfer_matrix)
-from fivevertex.vertex import l_matrix, l_weights
+                               transfer_commute, transfer_eigenvalue, transfer_matrix)
+from fivevertex.vertex import f_weight, g_weight, l_matrix, l_weights, r_matrix
 
 from conftest import distinct_squares, outcome, rand_fraction
 
@@ -214,6 +215,25 @@ def test_bethe_residual_single_particle_roots():
     # random off-shell value: residual clearly nonzero
     (res_off,) = bethe_residual([0.8 + 0.3j], params)
     assert abs(res_off) > 1e-3
+
+
+def test_bethe_residual_refuses_a_zero_root():
+    # used to fail inside the product of squares as Fraction(0, 0)
+    params = ModelParameters(alpha=F(1, 2), M=3)
+    for roots in ([0, F(2, 3)], [F(2, 3), 0j]):
+        with pytest.raises(ZeroDivisionError, match="singular at a zero root"):
+            bethe_residual(roots, params)
+
+
+def test_f_g_poles_are_named():
+    # each used to fail as a bare ZeroDivisionError: Fraction(1, 0)
+    u = F(2, 3)
+    params = ModelParameters(alpha=F(1, 2), M=3)
+    for call in (lambda: commutation_checks(u, u, params, 1),
+                 lambda: commutation_checks(u, -u, params, 1),
+                 lambda: transfer_eigenvalue(u, [u, F(5, 7)], params)):
+        with pytest.raises(ZeroDivisionError, match=r"f/g weight pole at a\^2 = b\^2"):
+            call()
 
 
 def test_on_shell_state_is_transfer_eigenvector():
@@ -446,3 +466,150 @@ def test_integer_lane_matches_the_generic_path_in_value_and_type(rng):
                         assert got == outcome(lambda: _path_element(kind, u, params, n)), \
                             (params, u, kind, n, strict)
     assert lane_draws >= 20
+
+
+def _reference_commutation(u, v, params, n):
+    """``commutation_checks`` as dense ``Matrix`` arithmetic on built elements."""
+    def el(kind, x, m):
+        return build_monodromy_element(kind, x, params, m, strict=False)
+    f_uv, f_vu, g_uv, g_vu = f_weight(u, v), f_weight(v, u), g_weight(u, v), g_weight(v, u)
+    return {
+        "CB": el("C", u, n + 1) * el("B", v, n)
+        == (el("A", u, n) * el("D", v, n) - el("A", v, n) * el("D", u, n)).scale(g_uv),
+        "AB": el("A", u, n + 1) * el("B", v, n)
+        == (el("B", v, n) * el("A", u, n)).scale(f_uv) + (el("B", u, n) * el("A", v, n)).scale(g_vu),
+        "DB": el("D", u, n + 1) * el("B", v, n)
+        == (el("B", v, n) * el("D", u, n)).scale(f_vu) + (el("B", u, n) * el("D", v, n)).scale(g_uv),
+        "BB": el("B", u, n + 1) * el("B", v, n) == el("B", v, n + 1) * el("B", u, n),
+        "CC": el("C", u, n - 1) * el("C", v, n) == el("C", v, n - 1) * el("C", u, n),
+    }
+
+
+def _reference_rtt(u, v, params):
+    """``rtt_check`` block by block, as dense ``Matrix`` arithmetic on built elements."""
+    M, r = params.M, r_matrix(u, v)
+    kind = {(0, 0): "A", (0, 1): "B", (1, 0): "C", (1, 1): "D"}
+
+    def el(pair, x, m):
+        return build_monodromy_element(kind[pair], x, params, m, strict=False)
+    bits = (0, 1)
+    for n in range(M + 1):
+        for a_p, c_p, b, d in product(bits, repeat=4):
+            n_fin = n + b + d - a_p - c_p
+            lhs = rhs = SectorOperator.zero(n, n_fin, M)
+            for a in bits:
+                for c in bits:
+                    coeff = r[2 * a_p + c_p, 2 * a + c]
+                    if not is_zero(coeff, 0):
+                        lhs = lhs + (el((a, b), u, n + d - c) * el((c, d), v, n)).scale(coeff)
+            for b_p in bits:
+                for d_p in bits:
+                    coeff = r[2 * b_p + d_p, 2 * b + d]
+                    if not is_zero(coeff, 0):
+                        rhs = rhs + (el((c_p, d_p), v, n + b_p - a_p)
+                                     * el((a_p, b_p), u, n)).scale(coeff)
+            if not lhs == rhs:
+                return False
+    return True
+
+
+def _reference_tau(u, v, params, n):
+    t_u, t_v = transfer_matrix(u, params, n), transfer_matrix(v, params, n)
+    return t_u * t_v == t_v * t_u
+
+
+def _relation_cases(rng):
+    """(params, u, v) draws for the relation-check parity test, on and off the lane."""
+    from sympy import QQ
+    from sympy.polys.fields import field
+
+    cases = []
+    for M in range(6):  # Fraction draws, every ring size
+        u, v = distinct_squares(rng, 2)
+        cases.append((ModelParameters(rand_fraction(rng), M), u, v))
+    u, v = distinct_squares(rng, 2)
+    cases += [
+        (ModelParameters(2, 4), 3, 5),  # int, every u/w_j integral: off the lane
+        (ModelParameters(F(1, 3), 3, w=(1, 2, 3)), 2, 5),  # int values, some u/w_j Fractions
+        (ModelParameters(1, 4), 2, u),  # mixed: u off the lane, v on it
+        (ModelParameters(rand_fraction(rng), 4, w=(u, 2, F(1, 3), v)), F(3, 2), 2),
+        (ModelParameters(rand_fraction(rng), 5, w=tuple(distinct_squares(rng, 5))), u, v),
+        (ModelParameters(0, 3), u, v),  # the four-vertex point
+        (ModelParameters(0.6 + 0.1j, 4), 1.1 - 0.2j, u),  # complex
+        (ModelParameters(rand_fraction(rng), 3), 0.9 + 0.4j, v),
+        (ModelParameters(F(1, 2), 0), 1.5 + 0.5j, v),  # no site: complex f and g decide
+        (ModelParameters(rand_fraction(rng), 3), u, u),  # the f/g and R poles
+        (ModelParameters(rand_fraction(rng), 3), u, -u),
+        (ModelParameters(rand_fraction(rng), 2), 0 * u, v),  # singular elements
+        (ModelParameters(rand_fraction(rng), 2), u, 0),
+    ]
+    _, a, x, y = field("a,x,y", QQ)  # as criterion 3's QQ(alpha, u)
+    cases += [(ModelParameters(a, M), x, y) for M in (1, 2, 3)]
+    return cases
+
+
+def test_relation_checks_match_dense_matrix_arithmetic(rng):
+    # outcome compares the dicts, bools and exceptions (class and message)
+    from fivevertex.sector import _site_tables
+
+    lane_draws = 0
+    for params, u, v in _relation_cases(rng):
+        M = params.M
+        lane_draws += all(not is_zero(x, 0) and _site_tables(x, params)[1] is not None
+                          for x in (u, v))
+        for n in range(-1, M + 2):
+            assert outcome(lambda: commutation_checks(u, v, params, n)) \
+                == outcome(lambda: _reference_commutation(u, v, params, n)), (params, u, v, n)
+            assert outcome(lambda: transfer_commute(u, v, params, n)) \
+                == outcome(lambda: _reference_tau(u, v, params, n)), (params, u, v, n)
+        if M <= 4:
+            assert outcome(lambda: rtt_check(u, v, params)) \
+                == outcome(lambda: _reference_rtt(u, v, params)), (params, u, v)
+    assert lane_draws >= 10
+
+
+@pytest.mark.parametrize("lane", [True, False])
+def test_relation_checks_fail_on_a_wrong_coefficient(monkeypatch, lane):
+    from fivevertex.sector import _site_tables
+
+    # on the lane every u/w_j is a Fraction; off it every u/w_j is an int
+    u, v = (F(2, 3), F(5, 4)) if lane else (2, 5)
+    params = ModelParameters(F(1, 2) if lane else 3, 3)
+    assert all((_site_tables(x, params)[1] is not None) == lane for x in (u, v))
+    assert all(commutation_checks(u, v, params, 1).values()) and rtt_check(u, v, params)
+
+    def off_by_one(weight):
+        return lambda a, b: weight(a, b) + 1
+
+    monkeypatch.setattr(sector, "f_weight", off_by_one(f_weight))
+    assert commutation_checks(u, v, params, 1) == {
+        "CB": True, "AB": False, "DB": False, "BB": True, "CC": True}
+    monkeypatch.setattr(sector, "f_weight", f_weight)
+    monkeypatch.setattr(sector, "g_weight", off_by_one(g_weight))
+    assert commutation_checks(u, v, params, 1) == {
+        "CB": False, "AB": False, "DB": False, "BB": True, "CC": True}
+    monkeypatch.setattr(sector, "g_weight", g_weight)
+
+    for entry in ((0, 0), (1, 2), (2, 1), (2, 2), (3, 3)):  # each nonzero R entry
+        def perturbed(x, y, entry=entry):
+            r = r_matrix(x, y)
+            r[entry] = r[entry] + 1
+            return r
+        monkeypatch.setattr(sector, "r_matrix", perturbed)
+        assert not rtt_check(u, v, params), entry
+
+
+@pytest.mark.parametrize("lane", [True, False])
+def test_transfer_commute_fails_for_transfer_matrices_of_two_models(monkeypatch, lane):
+    # d + 1 on the sites where u/w_j = v (sites 1 and 3) takes tau(v) out of
+    # the commuting family of tau(u); a shift on every site would keep it in
+    u, v = (F(2, 3), F(5, 4)) if lane else (2, 6)
+    params = ModelParameters(F(1, 2) if lane else 3, 3, w=(1, 2, 1))
+    for n in range(4):
+        assert transfer_commute(u, v, params, n)
+
+    def shifted(x, alpha):
+        weights = l_weights(x, alpha)
+        return weights._replace(d=weights.d + 1) if x == v else weights
+    monkeypatch.setattr(sector, "l_weights", shifted)
+    assert [transfer_commute(u, v, params, n) for n in range(4)] == [True, False, False, True]
