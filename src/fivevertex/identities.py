@@ -135,18 +135,13 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
     }
 
 
-def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
-    """Determinant side of the weighted Grothendieck summation formula.
+def _sum_columns(M, N, beta, dual: bool = False):
+    """The N columns of ``grothendieck_sum_det`` as ``RatFunc``s, before the dual's prefactor.
 
     Column j is a short sum of c (1+beta z)^k; with ``dual`` a sum of
-    c (1+beta/y)^p = c y^(-p) (y+beta)^p, times prod y^(M-1).  Coincident
-    variables take Taylor rows.
+    c (1+beta/y)^p = c y^(-p) (y+beta)^p.  A column whose sum is empty (the
+    top column when M < max(N-1, 1)) is zero.
     """
-    z = list(z)
-    _check_counts(N, z)
-    if is_zero(beta, 0):
-        raise ValueError("the summation determinants carry negative powers of beta; "
-                         "use the Schur specialization for beta = 0")
     top = range(max(N - 1, 1), M + 1)
     if not dual:
         def column(j):
@@ -155,10 +150,7 @@ def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
                          0, m - j + N - 1) for m in range(j)]
             return [(-(-1) ** m * comb(M, m), 0, m - 1) for m in top]
 
-        cols = [RatFunc(column(j), (1, beta)) for j in range(1, N + 1)]
-        return det_ratio_columns(cols, z)
-    if any(is_zero(yk, 0) for yk in z):
-        raise ZeroDivisionError("the dual variables need y_k != 0, as Gbar(y) does")
+        return [RatFunc(column(j), (1, beta)) for j in range(1, N + 1)]
 
     def dual_column(j):
         if j == 1:
@@ -167,11 +159,28 @@ def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
         return [((-1) ** m * exact_div(1, (-beta) ** (j - 1 + M - N)) * comb(M, m),
                  N + 1 - m - j, m + j - N - 1) for m in range(N - j + 1)]
 
+    return [RatFunc(dual_column(j), (beta, 1)) for j in range(1, N + 1)]
+
+
+def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
+    """Determinant side of the weighted Grothendieck summation formula.
+
+    The columns are ``_sum_columns``; the dual's determinant is multiplied by
+    prod y^(M-1).  Coincident variables take Taylor rows.
+    """
+    z = list(z)
+    _check_counts(N, z)
+    if is_zero(beta, 0):
+        raise ValueError("the summation determinants carry negative powers of beta; "
+                         "use the Schur specialization for beta = 0")
+    if not dual:
+        return det_ratio_columns(_sum_columns(M, N, beta), z)
+    if any(is_zero(yk, 0) for yk in z):
+        raise ZeroDivisionError("the dual variables need y_k != 0, as Gbar(y) does")
     pref = 1
     for yk in z:
         pref = pref * yk ** (M - 1)
-    cols = [RatFunc(dual_column(j), (beta, 1)) for j in range(1, N + 1)]
-    return pref * det_ratio_columns(cols, z)
+    return pref * det_ratio_columns(_sum_columns(M, N, beta, dual=True), z)
 
 
 def grothendieck_sum_check(M, N, z, beta, dual: bool = False) -> bool:

@@ -2,7 +2,8 @@
 
 ``Matrix`` is a row-major matrix over duck-typed scalars (ints, Fractions,
 field elements, complex).  Its product, sum, difference, scaling, ``apply``
-and equality (exact for exact entries, tolerant for floats) serve every
+and equality (exact for exact entries; for floats within ``COMPLEX_EQ_TOL``
+times the larger of 1 and the largest entry of either matrix) serve every
 layer, including the sector oracle, whose ``sector.SectorOperator`` is a
 ``Matrix`` with particle-number labels.  Products and ``apply`` skip exact-zero
 entries (an inline ``x == 0`` test; sector operators are mostly zeros) and
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import exact_div, is_inexact, is_zero
+from .scalars import COMPLEX_EQ_TOL, exact_div, is_inexact, is_zero
 
 
 class Matrix:
@@ -123,12 +124,24 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
         rational = (int, Fraction)  # as in det, these pairs skip the is_inexact tests
-        return all(
-            a == b if type(a) in rational and type(b) in rational
-            else is_zero(a - b) if is_inexact(a) or is_inexact(b) else is_zero(a - b, 0)
-            for ra, rb in zip(self.data, other.data)
-            for a, b in zip(ra, rb)
-        )
+        tol = None  # set at the first float pair
+        for ra, rb in zip(self.data, other.data):
+            for a, b in zip(ra, rb):
+                if type(a) in rational and type(b) in rational:
+                    if a != b:
+                        return False
+                elif is_inexact(a) or is_inexact(b):
+                    if tol is None:
+                        tol = COMPLEX_EQ_TOL * max(1, self._magnitude(), other._magnitude())
+                    if not is_zero(a - b, tol):
+                        return False
+                elif not is_zero(a - b, 0):
+                    return False
+        return True
+
+    def _magnitude(self):
+        """The largest |entry| (0 if there is none)."""
+        return max((abs(x) for row in self.data for x in row), default=0)
 
     def __repr__(self):
         return f"Matrix({self.data!r})"

@@ -125,7 +125,9 @@ def taylor(columns, t, r: int = 1):
 
     Row i holds f^(i)(t)/i! for each column f; with r = 1 that is the single
     row of values f(t).  Powers of t and of each column's A + B t are shared
-    between terms and columns.
+    between terms and columns.  With r = 1 and no negative power, t may also
+    be a numpy array of complex points; each row entry is then an array of
+    values of that shape (an empty column gives zeros).
     """
     zero = t * 0  # a zero of the point's type, as an exact sum of zero terms would give
     t_memo, lin_memo = {}, {}

@@ -19,9 +19,12 @@ column is built once per distinct exponent pair, and one
 partitions.  ``grothendieck_eval`` and ``dual_grothendieck_eval`` are its
 one-partition case.
 
-``BialternantStack`` is the complex float lane for many points at once: one
-stacked LU determinant over an (S, N, N) bialternant tensor per partition.
-The scalar evaluators are its exact-lane oracle.
+``BialternantStack`` is the complex float lane for many points at once.  It
+keeps one table of the powers z^e of its (S, N) points, grown on demand, and
+``evals`` gathers the bialternant tensors of a list of partitions from it,
+(P, S, N, N) a bounded chunk at a time, through stacked LU determinants; a
+single partition is its one-partition case.  The scalar evaluators are its
+exact-lane oracle.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ from .confluent import det_ratios, sign_pairs
 from .partitions import Partition
 from .ratfunc import RatFunc
 from .scalars import COINCIDENCE_TOL, is_zero
+
+# the most matrix entries, P * S * N * N, of one stacked determinant in
+# ``BialternantStack.evals``: its temporaries stay near 256 kB whatever the box
+_CHUNK_ENTRIES = 1 << 14
 
 
 def _parts(lam, n):
@@ -95,11 +102,14 @@ def grothendieck_evals(lams, z, beta, dual: bool = False):
 class BialternantStack:
     """G_lambda(z_s; beta), or Gbar_lambda with ``dual``, at every row z_s of an (S, N) array.
 
-    The lambda-independent factors (1 + beta z)^k or (1 + beta/z)^-k and the
-    row Vandermondes are computed once; each call is one stacked complex
-    determinant.  There is no confluent limit here, so variables of a row
-    that coincide within ``COINCIDENCE_TOL`` raise, as do (for the dual) a
-    zero variable or a 1 + beta/z that is exactly zero.
+    The lambda-independent factors (1 + beta z)^k or (1 + beta/z)^-k, the row
+    Vandermondes prod_{j<k} (z_j - z_k) and one table of the powers z^e are
+    computed once; the table grows when a partition asks for a larger e.
+    ``evals`` gives many partitions as stacked complex determinants, a chunk
+    of at most ``_CHUNK_ENTRIES`` matrix entries at a time.  There is no
+    confluent limit here, so variables of a row that coincide within
+    ``COINCIDENCE_TOL`` raise, as do (for the dual) a zero variable or a
+    1 + beta/z that is exactly zero.
     """
 
     def __init__(self, z, beta, dual: bool = False):
@@ -116,9 +126,25 @@ class BialternantStack:
             raise ZeroDivisionError("vanishing (1 + beta/z) with negative exponent")
         self._factors = base[:, :, None] ** ((-1 if dual else 1) * np.arange(n))
         self._z = z[:, :, None]
-        self._vandermonde = np.prod(gaps, axis=1)
+        self._powers = self._z ** np.arange(n)  # [s, j, e] = z_sj^e
+        self.vandermonde = np.prod(gaps, axis=1)
 
     def __call__(self, lam) -> np.ndarray:
-        n = self._z.shape[1]
-        exps = np.array(_parts(lam, n)) + n - 1 - np.arange(n)
-        return np.linalg.det(self._z ** exps * self._factors) / self._vandermonde
+        return self.evals([lam])[0]
+
+    def evals(self, lams) -> np.ndarray:
+        """(P, S): the polynomial of each of the P partitions ``lams`` at every row."""
+        rows, n = self._z.shape[:2]
+        exps = np.array([_parts(lam, n) for lam in lams], dtype=int).reshape(-1, n) \
+            + n - 1 - np.arange(n)
+        have = self._powers.shape[2]
+        top = int(exps.max(initial=0)) + 1
+        if top > have:
+            self._powers = np.concatenate([self._powers, self._z ** np.arange(have, top)], axis=2)
+        out = np.empty((len(exps), rows), dtype=complex)
+        step = max(1, _CHUNK_ENTRIES // max(1, rows * n * n))
+        for i in range(0, len(exps), step):
+            # [p, s, j, k] = z_sj^(exps[p, k]), the bialternant of partition p at row s
+            block = np.moveaxis(self._powers[:, :, exps[i:i + step]], 2, 0)
+            out[i:i + step] = np.linalg.det(block * self._factors) / self.vandermonde
+        return out

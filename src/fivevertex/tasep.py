@@ -19,7 +19,12 @@ weight ``identities.orthogonality_weight``; that product is used, so no
 removable pole at z_j y_k = 1 has to be resolved.  The stationary solution
 (all roots at 1) contributes the analytic 1/binomial(M,N).  ``Spectrum``
 holds these data for one solution list, and every quantity below (Green
-function and table, sum rule, expectations) is a contraction of it.
+function and table, sum rule, expectations) is a contraction of it.  In the
+complex float lane its quantities are stacked LU determinants over all
+solution sets at once: the box vectors G_mu(z_s) and Gbar_lam(1/z_s) from
+``symfunc.BialternantStack``, and the window form factors one determinant of
+the summation columns per distinct window length; the scalar
+``form_factor_sum`` is the exact lane and their oracle.
 
 The solver continues in beta from the free-fermion point beta = 0, where
 the equations decouple into z^M = (-1)^(N-1) and every N-subset of those M
@@ -48,14 +53,15 @@ or N outside 1..M-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .identities import grothendieck_sum_det, orthogonality_weight
+from .confluent import sign_pairs
+from .identities import _sum_columns, grothendieck_sum_det, orthogonality_weight
 from .partitions import ParticleConfiguration, config_to_partition, enumerate_box, partition_to_config
+from .ratfunc import taylor
 from .sector import basis_index, hamiltonian, sector_basis
 from .symfunc import BialternantStack
 from .vertex import ModelParameters
@@ -374,7 +380,9 @@ class Spectrum:
         a0 * stationary + sum_s a_s right(lam)_s e^{E_s t},
 
     where a is a left vector (G_mu(z_s), or a sum of them) and a0 its value
-    at the stationary point, where every G_mu is 1.
+    at the stationary point, where every G_mu is 1.  The box vectors, and the
+    order that puts them in ``sector_basis`` order for the Green tables, are
+    built on first use and kept.
     """
 
     def __init__(self, solutions, M: int, N: int, beta=-1.0):
@@ -397,7 +405,7 @@ class Spectrum:
         # left(mu) = G_mu(z_s; beta) over the solution axis
         self.left = BialternantStack(self.roots, beta)
         self._dual = BialternantStack(1 / self.roots, beta, dual=True)
-        self._box = None
+        self._box = self._order = None
 
     def right(self, lam) -> np.ndarray:
         """w_s Gbar_lam(1/z_s; beta) over the solution axis."""
@@ -410,21 +418,41 @@ class Spectrum:
         """
         if self._box is None:
             box = list(enumerate_box(self.M - self.N, self.N))
-            self._box = (np.array([self.left(mu) for mu in box]),
-                         np.array([self.right(lam) for lam in box]))
+            self._box = (self.left.evals(box), self.weights * self._dual.evals(box))
             for v in self._box:
                 v.flags.writeable = False
         return self._box
+
+    def basis_order(self) -> np.ndarray:
+        """The ``box_vectors`` row of each configuration, in ``sector_basis`` order; built once."""
+        if self._order is None:
+            index = basis_index(self.M, self.N)
+            self._order = np.argsort([index[partition_to_config(lam, self.M).positions]
+                                      for lam in enumerate_box(self.M - self.N, self.N)])
+        return self._order
 
     def form_factors(self, terms):
         """(a, a0) of the window observable sum coef * s_l ... s_{l+n-1}, for ``evolve``.
 
         a_s is the form-factor sum at z_s; a0 its value at the stationary
-        point, sum coef * binomial(M-n, N).  Neither depends on t.
+        point, sum coef * binomial(M-n, N).  Neither depends on t.  Per
+        distinct window length n, the columns of grothendieck_sum_det(M-n, N, z, -1)
+        are evaluated on every root set at once and taken through one stacked
+        determinant; each term multiplies it by prod_j z_j^(l+n-1).
         """
-        a = np.array([sum(coef * form_factor_sum(l, n, z, self.M) for coef, l, n in terms)
-                      for z in self.roots], dtype=complex)
-        return a, sum(coef * comb(self.M - n, self.N) for coef, _, n in terms)
+        terms = list(terms)
+        for _, l, n in terms:
+            _check_window(l, n, self.M)
+        z, N = self.roots, self.N
+        dets = {}
+        for n in {n for _, _, n in terms}:
+            values = taylor(_sum_columns(self.M - n, N, -1), z)[0]  # column k at every z_sj
+            dets[n] = np.linalg.det(np.stack(values, axis=-1)) \
+                / (sign_pairs(N) * self.left.vandermonde)
+        a = np.zeros(len(z), dtype=complex)
+        for coef, l, n in terms:
+            a += complex(coef) * (np.prod(z ** (l + n - 1), axis=1) * dets[n])
+        return a, sum(coef * comb(self.M - n, N) for coef, _, n in terms)
 
     def evolve(self, a, a0, lam, t) -> float:
         """Real part of a0 * stationary + sum_s a_s right(lam)_s e^{E_s t}, for finite t >= 0."""
@@ -435,22 +463,26 @@ class Spectrum:
         return float(total.real)
 
 
-@lru_cache(maxsize=1, typed=True)
-def _cached_spectrum(solutions: tuple, M, N, beta) -> Spectrum:
-    return Spectrum(solutions, M, N, beta)
+# the key (solutions, M, N, beta and their types) and the Spectrum of the last solution list
+_last_spectrum = [None, None]
 
 
 def _spectrum(solutions, M, N, beta=-1.0) -> Spectrum:
     """``solutions`` as a Spectrum: a prebuilt one, a solution list, or None to solve.
 
     The Spectrum of the last solution list is kept, so callers handed the same
-    list again (one orthogonality check per (lam, mu), say) build it once.
+    list again (one orthogonality check per (lam, mu), say) build it once.  The
+    lists are compared by ``==``, which takes the same solution objects as equal
+    without comparing their fields; beta = -1 and -1.0 are different keys.
     """
     if isinstance(solutions, Spectrum):
         return solutions
     if solutions is None:
         solutions = bethe_solve(M, N, beta)
-    return _cached_spectrum(tuple(solutions), M, N, beta)
+    key = (tuple(solutions), M, N, beta, type(M), type(N), type(beta))
+    if _last_spectrum[0] != key:
+        _last_spectrum[:] = key, Spectrum(key[0], M, N, beta)
+    return _last_spectrum[1]
 
 
 def green_function(query: GreenQuery, solutions=None) -> float:
@@ -470,9 +502,7 @@ def green_function_table(M: int, N: int, t: float, solutions=None) -> np.ndarray
     """
     _check_time(t)
     spec = _spectrum(solutions, M, N)
-    index = basis_index(M, N)
-    order = [index[partition_to_config(lam, M).positions] for lam in enumerate_box(M - N, N)]
-    left, right = (v[np.argsort(order)] for v in spec.box_vectors())
+    left, right = (v[spec.basis_order()] for v in spec.box_vectors())
     out = spec.stationary + (left * np.exp(spec.energies * t)) @ right.T
     if np.max(np.abs(out.imag)) > 1e-7:
         raise RuntimeError("Green-function table came out non-real")
@@ -504,6 +534,11 @@ def expectation(observable, x: ParticleConfiguration, t: float, solutions=None):
     return spec.evolve(a, a_mat.sum(), config_to_partition(x), t)
 
 
+def _check_window(l, n, M):
+    if not (-l + 1 <= n <= M):
+        raise ValueError("window length must satisfy -l+1 <= n <= M")
+
+
 def form_factor_sum(l: int, n: int, z, M: int):
     """Double Grothendieck sum for the window observable A = s_l ... s_{l+n-1}.
 
@@ -515,8 +550,7 @@ def form_factor_sum(l: int, n: int, z, M: int):
     the primal summation determinant; coincident z take its confluent limit.
     """
     z = list(z)
-    if not (-l + 1 <= n <= M):
-        raise ValueError("window length must satisfy -l+1 <= n <= M")
+    _check_window(l, n, M)
     pref = 1
     for zj in z:
         pref = pref * zj ** (l + n - 1)

@@ -98,6 +98,18 @@ def test_equality_is_exact_for_exact_entries_and_tolerant_for_floats(monkeypatch
     assert a != Matrix([[1, F(1, 3)], [3, 0]])
 
 
+def test_float_equality_scales_with_the_largest_entry():
+    # within 1e-10 times max(1, largest |entry| of either matrix)
+    big = Matrix([[3e6 + 1j, 0], [2, -1e6]])
+    assert big == Matrix([[3e6 + 1j + 5e-10, 0], [2, -1e6]])
+    assert big == Matrix([[3e6 + 1j, 2e-4], [2, -1e6]])
+    assert big != Matrix([[3e6 + 1j, 4e-4], [2, -1e6]])
+    # matrices with every entry at most 1 keep the absolute 1e-10
+    small = Matrix([[0.5, 0], [1j, -1e-3]])
+    assert small == Matrix([[0.5 + 9e-11, 0], [1j, -1e-3]])
+    assert small != Matrix([[0.5 + 2e-10, 0], [1j, -1e-3]])
+
+
 def _sparse_entry(rng, lane):
     if rng.random() < 0.6:
         return 0

@@ -599,6 +599,14 @@ def test_relation_checks_fail_on_a_wrong_coefficient(monkeypatch, lane):
         assert not rtt_check(u, v, params), entry
 
 
+def test_complex_relation_checks_hold_at_large_entries():
+    # entries near 3e6 meet with a gap of 5e-10, a relative error of 2e-16;
+    # an absolute 1e-10 reported DB false at n = 1 and CB, DB false at n = 2
+    params = ModelParameters(F(-7, 3), 5)
+    for n in range(-1, 7):
+        assert all(commutation_checks(1.5 - 0.6j, F(-3), params, n).values()), n
+
+
 @pytest.mark.parametrize("lane", [True, False])
 def test_transfer_commute_fails_for_transfer_matrices_of_two_models(monkeypatch, lane):
     # d + 1 on the sites where u/w_j = v (sites 1 and 3) takes tau(v) out of

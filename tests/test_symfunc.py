@@ -183,6 +183,38 @@ def test_batched_evaluator_matches_scalar_calls(lane):
         == "ValueError: partition has 3 parts but only 2 variables"
 
 
+@pytest.mark.parametrize("dual", [False, True])
+def test_stacked_evals_equal_the_one_determinant_per_partition_formula(monkeypatch, dual):
+    # the power table, grown as partitions ask for larger exponents, and the
+    # chunks give bit for bit z^exps * factors through one det per partition
+    import numpy as np
+
+    from fivevertex import symfunc
+    from fivevertex.symfunc import BialternantStack
+
+    rng = np.random.default_rng(7)
+    S, n, beta = 9, 3, -0.5
+    z = rng.normal(size=(S, n)) + 1j * rng.normal(size=(S, n))
+    box = list(enumerate_box(4, n))
+    zz = 1 / z if dual else z
+    base = 1 + beta / zz if dual else 1 + beta * zz
+    factors = base[:, :, None] ** ((-1 if dual else 1) * np.arange(n))
+    j, k = np.triu_indices(n, 1)
+    vandermonde = np.prod(zz[:, j] - zz[:, k], axis=1)
+
+    def formula(lam):
+        exps = np.array(tuple(lam.parts) + (0,) * (n - len(lam.parts))) + n - 1 - np.arange(n)
+        return np.linalg.det(zz[:, :, None] ** exps * factors) / vandermonde
+
+    want = np.array([formula(lam) for lam in box])
+    for chunk in (1 << 15, 2 * S * n * n, 1):  # one chunk, several, one partition each
+        monkeypatch.setattr(symfunc, "_CHUNK_ENTRIES", chunk)
+        stack = BialternantStack(zz, beta, dual)
+        assert np.array_equal(stack(box[-1]), want[-1])  # the small table grows
+        assert np.array_equal(stack.evals(box[::-1]), want[::-1])
+        assert np.array_equal(BialternantStack(zz, beta, dual).evals(box), want)
+
+
 def test_batched_evaluator_over_a_rational_function_field():
     import sympy
     from sympy.polys.fields import field

@@ -267,6 +267,62 @@ def test_green_tables_match_expm_over_the_solver_domain():
             assert np.max(np.abs(table - expm(sector_generator(M, N)))) <= 1e-8, (M, N)
 
 
+def test_stacked_form_factors_match_the_scalar_sum_over_every_window():
+    # every sector with M <= 10 and every window n = 0..M, l = 1..M, including
+    # n = M, where the top column's sum is empty (a zero column, also at N = 1).
+    # Each root set is checked against the scalar sum once per n, at the l
+    # with l - 1 = s mod M, so every (l, n) meets about S/M root sets
+    for M in range(2, 11):
+        for N in range(1, M):
+            spec = Spectrum(_solve_once(M, N, -1.0), M, N)
+            for n in range(M + 1):
+                for l in range(1, M + 1):
+                    a, a0 = spec.form_factors([(1, l, n)])
+                    assert a0 == comb(M - n, N)
+                    rows = range(l - 1, len(spec.roots), M)
+                    want = np.array([form_factor_sum(l, n, spec.roots[s], M) for s in rows],
+                                    dtype=complex)
+                    tol = 1e-11 * max(1, np.max(np.abs(a)))
+                    assert np.max(np.abs(a[rows] - want), initial=0) <= tol, (M, N, l, n)
+
+
+def test_stacked_form_factors_refuse_the_windows_the_scalar_sum_refuses():
+    M, N = 6, 3
+    spec = Spectrum(_solve_once(M, N, -1.0), M, N)
+    z = spec.roots[0]
+    base = spec.form_factors([(1, 1, 0)])[0][0]
+    for l, n in [(1, M + 1), (1, -1), (3, -3), (2, 7), (3, -2), (2, -1), (1, M), (4, 0)]:
+        try:
+            scalar = form_factor_sum(l, n, z, M)
+        except ValueError as exc:
+            # a refused window anywhere in the terms refuses the whole call
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                spec.form_factors([(1, 1, 0), (1, l, n)])
+            assert str(exc) == "window length must satisfy -l+1 <= n <= M"
+            continue
+        # n < 0 windows wrap around the ring; both paths still agree
+        stacked = spec.form_factors([(1, 1, 0), (1, l, n)])[0][0] - base
+        assert abs(stacked - scalar) <= 1e-11 * max(1, abs(scalar)), (l, n)
+
+
+@pytest.mark.parametrize("M, N, beta", [(7, 3, -1.0), (7, 3, -0.5), (11, 8, -1.0)])
+def test_box_vectors_equal_the_per_partition_calls(M, N, beta):
+    spec = Spectrum(_solve_once(M, N, beta), M, N, beta)
+    box = list(enumerate_box(M - N, N))
+    left, right = spec.box_vectors()
+    assert np.array_equal(left, np.array([spec.left(mu) for mu in box]))
+    assert np.array_equal(right, np.array([spec.right(lam) for lam in box]))
+
+
+def test_green_table_rows_follow_the_sector_basis():
+    M, N = 7, 3
+    spec = Spectrum(_solve_once(M, N, -1.0), M, N)
+    order = spec.basis_order()
+    assert spec.basis_order() is order  # built once per Spectrum
+    box = list(enumerate_box(M - N, N))
+    assert tuple(partition_to_config(box[i], M).positions for i in order) == sector_basis(M, N)
+
+
 @pytest.mark.parametrize("M, N", [(6, 3), (8, 4)])
 def test_spectrum_weights_invert_the_cauchy_determinant(M, N):
     spec = Spectrum(bethe_solve(M, N), M, N)
@@ -596,3 +652,13 @@ def test_spectrum_reused_for_the_same_solution_list():
     spec = _spectrum(sols, 6, 3, -0.5)
     assert _spectrum(list(sols), 6, 3, -0.5) is spec
     assert _spectrum(sols[::-1], 6, 3, -0.5) is not spec
+
+
+def test_spectrum_cache_keys_on_equal_lists_and_typed_arguments():
+    sols = _solve_once(6, 3, -1.0)
+    spec = _spectrum(sols, 6, 3, -1.0)
+    # equal solution sets that are other objects hit too
+    assert _spectrum([replace(s) for s in sols], 6, 3, -1.0) is spec
+    # beta = -1 and -1.0 are different keys
+    assert _spectrum(sols, 6, 3, -1) is not spec
+    assert _spectrum(sols, 6, 3, -1.0) is not spec
