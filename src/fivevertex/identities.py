@@ -166,7 +166,11 @@ def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
     """Determinant side of the weighted Grothendieck summation formula.
 
     The columns are ``_sum_columns``; the dual's determinant is multiplied by
-    prod y^(M-1).  Coincident variables take Taylor rows.
+    prod y^(M-1).  Coincident variables take Taylor rows.  0 <= M < N is in
+    the domain: the (M-N)^N box holds no partition and the determinant is the
+    empty sum 0, as the window form factors need at n = M (no configuration
+    of N particles on M - n sites).  ``cauchy_lhs`` refuses M < N because it
+    enumerates that box; this side never enumerates it.
     """
     z = list(z)
     _check_counts(N, z)

@@ -42,7 +42,13 @@ _CHUNK_ENTRIES = 1 << 14
 
 
 def _parts(lam, n):
-    parts = tuple(lam.parts) if isinstance(lam, Partition) else tuple(lam)
+    """The parts of ``lam``, padded with zeros to n; a tuple must be a partition."""
+    if isinstance(lam, Partition):
+        parts = tuple(lam.parts)
+    else:
+        parts = tuple(lam)
+        if any(p < 0 for p in parts) or any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"lam must have nonnegative, weakly decreasing parts, got {parts}")
     if len(parts) > n:
         raise ValueError(f"partition has {len(parts)} parts but only {n} variables")
     return parts + (0,) * (n - len(parts))

@@ -33,16 +33,22 @@ roots is a solution set (Hao, Nepomechie & Sommese, Phys. Rev. E 88 (2013)
 tracked along beta(s) = s beta + ``GAMMA`` s (1-s) from s = 0 to s = 1; the
 complex ``GAMMA`` keeps the paths apart for real beta (the gamma trick of
 Sommese & Wampler, The Numerical Solution of Systems of Polynomials, 2005).
-All paths advance together, each with its own step: an Euler predictor, then
-at most ``CORRECTOR_STEPS`` stacked Newton steps, accepted at
-max|F| <= ``CORRECTOR_TOL`` (1 + max|z^M Y|).  ``choice_id`` is the subset,
-as indices into the beta = 0 roots in ``_canonical`` order.  Newton on the
-Bethe equations finishes every path that reached s = 1, stopping once a
-row's step is within a few ulps of its roots (one or two steps).  Residuals,
-Y, energies and coincident roots are checked on all endpoints at once; only
-the search for an already-kept set runs subset by subset.  At beta = -1 the
-subset of the N beta = 0 roots nearest 1, whose path ends on the stationary
-set, is not tracked: that set is inserted analytically.  ``beta``
+All paths advance together, each with its own step: a predictor, then at
+most ``CORRECTOR_STEPS`` stacked Newton steps, accepted at
+max|F| <= ``CORRECTOR_TOL`` (1 + max|z^M Y|).  The predictor is the cubic
+Hermite through a path's last two accepted points and their tangents dz/ds,
+Euler on its first step.  ``choice_id`` is the subset, as indices into the
+beta = 0 roots in ``_canonical`` order.  Newton on the Bethe equations
+finishes every path that reached s = 1, stopping once a row's step is within
+a few ulps of its roots (one or two steps).  Every residual, Newton step and
+tangent comes from one kernel: the Jacobian of the equations is diagonal plus
+rank one, so Sherman-Morrison solves it in O(N) per set without forming a
+matrix.  Its denominator is g'(Y) for g(Y) = Y - prod_k (1 + beta z_k(Y)),
+where every root of a set solves P_Y(z) = (1+beta z)^N - (-1)^(N-1) Y z^M.
+Residuals, Y, energies and coincident roots are checked on all endpoints at
+once; only the search for an already-kept set runs subset by subset.  At
+beta = -1 the subset of the N beta = 0 roots nearest 1, whose path ends on
+the stationary set, is not tracked: that set is inserted analytically.  ``beta``
 generalizes the equations to (1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j),
 as needed by the orthogonality relation (beta = -1 is the TASEP point).  A
 sector that gives fewer or more than binomial(M,N) sets raises, naming every
@@ -171,69 +177,63 @@ def _abs(z):
     return np.hypot(z.real, z.imag)
 
 
-def _solve_rows(jac, rhs):
-    """jac^-1 rhs for each row of rhs (S, N) in one stacked solve; a singular row comes out NaN."""
-    try:
-        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        out = np.full_like(rhs, np.nan)
-        for r in range(len(rhs)):
-            try:
-                out[r] = np.linalg.solve(jac[r], rhs[r])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+def _newton_kernel(z, M, N, beta):
+    """F, (-1)^(N-1) z^M Y, J^-1 F and J^-1 dF/dbeta for each column of z (N, S).
 
+    F_k = (1+beta z_k)^N - (-1)^(N-1) z_k^M Y with Y = prod_j (1+beta z_j);
+    ``beta`` is a scalar or one value per column, (S,).  The Jacobian
+    J = dF/dz is diagonal plus rank one, J = diag(a) - u c^T, with
 
-def _bethe_residual(z, M, N, beta):
-    """F_k = (1+beta z_k)^N - (-1)^(N-1) z_k^M Y and z_k^M Y for each row of z (S, N).
+        a_k = P_Y'(z_k) = N beta (1+beta z_k)^(N-1) - (-1)^(N-1) M z_k^(M-1) Y,
+        u_k = (-1)^(N-1) z_k^M,   c_l = beta prod_{j != l} (1+beta z_j),
 
-    Y = prod_j (1+beta z_j); ``beta`` is a scalar or one value per row, (S, 1).
+    so Sherman-Morrison solves it in O(N) per set, with the denominator
+    g'(Y) = 1 - sum_l c_l u_l / a_l of the Y-reduction.  The products over
+    j != l come from prefix and suffix products, without division.  A
+    singular set (some a_k = 0, or g'(Y) = 0) comes out non-finite.  The sets
+    are columns, held in C order, so that every operation runs along S.
     """
-    pf = 1 + beta * z
-    zMY = (-1) ** (N - 1) * z ** M * np.prod(pf, axis=1)[:, None]
-    return pf ** N - zMY, zMY
-
-
-def _bethe_jacobian(z, M, N, beta):
-    """dF/dz (S, N, N) and dF/dbeta (S, N) of ``_bethe_residual``."""
+    z = np.ascontiguousarray(z)
     sgn = (-1) ** (N - 1)
     pf = 1 + beta * z
-    Y = np.prod(pf, axis=1)[:, None]
-    zM = sgn * z ** M
-    # prod_{j != l} (1 + beta z_j): pf with its own factor set to 1, multiplied
-    # in the scalar reduction order
-    cofactor = np.prod(np.where(np.eye(N, dtype=bool), 1, pf[:, None, :]), axis=2)
-    diag = np.arange(N)
-    jac = np.zeros((len(z), N, N), dtype=complex)
-    jac[:, diag, diag] = N * beta * pf ** (N - 1) - sgn * M * z ** (M - 1) * Y
-    jac -= zM[:, :, None] * (beta * cofactor)[:, None, :]
-    dbeta = N * z * pf ** (N - 1) - zM * np.sum(z * cofactor, axis=1)[:, None]
-    return jac, dbeta
+    before, after = np.ones_like(pf), np.ones_like(pf)
+    np.cumprod(pf[:-1], axis=0, out=before[1:])
+    np.cumprod(pf[:0:-1], axis=0, out=after[-2::-1])
+    cofactor = before * after
+    Y = before[-1] * pf[-1]
+    pf_n1, z_m1 = pf ** (N - 1), z ** (M - 1)
+    u = sgn * z_m1 * z
+    zMY = u * Y
+    f = pf_n1 * pf - zMY
+    a = N * beta * pf_n1 - sgn * M * z_m1 * Y
+    c = beta * cofactor
+    dbeta = N * z * pf_n1 - u * (z * cofactor).sum(axis=0)
+    ua, fa, da = u / a, f / a, dbeta / a
+    g_prime = 1 - (c * ua).sum(axis=0)
+    return (f, zMY, fa + ua * ((c * fa).sum(axis=0) / g_prime),
+            da + ua * ((c * da).sum(axis=0) / g_prime))
 
 
 def _newton_polish(z, M, N, beta):
-    """Newton on the Bethe equations for each row of z (S, N), one stacked solve per step.
+    """Newton on the Bethe equations for each row of z (S, N), one kernel call per step.
 
     A row stops once its own max|f| < 1e-15, when its Jacobian is singular,
     once the step it has just taken is within a few ulps of its roots,
     max|step| <= 4 eps max|z|, or after 40 steps.
     """
-    z = np.array(z, dtype=complex)
-    live = np.arange(len(z))
-    for _ in range(40):
-        f_val = _bethe_residual(z[live], M, N, beta)[0]
-        moving = ~(np.max(np.abs(f_val), axis=1) < 1e-15)
-        live, f_val = live[moving], f_val[moving]
-        if not len(live):
-            break
-        step = _solve_rows(_bethe_jacobian(z[live], M, N, beta)[0], f_val)
-        regular = ~np.isnan(step).any(axis=1)
-        live, step = live[regular], step[regular]
-        z[live] -= step
-        floor = 4 * np.finfo(float).eps * np.max(np.abs(z[live]), axis=1)
-        live = live[~(np.max(np.abs(step), axis=1) <= floor)]
-    return z
+    z = np.array(z, dtype=complex).T.copy()
+    live = np.arange(z.shape[1])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(40):
+            if not len(live):
+                break
+            f_val, _, step, _ = _newton_kernel(z[:, live], M, N, beta)
+            keep = ~(np.abs(f_val).max(axis=0) < 1e-15) & np.isfinite(step).all(axis=0)
+            live, step = live[keep], step[:, keep]
+            z[:, live] -= step
+            floor = 4 * np.finfo(float).eps * np.abs(z[:, live]).max(axis=0)
+            live = live[~(np.abs(step).max(axis=0) <= floor)]
+    return z.T
 
 
 def _root_residuals(z, M, N, beta):
@@ -257,38 +257,63 @@ def _path(s, beta):
     return s * beta + GAMMA * s * (1 - s), beta + GAMMA * (1 - 2 * s)
 
 
+def _hermite(z0, dz0, s0, z1, dz1, s1, s):
+    """The cubic through (s0, z0) and (s1, z1) with slopes dz0 and dz1, at s; by column.
+
+    Written about the newer point s1: z1 + x dz1 + x^2 (3 e1 - e2) + x^3 (e2 - 2 e1)/d,
+    with x = s - s1, d = s0 - s1, e1 = (z0 - z1 - d dz1)/d^2 and e2 = (dz0 - dz1)/d.
+    Columns whose s0 is NaN (no earlier point yet) take the Euler step z1 + x dz1.
+    """
+    x, d = s - s1, s0 - s1
+    e1 = (z0 - z1 - d * dz1) / d ** 2
+    e2 = (dz0 - dz1) / d
+    bend = x ** 2 * (3 * e1 - e2 + x * (e2 - 2 * e1) / d)
+    return z1 + x * dz1 + np.where(np.isnan(d), 0, bend)
+
+
 def _track(z, M, N, beta):
     """Track each row of z (S, N), a solution set at beta = 0, along beta(s) to s = 1.
 
-    Returns the rows at their last accepted s, and that s: 1 unless the path
-    stalled, its step halved below ``STEP_MIN``.
+    Each corrector evaluation also gives the tangent dz/ds, which is kept at
+    the accepted points: the predictor is the cubic Hermite through a path's
+    last two accepted points, Euler on its first step.  Returns the rows at
+    their last accepted s, and that s: 1 unless the path stalled, its step
+    halved below ``STEP_MIN``.
     """
-    z = np.array(z, dtype=complex)
-    s = np.zeros(len(z))
-    h = np.full(len(z), STEP_MAX)
-    live = np.arange(len(z))
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(live):
-            zl, sl = z[live], s[live]
-            b, db = _path(sl, beta)
-            jac, dbeta = _bethe_jacobian(zl, M, N, b[:, None])
-            s_new = np.minimum(sl + h[live], 1.0)
-            zc = zl - (s_new - sl)[:, None] * _solve_rows(jac, dbeta * db[:, None])
-            b_new = _path(s_new, beta)[0][:, None]
-            ok = np.zeros(len(live), dtype=bool)
+    z = np.array(z, dtype=complex).T.copy()  # a column per path, as the kernel takes them
+    ends, reached = z.copy(), np.zeros(z.shape[1])
+    paths = np.arange(z.shape[1])  # the path of each column still tracked
+    s, h = np.zeros(len(paths)), np.full(len(paths), STEP_MAX)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b, db = _path(s, beta)
+        dz = -_newton_kernel(z, M, N, b)[3] * db
+        # the previous accepted point of each path, with its tangent
+        z0, dz0, s0 = z, dz, np.full(len(paths), np.nan)
+        while len(paths):
+            s_new = np.minimum(s + h, 1.0)
+            zc = _hermite(z0, dz0, s0, z, dz, s, s_new)
+            b_new, db_new = _path(s_new, beta)
+            dzc = np.empty_like(zc)
+            ok = np.zeros(len(paths), dtype=bool)
+            todo, zk = np.arange(len(paths)), zc  # the columns still correcting, their points
             for k in range(CORRECTOR_STEPS + 1):
-                todo = np.flatnonzero(~ok)
-                f, zMY = _bethe_residual(zc[todo], M, N, b_new[todo])
-                met = np.max(_abs(f), axis=1) <= CORRECTOR_TOL * (1 + np.max(_abs(zMY), axis=1))
-                ok[todo] = met
-                todo, f = todo[~met], f[~met]
-                if k == CORRECTOR_STEPS or not len(todo):
+                f, zMY, step, dzdb = _newton_kernel(zk, M, N, b_new[todo])
+                met = np.abs(f).max(axis=0) <= CORRECTOR_TOL * (1 + np.abs(zMY).max(axis=0))
+                done = todo[met]
+                ok[done] = True
+                zc[:, done], dzc[:, done] = zk[:, met], -dzdb[:, met] * db_new[done]
+                if k == CORRECTOR_STEPS or met.all():
                     break
-                zc[todo] -= _solve_rows(_bethe_jacobian(zc[todo], M, N, b_new[todo])[0], f)
-            z[live[ok]], s[live[ok]] = zc[ok], s_new[ok]
-            h[live] = np.where(ok, np.minimum(1.5 * h[live], STEP_MAX), h[live] / 2)
-            live = live[(s[live] < 1) & (h[live] >= STEP_MIN)]
-    return z, s
+                todo, zk = todo[~met], (zk - step)[:, ~met]
+            z0, dz0, s0 = np.where(ok, z, z0), np.where(ok, dz, dz0), np.where(ok, s, s0)
+            z, dz, s = np.where(ok, zc, z), np.where(ok, dzc, dz), np.where(ok, s_new, s)
+            h = np.where(ok, np.minimum(1.5 * h, STEP_MAX), h / 2)
+            going = (s < 1) & (h >= STEP_MIN)
+            if not going.all():
+                ends[:, paths[~going]], reached[paths[~going]] = z[:, ~going], s[~going]
+                paths, s, s0, h = paths[going], s[going], s0[going], h[going]
+                z, dz, z0, dz0 = z[:, going], dz[:, going], z0[:, going], dz0[:, going]
+    return ends.T, reached
 
 
 def bethe_solve(M: int, N: int, beta=-1.0):
@@ -303,6 +328,9 @@ def bethe_solve(M: int, N: int, beta=-1.0):
     set gives no solution set; a shortfall raises, naming every such subset
     with the s its path reached and why.
     """
+    for name, value in (("M", M), ("N", N)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an int, got {name} = {value!r}")
     if not 1 <= N <= M - 1:
         raise ValueError("need 1 <= N <= M-1 (N = M is the frozen ring)")
     if not np.isfinite(complex(beta)):
@@ -519,7 +547,8 @@ def expectation(observable, x: ParticleConfiguration, t: float, solutions=None):
     """<S_N| A e^{Ht} |x> for an observable given on the configuration basis.
 
     ``observable`` is a matrix over the sector basis (rows = bra, columns =
-    ket, both in ``sector_basis`` order).
+    ket, both in ``sector_basis`` order).  Its column sums, contracted with
+    the kept box vectors G_mu(z_s), give the left vector.
     """
     M, N = x.ring_size, len(x)
     a_mat = np.asarray(observable, dtype=complex)
@@ -527,10 +556,7 @@ def expectation(observable, x: ParticleConfiguration, t: float, solutions=None):
     if a_mat.shape != (dim, dim):
         raise ValueError(f"observable must be {dim} x {dim} on the configuration basis")
     spec = _spectrum(solutions, M, N)
-    col_sums = a_mat.sum(axis=0)
-    index = basis_index(M, N)
-    a = sum(col_sums[index[partition_to_config(mu, M).positions]] * spec.left(mu)
-            for mu in enumerate_box(M - N, N))
+    a = a_mat.sum(axis=0) @ spec.box_vectors()[0][spec.basis_order()]
     return spec.evolve(a, a_mat.sum(), config_to_partition(x), t)
 
 

@@ -163,6 +163,19 @@ def test_sum_checks(rng):
     assert grothendieck_sum_check(M, N, z, beta, dual=True)
 
 
+def test_sum_det_below_the_box_is_the_empty_sum():
+    # at M < N the (M-N)^N box holds no partition: the determinant side is 0,
+    # which the window form factors use at n = M, while the box sum refuses
+    z, y = [F(1, 2), F(1, 3), F(2, 5)], [F(2), F(3), F(5)]
+    for N in (1, 2, 3):
+        for M in range(N):
+            for beta in (F(-1), F(1, 2), -1):
+                assert grothendieck_sum_det(M, N, z[:N], beta) == 0
+                assert grothendieck_sum_det(M, N, y[:N], beta, dual=True) == 0
+            with pytest.raises(ValueError, match="box dimensions must be nonnegative"):
+                cauchy_lhs(M, N, z[:N], y[:N], F(-1))
+
+
 def test_sum_rejects_beta_zero(rng):
     with pytest.raises(ValueError):
         grothendieck_sum_det(4, 2, distinct_squares(rng, 2), 0)

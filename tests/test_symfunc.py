@@ -248,6 +248,25 @@ def test_too_few_variables_rejected():
         schur_eval((2, 1, 1), [F(1), F(2)])
 
 
+@pytest.mark.parametrize("lam", [(-1,), (1, 2), (2, -1), (0, 1)])
+def test_non_partitions_are_refused(lam):
+    # (-1,) used to give G = 2 at z = 1/2, beta = -1, and (1, 2) gave 1/36
+    import numpy as np
+
+    from fivevertex.symfunc import BialternantStack
+
+    z = [F(1, 2), F(1, 3)][:len(lam)]
+    zz = np.array([[0.25, 0.2][:len(lam)]], dtype=complex)
+    for call in (lambda: grothendieck_eval(lam, z, -1),
+                 lambda: dual_grothendieck_eval(lam, z, -1),
+                 lambda: schur_eval(lam, z),
+                 lambda: grothendieck_evals([(1,) * len(lam), lam], z, F(1, 2)),
+                 lambda: BialternantStack(zz, -0.5)(lam),
+                 lambda: BialternantStack(zz, -0.5, dual=True).evals([lam])):
+        with pytest.raises(ValueError, match="^lam must have nonnegative, weakly decreasing"):
+            call()
+
+
 def set_valued_tableaux_value(shape, z, beta):
     """Independent oracle (Buch, Acta Math. 189 (2002) 37): G_lambda(z; beta) is
     the sum over set-valued tableaux T of shape lambda with entries 1..N of

@@ -14,11 +14,12 @@ from scipy.optimize import linear_sum_assignment
 from fivevertex import tasep
 from fivevertex.identities import cauchy_rhs, orthogonality_matrix
 from fivevertex.partitions import ParticleConfiguration as PC
-from fivevertex.partitions import enumerate_box, partition_to_config
+from fivevertex.partitions import config_to_partition, enumerate_box, partition_to_config
 from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval
 from fivevertex.tasep import (CORRECTOR_STEPS, CORRECTOR_TOL, DEDUP_TOL, GAMMA, RESIDUAL_TOL,
                               STEP_MAX, STEP_MIN, GreenQuery, Spectrum, _free_roots,
-                              _newton_polish, _spectrum, _stationary_choice, _track,
+                              _newton_kernel, _newton_polish, _spectrum, _stationary_choice,
+                              _track,
                               bethe_solve,
                               current_terms, density_terms, expectation,
                               expectation_via_form_factors, form_factor_sum, green_function,
@@ -42,6 +43,14 @@ def test_bethe_counts_and_residuals():
 def test_bethe_rejects_bad_sector():
     with pytest.raises(ValueError):
         bethe_solve(4, 4)
+
+
+@pytest.mark.parametrize("M, N, name",
+                         [(4.0, 2, "M"), (4, 2.0, "N"), (F(4), 2, "M"), ("4", 2, "M")])
+def test_bethe_solve_refuses_a_non_int_sector(M, N, name):
+    # a float M or N used to raise a TypeError from itertools
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        bethe_solve(M, N)
 
 
 def test_energy_sum_equals_generator_trace():
@@ -96,6 +105,26 @@ def test_expectation_identity_is_one():
     identity = np.eye(comb(M, N))
     for t in (0.0, 0.5, 2.0):
         assert abs(expectation(identity, x0, t, sols) - 1) <= 1e-9
+
+
+@pytest.mark.parametrize("M, N", [(7, 3), (11, 8)])
+def test_expectation_contracts_the_box_vectors(M, N):
+    # one contraction of the kept box vectors, against one G_mu(z) call per
+    # partition and against expm
+    sols = _solve_once(M, N, -1.0)
+    spec = _spectrum(sols, M, N)
+    dim = comb(M, N)
+    observable = np.random.default_rng(M).normal(size=(dim, dim))
+    x0 = PC(sector_basis(M, N)[dim // 3], M)
+    col_sums, basis = observable.sum(axis=0), sector_basis(M, N)
+    a = sum(col_sums[basis.index(partition_to_config(mu, M).positions)] * spec.left(mu)
+            for mu in enumerate_box(M - N, N))
+    for t in (0.0, 0.7, 3.0):
+        got = expectation(observable, x0, t, sols)
+        want = spec.evolve(a, observable.sum(), config_to_partition(x0), t)
+        assert abs(got - want) <= 1e-12 * max(1, abs(want))
+        oracle = np.ones(dim) @ observable @ master_oracle(x0, t).amplitudes
+        assert abs(got - oracle) <= 1e-8 * max(1, abs(oracle))
 
 
 def test_density_and_current_match_oracle():
@@ -380,23 +409,47 @@ def test_spectrum_refuses_degenerate_input():
             call()
 
 
+def _dense_jacobian(z, M, N, beta):
+    """dF/dz (N, N) and dF/dbeta (N,) of the Bethe equations at one root set, entry by entry."""
+    sgn = (-1) ** (N - 1)
+    pf = 1 + beta * z
+    Y = np.prod(pf)
+    jac = np.diag(N * beta * pf ** (N - 1) - sgn * M * z ** (M - 1) * Y)
+    dbeta = N * z * pf ** (N - 1)
+    for l in range(N):
+        cofactor = np.prod(np.delete(pf, l))
+        jac[:, l] -= sgn * z ** M * beta * cofactor
+        dbeta = dbeta - sgn * z ** M * z[l] * cofactor
+    return jac, dbeta
+
+
 def _polish_one(z, M, N, beta, iters=40):
-    """Newton on one root set, one subset at a time: the reference for the stacked polish."""
+    """Newton on one root set, one subset at a time: the reference for the stacked polish.
+
+    Each step solves J = diag(a) - u c^T in closed form (Sherman-Morrison),
+    written out for the one row: the products and sums run over the roots in
+    order, and every product is one of arrays (numpy rounds a product of
+    complex scalars differently).
+    """
     z = np.array(z, dtype=complex)
     sgn = (-1) ** (N - 1)
     for _ in range(iters):
         pf = 1 + beta * z
-        Y = np.prod(pf)
-        f = pf ** N - sgn * z ** M * Y
+        # prod_{j<l} and prod_{j>l} (1 + beta z_j)
+        before, after = np.ones(N, dtype=complex), np.ones(N, dtype=complex)
+        before[1:], after[:-1] = np.cumprod(pf[:-1]), np.cumprod(pf[:0:-1])[::-1]
+        Y = before[-1:] * pf[-1:]
+        pf_n1, z_m1 = pf ** (N - 1), z ** (M - 1)
+        u = sgn * z_m1 * z
+        f = pf_n1 * pf - u * Y
         if np.max(np.abs(f)) < 1e-15:
             break
-        jac = np.diag(N * beta * pf ** (N - 1) - sgn * M * z ** (M - 1) * Y)
-        for l in range(N):
-            partial = beta * np.prod(np.delete(pf, l))
-            jac[:, l] -= sgn * z ** M * partial
-        try:
-            step = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError:
+        a = N * beta * pf_n1 - sgn * M * z_m1 * Y
+        c = beta * (before * after)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ua, fa = u / a, f / a
+            step = fa + ua * (sum(c * fa) / (1 - sum(c * ua)))
+        if not np.all(np.isfinite(step)):
             break
         z = z - step
         if np.max(np.abs(step)) <= 4 * np.finfo(float).eps * np.max(np.abs(z)):
@@ -408,38 +461,43 @@ def _track_one(z, M, N, beta):
     """One subset's path from beta = 0 to ``beta``, one root set at a time.
 
     The reference for the stacked tracker: the same path, predictor,
-    corrector and step rule.  Returns None if the step falls below the floor.
+    corrector and step rule, with dense solves.  The predictor is the cubic
+    Hermite through the last two accepted points and their tangents, Euler on
+    the first step.  Returns None if the step falls below the floor.
     """
     sgn = (-1) ** (N - 1)
 
-    def system(z, b):
-        pf = 1 + b * z
-        Y = np.prod(pf)
-        f = pf ** N - sgn * z ** M * Y
-        jac = np.diag(N * b * pf ** (N - 1) - sgn * M * z ** (M - 1) * Y)
-        dbeta = N * z * pf ** (N - 1)
-        for l in range(N):
-            cofactor = np.prod(np.delete(pf, l))
-            jac[:, l] -= sgn * z ** M * b * cofactor
-            dbeta = dbeta - sgn * z ** M * z[l] * cofactor
-        return f, jac, dbeta, np.max(np.abs(z ** M * Y))
+    def tangent(z, s):
+        jac, dbeta = _dense_jacobian(z, M, N, s * beta + GAMMA * s * (1 - s))
+        return -np.linalg.solve(jac, dbeta) * (beta + GAMMA * (1 - 2 * s))
 
-    s, h = 0.0, STEP_MAX
+    s, h, dz = 0.0, STEP_MAX, tangent(z, 0.0)
+    previous = None  # (s, z, dz) at the accepted point before the current one
     while s < 1:
         if h < STEP_MIN:
             return None
         s_new = min(s + h, 1.0)
-        _, jac, dbeta, _ = system(z, s * beta + GAMMA * s * (1 - s))
-        zc = z - (s_new - s) * np.linalg.solve(jac, dbeta * (beta + GAMMA * (1 - 2 * s)))
+        x = s_new - s
+        zc = z + x * dz
+        if previous is not None:
+            s0, z0, dz0 = previous
+            d = s0 - s
+            e1 = (z0 - z - d * dz) / d ** 2
+            e2 = (dz0 - dz) / d
+            zc = zc + x ** 2 * (3 * e1 - e2) + x ** 3 * (e2 - 2 * e1) / d
+        b = s_new * beta + GAMMA * s_new * (1 - s_new)
         for k in range(CORRECTOR_STEPS + 1):
-            f, jac, _, scale = system(zc, s_new * beta + GAMMA * s_new * (1 - s_new))
-            if np.max(np.abs(f)) <= CORRECTOR_TOL * (1 + scale):
-                z, s, h = zc, s_new, min(1.5 * h, STEP_MAX)
+            pf = 1 + b * zc
+            zMY = sgn * zc ** M * np.prod(pf)
+            f = pf ** N - zMY
+            if np.max(np.abs(f)) <= CORRECTOR_TOL * (1 + np.max(np.abs(zMY))):
+                previous = s, z, dz
+                z, s, h, dz = zc, s_new, min(1.5 * h, STEP_MAX), tangent(zc, s_new)
                 break
             if k == CORRECTOR_STEPS:
                 h /= 2
                 break
-            zc = zc - np.linalg.solve(jac, f)
+            zc = zc - np.linalg.solve(_dense_jacobian(zc, M, N, b)[0], f)
     return z
 
 
@@ -492,18 +550,57 @@ def test_stacked_newton_polish_equals_row_by_row():
     assert np.all(np.abs(got[moved] - z[moved]).max(axis=1) > 1e-6)
 
 
+def _kernel_gaps(z, M, N, beta):
+    """Per row, the relative gaps of the kernel's J^-1 F and J^-1 dF/dbeta from dense solves."""
+    f, zMY, step, dzdb = (v.T for v in _newton_kernel(z.T, M, N, beta))
+    gaps = []
+    for r, row in enumerate(z):
+        pf = 1 + beta * row
+        assert np.max(np.abs(f[r] - (pf ** N - (-1) ** (N - 1) * row ** M * np.prod(pf)))) \
+            <= 1e-14 * (1 + np.max(np.abs(zMY[r])))
+        jac, dbeta = _dense_jacobian(row, M, N, beta)
+        gaps.append([np.max(np.abs(got - want)) / np.max(np.abs(want))
+                     for got, want in ((step[r], np.linalg.solve(jac, f[r])),
+                                       (dzdb[r], np.linalg.solve(jac, dbeta)))])
+    return np.array(gaps)
+
+
+def test_newton_kernel_solves_the_dense_jacobian():
+    rng = np.random.default_rng(11)
+    for M, N in [(3, 1), (5, 2), (7, 3), (9, 4), (9, 8), (12, 6), (12, 10)]:
+        for beta in (-1.0, -0.5, -1.5, 0.3 + 0.2j):
+            z = 1.2 * (rng.normal(size=(20, N)) + 1j * rng.normal(size=(20, N)))
+            assert np.max(_kernel_gaps(z, M, N, complex(beta))) <= 1e-12, (M, N, beta)
+    # on the solver's endpoints F is rounding noise, so its solve is checked
+    # 1e-4 away; dF/dbeta vanishes there only at N = 1, where the roots z^M = 1
+    # do not move with beta
+    for beta in (-1.0, -0.5, -1.5):
+        for M, N in [(3, 1), (5, 2), (7, 3), (9, 4), (9, 8), (10, 7)]:
+            z = np.array([s.roots for s in _solve_once(M, N, beta) if not s.stationary])
+            near = z + 1e-4 * (rng.normal(size=z.shape) + 1j * rng.normal(size=z.shape))
+            assert np.max(_kernel_gaps(near, M, N, complex(beta))) <= 1e-12, (M, N, beta)
+            if N > 1:
+                assert np.max(_kernel_gaps(z, M, N, complex(beta))[:, 1]) <= 1e-12, (M, N, beta)
+    # two roots at 1 (beta = -1) give a_1 = a_2 = 0, a singular Jacobian at f != 0
+    singular = np.array([[1], [1], [0.5]], dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f, _, step, dzdb = _newton_kernel(singular, 7, 3, -1.0 + 0j)
+    assert np.max(np.abs(f)) > 0
+    assert not np.all(np.isfinite(step)) and not np.all(np.isfinite(dzdb))
+
+
 @pytest.mark.parametrize("M, N", [(6, 3), (9, 4), (12, 6)])
 def test_newton_polish_stops_at_the_rounding_floor(M, N, monkeypatch):
     # a row retires once its step is within a few ulps of its roots, so the
-    # polish after tracking takes a few sweeps, one Jacobian each, not 40
+    # polish after tracking takes a few sweeps, one kernel call each, not 40
     ends = []
     monkeypatch.setattr(tasep, "_newton_polish",
                         lambda z, *args: ends.append(np.array(z)) or _newton_polish(z, *args))
     bethe_solve(M, N)
     sweeps = []
-    jacobian = tasep._bethe_jacobian
-    monkeypatch.setattr(tasep, "_bethe_jacobian",
-                        lambda z, *args: sweeps.append(len(z)) or jacobian(z, *args))
+    kernel = tasep._newton_kernel
+    monkeypatch.setattr(tasep, "_newton_kernel",
+                        lambda z, *args: sweeps.append(len(z)) or kernel(z, *args))
     [z] = ends
     _newton_polish(z, M, N, -1.0 + 0j)
     assert len(z) == comb(M, N) - 1
@@ -522,8 +619,11 @@ def test_bethe_solve_matches_per_subset_reference(M, N, beta):
 
 def test_solver_failure_names_every_rejected_choice(monkeypatch):
     # with the step floor above half the largest step, a path that has to
-    # halve a step stalls
+    # halve a step stalls; under the Hermite predictor no (9,4) path halves
+    # one, under Euler steps alone (its first step) some do, near s = 0.8
     monkeypatch.setattr(tasep, "STEP_MIN", 0.15)
+    monkeypatch.setattr(tasep, "_hermite",
+                        lambda z0, dz0, s0, z1, dz1, s1, s: z1 + (s - s1) * dz1)
     with pytest.raises(RuntimeError, match="^completeness failure") as info:
         bethe_solve(9, 4)
     head, *lines = str(info.value).splitlines()
