@@ -19,6 +19,14 @@ depends only on the points is done once per call: the grouping, the cross
 factor, and the rows of every distinct column (shared between sets by
 identity), which each set slices; per set there remains its determinant.
 
+That point side is a ``PointTable`` over a union of columns, and
+``det_ratios`` is its one-shot use.  A caller may keep a table and ask it
+for the ratios of further picks of its columns: ``wavefunc`` keeps the
+table of all columns (k, x_k) of a sector, so one configuration at a time
+costs one determinant.  On the integer lane the table holds the rows of
+every column from the start, which is cheap; off it a column is evaluated
+the first time a pick names it, because a field element's arithmetic is not.
+
 Columns may themselves depend on a label t_k and be divided by the label
 Vandermonde prod_{j<k} (t_k - t_j) as well (``det_ratio_labelled``: the
 scalar-product kernel K(s, u^2), the Cauchy kernel in z labelled by y).  A
@@ -28,7 +36,7 @@ Rows and columns may be confluent at once.  Coincidence is decided by exact
 equality for exact scalars and by ``COINCIDENCE_TOL`` for complex ones.
 
 Integer lane.  When every point, every column coefficient and every
-``lin`` of a ``det_ratios`` call is an int or a Fraction and some point is
+``lin`` of a table is an int or a Fraction and some point is
 a Fraction, each distinct column's coefficient denominators are cleared
 once, ``ratfunc.int_rows`` gives the rows of all of them as ints over one
 denominator per row, once per point group, the cross factor
@@ -129,21 +137,75 @@ def _int_lane(columns, groups):
     return rows, den, col_dens
 
 
+class PointTable:
+    """The point side of ``det_ratios``: one union of columns at one point set.
+
+    The grouping and the cross factor are taken once, and on the integer
+    lane the rows of every column with their denominators; off it a
+    column's rows are evaluated when a ``ratios`` call first picks it, so a
+    kept table of a whole sector pays no field arithmetic for columns no
+    pick names.  Each column is held as its entries, one per row.
+    """
+
+    def __init__(self, columns, points):
+        self.columns = columns
+        self.groups = group_points(points)
+        lane = _int_lane(columns, self.groups)
+        self.lane = lane is not None
+        if self.lane:
+            rows, self.den, self.col_dens = lane
+            self.cols = list(zip(*rows))
+            self.cross_num, self.cross_den = _int_cross(self.groups)
+        else:
+            self.cols = [None] * len(columns)
+            self.cross = _cross_factor(self.groups)
+
+    def _evaluate(self, picks):
+        """The rows of the columns ``picks`` name and no earlier call evaluated."""
+        todo = list(dict.fromkeys(k for pick in picks for k in pick if self.cols[k] is None))
+        if not todo:
+            return
+        rows = []
+        for t, count in self.groups:
+            rows.extend(taylor([self.columns[k] for k in todo], t, count))
+        for k, col in zip(todo, zip(*rows)):
+            self.cols[k] = col
+
+    def ratios(self, picks):
+        """The determinant ratio of each pick, a list of one index into ``columns`` per point.
+
+        Per pick only the slice of the table's columns, one ``linalg.det``
+        and, on the integer lane, one ``Fraction(num, den)`` remain.
+        """
+        if not self.groups:
+            return [1] * len(picks)
+        cols = self.cols
+        if self.lane:
+            out = []
+            for pick in picks:
+                set_den = self.den * self.cross_num
+                for k in pick:
+                    set_den *= self.col_dens[k]
+                out.append(Fraction(det(list(zip(*(cols[k] for k in pick)))) * self.cross_den,
+                                    set_den))
+            return out
+        self._evaluate(picks)
+        return [exact_div(det(list(zip(*(cols[k] for k in pick)))), self.cross)
+                for pick in picks]
+
+
 def det_ratios(column_sets, points):
     """``[det_ratio_columns(columns, points) for columns in column_sets]``.
 
-    Everything that depends only on the points is done once: the grouping,
-    the cross factor, and the rows of every distinct column (columns are
-    shared between sets by identity), integer-lane denominators included.
-    Each set then slices its columns out of the shared rows, and only its
-    determinant is its own.  A set that ``det_ratio_columns`` refuses makes
-    the whole call refuse, with the same exception.
+    The one-shot use of ``PointTable``: the sets' distinct columns (shared
+    between sets by identity) are its union, so everything that depends
+    only on the points is done once, and each set slices its columns out of
+    the shared rows; only its determinant is its own.  A set that
+    ``det_ratio_columns`` refuses makes the whole call refuse, with the same
+    exception.
     """
     if any(len(columns) != len(points) for columns in column_sets):
         raise ValueError("need as many columns as points")
-    if not points:
-        return [1] * len(column_sets)
-    groups = group_points(points)
     union, position, picks = [], {}, []  # by identity: a Fraction's hash is slow
     for columns in column_sets:
         pick = []
@@ -154,23 +216,7 @@ def det_ratios(column_sets, points):
                 union.append(col)
             pick.append(k)
         picks.append(pick)
-    lane = _int_lane(union, groups)
-    if lane is not None:
-        rows, den, col_dens = lane
-        cross_num, cross_den = _int_cross(groups)
-        out = []
-        for pick in picks:
-            set_den = den * cross_num
-            for k in pick:
-                set_den *= col_dens[k]
-            out.append(Fraction(det([[row[k] for k in pick] for row in rows]) * cross_den,
-                                set_den))
-        return out
-    rows = []
-    for t, count in groups:
-        rows.extend(taylor(union, t, count))
-    cross = _cross_factor(groups)
-    return [exact_div(det([[row[k] for k in pick] for row in rows]), cross) for pick in picks]
+    return PointTable(union, points).ratios(picks)
 
 
 def det_ratio_columns(columns, points):

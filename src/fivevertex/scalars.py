@@ -29,6 +29,17 @@ def is_inexact(x) -> bool:
     return isinstance(x, _INEXACT)
 
 
+def cache_key(x):
+    """``x`` as part of a cache key that only interchangeable scalars share.
+
+    ``==`` takes 2, Fraction(2) and 2.0 as equal, and the constants of two
+    rational-function fields too, though each gives results of its own type;
+    the key holds the type and the parent field beside the value.  A float
+    goes by its repr, which tells -0.0 from 0.0.
+    """
+    return type(x), getattr(x, "field", None), repr(x) if is_inexact(x) else x
+
+
 def is_zero(x, tol: float = COMPLEX_EQ_TOL) -> bool:
     """Zero test: exact for exact scalars, ``|x| <= tol`` for floats."""
     if is_inexact(x):

@@ -44,7 +44,9 @@ R-matrix entries) are ints or Fractions, the coefficients are scaled by the
 lcm of their denominators and each relation is checked as a vanishing int
 combination of products of the sweep's numerators, one source column at a
 time.  Otherwise they multiply ``SectorOperator``s with ``Matrix``'s
-arithmetic and tolerant equality.
+arithmetic and tolerant equality.  The elements of the last pair of site
+tables are kept, so checks of one (u, v) over every sector, as
+``vertex commutation-check`` makes them, build each element once.
 
 This module is the brute-force oracle layer: every determinant formula in the
 package is tested against matrix elements produced here.
@@ -58,7 +60,7 @@ from itertools import combinations, product
 from math import comb, lcm
 
 from .linalg import Matrix
-from .scalars import exact_div, is_zero
+from .scalars import cache_key, exact_div, is_zero
 from .vertex import ModelParameters, f_weight, g_weight, l_weights, r_matrix
 
 __all__ = [
@@ -444,18 +446,37 @@ def transfer_eigenvalue(u, u_set, params: ModelParameters):
     return term_a + term_d
 
 
+def _tables_key(sites):
+    """``_site_tables``' result as a key part: its weights by ``cache_key``, its denominator."""
+    tables, den = sites
+    return den, tuple((j, tuple(tuple((flip, cache_key(w)) for flip, w in branch)
+                                for branch in table)) for j, table in tables)
+
+
+# the key (M, lane and the site tables of each spectral value) and the operators of the last check
+_last_operators = [None, None]
+
+
 def _operators(M: int, tables, lane: bool):
     """One ``at(kind, n)`` per entry of ``tables``: the non-strict element on sector n.
 
     Each element is built once from its spectral value's site tables: on the
     integer lane as ``_int_element``'s map of numerators over the value's
-    denominator, otherwise as a ``SectorOperator``.
+    denominator, otherwise as a ``SectorOperator``.  The elements are a
+    function of the tables, so the ``at`` of the last tables (compared by
+    weight and type) are kept: the relation checks of one (u, v) over every
+    sector, as a caller sweeps n, share their elements.
     """
-    build = _int_element if lane else _element
+    key = (M, lane, [_tables_key(sites) for sites in tables])
+    last_key, ats = _last_operators
+    if last_key != key:
+        build = _int_element if lane else _element
 
-    def at(sites):
-        return cache(lambda kind, n: build(kind, sites, M, n, strict=False))
-    return [at(sites) for sites in tables]
+        def at(sites):
+            return cache(lambda kind, n: build(kind, sites, M, n, strict=False))
+        ats = [at(sites) for sites in tables]
+        _last_operators[:] = key, ats
+    return ats
 
 
 def _cleared(tables, coeffs=()):

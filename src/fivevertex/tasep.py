@@ -59,6 +59,7 @@ or N outside 1..M-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from math import comb
 
@@ -191,7 +192,9 @@ def _newton_kernel(z, M, N, beta):
     g'(Y) = 1 - sum_l c_l u_l / a_l of the Y-reduction.  The products over
     j != l come from prefix and suffix products, without division.  A
     singular set (some a_k = 0, or g'(Y) = 0) comes out non-finite.  The sets
-    are columns, held in C order, so that every operation runs along S.
+    are columns, held in C order, so that every operation runs along S.  The
+    sums over k add the rows in order (``_row_sum``), so a set's result is
+    bit for bit the same alone as in a batch.
     """
     z = np.ascontiguousarray(z)
     sgn = (-1) ** (N - 1)
@@ -207,11 +210,20 @@ def _newton_kernel(z, M, N, beta):
     f = pf_n1 * pf - zMY
     a = N * beta * pf_n1 - sgn * M * z_m1 * Y
     c = beta * cofactor
-    dbeta = N * z * pf_n1 - u * (z * cofactor).sum(axis=0)
+    dbeta = N * z * pf_n1 - u * _row_sum(z * cofactor)
     ua, fa, da = u / a, f / a, dbeta / a
-    g_prime = 1 - (c * ua).sum(axis=0)
-    return (f, zMY, fa + ua * ((c * fa).sum(axis=0) / g_prime),
-            da + ua * ((c * da).sum(axis=0) / g_prime))
+    g_prime = 1 - _row_sum(c * ua)
+    return (f, zMY, fa + ua * (_row_sum(c * fa) / g_prime),
+            da + ua * (_row_sum(c * da) / g_prime))
+
+
+def _row_sum(x):
+    """``x.sum(axis=0)``, adding the rows in order also for a single column.
+
+    numpy adds the rows of two or more columns in order, but sums a single
+    column pairwise, which rounds differently.
+    """
+    return x.sum(axis=0) if x.shape[1] > 1 else reduce(np.add, x)
 
 
 def _newton_polish(z, M, N, beta):

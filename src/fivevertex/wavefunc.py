@@ -14,8 +14,11 @@ z_j = alpha - v_j^-2, are Grothendieck polynomials up to explicit factors.
 They and the weighted summation formulas (``wavefunction_sum``,
 ``dual_wavefunction_sum``) are confluent determinant ratios in s = v^2, so
 spectral parameters with equal squares take the confluent limit.
-``wavefunction_dets`` takes either overlap over a list of configurations in one
-``det_ratios`` call; the scalar overlaps are its one-configuration case.
+``wavefunction_dets`` takes either overlap over a list of configurations,
+and the scalar overlaps are its one-configuration case.  It keeps the point
+work of the last set of spectral parameters, so a loop of scalar overlaps
+over a basis costs what one call over the basis does: one determinant per
+configuration.
 
 The independent construction behind these formulas is a matrix product over
 the 2^N auxiliary product space: the column-to-row transposed monodromy
@@ -31,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .confluent import det_ratio_columns, det_ratios, sign_pairs
+from .confluent import PointTable, det_ratio_columns, sign_pairs
 from .linalg import Matrix
 from .partitions import ParticleConfiguration
 from .ratfunc import RatFunc
-from .scalars import eq, exact_div, exact_pow, is_inexact, is_zero
+from .scalars import cache_key, eq, exact_div, exact_pow, is_inexact, is_zero
 
 from math import comb
 
@@ -58,13 +61,20 @@ def dual_wavefunction_det(x, u, alpha, M):
     return wavefunction_dets([x], u, alpha, M, dual=True)[0]
 
 
+# the key (v, alpha, M, dual, by ``cache_key``) and the sector table of the last call
+_last_sector = [None, None]
+
+
 def wavefunction_dets(configs, v, alpha, M, dual: bool = False):
     """[<x|psi({v}_N)> for x in configs], or <psi({v}_N)|x> with ``dual``.
 
-    The poles are checked once, a column is built once per distinct (k, x_k)
-    and shared by every configuration that has it, and one
-    ``confluent.det_ratios`` call over s = v^2 does the point work once.  A
-    configuration outside 1 <= x_1 < ... < x_N <= M is refused.
+    The point work is done once per set of spectral parameters: the pole
+    checks, the prefactor and a ``confluent.PointTable`` over s = v^2 of all
+    N(M-N+1) columns (k, x_k) of the sector.  The table of the last (v,
+    alpha, M, dual) is kept, so a loop of ``wavefunction_det`` over a basis
+    costs one determinant per configuration, as one call over the basis
+    does.  A configuration outside 1 <= x_1 < ... < x_N <= M is refused, and
+    a refused call leaves the kept table as it was.
     """
     v = list(v)
     n = len(v)
@@ -73,6 +83,19 @@ def wavefunction_dets(configs, v, alpha, M, dual: bool = False):
         if len(x) != n:
             raise ValueError("configuration size must match the number of parameters")
         positions.append(_positions(x, M))
+    key = (tuple(map(cache_key, v)), cache_key(alpha), cache_key(M), dual)
+    last_key, sector = _last_sector
+    if last_key != key:
+        sector = _sector_table(v, alpha, M, dual)
+    pref, index, table = sector
+    ratios = table.ratios([[index[kx] for kx in enumerate(pos, 1)] for pos in positions])
+    _last_sector[:] = key, sector
+    return [pref * ratio for ratio in ratios]
+
+
+def _sector_table(v, alpha, M, dual):
+    """(prefactor, column index of each (k, x_k), ``PointTable``) of the overlaps at v."""
+    n = len(v)
     pref = 1
     for vj in v:
         if is_zero(vj, 0) or is_zero(alpha * vj * vj - 1, 0):
@@ -86,10 +109,9 @@ def wavefunction_dets(configs, v, alpha, M, dual: bool = False):
         pref = pref * sign_pairs(n)
     # entry v^(2k) (alpha - v^-2)^(x_k) = s^(k - x_k) (alpha s - 1)^(x_k), s = v^2; dual: 1/entry
     lin = (-1, alpha)
-    columns = {(k, xk): RatFunc([(1, xk - k, -xk) if dual else (1, k - xk, xk)], lin)
-               for k, xk in {key for pos in positions for key in enumerate(pos, 1)}}
-    column_sets = [[columns[key] for key in enumerate(pos, 1)] for pos in positions]
-    return [pref * ratio for ratio in det_ratios(column_sets, [vj * vj for vj in v])]
+    keys = [(k, xk) for k in range(1, n + 1) for xk in range(k, M - n + k + 1)]
+    columns = [RatFunc([(1, xk - k, -xk) if dual else (1, k - xk, xk)], lin) for k, xk in keys]
+    return pref, {kx: i for i, kx in enumerate(keys)}, PointTable(columns, [vj * vj for vj in v])
 
 
 def step_overlap_value(u, alpha, M):

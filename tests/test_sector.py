@@ -621,3 +621,21 @@ def test_transfer_commute_fails_for_transfer_matrices_of_two_models(monkeypatch,
         return weights._replace(d=weights.d + 1) if x == v else weights
     monkeypatch.setattr(sector, "l_weights", shifted)
     assert [transfer_commute(u, v, params, n) for n in range(4)] == [True, False, False, True]
+
+
+@pytest.mark.parametrize("lane", [True, False])
+def test_a_sweep_over_sectors_builds_each_element_once(monkeypatch, lane):
+    # commutation_checks and transfer_commute of one (u, v) over n = 0..M, as
+    # `vertex commutation-check` calls them, share one element per (kind, n, value)
+    u, v = (F(2, 3), F(5, 7)) if lane else (1.5 - 0.5j, 0.25 + 1j)
+    params = ModelParameters(F(1, 2) if lane else 1.25 + 0.5j, 5)
+    built = []
+    build = sector._int_element if lane else sector._element
+    monkeypatch.setattr(sector, "_int_element" if lane else "_element",
+                        lambda kind, sites, M, n, strict=True:
+                        built.append((kind, n, id(sites))) or build(kind, sites, M, n, strict))
+    sector._last_operators[:] = None, None
+    for n in range(params.M + 1):
+        assert all(commutation_checks(u, v, params, n).values())
+        assert transfer_commute(u, v, params, n)
+    assert len(built) == len(set(built)) and len({key[2] for key in built}) == 2

@@ -532,7 +532,7 @@ def _reference_solve(M, N, beta):
     return found
 
 
-def test_stacked_newton_polish_equals_row_by_row():
+def test_stacked_newton_polish_equals_row_by_row(monkeypatch):
     M, N, beta = 7, 3, -1.0 + 0j
     rng = np.random.default_rng(7)
     proper = np.array([s.roots for s in bethe_solve(M, N) if not s.stationary][:6])
@@ -548,6 +548,35 @@ def test_stacked_newton_polish_equals_row_by_row():
     assert np.array_equal(got[3], converged) and np.array_equal(got[4], singular)
     moved = np.delete(np.arange(len(z)), [3, 4])
     assert np.all(np.abs(got[moved] - z[moved]).max(axis=1) > 1e-6)
+    # at N >= 4 a row 3e-2 off its set is still live, alone, after the two
+    # solved rows beside it retire: it must round as it does in a batch
+    M, N = 8, 4
+    proper = np.array([s.roots for s in bethe_solve(M, N) if not s.stationary])
+    live = []
+    kernel = tasep._newton_kernel
+    monkeypatch.setattr(tasep, "_newton_kernel",
+                        lambda z, *args: live.append(z.shape[1]) or kernel(z, *args))
+    for _ in range(40):
+        lone = proper[0] + 3e-2 * (rng.normal(size=N) + 1j * rng.normal(size=N))
+        z = np.vstack([proper[1:3], lone])
+        want = np.array([_polish_one(row, M, N, beta) for row in z])
+        assert np.array_equal(_newton_polish(z, M, N, beta), want)
+    assert 1 in live
+
+
+def test_newton_kernel_rounds_a_lone_set_as_in_a_batch():
+    # one set alone in a call gives the bits of its column in a batched call
+    rng = np.random.default_rng(13)
+    for N in range(2, 11):
+        M = N + 3
+        z = rng.normal(size=(N, 30)) + 1j * rng.normal(size=(N, 30))
+        for beta in (-1.0 + 0j, rng.normal(size=30) + 0j):
+            batch = _newton_kernel(z, M, N, beta)
+            for j in range(z.shape[1]):
+                one = _newton_kernel(z[:, j:j + 1], M, N,
+                                     beta[j:j + 1] if np.ndim(beta) else beta)
+                for got, want in zip(one, batch):
+                    assert np.array_equal(got[:, 0], want[:, j]), (N, j)
 
 
 def _kernel_gaps(z, M, N, beta):

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from fivevertex import confluent, wavefunc
 from fivevertex.partitions import ParticleConfiguration, config_to_partition
 from fivevertex.sector import ModelParameters, bethe_state, dual_bethe_state, sector_basis
 from fivevertex.symfunc import grothendieck_eval
@@ -246,3 +247,108 @@ def test_int_parameters_stay_exact():
     for mat in (mps.A, mps.B, mps.C, mps.D, mps.G, mps.G_inv):
         entries.extend(e for row in mat.data for e in row)
     assert all(type(e) in (int, F) for e in entries)
+
+
+def _cold(x, v, alpha, M, dual):
+    """One overlap from an empty sector slot: the reference for the kept tables."""
+    wavefunc._last_sector[:] = None, None
+    return (dual_wavefunction_det if dual else wavefunction_det)(x, v, alpha, M)
+
+
+def _lane(name):
+    """(M, v, alpha) of one scalar lane."""
+    if name == "field":
+        from sympy import QQ
+        from sympy.polys.fields import field
+
+        _, a, u1, u2, u3 = field("a,u1,u2,u3", QQ)
+        return 4, [u1, u2, u3], a
+    return {"int": (6, [2, 3, 5], 1),
+            "fraction": (6, [F(2, 3), F(-5, 7), F(3, 4)], F(3, 4)),
+            "complex": (6, [complex(0.5, 1), complex(-1.5, 0.25), complex(0.75, -1)],
+                        complex(1.25, 0.5))}[name]
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("lane", ["int", "fraction", "complex", "field"])
+def test_scalar_loop_equals_the_batched_call(lane, dual):
+    M, v, alpha = _lane(lane)
+    one = dual_wavefunction_det if dual else wavefunction_det
+    basis = sector_basis(M, len(v))
+    cold = [repr(_cold(x, v, alpha, M, dual)) for x in basis]
+    wavefunc._last_sector[:] = None, None
+    assert [repr(one(x, v, alpha, M)) for x in basis] == cold
+    assert [repr(w) for w in wavefunction_dets(basis, v, alpha, M, dual=dual)] == cold
+    assert [repr(one(x, v, alpha, M)) for x in basis[::-1]] == cold[::-1]
+
+
+def test_equal_parameters_of_other_types_are_other_keys():
+    # int 2, Fraction(2) and 2.0 compare equal, so do 0.0 and -0.0 and the
+    # constants of two fields; each builds its own table
+    from sympy import QQ
+    from sympy.polys.fields import field
+
+    x, M = (1, 3), 5
+    draws = [([2, 3], 1), ([F(2), F(3)], 1), ([2.0, 3.0], 1),
+             ([complex(2, 0.0), complex(-0.5, 0.0)], complex(1.5, 0.0)),
+             ([complex(2, -0.0), complex(-0.5, -0.0)], complex(1.5, -0.0))]
+    for name in ("a,u", "b,w"):
+        K, *_ = field(name, QQ)
+        draws.append(([K(2), K(3)], K(1)))
+
+    def signature(w):
+        return type(w), getattr(w, "field", None), repr(w)
+
+    cold = [signature(_cold(x, v, alpha, M, True)) for v, alpha in draws]
+    warm, tables = [], []
+    for v, alpha in draws:
+        warm.append(signature(dual_wavefunction_det(x, v, alpha, M)))
+        tables.append(wavefunc._last_sector[1])
+    assert warm == cold
+    assert len({id(table) for table in tables}) == len(draws)
+
+
+def test_a_refused_call_leaves_the_kept_table():
+    v, alpha, M = [F(1, 2), F(2, 3)], F(3, 4), 5
+    kept = wavefunction_det((1, 3), v, alpha, M)
+    slot = list(wavefunc._last_sector)
+    refused = [lambda: wavefunction_det((1, 3), [F(1, 2), F(2)], F(1, 4), M),  # alpha v^2 = 1
+               lambda: dual_wavefunction_det((1, 3), [F(0), F(2)], alpha, M),
+               lambda: wavefunction_dets([(1, 2), (2, 7)], [F(1, 3), F(1, 5)], alpha, M)]
+    for call in refused:
+        with pytest.raises((ZeroDivisionError, ValueError)):
+            call()
+        assert wavefunc._last_sector[0] is slot[0] and wavefunc._last_sector[1] is slot[1]
+    assert wavefunction_det((1, 3), v, alpha, M) == kept
+
+
+def test_interleaved_keys_give_their_own_values(rng):
+    M, N = 6, 3
+    draws = []
+    for _ in range(3):
+        alpha = rand_fraction(rng)
+        draws.append((spectral(rng, N, alpha), alpha))
+    calls = [(x, v, alpha, dual) for x in sector_basis(M, N)[::4]
+             for v, alpha in draws for dual in (False, True)]
+    cold = [_cold(x, v, alpha, M, dual) for x, v, alpha, dual in calls]
+    rng.shuffle(pairs := list(zip(calls, cold)))
+    for (x, v, alpha, dual), want in pairs:
+        assert (dual_wavefunction_det if dual else wavefunction_det)(x, v, alpha, M) == want
+
+
+def test_a_basis_loop_builds_the_sector_rows_once(monkeypatch):
+    # the integer lane's rows of all N(M-N+1) columns come from one int_rows
+    # call per point group on the first configuration, and never again
+    calls = []
+    int_rows = confluent.int_rows
+    monkeypatch.setattr(confluent, "int_rows",
+                        lambda *args: calls.append(args[1]) or int_rows(*args))
+    v, alpha, M = [F(1, 2), F(2, 3), F(-3, 5), F(5, 4)], F(3, 7), 9
+    wavefunc._last_sector[:] = None, None
+    basis = sector_basis(M, len(v))
+    first = wavefunction_det(basis[0], v, alpha, M)
+    assert sorted(calls) == sorted(vj * vj for vj in v)
+    values = [first] + [wavefunction_det(x, v, alpha, M) for x in basis[1:]]
+    assert len(calls) == len(v)
+    assert values == wavefunction_dets(basis, v, alpha, M) \
+        == list(bethe_state(v, ModelParameters(alpha=alpha, M=M)))
