@@ -12,6 +12,16 @@ from dataclasses import dataclass
 from typing import Iterator
 
 
+def _integers(values, what):
+    """``values`` as a tuple of ints; refuses an entry that is not integral."""
+    values = tuple(values)
+    ints = tuple(int(x) for x in values)
+    for x, i in zip(values, ints):
+        if x != i:
+            raise ValueError(f"{what} must be integers, got {x!r}")
+    return ints
+
+
 @dataclass(frozen=True)
 class Partition:
     """Weakly decreasing parts inside a box (width, height)."""
@@ -21,7 +31,7 @@ class Partition:
 
     def __post_init__(self):
         m, n = self.box
-        parts = tuple(int(p) for p in self.parts)
+        parts = _integers(self.parts, "parts")
         object.__setattr__(self, "parts", parts)
         if len(parts) != n:
             raise ValueError(f"expected {n} parts, got {len(parts)}")
@@ -47,7 +57,7 @@ class ParticleConfiguration:
     ring_size: int
 
     def __post_init__(self):
-        pos = tuple(int(x) for x in self.positions)
+        pos = _integers(self.positions, "positions")
         object.__setattr__(self, "positions", pos)
         if any(pos[i] >= pos[i + 1] for i in range(len(pos) - 1)):
             raise ValueError("positions must be strictly increasing")

@@ -16,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-#: default absolute tolerance for complex comparisons (spec: overridable)
+#: default absolute tolerance for complex comparisons
 COMPLEX_EQ_TOL = 1e-10
 
 #: tolerance used to decide whether two evaluation points coincide

@@ -37,14 +37,17 @@ QQ(alpha, u), and int inputs with some u/w_j an int take the generic path,
 as does every Bethe state at M = 1.
 
 The relation checks ``commutation_checks``, ``rtt_check`` and
-``transfer_commute`` divide nowhere.  Every product in them is one element
-at u times one at v, so both sides of a relation sit over den_u den_v; when
-both spectral values are on the lane and the coefficients (f and g, or the
-R-matrix entries) are ints or Fractions, the coefficients are scaled by the
-lcm of their denominators and each relation is checked as a vanishing int
-combination of products of the sweep's numerators, one source column at a
-time.  Otherwise they multiply ``SectorOperator``s with ``Matrix``'s
-arithmetic and tolerant equality.  The elements of the last pair of site
+``transfer_commute`` multiply no matrices.  Each states its relation once,
+as a combination sum_i c_i X_i Y_i of products of an element at u and one
+at v, held as sparse maps from source to target configurations, and tests
+that it vanishes one source column at a time.  When both spectral values
+are on the lane and the coefficients (f and g, or the R-matrix entries) are
+ints or Fractions, both sides sit over den_u den_v: the coefficients are
+scaled by the lcm of their denominators and the combination is one of the
+sweep's int numerators, with no division.  Otherwise the entries are the
+generic path's values.  Exact inputs must cancel exactly; when an input is
+a float, each column must vanish to within ``COMPLEX_EQ_TOL`` times the
+larger of 1 and its largest term.  The elements of the last pair of site
 tables are kept, so checks of one (u, v) over every sector, as
 ``vertex commutation-check`` makes them, build each element once.
 
@@ -58,9 +61,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from math import comb, lcm
+from numbers import Integral
 
 from .linalg import Matrix
-from .scalars import cache_key, exact_div, is_zero
+from .scalars import COMPLEX_EQ_TOL, cache_key, exact_div, is_inexact, is_zero
 from .vertex import ModelParameters, f_weight, g_weight, l_weights, r_matrix
 
 __all__ = [
@@ -217,6 +221,11 @@ def _sweep(state, tables):
     return state
 
 
+def _refuse_non_int(n):
+    if not isinstance(n, Integral):
+        raise ValueError(f"n must be an int, got n = {n!r}")
+
+
 def _refuse_overflow(kind, M: int, n: int):
     a_out, b_in = _KIND_AUX[kind]
     if not (0 <= n <= M and 0 <= n + (b_in - a_out) <= M):
@@ -306,6 +315,7 @@ def build_monodromy_element(kind, u, params: ModelParameters, n: int,
     """
     if kind not in _KIND_AUX:
         raise ValueError(f"unknown monodromy element {kind!r}")
+    _refuse_non_int(n)
     return _element(kind, _site_tables(u, params), params.M, n, strict)
 
 
@@ -320,21 +330,9 @@ def _element(kind, sites, M: int, n: int, strict: bool = True) -> SectorOperator
     return SectorOperator(entries, n, n_out, M)
 
 
-def _int_element(kind, sites, M: int, n: int, strict: bool = True) -> dict:
-    """Element ``kind`` on the integer lane as ``{source mask: [(target mask, int)]}``.
-
-    Each int is the entry's numerator over the tables' denominator; a source
-    configuration no vertex path leaves is absent.
-    """
-    masks = [_mask(cfg) for cfg in sector_basis(M, n)]
-    out = {}
-    for col, row, amp in _columns(kind, sites, M, n, strict):
-        out.setdefault(masks[col], []).append((row, amp))
-    return out
-
-
 def transfer_matrix(u, params: ModelParameters, n: int) -> SectorOperator:
     """tau(u) = A(u) + D(u) on the n-particle sector."""
+    _refuse_non_int(n)
     sites = _site_tables(u, params)
     return _element("A", sites, params.M, n) + _element("D", sites, params.M, n)
 
@@ -345,6 +343,7 @@ def hamiltonian(params: ModelParameters, n: int) -> SectorOperator:
     Columns are source configurations; at alpha = 1 every column sums to
     zero and H is the TASEP generator.
     """
+    _refuse_non_int(n)
     M, alpha = params.M, params.alpha
     src = sector_basis(M, n)
     index = basis_index(M, n)
@@ -457,64 +456,86 @@ def _tables_key(sites):
 _last_operators = [None, None]
 
 
-def _operators(M: int, tables, lane: bool):
-    """One ``at(kind, n)`` per entry of ``tables``: the non-strict element on sector n.
+def _sparse_element(kind, sites, M: int, n: int, lane: bool) -> dict:
+    """The non-strict element ``kind`` on sector n as ``{source mask: [(target mask, entry)]}``.
 
-    Each element is built once from its spectral value's site tables: on the
-    integer lane as ``_int_element``'s map of numerators over the value's
-    denominator, otherwise as a ``SectorOperator``.  The elements are a
-    function of the tables, so the ``at`` of the last tables (compared by
-    weight and type) are kept: the relation checks of one (u, v) over every
-    sector, as a caller sweeps n, share their elements.
+    On the integer lane each entry is its int numerator over the tables'
+    denominator; off it the entry is its value, divided through ``_values``
+    when these tables are on the lane and the other spectral value's are
+    not.  A source configuration no vertex path leaves is absent.
     """
+    entries = _columns(kind, sites, M, n, strict=False)
+    if not lane:
+        entries = _values(kind, entries, sites[1], M, n)
+    masks = [_mask(cfg) for cfg in sector_basis(M, n)]
+    out = {}
+    for col, row, amp in entries:
+        out.setdefault(masks[col], []).append((row, amp))
+    return out
+
+
+def _relation(M: int, tables, coeffs=()):
+    """A relation check's coefficients, and one ``at(kind, n)`` per entry of ``tables``.
+
+    The check takes the integer lane when every spectral value's site tables
+    are on it and every coefficient is an int or a Fraction; the
+    coefficients then come back scaled by the lcm of their denominators, as
+    ints, and otherwise as they are.  ``at(kind, n)`` is the value's
+    ``_sparse_element`` on sector n, built once; the ``at`` of the last
+    tables (compared by weight and type) are kept, so the checks of one
+    (u, v) over every sector share their elements.
+    """
+    lane = all(den is not None for _, den in tables) and \
+        all(type(c) is int or type(c) is Fraction for c in coeffs)
+    if lane:
+        den = lcm(*(c.denominator for c in coeffs))
+        coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
     key = (M, lane, [_tables_key(sites) for sites in tables])
     last_key, ats = _last_operators
     if last_key != key:
-        build = _int_element if lane else _element
-
         def at(sites):
-            return cache(lambda kind, n: build(kind, sites, M, n, strict=False))
+            return cache(lambda kind, n: _sparse_element(kind, sites, M, n, lane))
         ats = [at(sites) for sites in tables]
         _last_operators[:] = key, ats
-    return ats
+    return coeffs, ats
 
 
-def _cleared(tables, coeffs=()):
-    """``coeffs`` times the lcm of their denominators, as ints, or None off the lane.
-
-    A relation check takes the integer lane when every spectral value's site
-    tables are on it and every coefficient is an int or a Fraction.
-    """
-    if any(den is None for _, den in tables) or \
-            not all(type(c) is int or type(c) is Fraction for c in coeffs):
-        return None
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs]
+def _inexact(u, v, params: ModelParameters) -> bool:
+    """Whether a relation check at (u, v) is decided with a tolerance: an input is a float."""
+    return any(is_inexact(x) for x in (u, v, params.alpha, *params.w))
 
 
-def _vanishes(terms) -> bool:
-    """Whether sum_i c_i X_i Y_i is zero, for int c_i and ``_int_element`` maps.
+def _vanishes(terms, inexact: bool) -> bool:
+    """Whether sum_i c_i X_i Y_i is zero, for ``_sparse_element`` maps X_i and Y_i.
 
     Every Y_i acts on one source sector and every X_i lands in one target
-    sector; one source column is accumulated at a time.
+    sector; one source column is accumulated at a time.  Exact terms must
+    cancel exactly; ``inexact`` ones to within ``COMPLEX_EQ_TOL`` times the
+    larger of 1 and the largest |term| of the column.
     """
     sources = set()
     for _, _, y in terms:
         sources.update(y)
     for src in sources:
-        acc = {}
+        acc, scale = {}, 1
         for c, x, y in terms:
             for mid, b in y.get(src, ()):
                 cb = c * b
                 for dst, a in x.get(mid, ()):
-                    acc[dst] = acc.get(dst, 0) + cb * a
-        if any(acc.values()):
+                    term = cb * a
+                    acc[dst] = acc.get(dst, 0) + term
+                    if inexact:
+                        scale = max(scale, abs(term))
+        if inexact:
+            if any(abs(s) > COMPLEX_EQ_TOL * scale for s in acc.values()):
+                return False
+        elif any(acc.values()):
             return False
     return True
 
 
-def _int_sum(x: dict, y: dict) -> dict:
-    """The sum of two ``_int_element`` maps between the same sectors."""
+def _sum(x: dict, y: dict) -> dict:
+    """The sum of two ``_sparse_element`` maps between the same sectors."""
     out = dict(x)
     for src, col in y.items():
         out[src] = out.get(src, []) + col
@@ -530,112 +551,73 @@ def commutation_checks(u, v, params: ModelParameters, n: int) -> dict:
     BB/CC:  [B(u),B(v)] = [C(u),C(v)] = 0
 
     Valid on every sector including the boundaries, where overflowing
-    elements act as zero-dimensional operators.  On the integer lane every
-    product is one element at u times one at v, so over den_u den_v on both
-    sides; with f and g cleared of their denominators each relation is a
-    vanishing int combination.
+    elements act as zero-dimensional operators.  Each relation is checked as
+    a vanishing combination of products (``_vanishes``); on the integer lane
+    every product is one element at u times one at v, so over den_u den_v
+    on both sides, and with f and g cleared of their denominators the
+    combination is one of ints.
     """
-    f_uv = f_weight(u, v)
-    f_vu = f_weight(v, u)
-    g_uv = g_weight(u, v)
-    g_vu = g_weight(v, u)
+    _refuse_non_int(n)
+    coeffs = (1, f_weight(u, v), f_weight(v, u), g_weight(u, v), g_weight(v, u))
     tables = [_site_tables(x, params) for x in (u, v)]
-    cleared = _cleared(tables, (1, f_uv, f_vu, g_uv, g_vu))
-    at_u, at_v = _operators(params.M, tables, cleared is not None)
-
-    if cleared is not None:
-        one, f_uv, f_vu, g_uv, g_vu = cleared
-        return {
-            "CB": _vanishes([(one, at_u("C", n + 1), at_v("B", n)),
-                             (-g_uv, at_u("A", n), at_v("D", n)),
-                             (g_uv, at_v("A", n), at_u("D", n))]),
-            "AB": _vanishes([(one, at_u("A", n + 1), at_v("B", n)),
-                             (-f_uv, at_v("B", n), at_u("A", n)),
-                             (-g_vu, at_u("B", n), at_v("A", n))]),
-            "DB": _vanishes([(one, at_u("D", n + 1), at_v("B", n)),
-                             (-f_vu, at_v("B", n), at_u("D", n)),
-                             (-g_uv, at_u("B", n), at_v("D", n))]),
-            "BB": _vanishes([(1, at_u("B", n + 1), at_v("B", n)),
-                             (-1, at_v("B", n + 1), at_u("B", n))]),
-            "CC": _vanishes([(1, at_u("C", n - 1), at_v("C", n)),
-                             (-1, at_v("C", n - 1), at_u("C", n))]),
-        }
-
-    cb_lhs = at_u("C", n + 1) * at_v("B", n)
-    cb_rhs = (at_u("A", n) * at_v("D", n) - at_v("A", n) * at_u("D", n)).scale(g_uv)
-
-    ab_lhs = at_u("A", n + 1) * at_v("B", n)
-    ab_rhs = (at_v("B", n) * at_u("A", n)).scale(f_uv) \
-        + (at_u("B", n) * at_v("A", n)).scale(g_vu)
-
-    db_lhs = at_u("D", n + 1) * at_v("B", n)
-    db_rhs = (at_v("B", n) * at_u("D", n)).scale(f_vu) \
-        + (at_u("B", n) * at_v("D", n)).scale(g_uv)
-
-    bb = at_u("B", n + 1) * at_v("B", n) == at_v("B", n + 1) * at_u("B", n)
-    cc = at_u("C", n - 1) * at_v("C", n) == at_v("C", n - 1) * at_u("C", n)
-
-    return {"CB": cb_lhs == cb_rhs, "AB": ab_lhs == ab_rhs,
-            "DB": db_lhs == db_rhs, "BB": bb, "CC": cc}
+    (one, f_uv, f_vu, g_uv, g_vu), (at_u, at_v) = _relation(params.M, tables, coeffs)
+    inexact = _inexact(u, v, params)
+    return {
+        "CB": _vanishes([(one, at_u("C", n + 1), at_v("B", n)),
+                         (-g_uv, at_u("A", n), at_v("D", n)),
+                         (g_uv, at_v("A", n), at_u("D", n))], inexact),
+        "AB": _vanishes([(one, at_u("A", n + 1), at_v("B", n)),
+                         (-f_uv, at_v("B", n), at_u("A", n)),
+                         (-g_vu, at_u("B", n), at_v("A", n))], inexact),
+        "DB": _vanishes([(one, at_u("D", n + 1), at_v("B", n)),
+                         (-f_vu, at_v("B", n), at_u("D", n)),
+                         (-g_uv, at_u("B", n), at_v("D", n))], inexact),
+        "BB": _vanishes([(1, at_u("B", n + 1), at_v("B", n)),
+                         (-1, at_v("B", n + 1), at_u("B", n))], inexact),
+        "CC": _vanishes([(1, at_u("C", n - 1), at_v("C", n)),
+                         (-1, at_v("C", n - 1), at_u("C", n))], inexact),
+    }
 
 
 def transfer_commute(u, v, params: ModelParameters, n: int) -> bool:
     """Whether tau(u) tau(v) == tau(v) tau(u) on the n-particle sector.
 
-    Refuses what ``transfer_matrix`` refuses, in its order: u = 0, a sector
-    outside 0..M, then v = 0.
+    Refuses what ``transfer_matrix`` refuses, in its order: a non-int n,
+    u = 0, a sector outside 0..M, then v = 0.
     """
-    M = params.M
+    _refuse_non_int(n)
     tables = [_site_tables(u, params)]
-    _refuse_overflow("A", M, n)
+    _refuse_overflow("A", params.M, n)
     tables.append(_site_tables(v, params))
-    lane = _cleared(tables) is not None
-    ats = _operators(M, tables, lane)
-    if not lane:
-        t_u, t_v = (at("A", n) + at("D", n) for at in ats)
-        return t_u * t_v == t_v * t_u
-    t_u, t_v = (_int_sum(at("A", n), at("D", n)) for at in ats)
-    return _vanishes([(1, t_u, t_v), (-1, t_v, t_u)])
+    _, ats = _relation(params.M, tables)
+    t_u, t_v = (_sum(at("A", n), at("D", n)) for at in ats)
+    return _vanishes([(1, t_u, t_v), (-1, t_v, t_u)], _inexact(u, v, params))
 
 
 def rtt_check(u, v, params: ModelParameters) -> bool:
     """R(u,v) T1(u) T2(v) = T2(v) T1(u) R(u,v) on (aux)x(aux)x(sector space).
 
     Checked blockwise: for auxiliary indices the block (a'c'),(bd) of either
-    side is a sector operator; all 16 blocks must agree exactly on every
-    quantum sector.  On the integer lane the R-matrix entries are cleared of
-    their denominators and each block is a vanishing int combination.
+    side is a sector operator; all 16 blocks must agree exactly unless an
+    input is a float, on every quantum sector.  Each block is checked as a
+    vanishing combination; on the integer lane the R-matrix entries are
+    cleared of their denominators and it is one of ints.
     """
-    M = params.M
-    r = r_matrix(u, v)
+    coeffs = [x for row in r_matrix(u, v).data for x in row]
     tables = [_site_tables(x, params) for x in (u, v)]
-    cleared = _cleared(tables, [x for row in r.data for x in row])
-    at_u, at_v = _operators(M, tables, cleared is not None)
-    if cleared is not None:
-        r = Matrix([cleared[i:i + 4] for i in range(0, 16, 4)])
+    r, (at_u, at_v) = _relation(params.M, tables, coeffs)
+    r = [r[i:i + 4] for i in range(0, 16, 4)]
+    inexact = _inexact(u, v, params)
     kind_of = {aux: kind for kind, aux in _KIND_AUX.items()}
     pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    for n in range(M + 1):
+    for n in range(params.M + 1):
         for (a_p, c_p), (b, d) in product(pairs, pairs):
-            # T_ab(u) T_cd(v) and T_c'd'(v) T_a'b'(u), each after its R entry
-            lhs = [(coeff, at_u(kind_of[a, b], n + d - c), at_v(kind_of[c, d], n))
-                   for a, c in pairs if not is_zero(coeff := r[2 * a_p + c_p, 2 * a + c], 0)]
-            rhs = [(coeff, at_v(kind_of[c_p, d_p], n + b_p - a_p), at_u(kind_of[a_p, b_p], n))
-                   for b_p, d_p in pairs if not is_zero(coeff := r[2 * b_p + d_p, 2 * b + d], 0)]
-            if cleared is not None:
-                if not _vanishes(lhs + [(-c, x, y) for c, x, y in rhs]):
-                    return False
-            else:
-                n_fin = n + (b + d) - (a_p + c_p)
-                if not _combination(lhs, n, n_fin, M) == _combination(rhs, n, n_fin, M):
-                    return False
+            # T_ab(u) T_cd(v) after its R entry, less T_c'd'(v) T_a'b'(u) after its own
+            terms = [(coeff, at_u(kind_of[a, b], n + d - c), at_v(kind_of[c, d], n))
+                     for a, c in pairs if not is_zero(coeff := r[2 * a_p + c_p][2 * a + c], 0)]
+            terms += [(-coeff, at_v(kind_of[c_p, d_p], n + b_p - a_p), at_u(kind_of[a_p, b_p], n))
+                      for b_p, d_p in pairs if not is_zero(coeff := r[2 * b_p + d_p][2 * b + d], 0)]
+            if not _vanishes(terms, inexact):
+                return False
     return True
-
-
-def _combination(terms, n, n_fin, M) -> SectorOperator:
-    """sum_i c_i X_i Y_i from sector n to n_fin, each product scaled in turn."""
-    out = SectorOperator.zero(n, n_fin, M)
-    for coeff, x, y in terms:
-        out = out + (x * y).scale(coeff)
-    return out

@@ -2,9 +2,24 @@ from random import Random
 
 import pytest
 
+from fivevertex import sector, tasep, wavefunc
+
 # the seeded draws the tests use, shared with the CLI and the acceptance battery
 from fivevertex.sampling import distinct_square_fractions as distinct_squares  # noqa: F401
 from fivevertex.sampling import rand_fraction  # noqa: F401
+
+
+def forget_kept_tables():
+    """Empty the one-entry slots in which the package keeps its last tables."""
+    sector._last_operators[:] = None, None
+    wavefunc._last_sector[:] = None, None
+    tasep._last_spectrum[:] = None, None
+
+
+@pytest.fixture(autouse=True)
+def _cold_start():
+    # every test starts from empty slots, whatever ran before it
+    forget_kept_tables()
 
 
 @pytest.fixture

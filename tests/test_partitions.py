@@ -1,7 +1,9 @@
 """Box partitions, ring configurations, and their bijection."""
 
+from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,3 +62,18 @@ def test_invalid_inputs():
 
 def test_text_form():
     assert Partition((2, 1, 0), (4, 3)).text() == "λ = [2,1,0] in box 4^3"
+
+
+def test_non_integral_entries_are_refused_not_truncated():
+    # int() used to make positions (1, 2) and parts (1, 0) of these
+    with pytest.raises(ValueError, match="positions must be integers, got 1.5"):
+        ParticleConfiguration((1.5, 2.7), 4)
+    with pytest.raises(ValueError, match="parts must be integers, got 1.5"):
+        Partition((1.5, 0), (2, 2))
+    with pytest.raises(ValueError, match=r"parts must be integers, got Fraction\(1, 2\)"):
+        Partition((1, Fraction(1, 2)), (2, 2))
+    # integral values of other types are still taken, as ints
+    x = ParticleConfiguration((np.int64(1), 3.0), 4)
+    assert x.positions == (1, 3) and all(type(p) is int for p in x.positions)
+    lam = Partition((2.0, np.int64(1)), (2, 2))
+    assert lam.parts == (2, 1) and all(type(p) is int for p in lam.parts)

@@ -1,5 +1,6 @@
 """Dense sector operators: monodromy elements, transfer matrix, Hamiltonian, BAE."""
 
+import re
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import comb
@@ -568,24 +569,28 @@ def test_relation_checks_match_dense_matrix_arithmetic(rng):
     assert lane_draws >= 10
 
 
-@pytest.mark.parametrize("lane", [True, False])
+@pytest.mark.parametrize("lane", [True, False, "complex"])
 def test_relation_checks_fail_on_a_wrong_coefficient(monkeypatch, lane):
     from fivevertex.sector import _site_tables
 
-    # on the lane every u/w_j is a Fraction; off it every u/w_j is an int
-    u, v = (F(2, 3), F(5, 4)) if lane else (2, 5)
-    params = ModelParameters(F(1, 2) if lane else 3, 3)
-    assert all((_site_tables(x, params)[1] is not None) == lane for x in (u, v))
+    # on the lane every u/w_j is a Fraction; off it every u/w_j is an int;
+    # complex coefficients are changed by a relative 1e-6 instead of by 1
+    if lane == "complex":
+        u, v, params = 1.5 - 0.5j, 0.25 + 1j, ModelParameters(1.25 + 0.5j, 3)
+    else:
+        u, v = (F(2, 3), F(5, 4)) if lane else (2, 5)
+        params = ModelParameters(F(1, 2) if lane else 3, 3)
+        assert all((_site_tables(x, params)[1] is not None) == lane for x in (u, v))
     assert all(commutation_checks(u, v, params, 1).values()) and rtt_check(u, v, params)
 
-    def off_by_one(weight):
-        return lambda a, b: weight(a, b) + 1
+    def wrong(x):
+        return x * (1 + 1e-6) if lane == "complex" else x + 1
 
-    monkeypatch.setattr(sector, "f_weight", off_by_one(f_weight))
+    monkeypatch.setattr(sector, "f_weight", lambda a, b: wrong(f_weight(a, b)))
     assert commutation_checks(u, v, params, 1) == {
         "CB": True, "AB": False, "DB": False, "BB": True, "CC": True}
     monkeypatch.setattr(sector, "f_weight", f_weight)
-    monkeypatch.setattr(sector, "g_weight", off_by_one(g_weight))
+    monkeypatch.setattr(sector, "g_weight", lambda a, b: wrong(g_weight(a, b)))
     assert commutation_checks(u, v, params, 1) == {
         "CB": False, "AB": False, "DB": False, "BB": True, "CC": True}
     monkeypatch.setattr(sector, "g_weight", g_weight)
@@ -593,7 +598,7 @@ def test_relation_checks_fail_on_a_wrong_coefficient(monkeypatch, lane):
     for entry in ((0, 0), (1, 2), (2, 1), (2, 2), (3, 3)):  # each nonzero R entry
         def perturbed(x, y, entry=entry):
             r = r_matrix(x, y)
-            r[entry] = r[entry] + 1
+            r[entry] = wrong(r[entry])
             return r
         monkeypatch.setattr(sector, "r_matrix", perturbed)
         assert not rtt_check(u, v, params), entry
@@ -630,12 +635,41 @@ def test_a_sweep_over_sectors_builds_each_element_once(monkeypatch, lane):
     u, v = (F(2, 3), F(5, 7)) if lane else (1.5 - 0.5j, 0.25 + 1j)
     params = ModelParameters(F(1, 2) if lane else 1.25 + 0.5j, 5)
     built = []
-    build = sector._int_element if lane else sector._element
-    monkeypatch.setattr(sector, "_int_element" if lane else "_element",
-                        lambda kind, sites, M, n, strict=True:
-                        built.append((kind, n, id(sites))) or build(kind, sites, M, n, strict))
-    sector._last_operators[:] = None, None
+    build = sector._sparse_element
+    monkeypatch.setattr(sector, "_sparse_element", lambda kind, sites, M, n, lane:
+                        built.append((kind, n, id(sites))) or build(kind, sites, M, n, lane))
     for n in range(params.M + 1):
         assert all(commutation_checks(u, v, params, n).values())
         assert transfer_commute(u, v, params, n)
     assert len(built) == len(set(built)) and len({key[2] for key in built}) == 2
+
+
+@pytest.mark.parametrize("u,v,params", [
+    (F(2, 3), F(5, 7), ModelParameters(F(1, 2), 4)),  # the integer lane
+    (2, 5, ModelParameters(3, 4)),  # exact off the lane: every u/w_j an int
+    (1.5 - 0.5j, 0.25 + 1j, ModelParameters(1.25 + 0.5j, 4)),  # complex
+], ids=["lane", "exact", "complex"])
+def test_relation_checks_take_the_sparse_path_on_every_lane(monkeypatch, u, v, params):
+    # the relation checks multiply no dense SectorOperator, on the lane or off it
+    def refused(*args, **kwargs):
+        raise AssertionError("a relation check built a dense element")
+    monkeypatch.setattr(sector, "_element", refused)
+    for n in range(-1, params.M + 2):
+        assert all(commutation_checks(u, v, params, n).values())
+    for n in range(params.M + 1):
+        assert transfer_commute(u, v, params, n)
+    assert rtt_check(u, v, params)
+
+
+@pytest.mark.parametrize("n", [1.0, F(1), "1", None], ids=repr)
+def test_a_sector_that_is_not_an_int_is_refused_up_front(n):
+    # each used to fail inside range() with a TypeError, or took 1.0 as 1
+    params = ModelParameters(F(1, 2), 3)
+    for call in (lambda: build_monodromy_element("B", F(2, 3), params, n),
+                 lambda: transfer_matrix(F(2, 3), params, n),
+                 lambda: hamiltonian(params, n),
+                 lambda: commutation_checks(F(2, 3), F(5, 7), params, n),
+                 lambda: transfer_commute(F(2, 3), F(5, 7), params, n)):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an int, got n = {n!r}")):
+            call()
+    assert transfer_matrix(F(2, 3), params, np.int64(1)) == transfer_matrix(F(2, 3), params, 1)

@@ -16,7 +16,7 @@ from fivevertex.wavefunc import (dual_wavefunction_det,
                                  wavefunction_det, wavefunction_dets, wavefunction_sum,
                                  wavefunction_trace)
 
-from conftest import rand_fraction
+from conftest import forget_kept_tables, rand_fraction
 
 
 def spectral(rng, count, alpha):
@@ -251,7 +251,7 @@ def test_int_parameters_stay_exact():
 
 def _cold(x, v, alpha, M, dual):
     """One overlap from an empty sector slot: the reference for the kept tables."""
-    wavefunc._last_sector[:] = None, None
+    forget_kept_tables()
     return (dual_wavefunction_det if dual else wavefunction_det)(x, v, alpha, M)
 
 
@@ -276,7 +276,6 @@ def test_scalar_loop_equals_the_batched_call(lane, dual):
     one = dual_wavefunction_det if dual else wavefunction_det
     basis = sector_basis(M, len(v))
     cold = [repr(_cold(x, v, alpha, M, dual)) for x in basis]
-    wavefunc._last_sector[:] = None, None
     assert [repr(one(x, v, alpha, M)) for x in basis] == cold
     assert [repr(w) for w in wavefunction_dets(basis, v, alpha, M, dual=dual)] == cold
     assert [repr(one(x, v, alpha, M)) for x in basis[::-1]] == cold[::-1]
@@ -344,7 +343,6 @@ def test_a_basis_loop_builds_the_sector_rows_once(monkeypatch):
     monkeypatch.setattr(confluent, "int_rows",
                         lambda *args: calls.append(args[1]) or int_rows(*args))
     v, alpha, M = [F(1, 2), F(2, 3), F(-3, 5), F(5, 4)], F(3, 7), 9
-    wavefunc._last_sector[:] = None, None
     basis = sector_basis(M, len(v))
     first = wavefunction_det(basis[0], v, alpha, M)
     assert sorted(calls) == sorted(vj * vj for vj in v)
