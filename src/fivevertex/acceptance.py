@@ -123,9 +123,21 @@ def criterion_3_wavefunctions(seed: int = 103) -> dict:
                     if bra != bra_oracle:
                         return _result("3 wavefunction master", False,
                                        f"<psi|x> mismatch at M={M}, N={N}, x={x}")
-    # The closed forms are proved in the field QQ(alpha, u_1..u_N), whose
-    # elements are stored as reduced fractions: a difference is the zero
-    # rational function exactly when its numerator is the zero polynomial.
+    failure = _closed_form_failure()
+    if failure:
+        return _result("3 wavefunction master", False, failure)
+    return _result("3 wavefunction master", True,
+                   "all configs M<=5 N<=3 x 10 draws exact; closed forms symbolic N<=3")
+
+
+def _closed_form_failure():
+    """Criterion 3's proofs of the step and staircase closed forms at N <= 3.
+
+    The closed forms are proved in the field QQ(alpha, u_1..u_N), whose
+    elements are stored as reduced fractions: a difference is the zero
+    rational function exactly when its numerator is the zero polynomial.
+    Returns the first closed form the determinant misses, or None.
+    """
     from sympy import QQ
     from sympy.polys.fields import field
 
@@ -134,12 +146,11 @@ def criterion_3_wavefunctions(seed: int = 103) -> dict:
         _, alpha, *u = field(["a"] + [f"u{j}" for j in range(1, N + 1)], QQ)
         step = dual_wavefunction_det(tuple(range(1, N + 1)), u, alpha, M)
         if step - step_overlap_value(u, alpha, M):
-            return _result("3 wavefunction master", False, f"step closed form N={N}")
+            return f"step closed form N={N}"
         stair = dual_wavefunction_det(tuple(2 * j - 1 for j in range(1, N + 1)), u, alpha, M)
         if stair - staircase_overlap_value(u, alpha, M):
-            return _result("3 wavefunction master", False, f"staircase closed form N={N}")
-    return _result("3 wavefunction master", True,
-                   "all configs M<=5 N<=3 x 10 draws exact; closed forms symbolic N<=3")
+            return f"staircase closed form N={N}"
+    return None
 
 
 def scalar_product_case(rng: Random, M: int, N: int) -> dict:

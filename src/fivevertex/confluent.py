@@ -23,9 +23,10 @@ That point side is a ``PointTable`` over a union of columns, and
 ``det_ratios`` is its one-shot use.  A caller may keep a table and ask it
 for the ratios of further picks of its columns: ``wavefunc`` keeps the
 table of all columns (k, x_k) of a sector, so one configuration at a time
-costs one determinant.  On the integer lane the table holds the rows of
-every column from the start, which is cheap; off it a column is evaluated
-the first time a pick names it, because a field element's arithmetic is not.
+costs one determinant.  On the cleared lane (below) the table holds the
+rows of every column from the start, which is cheap; off it a column is
+evaluated the first time a pick names it, because a field element's
+arithmetic is not.
 
 Columns may themselves depend on a label t_k and be divided by the label
 Vandermonde prod_{j<k} (t_k - t_j) as well (``det_ratio_labelled``: the
@@ -35,22 +36,29 @@ and the across-group factor is the same prod_{g<h} (t_h - t_g)^{r_g r_h}.
 Rows and columns may be confluent at once.  Coincidence is decided by exact
 equality for exact scalars and by ``COINCIDENCE_TOL`` for complex ones.
 
-Integer lane.  When every point, every column coefficient and every
-``lin`` of a table is an int or a Fraction and some point is
-a Fraction, each distinct column's coefficient denominators are cleared
-once, ``ratfunc.int_rows`` gives the rows of all of them as ints over one
-denominator per row, once per point group, the cross factor
-prod (p_h q_g - p_g q_h) / (q_h q_g) is taken in ints once, and per set
-``linalg.det`` runs Bareiss on the sliced int matrix (its exact division
-stays in the ints) and one ``Fraction(num, den)`` ends the ratio.
-Fraction-free elimination only pays off on integer entries (Bareiss,
-Math. Comp. 22 (1968) 565).  On these inputs the generic path's result is always a
-Fraction: the rows at a Fraction point are Fractions, and with two or more
-groups the cross factor is one too.  So the lane returns the same value and
-type; ``det_ratio_labelled`` divides it by the labels' cross factor as
-before, which keeps a Fraction a Fraction.  All-int inputs, which may give
-an int, complex points and field elements such as criterion 3's
-QQ(alpha, u) take the generic ``taylor`` + Bareiss path.
+Cleared lane.  Fraction-free elimination pays off on the entries of a
+ring with exact division (Bareiss, Math. Comp. 22 (1968) 565).  A table
+takes this lane when its points are ints and Fractions, at least one a
+Fraction, or all elements of one exact rational-function field such as
+criterion 3's QQ(alpha, u); when every column coefficient is an int or a
+Fraction; and when every ``lin`` entry is an int, a Fraction or an element
+of the points' field.  Each distinct column's coefficient denominators are
+cleared once, ``ratfunc.int_rows`` gives the rows of all of them as
+numerators over one denominator per row, once per point group (ints at
+Fraction points, polynomial-ring elements at field points), and the cross
+factor prod (p_h q_g - p_g q_h) / (q_h q_g) is taken in the same ring
+once.  Per set ``linalg.det`` runs Bareiss on the sliced matrix, whose
+divisions stay exact in the ring without a gcd, and one
+``Fraction(num, den)`` or ``field.new(num, den)`` ends the ratio.  At
+distinct field points the cross numerator divides the alternant's
+numerator exactly and is divided out first, so ``field.new`` cancels only
+the rows' own denominators (powers of u for the wavefunction columns).  On
+these inputs the generic path's result is an element of the same field,
+and Fractions and field elements are stored reduced, so the lane returns
+the same value, type and ``repr``; ``det_ratio_labelled`` divides it by the
+labels' cross factor as before.  All-int inputs, which may give an int,
+complex points, points of two fields, field points beside Fractions and
+field-valued coefficients take the generic ``taylor`` + Bareiss path.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ from math import lcm
 
 from .linalg import det
 from .ratfunc import RatFunc, int_rows, taylor
-from .scalars import COINCIDENCE_TOL, exact_div, is_inexact
+from .scalars import COINCIDENCE_TOL, exact_div, is_inexact, numer_denom
 
 
 def group_points(points):
@@ -94,34 +102,53 @@ def _rational(x) -> bool:
     return type(x) is int or type(x) is Fraction
 
 
-def _int_cross(groups):
-    """``_cross_factor`` of rational groups as ints (num, den)."""
+def _lane_field(groups):
+    """The cleared lane's field at ``groups``: ``Fraction``, a rational-function field, or None.
+
+    ``Fraction`` when every point is an int or a Fraction and some point is
+    a Fraction; the points' field when every point is an element of one
+    exact rational-function field; None (the generic path) otherwise.
+    """
+    if all(_rational(t) for t, _ in groups):
+        return Fraction if any(type(t) is Fraction for t, _ in groups) else None
+    field = getattr(groups[0][0], "field", None)
+    if (getattr(field, "ring", None) is None or not field.domain.is_Exact
+            or any(getattr(t, "field", None) is not field for t, _ in groups)):
+        return None
+    return field
+
+
+def _cleared_cross(groups):
+    """``_cross_factor`` of the cleared lane's groups as (numerator, denominator)."""
+    parts = [numer_denom(t) for t, _ in groups]
     num = den = 1
     for h in range(1, len(groups)):
-        th, rh = groups[h]
+        (hn, hd), rh = parts[h], groups[h][1]
         for g in range(h):
-            tg, rg = groups[g]
-            e = rg * rh
-            num *= (th.numerator * tg.denominator - tg.numerator * th.denominator) ** e
-            den *= (th.denominator * tg.denominator) ** e
+            (gn, gd), e = parts[g], groups[g][1] * rh
+            num *= (hn * gd - gn * hd) ** e
+            den *= (hd * gd) ** e
     return num, den
 
 
-def _int_lane(columns, groups):
-    """The integer lane's rows of ``columns`` at ``groups``: (rows, den, col_dens).
+def _cleared_lane(columns, groups):
+    """The cleared lane's rows of ``columns`` at ``groups``: (field, rows, den, col_dens).
 
     Row entry [i][k] over den * col_dens[k] is the generic path's entry, with
     den the product of the row denominators and col_dens[k] the lcm of column
-    k's coefficient denominators.  Returns None off the integer lane, which
-    is taken when every point, coefficient and ``lin`` is an int or a
-    Fraction and some point is a Fraction; the generic path's ratio is then
-    always a Fraction, which ``Fraction(num, den)`` reproduces.
+    k's coefficient denominators.  Returns None off the lane, which is taken
+    when ``_lane_field`` names a field, every coefficient is an int or a
+    Fraction, and every ``lin`` an int, a Fraction or an element of the
+    points' field.  The generic path's ratio is then always an element of
+    that field, which ``Fraction(num, den)`` or ``field.new(num, den)``
+    reproduces.
     """
-    if not all(_rational(t) for t, _ in groups) or not any(type(t) is Fraction for t, _ in groups):
+    field = _lane_field(groups)
+    if field is None:
         return None
     cleared, col_dens = [], []
     for col in columns:
-        if not (_rational(col.lin[0]) and _rational(col.lin[1])
+        if not (all(_rational(x) or getattr(x, "field", None) is field for x in col.lin)
                 and all(_rational(c) for c, _, _ in col.terms)):
             return None
         d = lcm(*(c.denominator for c, _, _ in col.terms))
@@ -134,13 +161,13 @@ def _int_lane(columns, groups):
         rows.extend(block)
         for d in dens:
             den *= d
-    return rows, den, col_dens
+    return field, rows, den, col_dens
 
 
 class PointTable:
     """The point side of ``det_ratios``: one union of columns at one point set.
 
-    The grouping and the cross factor are taken once, and on the integer
+    The grouping and the cross factor are taken once, and on the cleared
     lane the rows of every column with their denominators; off it a
     column's rows are evaluated when a ``ratios`` call first picks it, so a
     kept table of a whole sector pays no field arithmetic for columns no
@@ -150,12 +177,21 @@ class PointTable:
     def __init__(self, columns, points):
         self.columns = columns
         self.groups = group_points(points)
-        lane = _int_lane(columns, self.groups)
+        lane = _cleared_lane(columns, self.groups)
         self.lane = lane is not None
         if self.lane:
-            rows, self.den, self.col_dens = lane
+            field, rows, self.den, self.col_dens = lane
             self.cols = list(zip(*rows))
-            self.cross_num, self.cross_den = _int_cross(self.groups)
+            self.cross_num, self.cross_den = _cleared_cross(self.groups)
+            if field is Fraction:
+                self.new, self.exact_cross = Fraction, False
+            else:
+                ring = field.ring
+                self.new = lambda num, den: field.new(ring(num), ring(den))
+                # at distinct points each entry of a row is a form of one degree in the
+                # point's (numerator, denominator), so the alternant is a multiple of
+                # prod (p_h q_g - p_g q_h) in the polynomial ring
+                self.exact_cross = all(count == 1 for _, count in self.groups)
         else:
             self.cols = [None] * len(columns)
             self.cross = _cross_factor(self.groups)
@@ -175,7 +211,8 @@ class PointTable:
         """The determinant ratio of each pick, a list of one index into ``columns`` per point.
 
         Per pick only the slice of the table's columns, one ``linalg.det``
-        and, on the integer lane, one ``Fraction(num, den)`` remain.
+        and, on the cleared lane, one ``Fraction(num, den)`` or
+        ``field.new(num, den)`` remain.
         """
         if not self.groups:
             return [1] * len(picks)
@@ -183,11 +220,14 @@ class PointTable:
         if self.lane:
             out = []
             for pick in picks:
-                set_den = self.den * self.cross_num
+                num, den = det(list(zip(*(cols[k] for k in pick)))), self.den
+                if self.exact_cross:
+                    num = exact_div(num, self.cross_num)
+                else:
+                    den = den * self.cross_num
                 for k in pick:
-                    set_den *= self.col_dens[k]
-                out.append(Fraction(det(list(zip(*(cols[k] for k in pick)))) * self.cross_den,
-                                    set_den))
+                    den *= self.col_dens[k]
+                out.append(self.new(num * self.cross_den, den))
             return out
         self._evaluate(picks)
         return [exact_div(det(list(zip(*(cols[k] for k in pick)))), self.cross)

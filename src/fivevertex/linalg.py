@@ -14,13 +14,16 @@ operator that leaves the sectors 0..M acts.
 
 Exact determinants use fraction-free (Bareiss) one-step elimination, which
 keeps intermediate growth polynomial for the large rational entries produced
-by a(u) = u^M and d(u) = (alpha*u - 1/u)^M at M around 8.  Complex
+by a(u) = u^M and d(u) = (alpha*u - 1/u)^M at M around 8.  Its divisions are
+exact: ``//`` when every entry is an int, ``scalars.exact_div`` otherwise,
+which on polynomial-ring entries is the ring's exact quotient.  Complex
 determinants go through LAPACK's partially pivoted LU via ``numpy``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import floordiv
 
 import numpy as np
 
@@ -152,10 +155,11 @@ def det(m):
 
     Dispatch: any float/complex entry selects the LU route (partial
     pivoting, via numpy); otherwise fraction-free Bareiss elimination, which
-    is exact over ints, Fractions and canonical field elements such as those
-    of ``sympy.polys.fields.field``.  Bareiss pivots on ``x == 0``, so symbolic
-    expression entries (anything with ``free_symbols``), whose equality is
-    structural, raise ``TypeError``.
+    is exact over ints, Fractions, canonical field elements such as those
+    of ``sympy.polys.fields.field`` and the elements of their polynomial
+    rings, whose ``/`` is the exact quotient.  Bareiss pivots on ``x == 0``,
+    so symbolic expression entries (anything with ``free_symbols``), whose
+    equality is structural, raise ``TypeError``.
     """
     a = m.data if isinstance(m, Matrix) else [list(row) for row in m]
     n = len(a)
@@ -163,10 +167,13 @@ def det(m):
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1
-    inexact = False
+    inexact, ints = False, True
     for row in a:
         for x in row:
-            if type(x) is int or type(x) is Fraction:  # the common exact entries, tested cheaply
+            if type(x) is int:  # the common exact entries, tested cheaply
+                continue
+            ints = False
+            if type(x) is Fraction:
                 continue
             if is_inexact(x):
                 inexact = True
@@ -176,10 +183,11 @@ def det(m):
                     "of a rational-function field from sympy.polys.fields.field instead")
     if inexact:
         return complex(np.linalg.det(np.array(a, dtype=complex)))
-    return _det_bareiss([list(row) for row in a])
+    return _det_bareiss([list(row) for row in a], floordiv if ints else exact_div)
 
 
-def _det_bareiss(a):
+def _det_bareiss(a, div):
+    """Bareiss elimination; ``div`` is the exact division of the entries' ring."""
     n = len(a)
     sign = 1
     prev = 1
@@ -195,7 +203,7 @@ def _det_bareiss(a):
         p = a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = exact_div(a[i][j] * p - a[i][k] * a[k][j], prev)
+                a[i][j] = div(a[i][j] * p - a[i][k] * a[k][j], prev)
             a[i][k] = a[i][k] * 0
         prev = p
     return sign * a[n - 1][n - 1]

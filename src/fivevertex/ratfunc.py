@@ -24,12 +24,15 @@ and no pole is decided with a tolerance: a negative power of an exactly
 zero base raises ``ZeroDivisionError``.  Coefficients and points may be
 ints, Fractions, complex numbers or elements of an exact field.
 
-``int_rows`` is the same convolution over the integers, for columns with
-int coefficients at a rational point t = p/q: each row is a list of ints
-over one row denominator, built from nonnegative powers of p, q and the
-numerator and denominator of A + B t and of B, so no ``Fraction`` is formed
-and no gcd is taken per entry.  ``confluent`` takes it for Fraction points
-(see there); ``taylor`` stays the path for every other scalar.
+``int_rows`` is the same convolution without division, for columns with
+int coefficients at a point t = p/q that is a Fraction or an element of a
+rational-function field: each row is a list of numerators over one row
+denominator, built from nonnegative powers of p, q and the numerator and
+denominator of A + B t and of B, so no ``Fraction`` or field element is
+formed and no gcd is taken per entry.  The numerators are ints at a
+Fraction point and polynomial-ring elements at a field point.
+``confluent`` takes it for both (see there); ``taylor`` stays the path for
+every other scalar.
 
 ``Poly`` is the dense polynomial from which ``scalarprod`` builds its
 scalar-product columns: products of linear factors, and the exact quotient
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from math import comb, gcd
 
-from .scalars import exact_div, exact_pow
+from .scalars import exact_div, exact_pow, numer_denom
 
 
 class Poly:
@@ -174,18 +177,24 @@ def taylor(columns, t, r: int = 1):
 
 
 def int_rows(columns, t, r: int = 1):
-    """``taylor`` over the integers: r rows of ints and one denominator per row.
+    """``taylor`` without division: r rows of numerators and one denominator per row.
 
-    The columns' coefficients must be ints, and t and every ``lin`` ints or
-    Fractions.  Returns ``(rows, dens)`` with rows[i][k] / dens[i] equal to
-    ``taylor(columns, t, r)[i][k]``.  With t = p/q, A + B t = Ln/Ld and
-    B = Bn/Bd, every term of a coefficient is an int times
+    The columns' coefficients must be ints.  t and every ``lin`` are ints or
+    Fractions, and then the numerators and denominators are ints; or t is an
+    element of a rational-function field and every ``lin`` an int, a
+    Fraction or an element of that field, and then they are elements of its
+    polynomial ring.  Returns ``(rows, dens)`` with rows[i][k] / dens[i]
+    equal to ``taylor(columns, t, r)[i][k]``.  With t = p/q, A + B t = Ln/Ld
+    and B = Bn/Bd, every term of a coefficient is an int times
     p^e q^-e Ln^f Ld^-f Bn^g Bd^-g; the row denominator
     p^-lo q^hi Ln^-flo Ld^fhi Bd^ghi, over the exponent ranges of the row
-    (widened to hold 0), leaves only nonnegative powers in the row.  As in
+    (widened to hold 0), leaves only nonnegative powers in the row.  Ln/Ld
+    is reduced by a gcd only in the ints; over a polynomial ring every entry
+    of a row is then a form of one degree in (p, q), which is what lets
+    ``confluent`` divide the Vandermonde numerator out exactly.  As in
     ``taylor``, a negative power of an exactly zero t or A + B t raises.
     """
-    p, q = t.numerator, t.denominator
+    p, q = numer_denom(t)
     lins, bases, col_lin = [], [], []  # lins by position: a Fraction's hash is slow
     for col in columns:
         for i, lin in enumerate(lins):
@@ -194,11 +203,12 @@ def int_rows(columns, t, r: int = 1):
         else:
             i = len(lins)
             lins.append(col.lin)
-            a_, b_ = col.lin
-            n = a_.numerator * b_.denominator * q + b_.numerator * a_.denominator * p
-            d = a_.denominator * b_.denominator * q
-            g = gcd(n, d)
-            bases.append((n // g, d // g, b_.numerator, b_.denominator))
+            (an, ad), (bn, bd) = map(numer_denom, col.lin)
+            n, d = an * bd * q + bn * ad * p, ad * bd * q
+            if type(n) is int and type(d) is int:
+                g = gcd(n, d)
+                n, d = n // g, d // g
+            bases.append((n, d, bn, bd))
         col_lin.append(i)
     rows, dens = [], []
     for j in range(r):

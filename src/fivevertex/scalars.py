@@ -61,6 +61,17 @@ def exact_div(a, b):
     return a / b
 
 
+def numer_denom(x):
+    """(numerator, denominator) of an int, a Fraction or a rational-function field element.
+
+    Ints for the first two; for a field element such as one of
+    ``sympy.polys.fields.field``, the reduced pair of its polynomial ring.
+    """
+    if type(x) is int or type(x) is Fraction:
+        return x.numerator, x.denominator
+    return x.numer, x.denom
+
+
 def exact_pow(x, e):
     """x^e; a negative power of an int stays exact, and of an exact zero raises."""
     if e >= 0:

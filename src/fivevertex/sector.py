@@ -90,11 +90,15 @@ _KIND_AUX = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
 
 
 def sector_dim(M: int, n: int) -> int:
+    _refuse_non_int(M, "M")
+    _refuse_non_int(n)
     return comb(M, n) if 0 <= n <= M else 0
 
 
 def sector_basis(M: int, n: int):
     """Configurations of the n-particle sector as sorted position tuples."""
+    _refuse_non_int(M, "M")
+    _refuse_non_int(n)
     if not 0 <= n <= M:
         return ()
     return tuple(combinations(range(1, M + 1), n))
@@ -221,9 +225,9 @@ def _sweep(state, tables):
     return state
 
 
-def _refuse_non_int(n):
-    if not isinstance(n, Integral):
-        raise ValueError(f"n must be an int, got n = {n!r}")
+def _refuse_non_int(value, name="n"):
+    if not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an int, got {name} = {value!r}")
 
 
 def _refuse_overflow(kind, M: int, n: int):

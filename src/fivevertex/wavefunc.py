@@ -20,6 +20,16 @@ work of the last set of spectral parameters, so a loop of scalar overlaps
 over a basis costs what one call over the basis does: one determinant per
 configuration.
 
+Its columns are pole-free.  By multilinearity each row's pole moves into
+its entries: the primal takes the columns s^(k-x_k) (alpha s - 1)^(x_k-1)
+with prefactor prod v^(M-1), the dual the columns
+s^(x_k-k) (alpha s - 1)^(M-x_k) with prefactor
+sign prod u^(2N-1-M), s = v^2.  So a complex overlap has no
+(alpha s - 1)^-x to lose digits to, and in QQ(alpha, u) the row
+denominators are powers of u alone.  The refusals at alpha v^2 = 1 are
+kept as the contract of both overlaps, where the formulas above have
+their pole.
+
 The independent construction behind these formulas is a matrix product over
 the 2^N auxiliary product space: the column-to-row transposed monodromy
 splits into operators A_n, B_n, C_n obeying simple exchange relations, and
@@ -98,19 +108,20 @@ def _sector_table(v, alpha, M, dual):
     n = len(v)
     pref = 1
     for vj in v:
+        # the columns below have no pole at alpha v^2 = 1; refusing it is the contract
         if is_zero(vj, 0) or is_zero(alpha * vj * vj - 1, 0):
             raise ZeroDivisionError("dual wavefunction pole at u = 0 or alpha = u^-2" if dual
                                     else "wavefunction pole at v = 0 or alpha v^2 = 1")
-        if dual:
-            pref = pref * (alpha * vj - exact_pow(vj, -1)) ** M * vj ** (2 * n - 1)
-        else:
-            pref = pref * vj ** (M - 1) * exact_pow(alpha * vj * vj - 1, -1)
+        pref = pref * (exact_pow(vj, 2 * n - 1 - M) if dual else vj ** (M - 1))
     if dual:
         pref = pref * sign_pairs(n)
-    # entry v^(2k) (alpha - v^-2)^(x_k) = s^(k - x_k) (alpha s - 1)^(x_k), s = v^2; dual: 1/entry
+    # entry v^(2k) (alpha - v^-2)^(x_k) = s^(k - x_k) (alpha s - 1)^(x_k), s = v^2, with the
+    # row's pole (alpha s - 1)^-1 folded in; dual: 1/entry times the row's (alpha s - 1)^M,
+    # which turns the prefactor's (alpha u - 1/u)^M into u^-M
     lin = (-1, alpha)
     keys = [(k, xk) for k in range(1, n + 1) for xk in range(k, M - n + k + 1)]
-    columns = [RatFunc([(1, xk - k, -xk) if dual else (1, k - xk, xk)], lin) for k, xk in keys]
+    columns = [RatFunc([(1, xk - k, M - xk) if dual else (1, k - xk, xk - 1)], lin)
+               for k, xk in keys]
     return pref, {kx: i for i, kx in enumerate(keys)}, PointTable(columns, [vj * vj for vj in v])
 
 

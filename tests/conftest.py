@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from fivevertex import sector, tasep, wavefunc
+from fivevertex import confluent, sector, tasep, wavefunc
 
 # the seeded draws the tests use, shared with the CLI and the acceptance battery
 from fivevertex.sampling import distinct_square_fractions as distinct_squares  # noqa: F401
@@ -14,6 +14,12 @@ def forget_kept_tables():
     sector._last_operators[:] = None, None
     wavefunc._last_sector[:] = None, None
     tasep._last_spectrum[:] = None, None
+
+
+def force_generic_path(monkeypatch):
+    """Turn the cleared lane off: every table takes the ``taylor`` + Bareiss path, cold."""
+    monkeypatch.setattr(confluent, "_cleared_lane", lambda columns, groups: None)
+    forget_kept_tables()
 
 
 @pytest.fixture(autouse=True)

@@ -39,6 +39,20 @@ def test_criterion_03_rejects_a_wrong_closed_form(monkeypatch, name, label):
     assert result["detail"] == f"{label} closed form N=1"
 
 
+def test_criterion_03_closed_forms_take_no_polynomial_gcd(monkeypatch):
+    # the proofs in QQ(alpha, u) run on the polynomial-ring lane: Bareiss divides
+    # exactly and the Vandermonde numerator is divided out before the one field.new,
+    # so no multi-term gcd is left to take (taylor + field Bareiss on the columns with
+    # their poles took 42)
+    from sympy.polys.rings import PolyElement
+
+    calls = []
+    gcd = PolyElement._gcd_ZZ
+    monkeypatch.setattr(PolyElement, "_gcd_ZZ", lambda f, g: calls.append(1) or gcd(f, g))
+    assert acceptance._closed_form_failure() is None
+    assert not calls
+
+
 def test_criterion_04_scalar_product_suite():
     _run(acceptance.criterion_4_scalar_products)
 

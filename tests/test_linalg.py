@@ -12,7 +12,7 @@ from fivevertex.linalg import Matrix, det
 from fivevertex.confluent import det_ratio_columns, det_ratio_labelled, det_ratios
 from fivevertex.ratfunc import RatFunc, int_rows, taylor
 
-from conftest import outcome, rand_fraction
+from conftest import force_generic_path, outcome, rand_fraction
 
 
 def det_cofactor(rows):
@@ -44,6 +44,27 @@ fraction_strategy = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 def test_bareiss_matches_cofactor_oracle(n, data):
     rows = [[data.draw(fraction_strategy) for _ in range(n)] for _ in range(n)]
     assert det(Matrix(rows)) == det_cofactor(rows)
+
+
+def test_int_matrices_divide_with_floor_division(monkeypatch, rng):
+    # all-int entries skip exact_div; results, types included, match the cofactor
+    # oracle with row swaps at every step and on singular matrices
+    from fivevertex import linalg
+
+    cases = [[[0, 2, 1], [3, 0, 5], [1, 4, 0]],  # zero pivot at step 0
+             [[1, 2, 3, 4], [2, 4, 1, 1], [0, 1, 5, 2], [3, 1, 0, 7]],  # and at step 1
+             [[2, 4, 6], [1, 2, 3], [5, -1, 2]],  # proportional rows
+             [[0, 0], [0, 5]], [[-7]]]
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        cases.append(rows)
+    monkeypatch.setattr(linalg, "exact_div", lambda a, b: pytest.fail("exact_div on ints"))
+    for rows in cases:
+        got = det(Matrix(rows))
+        assert type(got) is int and got == det_cofactor(rows)
+    with pytest.raises(pytest.fail.Exception):
+        det(Matrix([[F(1, 2), 1], [1, 3]]))
 
 
 def test_row_swap_flips_sign(rng):
@@ -437,3 +458,24 @@ def test_batched_ratios_match_one_set_calls(lane):
     assert outcome(lambda: det_ratios(sets, [F(1, 2)])) \
         == outcome(lambda: [det_ratio_columns(cols, [F(1, 2)]) for cols in sets]) \
         == "ValueError: need as many columns as points"
+
+
+def test_points_of_two_fields_or_beside_fractions_stay_generic(monkeypatch):
+    import sympy
+    from sympy.polys.fields import field
+
+    from fivevertex import confluent
+
+    K, z1, z2, beta = field("z1,z2,beta", sympy.QQ)
+    _, w = field("w", sympy.QQ)
+    columns = [RatFunc([(1, 2, 0)], (1, beta)), RatFunc([(1, 0, 1)], (1, beta))]
+    mixed = ([z1, F(1, 2)], [F(1, 2), z1], [z1, 3], [z1, w])
+    for points in mixed:
+        assert confluent._lane_field(confluent.group_points(points)) is None
+    # a lin or a coefficient of another field, or a field-valued coefficient
+    for cols in ([RatFunc([(1, 1, 1)], (1, w)), columns[1]], [RatFunc([(beta, 1, 0)]), columns[1]]):
+        assert not confluent.PointTable(cols, [z1, z2]).lane
+    assert confluent.PointTable(columns, [z1, z2]).lane
+    lane = [outcome(lambda: det_ratio_columns(columns, points)) for points in mixed]
+    force_generic_path(monkeypatch)
+    assert lane == [outcome(lambda: det_ratio_columns(columns, points)) for points in mixed]

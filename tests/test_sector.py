@@ -11,10 +11,11 @@ import pytest
 from fivevertex.linalg import Matrix
 from fivevertex.scalars import exact_div, is_zero
 from fivevertex import sector, vertex
-from fivevertex.sector import (ModelParameters, SectorOperator, bethe_residual, bethe_state,
-                               build_monodromy_element, commutation_checks,
+from fivevertex.sector import (ModelParameters, SectorOperator, basis_index, bethe_residual,
+                               bethe_state, build_monodromy_element, commutation_checks,
                                dual_bethe_state, hamiltonian, rtt_check, sector_basis,
-                               transfer_commute, transfer_eigenvalue, transfer_matrix)
+                               sector_dim, transfer_commute, transfer_eigenvalue,
+                               transfer_matrix)
 from fivevertex.vertex import f_weight, g_weight, l_matrix, l_weights, r_matrix
 
 from conftest import distinct_squares, outcome, rand_fraction
@@ -669,7 +670,13 @@ def test_a_sector_that_is_not_an_int_is_refused_up_front(n):
                  lambda: transfer_matrix(F(2, 3), params, n),
                  lambda: hamiltonian(params, n),
                  lambda: commutation_checks(F(2, 3), F(5, 7), params, n),
-                 lambda: transfer_commute(F(2, 3), F(5, 7), params, n)):
+                 lambda: transfer_commute(F(2, 3), F(5, 7), params, n),
+                 lambda: sector_basis(3, n), lambda: sector_dim(3, n), lambda: basis_index(3, n)):
         with pytest.raises(ValueError, match=re.escape(f"n must be an int, got n = {n!r}")):
             call()
+    for call in (sector_basis, sector_dim, basis_index):
+        with pytest.raises(ValueError, match=re.escape(f"M must be an int, got M = {n!r}")):
+            call(n, 1)
     assert transfer_matrix(F(2, 3), params, np.int64(1)) == transfer_matrix(F(2, 3), params, 1)
+    assert sector_basis(np.int64(3), np.int64(1)) == sector_basis(3, 1)
+    assert sector_dim(3, np.int64(1)) == 3 and basis_index(np.int64(2), 1) == {(1,): 0, (2,): 1}

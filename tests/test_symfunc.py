@@ -9,7 +9,7 @@ from fivevertex.partitions import enumerate_box
 from fivevertex.symfunc import (dual_grothendieck_eval, grothendieck_eval, grothendieck_evals,
                                schur_eval)
 
-from conftest import distinct_squares, outcome, rand_fraction
+from conftest import distinct_squares, force_generic_path, outcome, rand_fraction
 
 
 def semistandard_tableaux_count(shape, max_entry):
@@ -219,7 +219,8 @@ def test_batched_evaluator_over_a_rational_function_field():
     import sympy
     from sympy.polys.fields import field
 
-    # field elements take the generic lane, here with a coincident variable (Taylor rows)
+    # field elements take the polynomial-ring lane, here with a coincident variable
+    # (Taylor rows)
     _, z1, z2, beta = field("z1,z2,beta", sympy.QQ)
     lams = list(enumerate_box(2, 3))
     for dual, scalar in ((False, grothendieck_eval), (True, dual_grothendieck_eval)):
@@ -327,3 +328,26 @@ def test_grothendieck_matches_set_valued_tableaux(rng, n):
         ones = [F(1)] * n
         assert set_valued_tableaux_value(lam, ones, F(-1)) == 1
         assert grothendieck_eval(lam, ones, F(-1)) == 1
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_field_points_match_the_generic_path(monkeypatch, dual):
+    # G and Gbar over QQ(z, beta) on the polynomial-ring lane against taylor + field
+    # Bareiss, == and repr: distinct and coincident points, N = 1 (no cross factor)
+    # and the field's constants
+    import sympy
+    from sympy.polys.fields import field
+
+    from fivevertex import confluent
+
+    K, z1, z2, z3, beta = field("z1,z2,z3,beta", sympy.QQ)
+    cases = [([z1, z2, z3], beta), ([z1, z1, z2], beta), ([z2, z1, z1], beta),
+             ([z1, z1, z1], beta), ([z3], beta), ([z1, z2], F(-1, 2)),
+             ([K(2), K(3), K(5)], beta), ([K(2), K(2), K(3)], K(1) / 3), ([K(2)], F(1, 2))]
+    for z, _ in cases:
+        assert confluent._lane_field(confluent.group_points(z)) is K
+    lane = [grothendieck_evals(list(enumerate_box(2, len(z))), z, b, dual) for z, b in cases]
+    force_generic_path(monkeypatch)
+    generic = [grothendieck_evals(list(enumerate_box(2, len(z))), z, b, dual) for z, b in cases]
+    assert lane == generic
+    assert repr(lane) == repr(generic)

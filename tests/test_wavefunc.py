@@ -3,6 +3,7 @@
 import re
 from fractions import Fraction as F
 from itertools import combinations
+from random import Random
 
 import pytest
 
@@ -16,7 +17,7 @@ from fivevertex.wavefunc import (dual_wavefunction_det,
                                  wavefunction_det, wavefunction_dets, wavefunction_sum,
                                  wavefunction_trace)
 
-from conftest import forget_kept_tables, rand_fraction
+from conftest import force_generic_path, forget_kept_tables, rand_fraction
 
 
 def spectral(rng, count, alpha):
@@ -350,3 +351,84 @@ def test_a_basis_loop_builds_the_sector_rows_once(monkeypatch):
     assert len(calls) == len(v)
     assert values == wavefunction_dets(basis, v, alpha, M) \
         == list(bethe_state(v, ModelParameters(alpha=alpha, M=M)))
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_field_overlaps_match_the_generic_path(monkeypatch, dual):
+    # QQ(alpha, u) overlaps on the polynomial-ring lane against taylor + field Bareiss,
+    # == and repr, over every configuration with M <= 5 and N <= 3 (N = 1: no cross factor)
+    from sympy import QQ
+    from sympy.polys.fields import field
+
+    cases = []
+    for N in range(1, 4):
+        _, alpha, *u = field(["a"] + [f"u{j}" for j in range(1, N + 1)], QQ)
+        for M in range(N, 6):
+            cases.append((sector_basis(M, N), u, alpha, M))
+    assert wavefunc._sector_table(cases[-1][1], cases[-1][2], 5, dual)[2].lane
+    lane = [wavefunction_dets(basis, u, alpha, M, dual=dual) for basis, u, alpha, M in cases]
+    force_generic_path(monkeypatch)
+    generic = [wavefunction_dets(basis, u, alpha, M, dual=dual) for basis, u, alpha, M in cases]
+    assert lane == generic
+    assert repr(lane) == repr(generic)
+
+
+def test_fraction_overlaps_are_unchanged_by_the_pole_free_columns():
+    # the overlaps of 3 draws per sector with M <= 9, pinned as a sha256 of their repr
+    # from before the columns absorbed the rows' poles
+    import hashlib
+
+    from fivevertex.sampling import distinct_square_fractions
+
+    rng, digest = Random(29), hashlib.sha256()
+    for M in range(1, 10):
+        for N in range(1, M + 1):
+            basis = sector_basis(M, N)
+            for _ in range(3):
+                alpha = rand_fraction(rng)
+                v = distinct_square_fractions(rng, N, avoid_squares=[1 / alpha])
+                for dual in (False, True):
+                    digest.update(repr(wavefunction_dets(basis, v, alpha, M, dual=dual)).encode())
+    assert digest.hexdigest() == "2e6fcb7b8e9d90ba293d952b587677064bd680bbdfe1ea713fc62431e9bfbf30"
+
+
+def _overlaps_60_digits(basis, v, alpha, M, dual):
+    """The module docstring's formula for the overlaps of ``basis``, in 60-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        a, v = mpmath.mpc(alpha), [mpmath.mpc(t) for t in v]
+        n, sign = len(v), -1 if dual else 1
+        pref = vand = mpmath.mpc(1)
+        for j, vj in enumerate(v):
+            pref *= ((a * vj - 1 / vj) ** M * vj ** (2 * n - 1) if dual
+                     else vj ** (M - 1) / (a * vj ** 2 - 1))
+            for vk in v[j + 1:]:
+                vand *= vj ** 2 - vk ** 2 if dual else vk ** 2 - vj ** 2
+        entry = {(j, k, xk): vj ** (sign * 2 * k) * (a - vj ** -2) ** (sign * xk)
+                 for j, vj in enumerate(v) for k in range(1, n + 1) for xk in range(1, M + 1)}
+        return [pref * mpmath.det(mpmath.matrix([[entry[j, k, xk] for k, xk in enumerate(x, 1)]
+                                                 for j in range(n)])) / vand
+                for x in basis]
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_complex_overlaps_match_a_60_digit_evaluation(rng, dual):
+    # complex draws with M <= 9 and N <= 4, each overlap within 1e-13 of the largest of
+    # its sector; the points s = v^2 are spread on the circle, so the Vandermonde
+    # division is well conditioned and the columns' own rounding is what shows
+    import cmath
+
+    worst = 0.0
+    for M in range(1, 10):
+        for N in range(1, min(4, M) + 1):
+            basis = sector_basis(M, N)
+            for _ in range(3):
+                alpha = cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-cmath.pi, cmath.pi))
+                v = [cmath.rect(rng.uniform(0.7, 1.3), cmath.pi * (j + rng.uniform(0.2, 0.8)) / N)
+                     for j in range(N)]
+                got = wavefunction_dets(basis, v, alpha, M, dual=dual)
+                want = _overlaps_60_digits(basis, v, alpha, M, dual)
+                scale = max(abs(w) for w in want)
+                worst = max(worst, *(float(abs(g - w) / scale) for g, w in zip(got, want)))
+    assert worst <= 1e-13
