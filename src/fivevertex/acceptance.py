@@ -436,8 +436,8 @@ def criterion_10_observables() -> dict:
     density_diag = np.diag([1.0 if site in cfg else 0.0 for cfg in basis])
     current_diag = np.diag([1.0 if (site in cfg and site + 1 not in cfg) else 0.0
                             for cfg in basis])
-    lam0 = config_to_partition(x0)
-    # the form-factor vectors do not depend on t: one per observable
+    # the right vector and the form-factor vectors do not depend on t: built once
+    right = spec.right(config_to_partition(x0))
     observables = [(spec.form_factors(terms), diag, label)
                    for terms, diag, label in ((density_terms(site), density_diag, "density"),
                                               (current_terms(site), current_diag, "current"))]
@@ -445,7 +445,7 @@ def criterion_10_observables() -> dict:
     for t in t_grid:
         vec = master_oracle(x0, t).amplitudes
         for (a, a0), diag, label in observables:
-            got = spec.evolve(a, a0, lam0, t)
+            got = spec.evolve(a, a0, right, t)
             want = float(np.ones(len(vec)) @ diag @ vec)
             if abs(got - want) > 1e-8:
                 return _result("10 observables", False,

@@ -325,9 +325,12 @@ def _tasep_oracle(args):
 def _tasep_relax(args):
     """Print the observable's time series as CSV."""
     kind, _, site_text = args.observable.partition(":")
-    site = int(site_text) if site_text else 1
     if kind not in ("density", "current"):
         raise ValueError(f"unknown observable {args.observable!r}")
+    if not re.fullmatch(r"[+-]?\d+", site_text):
+        raise ValueError(f"--observable needs density:<site> or current:<site> with an "
+                         f"integer site, got {args.observable!r}")
+    site = int(site_text)
     if not 1 <= site <= args.M:
         raise ValueError(f"observable site {site} outside 1..{args.M}")
     terms = density_terms(site) if kind == "density" else current_terms(site)
@@ -341,12 +344,13 @@ def _tasep_relax(args):
                          f"and step > 0")
     x0 = _configuration(args.initial, args.M, args.N)
     spec = Spectrum(bethe_solve(args.M, args.N), args.M, args.N)
-    a, a0 = spec.form_factors(terms)  # t-independent, so built once for the grid
-    lam = config_to_partition(x0)
+    # the form factors and the right vector do not depend on t: built once for the grid
+    a, a0 = spec.form_factors(terms)
+    right = spec.right(config_to_partition(x0))
     print("t,value")
     k = 0
     while (t := start + k * step) <= stop + 1e-12:
-        print(f"{t},{spec.evolve(a, a0, lam, t)}")
+        print(f"{t},{spec.evolve(a, a0, right, t)}")
         k += 1
     return 0, None
 

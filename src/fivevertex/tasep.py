@@ -24,7 +24,11 @@ complex float lane its quantities are stacked LU determinants over all
 solution sets at once: the box vectors G_mu(z_s) and Gbar_lam(1/z_s) from
 ``symfunc.BialternantStack``, and the window form factors one determinant of
 the summation columns per distinct window length; the scalar
-``form_factor_sum`` is the exact lane and their oracle.
+``form_factor_sum`` is the exact lane and their oracle.  At real beta the
+Bethe equations have real coefficients, so the solution sets come in
+conjugate pairs, and G, Gbar and the form-factor ratio take conjugate values
+on the two sets of a pair: each pair goes through the determinants once
+(``_conjugate_partners``), while weights and energies stay per set.
 
 The solver continues in beta from the free-fermion point beta = 0, where
 the equations decouple into z^M = (-1)^(N-1) and every N-subset of those M
@@ -92,6 +96,10 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-9
+# the largest |conj(z_s) - z_t| / |z_t|, root by root in canonical order, at
+# which Spectrum takes set t as the conjugate of set s (measured worst over the
+# solver's domain at beta in {-1, -1/2}: 5.4e-16)
+CONJUGATE_TOL = 1e-14
 # the paths, beta(s) = s beta + GAMMA s (1-s), and their step rule: an
 # accepted step grows by 3/2 up to STEP_MAX, a rejected one halves, and a path
 # whose step falls below STEP_MIN has stalled
@@ -161,6 +169,28 @@ def _canonical(z):
     """Each row of z sorted by (real, imaginary) part rounded to 10 decimals, ties kept in order."""
     order = np.lexsort((np.round(z.imag, 10), np.round(z.real, 10)), axis=-1)
     return np.take_along_axis(z, order, axis=-1)
+
+
+def _conjugate_partners(z, beta):
+    """Each row's conjugate partner among the canonical root sets z: a row t != s
+    holding conj(z_s) root by root within ``CONJUGATE_TOL`` relative, the pairing
+    mutual, else s itself.  Only real beta pairs rows.
+
+    Candidates come from rounding to the 1e-9 grid, on which sets more than
+    ``DEDUP_TOL`` apart differ; a partner that rounds across a grid line is
+    missed, and its set is then evaluated directly.
+    """
+    rows = np.arange(len(z))
+    if complex(beta).imag != 0:
+        return rows
+    grid = lambda a: np.round(a, 9) + 0  # + 0 makes -0.0 the key 0.0
+    index = {row.tobytes(): t for t, row in enumerate(grid(z))}
+    zc = _canonical(z.conj())
+    partner = np.array([index.get(row.tobytes(), -1) for row in grid(zc)], dtype=int)
+    partner[partner < 0] = rows[partner < 0]
+    close = np.all(_abs(z[partner] - zc) <= CONJUGATE_TOL * _abs(zc), axis=1)
+    partner = np.where(close, partner, rows)
+    return np.where(partner[partner] == rows, partner, rows)
 
 
 def _free_roots(M, N):
@@ -423,6 +453,14 @@ class Spectrum:
     at the stationary point, where every G_mu is 1.  The box vectors, and the
     order that puts them in ``sector_basis`` order for the Green tables, are
     built on first use and kept.
+
+    At real beta the polynomials G, Gbar and the form-factor ratio have real
+    coefficients, so at the conjugate of a set they take the conjugate value.
+    Each set whose conjugate is another set (``_conjugate_partners``) is
+    filled from its partner that way, and only the other sets go through the
+    determinants.  Only these symmetric functions are mirrored: a partner's
+    canonical root order is another permutation, so an antisymmetric quantity
+    such as the Vandermonde would pick up a sign.
     """
 
     def __init__(self, solutions, M: int, N: int, beta=-1.0):
@@ -442,14 +480,30 @@ class Spectrum:
         self.weights = orthogonality_weight(list(self.roots.T), beta, M, N)
         if not np.all(np.isfinite(self.weights)):
             raise ZeroDivisionError("orthogonality weight has a pole at a Bethe root")
-        # left(mu) = G_mu(z_s; beta) over the solution axis
-        self.left = BialternantStack(self.roots, beta)
-        self._dual = BialternantStack(1 / self.roots, beta, dual=True)
+        # the determinants run on the evaluated rows; a set with a lower partner
+        # is mirrored, taking the conjugate of its partner's value.  _source is
+        # each set's place among the evaluated rows, a mirrored set's its partner's
+        partner = _conjugate_partners(self.roots, beta)
+        self._mirrored = partner < np.arange(len(partner))
+        self._source = np.cumsum(~self._mirrored) - 1
+        self._source[self._mirrored] = self._source[partner[self._mirrored]]
+        evaluated = self.roots[~self._mirrored]
+        self._left = BialternantStack(evaluated, beta)
+        self._dual = BialternantStack(1 / evaluated, beta, dual=True)
         self._box = self._order = None
+
+    def _spread(self, values) -> np.ndarray:
+        """Values over the evaluated sets (last axis) at every set; a mirrored set conjugates."""
+        out = values[..., self._source]
+        return np.conjugate(out, out=out, where=self._mirrored)
+
+    def left(self, mu) -> np.ndarray:
+        """G_mu(z_s; beta) over the solution axis."""
+        return self._spread(self._left(mu))
 
     def right(self, lam) -> np.ndarray:
         """w_s Gbar_lam(1/z_s; beta) over the solution axis."""
-        return self.weights * self._dual(lam)
+        return self.weights * self._spread(self._dual(lam))
 
     def box_vectors(self):
         """left and right for every partition of the box, stacked in ``enumerate_box`` order.
@@ -458,7 +512,8 @@ class Spectrum:
         """
         if self._box is None:
             box = list(enumerate_box(self.M - self.N, self.N))
-            self._box = (self.left.evals(box), self.weights * self._dual.evals(box))
+            self._box = (self._spread(self._left.evals(box)),
+                         self.weights * self._spread(self._dual.evals(box)))
             for v in self._box:
                 v.flags.writeable = False
         return self._box
@@ -477,27 +532,32 @@ class Spectrum:
         a_s is the form-factor sum at z_s; a0 its value at the stationary
         point, sum coef * binomial(M-n, N).  Neither depends on t.  Per
         distinct window length n, the columns of grothendieck_sum_det(M-n, N, z, -1)
-        are evaluated on every root set at once and taken through one stacked
-        determinant; each term multiplies it by prod_j z_j^(l+n-1).
+        are evaluated on the evaluated root sets (one per conjugate pair) at once
+        and taken through one stacked determinant, whose ratio to the Vandermonde
+        is mirrored; each term multiplies it by prod_j z_j^(l+n-1) of its own set.
         """
         terms = list(terms)
         for _, l, n in terms:
             _check_window(l, n, self.M)
         z, N = self.roots, self.N
+        evaluated = z[~self._mirrored]
         dets = {}
         for n in {n for _, _, n in terms}:
-            values = taylor(_sum_columns(self.M - n, N, -1), z)[0]  # column k at every z_sj
-            dets[n] = np.linalg.det(np.stack(values, axis=-1)) \
-                / (sign_pairs(N) * self.left.vandermonde)
+            values = taylor(_sum_columns(self.M - n, N, -1), evaluated)[0]  # column k at z_sj
+            dets[n] = self._spread(np.linalg.det(np.stack(values, axis=-1))
+                                   / (sign_pairs(N) * self._left.vandermonde))
         a = np.zeros(len(z), dtype=complex)
         for coef, l, n in terms:
             a += complex(coef) * (np.prod(z ** (l + n - 1), axis=1) * dets[n])
         return a, sum(coef * comb(self.M - n, N) for coef, _, n in terms)
 
-    def evolve(self, a, a0, lam, t) -> float:
-        """Real part of a0 * stationary + sum_s a_s right(lam)_s e^{E_s t}, for finite t >= 0."""
+    def evolve(self, a, a0, right, t) -> float:
+        """Real part of a0 * stationary + sum_s a_s right_s e^{E_s t}, for finite t >= 0.
+
+        ``right`` is ``right(lam)`` of the initial configuration's partition lam.
+        """
         _check_time(t)
-        total = a0 * self.stationary + a @ (self.right(lam) * np.exp(self.energies * t))
+        total = a0 * self.stationary + a @ (right * np.exp(self.energies * t))
         if abs(total.imag) > 1e-7:
             raise RuntimeError(f"spectral sum came out non-real: {total}")
         return float(total.real)
@@ -531,7 +591,8 @@ def green_function(query: GreenQuery, solutions=None) -> float:
     N = len(query.initial)
     spec = _spectrum(solutions, M, N)
     mu = config_to_partition(query.final)
-    return spec.evolve(spec.left(mu), 1, config_to_partition(query.initial), query.t)
+    return spec.evolve(spec.left(mu), 1, spec.right(config_to_partition(query.initial)),
+                       query.t)
 
 
 def green_function_table(M: int, N: int, t: float, solutions=None) -> np.ndarray:
@@ -569,7 +630,7 @@ def expectation(observable, x: ParticleConfiguration, t: float, solutions=None):
         raise ValueError(f"observable must be {dim} x {dim} on the configuration basis")
     spec = _spectrum(solutions, M, N)
     a = a_mat.sum(axis=0) @ spec.box_vectors()[0][spec.basis_order()]
-    return spec.evolve(a, a_mat.sum(), config_to_partition(x), t)
+    return spec.evolve(a, a_mat.sum(), spec.right(config_to_partition(x)), t)
 
 
 def _check_window(l, n, M):
@@ -608,7 +669,7 @@ def current_terms(i: int):
 def expectation_via_form_factors(terms, x: ParticleConfiguration, t: float, solutions=None):
     """<A>_t with the numerator evaluated through the form-factor determinants."""
     spec = _spectrum(solutions, x.ring_size, len(x))
-    return spec.evolve(*spec.form_factors(terms), config_to_partition(x), t)
+    return spec.evolve(*spec.form_factors(terms), spec.right(config_to_partition(x)), t)
 
 
 def sector_generator(M: int, N: int) -> np.ndarray:

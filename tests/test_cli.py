@@ -231,10 +231,23 @@ def test_tasep_refuses_a_bad_time(capsys, action, t):
      "observable site 7 outside 1..6"),
     (["relax", "--M", "6", "--N", "2", "--from", "1,2", "--observable", "current:-3"],
      "observable site -3 outside 1..6"),
+    (["relax", "--M", "6", "--N", "2", "--from", "1,2", "--observable", "density:x"],
+     "--observable needs density:<site> or current:<site> with an integer site, "
+     "got 'density:x'"),
+    (["relax", "--M", "6", "--N", "2", "--from", "1,2", "--observable", "density:"],
+     "--observable needs density:<site> or current:<site> with an integer site, "
+     "got 'density:'"),
+    (["relax", "--M", "6", "--N", "2", "--from", "1,2", "--observable", "current"],
+     "--observable needs density:<site> or current:<site> with an integer site, "
+     "got 'current'"),
+    (["relax", "--M", "6", "--N", "2", "--from", "1,2", "--observable", "current:1.5"],
+     "--observable needs density:<site> or current:<site> with an integer site, "
+     "got 'current:1.5'"),
 ])
 def test_tasep_refuses_a_configuration_off_n_and_a_site_off_the_ring(capsys, argv, message):
     # these used to compute at len(--from) particles under the echoed N, wrap
-    # site 7 to site 1, or fail only after the CSV header
+    # site 7 to site 1, fail only after the CSV header, fail with int()'s
+    # message on a site that is not an integer, or take site 1 for a missing one
     code = run(["tasep", *argv])
     captured = capsys.readouterr()
     assert code == 1

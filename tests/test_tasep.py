@@ -16,10 +16,10 @@ from fivevertex.identities import cauchy_rhs, orthogonality_matrix
 from fivevertex.partitions import ParticleConfiguration as PC
 from fivevertex.partitions import config_to_partition, enumerate_box, partition_to_config
 from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval
-from fivevertex.tasep import (CORRECTOR_STEPS, CORRECTOR_TOL, DEDUP_TOL, GAMMA, RESIDUAL_TOL,
-                              STEP_MAX, STEP_MIN, GreenQuery, Spectrum, _free_roots,
-                              _newton_kernel, _newton_polish, _spectrum, _stationary_choice,
-                              _track,
+from fivevertex.tasep import (CONJUGATE_TOL, CORRECTOR_STEPS, CORRECTOR_TOL, DEDUP_TOL, GAMMA,
+                              RESIDUAL_TOL, STEP_MAX, STEP_MIN, GreenQuery, Spectrum, _canonical,
+                              _conjugate_partners, _free_roots, _newton_kernel, _newton_polish,
+                              _spectrum, _stationary_choice, _track,
                               bethe_solve,
                               current_terms, density_terms, expectation,
                               expectation_via_form_factors, form_factor_sum, green_function,
@@ -121,7 +121,7 @@ def test_expectation_contracts_the_box_vectors(M, N):
             for mu in enumerate_box(M - N, N))
     for t in (0.0, 0.7, 3.0):
         got = expectation(observable, x0, t, sols)
-        want = spec.evolve(a, observable.sum(), config_to_partition(x0), t)
+        want = spec.evolve(a, observable.sum(), spec.right(config_to_partition(x0)), t)
         assert abs(got - want) <= 1e-12 * max(1, abs(want))
         oracle = np.ones(dim) @ observable @ master_oracle(x0, t).amplitudes
         assert abs(got - oracle) <= 1e-8 * max(1, abs(oracle))
@@ -391,7 +391,11 @@ def test_spectrum_refuses_degenerate_input():
     sols = bethe_solve(M, N)
     with pytest.raises(RuntimeError, match="incomplete"):
         Spectrum(sols[:-1], M, N)
-    k, proper = next((k, s) for k, s in enumerate(sols) if not s.stationary)
+    # the degenerate set replaces one that the pairing would have filled from
+    # its conjugate partner: it loses the partner and is evaluated itself
+    k = int(np.flatnonzero(Spectrum(sols, M, N)._mirrored)[0])
+    proper = sols[k]
+    assert not proper.stationary  # the stationary set comes last
     coincident = replace(proper, roots=(proper.roots[0],) * N)
     with pytest.raises(ValueError, match="coincident"):
         Spectrum(sols[:k] + [coincident] + sols[k + 1:], M, N)
@@ -407,6 +411,117 @@ def test_spectrum_refuses_degenerate_input():
                  lambda: sum_rule_check(PC((1, 2, 3, 4), M), 1.0, sols)):
         with pytest.raises(ValueError, match="solution sets must hold N = 4 roots, found 2"):
             call()
+
+
+def _unpaired(monkeypatch):
+    """Turn the conjugate pairing off: every set goes through the determinants itself."""
+    monkeypatch.setattr(tasep, "_conjugate_partners", lambda z, beta: np.arange(len(z)))
+
+
+def _spectrum_values(spec, M, N):
+    """Everything Spectrum mirrors: box vectors, left/right calls and window form factors."""
+    box = list(enumerate_box(M - N, N))
+    return {"box left": spec.box_vectors()[0], "box right": spec.box_vectors()[1],
+            "left": np.array([spec.left(mu) for mu in box[::7]]),
+            "right": np.array([spec.right(lam) for lam in box[::7]]),
+            "form factors": np.array([spec.form_factors([(1, 1, n)])[0]
+                                      for n in range(M + 1)])}
+
+
+def _mirror_tol(name, want):
+    """How far a mirrored value may sit from the direct one: the direct lane's own rounding.
+
+    The form-factor determinant cancels: at (11,8) a set and its conjugate
+    differ from the conjugate symmetry by up to 1e-10, and both lanes sit as
+    far from a 40-digit evaluation, so they keep the stacked form factors'
+    1e-11 relative contract with the scalar sum.
+    """
+    if name == "form factors":
+        return 1e-11 * max(1, np.max(np.abs(want)))
+    return 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.5])
+def test_every_set_has_its_conjugate_partner_over_the_solver_domain(beta):
+    # at real beta the Bethe equations have real coefficients, so the
+    # solution sets close under conjugation: every set finds its conjugate
+    # (itself when self-conjugate) within CONJUGATE_TOL, and about half the
+    # sets are evaluated
+    evaluated = total = 0
+    for M in range(2, 13):
+        for N in range(1, M):
+            if comb(M, N) > comb(12, 6):
+                continue
+            z = np.array([s.roots for s in _solve_once(M, N, beta) if not s.stationary])
+            partner = _conjugate_partners(z, beta)
+            zc = _canonical(z.conj())
+            assert np.all(np.abs(z[partner] - zc) <= CONJUGATE_TOL * np.abs(zc)), (M, N)
+            assert np.array_equal(partner[partner], np.arange(len(z))), (M, N)
+            evaluated += np.sum(partner >= np.arange(len(z)))
+            total += len(z)
+    assert evaluated < 0.53 * total
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.5])
+@pytest.mark.parametrize("M, N", [(7, 3), (11, 8)])
+def test_mirrored_values_match_a_direct_evaluation(M, N, beta, monkeypatch):
+    sols = _solve_once(M, N, beta)
+    paired = Spectrum(sols, M, N, beta)
+    assert paired._mirrored.sum() >= len(paired.roots) // 3
+    got = _spectrum_values(paired, M, N)
+    _unpaired(monkeypatch)
+    direct = Spectrum(sols, M, N, beta)
+    assert not direct._mirrored.any()
+    for name, want in _spectrum_values(direct, M, N).items():
+        assert np.max(np.abs(got[name] - want)) <= _mirror_tol(name, want), name
+
+
+@pytest.mark.parametrize("M, N, beta", [(7, 3, -0.5), (11, 8, -1.0)])
+def test_determinants_run_on_the_evaluated_sets_only(M, N, beta, monkeypatch):
+    sols = _solve_once(M, N, beta)
+    spec = Spectrum(sols, M, N, beta)
+    partner = _conjugate_partners(spec.roots, beta)
+    evaluated = np.sum(partner >= np.arange(len(partner)))
+    assert evaluated == np.sum(~spec._mirrored) < len(spec.roots)
+    rows = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: rows.append(a.shape[-3]) or det(a))
+    spec.box_vectors()
+    spec.right((1,))
+    spec.form_factors(density_terms(2) + current_terms(3))
+    assert len(rows) >= 5 and set(rows) == {evaluated}
+
+
+def test_complex_beta_pairs_no_sets():
+    beta = -0.8 + 0.3j
+    spec = Spectrum(bethe_solve(7, 3, beta), 7, 3, beta)
+    assert not spec._mirrored.any()
+    assert np.array_equal(_conjugate_partners(spec.roots, beta), np.arange(len(spec.roots)))
+    # the roots of a real-beta list are not paired at a complex beta either
+    z = np.array([s.roots for s in _solve_once(7, 3, -1.0) if not s.stationary])
+    assert np.array_equal(_conjugate_partners(z, -1.0 + 1e-6j), np.arange(len(z)))
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.5])
+def test_a_set_moved_off_its_partner_is_evaluated_with_it(beta, monkeypatch):
+    M, N = 7, 3
+    sols = list(_solve_once(M, N, beta))
+    spec = Spectrum(sols, M, N, beta)
+    k = int(np.flatnonzero(spec._mirrored)[0])
+    p = int(_conjugate_partners(spec.roots, beta)[k])
+    assert p < k and not sols[k].stationary
+    sols[k] = replace(sols[k], roots=tuple(zj + 1e-9 for zj in sols[k].roots))
+    moved = Spectrum(sols, M, N, beta)
+    assert moved._mirrored.sum() == spec._mirrored.sum() - 1
+    partner = _conjugate_partners(moved.roots, beta)
+    assert partner[k] == k and partner[p] == p
+    got = _spectrum_values(moved, M, N)
+    _unpaired(monkeypatch)
+    want = _spectrum_values(Spectrum(sols, M, N, beta), M, N)
+    for name in got:
+        # the moved set and its former partner are their own determinants
+        assert np.array_equal(got[name][..., [p, k]], want[name][..., [p, k]]), name
+        assert np.max(np.abs(got[name] - want[name])) <= _mirror_tol(name, want[name]), name
 
 
 def _dense_jacobian(z, M, N, beta):
