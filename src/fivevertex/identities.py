@@ -28,10 +28,10 @@ from itertools import takewhile
 from math import comb
 
 from .confluent import det_ratio_columns, det_ratio_labelled
-from .partitions import enumerate_box
+from .partitions import _refuse_non_int, enumerate_box
 from .ratfunc import RatFunc, taylor
 from .scalars import exact_div, is_inexact, is_zero
-from .symfunc import grothendieck_evals
+from .symfunc import _parts, grothendieck_evals
 
 
 def _check_counts(N, *sides):
@@ -229,16 +229,44 @@ def _orthogonality_spectrum(M, N, beta, solutions):
     return _spectrum(solutions, M, N, beta)
 
 
+def _box_row(name, lam, M, N):
+    """The ``enumerate_box`` row of ``lam`` in the (M-N)^N box; refuses, by name, one outside."""
+    try:
+        parts = _parts(lam, N)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if parts and parts[0] > M - N:
+        raise ValueError(f"{name} = {parts} lies outside the {M - N}^{N} box")
+    # the partitions before lam agree with it before some part i and exceed lam_i
+    # there, at most the part above (M - N for i = 1); there are binomial(a + L, L)
+    # partitions of L parts at most a
+    row, above = 0, M - N
+    for i, part in enumerate(parts):
+        row += comb(above + N - i, N - i) - comb(part + N - i, N - i)
+        above = part
+    return row
+
+
 def orthogonality_check(M, N, beta, lam, mu, solutions=None):
     """sum over Bethe solution sets of w({z}) Gbar_lam(1/z;beta) G_mu(z;beta).
 
-    Expected delta_{lam,mu}.  For beta = -1 the all-roots-at-1 stationary set
-    contributes the analytic 1/binomial(M,N) for every (lam, mu); for beta = 0
-    the roots are first verified to lie on the unit circle.  An incomplete
-    solution enumeration raises.
+    Expected delta_{lam,mu}; the relation holds on the (M-N)^N box, and a lam
+    or mu outside it is refused before any work.  For beta = -1 the
+    all-roots-at-1 stationary set contributes the analytic 1/binomial(M,N) for
+    every (lam, mu); for beta = 0 the roots are first verified to lie on the
+    unit circle.  An incomplete solution enumeration raises.
+
+    The value is the (lam, mu) entry of ``orthogonality_matrix``: the first
+    call on a solution list builds its box vectors, and later calls on the
+    same list read them.  For one pair on a large sector,
+    ``spec.right(lam) @ spec.left(mu)`` of a ``tasep.Spectrum`` is cheaper.
     """
+    _refuse_non_int(M, "M")
+    _refuse_non_int(N, "N")
+    i, k = _box_row("lam", lam, M, N), _box_row("mu", mu, M, N)
     spec = _orthogonality_spectrum(M, N, beta, solutions)
-    return complex(spec.stationary + spec.right(lam) @ spec.left(mu))
+    left, right = spec.box_vectors()
+    return complex(spec.stationary + right[i] @ left[k])
 
 
 def orthogonality_matrix(M, N, beta, solutions=None):

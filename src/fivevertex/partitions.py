@@ -9,7 +9,14 @@ corresponds bijectively to the diagram lambda inside the (M-N)^N box via
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterator
+
+
+def _refuse_non_int(value, name="n"):
+    """Refuse, by name, a size that is not an int (numpy ints are ints, 4.0 is not)."""
+    if not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an int, got {name} = {value!r}")
 
 
 def _integers(values, what):
@@ -86,6 +93,8 @@ def partition_to_config(lam: Partition, ring_size: int) -> ParticleConfiguration
 
 def enumerate_box(m: int, n: int) -> Iterator[Partition]:
     """All partitions in the m^n box, parts lexicographically decreasing."""
+    _refuse_non_int(m, "m")
+    _refuse_non_int(n, "n")
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
 

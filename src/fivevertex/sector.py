@@ -61,9 +61,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from math import comb, lcm
-from numbers import Integral
 
 from .linalg import Matrix
+from .partitions import _refuse_non_int
 from .scalars import COMPLEX_EQ_TOL, cache_key, exact_div, is_inexact, is_zero
 from .vertex import ModelParameters, f_weight, g_weight, l_weights, r_matrix
 
@@ -223,11 +223,6 @@ def _sweep(state, tables):
                 swept[key ^ flip] = amp if weight is None else amp * weight
         state = swept
     return state
-
-
-def _refuse_non_int(value, name="n"):
-    if not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an int, got {name} = {value!r}")
 
 
 def _refuse_overflow(kind, M: int, n: int):

@@ -25,20 +25,47 @@ keeps one table of the powers z^e of its (S, N) points, grown on demand, and
 (P, S, N, N) a bounded chunk at a time, through stacked LU determinants; a
 single partition is its one-partition case.  The scalar evaluators are its
 exact-lane oracle.
+
+``grothendieck_box`` is the float lane for the whole m^N box at many points.
+Each row of the lattice adds one spectral parameter, so G and Gbar branch one
+variable at a time over interlacing partitions mu < lam, lam_(i+1) <= mu_i <= lam_i
+(Buch's set-valued tableaux taken row by row, Acta Math. 189 (2002) 37):
+
+    G_lam(z_1..z_n) = sum_(mu<lam) G_mu(z_1..z_(n-1)) z_n^(|lam|-|mu|) (1+beta z_n)^r,
+        r  = #{i : mu_i > lam_(i+1)},
+    Gbar_lam(y)     = prod_j (1+beta/y_j)^(1-N) H_lam(y),
+    H_lam(y_1..y_n) = sum_(mu<lam) H_mu(y_1..y_(n-1)) y_n^(|lam|-|mu|) (1+beta/y_n)^r',
+        r' = #{i < n : mu_i < lam_i},  H_() = 1,
+
+where H_lam = det[ y_j^(lam_k) (y_j+beta)^(N-k) ] / prod_(j<k)(y_j - y_k).
+``box_plan`` lays out the interlacing edges once per box, and each variable
+is one gather, one multiply and one ``np.add.reduceat`` over them: no
+determinant and no division by a Vandermonde.  The sums run in
+``np.clongdouble`` and are rounded to complex once at the end: they add
+tableau monomials, which cancel at Bethe roots, and in complex128 they lose
+up to 8.8e-13 relative to a set's largest value at (12,9).  Where
+``np.clongdouble`` is 80-bit extended (eps 1.1e-19, x86 Linux) the box is
+more accurate than the stacked LU; where it is plain double, it is not.
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+from math import comb
+
 import numpy as np
 
 from .confluent import det_ratios, sign_pairs
-from .partitions import Partition
+from .partitions import Partition, _refuse_non_int
 from .ratfunc import RatFunc
 from .scalars import COINCIDENCE_TOL, is_zero
 
 # the most matrix entries, P * S * N * N, of one stacked determinant in
 # ``BialternantStack.evals``: its temporaries stay near 256 kB whatever the box
 _CHUNK_ENTRIES = 1 << 14
+# the most entries, rows * edges, of one pass of ``grothendieck_box``: its
+# temporaries stay near 1 MB whatever the box (larger chunks measured slower)
+_BOX_CHUNK = 1 << 15
 
 
 def _parts(lam, n):
@@ -154,3 +181,97 @@ class BialternantStack:
             block = np.moveaxis(self._powers[:, :, exps[i:i + step]], 2, 0)
             out[i:i + step] = np.linalg.det(block * self._factors) / self.vandermonde
         return out
+
+
+def box_plan(m, n):
+    """The interlacing edges of the m^n box for ``grothendieck_box``: (m, passes).
+
+    Pass k (k = 1..n) takes the partitions mu with k-1 parts to those lam with
+    k parts, all at most m and in ``enumerate_box`` order, along every pair
+    mu < lam.  It is (starts, mu, primal, dual): the first edge of each lam
+    (the edges come grouped by lam), each edge's mu, and each edge's weight
+    as the index d n + r into a row's table of z^d (1+beta z)^r, with
+    d = |lam| - |mu| and r the primal count, or the dual count r'.
+    """
+    _refuse_non_int(m, "m")
+    _refuse_non_int(n, "n")
+    if m < 0 or n < 0:
+        raise ValueError("box dimensions must be nonnegative")
+    if n == 0:
+        raise ValueError("the branching rule needs at least one variable, got n = 0")
+    # below[a, L] = binomial(a + L, L), the number of partitions of L parts at most a
+    below = np.array([[comb(a + L, L) for L in range(n + 1)] for a in range(m + 1)])
+    passes = []
+    for k in range(1, n + 1):
+        lam = np.array(list(combinations_with_replacement(range(m, -1, -1), k))).reshape(-1, k)
+        # mu_i runs over lam_(i+1) .. lam_i: edge t of a lam is that box's t-th point
+        widths = lam[:, :-1] - lam[:, 1:] + 1
+        counts = np.prod(widths, axis=1)
+        starts = np.cumsum(counts) - counts
+        edge = np.repeat(np.arange(len(lam)), counts)
+        t = np.arange(len(edge)) - starts[edge]
+        lam, widths = lam[edge], widths[edge]
+        mu = np.empty((len(edge), k - 1), dtype=int)
+        for i in range(k - 2, -1, -1):
+            mu[:, i] = lam[:, i + 1] + t % widths[:, i]
+            t //= widths[:, i]
+        # mu's place among the partitions of k-1 parts: those before it agree with
+        # it before some part i and exceed mu_i there, at most the part above (m for i = 1)
+        above = np.concatenate([np.full((len(edge), 1), m), mu[:, :-1]], axis=1)
+        sizes = np.arange(k - 1, 0, -1)
+        rank = (below[above, sizes] - below[mu, sizes]).sum(axis=1)
+        d = lam.sum(axis=1) - mu.sum(axis=1)
+        r = np.sum(mu > lam[:, 1:], axis=1)
+        r_dual = np.sum(mu < lam[:, :-1], axis=1)
+        passes.append((starts, rank, d * n + r, d * n + r_dual))
+    return m, passes
+
+
+def _powers(x, top):
+    """[j, e, s] = x[j, s]^e for e = 0..top, by repeated multiplication."""
+    out = np.empty((len(x), top + 1, x.shape[1]), dtype=x.dtype)
+    out[:, 0] = 1
+    for e in range(top):
+        np.multiply(out[:, e], x, out=out[:, e + 1])
+    return out
+
+
+def grothendieck_box(z, beta, plan, dual: bool = False) -> np.ndarray:
+    """(P, S): G_lam(z_s; beta), or Gbar_lam with ``dual``, for every lam of the box
+    of ``plan = box_plan(m, N)`` in ``enumerate_box`` order, at every row z_s of an (S, N) array.
+
+    One pass per variable over the plan's edges, in ``np.clongdouble``, a
+    chunk of rows at a time so that a pass holds at most ``_BOX_CHUNK``
+    entries.  Variables may coincide; for the dual a zero variable, or a
+    1 + beta/z that is exactly zero, raises.  ``z`` given as ``np.clongdouble``
+    is taken at that precision (the reciprocals of complex roots, say).
+    """
+    m, passes = plan
+    n = len(passes)
+    z = np.asarray(z, dtype=np.clongdouble)
+    if z.ndim != 2 or z.shape[1] != n:
+        raise ValueError(f"need rows of N = {n} variables, got shape {z.shape}")
+    if dual:
+        if np.any(z == 0):
+            raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
+        base = 1 + beta / z
+        if n > 1 and np.any(base == 0):
+            raise ZeroDivisionError("vanishing (1 + beta/z) with negative exponent")
+    else:
+        base = 1 + beta * z
+    rows = len(z)
+    out = np.empty((comb(m + n, n), rows), dtype=complex)
+    step = max(1, _BOX_CHUNK // max(len(p[1]) for p in passes))
+    for i in range(0, rows, step):
+        zc, bc = z[i:i + step].T, base[i:i + step].T
+        # table[j, d n + r, s] = z_sj^d base_sj^r
+        table = (_powers(zc, m)[:, :, None] * _powers(bc, n - 1)[:, None]).reshape(
+            n, (m + 1) * n, -1)
+        values = np.ones((1, zc.shape[1]), dtype=np.clongdouble)
+        for j, (starts, mu, primal, dual_w) in enumerate(passes):
+            values = np.add.reduceat(values[mu] * table[j, dual_w if dual else primal], starts,
+                                     axis=0)
+        if dual and n > 1:
+            values /= np.prod(bc, axis=0) ** (n - 1)
+        out[:, i:i + step] = values
+    return out

@@ -1,5 +1,6 @@
 """Cauchy identity, summation formulas, and orthogonality."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
@@ -231,6 +232,50 @@ def test_orthogonality_matrix_matches_pairwise_checks():
         for k, mu in enumerate(box):
             assert abs(gram[i, k] - orthogonality_check(M, N, beta, lam, mu, sols)) <= 1e-12
             assert abs(gram[i, k] - (1.0 if i == k else 0.0)) <= 1e-8
+
+
+def test_orthogonality_check_is_the_matrix_entry():
+    from fivevertex.tasep import bethe_solve
+
+    M, N, beta = 7, 3, -0.5
+    sols = bethe_solve(M, N, beta=beta)
+    box = list(enumerate_box(M - N, N))
+    gram = orthogonality_matrix(M, N, beta, sols)
+    for i, lam in enumerate(box):
+        for k, mu in enumerate(box[::3]):
+            # a Partition or its parts as a tuple, padded or not
+            assert abs(orthogonality_check(M, N, beta, lam.parts, mu, sols) - gram[i, 3 * k]) \
+                <= 1e-15
+    j = [lam.parts for lam in box].index((2, 1, 0))
+    assert orthogonality_check(M, N, beta, (2, 1), (2, 1, 0), sols) == \
+        orthogonality_check(M, N, beta, box[j], box[j], sols)
+
+
+@pytest.mark.parametrize("lam, mu, message", [
+    ((4, 0, 0), (0, 0, 0), r"lam = (4, 0, 0) lies outside the 3^3 box"),
+    ((0,), (3, 3, 3, 1), "mu: partition has 4 parts but only 3 variables"),
+    ((1, 2), (0,), "lam: lam must have nonnegative, weakly decreasing parts, got (1, 2)"),
+])
+def test_orthogonality_check_refuses_a_partition_outside_the_box(lam, mu, message, monkeypatch):
+    # (4, 0, 0) at M = 6, N = 3 used to give 2.4e-16, but the relation holds on
+    # the 3^3 box only; refused before the solution list is looked at
+    from fivevertex import identities
+
+    monkeypatch.setattr(identities, "_orthogonality_spectrum", None)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        orthogonality_check(6, 3, -0.5, lam, mu, None)
+
+
+def test_a_float_size_is_refused_by_name():
+    # each used to end in "'float' object cannot be interpreted as an integer"
+    for call, message in ((lambda: orthogonality_check(6.0, 3, -0.5, (0,), (0,), None),
+                           "M must be an int, got M = 6.0"),
+                          (lambda: orthogonality_check(6, 3.0, -0.5, (0,), (0,), None),
+                           "N must be an int, got N = 3.0"),
+                          (lambda: cauchy_lhs(4.0, 2, _THREE[:2], _THREE[:2], F(1, 4)),
+                           "m must be an int, got m = 2.0")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_orthogonality_rejects_incomplete_enumeration():

@@ -60,6 +60,14 @@ def test_invalid_inputs():
         partition_to_config(Partition((5, 0), (5, 2)), 4)
 
 
+def test_box_sizes_must_be_ints():
+    # enumerate_box(2.0, 2) used to fail inside range() with a TypeError
+    for m, n, name in ((2.0, 2, "m"), (2, 2.0, "n"), (Fraction(2), 2, "m")):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {name} = "):
+            list(enumerate_box(m, n))
+    assert len(list(enumerate_box(np.int64(2), 2))) == 6
+
+
 def test_text_form():
     assert Partition((2, 1, 0), (4, 3)).text() == "λ = [2,1,0] in box 4^3"
 

@@ -2,11 +2,14 @@
 
 from fractions import Fraction as F
 from itertools import permutations
+from math import comb
 
+import numpy as np
 import pytest
 
 from fivevertex.partitions import enumerate_box
-from fivevertex.symfunc import (dual_grothendieck_eval, grothendieck_eval, grothendieck_evals,
+from fivevertex.symfunc import (BialternantStack, box_plan, dual_grothendieck_eval,
+                               grothendieck_box, grothendieck_eval, grothendieck_evals,
                                schur_eval)
 
 from conftest import distinct_squares, force_generic_path, outcome, rand_fraction
@@ -351,3 +354,79 @@ def test_field_points_match_the_generic_path(monkeypatch, dual):
     generic = [grothendieck_evals(list(enumerate_box(2, len(z))), z, b, dual) for z, b in cases]
     assert lane == generic
     assert repr(lane) == repr(generic)
+
+
+def _branch_exactly(plan, z, beta, dual):
+    """``grothendieck_box``'s passes over ``plan``, edge by edge on exact scalars."""
+    m, passes = plan
+    n = len(passes)
+    values = [1]
+    for zj, (starts, mu, primal, dual_w) in zip(z, passes):
+        base = 1 + beta / zj if dual else 1 + beta * zj
+        # python ints: a Fraction to an int64 power overflows
+        weight, mu = (dual_w if dual else primal).tolist(), mu.tolist()
+        ends = starts.tolist()[1:] + [len(mu)]
+        values = [sum(values[mu[e]] * zj ** (weight[e] // n) * base ** (weight[e] % n)
+                      for e in range(a, b)) for a, b in zip(starts.tolist(), ends)]
+    if dual:
+        for zj in z:
+            values = [v * (1 + beta / zj) ** (1 - n) for v in values]
+    return values
+
+
+@pytest.mark.parametrize("draw", range(12))
+def test_box_plan_branches_to_the_bialternants_exactly(rng, draw):
+    # the two branching rules, on the plan's own edges, are the bialternants:
+    # equal as Fractions for every lam of the box, primal and dual
+    rng.seed(draw)
+    n, m = rng.randint(1, 5), rng.randint(0, 4)
+    z = distinct_squares(rng, n)
+    beta = rand_fraction(rng)
+    while beta == 0 or any(1 + beta / zj == 0 for zj in z):
+        beta = rand_fraction(rng)
+    plan = box_plan(m, n)
+    box = list(enumerate_box(m, n))
+    assert len(plan[1][-1][0]) == len(box) == comb(m + n, n)
+    for dual in (False, True):
+        assert _branch_exactly(plan, z, beta, dual) == grothendieck_evals(box, z, beta, dual)
+
+
+@pytest.mark.parametrize("beta", [-0.5, -0.8 + 0.3j])
+@pytest.mark.parametrize("dual", [False, True])
+def test_grothendieck_box_matches_the_stacked_determinants(beta, dual):
+    # the list form of BialternantStack.evals is the reference at distinct points
+    points = np.random.default_rng(7)
+    z = points.normal(size=(9, 4)) + 1j * points.normal(size=(9, 4))
+    box = list(enumerate_box(3, 4))
+    want = BialternantStack(z, beta, dual=dual).evals(box)
+    got = grothendieck_box(z, beta, box_plan(3, 4), dual=dual)
+    assert got.shape == want.shape == (len(box), len(z))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_grothendieck_box_takes_coincident_variables(dual):
+    # no Vandermonde is divided out, so equal variables need no confluent limit
+    z = [F(2, 3), F(2, 3), F(-1, 5)]
+    beta = F(-1, 2)
+    box = list(enumerate_box(2, 3))
+    want = np.array(grothendieck_evals(box, z, beta, dual), dtype=complex)
+    got = grothendieck_box(np.array([z], dtype=float), float(beta), box_plan(2, 3), dual=dual)
+    assert np.max(np.abs(got[:, 0] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_grothendieck_box_refusals():
+    plan = box_plan(2, 2)
+    with pytest.raises(ValueError, match=r"need rows of N = 2 variables, got shape \(1, 3\)"):
+        grothendieck_box([[0.5, 0.25, 0.125]], -1.0, plan)
+    with pytest.raises(ZeroDivisionError, match="nonzero variables"):
+        grothendieck_box([[0.5, 0]], -1.0, plan, dual=True)
+    with pytest.raises(ZeroDivisionError, match="1 \\+ beta/z"):
+        grothendieck_box([[0.5, 1.0]], -1.0, plan, dual=True)
+    for m, n, name in ((2.0, 2, "m"), (2, 2.0, "n")):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            box_plan(m, n)
+    with pytest.raises(ValueError, match="box dimensions must be nonnegative"):
+        box_plan(-1, 2)
+    with pytest.raises(ValueError, match="at least one variable"):
+        box_plan(2, 0)

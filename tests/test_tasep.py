@@ -15,7 +15,8 @@ from fivevertex import tasep
 from fivevertex.identities import cauchy_rhs, orthogonality_matrix
 from fivevertex.partitions import ParticleConfiguration as PC
 from fivevertex.partitions import config_to_partition, enumerate_box, partition_to_config
-from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval
+from fivevertex.symfunc import (box_plan, dual_grothendieck_eval, grothendieck_box,
+                               grothendieck_eval)
 from fivevertex.tasep import (CONJUGATE_TOL, CORRECTOR_STEPS, CORRECTOR_TOL, DEDUP_TOL, GAMMA,
                               RESIDUAL_TOL, STEP_MAX, STEP_MIN, GreenQuery, Spectrum, _canonical,
                               _conjugate_partners, _free_roots, _newton_kernel, _newton_polish,
@@ -287,13 +288,18 @@ def test_green_table_and_sum_rule_at_11_8(sols_11_8):
 
 
 def test_green_tables_match_expm_over_the_solver_domain():
-    # every sector under the solver's cap, the whole table at t = 1
+    # every sector under the solver's cap, the whole table at t = 1; at t = 0
+    # the table is the orthogonality relation, which the branching box keeps
+    # to 1.3e-15 (the LU bialternants reached 1.27e-14 at (12,11))
     for M in range(2, 13):
         for N in range(1, M):
             if comb(M, N) > comb(12, 6):
                 continue
-            table = green_function_table(M, N, 1.0, _solve_once(M, N, -1.0))
+            sols = _solve_once(M, N, -1.0)
+            table = green_function_table(M, N, 1.0, sols)
             assert np.max(np.abs(table - expm(sector_generator(M, N)))) <= 1e-8, (M, N)
+            start = green_function_table(M, N, 0.0, sols)
+            assert np.max(np.abs(start - np.eye(comb(M, N)))) <= 5e-15, (M, N)
 
 
 def test_stacked_form_factors_match_the_scalar_sum_over_every_window():
@@ -336,11 +342,53 @@ def test_stacked_form_factors_refuse_the_windows_the_scalar_sum_refuses():
 
 @pytest.mark.parametrize("M, N, beta", [(7, 3, -1.0), (7, 3, -0.5), (11, 8, -1.0)])
 def test_box_vectors_equal_the_per_partition_calls(M, N, beta):
+    # the box comes from the branching rule, a single partition from the LU:
+    # two algorithms, which agree to the LU's own rounding
     spec = Spectrum(_solve_once(M, N, beta), M, N, beta)
     box = list(enumerate_box(M - N, N))
     left, right = spec.box_vectors()
-    assert np.array_equal(left, np.array([spec.left(mu) for mu in box]))
-    assert np.array_equal(right, np.array([spec.right(lam) for lam in box]))
+    for got, want in ((left, np.array([spec.left(mu) for mu in box])),
+                      (right, np.array([spec.right(lam) for lam in box]))):
+        assert np.max(np.abs(got - want)) <= _mirror_tol("box", want)
+
+
+def _bialternant_40(parts, z, beta, dual):
+    """G_lam(z; beta), or Gbar_lam(1/z; beta), as a 40-digit mpmath bialternant at the float z."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        x = [mpmath.mpc(complex(zj)) for zj in z]
+        x = [1 / xj for xj in x] if dual else x
+        n = len(x)
+        base = [1 + b / xj if dual else 1 + b * xj for xj in x]
+        sign = -1 if dual else 1
+        num = mpmath.det(mpmath.matrix([[xj ** (parts[k] + n - 1 - k) * bj ** (sign * k)
+                                         for k in range(n)] for xj, bj in zip(x, base)]))
+        vandermonde = mpmath.mpf(1)
+        for j in range(n):
+            for k in range(j + 1, n):
+                vandermonde *= x[j] - x[k]
+        return complex(num / vandermonde)
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.5])
+@pytest.mark.parametrize("M, N", [(11, 8), (12, 6), (12, 9)])
+def test_box_entries_match_a_40_digit_bialternant(M, N, beta, rng):
+    # the branching sums cancel at Bethe roots; in clongdouble they keep every
+    # entry within 1e-15 of its set's largest value (the LU: up to 8.5e-14)
+    box = [lam.parts for lam in enumerate_box(M - N, N)]
+    plan = box_plan(M - N, N)
+    z = np.array([s.roots for s in _solve_once(M, N, beta) if not s.stationary])
+    rows = z[rng.sample(range(len(z)), 3)]
+    for dual in (False, True):
+        got = grothendieck_box(1 / rows.astype(np.clongdouble) if dual else rows, beta, plan,
+                               dual=dual)
+        for s in range(len(rows)):
+            scale = np.max(np.abs(got[:, s]))
+            for i in rng.sample(range(len(box)), 6) + [0, len(box) - 1]:
+                want = _bialternant_40(box[i], rows[s], beta, dual)
+                assert abs(got[i, s] - want) <= 1e-15 * scale, (dual, box[i])
 
 
 def test_green_table_rows_follow_the_sector_basis():
@@ -389,6 +437,11 @@ def test_spectrum_vectors_match_scalar_evaluators(beta):
 def test_spectrum_refuses_degenerate_input():
     M, N = 6, 2
     sols = bethe_solve(M, N)
+    # a float size used to end in comb's TypeError
+    for size, message in (((6.0, 2), "M must be an int, got M = 6.0"),
+                          ((6, 2.0), "N must be an int, got N = 2.0")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Spectrum(sols, *size)
     with pytest.raises(RuntimeError, match="incomplete"):
         Spectrum(sols[:-1], M, N)
     # the degenerate set replaces one that the pairing would have filled from
@@ -483,13 +536,18 @@ def test_determinants_run_on_the_evaluated_sets_only(M, N, beta, monkeypatch):
     partner = _conjugate_partners(spec.roots, beta)
     evaluated = np.sum(partner >= np.arange(len(partner)))
     assert evaluated == np.sum(~spec._mirrored) < len(spec.roots)
-    rows = []
-    det = np.linalg.det
+    rows, branched = [], []
+    det, box = np.linalg.det, tasep.grothendieck_box
     monkeypatch.setattr(np.linalg, "det", lambda a: rows.append(a.shape[-3]) or det(a))
+    monkeypatch.setattr(tasep, "grothendieck_box",
+                        lambda z, *a, **k: branched.append(len(z)) or box(z, *a, **k))
+    # the box is the branching rule on the evaluated rows, without a determinant
     spec.box_vectors()
+    assert branched == [evaluated, evaluated] and rows == []
     spec.right((1,))
     spec.form_factors(density_terms(2) + current_terms(3))
-    assert len(rows) >= 5 and set(rows) == {evaluated}
+    # one for right, one per window length n = 0, 1, 2
+    assert len(rows) == 4 and set(rows) == {evaluated}
 
 
 def test_complex_beta_pairs_no_sets():
