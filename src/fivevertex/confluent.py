@@ -68,7 +68,7 @@ from math import lcm
 
 from .linalg import det
 from .ratfunc import RatFunc, int_rows, taylor
-from .scalars import COINCIDENCE_TOL, exact_div, is_inexact, numer_denom
+from .scalars import COINCIDENCE_TOL, cleared_field, exact_div, is_inexact, numer_denom
 
 
 def group_points(points):
@@ -109,12 +109,12 @@ def _lane_field(groups):
     a Fraction; the points' field when every point is an element of one
     exact rational-function field; None (the generic path) otherwise.
     """
-    if all(_rational(t) for t, _ in groups):
-        return Fraction if any(type(t) is Fraction for t, _ in groups) else None
-    field = getattr(groups[0][0], "field", None)
-    if (getattr(field, "ring", None) is None or not field.domain.is_Exact
-            or any(getattr(t, "field", None) is not field for t, _ in groups)):
-        return None
+    points = [t for t, _ in groups]
+    field = cleared_field(points)
+    if field is Fraction:
+        return Fraction if any(type(t) is Fraction for t in points) else None
+    if field is None or any(getattr(t, "field", None) is not field for t in points):
+        return None  # field points beside ints or Fractions take the generic path
     return field
 
 

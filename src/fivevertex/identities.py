@@ -20,18 +20,26 @@ The weighted summation determinants have columns that are short sums of
 powers of 1 + beta z, or for the dual of (1 + beta/y)^p = y^(-p) (y + beta)^p,
 so they go through the same confluent ratio and coincident variables take
 Taylor rows; the dual refuses a zero y, as Gbar(y) does.
+
+The box sides take no determinant: ``symfunc.grothendieck_box_cleared``
+branches the whole box one variable at a time, on numerators cleared over
+one denominator per side at ints, Fractions and field elements, so a box
+sum is one dot product and a single ``Fraction`` or ``field.new`` at the
+end, in the type the term-by-term sum would have.  ``cauchy_infinite_check``
+reads every partial sum off one M_max^N box per side.  A size (M, N, M_max)
+that is not an int is refused by its own name.
 """
 
 from __future__ import annotations
 
-from itertools import takewhile
+from itertools import combinations_with_replacement
 from math import comb
 
 from .confluent import det_ratio_columns, det_ratio_labelled
-from .partitions import _refuse_non_int, enumerate_box
+from .partitions import _refuse_non_int
 from .ratfunc import RatFunc, taylor
-from .scalars import exact_div, is_inexact, is_zero
-from .symfunc import _parts, grothendieck_evals
+from .scalars import cleared_field, cleared_quotient, exact_div, is_inexact, is_zero, numer_denom
+from .symfunc import _parts, grothendieck_box_cleared
 
 
 def _check_counts(N, *sides):
@@ -41,22 +49,19 @@ def _check_counts(N, *sides):
             raise ValueError(f"need N = {N} variables, got {len(side)}")
 
 
-def _box_sum(lams, z, y, beta, total=0):
-    """total + sum over lam in lams of G_lam(z;beta) Gbar_lam(y;beta), term by term.
-
-    One batched evaluation per side.
-    """
-    for g, gbar in zip(grothendieck_evals(lams, z, beta),
-                       grothendieck_evals(lams, y, beta, dual=True)):
-        total = total + g * gbar
-    return total
-
-
 def cauchy_lhs(M, N, z, y, beta):
-    """sum over lam in the (M-N)^N box of G_lam(z;beta) Gbar_lam(y;beta)."""
+    """sum over lam in the (M-N)^N box of G_lam(z;beta) Gbar_lam(y;beta).
+
+    One dot product of the two sides' cleared numerators over their common
+    denominator (``symfunc.grothendieck_box_cleared``), divided once.
+    """
+    _refuse_non_int(M, "M")
+    _refuse_non_int(N, "N")
     z, y = list(z), list(y)
     _check_counts(N, z, y)
-    return _box_sum(list(enumerate_box(M - N, N)), z, y, beta)
+    g, g_den = grothendieck_box_cleared(z, beta, M - N)
+    h, h_den = grothendieck_box_cleared(y, beta, M - N, dual=True)
+    return cleared_quotient(g @ h, g_den * h_den, [*z, *y, beta])
 
 
 def _kernel_coefficients(M, N, beta):
@@ -82,6 +87,8 @@ def cauchy_rhs(M, N, z, y, beta):
     The columns are the kernel in z labelled by y: coincident z take Taylor
     rows, coincident y the Taylor columns in y of the kernel's coefficients.
     """
+    _refuse_non_int(M, "M")
+    _refuse_non_int(N, "N")
     z, y = list(z), list(y)
     _check_counts(N, z, y)
     if any(is_zero(yk, 0) for yk in y):
@@ -100,8 +107,11 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
 
     Requires |z_j y_k| < 1 for every pair; returns the partial sums over the
     m^N boxes, their distances to the closed-form product, and a monotone
-    convergence flag.
+    convergence flag.  Every partial sum comes from one cleared M_max^N box
+    per side, whose last binomial(m + N, N) rows are the m^N box.
     """
+    _refuse_non_int(N, "N")
+    _refuse_non_int(M_max, "M_max")
     z, y = list(z), list(y)
     _check_counts(N, z, y)
     for zj in z:
@@ -114,17 +124,18 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
     for zj in z:
         for yk in y:
             product = exact_div(product, 1 - zj * yk)
+    g, g_den = grothendieck_box_cleared(z, beta, max(M_max, 0))
+    h, h_den = grothendieck_box_cleared(y, beta, max(M_max, 0), dual=True)
+    terms, scalars = g * h, [*z, *y, beta]
+    # enumerate_box puts lam_1 = m before lam_1 < m: the shell of the m^N box less the
+    # (m-1)^N box sits just before the last binomial(m - 1 + N, N) rows
+    running = terms[-1]  # the empty partition
     partials = []
     distances = []
-    running = 0
     for m in range(1, M_max + 1):
-        # the m^N box less the (m-1)^N box: lam_1 = m, which enumerate_box yields
-        # first; the 1^N box is new whole, the empty partition included
-        box = enumerate_box(m, N)
-        shell = list(box) if m == 1 else list(takewhile(lambda lam: lam.parts[:1] == (m,), box))
-        running = _box_sum(shell, z, y, beta, running)
-        partials.append(running)
-        distances.append(abs(complex(running - product)))
+        running = running + terms[-comb(m + N, N):-comb(m - 1 + N, N)].sum()
+        partials.append(cleared_quotient(running, g_den * h_den, scalars))
+        distances.append(abs(complex(partials[-1] - product)))
     monotone = all(distances[i + 1] <= distances[i] + 1e-15 for i in range(len(distances) - 1))
     return {
         "product": product,
@@ -162,6 +173,12 @@ def _sum_columns(M, N, beta, dual: bool = False):
     return [RatFunc(dual_column(j), (beta, 1)) for j in range(1, N + 1)]
 
 
+def _refuse_zero_beta(beta):
+    if is_zero(beta, 0):
+        raise ValueError("the summation determinants carry negative powers of beta; "
+                         "use the Schur specialization for beta = 0")
+
+
 def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
     """Determinant side of the weighted Grothendieck summation formula.
 
@@ -170,13 +187,13 @@ def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
     the domain: the (M-N)^N box holds no partition and the determinant is the
     empty sum 0, as the window form factors need at n = M (no configuration
     of N particles on M - n sites).  ``cauchy_lhs`` refuses M < N because it
-    enumerates that box; this side never enumerates it.
+    sums over that box; this side never enumerates it.
     """
+    _refuse_non_int(M, "M")
+    _refuse_non_int(N, "N")
     z = list(z)
     _check_counts(N, z)
-    if is_zero(beta, 0):
-        raise ValueError("the summation determinants carry negative powers of beta; "
-                         "use the Schur specialization for beta = 0")
+    _refuse_zero_beta(beta)
     if not dual:
         return det_ratio_columns(_sum_columns(M, N, beta), z)
     if any(is_zero(yk, 0) for yk in z):
@@ -188,19 +205,30 @@ def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
 
 
 def grothendieck_sum_check(M, N, z, beta, dual: bool = False) -> bool:
-    """Weighted sum over the box against the determinant form, exactly."""
+    """Weighted sum over the box against the determinant form, exactly.
+
+    The sum of (-beta)^|lam| G_lam(z), or (-beta)^(-|lam|) Gbar_lam(z), is
+    one dot product of cleared numerators (``symfunc.grothendieck_box_cleared``):
+    with -beta = a/b the weights are a^|lam| b^(mN - |lam|) over b^(mN), m = M - N,
+    and a and b trade places for the dual.
+    """
+    _refuse_non_int(M, "M")
+    _refuse_non_int(N, "N")
     z = list(z)
     _check_counts(N, z)
-    box = list(enumerate_box(M - N, N))
+    _refuse_zero_beta(beta)
+    m = M - N
+    g, den = grothendieck_box_cleared(z, beta, m, dual)
+    scalars = [*z, beta]
+    a, b = numer_denom(-beta) if cleared_field(scalars) is not None else (-beta, 1)
     if dual:
-        weights = [exact_div(1, (-beta) ** lam.weight) for lam in box]
-    else:
-        weights = [(-beta) ** lam.weight for lam in box]
-    total = 0
-    for w, g in zip(weights, grothendieck_evals(box, z, beta, dual)):
-        total = total + w * g
-    rhs = grothendieck_sum_det(M, N, z, beta, dual)
-    diff = total - rhs
+        a, b = b, a
+    powers = [a ** w * b ** (m * N - w) for w in range(m * N + 1)]
+    # the box's partitions in enumerate_box order, as the rows of g
+    box = combinations_with_replacement(range(m, -1, -1), N)
+    total = cleared_quotient(sum(powers[sum(lam)] * gi for lam, gi in zip(box, g)),
+                             den * b ** (m * N), scalars)
+    diff = total - grothendieck_sum_det(M, N, z, beta, dual)
     return is_zero(diff, 1e-9 if is_inexact(diff) else 0)
 
 

@@ -34,6 +34,7 @@ from math import comb
 
 from .confluent import det_ratio_labelled, sign_pairs
 from .linalg import Matrix, det
+from .partitions import _refuse_non_int
 from .ratfunc import Poly, taylor
 from .scalars import exact_div, exact_pow, is_inexact, rational_sqrt
 
@@ -65,6 +66,7 @@ def scalar_product_det(u, v, alpha, M):
 
     This is the intermediate product at n = N with every w_l = 1.
     """
+    _refuse_non_int(M, "M")
     u, v = tuple(u), tuple(v)
     if len(v) != len(u):
         raise ValueError("need equally many u and v parameters")

@@ -72,6 +72,41 @@ def numer_denom(x):
     return x.numer, x.denom
 
 
+def cleared_field(values):
+    """The field in which ``numer_denom`` clears all of ``values``, or None.
+
+    ``Fraction`` when every value is an int or a Fraction; otherwise the one
+    exact rational-function field whose elements the values are, ints and
+    Fractions beside them allowed.  None for anything else: a complex value,
+    elements of two fields, or of a field over an inexact domain.
+    """
+    field = Fraction
+    for x in values:
+        if type(x) is int or type(x) is Fraction:
+            continue
+        parent = getattr(x, "field", None)
+        if (getattr(parent, "ring", None) is None or not parent.domain.is_Exact
+                or field is not Fraction and field is not parent):
+            return None
+        field = parent
+    return field
+
+
+def cleared_quotient(num, den, values):
+    """num / den as the arithmetic of ``values`` would give it, after ``numer_denom`` cleared them.
+
+    A ``Fraction`` when some value is one, ``field.new`` in a rational-function
+    field, and otherwise ``exact_div``: an int where it divides, and the plain
+    quotient for values that were not cleared.
+    """
+    field = cleared_field(values)
+    if field is Fraction and any(type(x) is Fraction for x in values):
+        return Fraction(num, den)
+    if field is not None and field is not Fraction:
+        return field.new(field.ring(num), field.ring(den))
+    return exact_div(num, den)
+
+
 def exact_pow(x, e):
     """x^e; a negative power of an int stays exact, and of an exact zero raises."""
     if e >= 0:

@@ -11,13 +11,13 @@ column's first r Taylor coefficients as rows of the confluent determinant
 limit.  This is what makes z -> (1,...,1) limits such as
 G_lambda(1^N; -1) = 1 computable directly.
 
-``grothendieck_evals`` is the exact lane for many partitions at one point
-set, as the Cauchy and summation sums over a box need: the variables are
-checked once (for the dual, a zero variable and a pole z_j + beta = 0), a
-column is built once per distinct exponent pair, and one
-``confluent.det_ratios`` call shares the point work between the
-partitions.  ``grothendieck_eval`` and ``dual_grothendieck_eval`` are its
-one-partition case.
+``grothendieck_evals`` is the exact lane for one partition or any list of
+them at one point set: the variables are checked once (for the dual, a zero
+variable and a pole z_j + beta = 0), a column is built once per distinct
+exponent pair, and one ``confluent.det_ratios`` call shares the point work
+between the partitions.  ``grothendieck_eval`` and
+``dual_grothendieck_eval`` are its one-partition case.  It is also the
+bialternant oracle of the branching lanes below.
 
 ``BialternantStack`` is the complex float lane for many points at once.  It
 keeps one table of the powers z^e of its (S, N) points, grown on demand, and
@@ -38,18 +38,27 @@ variable at a time over interlacing partitions mu < lam, lam_(i+1) <= mu_i <= la
         r' = #{i < n : mu_i < lam_i},  H_() = 1,
 
 where H_lam = det[ y_j^(lam_k) (y_j+beta)^(N-k) ] / prod_(j<k)(y_j - y_k).
-``box_plan`` lays out the interlacing edges once per box, and each variable
-is one gather, one multiply and one ``np.add.reduceat`` over them: no
-determinant and no division by a Vandermonde.  The sums run in
+``box_plan`` lays out the interlacing edges once per (m, N), memoized with
+read-only arrays, and each variable is one gather, one multiply and one
+``np.add.reduceat`` over them: no determinant and no division by a
+Vandermonde.  The sums run in
 ``np.clongdouble`` and are rounded to complex once at the end: they add
 tableau monomials, which cancel at Bethe roots, and in complex128 they lose
 up to 8.8e-13 relative to a set's largest value at (12,9).  Where
 ``np.clongdouble`` is 80-bit extended (eps 1.1e-19, x86 Linux) the box is
 more accurate than the stacked LU; where it is plain double, it is not.
+
+``grothendieck_box_cleared`` is the exact lane for the whole m^N box at one
+point set, as the Cauchy and summation sums over a box need: the same passes
+on an object array.  At ints, Fractions and elements of one exact
+rational-function field, each variable's weights are cleared to numerators
+(ints, or polynomials of the field's ring) over one common denominator per
+box, so a sum over the box is one dot product and one division at the end.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -58,7 +67,7 @@ import numpy as np
 from .confluent import det_ratios, sign_pairs
 from .partitions import Partition, _refuse_non_int
 from .ratfunc import RatFunc
-from .scalars import COINCIDENCE_TOL, is_zero
+from .scalars import COINCIDENCE_TOL, cleared_field, exact_div, is_zero, numer_denom
 
 # the most matrix entries, P * S * N * N, of one stacked determinant in
 # ``BialternantStack.evals``: its temporaries stay near 256 kB whatever the box
@@ -96,6 +105,18 @@ def dual_grothendieck_eval(lam, z, beta):
     return grothendieck_evals([lam], z, beta, dual=True)[0]
 
 
+def _refuse_dual_poles(z, beta):
+    """Refuse a zero variable and, for N >= 2, name a pole z_j + beta = 0 of Gbar(z; beta)."""
+    if any(is_zero(zj, 0) for zj in z):
+        raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
+    # z^(lam_k+N-k) (1+beta/z)^(1-k) = z^(lam_k+N-1) (z+beta)^(1-k): for N >= 2 the
+    # column k = 1 has a pole at z + beta = 0; at N = 1 the point is regular
+    if len(z) > 1:
+        for j, zj in enumerate(z, 1):
+            if is_zero(zj + beta, 0):
+                raise ZeroDivisionError(f"dual Grothendieck pole at z_{j} + beta = 0")
+
+
 def grothendieck_evals(lams, z, beta, dual: bool = False):
     """[G_lambda(z; beta) for lambda in lams], or Gbar_lambda with ``dual``.
 
@@ -107,14 +128,7 @@ def grothendieck_evals(lams, z, beta, dual: bool = False):
     n = len(z)
     parts = [_parts(lam, n) for lam in lams]
     if dual:
-        if any(is_zero(zj, 0) for zj in z):
-            raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
-        # z^(lam_k+N-k) (1+beta/z)^(1-k) = z^(lam_k+N-1) (z+beta)^(1-k): for N >= 2 the
-        # column k = 1 has a pole at z + beta = 0; at N = 1 the point is regular
-        if n > 1:
-            for j, zj in enumerate(z, 1):
-                if is_zero(zj + beta, 0):
-                    raise ZeroDivisionError(f"dual Grothendieck pole at z_{j} + beta = 0")
+        _refuse_dual_poles(z, beta)
         lin = (beta, 1)
     else:
         lin = (1, beta)
@@ -192,9 +206,18 @@ def box_plan(m, n):
     (the edges come grouped by lam), each edge's mu, and each edge's weight
     as the index d n + r into a row's table of z^d (1+beta z)^r, with
     d = |lam| - |mu| and r the primal count, or the dual count r'.
+
+    The plan depends on (m, n) alone and is built once per pair: a repeated
+    call returns the same tuple, whose arrays are read-only.
     """
+    # refused before the memo, which would take 2.0 for 2
     _refuse_non_int(m, "m")
     _refuse_non_int(n, "n")
+    return _box_plan(int(m), int(n))
+
+
+@cache
+def _box_plan(m, n):
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
     if n == 0:
@@ -223,8 +246,21 @@ def box_plan(m, n):
         d = lam.sum(axis=1) - mu.sum(axis=1)
         r = np.sum(mu > lam[:, 1:], axis=1)
         r_dual = np.sum(mu < lam[:, :-1], axis=1)
-        passes.append((starts, rank, d * n + r, d * n + r_dual))
-    return m, passes
+        arrays = (starts, rank, d * n + r, d * n + r_dual)
+        for a in arrays:
+            a.flags.writeable = False
+        passes.append(arrays)
+    return m, tuple(passes)
+
+
+def _branch(values, tables, passes, dual):
+    """The passes of the branching rule: ``values`` (1, ...) at no variable to the box's.
+
+    ``tables[j]`` holds variable j's weights at the indices d n + r of a plan's edges.
+    """
+    for table, (starts, mu, primal, dual_w) in zip(tables, passes):
+        values = np.add.reduceat(values[mu] * table[dual_w if dual else primal], starts, axis=0)
+    return values
 
 
 def _powers(x, top):
@@ -267,11 +303,51 @@ def grothendieck_box(z, beta, plan, dual: bool = False) -> np.ndarray:
         # table[j, d n + r, s] = z_sj^d base_sj^r
         table = (_powers(zc, m)[:, :, None] * _powers(bc, n - 1)[:, None]).reshape(
             n, (m + 1) * n, -1)
-        values = np.ones((1, zc.shape[1]), dtype=np.clongdouble)
-        for j, (starts, mu, primal, dual_w) in enumerate(passes):
-            values = np.add.reduceat(values[mu] * table[j, dual_w if dual else primal], starts,
-                                     axis=0)
+        values = _branch(np.ones((1, zc.shape[1]), dtype=np.clongdouble), table, passes, dual)
         if dual and n > 1:
             values /= np.prod(bc, axis=0) ** (n - 1)
         out[:, i:i + step] = values
     return out
+
+
+def _objects(items):
+    """A 1-d object array of ``items``: python ints, field elements and the like, untouched."""
+    out = np.empty(len(items), dtype=object)
+    out[:] = items
+    return out
+
+
+def grothendieck_box_cleared(z, beta, m, dual: bool = False):
+    """(nums, den): G_lam(z; beta) = nums[i] / den, or Gbar_lam with ``dual``, for every lam
+    of the m^N box in ``enumerate_box`` order, at one point z of N variables.
+
+    The exact lane of ``grothendieck_box``: the same passes over the edges of
+    ``box_plan(m, N)``, on an object array.  When z and beta are ints, Fractions or
+    elements of one exact rational-function field (``scalars.cleared_field``),
+    each variable's weights z^d (1+beta z)^r, or y^d (1+beta/y)^r' for the
+    dual, are cleared by ``scalars.numer_denom`` (z = p/q, 1 + beta z = b/c)
+    to p^d q^(m-d) b^r c^(N-1-r) over q^m c^(N-1): the numerators are ints
+    or polynomials of the field's ring, and den is their one common
+    denominator, prod_j q_j^m c_j^(N-1); for the dual, whose prefactor
+    (1+beta/y)^(1-N) = (c/b)^(N-1) cancels the c's, prod_j q_j^m b_j^(N-1).
+    Otherwise (complex points, say) the passes run on the values and den is 1,
+    or the dual's prod_j (1+beta/y_j)^(N-1).  No determinant is taken, and
+    variables may coincide; the dual refuses a zero variable and, for N >= 2,
+    a pole z_j + beta = 0, as ``grothendieck_evals`` does.
+    """
+    z = list(z)
+    n = len(z)
+    # no variable: the box holds the empty partition alone, whose polynomial is 1
+    passes = box_plan(m, n)[1] if n else box_plan(m, 1)[1][:0]
+    if dual:
+        _refuse_dual_poles(z, beta)
+    clear = cleared_field([*z, beta]) is not None
+    tables, den = [], 1
+    for zj in z:
+        base = 1 + exact_div(beta, zj) if dual else 1 + beta * zj
+        (p, q), (b, c) = (numer_denom(zj), numer_denom(base)) if clear else ((zj, 1), (base, 1))
+        den = den * q ** m * (b if dual else c) ** (n - 1)
+        powers = _objects([p ** d * q ** (m - d) for d in range(m + 1)])
+        tables.append(np.multiply.outer(powers, _objects([b ** r * c ** (n - 1 - r)
+                                                           for r in range(n)])).ravel())
+    return _branch(_objects([1]), tables, passes, dual), den

@@ -661,6 +661,8 @@ def form_factor_sum(l: int, n: int, z, M: int):
 
     the primal summation determinant; coincident z take its confluent limit.
     """
+    for value, name in ((l, "l"), (n, "n"), (M, "M")):
+        _refuse_non_int(value, name)
     z = list(z)
     _check_window(l, n, M)
     pref = 1

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from .confluent import PointTable, det_ratio_columns, sign_pairs
 from .linalg import Matrix
-from .partitions import ParticleConfiguration
+from .partitions import ParticleConfiguration, _refuse_non_int
 from .ratfunc import RatFunc
 from .scalars import cache_key, eq, exact_div, exact_pow, is_inexact, is_zero
 
@@ -86,6 +86,7 @@ def wavefunction_dets(configs, v, alpha, M, dual: bool = False):
     does.  A configuration outside 1 <= x_1 < ... < x_N <= M is refused, and
     a refused call leaves the kept table as it was.
     """
+    _refuse_non_int(M, "M")
     v = list(v)
     n = len(v)
     positions = []

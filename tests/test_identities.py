@@ -142,6 +142,54 @@ def test_wrong_variable_counts_are_refused_up_front(call, got):
         call()
 
 
+def test_box_sums_keep_the_type_of_the_term_by_term_sum():
+    # the cleared lane divides once at the end, into the type the term-by-term
+    # sum of bialternants gives: a Fraction at Fractions, an element of QQ(z, y, beta)
+    import sympy
+    from sympy.polys.fields import field
+
+    from fivevertex.symfunc import grothendieck_evals
+
+    K, z1, z2, y1, y2, b = field("z1,z2,y1,y2,beta", sympy.QQ)
+    for z, y, beta in (([F(1, 2), F(-1, 3)], [F(3, 4), F(2, 5)], F(1, 5)),
+                       ([F(2, 3), F(2, 3)], [F(1, 4), F(1, 4)], F(-1, 2)),
+                       ([z1, z2], [y1, y2], b), ([z1, z1], [y1, K(2)], F(1, 3))):
+        box = list(enumerate_box(2, 2))
+        want = sum(g * h for g, h in zip(grothendieck_evals(box, z, beta),
+                                         grothendieck_evals(box, y, beta, dual=True)))
+        got = cauchy_lhs(4, 2, z, y, beta)
+        assert got == want and type(got) is type(want)
+        if type(z[0]) is F:
+            partials = cauchy_infinite_check(2, z, y, beta, M_max=3)["partials"]
+            assert [type(p) for p in partials] == [F] * 3
+
+
+def test_box_sums_take_no_determinant(monkeypatch):
+    # the box side branches on cleared numerators: no bialternant, no linalg.det;
+    # grothendieck_sum_check takes just the determinants of its other side
+    from fivevertex import confluent, linalg, symfunc
+
+    def no_bialternants(*args):
+        raise AssertionError("a bialternant was set up for a box sum")
+
+    calls, det = [], linalg.det
+    counted = lambda *args, **kwargs: calls.append(1) or det(*args, **kwargs)  # noqa: E731
+    for module in (linalg, confluent):
+        monkeypatch.setattr(module, "det", counted)
+    monkeypatch.setattr(symfunc, "det_ratios", no_bialternants)
+    z, y, beta = [F(1, 2), F(-1, 3), F(2, 5)], [F(3, 4), F(-1, 2), F(1, 5)], F(1, 5)
+    cauchy_lhs(6, 3, z, y, beta)
+    cauchy_infinite_check(3, z, y, beta, M_max=6)
+    assert calls == []
+    for dual in (False, True):
+        grothendieck_sum_det(6, 3, z, beta, dual)
+        alone = len(calls)
+        assert alone > 0
+        assert grothendieck_sum_check(6, 3, z, beta, dual)
+        assert len(calls) == 2 * alone
+        calls.clear()
+
+
 def test_sum_single_variable_hand_check(rng):
     M, N = 3, 1
     z = [rand_fraction(rng)]
@@ -267,14 +315,32 @@ def test_orthogonality_check_refuses_a_partition_outside_the_box(lam, mu, messag
 
 
 def test_a_float_size_is_refused_by_name():
-    # each used to end in "'float' object cannot be interpreted as an integer"
+    # each used to end in an internal TypeError ("'float' object cannot be interpreted
+    # as an integer"), or named m, the box side, rather than the argument passed
+    two, beta = _THREE[:2], F(1, 4)
     for call, message in ((lambda: orthogonality_check(6.0, 3, -0.5, (0,), (0,), None),
                            "M must be an int, got M = 6.0"),
                           (lambda: orthogonality_check(6, 3.0, -0.5, (0,), (0,), None),
                            "N must be an int, got N = 3.0"),
-                          (lambda: cauchy_lhs(4.0, 2, _THREE[:2], _THREE[:2], F(1, 4)),
-                           "m must be an int, got m = 2.0")):
-        with pytest.raises(ValueError, match=re.escape(message)):
+                          (lambda: cauchy_lhs(4.0, 2, two, two, beta),
+                           "M must be an int, got M = 4.0"),
+                          (lambda: cauchy_lhs(4, 2.0, two, two, beta),
+                           "N must be an int, got N = 2.0"),
+                          (lambda: cauchy_rhs(4.0, 2, two, two, beta),
+                           "M must be an int, got M = 4.0"),
+                          (lambda: cauchy_rhs(4, 2.0, two, two, beta),
+                           "N must be an int, got N = 2.0"),
+                          (lambda: grothendieck_sum_det(4.0, 2, two, beta),
+                           "M must be an int, got M = 4.0"),
+                          (lambda: grothendieck_sum_check(4.0, 2, two, beta),
+                           "M must be an int, got M = 4.0"),
+                          (lambda: grothendieck_sum_check(4, 2.0, two, beta, dual=True),
+                           "N must be an int, got N = 2.0"),
+                          (lambda: cauchy_infinite_check(2.0, two, two, beta),
+                           "N must be an int, got N = 2.0"),
+                          (lambda: cauchy_infinite_check(2, two, two, beta, M_max=3.0),
+                           "M_max must be an int, got M_max = 3.0")):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             call()
 
 

@@ -287,3 +287,9 @@ def test_float_lane_intermediate_matches_exact(u):
                              F(alpha), 8, 3)
     want = complex(intermediate_scalar_det(exact))
     assert abs(intermediate_scalar_det(spec) - want) <= 1e-10 * abs(want)
+
+
+def test_a_float_size_is_refused_by_name():
+    # used to end in "can't multiply sequence by non-int of type 'float'"
+    with pytest.raises(ValueError, match=r"^M must be an int, got M = 2\.0$"):
+        scalar_product_det([F(1, 2)], [F(1, 3)], 1, 2.0)

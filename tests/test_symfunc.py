@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from fivevertex.partitions import enumerate_box
+from fivevertex.scalars import cleared_quotient
 from fivevertex.symfunc import (BialternantStack, box_plan, dual_grothendieck_eval,
-                               grothendieck_box, grothendieck_eval, grothendieck_evals,
-                               schur_eval)
+                               grothendieck_box, grothendieck_box_cleared, grothendieck_eval,
+                               grothendieck_evals, schur_eval)
 
 from conftest import distinct_squares, force_generic_path, outcome, rand_fraction
 
@@ -356,22 +357,10 @@ def test_field_points_match_the_generic_path(monkeypatch, dual):
     assert repr(lane) == repr(generic)
 
 
-def _branch_exactly(plan, z, beta, dual):
-    """``grothendieck_box``'s passes over ``plan``, edge by edge on exact scalars."""
-    m, passes = plan
-    n = len(passes)
-    values = [1]
-    for zj, (starts, mu, primal, dual_w) in zip(z, passes):
-        base = 1 + beta / zj if dual else 1 + beta * zj
-        # python ints: a Fraction to an int64 power overflows
-        weight, mu = (dual_w if dual else primal).tolist(), mu.tolist()
-        ends = starts.tolist()[1:] + [len(mu)]
-        values = [sum(values[mu[e]] * zj ** (weight[e] // n) * base ** (weight[e] % n)
-                      for e in range(a, b)) for a, b in zip(starts.tolist(), ends)]
-    if dual:
-        for zj in z:
-            values = [v * (1 + beta / zj) ** (1 - n) for v in values]
-    return values
+def _cleared_values(z, beta, m, dual):
+    """``grothendieck_box_cleared``'s numerators, each divided by its denominator."""
+    nums, den = grothendieck_box_cleared(z, beta, m, dual)
+    return [cleared_quotient(num, den, [*z, beta]) for num in nums]
 
 
 @pytest.mark.parametrize("draw", range(12))
@@ -384,13 +373,40 @@ def test_box_plan_branches_to_the_bialternants_exactly(rng, draw):
     beta = rand_fraction(rng)
     while beta == 0 or any(1 + beta / zj == 0 for zj in z):
         beta = rand_fraction(rng)
-    plan = box_plan(m, n)
     box = list(enumerate_box(m, n))
-    assert len(plan[1][-1][0]) == len(box) == comb(m + n, n)
+    assert len(box_plan(m, n)[1][-1][0]) == len(box) == comb(m + n, n)
     for dual in (False, True):
-        assert _branch_exactly(plan, z, beta, dual) == grothendieck_evals(box, z, beta, dual)
+        assert _cleared_values(z, beta, m, dual) == grothendieck_evals(box, z, beta, dual)
 
 
+def _point_sets():
+    """(kind, z, beta) of up to five variables: ints, Fractions, coincident Fractions
+    and elements of QQ(z, beta), each clear of the dual's poles z_j + beta = 0."""
+    import sympy
+    from sympy.polys.fields import field
+
+    K, t, b = field("z,beta", sympy.QQ)
+    sets = [("int", [2, 3, -5, 7, 1], 4),
+            ("fraction", [F(1, 2), F(-2, 3), F(3, 5), F(5, 4), F(-1, 7)], F(-2, 9)),
+            ("coincident", [F(2, 3), F(2, 3), F(-1, 5), F(2, 3), F(-1, 5)], F(3, 4)),
+            ("field", [t, t + 1, 1 / (t + 2)], b)]
+    return [pytest.param(*case, id=case[0]) for case in sets]
+
+
+@pytest.mark.parametrize("kind, z, beta", _point_sets())
+def test_cleared_box_is_the_bialternants(kind, z, beta):
+    # every box with m <= 4 and N <= 5: the cleared lane equals grothendieck_evals
+    # by ==, and by type off the int points (a Fraction in, a Fraction out); over
+    # QQ(z, beta) to N = 3 only, as the bialternant oracle takes 10-80 s per side at N = 5
+    for n in range(1, len(z) + 1):
+        for m in range(5):
+            box = list(enumerate_box(m, n))
+            for dual in (False, True):
+                got = _cleared_values(z[:n], beta, m, dual)
+                want = grothendieck_evals(box, z[:n], beta, dual)
+                assert got == want, (kind, m, n, dual)
+                if kind != "int":
+                    assert [type(g) for g in got] == [type(w) for w in want]
 @pytest.mark.parametrize("beta", [-0.5, -0.8 + 0.3j])
 @pytest.mark.parametrize("dual", [False, True])
 def test_grothendieck_box_matches_the_stacked_determinants(beta, dual):
@@ -413,6 +429,19 @@ def test_grothendieck_box_takes_coincident_variables(dual):
     want = np.array(grothendieck_evals(box, z, beta, dual), dtype=complex)
     got = grothendieck_box(np.array([z], dtype=float), float(beta), box_plan(2, 3), dual=dual)
     assert np.max(np.abs(got[:, 0] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_box_plan_is_kept_read_only():
+    # one plan per (m, n); a float is refused before the memo, which would take 2.0 for 2
+    plan = box_plan(2, 2)
+    assert box_plan(2, 2) is plan and box_plan(np.int64(2), 2) is plan
+    for m, n, name in ((2.0, 2, "m"), (2, 2.0, "n")):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            box_plan(m, n)
+    for arrays in plan[1]:
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 def test_grothendieck_box_refusals():

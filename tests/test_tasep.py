@@ -178,6 +178,14 @@ def test_form_factor_window_bounds(rng):
         form_factor_sum(1, 6, distinct_squares(rng, 2), 5)
 
 
+def test_form_factor_sum_refuses_a_float_size_by_name():
+    # a float M used to end in comb's TypeError inside the summation determinant
+    for args, name in (((1, 1, [0.5], 6.0), "M"), ((1.0, 1, [0.5], 6), "l"),
+                       ((1, 1.0, [0.5], 6), "n")):
+        with pytest.raises(ValueError, match=rf"^{name} must be an int, got {name} = "):
+            form_factor_sum(*args)
+
+
 def test_master_oracle_basics():
     M, N = 6, 2
     x0 = PC((2, 5), M)

@@ -432,3 +432,12 @@ def test_complex_overlaps_match_a_60_digit_evaluation(rng, dual):
                 scale = max(abs(w) for w in want)
                 worst = max(worst, *(float(abs(g - w) / scale) for g, w in zip(got, want)))
     assert worst <= 1e-13
+
+
+def test_a_float_size_is_refused_by_name():
+    # each used to end in "'float' object cannot be interpreted as an integer"
+    for call in (lambda: wavefunction_det((1,), [F(1, 2)], 1, 4.0),
+                 lambda: wavefunction_dets([(1,)], [F(1, 2)], 1, 4.0),
+                 lambda: dual_wavefunction_det((1,), [F(1, 2)], 1, 4.0)):
+        with pytest.raises(ValueError, match=r"^M must be an int, got M = 4\.0$"):
+            call()
