@@ -33,7 +33,7 @@ from .scalarprod import (IntermediateSpec, domain_wall_value, intermediate_scala
                          norm_det, recursion_check, scalar_product_det)
 from .sector import (ModelParameters, bethe_state, build_monodromy_element, commutation_checks,
                      dual_bethe_state, rtt_check, sector_basis, transfer_commute)
-from .tasep import (Spectrum, bethe_solve, current_terms, density_terms, green_function_table,
+from .tasep import (bethe_solve, current_terms, density_terms, green_function_table,
                     master_oracle, sector_generator, sum_rule_check)
 from .vertex import appendix_a_family_check, rll_check, rtilde_check, ybe_check
 from .wavefunc import (dual_wavefunction_det, dual_wavefunction_sum, step_overlap_value,
@@ -380,7 +380,7 @@ def criterion_8_green_functions() -> dict:
     """All-pairs Green functions vs the matrix-exponential oracle at 1e-8."""
     from scipy.linalg import expm
     for (M, N) in [(6, 2), (6, 3)]:
-        spec = Spectrum(bethe_solve(M, N), M, N)
+        spec = bethe_solve(M, N)
         gen = sector_generator(M, N)
         dim = comb(M, N)
         for t in (0.1, 1.0, 10.0):
@@ -426,7 +426,7 @@ def criterion_9_orthogonality() -> dict:
 def criterion_10_observables() -> dict:
     """Density and current relaxation vs the oracle at 1e-8, (M,N)=(6,2), t = 0..10 (0.5)."""
     M, N = 6, 2
-    spec = Spectrum(bethe_solve(M, N), M, N)
+    spec = bethe_solve(M, N)
     x0 = ParticleConfiguration((1, 2), M)
     basis = sector_basis(M, N)
     site = 1

@@ -47,7 +47,7 @@ from .partitions import ParticleConfiguration, Partition, config_to_partition
 from .sampling import distinct_square_fractions, rand_fraction
 from .sector import ModelParameters, commutation_checks, transfer_commute
 from .symfunc import dual_grothendieck_eval, grothendieck_eval, schur_eval
-from .tasep import (GreenQuery, Spectrum, bethe_solve, current_terms, density_terms,
+from .tasep import (GreenQuery, bethe_solve, current_terms, density_terms,
                     green_function, master_oracle)
 from .wavefunc import wavefunction_dets
 
@@ -343,7 +343,7 @@ def _tasep_relax(args):
         raise ValueError(f"bad t-grid {args.t_grid!r}, need finite values, start >= 0 "
                          f"and step > 0")
     x0 = _configuration(args.initial, args.M, args.N)
-    spec = Spectrum(bethe_solve(args.M, args.N), args.M, args.N)
+    spec = bethe_solve(args.M, args.N)
     # the form factors and the right vector do not depend on t: built once for the grid
     a, a0 = spec.form_factors(terms)
     right = spec.right(config_to_partition(x0))

@@ -248,13 +248,12 @@ def orthogonality_weight(z, beta, M, N):
 
 
 def _orthogonality_spectrum(M, N, beta, solutions):
-    from .tasep import _free_point, _spectrum, bethe_solve
+    from .tasep import _free_point, _spectrum
 
-    if solutions is None:
-        solutions = bethe_solve(M, N, beta=beta)
-    if _free_point(beta) and any(abs(abs(zj) - 1) > 1e-12 for s in solutions for zj in s.roots):
+    spec = _spectrum(solutions, M, N, beta)
+    if _free_point(beta) and any(abs(abs(zj) - 1) > 1e-12 for s in spec for zj in s.roots):
         raise RuntimeError("beta = 0 Bethe roots must lie on the unit circle")
-    return _spectrum(solutions, M, N, beta)
+    return spec
 
 
 def _box_row(name, lam, M, N):
@@ -278,16 +277,16 @@ def _box_row(name, lam, M, N):
 def orthogonality_check(M, N, beta, lam, mu, solutions=None):
     """sum over Bethe solution sets of w({z}) Gbar_lam(1/z;beta) G_mu(z;beta).
 
-    Expected delta_{lam,mu}; the relation holds on the (M-N)^N box, and a lam
-    or mu outside it is refused before any work.  For beta = -1 the
-    all-roots-at-1 stationary set contributes the analytic 1/binomial(M,N) for
-    every (lam, mu); for beta = 0 the roots are first verified to lie on the
-    unit circle.  An incomplete solution enumeration raises.
+    Expected delta_{lam,mu}; the relation holds on the (M-N)^N box, and a lam or mu
+    outside it is refused before any work.  For beta = -1 the all-roots-at-1 stationary
+    set contributes the analytic 1/binomial(M,N) for every (lam, mu); for beta = 0 the
+    roots are first verified to lie on the unit circle.  ``solutions`` is None, to
+    solve, or ``bethe_solve``'s Spectrum of this (M, N, beta); another is refused.
 
     The value is the (lam, mu) entry of ``orthogonality_matrix``: the first
-    call on a solution list builds its box vectors, and later calls on the
-    same list read them.  For one pair on a large sector,
-    ``spec.right(lam) @ spec.left(mu)`` of a ``tasep.Spectrum`` is cheaper.
+    call on a Spectrum builds its box vectors, and later calls on the same
+    Spectrum read them.  For one pair on a large sector,
+    ``spec.right(lam) @ spec.left(mu)`` is cheaper.
     """
     _refuse_non_int(M, "M")
     _refuse_non_int(N, "N")

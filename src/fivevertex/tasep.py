@@ -17,9 +17,9 @@ On a Bethe solution the denominator, which is the Cauchy-identity
 determinant at y = 1/z, equals 1/w(z) for the closed-form orthogonality
 weight ``identities.orthogonality_weight``; that product is used, so no
 removable pole at z_j y_k = 1 has to be resolved.  The stationary solution
-(all roots at 1) contributes the analytic 1/binomial(M,N).  ``Spectrum``
-holds these data for one solution list, and every quantity below (Green
-function and table, sum rule, expectations) is a contraction of it.  In the
+(all roots at 1) contributes the analytic 1/binomial(M,N).  ``bethe_solve``
+returns these data as a ``Spectrum``, which every quantity below (Green function
+and table, sum rule, expectations) takes, or None to solve, and contracts.  In the
 complex float lane its quantities are stacked over all solution sets at
 once.  The whole box of vectors G_mu(z_s) and Gbar_lam(1/z_s) comes from the
 one-variable branching rule (``symfunc.grothendieck_box``, no determinant);
@@ -65,7 +65,7 @@ or N outside 1..M-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
 
@@ -361,8 +361,8 @@ def _track(z, M, N, beta):
     return ends.T, reached
 
 
-def bethe_solve(M: int, N: int, beta=-1.0):
-    """All binomial(M,N) solution sets of the z-form Bethe equations.
+def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
+    """All binomial(M,N) solution sets of the z-form Bethe equations, as their ``Spectrum``.
 
     Every N-subset of the beta = 0 roots is tracked to ``beta`` and polished
     by Newton; ``choice_id`` is that subset.  For beta = -1 the stationary set
@@ -379,7 +379,7 @@ def bethe_solve(M: int, N: int, beta=-1.0):
         raise ValueError("need 1 <= N <= M-1 (N = M is the frozen ring)")
     if not np.isfinite(complex(beta)):
         raise ValueError(f"beta must be finite, got beta = {beta}")
-    beta = complex(beta)
+    requested, beta = beta, complex(beta)  # the Spectrum keeps the beta asked for
     expected = comb(M, N)
     if expected > comb(12, 6):
         raise ValueError(
@@ -390,8 +390,8 @@ def bethe_solve(M: int, N: int, beta=-1.0):
         # all N-subsets solve the equations with Y = 1
         z = start[np.array(subsets)]
         res = _root_residuals(z, M, N, beta)[0]
-        return [BetheSolution(tuple(row), 1.0 + 0j, None, tuple(r), subset)
-                for row, r, subset in zip(z, res, subsets)]
+        return Spectrum([BetheSolution(tuple(row), 1.0 + 0j, None, tuple(r), subset)
+                         for row, r, subset in zip(z, res, subsets)], M, N, requested)
     tasep_point = abs(beta + 1) < 1e-15
     stationary = _stationary_choice(start, N) if tasep_point else None
     tracked = [subset for subset in subsets if subset != stationary]
@@ -438,11 +438,11 @@ def bethe_solve(M: int, N: int, beta=-1.0):
             [f"completeness failure: {len(solutions)} of {expected} solution sets found; "
              f"choices without a new solution set:"]
             + [f"  {subset}: {why}" for subset, why in sorted(rejected)]))
-    return solutions
+    return Spectrum(solutions, M, N, requested)
 
 
 class Spectrum:
-    """The spectral decomposition of one Bethe solution list, built once.
+    """The Bethe solution sets of (M, N) at ``beta``, in solve order, and their spectral data.
 
     Holds, over the non-stationary solution sets s, the roots z_s, energies
     E_s and orthogonality weights w_s = 1 / sum_gamma G_gamma(z_s) Gbar_gamma(1/z_s),
@@ -474,6 +474,7 @@ class Spectrum:
     def __init__(self, solutions, M: int, N: int, beta=-1.0):
         _refuse_non_int(M, "M")
         _refuse_non_int(N, "N")
+        solutions = tuple(solutions)
         if len(solutions) != comb(M, N):
             raise RuntimeError(
                 f"incomplete Bethe solution set: {len(solutions)} of {comb(M, N)}")
@@ -481,15 +482,12 @@ class Spectrum:
             if len(s.roots) != N:
                 raise ValueError(f"solution sets must hold N = {N} roots, found {len(s.roots)}")
         proper = [s for s in solutions if not s.stationary]
-        self.M, self.N, self.beta = M, N, beta
+        self.solutions, self.M, self.N, self.beta = solutions, M, N, beta
         self.stationary = (len(solutions) - len(proper)) / comb(M, N)
         self.roots = np.array([s.roots for s in proper], dtype=complex).reshape(-1, N)
         # energies are undefined at beta = 0, where only left/right are used
         self.energies = np.array([np.nan if s.energy is None else s.energy for s in proper],
                                  dtype=complex)
-        self.weights = orthogonality_weight(list(self.roots.T), beta, M, N)
-        if not np.all(np.isfinite(self.weights)):
-            raise ZeroDivisionError("orthogonality weight has a pole at a Bethe root")
         # the evaluations run on the evaluated rows; a set with a lower partner
         # is mirrored, taking the conjugate of its partner's value.  _source is
         # each set's place among the evaluated rows, a mirrored set's its partner's
@@ -501,6 +499,20 @@ class Spectrum:
         self._left = BialternantStack(self._evaluated, beta)
         self._dual = BialternantStack(1 / self._evaluated, beta, dual=True)
         self._box = self._order = None
+
+    def __len__(self):
+        return len(self.solutions)
+
+    def __getitem__(self, index):  # iteration runs through it too
+        return self.solutions[index]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """w_s over the solution axis, on first use: a pole refuses contractions, not the solve."""
+        weights = orthogonality_weight(list(self.roots.T), self.beta, self.M, self.N)
+        if not np.all(np.isfinite(weights)):
+            raise ZeroDivisionError("orthogonality weight has a pole at a Bethe root")
+        return weights
 
     def _spread(self, values) -> np.ndarray:
         """Values over the evaluated sets (last axis) at every set; a mirrored set conjugates."""
@@ -549,7 +561,11 @@ class Spectrum:
         are evaluated on the evaluated root sets (one per conjugate pair) at once
         and taken through one stacked determinant, whose ratio to the Vandermonde
         is mirrored; each term multiplies it by prod_j z_j^(l+n-1) of its own set.
+        The windows are TASEP observables, so a Spectrum at beta != -1 is refused.
         """
+        if complex(self.beta) != -1:
+            raise ValueError(f"form factors need the TASEP point beta = -1, "
+                             f"not this Spectrum's beta = {self.beta}")
         terms = list(terms)
         for _, l, n in terms:
             _check_window(l, n, self.M)
@@ -576,26 +592,18 @@ class Spectrum:
         return float(total.real)
 
 
-# the key (solutions, M, N, beta and their types) and the Spectrum of the last solution list
-_last_spectrum = [None, None]
-
-
 def _spectrum(solutions, M, N, beta=-1.0) -> Spectrum:
-    """``solutions`` as a Spectrum: a prebuilt one, a solution list, or None to solve.
-
-    The Spectrum of the last solution list is kept, so callers handed the same
-    list again (one orthogonality check per (lam, mu), say) build it once.  The
-    lists are compared by ``==``, which takes the same solution objects as equal
-    without comparing their fields; beta = -1 and -1.0 are different keys.
-    """
-    if isinstance(solutions, Spectrum):
-        return solutions
+    """``solutions`` if it is a Spectrum of (M, N, beta), beta compared by value; None solves."""
     if solutions is None:
-        solutions = bethe_solve(M, N, beta)
-    key = (tuple(solutions), M, N, beta, type(M), type(N), type(beta))
-    if _last_spectrum[0] != key:
-        _last_spectrum[:] = key, Spectrum(key[0], M, N, beta)
-    return _last_spectrum[1]
+        return bethe_solve(M, N, beta)
+    if not isinstance(solutions, Spectrum):
+        raise ValueError(f"spectral data must be bethe_solve's result or Spectrum(list, M, N, "
+                         f"beta), got a {type(solutions).__name__}")
+    have = (solutions.M, solutions.N, solutions.beta)
+    if have[:2] != (M, N) or complex(have[2]) != complex(beta):
+        raise ValueError(f"the Spectrum of (M, N, beta) = {have} cannot serve "
+                         f"(M, N, beta) = {(M, N, beta)}")
+    return solutions
 
 
 def green_function(query: GreenQuery, solutions=None) -> float:

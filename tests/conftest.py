@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from fivevertex import confluent, sector, tasep, wavefunc
+from fivevertex import confluent, sector, wavefunc
 
 # the seeded draws the tests use, shared with the CLI and the acceptance battery
 from fivevertex.sampling import distinct_square_fractions as distinct_squares  # noqa: F401
@@ -13,7 +13,6 @@ def forget_kept_tables():
     """Empty the one-entry slots in which the package keeps its last tables."""
     sector._last_operators[:] = None, None
     wavefunc._last_sector[:] = None, None
-    tasep._last_spectrum[:] = None, None
 
 
 def force_generic_path(monkeypatch):

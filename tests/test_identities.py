@@ -345,11 +345,14 @@ def test_a_float_size_is_refused_by_name():
 
 
 def test_orthogonality_rejects_incomplete_enumeration():
-    from fivevertex.tasep import bethe_solve
+    from fivevertex.tasep import Spectrum, bethe_solve
 
     sols = bethe_solve(4, 2)[:-1]
     lam = next(iter(enumerate_box(2, 2)))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="incomplete Bethe solution set: 5 of 6"):
+        orthogonality_check(4, 2, -1.0, lam, lam, Spectrum(sols, 4, 2))
+    # a bare list is not spectral data at all
+    with pytest.raises(ValueError, match=re.escape("bethe_solve's result or Spectrum(list, M, N")):
         orthogonality_check(4, 2, -1.0, lam, lam, sols)
 
 
@@ -369,7 +372,7 @@ def test_orthogonality_beta_zero_on_circle():
 
 
 def test_orthogonality_checks_the_circle_where_bethe_solve_takes_beta_zero():
-    from fivevertex.tasep import bethe_solve
+    from fivevertex.tasep import Spectrum, bethe_solve
 
     M, N = 6, 2
     # beta = 1e-11 is tracked, and its roots sit about 3e-12 off the unit circle;
@@ -378,10 +381,48 @@ def test_orthogonality_checks_the_circle_where_bethe_solve_takes_beta_zero():
     assert max(abs(abs(zj) - 1) for s in sols for zj in s.roots) > 1e-12
     gram = orthogonality_matrix(M, N, 1e-11, sols)
     assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-8
-    sols = bethe_solve(M, N, beta=0.0)
+    sols = list(bethe_solve(M, N, beta=0.0))
     sols[0] = replace(sols[0], roots=tuple(1.001 * zj for zj in sols[0].roots))
-    with pytest.raises(RuntimeError, match="^beta = 0 Bethe roots must lie on the unit circle$"):
-        orthogonality_matrix(M, N, 0.0, sols)
+    edited = Spectrum(sols, M, N, 0.0)
+    for call in (lambda: orthogonality_matrix(M, N, 0.0, edited),
+                 lambda: orthogonality_check(M, N, 0.0, (1,), (1,), edited)):
+        with pytest.raises(RuntimeError,
+                           match="^beta = 0 Bethe roots must lie on the unit circle$"):
+            call()
+
+
+def test_orthogonality_at_beta_zero_takes_a_spectrum():
+    # the unit-circle check used to iterate the Spectrum and raise
+    # "TypeError: 'Spectrum' object is not iterable"
+    from fivevertex.tasep import bethe_solve
+
+    M, N = 5, 2
+    spec = bethe_solve(M, N, 0.0)
+    value = orthogonality_check(M, N, 0.0, (1,), (1,), spec)
+    assert value == orthogonality_check(M, N, 0.0, (1,), (1,), None)
+    assert abs(value - 1) <= 1e-12
+    gram = orthogonality_matrix(M, N, 0.0, spec)
+    assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-8
+
+
+@pytest.mark.parametrize("M, N, beta, have", [
+    # 1.037 from the beta = -1 sets, where the relation at beta = -1/2 gives 1
+    (6, 2, -0.5, "(6, 2, -1.0)"),
+    # used to end in an internal IndexError
+    (7, 2, -1.0, "(6, 2, -1.0)"),
+])
+def test_orthogonality_refuses_a_spectrum_of_another_sector_or_beta(M, N, beta, have,
+                                                                    monkeypatch):
+    from fivevertex import tasep
+    from fivevertex.tasep import bethe_solve
+
+    spec = bethe_solve(6, 2, -1.0)
+    monkeypatch.setattr(tasep, "grothendieck_box", None)  # refused before any box is built
+    message = f"the Spectrum of (M, N, beta) = {have} cannot serve (M, N, beta) = {(M, N, beta)}"
+    for call in (lambda: orthogonality_check(M, N, beta, (1,), (1,), spec),
+                 lambda: orthogonality_matrix(M, N, beta, spec)):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call()
 
 
 def test_dual_sum_with_int_beta_stays_exact(monkeypatch):

@@ -1,4 +1,4 @@
-"""The sources parse under the oldest Python that pyproject.toml admits."""
+"""The sources parse under the oldest Python that pyproject.toml admits; no new hidden slots."""
 
 import ast
 import re
@@ -15,3 +15,16 @@ def test_sources_parse_under_requires_python():
     assert len(sources) > 30
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, int(floor.group(1))))
+
+
+def test_the_only_hidden_slots_are_the_two_the_fixture_empties():
+    # conftest.forget_kept_tables empties these; a new module-level _last_* slot
+    # would keep state between calls that no fixture resets
+    slots = set()
+    for path in sorted(ROOT.glob("src/fivevertex/*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            slots |= {f"{path.stem}.{t.id}" for t in targets
+                      if isinstance(t, ast.Name) and t.id.startswith("_last_")}
+    assert slots == {"wavefunc._last_sector", "sector._last_operators"}

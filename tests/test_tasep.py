@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from fivevertex import tasep
-from fivevertex.identities import cauchy_rhs, orthogonality_matrix
+from fivevertex.identities import cauchy_rhs, orthogonality_check, orthogonality_matrix
 from fivevertex.partitions import ParticleConfiguration as PC
 from fivevertex.partitions import config_to_partition, enumerate_box, partition_to_config
 from fivevertex.symfunc import (box_plan, dual_grothendieck_eval, grothendieck_box,
@@ -267,14 +267,16 @@ _SOLVED = {}
 def _solve_once(M, N, beta):
     """bethe_solve(M, N, beta), solved once per session for the unpatched module.
 
-    A test that monkeypatches ``tasep`` may neither read these lists nor add to
-    them, so the call is refused while any module attribute is replaced.
+    A test that monkeypatches ``tasep`` may neither read these sets nor add to
+    them, so the call is refused while any module attribute is replaced.  Each
+    call returns a new Spectrum of the kept sets, so that no test's box vectors
+    outlive it.
     """
     assert all(vars(tasep).get(name) is value for name, value in _UNPATCHED.items()), \
         "shared Bethe solves need the unpatched solver"
     if (M, N, beta) not in _SOLVED:
-        _SOLVED[M, N, beta] = bethe_solve(M, N, beta)
-    return _SOLVED[M, N, beta]
+        _SOLVED[M, N, beta] = tuple(bethe_solve(M, N, beta))
+    return Spectrum(_SOLVED[M, N, beta], M, N, beta)
 
 
 @pytest.fixture(scope="module")
@@ -317,7 +319,7 @@ def test_stacked_form_factors_match_the_scalar_sum_over_every_window():
     # with l - 1 = s mod M, so every (l, n) meets about S/M root sets
     for M in range(2, 11):
         for N in range(1, M):
-            spec = Spectrum(_solve_once(M, N, -1.0), M, N)
+            spec = _solve_once(M, N, -1.0)
             for n in range(M + 1):
                 for l in range(1, M + 1):
                     a, a0 = spec.form_factors([(1, l, n)])
@@ -331,7 +333,7 @@ def test_stacked_form_factors_match_the_scalar_sum_over_every_window():
 
 def test_stacked_form_factors_refuse_the_windows_the_scalar_sum_refuses():
     M, N = 6, 3
-    spec = Spectrum(_solve_once(M, N, -1.0), M, N)
+    spec = _solve_once(M, N, -1.0)
     z = spec.roots[0]
     base = spec.form_factors([(1, 1, 0)])[0][0]
     for l, n in [(1, M + 1), (1, -1), (3, -3), (2, 7), (3, -2), (2, -1), (1, M), (4, 0)]:
@@ -352,7 +354,7 @@ def test_stacked_form_factors_refuse_the_windows_the_scalar_sum_refuses():
 def test_box_vectors_equal_the_per_partition_calls(M, N, beta):
     # the box comes from the branching rule, a single partition from the LU:
     # two algorithms, which agree to the LU's own rounding
-    spec = Spectrum(_solve_once(M, N, beta), M, N, beta)
+    spec = _solve_once(M, N, beta)
     box = list(enumerate_box(M - N, N))
     left, right = spec.box_vectors()
     for got, want in ((left, np.array([spec.left(mu) for mu in box])),
@@ -401,7 +403,7 @@ def test_box_entries_match_a_40_digit_bialternant(M, N, beta, rng):
 
 def test_green_table_rows_follow_the_sector_basis():
     M, N = 7, 3
-    spec = Spectrum(_solve_once(M, N, -1.0), M, N)
+    spec = _solve_once(M, N, -1.0)
     order = spec.basis_order()
     assert spec.basis_order() is order  # built once per Spectrum
     box = list(enumerate_box(M - N, N))
@@ -410,7 +412,7 @@ def test_green_table_rows_follow_the_sector_basis():
 
 @pytest.mark.parametrize("M, N", [(6, 3), (8, 4)])
 def test_spectrum_weights_invert_the_cauchy_determinant(M, N):
-    spec = Spectrum(bethe_solve(M, N), M, N)
+    spec = bethe_solve(M, N)
     for z, w in zip(spec.roots, spec.weights):
         z = [complex(zj) for zj in z]
         assert abs(w * cauchy_rhs(M, N, z, [1 / zj for zj in z], -1.0) - 1) <= 1e-12
@@ -420,7 +422,7 @@ def test_cauchy_rhs_finite_at_y_inverse_z_on_every_11_8_root(sols_11_8):
     # its columns are the kernel's exact quotient polynomials, so no
     # z_j y_k = 1 pole is left to decide with a tolerance
     M, N = 11, 8
-    spec = Spectrum(sols_11_8, M, N)
+    spec = sols_11_8
     assert len(spec.roots) == 164
     for z, w in zip(spec.roots, spec.weights):
         z = [complex(zj) for zj in z]
@@ -430,7 +432,7 @@ def test_cauchy_rhs_finite_at_y_inverse_z_on_every_11_8_root(sols_11_8):
 @pytest.mark.parametrize("beta", [-1.0, -0.5])
 def test_spectrum_vectors_match_scalar_evaluators(beta):
     M, N = 7, 3
-    spec = Spectrum(bethe_solve(M, N, beta=beta), M, N, beta)
+    spec = bethe_solve(M, N, beta=beta)
     box = list(enumerate_box(M - N, N))
     want_left = np.array([[grothendieck_eval(mu, list(z), beta) for z in spec.roots]
                           for mu in box])
@@ -444,7 +446,8 @@ def test_spectrum_vectors_match_scalar_evaluators(beta):
 
 def test_spectrum_refuses_degenerate_input():
     M, N = 6, 2
-    sols = bethe_solve(M, N)
+    spec = bethe_solve(M, N)
+    sols = list(spec)
     # a float size used to end in comb's TypeError
     for size, message in (((6.0, 2), "M must be an int, got M = 6.0"),
                           ((6, 2.0), "N must be an int, got N = 2.0")):
@@ -467,10 +470,14 @@ def test_spectrum_refuses_degenerate_input():
     # binomial(6,2) = binomial(6,4): the list passes the count check at N = 4;
     # the orthogonality matrix used to come out 0.92 off the identity, and the
     # table and sum rule failed only on a numpy broadcast
-    for call in (lambda: orthogonality_matrix(M, 4, -1.0, sols),
-                 lambda: green_function_table(M, 4, 1.0, sols),
-                 lambda: sum_rule_check(PC((1, 2, 3, 4), M), 1.0, sols)):
-        with pytest.raises(ValueError, match="solution sets must hold N = 4 roots, found 2"):
+    with pytest.raises(ValueError, match="solution sets must hold N = 4 roots, found 2"):
+        Spectrum(sols, M, 4)
+    for call in (lambda: orthogonality_matrix(M, 4, -1.0, spec),
+                 lambda: green_function_table(M, 4, 1.0, spec),
+                 lambda: sum_rule_check(PC((1, 2, 3, 4), M), 1.0, spec)):
+        with pytest.raises(ValueError, match=re.escape(
+                "the Spectrum of (M, N, beta) = (6, 2, -1.0) cannot serve "
+                "(M, N, beta) = (6, 4, -1.0)")):
             call()
 
 
@@ -480,13 +487,18 @@ def _unpaired(monkeypatch):
 
 
 def _spectrum_values(spec, M, N):
-    """Everything Spectrum mirrors: box vectors, left/right calls and window form factors."""
+    """Everything Spectrum mirrors: box vectors, left/right calls and window form factors.
+
+    Form factors exist at beta = -1 only; at another beta they are left out.
+    """
     box = list(enumerate_box(M - N, N))
-    return {"box left": spec.box_vectors()[0], "box right": spec.box_vectors()[1],
-            "left": np.array([spec.left(mu) for mu in box[::7]]),
-            "right": np.array([spec.right(lam) for lam in box[::7]]),
-            "form factors": np.array([spec.form_factors([(1, 1, n)])[0]
-                                      for n in range(M + 1)])}
+    values = {"box left": spec.box_vectors()[0], "box right": spec.box_vectors()[1],
+              "left": np.array([spec.left(mu) for mu in box[::7]]),
+              "right": np.array([spec.right(lam) for lam in box[::7]])}
+    if spec.beta == -1:
+        values["form factors"] = np.array([spec.form_factors([(1, 1, n)])[0]
+                                           for n in range(M + 1)])
+    return values
 
 
 def _mirror_tol(name, want):
@@ -553,14 +565,15 @@ def test_determinants_run_on_the_evaluated_sets_only(M, N, beta, monkeypatch):
     spec.box_vectors()
     assert branched == [evaluated, evaluated] and rows == []
     spec.right((1,))
-    spec.form_factors(density_terms(2) + current_terms(3))
-    # one for right, one per window length n = 0, 1, 2
-    assert len(rows) == 4 and set(rows) == {evaluated}
+    if beta == -1:
+        spec.form_factors(density_terms(2) + current_terms(3))
+    # one for right, and at beta = -1 one per window length n = 0, 1, 2
+    assert len(rows) == (4 if beta == -1 else 1) and set(rows) == {evaluated}
 
 
 def test_complex_beta_pairs_no_sets():
     beta = -0.8 + 0.3j
-    spec = Spectrum(bethe_solve(7, 3, beta), 7, 3, beta)
+    spec = bethe_solve(7, 3, beta)
     assert not spec._mirrored.any()
     assert np.array_equal(_conjugate_partners(spec.roots, beta), np.arange(len(spec.roots)))
     # the roots of a real-beta list are not paired at a complex beta either
@@ -957,18 +970,88 @@ def test_loose_flow_with_newton_matches_the_strict_flow(M, N, beta, monkeypatch)
     assert _matched_gap(*esf) <= 1e-12
 
 
-def test_spectrum_reused_for_the_same_solution_list():
-    sols = bethe_solve(6, 3, beta=-0.5)
-    spec = _spectrum(sols, 6, 3, -0.5)
-    assert _spectrum(list(sols), 6, 3, -0.5) is spec
-    assert _spectrum(sols[::-1], 6, 3, -0.5) is not spec
+def _no_box(monkeypatch):
+    """Make building a box vector fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a box was built")
+    monkeypatch.setattr(tasep, "grothendieck_box", refuse)
 
 
-def test_spectrum_cache_keys_on_equal_lists_and_typed_arguments():
-    sols = _solve_once(6, 3, -1.0)
-    spec = _spectrum(sols, 6, 3, -1.0)
-    # equal solution sets that are other objects hit too
-    assert _spectrum([replace(s) for s in sols], 6, 3, -1.0) is spec
-    # beta = -1 and -1.0 are different keys
-    assert _spectrum(sols, 6, 3, -1) is not spec
-    assert _spectrum(sols, 6, 3, -1.0) is not spec
+def test_bethe_solve_returns_the_spectrum_of_its_sector():
+    spec = bethe_solve(6, 2, -0.5)
+    assert isinstance(spec, Spectrum) and (spec.M, spec.N, spec.beta) == (6, 2, -0.5)
+    # a sequence of the solution sets in solve order
+    assert len(spec) == comb(6, 2) and list(spec) == list(spec.solutions)
+    assert spec[0] is spec.solutions[0] and spec[-2:] == spec.solutions[-2:]
+    # beta is compared by value
+    for beta in (-0.5, F(-1, 2), -0.5 + 0j):
+        assert _spectrum(spec, 6, 2, beta) is spec
+
+
+@pytest.mark.parametrize("call, have, want", [
+    # a 15 x 15 table of a 35-configuration sector
+    (lambda s: green_function_table(7, 3, 1.0, s), "(6, 2, -1.0)", "(7, 3, -1.0)"),
+    # 0.233, where the (7,2) transition probability is 4.6e-4
+    (lambda s: green_function(GreenQuery(PC((1, 2), 7), PC((3, 7), 7), 1.0), s),
+     "(6, 2, -1.0)", "(7, 2, -1.0)"),
+])
+def test_a_spectrum_of_another_sector_is_refused(call, have, want, monkeypatch):
+    spec = bethe_solve(6, 2)
+    _no_box(monkeypatch)
+    message = f"the Spectrum of (M, N, beta) = {have} cannot serve (M, N, beta) = {want}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(Spectrum(spec, 6, 2))
+
+
+def test_a_spectrum_at_another_beta_is_refused(monkeypatch):
+    # the table used to come out with columns summing to 7.23 and entries down to -0.33
+    spec = bethe_solve(6, 2, -0.5)
+    _no_box(monkeypatch)
+    message = "the Spectrum of (M, N, beta) = (6, 2, -0.5) cannot serve (M, N, beta) = (6, 2, -1.0)"
+    x0 = PC((1, 2), 6)
+    for call in (lambda: green_function_table(6, 2, 1.0, spec),
+                 lambda: green_function(GreenQuery(x0, x0, 1.0), spec),
+                 lambda: sum_rule_check(x0, 1.0, spec),
+                 lambda: expectation(np.eye(comb(6, 2)), x0, 1.0, spec)):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call()
+
+
+def test_a_bare_solution_list_is_refused():
+    sols = list(bethe_solve(6, 2))
+    message = ("spectral data must be bethe_solve's result or Spectrum(list, M, N, beta), "
+               "got a list")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        green_function_table(6, 2, 1.0, sols)
+    assert np.array_equal(green_function_table(6, 2, 1.0, Spectrum(sols, 6, 2)),
+                          green_function_table(6, 2, 1.0, bethe_solve(6, 2)))
+
+
+def test_form_factors_refuse_a_spectrum_off_the_tasep_point():
+    # on a beta = -1/2 Spectrum of (6,2) the sum rule used to evolve to 2.79 at t = 1
+    spec = bethe_solve(6, 2, -0.5)
+    message = "form factors need the TASEP point beta = -1, not this Spectrum's beta = -0.5"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        spec.form_factors([(1, 1, 0)])
+
+
+def test_one_box_per_solve_along_a_chain_of_calls(monkeypatch):
+    # a caller that holds bethe_solve's result builds its box vectors once: the
+    # Green tables at three times and the sum rule at beta = -1, and every
+    # orthogonality pair at beta = -1/2, two boxes (primal and dual) per solve
+    M, N = 8, 4
+    built = []
+    box = tasep.grothendieck_box
+    monkeypatch.setattr(tasep, "grothendieck_box",
+                        lambda *args, **kwargs: built.append(1) or box(*args, **kwargs))
+    spec = bethe_solve(M, N)
+    for t in (0.5, 1.0, 2.0):
+        green_function_table(M, N, t, spec)
+    assert abs(sum_rule_check(PC((1, 3, 5, 7), M), 1.0, spec) - 1) <= 1e-8
+    assert len(built) == 2
+    half = bethe_solve(M, N, -0.5)
+    partitions = list(enumerate_box(M - N, N))
+    for lam in partitions:
+        for mu in partitions:
+            orthogonality_check(M, N, -0.5, lam, mu, half)
+    assert len(built) == 4
