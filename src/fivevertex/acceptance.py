@@ -31,8 +31,8 @@ from .partitions import ParticleConfiguration, config_to_partition, enumerate_bo
 from .sampling import distinct_square_fractions, norm_safe_draw, rand_fraction
 from .scalarprod import (IntermediateSpec, domain_wall_value, intermediate_scalar_det,
                          norm_det, recursion_check, scalar_product_det)
-from .sector import (ModelParameters, bethe_state, build_monodromy_element, commutation_checks,
-                     dual_bethe_state, rtt_check, sector_basis, transfer_commute)
+from .sector import (ModelParameters, Relations, bethe_state, build_monodromy_element,
+                     dual_bethe_state, sector_basis)
 from .tasep import (bethe_solve, current_terms, density_terms, green_function_table,
                     master_oracle, sector_generator, sum_rule_check)
 from .vertex import appendix_a_family_check, rll_check, rtilde_check, ybe_check
@@ -79,22 +79,21 @@ def criterion_2_operator_algebra(seed: int = 102) -> dict:
     for M in range(1, 6):
         u, v = distinct_square_fractions(rng, 2)
         alpha = rand_fraction(rng)
-        params = ModelParameters(alpha=alpha, M=M)
+        relations = Relations(u, v, ModelParameters(alpha=alpha, M=M))
         for n in range(M + 1):
-            checks = commutation_checks(u, v, params, n)
+            checks = relations.commutation(n)
             if not all(checks.values()):
                 return _result("2 operator algebra", False,
                                f"commutation failed at M={M}, n={n}: {checks}")
     for M in range(1, 6):
         u, v = distinct_square_fractions(rng, 2)
-        params = ModelParameters(alpha=rand_fraction(rng), M=M)
-        if not rtt_check(u, v, params):
+        if not Relations(u, v, ModelParameters(alpha=rand_fraction(rng), M=M)).rtt():
             return _result("2 operator algebra", False, f"RTT failed at M={M}")
     for M in range(1, 7):
         u, v = distinct_square_fractions(rng, 2)
-        params = ModelParameters(alpha=rand_fraction(rng), M=M)
+        relations = Relations(u, v, ModelParameters(alpha=rand_fraction(rng), M=M))
         for n in range(M + 1):
-            if not transfer_commute(u, v, params, n):
+            if not relations.transfer_commute(n):
                 return _result("2 operator algebra", False, f"[tau,tau] != 0 at M={M}")
     return _result("2 operator algebra", time.perf_counter() - t0 < 60,
                    "commutation M<=5, RTT M<=5, [tau,tau] M<=6, budget 60s")

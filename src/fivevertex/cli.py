@@ -45,7 +45,7 @@ from . import acceptance
 from .identities import orthogonality_matrix
 from .partitions import ParticleConfiguration, Partition, config_to_partition
 from .sampling import distinct_square_fractions, rand_fraction
-from .sector import ModelParameters, commutation_checks, transfer_commute
+from .sector import ModelParameters, Relations
 from .symfunc import dual_grothendieck_eval, grothendieck_eval, schur_eval
 from .tasep import (GreenQuery, bethe_solve, current_terms, density_terms,
                     green_function, master_oracle)
@@ -216,18 +216,18 @@ def _vertex_relation(args):
 
 def _vertex_commutation(args):
     if args.M > 10:
-        # the checks multiply the sweep's int numerators: the command takes
-        # about 0.7 s at M = 10 and about 3 s at M = 11
+        # the checks multiply the sweep's int numerators: they take about
+        # 0.5-0.7 s at M = 10 and about 2 s at M = 11 on a 2-core Xeon
         raise ValueError(f"commutation-check takes --M up to 10, got {args.M}")
     rng = Random(args.seed)
     u, v = distinct_square_fractions(rng, 2)
     alpha = rand_fraction(rng)
-    params = ModelParameters(alpha=alpha, M=args.M)
+    relations = Relations(u, v, ModelParameters(alpha=alpha, M=args.M))
     detail = {}
     passed = True
     for n in range(args.M + 1):
-        checks = commutation_checks(u, v, params, n)
-        checks["tau"] = transfer_commute(u, v, params, n)
+        checks = relations.commutation(n)
+        checks["tau"] = relations.transfer_commute(n)
         detail[f"sector {n}"] = checks
         passed = passed and all(checks.values())
     return (0 if passed else 2), {

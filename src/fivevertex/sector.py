@@ -36,20 +36,11 @@ back as that int.  Complex inputs, field elements such as criterion 3's
 QQ(alpha, u), and int inputs with some u/w_j an int take the generic path,
 as does every Bethe state at M = 1.
 
-The relation checks ``commutation_checks``, ``rtt_check`` and
-``transfer_commute`` multiply no matrices.  Each states its relation once,
-as a combination sum_i c_i X_i Y_i of products of an element at u and one
-at v, held as sparse maps from source to target configurations, and tests
-that it vanishes one source column at a time.  When both spectral values
-are on the lane and the coefficients (f and g, or the R-matrix entries) are
-ints or Fractions, both sides sit over den_u den_v: the coefficients are
-scaled by the lcm of their denominators and the combination is one of the
-sweep's int numerators, with no division.  Otherwise the entries are the
-generic path's values.  Exact inputs must cancel exactly; when an input is
-a float, each column must vanish to within ``COMPLEX_EQ_TOL`` times the
-larger of 1 and its largest term.  The elements of the last pair of site
-tables are kept, so checks of one (u, v) over every sector, as
-``vertex commutation-check`` makes them, build each element once.
+A ``Relations`` object checks the monodromy algebra at one (u, v) on every
+sector without multiplying matrices: each relation is one vanishing
+combination of products of sparse swept elements, tested a source column at
+a time.  ``commutation_checks``, ``rtt_check`` and ``transfer_commute`` are
+its checks on a fresh object; nothing else keeps its elements.
 
 This module is the brute-force oracle layer: every determinant formula in the
 package is tested against matrix elements produced here.
@@ -58,13 +49,13 @@ package is tested against matrix elements produced here.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import comb, lcm
 
 from .linalg import Matrix
 from .partitions import _refuse_non_int
-from .scalars import COMPLEX_EQ_TOL, cache_key, exact_div, is_inexact, is_zero
+from .scalars import COMPLEX_EQ_TOL, exact_div, is_inexact, is_zero
 from .vertex import ModelParameters, f_weight, g_weight, l_weights, r_matrix
 
 __all__ = [
@@ -80,6 +71,7 @@ __all__ = [
     "dual_bethe_state",
     "bethe_residual",
     "transfer_eigenvalue",
+    "Relations",
     "commutation_checks",
     "transfer_commute",
     "rtt_check",
@@ -444,17 +436,6 @@ def transfer_eigenvalue(u, u_set, params: ModelParameters):
     return term_a + term_d
 
 
-def _tables_key(sites):
-    """``_site_tables``' result as a key part: its weights by ``cache_key``, its denominator."""
-    tables, den = sites
-    return den, tuple((j, tuple(tuple((flip, cache_key(w)) for flip, w in branch)
-                                for branch in table)) for j, table in tables)
-
-
-# the key (M, lane and the site tables of each spectral value) and the operators of the last check
-_last_operators = [None, None]
-
-
 def _sparse_element(kind, sites, M: int, n: int, lane: bool) -> dict:
     """The non-strict element ``kind`` on sector n as ``{source mask: [(target mask, entry)]}``.
 
@@ -471,37 +452,6 @@ def _sparse_element(kind, sites, M: int, n: int, lane: bool) -> dict:
     for col, row, amp in entries:
         out.setdefault(masks[col], []).append((row, amp))
     return out
-
-
-def _relation(M: int, tables, coeffs=()):
-    """A relation check's coefficients, and one ``at(kind, n)`` per entry of ``tables``.
-
-    The check takes the integer lane when every spectral value's site tables
-    are on it and every coefficient is an int or a Fraction; the
-    coefficients then come back scaled by the lcm of their denominators, as
-    ints, and otherwise as they are.  ``at(kind, n)`` is the value's
-    ``_sparse_element`` on sector n, built once; the ``at`` of the last
-    tables (compared by weight and type) are kept, so the checks of one
-    (u, v) over every sector share their elements.
-    """
-    lane = all(den is not None for _, den in tables) and \
-        all(type(c) is int or type(c) is Fraction for c in coeffs)
-    if lane:
-        den = lcm(*(c.denominator for c in coeffs))
-        coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
-    key = (M, lane, [_tables_key(sites) for sites in tables])
-    last_key, ats = _last_operators
-    if last_key != key:
-        def at(sites):
-            return cache(lambda kind, n: _sparse_element(kind, sites, M, n, lane))
-        ats = [at(sites) for sites in tables]
-        _last_operators[:] = key, ats
-    return coeffs, ats
-
-
-def _inexact(u, v, params: ModelParameters) -> bool:
-    """Whether a relation check at (u, v) is decided with a tolerance: an input is a float."""
-    return any(is_inexact(x) for x in (u, v, params.alpha, *params.w))
 
 
 def _vanishes(terms, inexact: bool) -> bool:
@@ -541,82 +491,129 @@ def _sum(x: dict, y: dict) -> dict:
     return out
 
 
-def commutation_checks(u, v, params: ModelParameters, n: int) -> dict:
-    """The four quadratic relations of the monodromy algebra on sector n.
+class Relations:
+    """The monodromy-algebra relations at one pair of spectral values (u, v), on every sector.
 
-    CB:  C(u)B(v) = g(u,v) [A(u)D(v) - A(v)D(u)]
-    AB:  A(u)B(v) = f(u,v) B(v)A(u) + g(v,u) B(u)A(v)
-    DB:  D(u)B(v) = f(v,u) B(v)D(u) + g(u,v) B(u)D(v)
-    BB/CC:  [B(u),B(v)] = [C(u),C(v)] = 0
-
-    Valid on every sector including the boundaries, where overflowing
-    elements act as zero-dimensional operators.  Each relation is checked as
-    a vanishing combination of products (``_vanishes``); on the integer lane
-    every product is one element at u times one at v, so over den_u den_v
-    on both sides, and with f and g cleared of their denominators the
-    combination is one of ints.
+    Each check states its relation once, as a combination sum_i c_i X_i Y_i
+    of products of an element at u and one at v, and tests that it vanishes
+    (``_vanishes``): exactly, or when an input is a float to within
+    ``COMPLEX_EQ_TOL`` times the larger of 1 and a column's largest term.
+    The object holds the site tables of u and of v, each built by the first
+    check that needs it, and every ``_sparse_element`` (kind, sector, value),
+    swept on first use and kept for the object's lifetime.  The lane is
+    decided once, from the two tables.  On it the entries are the sweep's
+    int numerators, so both sides of a relation sit over den_u den_v, and a
+    check clears its coefficients (f and g, or the R-matrix entries) of
+    their denominators when they are ints or Fractions (not at M = 0 with
+    complex u, say, where the tables hold no weight), so that the
+    combination is one of ints.  Off it the entries are the generic path's.
     """
-    _refuse_non_int(n)
-    coeffs = (1, f_weight(u, v), f_weight(v, u), g_weight(u, v), g_weight(v, u))
-    tables = [_site_tables(x, params) for x in (u, v)]
-    (one, f_uv, f_vu, g_uv, g_vu), (at_u, at_v) = _relation(params.M, tables, coeffs)
-    inexact = _inexact(u, v, params)
-    return {
-        "CB": _vanishes([(one, at_u("C", n + 1), at_v("B", n)),
-                         (-g_uv, at_u("A", n), at_v("D", n)),
-                         (g_uv, at_v("A", n), at_u("D", n))], inexact),
-        "AB": _vanishes([(one, at_u("A", n + 1), at_v("B", n)),
-                         (-f_uv, at_v("B", n), at_u("A", n)),
-                         (-g_vu, at_u("B", n), at_v("A", n))], inexact),
-        "DB": _vanishes([(one, at_u("D", n + 1), at_v("B", n)),
-                         (-f_vu, at_v("B", n), at_u("D", n)),
-                         (-g_uv, at_u("B", n), at_v("D", n))], inexact),
-        "BB": _vanishes([(1, at_u("B", n + 1), at_v("B", n)),
-                         (-1, at_v("B", n + 1), at_u("B", n))], inexact),
-        "CC": _vanishes([(1, at_u("C", n - 1), at_v("C", n)),
-                         (-1, at_v("C", n - 1), at_u("C", n))], inexact),
-    }
+
+    def __init__(self, u, v, params: ModelParameters):
+        self.u, self.v, self.params = u, v, params
+        self.inexact = any(is_inexact(x) for x in (u, v, params.alpha, *params.w))
+        self._tables = []  # the site tables of u, then of v
+
+    def _sites(self, count: int):
+        """Build the site tables of the first ``count`` of (u, v): refuses u = 0, then v = 0."""
+        for x in (self.u, self.v)[len(self._tables):count]:
+            self._tables.append(_site_tables(x, self.params))
+
+    @cached_property
+    def _at(self) -> list:
+        """``at(kind, n)`` at u and at v, the element swept on first use; sets ``_lane``."""
+        self._sites(2)
+        self._lane = all(den is not None for _, den in self._tables)
+        # the getters hold M and the lane, not self, which would make a reference cycle
+        return [cache(lambda kind, n, sites=sites, M=self.params.M, lane=self._lane:
+                      _sparse_element(kind, sites, M, n, lane)) for sites in self._tables]
+
+    def _cleared(self, coeffs) -> list:
+        """``coeffs`` scaled by the lcm of their denominators on the lane, if all are rational."""
+        if not (self._lane and all(type(c) is int or type(c) is Fraction for c in coeffs)):
+            return coeffs
+        den = lcm(*(c.denominator for c in coeffs))
+        return [c.numerator * (den // c.denominator) for c in coeffs]
+
+    def commutation(self, n: int) -> dict:
+        """The four quadratic relations of the monodromy algebra on sector n.
+
+        CB:  C(u)B(v) = g(u,v) [A(u)D(v) - A(v)D(u)]
+        AB:  A(u)B(v) = f(u,v) B(v)A(u) + g(v,u) B(u)A(v)
+        DB:  D(u)B(v) = f(v,u) B(v)D(u) + g(u,v) B(u)D(v)
+        BB/CC:  [B(u),B(v)] = [C(u),C(v)] = 0
+
+        Valid on every sector including the boundaries, where overflowing
+        elements act as zero-dimensional operators.
+        """
+        _refuse_non_int(n)
+        u, v = self.u, self.v
+        coeffs = (1, f_weight(u, v), f_weight(v, u), g_weight(u, v), g_weight(v, u))
+        at_u, at_v = self._at
+        one, f_uv, f_vu, g_uv, g_vu = self._cleared(coeffs)
+        return {
+            "CB": _vanishes([(one, at_u("C", n + 1), at_v("B", n)),
+                             (-g_uv, at_u("A", n), at_v("D", n)),
+                             (g_uv, at_v("A", n), at_u("D", n))], self.inexact),
+            "AB": _vanishes([(one, at_u("A", n + 1), at_v("B", n)),
+                             (-f_uv, at_v("B", n), at_u("A", n)),
+                             (-g_vu, at_u("B", n), at_v("A", n))], self.inexact),
+            "DB": _vanishes([(one, at_u("D", n + 1), at_v("B", n)),
+                             (-f_vu, at_v("B", n), at_u("D", n)),
+                             (-g_uv, at_u("B", n), at_v("D", n))], self.inexact),
+            "BB": _vanishes([(1, at_u("B", n + 1), at_v("B", n)),
+                             (-1, at_v("B", n + 1), at_u("B", n))], self.inexact),
+            "CC": _vanishes([(1, at_u("C", n - 1), at_v("C", n)),
+                             (-1, at_v("C", n - 1), at_u("C", n))], self.inexact),
+        }
+
+    def transfer_commute(self, n: int) -> bool:
+        """Whether tau(u) tau(v) == tau(v) tau(u) on the n-particle sector.
+
+        Refuses what ``transfer_matrix`` refuses, in its order: a non-int n,
+        u = 0, a sector outside 0..M, then v = 0.
+        """
+        _refuse_non_int(n)
+        self._sites(1)
+        _refuse_overflow("A", self.params.M, n)
+        t_u, t_v = (_sum(at("A", n), at("D", n)) for at in self._at)
+        return _vanishes([(1, t_u, t_v), (-1, t_v, t_u)], self.inexact)
+
+    def rtt(self) -> bool:
+        """R(u,v) T1(u) T2(v) = T2(v) T1(u) R(u,v) on (aux)x(aux)x(sector space).
+
+        Checked blockwise: for auxiliary indices the block (a'c'),(bd) of
+        either side is a sector operator; all 16 blocks must agree, on every
+        quantum sector.
+        """
+        coeffs = [x for row in r_matrix(self.u, self.v).data for x in row]
+        at_u, at_v = self._at
+        r = self._cleared(coeffs)
+        r = [r[i:i + 4] for i in range(0, 16, 4)]
+        kind_of = {aux: kind for kind, aux in _KIND_AUX.items()}
+        pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
+        for n in range(self.params.M + 1):
+            for (a_p, c_p), (b, d) in product(pairs, pairs):
+                # T_ab(u) T_cd(v) after its R entry, less T_c'd'(v) T_a'b'(u) after its own
+                terms = [(coeff, at_u(kind_of[a, b], n + d - c), at_v(kind_of[c, d], n))
+                         for a, c in pairs if not is_zero(coeff := r[2 * a_p + c_p][2 * a + c], 0)]
+                terms += [(-coeff, at_v(kind_of[c_p, d_p], n + b_p - a_p), at_u(kind_of[a_p, b_p], n))
+                          for b_p, d_p in pairs if not is_zero(coeff := r[2 * b_p + d_p][2 * b + d], 0)]
+                if not _vanishes(terms, self.inexact):
+                    return False
+        return True
+
+
+def commutation_checks(u, v, params: ModelParameters, n: int) -> dict:
+    """``Relations(u, v, params).commutation(n)``, on an object that is then dropped."""
+    return Relations(u, v, params).commutation(n)
 
 
 def transfer_commute(u, v, params: ModelParameters, n: int) -> bool:
-    """Whether tau(u) tau(v) == tau(v) tau(u) on the n-particle sector.
-
-    Refuses what ``transfer_matrix`` refuses, in its order: a non-int n,
-    u = 0, a sector outside 0..M, then v = 0.
-    """
-    _refuse_non_int(n)
-    tables = [_site_tables(u, params)]
-    _refuse_overflow("A", params.M, n)
-    tables.append(_site_tables(v, params))
-    _, ats = _relation(params.M, tables)
-    t_u, t_v = (_sum(at("A", n), at("D", n)) for at in ats)
-    return _vanishes([(1, t_u, t_v), (-1, t_v, t_u)], _inexact(u, v, params))
+    """``Relations(u, v, params).transfer_commute(n)``, on an object that is then dropped."""
+    return Relations(u, v, params).transfer_commute(n)
 
 
 def rtt_check(u, v, params: ModelParameters) -> bool:
-    """R(u,v) T1(u) T2(v) = T2(v) T1(u) R(u,v) on (aux)x(aux)x(sector space).
-
-    Checked blockwise: for auxiliary indices the block (a'c'),(bd) of either
-    side is a sector operator; all 16 blocks must agree exactly unless an
-    input is a float, on every quantum sector.  Each block is checked as a
-    vanishing combination; on the integer lane the R-matrix entries are
-    cleared of their denominators and it is one of ints.
-    """
-    coeffs = [x for row in r_matrix(u, v).data for x in row]
-    tables = [_site_tables(x, params) for x in (u, v)]
-    r, (at_u, at_v) = _relation(params.M, tables, coeffs)
-    r = [r[i:i + 4] for i in range(0, 16, 4)]
-    inexact = _inexact(u, v, params)
-    kind_of = {aux: kind for kind, aux in _KIND_AUX.items()}
-    pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-    for n in range(params.M + 1):
-        for (a_p, c_p), (b, d) in product(pairs, pairs):
-            # T_ab(u) T_cd(v) after its R entry, less T_c'd'(v) T_a'b'(u) after its own
-            terms = [(coeff, at_u(kind_of[a, b], n + d - c), at_v(kind_of[c, d], n))
-                     for a, c in pairs if not is_zero(coeff := r[2 * a_p + c_p][2 * a + c], 0)]
-            terms += [(-coeff, at_v(kind_of[c_p, d_p], n + b_p - a_p), at_u(kind_of[a_p, b_p], n))
-                      for b_p, d_p in pairs if not is_zero(coeff := r[2 * b_p + d_p][2 * b + d], 0)]
-            if not _vanishes(terms, inexact):
-                return False
-    return True
+    """``Relations(u, v, params).rtt()``, on an object that is then dropped."""
+    return Relations(u, v, params).rtt()

@@ -51,10 +51,10 @@ tangent comes from one kernel: the Jacobian of the equations is diagonal plus
 rank one, so Sherman-Morrison solves it in O(N) per set without forming a
 matrix.  Its denominator is g'(Y) for g(Y) = Y - prod_k (1 + beta z_k(Y)),
 where every root of a set solves P_Y(z) = (1+beta z)^N - (-1)^(N-1) Y z^M.
-Residuals, Y, energies and coincident roots are checked on all endpoints at
-once; only the search for an already-kept set runs subset by subset.  At
-beta = -1 the subset of the N beta = 0 roots nearest 1, whose path ends on
-the stationary set, is not tracked: that set is inserted analytically.  ``beta``
+Residuals, Y, energies, coincident roots and twins (``_first_kept_twins``)
+are checked on all endpoints at once.  At beta = -1 the subset of the N
+beta = 0 roots nearest 1, whose path ends on the stationary set, is not
+tracked: that set is inserted analytically.  ``beta``
 generalizes the equations to (1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j),
 as needed by the orthogonality relation (beta = -1 is the TASEP point).  A
 sector that gives fewer or more than binomial(M,N) sets raises, naming every
@@ -66,17 +66,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import numpy as np
 
 from .confluent import sign_pairs
 from .identities import _sum_columns, grothendieck_sum_det, orthogonality_weight
-from .partitions import (ParticleConfiguration, _refuse_non_int, config_to_partition,
-                         enumerate_box, partition_to_config)
+from .partitions import ParticleConfiguration, _refuse_non_int, config_to_partition
 from .ratfunc import taylor
-from .sector import basis_index, hamiltonian, sector_basis
+from .sector import hamiltonian, sector_basis
 from .symfunc import BialternantStack, box_plan, grothendieck_box
 from .vertex import ModelParameters
 
@@ -361,6 +360,35 @@ def _track(z, M, N, beta):
     return ends.T, reached
 
 
+def _first_kept_twins(z, rows):
+    """{row: its first kept twin} over ``rows`` (ascending) of the canonical root sets z.
+
+    Taken in order, a row is kept unless an earlier kept row is its twin, one
+    within ``DEDUP_TOL`` of it root by root; a rejected row names the first.
+    Twins are within ``DEDUP_TOL`` in Re z_0 too, so the candidate pairs are
+    the rows that are close in Re z_0 (in a window twice as wide, against
+    rounding), cut down root by root; only rows of a remaining pair are taken
+    in order.
+    """
+    order = rows[np.argsort(z[rows, 0].real, kind="stable")]
+    re = z[order, 0].real
+    ends = np.searchsorted(re, re + 2 * DEDUP_TOL, side="right")
+    pairs = np.array([(i, k) for i, end in enumerate(ends) for k in range(i + 1, end)], dtype=int)
+    a, b = order[pairs.reshape(-1, 2).T]
+    for j in range(z.shape[1]):
+        close = _abs(z[a, j] - z[b, j]) <= DEDUP_TOL
+        a, b = a[close], b[close]
+    earlier = {}  # each row of a pair: its twins before it
+    for x, y in zip(a.tolist(), b.tolist()):
+        earlier.setdefault(max(x, y), []).append(min(x, y))
+    twin_of = {}
+    for r in sorted(earlier):
+        kept = [k for k in earlier[r] if k not in twin_of]
+        if kept:
+            twin_of[r] = min(kept)
+    return twin_of
+
+
 def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
     """All binomial(M,N) solution sets of the z-form Bethe equations, as their ``Spectrum``.
 
@@ -397,7 +425,7 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
     tracked = [subset for subset in subsets if subset != stationary]
     z, reached = _track(start[np.array(tracked)], M, N, beta)
     z[reached == 1] = _newton_polish(z[reached == 1], M, N, beta)
-    # every test but the twin search, on all endpoints at once
+    # every test, on all endpoints at once
     z = _canonical(z)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         res, Y = _root_residuals(z, M, N, beta)
@@ -407,8 +435,9 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
     worst = np.max(res, axis=1)
     j, k = np.triu_indices(N, 1)
     coincident = np.any(_abs(z[:, j] - z[:, k]) <= DEDUP_TOL, axis=1)
+    twin_of = _first_kept_twins(z, np.flatnonzero(~(reached < 1) & (worst <= RESIDUAL_TOL)
+                                                  & ~coincident))
     solutions = []
-    kept = np.empty((len(subsets), N), dtype=complex)  # roots of solutions, row by row
     rejected = []  # (subset, reason) for every subset that gave no new solution set
     if tasep_point:
         rejected.append((stationary, "the stationary set (all roots at 1), inserted analytically"))
@@ -422,12 +451,9 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
         if coincident[r]:
             rejected.append((subset, "coincident roots at s = 1"))
             continue
-        twins = np.flatnonzero(_abs(kept[:len(solutions)] - z[r]).max(axis=1) <= DEDUP_TOL)
-        if len(twins):
-            rejected.append((subset, f"same solution set as choice "
-                                     f"{solutions[twins[0]].choice_id} at s = 1"))
+        if r in twin_of:
+            rejected.append((subset, f"same solution set as choice {tracked[twin_of[r]]} at s = 1"))
             continue
-        kept[len(solutions)] = z[r]
         solutions.append(BetheSolution(tuple(z[r]), complex(Y[r]), complex(energy[r]),
                                        tuple(res[r]), subset))
     if tasep_point:
@@ -547,9 +573,7 @@ class Spectrum:
     def basis_order(self) -> np.ndarray:
         """The ``box_vectors`` row of each configuration, in ``sector_basis`` order; built once."""
         if self._order is None:
-            index = basis_index(self.M, self.N)
-            self._order = np.argsort([index[partition_to_config(lam, self.M).positions]
-                                      for lam in enumerate_box(self.M - self.N, self.N)])
+            self._order = _basis_order(self.M, self.N)
         return self._order
 
     def form_factors(self, terms):
@@ -590,6 +614,19 @@ class Spectrum:
         if abs(total.imag) > 1e-7:
             raise RuntimeError(f"spectral sum came out non-real: {total}")
         return float(total.real)
+
+
+def _basis_order(M: int, N: int) -> np.ndarray:
+    """The ``enumerate_box`` row of each configuration of (M, N), in ``sector_basis`` order.
+
+    Box row i holds the i-th partition lam, whose configuration
+    x_j = lam_(N-j+1) + j has the rank binomial(M,N) - 1 -
+    sum_j binomial(M - x_j, N - j + 1) in the lexicographic ``sector_basis``.
+    """
+    lam = np.array(list(combinations_with_replacement(range(M - N, -1, -1), N)), dtype=int)
+    x = lam.reshape(comb(M, N), N)[:, ::-1] + np.arange(1, N + 1)
+    binom = np.array([[comb(a, b) for b in range(N + 1)] for a in range(M + 1)])
+    return np.argsort(comb(M, N) - 1 - binom[M - x, np.arange(N, 0, -1)].sum(axis=1))
 
 
 def _spectrum(solutions, M, N, beta=-1.0) -> Spectrum:

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from fivevertex import confluent, sector, wavefunc
+from fivevertex import confluent, wavefunc
 
 # the seeded draws the tests use, shared with the CLI and the acceptance battery
 from fivevertex.sampling import distinct_square_fractions as distinct_squares  # noqa: F401
@@ -10,8 +10,7 @@ from fivevertex.sampling import rand_fraction  # noqa: F401
 
 
 def forget_kept_tables():
-    """Empty the one-entry slots in which the package keeps its last tables."""
-    sector._last_operators[:] = None, None
+    """Empty the one-entry slot in which the package keeps its last wavefunction tables."""
     wavefunc._last_sector[:] = None, None
 
 
@@ -23,7 +22,7 @@ def force_generic_path(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _cold_start():
-    # every test starts from empty slots, whatever ran before it
+    # every test starts from an empty slot, whatever ran before it
     forget_kept_tables()
 
 

@@ -11,10 +11,10 @@ import pytest
 from fivevertex.linalg import Matrix
 from fivevertex.scalars import exact_div, is_zero
 from fivevertex import sector, vertex
-from fivevertex.sector import (ModelParameters, SectorOperator, basis_index, bethe_residual,
-                               bethe_state, build_monodromy_element, commutation_checks,
-                               dual_bethe_state, hamiltonian, rtt_check, sector_basis,
-                               sector_dim, transfer_commute, transfer_eigenvalue,
+from fivevertex.sector import (ModelParameters, Relations, SectorOperator, basis_index,
+                               bethe_residual, bethe_state, build_monodromy_element,
+                               commutation_checks, dual_bethe_state, hamiltonian, rtt_check,
+                               sector_basis, sector_dim, transfer_commute, transfer_eigenvalue,
                                transfer_matrix)
 from fivevertex.vertex import f_weight, g_weight, l_matrix, l_weights, r_matrix
 
@@ -629,20 +629,81 @@ def test_transfer_commute_fails_for_transfer_matrices_of_two_models(monkeypatch,
     assert [transfer_commute(u, v, params, n) for n in range(4)] == [True, False, False, True]
 
 
+_REFUSAL_ORDER = {"commutation": ("n", "fg", "u", "v"),
+                  "transfer_commute": ("n", "u", "overflow", "v"), "rtt": ("R", "u", "v")}
+
+
+def _refusal(check, u, v, params, n=0):
+    """The first refusal of ``check`` at (u, v, params, n): its name and ``outcome``, or None.
+
+    The order is the checks' contract: commutation refuses a non-int n, then
+    the f/g pole, u = 0 and v = 0; transfer_commute a non-int n, then u = 0,
+    the sector overflow and v = 0; rtt the R pole, then u = 0 and v = 0.
+    """
+    singular = "ZeroDivisionError: monodromy elements are singular at u = 0"
+    tests = {
+        "n": (lambda: not isinstance(n, int), f"ValueError: n must be an int, got n = {n!r}"),
+        "fg": (lambda: u * u == v * v, "ZeroDivisionError: f/g weight pole at a^2 = b^2"),
+        "R": (lambda: u * u == v * v, "ZeroDivisionError: R-matrix pole at u^2 = v^2"),
+        "u": (lambda: u == 0, singular),
+        "v": (lambda: v == 0, singular),
+        "overflow": (lambda: not 0 <= n <= params.M,
+                     f"ValueError: sector overflow: A cannot act on sector {n} of {params.M} sites"),
+    }
+    return next(((step, tests[step][1]) for step in _REFUSAL_ORDER[check] if tests[step][0]()),
+                None)
+
+
+def test_relation_refusals_keep_their_order_in_the_wrappers_and_a_held_object(rng):
+    # every case, one held Relations per case as `vertex commutation-check` and
+    # criterion 2 hold it, and a fresh one per call in the wrappers
+    refused = set()
+    for params, u, v in _relation_cases(rng):
+        held = Relations(u, v, params)
+        for n in [*range(-1, params.M + 2), 1.0, "1"]:
+            for check, wrapper in (("commutation", commutation_checks),
+                                   ("transfer_commute", transfer_commute)):
+                got = outcome(lambda: wrapper(u, v, params, n))
+                assert got == outcome(lambda: getattr(held, check)(n)), (params, u, v, n, check)
+                refusal = _refusal(check, u, v, params, n)
+                assert got == refusal[1] if refusal else got.startswith(("{", "True", "False"))
+                refused.add((check, refusal and refusal[0]))
+        refusal = _refusal("rtt", u, v, params)
+        got = outcome(lambda: rtt_check(u, v, params))
+        assert got == outcome(held.rtt) == (refusal[1] if refusal else "True"), (params, u, v)
+        refused.add(("rtt", refusal and refusal[0]))
+    # the cases reach every refusal of every check: n not an int, the poles at
+    # u^2 = v^2, u = 0, v = 0 and n outside 0..M
+    assert refused == {(check, step) for check, steps in _REFUSAL_ORDER.items()
+                       for step in (None, *steps)}
+
+
 @pytest.mark.parametrize("lane", [True, False])
 def test_a_sweep_over_sectors_builds_each_element_once(monkeypatch, lane):
-    # commutation_checks and transfer_commute of one (u, v) over n = 0..M, as
-    # `vertex commutation-check` calls them, share one element per (kind, n, value)
+    # one Relations over n = 0..M, as `vertex commutation-check` holds it,
+    # sweeps one element per (kind, n, value); a second object keeps nothing
+    # of the first, and each wrapper call sweeps afresh
     u, v = (F(2, 3), F(5, 7)) if lane else (1.5 - 0.5j, 0.25 + 1j)
     params = ModelParameters(F(1, 2) if lane else 1.25 + 0.5j, 5)
     built = []
     build = sector._sparse_element
     monkeypatch.setattr(sector, "_sparse_element", lambda kind, sites, M, n, lane:
                         built.append((kind, n, id(sites))) or build(kind, sites, M, n, lane))
+    relations = Relations(u, v, params)
     for n in range(params.M + 1):
-        assert all(commutation_checks(u, v, params, n).values())
-        assert transfer_commute(u, v, params, n)
+        assert all(relations.commutation(n).values())
+        assert relations.transfer_commute(n)
+    assert relations.rtt()
     assert len(built) == len(set(built)) and len({key[2] for key in built}) == 2
+    first = built[:]
+    del built[:]
+    assert all(Relations(u, v, params).commutation(2).values())
+    assert {key[:2] for key in built} <= {key[:2] for key in first}
+    assert not {key[2] for key in built} & {key[2] for key in first}
+    swept = len(built)
+    assert all(commutation_checks(u, v, params, 2).values())
+    assert all(commutation_checks(u, v, params, 2).values())
+    assert len(built) == 3 * swept
 
 
 @pytest.mark.parametrize("u,v,params", [

@@ -17,8 +17,8 @@ def test_sources_parse_under_requires_python():
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, int(floor.group(1))))
 
 
-def test_the_only_hidden_slots_are_the_two_the_fixture_empties():
-    # conftest.forget_kept_tables empties these; a new module-level _last_* slot
+def test_the_only_hidden_slot_is_the_one_the_fixture_empties():
+    # conftest.forget_kept_tables empties it; a new module-level _last_* slot
     # would keep state between calls that no fixture resets
     slots = set()
     for path in sorted(ROOT.glob("src/fivevertex/*.py")):
@@ -27,4 +27,4 @@ def test_the_only_hidden_slots_are_the_two_the_fixture_empties():
                 [node.target] if isinstance(node, ast.AnnAssign) else []
             slots |= {f"{path.stem}.{t.id}" for t in targets
                       if isinstance(t, ast.Name) and t.id.startswith("_last_")}
-    assert slots == {"wavefunc._last_sector", "sector._last_operators"}
+    assert slots == {"wavefunc._last_sector"}

@@ -26,7 +26,7 @@ from fivevertex.tasep import (CONJUGATE_TOL, CORRECTOR_STEPS, CORRECTOR_TOL, DED
                               expectation_via_form_factors, form_factor_sum, green_function,
                               green_function_table, master_oracle, sector_generator,
                               sum_rule_check)
-from fivevertex.sector import hamiltonian, sector_basis
+from fivevertex.sector import basis_index, hamiltonian, sector_basis
 from fivevertex.vertex import ModelParameters
 
 from conftest import distinct_squares
@@ -408,6 +408,16 @@ def test_green_table_rows_follow_the_sector_basis():
     assert spec.basis_order() is order  # built once per Spectrum
     box = list(enumerate_box(M - N, N))
     assert tuple(partition_to_config(box[i], M).positions for i in order) == sector_basis(M, N)
+
+
+def test_the_box_to_basis_order_is_the_per_partition_one_on_every_sector():
+    # ranks from the box's parts against a Partition and a configuration per entry
+    for M in range(13):
+        for N in range(M + 1):
+            index = basis_index(M, N)
+            want = np.argsort([index[partition_to_config(lam, M).positions]
+                               for lam in enumerate_box(M - N, N)])
+            assert np.array_equal(tasep._basis_order(M, N), want), (M, N)
 
 
 @pytest.mark.parametrize("M, N", [(6, 3), (8, 4)])
@@ -883,6 +893,66 @@ def test_each_rejection_reason_reaches_the_report(monkeypatch):
         "  (0, 3, 4): residual 16 above 1e-10 at s = 1",
         "  (4, 5, 6): the stationary set (all roots at 1), inserted analytically",
     ]
+
+
+def _row_by_row_twins(z, rows):
+    """The twin search as a loop: each row against every row kept before it."""
+    kept, twin_of = [], {}
+    for r in rows:
+        twins = [k for k in kept if tasep._abs(z[k] - z[r]).max() <= DEDUP_TOL]
+        if twins:
+            twin_of[r] = twins[0]
+        else:
+            kept.append(r)
+    return twin_of
+
+
+def test_twin_search_keeps_the_row_by_row_semantics(monkeypatch):
+    # crafted endpoints of (7, 3) at beta = -1/2, where no set is inserted:
+    # row 34 repeats row 0 to within DEDUP_TOL, at the far end of the tracked
+    # order; rows 10, 20 and 30 are a chain, 20 within 6e-10 of 10 and of 30,
+    # which are 1.2e-9 apart, so 20 goes as 10's twin and 30, whose only twin
+    # is gone, is kept
+    M, N, beta = 7, 3, -0.5
+    shifts = {34: (0, 4e-10), 20: (10, 6e-10), 30: (10, 1.2e-9)}
+
+    def crafted(z, M, N, beta):
+        ends = _track(z, M, N, beta)[0]
+        for row, (source, shift) in shifts.items():
+            ends[row] = ends[source] + shift
+        return ends, np.ones(len(ends))
+
+    def unchecked_residuals(z, M, N, beta):
+        # a shifted set misses the residual target by about |F'| * shift
+        res, Y = residuals(z, M, N, beta)
+        return 0 * res, Y
+
+    residuals = tasep._root_residuals
+    subsets = list(combinations(range(M), N))
+    z = _canonical(crafted(_free_roots(M, N)[np.array(subsets)], M, N, beta)[0])
+    assert tasep._first_kept_twins(z, np.arange(35)) == _row_by_row_twins(z, range(35)) \
+        == {20: 10, 34: 0}
+    monkeypatch.setattr(tasep, "_track", crafted)
+    monkeypatch.setattr(tasep, "_newton_polish", lambda z, M, N, beta: z)
+    monkeypatch.setattr(tasep, "_root_residuals", unchecked_residuals)
+    with pytest.raises(RuntimeError) as info:
+        bethe_solve(M, N, beta)
+    assert str(info.value).splitlines() == [
+        "completeness failure: 33 of 35 solution sets found; "
+        "choices without a new solution set:",
+        f"  {subsets[20]}: same solution set as choice {subsets[10]} at s = 1",
+        f"  {subsets[34]}: same solution set as choice {subsets[0]} at s = 1",
+    ]
+
+    # clusters of near-copies in a scrambled order, two copies up to 1.7
+    # DEDUP_TOL apart in a root, so that some twins chain: the stacked search
+    # names the same twins as the loop
+    rng = np.random.default_rng(7)
+    shift = rng.uniform(-0.6, 0.6, (2, 200, N))
+    copies = z[rng.integers(0, 35, 200)] + DEDUP_TOL * (shift[0] + 1j * shift[1])
+    rows = np.sort(rng.choice(200, 150, replace=False))
+    twin_of = tasep._first_kept_twins(copies, rows)
+    assert twin_of == _row_by_row_twins(copies, rows) and len(twin_of) > 50
 
 
 @pytest.mark.parametrize("M, N", [(3, 1), (8, 4), (9, 8)])
