@@ -233,18 +233,18 @@ def grothendieck_sum_check(M, N, z, beta, dual: bool = False) -> bool:
 
 
 def orthogonality_weight(z, beta, M, N):
-    """The weight w({z}_N) of the orthogonality relation."""
-    correction = 1
-    for zj in z:
-        correction = correction + beta * zj / (M + (M - N) * beta * zj)
-    w = exact_div(1, correction)
-    for j in range(N):
+    """The weight w({z}_N) of the orthogonality relation, over one denominator: with
+    D_j = M + (M-N) beta z_j, prod_{j!=k} (z_j - z_k) prod_j z_j^(1-N) (1 + beta z_j)
+    / (prod_j D_j + sum_j beta z_j prod_{k!=j} D_k), finite where a D_j vanishes."""
+    num, den, terms, power = 1, 1, 0, 1  # terms: sum_j beta z_j prod_{k!=j} D_k so far
+    for j, zj in enumerate(z):
+        d = M + (M - N) * beta * zj
+        terms, den = terms * d + beta * zj * den, den * d
+        num, power = num * (1 + beta * zj), power * zj ** (N - 1)
         for k in range(N):
             if j != k:
-                w = w * (z[j] - z[k])
-    for zj in z:
-        w = w * zj ** (1 - N) * (1 + beta * zj) / (M + (M - N) * beta * zj)
-    return w
+                num = num * (zj - z[k])
+    return exact_div(num, power * (den + terms))
 
 
 def _orthogonality_spectrum(M, N, beta, solutions):
@@ -286,14 +286,14 @@ def orthogonality_check(M, N, beta, lam, mu, solutions=None):
     The value is the (lam, mu) entry of ``orthogonality_matrix``: the first
     call on a Spectrum builds its box vectors, and later calls on the same
     Spectrum read them.  For one pair on a large sector,
-    ``spec.right(lam) @ spec.left(mu)`` is cheaper.
+    ``spec.stationary + spec.contract(spec.right(lam), spec.left(mu))`` is cheaper.
     """
     _refuse_non_int(M, "M")
     _refuse_non_int(N, "N")
     i, k = _box_row("lam", lam, M, N), _box_row("mu", mu, M, N)
     spec = _orthogonality_spectrum(M, N, beta, solutions)
     left, right = spec.box_vectors()
-    return complex(spec.stationary + right[i] @ left[k])
+    return complex(spec.stationary + spec.contract(right[i], left[k]))
 
 
 def orthogonality_matrix(M, N, beta, solutions=None):
@@ -303,4 +303,4 @@ def orthogonality_matrix(M, N, beta, solutions=None):
     """
     spec = _orthogonality_spectrum(M, N, beta, solutions)
     left, right = spec.box_vectors()
-    return spec.stationary + right @ left.T
+    return spec.stationary + spec.contract(right, left)

@@ -14,8 +14,8 @@ from typing import Iterator
 
 
 def _refuse_non_int(value, name="n"):
-    """Refuse, by name, a size that is not an int (numpy ints are ints, 4.0 is not)."""
-    if not isinstance(value, Integral):
+    """Refuse, by name, a size that is not an int (numpy ints are ints, 4.0 and True are not)."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an int, got {name} = {value!r}")
 
 

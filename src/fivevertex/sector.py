@@ -52,6 +52,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, product
 from math import comb, lcm
+from numbers import Integral
 
 from .linalg import Matrix
 from .partitions import _refuse_non_int
@@ -507,9 +508,11 @@ class Relations:
     their denominators when they are ints or Fractions (not at M = 0 with
     complex u, say, where the tables hold no weight), so that the
     combination is one of ints.  Off it the entries are the generic path's.
+    Integral u and v (numpy ints, say) are taken as ints, keeping f and g exact.
     """
 
     def __init__(self, u, v, params: ModelParameters):
+        u, v = (int(x) if isinstance(x, Integral) else x for x in (u, v))
         self.u, self.v, self.params = u, v, params
         self.inexact = any(is_inexact(x) for x in (u, v, params.alpha, *params.w))
         self._tables = []  # the site tables of u, then of v

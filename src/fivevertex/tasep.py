@@ -19,18 +19,15 @@ weight ``identities.orthogonality_weight``; that product is used, so no
 removable pole at z_j y_k = 1 has to be resolved.  The stationary solution
 (all roots at 1) contributes the analytic 1/binomial(M,N).  ``bethe_solve``
 returns these data as a ``Spectrum``, which every quantity below (Green function
-and table, sum rule, expectations) takes, or None to solve, and contracts.  In the
-complex float lane its quantities are stacked over all solution sets at
-once.  The whole box of vectors G_mu(z_s) and Gbar_lam(1/z_s) comes from the
-one-variable branching rule (``symfunc.grothendieck_box``, no determinant);
-a single partition's vector from stacked LU bialternants
-(``symfunc.BialternantStack``); the window form factors from one determinant
-of the summation columns per distinct window length, with the scalar
-``form_factor_sum`` as the exact lane and their oracle.  At real beta the
-Bethe equations have real coefficients, so the solution sets come in
-conjugate pairs, and G, Gbar and the form-factor ratio take conjugate values
-on the two sets of a pair: each pair is evaluated once
-(``_conjugate_partners``), while weights and energies stay per set.
+and table, sum rule, expectations) takes, or None to solve; each is one
+``Spectrum.contract`` over one row per conjugate pair of solution sets, which
+pair up at real beta, where the Bethe equations have real coefficients.  The
+stacked float lane evaluates the rows at once.  The whole box of vectors
+G_mu(z_s) and Gbar_lam(1/z_s) comes from the one-variable branching rule
+(``symfunc.grothendieck_box``, no determinant); a single partition's vector
+from stacked LU bialternants (``symfunc.BialternantStack``); the window form
+factors from one determinant of the summation columns per distinct window
+length, with the scalar ``form_factor_sum`` as the exact lane and their oracle.
 
 The solver continues in beta from the free-fermion point beta = 0, where
 the equations decouple into z^M = (-1)^(N-1) and every N-subset of those M
@@ -180,7 +177,7 @@ def _conjugate_partners(z, beta):
 
     Candidates come from rounding to the 1e-9 grid, on which sets more than
     ``DEDUP_TOL`` apart differ; a partner that rounds across a grid line is
-    missed, and its set is then evaluated directly.
+    missed, and its set is then a row of its own.
     """
     rows = np.arange(len(z))
     if complex(beta).imag != 0:
@@ -470,31 +467,27 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
 class Spectrum:
     """The Bethe solution sets of (M, N) at ``beta``, in solve order, and their spectral data.
 
-    Holds, over the non-stationary solution sets s, the roots z_s, energies
-    E_s and orthogonality weights w_s = 1 / sum_gamma G_gamma(z_s) Gbar_gamma(1/z_s),
-    plus the stationary weight 1/binomial(M,N) (0 when there is no stationary
-    set).  Every TASEP quantity is a contraction
+    ``solutions`` and ``len`` cover every set, the spectral data one row per
+    conjugate pair (``_conjugate_partners``, none at complex beta): the sets
+    without a partner first, then the first set of each pair.  Over the rows
+    it holds the roots z_s, energies E_s and orthogonality weights
+    w_s = 1 / sum_gamma G_gamma(z_s) Gbar_gamma(1/z_s), plus the stationary
+    weight 1/binomial(M,N) (0 when there is no stationary set).  Every TASEP
+    quantity is a contraction
 
-        a0 * stationary + sum_s a_s right(lam)_s e^{E_s t},
+        a0 * stationary + contract(a e^{E t}, right(lam)),
 
-    where a is a left vector (G_mu(z_s), or a sum of them) and a0 its value
-    at the stationary point, where every G_mu is 1.  The box vectors, and the
-    order that puts them in ``sector_basis`` order for the Green tables, are
-    built on first use and kept.
+    where a is a left vector (G_mu(z_s), or a real combination of them) and
+    a0 its value at the stationary point, where every G_mu is 1; with real
+    coefficients, each takes conjugate values on a pair's two sets.  The box
+    vectors, and the order that puts them in ``sector_basis`` order for the
+    Green tables, are built on first use and kept.
 
     The request picks the algorithm.  ``left(mu)`` and ``right(lam)``, one
     partition, take stacked LU bialternants; ``box_vectors``, every
     partition, takes the branching rule's passes over the variables, in
     ``np.clongdouble`` (``symfunc.grothendieck_box``).  The two agree to the
     LU's rounding: within 1.6e-14 of the largest value up to (12,9).
-
-    At real beta the polynomials G, Gbar and the form-factor ratio have real
-    coefficients, so at the conjugate of a set they take the conjugate value.
-    Each set whose conjugate is another set (``_conjugate_partners``) is
-    filled from its partner that way, and only the other sets are evaluated.
-    Only these symmetric functions are mirrored: a partner's canonical root
-    order is another permutation, so an antisymmetric quantity such as the
-    Vandermonde would pick up a sign.
     """
 
     def __init__(self, solutions, M: int, N: int, beta=-1.0):
@@ -510,20 +503,16 @@ class Spectrum:
         proper = [s for s in solutions if not s.stationary]
         self.solutions, self.M, self.N, self.beta = solutions, M, N, beta
         self.stationary = (len(solutions) - len(proper)) / comb(M, N)
-        self.roots = np.array([s.roots for s in proper], dtype=complex).reshape(-1, N)
+        z = np.array([s.roots for s in proper], dtype=complex).reshape(-1, N)
+        partner, sets = _conjugate_partners(z, beta), np.arange(len(z))
+        rows = np.concatenate([np.flatnonzero(partner == sets), np.flatnonzero(partner > sets)])
+        self._pairs = int(np.sum(partner == sets))  # the first row that stands for a pair
+        self.roots = z[rows]
         # energies are undefined at beta = 0, where only left/right are used
         self.energies = np.array([np.nan if s.energy is None else s.energy for s in proper],
-                                 dtype=complex)
-        # the evaluations run on the evaluated rows; a set with a lower partner
-        # is mirrored, taking the conjugate of its partner's value.  _source is
-        # each set's place among the evaluated rows, a mirrored set's its partner's
-        partner = _conjugate_partners(self.roots, beta)
-        self._mirrored = partner < np.arange(len(partner))
-        self._source = np.cumsum(~self._mirrored) - 1
-        self._source[self._mirrored] = self._source[partner[self._mirrored]]
-        self._evaluated = self.roots[~self._mirrored]
-        self._left = BialternantStack(self._evaluated, beta)
-        self._dual = BialternantStack(1 / self._evaluated, beta, dual=True)
+                                 dtype=complex)[rows]
+        self._left = BialternantStack(self.roots, beta)
+        self._dual = BialternantStack(1 / self.roots, beta, dual=True)
         self._box = self._order = None
 
     def __len__(self):
@@ -534,24 +523,28 @@ class Spectrum:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """w_s over the solution axis, on first use: a pole refuses contractions, not the solve."""
+        """w_s over the rows, on first use: a pole refuses contractions, not the solve."""
         weights = orthogonality_weight(list(self.roots.T), self.beta, self.M, self.N)
         if not np.all(np.isfinite(weights)):
             raise ZeroDivisionError("orthogonality weight has a pole at a Bethe root")
         return weights
 
-    def _spread(self, values) -> np.ndarray:
-        """Values over the evaluated sets (last axis) at every set; a mirrored set conjugates."""
-        out = values[..., self._source]
-        return np.conjugate(out, out=out, where=self._mirrored)
+    def contract(self, a, b):
+        """sum over the non-stationary sets s of a_s b_s, the last axes (the rows) contracted.
+
+        An unpaired row counts once, a pair's row 2 Re(a_s b_s): ``a`` and ``b``
+        must take conjugate values on a pair.  The imaginary part is the unpaired rows'.
+        """
+        p = self._pairs
+        return np.inner(a[..., :p], b[..., :p]) + 2 * np.inner(a[..., p:], b[..., p:]).real
 
     def left(self, mu) -> np.ndarray:
-        """G_mu(z_s; beta) over the solution axis."""
-        return self._spread(self._left(mu))
+        """G_mu(z_s; beta) over the rows."""
+        return self._left(mu)
 
     def right(self, lam) -> np.ndarray:
-        """w_s Gbar_lam(1/z_s; beta) over the solution axis."""
-        return self.weights * self._spread(self._dual(lam))
+        """w_s Gbar_lam(1/z_s; beta) over the rows."""
+        return self.weights * self._dual(lam)
 
     def box_vectors(self):
         """left and right for every partition of the box, stacked in ``enumerate_box`` order.
@@ -562,10 +555,9 @@ class Spectrum:
         """
         if self._box is None:
             plan = box_plan(self.M - self.N, self.N)
-            z = self._evaluated
-            self._box = (self._spread(grothendieck_box(z, self.beta, plan)),
-                         self.weights * self._spread(grothendieck_box(
-                             1 / z.astype(np.clongdouble), self.beta, plan, dual=True)))
+            self._box = (grothendieck_box(self.roots, self.beta, plan),
+                         self.weights * grothendieck_box(1 / self.roots.astype(np.clongdouble),
+                                                         self.beta, plan, dual=True))
             for v in self._box:
                 v.flags.writeable = False
         return self._box
@@ -582,38 +574,42 @@ class Spectrum:
         a_s is the form-factor sum at z_s; a0 its value at the stationary
         point, sum coef * binomial(M-n, N).  Neither depends on t.  Per
         distinct window length n, the columns of grothendieck_sum_det(M-n, N, z, -1)
-        are evaluated on the evaluated root sets (one per conjugate pair) at once
-        and taken through one stacked determinant, whose ratio to the Vandermonde
-        is mirrored; each term multiplies it by prod_j z_j^(l+n-1) of its own set.
-        The windows are TASEP observables, so a Spectrum at beta != -1 is refused.
+        are evaluated on every row at once and taken through one stacked
+        determinant, divided by the Vandermonde; each term multiplies it by
+        prod_j z_j^(l+n-1) of its own set.  The windows are TASEP observables,
+        so a Spectrum at beta != -1 is refused, and so is a non-real coef.
         """
         if complex(self.beta) != -1:
             raise ValueError(f"form factors need the TASEP point beta = -1, "
                              f"not this Spectrum's beta = {self.beta}")
         terms = list(terms)
-        for _, l, n in terms:
+        for coef, l, n in terms:
             _check_window(l, n, self.M)
+            if complex(coef).imag != 0:
+                raise ValueError(f"form-factor coefficients must be real, got coef = {coef!r}")
         z, N = self.roots, self.N
         dets = {}
         for n in {n for _, _, n in terms}:
-            values = taylor(_sum_columns(self.M - n, N, -1), self._evaluated)[0]  # column k at z_sj
-            dets[n] = self._spread(np.linalg.det(np.stack(values, axis=-1))
-                                   / (sign_pairs(N) * self._left.vandermonde))
+            values = taylor(_sum_columns(self.M - n, N, -1), z)[0]  # column k at z_sj
+            dets[n] = (np.linalg.det(np.stack(values, axis=-1))
+                       / (sign_pairs(N) * self._left.vandermonde))
         a = np.zeros(len(z), dtype=complex)
         for coef, l, n in terms:
             a += complex(coef) * (np.prod(z ** (l + n - 1), axis=1) * dets[n])
         return a, sum(coef * comb(self.M - n, N) for coef, _, n in terms)
 
-    def evolve(self, a, a0, right, t) -> float:
-        """Real part of a0 * stationary + sum_s a_s right_s e^{E_s t}, for finite t >= 0.
+    def evolve(self, a, a0, right, t):
+        """Real part of a0 * stationary + contract(a e^{E t}, right), for finite t >= 0.
 
-        ``right`` is ``right(lam)`` of the initial configuration's partition lam.
+        ``right`` is ``right(lam)`` of the initial configuration's partition,
+        or the right box vectors for a table; ``a`` a real combination of left
+        vectors, so that a pair's two sets take conjugate values (``contract``).
         """
         _check_time(t)
-        total = a0 * self.stationary + a @ (right * np.exp(self.energies * t))
-        if abs(total.imag) > 1e-7:
-            raise RuntimeError(f"spectral sum came out non-real: {total}")
-        return float(total.real)
+        total = a0 * self.stationary + self.contract(a * np.exp(self.energies * t), right)
+        if (imag := np.max(np.abs(total.imag))) > 1e-7:
+            raise RuntimeError(f"spectral sum came out non-real: imaginary part up to {imag:.3g}")
+        return total.real if total.ndim else float(total.real)
 
 
 def _basis_order(M: int, N: int) -> np.ndarray:
@@ -656,16 +652,13 @@ def green_function(query: GreenQuery, solutions=None) -> float:
 def green_function_table(M: int, N: int, t: float, solutions=None) -> np.ndarray:
     """Matrix of G_t(x'|x) over the configuration basis (rows x', columns x).
 
-    Same spectral data as ``green_function``, contracted for all pairs in one
-    matrix product; used for all-pairs sweeps against the master-equation oracle.
+    ``Spectrum.evolve`` on the two box matrices, contracted for all pairs at
+    once; used for all-pairs sweeps against the master-equation oracle.
     """
     _check_time(t)
     spec = _spectrum(solutions, M, N)
     left, right = (v[spec.basis_order()] for v in spec.box_vectors())
-    out = spec.stationary + (left * np.exp(spec.energies * t)) @ right.T
-    if np.max(np.abs(out.imag)) > 1e-7:
-        raise RuntimeError("Green-function table came out non-real")
-    return out.real
+    return spec.evolve(left, 1, right, t)
 
 
 def sum_rule_check(x: ParticleConfiguration, t: float, solutions=None) -> float:
@@ -677,18 +670,20 @@ def sum_rule_check(x: ParticleConfiguration, t: float, solutions=None) -> float:
 def expectation(observable, x: ParticleConfiguration, t: float, solutions=None):
     """<S_N| A e^{Ht} |x> for an observable given on the configuration basis.
 
-    ``observable`` is a matrix over the sector basis (rows = bra, columns =
-    ket, both in ``sector_basis`` order).  Its column sums, contracted with
-    the kept box vectors G_mu(z_s), give the left vector.
+    ``observable`` is a real matrix over the sector basis (rows = bra, columns
+    = ket, both in ``sector_basis`` order), as ``Spectrum.contract`` needs.  Its
+    column sums, contracted with the kept box vectors G_mu(z_s), give the left vector.
     """
     M, N = x.ring_size, len(x)
     a_mat = np.asarray(observable, dtype=complex)
     dim = comb(M, N)
     if a_mat.shape != (dim, dim):
         raise ValueError(f"observable must be {dim} x {dim} on the configuration basis")
+    if np.any(a_mat.imag):
+        raise ValueError("observable must be real, got a nonzero imaginary part")
     spec = _spectrum(solutions, M, N)
-    a = a_mat.sum(axis=0) @ spec.box_vectors()[0][spec.basis_order()]
-    return spec.evolve(a, a_mat.sum(), spec.right(config_to_partition(x)), t)
+    a = a_mat.real.sum(axis=0) @ spec.box_vectors()[0][spec.basis_order()]
+    return spec.evolve(a, a_mat.real.sum(), spec.right(config_to_partition(x)), t)
 
 
 def _check_window(l, n, M):

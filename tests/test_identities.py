@@ -10,7 +10,8 @@ import pytest
 
 from fivevertex.identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs,
                                    grothendieck_sum_check, grothendieck_sum_det,
-                                   orthogonality_check, orthogonality_matrix)
+                                   orthogonality_check, orthogonality_matrix,
+                                   orthogonality_weight)
 from fivevertex.partitions import enumerate_box
 from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval, schur_eval
 
@@ -266,6 +267,17 @@ def test_orthogonality_small_case():
             val = orthogonality_check(M, N, -1.0, lam, mu, sols)
             want = 1.0 if lam.parts == mu.parts else 0.0
             assert abs(val - want) <= 1e-8
+
+
+def test_orthogonality_weight_takes_no_pole_where_a_denominator_factor_vanishes():
+    # at (3,1), beta = -3/2, M + (M-N) beta z vanishes at the Bethe root z = 1;
+    # the weight used to be nan there and the matrix was refused as "a pole at
+    # a Bethe root".  Over its common denominator the factor cancels, and for
+    # N = 1 the weight is exactly 1/M
+    assert orthogonality_weight([F(1)], F(-3, 2), 3, 1) == F(1, 3)
+    for z, beta, M in ((F(2, 7), F(-1, 2), 5), (F(-5, 3), F(3), 4)):
+        assert orthogonality_weight([z], beta, M, 1) == F(1, M)
+    assert np.max(np.abs(orthogonality_matrix(3, 1, -1.5) - np.eye(3))) <= 1e-15
 
 
 def test_orthogonality_matrix_matches_pairwise_checks():

@@ -710,7 +710,10 @@ def test_a_sweep_over_sectors_builds_each_element_once(monkeypatch, lane):
     (F(2, 3), F(5, 7), ModelParameters(F(1, 2), 4)),  # the integer lane
     (2, 5, ModelParameters(3, 4)),  # exact off the lane: every u/w_j an int
     (1.5 - 0.5j, 0.25 + 1j, ModelParameters(1.25 + 0.5j, 4)),  # complex
-], ids=["lane", "exact", "complex"])
+    # numpy ints used to reach exact_div's float a / b, so f and g were rounded
+    # and CB, AB, DB and RTT failed where Python ints pass
+    (np.int64(2), np.int64(3), ModelParameters(F(1, 2), 3, w=(F(1, 3),) * 3)),
+], ids=["lane", "exact", "complex", "numpy-int"])
 def test_relation_checks_take_the_sparse_path_on_every_lane(monkeypatch, u, v, params):
     # the relation checks multiply no dense SectorOperator, on the lane or off it
     def refused(*args, **kwargs):

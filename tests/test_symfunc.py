@@ -432,10 +432,11 @@ def test_grothendieck_box_takes_coincident_variables(dual):
 
 
 def test_box_plan_is_kept_read_only():
-    # one plan per (m, n); a float is refused before the memo, which would take 2.0 for 2
+    # one plan per (m, n); a float or bool is refused before the memo, which
+    # would take 2.0 for 2 and True for 1
     plan = box_plan(2, 2)
     assert box_plan(2, 2) is plan and box_plan(np.int64(2), 2) is plan
-    for m, n, name in ((2.0, 2, "m"), (2, 2.0, "n")):
+    for m, n, name in ((2.0, 2, "m"), (2, 2.0, "n"), (2, True, "n")):
         with pytest.raises(ValueError, match=f"^{name} must be an int"):
             box_plan(m, n)
     for arrays in plan[1]:

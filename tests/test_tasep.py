@@ -12,7 +12,8 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from fivevertex import tasep
-from fivevertex.identities import cauchy_rhs, orthogonality_check, orthogonality_matrix
+from fivevertex.identities import (cauchy_rhs, orthogonality_check, orthogonality_matrix,
+                                   orthogonality_weight)
 from fivevertex.partitions import ParticleConfiguration as PC
 from fivevertex.partitions import config_to_partition, enumerate_box, partition_to_config
 from fivevertex.symfunc import (box_plan, dual_grothendieck_eval, grothendieck_box,
@@ -47,9 +48,11 @@ def test_bethe_rejects_bad_sector():
 
 
 @pytest.mark.parametrize("M, N, name",
-                         [(4.0, 2, "M"), (4, 2.0, "N"), (F(4), 2, "M"), ("4", 2, "M")])
+                         [(4.0, 2, "M"), (4, 2.0, "N"), (F(4), 2, "M"), ("4", 2, "M"),
+                          (6, True, "N")])
 def test_bethe_solve_refuses_a_non_int_sector(M, N, name):
-    # a float M or N used to raise a TypeError from itertools
+    # a float M or N used to raise a TypeError from itertools, and a bool N an
+    # internal "TypeError: an integer is required"
     with pytest.raises(ValueError, match=f"^{name} must be an int"):
         bethe_solve(M, N)
 
@@ -430,12 +433,13 @@ def test_spectrum_weights_invert_the_cauchy_determinant(M, N):
 
 def test_cauchy_rhs_finite_at_y_inverse_z_on_every_11_8_root(sols_11_8):
     # its columns are the kernel's exact quotient polynomials, so no
-    # z_j y_k = 1 pole is left to decide with a tolerance
+    # z_j y_k = 1 pole is left to decide with a tolerance; every set, each
+    # with its own weight, not one per conjugate pair
     M, N = 11, 8
-    spec = sols_11_8
-    assert len(spec.roots) == 164
-    for z, w in zip(spec.roots, spec.weights):
-        z = [complex(zj) for zj in z]
+    roots = [[complex(zj) for zj in s.roots] for s in sols_11_8.solutions if not s.stationary]
+    assert len(roots) == 164
+    for z in roots:
+        w = orthogonality_weight(z, -1.0, M, N)
         assert abs(w * cauchy_rhs(M, N, z, [1 / zj for zj in z], -1.0) - 1) <= 1e-8
 
 
@@ -458,18 +462,19 @@ def test_spectrum_refuses_degenerate_input():
     M, N = 6, 2
     spec = bethe_solve(M, N)
     sols = list(spec)
-    # a float size used to end in comb's TypeError
+    # a float size used to end in comb's TypeError; a bool is not an int either
     for size, message in (((6.0, 2), "M must be an int, got M = 6.0"),
-                          ((6, 2.0), "N must be an int, got N = 2.0")):
+                          ((6, 2.0), "N must be an int, got N = 2.0"),
+                          ((6, True), "N must be an int, got N = True")):
         with pytest.raises(ValueError, match=re.escape(message)):
             Spectrum(sols, *size)
     with pytest.raises(RuntimeError, match="incomplete"):
         Spectrum(sols[:-1], M, N)
-    # the degenerate set replaces one that the pairing would have filled from
-    # its conjugate partner: it loses the partner and is evaluated itself
-    k = int(np.flatnonzero(Spectrum(sols, M, N)._mirrored)[0])
+    # the degenerate set replaces one that a pair's row would have stood
+    # for: it loses the partner and becomes a row of its own
+    z = np.array([s.roots for s in sols if not s.stationary])  # the stationary set comes last
+    k = int(np.flatnonzero(_conjugate_partners(z, -1.0) < np.arange(len(z)))[0])
     proper = sols[k]
-    assert not proper.stationary  # the stationary set comes last
     coincident = replace(proper, roots=(proper.roots[0],) * N)
     with pytest.raises(ValueError, match="coincident"):
         Spectrum(sols[:k] + [coincident] + sols[k + 1:], M, N)
@@ -492,34 +497,45 @@ def test_spectrum_refuses_degenerate_input():
 
 
 def _unpaired(monkeypatch):
-    """Turn the conjugate pairing off: every set goes through the determinants itself."""
+    """Turn the conjugate pairing off: every set is a row of its own."""
     monkeypatch.setattr(tasep, "_conjugate_partners", lambda z, beta: np.arange(len(z)))
 
 
-def _spectrum_values(spec, M, N):
-    """Everything Spectrum mirrors: box vectors, left/right calls and window form factors.
+def _contractions(spec, M, N):
+    """Every contraction of ``spec``: three Green tables and the orthogonality matrix,
+    and at beta = -1 ``evolve`` on density and current form factors and an expectation.
 
-    Form factors exist at beta = -1 only; at another beta they are left out.
+    Form factors and expectations exist at beta = -1 only; at another beta
+    they are left out, and the tables are ``evolve`` on the box matrices, as
+    ``green_function_table`` takes them at beta = -1.
     """
-    box = list(enumerate_box(M - N, N))
-    values = {"box left": spec.box_vectors()[0], "box right": spec.box_vectors()[1],
-              "left": np.array([spec.left(mu) for mu in box[::7]]),
-              "right": np.array([spec.right(lam) for lam in box[::7]])}
+    dim, times = comb(M, N), (0.0, 0.7, 3.0)
+    left, right = spec.box_vectors()
+    table = (lambda t: green_function_table(M, N, t, spec)) if spec.beta == -1 \
+        else (lambda t: spec.evolve(left, 1, right, t))
+    values = {f"table at t = {t}": table(t) for t in times}
+    values["orthogonality"] = orthogonality_matrix(M, N, spec.beta, spec)
     if spec.beta == -1:
-        values["form factors"] = np.array([spec.form_factors([(1, 1, n)])[0]
-                                           for n in range(M + 1)])
+        x0 = PC(sector_basis(M, N)[dim // 3], M)
+        start = spec.right(config_to_partition(x0))
+        for name, terms in (("density", density_terms(2)), ("current", current_terms(3))):
+            a, a0 = spec.form_factors(terms)
+            values[f"{name} form factors"] = np.array([spec.evolve(a, a0, start, t)
+                                                       for t in times])
+        observable = np.random.default_rng(M).normal(size=(dim, dim))
+        values["expectation"] = np.array([expectation(observable, x0, t, spec) for t in times])
     return values
 
 
 def _mirror_tol(name, want):
-    """How far a mirrored value may sit from the direct one: the direct lane's own rounding.
+    """How far a value over the rows may sit from the one over every set: the direct lane's rounding.
 
     The form-factor determinant cancels: at (11,8) a set and its conjugate
     differ from the conjugate symmetry by up to 1e-10, and both lanes sit as
     far from a 40-digit evaluation, so they keep the stacked form factors'
     1e-11 relative contract with the scalar sum.
     """
-    if name == "form factors":
+    if name.endswith("form factors"):
         return 1e-11 * max(1, np.max(np.abs(want)))
     return 1e-13 * np.max(np.abs(want))
 
@@ -529,7 +545,7 @@ def test_every_set_has_its_conjugate_partner_over_the_solver_domain(beta):
     # at real beta the Bethe equations have real coefficients, so the
     # solution sets close under conjugation: every set finds its conjugate
     # (itself when self-conjugate) within CONJUGATE_TOL, and about half the
-    # sets are evaluated
+    # sets are rows
     evaluated = total = 0
     for M in range(2, 13):
         for N in range(1, M):
@@ -548,44 +564,65 @@ def test_every_set_has_its_conjugate_partner_over_the_solver_domain(beta):
 @pytest.mark.parametrize("beta", [-1.0, -0.5])
 @pytest.mark.parametrize("M, N", [(7, 3), (11, 8)])
 def test_mirrored_values_match_a_direct_evaluation(M, N, beta, monkeypatch):
+    # every contraction counts the row of a pair as 2 Re for its two sets,
+    # the mirrored set included; with the pairing off every set is a row of
+    # its own and the sums are plain complex sums, which they match
     sols = _solve_once(M, N, beta)
     paired = Spectrum(sols, M, N, beta)
-    assert paired._mirrored.sum() >= len(paired.roots) // 3
-    got = _spectrum_values(paired, M, N)
+    proper = len(sols) - round(paired.stationary * len(sols))
+    assert len(paired.roots) <= proper - proper // 3
+    got = _contractions(paired, M, N)
     _unpaired(monkeypatch)
     direct = Spectrum(sols, M, N, beta)
-    assert not direct._mirrored.any()
-    for name, want in _spectrum_values(direct, M, N).items():
+    assert len(direct.roots) == direct._pairs == proper
+    for name, want in _contractions(direct, M, N).items():
         assert np.max(np.abs(got[name] - want)) <= _mirror_tol(name, want), name
 
 
 @pytest.mark.parametrize("M, N, beta", [(7, 3, -0.5), (11, 8, -1.0)])
 def test_determinants_run_on_the_evaluated_sets_only(M, N, beta, monkeypatch):
+    # the rows are the sets without a partner, then the first set of each
+    # pair; the box holds one column per row, and every determinant runs on them
     sols = _solve_once(M, N, beta)
     spec = Spectrum(sols, M, N, beta)
-    partner = _conjugate_partners(spec.roots, beta)
-    evaluated = np.sum(partner >= np.arange(len(partner)))
-    assert evaluated == np.sum(~spec._mirrored) < len(spec.roots)
-    rows, branched = [], []
+    z = np.array([s.roots for s in sols if not s.stationary])
+    partner, sets = _conjugate_partners(z, beta), np.arange(len(z))
+    rows = np.concatenate([np.flatnonzero(partner == sets), np.flatnonzero(partner > sets)])
+    assert np.array_equal(spec.roots, z[rows]) and len(rows) < len(z)
+    assert spec._pairs == np.sum(partner == sets)
+    dets, branched = [], []
     det, box = np.linalg.det, tasep.grothendieck_box
-    monkeypatch.setattr(np.linalg, "det", lambda a: rows.append(a.shape[-3]) or det(a))
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(a.shape[-3]) or det(a))
     monkeypatch.setattr(tasep, "grothendieck_box",
                         lambda z, *a, **k: branched.append(len(z)) or box(z, *a, **k))
-    # the box is the branching rule on the evaluated rows, without a determinant
-    spec.box_vectors()
-    assert branched == [evaluated, evaluated] and rows == []
+    # the box is the branching rule on the rows, without a determinant
+    left, right = spec.box_vectors()
+    assert left.shape == right.shape == (comb(M, N), len(rows))
+    assert branched == [len(rows), len(rows)] and dets == []
     spec.right((1,))
     if beta == -1:
         spec.form_factors(density_terms(2) + current_terms(3))
     # one for right, and at beta = -1 one per window length n = 0, 1, 2
-    assert len(rows) == (4 if beta == -1 else 1) and set(rows) == {evaluated}
+    assert len(dets) == (4 if beta == -1 else 1) and set(dets) == {len(rows)}
+
+
+def test_the_12_6_box_holds_one_column_per_row():
+    # 471 rows stand for the 923 non-stationary sets: the box is 13.9 MB, not 27.3 MB
+    spec = _solve_once(12, 6, -1.0)
+    left, right = spec.box_vectors()
+    assert len(spec) == 924 and left.shape == right.shape == (924, 471)
+    assert left.nbytes + right.nbytes == 2 * 924 * 471 * 16
 
 
 def test_complex_beta_pairs_no_sets():
     beta = -0.8 + 0.3j
     spec = bethe_solve(7, 3, beta)
-    assert not spec._mirrored.any()
+    assert len(spec.roots) == spec._pairs == len(spec) == comb(7, 3)
     assert np.array_equal(_conjugate_partners(spec.roots, beta), np.arange(len(spec.roots)))
+    # so a contraction is the plain complex sum over every set
+    left, right = spec.box_vectors()
+    full = right @ left.T
+    assert np.max(np.abs(spec.contract(right, left) - full)) <= 1e-15 * np.max(np.abs(full))
     # the roots of a real-beta list are not paired at a complex beta either
     z = np.array([s.roots for s in _solve_once(7, 3, -1.0) if not s.stationary])
     assert np.array_equal(_conjugate_partners(z, -1.0 + 1e-6j), np.arange(len(z)))
@@ -593,24 +630,43 @@ def test_complex_beta_pairs_no_sets():
 
 @pytest.mark.parametrize("beta", [-1.0, -0.5])
 def test_a_set_moved_off_its_partner_is_evaluated_with_it(beta, monkeypatch):
+    # the moved set and its former partner each become a row of their own
     M, N = 7, 3
     sols = list(_solve_once(M, N, beta))
+    z = np.array([s.roots for s in sols if not s.stationary])  # the stationary set comes last
+    partner = _conjugate_partners(z, beta)
+    k = int(np.flatnonzero(partner < np.arange(len(z)))[0])
+    p = int(partner[k])
     spec = Spectrum(sols, M, N, beta)
-    k = int(np.flatnonzero(spec._mirrored)[0])
-    p = int(_conjugate_partners(spec.roots, beta)[k])
-    assert p < k and not sols[k].stationary
     sols[k] = replace(sols[k], roots=tuple(zj + 1e-9 for zj in sols[k].roots))
     moved = Spectrum(sols, M, N, beta)
-    assert moved._mirrored.sum() == spec._mirrored.sum() - 1
-    partner = _conjugate_partners(moved.roots, beta)
-    assert partner[k] == k and partner[p] == p
-    got = _spectrum_values(moved, M, N)
+    assert len(moved.roots) == len(spec.roots) + 1 and moved._pairs == spec._pairs + 2
+    for s in (p, k):
+        assert any(np.array_equal(row, sols[s].roots) for row in moved.roots[:moved._pairs])
+    got = _contractions(moved, M, N)
     _unpaired(monkeypatch)
-    want = _spectrum_values(Spectrum(sols, M, N, beta), M, N)
+    want = _contractions(Spectrum(sols, M, N, beta), M, N)
     for name in got:
-        # the moved set and its former partner are their own determinants
-        assert np.array_equal(got[name][..., [p, k]], want[name][..., [p, k]]), name
         assert np.max(np.abs(got[name] - want[name])) <= _mirror_tol(name, want[name]), name
+
+
+def test_expectation_and_form_factors_refuse_what_is_not_real(monkeypatch):
+    # a pair's row stands for its two sets only when the combination is
+    # real; a complex observable or coefficient used to pass whenever the
+    # unpaired sets happened to come out real
+    M, N = 6, 2
+    spec = _solve_once(M, N, -1.0)
+    x0 = PC((1, 2), M)
+    dim = comb(M, N)
+    assert abs(expectation(np.eye(dim, dtype=complex), x0, 1.0, spec) - 1) <= 1e-9
+    with pytest.raises(ValueError, match=re.escape(
+            "form-factor coefficients must be real, got coef = 1j")):
+        spec.form_factors([(1, 1, 0), (1j, 2, 1)])
+    # the observable is refused before the Bethe equations are solved
+    monkeypatch.setattr(tasep, "bethe_solve", lambda *args: pytest.fail("solved"))
+    with pytest.raises(ValueError, match=re.escape(
+            "observable must be real, got a nonzero imaginary part")):
+        expectation(np.eye(dim) * (1 + 1e-3j), x0, 1.0)
 
 
 def _dense_jacobian(z, M, N, beta):
