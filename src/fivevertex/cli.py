@@ -43,7 +43,7 @@ import numpy as np
 
 from . import acceptance
 from .identities import orthogonality_matrix
-from .partitions import ParticleConfiguration, Partition, config_to_partition
+from .partitions import ParticleConfiguration, Partition, _require_int, config_to_partition
 from .sampling import distinct_square_fractions, rand_fraction
 from .sector import ModelParameters, Relations
 from .symfunc import dual_grothendieck_eval, grothendieck_eval, schur_eval
@@ -202,9 +202,8 @@ def _groth_eval(args):
 
 
 def _vertex_relation(args):
-    if args.draws < 1:
-        # with no draws nothing is checked, yet the result would read passed
-        raise ValueError(f"--draws must be at least 1, got {args.draws}")
+    # with no draws nothing is checked, yet the result would read passed
+    _require_int("--draws", args.draws, 1)
     rng = Random(args.seed)
     relation = args.action.split("-")[0]
     cases = [acceptance.integrability_case(rng) for _ in range(args.draws)]
@@ -215,10 +214,9 @@ def _vertex_relation(args):
 
 
 def _vertex_commutation(args):
-    if args.M > 10:
-        # the checks multiply the sweep's int numerators: they take about
-        # 0.5-0.7 s at M = 10 and about 2 s at M = 11 on a 2-core Xeon
-        raise ValueError(f"commutation-check takes --M up to 10, got {args.M}")
+    # the checks multiply the sweep's int numerators: they take about
+    # 0.5-0.7 s at M = 10 and about 2 s at M = 11 on a 2-core Xeon
+    _require_int("--M", args.M, 0, 10)
     rng = Random(args.seed)
     u, v = distinct_square_fractions(rng, 2)
     alpha = rand_fraction(rng)
@@ -236,10 +234,8 @@ def _vertex_commutation(args):
 
 
 def _scalar_check(args):
-    M, N = args.M, args.N
-    if M < 2 or not 1 <= N <= M:
-        # the w-swap check exchanges two sites
-        raise ValueError("need M >= 2 and 1 <= N <= M")
+    # the w-swap check exchanges two sites
+    M, N = _require_int("--M", args.M, 2), _require_int("--N", args.N, 1, args.M)
     checks = acceptance.scalar_product_case(Random(args.seed), M, N)["checks"]
     passed = all(checks.values())
     return (0 if passed else 2), {
@@ -330,9 +326,7 @@ def _tasep_relax(args):
     if not re.fullmatch(r"[+-]?\d+", site_text):
         raise ValueError(f"--observable needs density:<site> or current:<site> with an "
                          f"integer site, got {args.observable!r}")
-    site = int(site_text)
-    if not 1 <= site <= args.M:
-        raise ValueError(f"observable site {site} outside 1..{args.M}")
+    site = _require_int("observable site", int(site_text), 1, args.M)
     terms = density_terms(site) if kind == "density" else current_terms(site)
     try:
         start, stop, step = (float(part) for part in args.t_grid.split(":"))

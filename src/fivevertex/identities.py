@@ -27,7 +27,7 @@ one denominator per side at ints, Fractions and field elements, so a box
 sum is one dot product and a single ``Fraction`` or ``field.new`` at the
 end, in the type the term-by-term sum would have.  ``cauchy_infinite_check``
 reads every partial sum off one M_max^N box per side.  A size (M, N, M_max)
-that is not an int is refused by its own name.
+outside its range is refused by its own name (``partitions._require_int``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .confluent import det_ratio_columns, det_ratio_labelled
-from .partitions import _refuse_non_int
+from .partitions import _require_int
 from .ratfunc import RatFunc, taylor
 from .scalars import cleared_field, cleared_quotient, exact_div, is_inexact, is_zero, numer_denom
 from .symfunc import _parts, grothendieck_box_cleared
@@ -55,8 +55,7 @@ def cauchy_lhs(M, N, z, y, beta):
     One dot product of the two sides' cleared numerators over their common
     denominator (``symfunc.grothendieck_box_cleared``), divided once.
     """
-    _refuse_non_int(M, "M")
-    _refuse_non_int(N, "N")
+    M, N = _require_int("M", M, 0), _require_int("N", N, 0, M)
     z, y = list(z), list(y)
     _check_counts(N, z, y)
     g, g_den = grothendieck_box_cleared(z, beta, M - N)
@@ -87,8 +86,7 @@ def cauchy_rhs(M, N, z, y, beta):
     The columns are the kernel in z labelled by y: coincident z take Taylor
     rows, coincident y the Taylor columns in y of the kernel's coefficients.
     """
-    _refuse_non_int(M, "M")
-    _refuse_non_int(N, "N")
+    M, N = _require_int("M", M), _require_int("N", N)
     z, y = list(z), list(y)
     _check_counts(N, z, y)
     if any(is_zero(yk, 0) for yk in y):
@@ -110,8 +108,7 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
     convergence flag.  Every partial sum comes from one cleared M_max^N box
     per side, whose last binomial(m + N, N) rows are the m^N box.
     """
-    _refuse_non_int(N, "N")
-    _refuse_non_int(M_max, "M_max")
+    N, M_max = _require_int("N", N, 0), _require_int("M_max", M_max, 1)
     z, y = list(z), list(y)
     _check_counts(N, z, y)
     for zj in z:
@@ -124,8 +121,8 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
     for zj in z:
         for yk in y:
             product = exact_div(product, 1 - zj * yk)
-    g, g_den = grothendieck_box_cleared(z, beta, max(M_max, 0))
-    h, h_den = grothendieck_box_cleared(y, beta, max(M_max, 0), dual=True)
+    g, g_den = grothendieck_box_cleared(z, beta, M_max)
+    h, h_den = grothendieck_box_cleared(y, beta, M_max, dual=True)
     terms, scalars = g * h, [*z, *y, beta]
     # enumerate_box puts lam_1 = m before lam_1 < m: the shell of the m^N box less the
     # (m-1)^N box sits just before the last binomial(m - 1 + N, N) rows
@@ -189,8 +186,7 @@ def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
     of N particles on M - n sites).  ``cauchy_lhs`` refuses M < N because it
     sums over that box; this side never enumerates it.
     """
-    _refuse_non_int(M, "M")
-    _refuse_non_int(N, "N")
+    M, N = _require_int("M", M, 0), _require_int("N", N, 0)
     z = list(z)
     _check_counts(N, z)
     _refuse_zero_beta(beta)
@@ -212,8 +208,7 @@ def grothendieck_sum_check(M, N, z, beta, dual: bool = False) -> bool:
     with -beta = a/b the weights are a^|lam| b^(mN - |lam|) over b^(mN), m = M - N,
     and a and b trade places for the dual.
     """
-    _refuse_non_int(M, "M")
-    _refuse_non_int(N, "N")
+    M, N = _require_int("M", M, 0), _require_int("N", N, 0, M)
     z = list(z)
     _check_counts(N, z)
     _refuse_zero_beta(beta)
@@ -236,6 +231,7 @@ def orthogonality_weight(z, beta, M, N):
     """The weight w({z}_N) of the orthogonality relation, over one denominator: with
     D_j = M + (M-N) beta z_j, prod_{j!=k} (z_j - z_k) prod_j z_j^(1-N) (1 + beta z_j)
     / (prod_j D_j + sum_j beta z_j prod_{k!=j} D_k), finite where a D_j vanishes."""
+    M, N = _require_int("M", M), _require_int("N", N)
     num, den, terms, power = 1, 1, 0, 1  # terms: sum_j beta z_j prod_{k!=j} D_k so far
     for j, zj in enumerate(z):
         d = M + (M - N) * beta * zj
@@ -288,8 +284,7 @@ def orthogonality_check(M, N, beta, lam, mu, solutions=None):
     Spectrum read them.  For one pair on a large sector,
     ``spec.stationary + spec.contract(spec.right(lam), spec.left(mu))`` is cheaper.
     """
-    _refuse_non_int(M, "M")
-    _refuse_non_int(N, "N")
+    M, N = _require_int("M", M, 2), _require_int("N", N, 1, M - 1)
     i, k = _box_row("lam", lam, M, N), _box_row("mu", mu, M, N)
     spec = _orthogonality_spectrum(M, N, beta, solutions)
     left, right = spec.box_vectors()

@@ -8,15 +8,38 @@ corresponds bijectively to the diagram lambda inside the (M-N)^N box via
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterator
 
 
-def _refuse_non_int(value, name="n"):
-    """Refuse, by name, a size that is not an int (numpy ints are ints, 4.0 and True are not)."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {name} = {value!r}")
+def _bounds(lo, hi):
+    if lo is None:
+        return "" if hi is None else f" <= {hi}"
+    return f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+
+
+def _require_int(name, value, lo=None, hi=None) -> int:
+    """``value`` as an int, refused by name unless it is an int in lo..hi (either bound optional;
+    numpy ints are ints, 4.0 and True are not): "M must be an int in 2..9, got M = 1"."""
+    if type(value) is not int and isinstance(value, Integral) and not isinstance(value, bool):
+        value = int(value)
+    if type(value) is int and (lo is None or value >= lo) and (hi is None or value <= hi):
+        return value
+    raise ValueError(f"{name} must be an int{_bounds(lo, hi)}, got {name} = {value!r}")
+
+
+def _require_finite(name, value, lo=None):
+    """Refuse, by name, a value that ``complex()`` does not take to a finite number, or with
+    ``lo`` one that is not real and at least lo; a bool or a str is refused as well."""
+    try:
+        z = complex("nan") if isinstance(value, (bool, str)) else complex(value)
+    except (TypeError, ValueError, OverflowError):
+        z = complex("nan")
+    if not cmath.isfinite(z) or lo is not None and (z.imag != 0 or z.real < lo):
+        raise ValueError(f"{name} must be a finite number{_bounds(lo, None)}, "
+                         f"got {name} = {value!r}")
 
 
 def _integers(values, what):
@@ -38,6 +61,8 @@ class Partition:
 
     def __post_init__(self):
         m, n = self.box
+        m, n = _require_int("box width", m, 0), _require_int("box height", n, 0)
+        object.__setattr__(self, "box", (m, n))
         parts = _integers(self.parts, "parts")
         object.__setattr__(self, "parts", parts)
         if len(parts) != n:
@@ -66,6 +91,7 @@ class ParticleConfiguration:
     def __post_init__(self):
         pos = _integers(self.positions, "positions")
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "ring_size", _require_int("ring_size", self.ring_size, 0))
         if any(pos[i] >= pos[i + 1] for i in range(len(pos) - 1)):
             raise ValueError("positions must be strictly increasing")
         if pos and (pos[0] < 1 or pos[-1] > self.ring_size):
@@ -84,7 +110,7 @@ def config_to_partition(x: ParticleConfiguration) -> Partition:
 
 def partition_to_config(lam: Partition, ring_size: int) -> ParticleConfiguration:
     """x_j = lambda_{N-j+1} + j; inverse of config_to_partition."""
-    n = len(lam.parts)
+    n, ring_size = len(lam.parts), _require_int("ring_size", ring_size, 0)
     if lam.parts and lam.parts[0] > ring_size - n:
         raise ValueError(f"partition {lam.parts} outside box {ring_size - n}^{n}")
     positions = tuple(lam.parts[n - j] + j for j in range(1, n + 1))
@@ -92,11 +118,8 @@ def partition_to_config(lam: Partition, ring_size: int) -> ParticleConfiguration
 
 
 def enumerate_box(m: int, n: int) -> Iterator[Partition]:
-    """All partitions in the m^n box, parts lexicographically decreasing."""
-    _refuse_non_int(m, "m")
-    _refuse_non_int(n, "n")
-    if m < 0 or n < 0:
-        raise ValueError("box dimensions must be nonnegative")
+    """All partitions in the m^n box, parts lexicographically decreasing; m, n checked up front."""
+    m, n = _require_int("m", m, 0), _require_int("n", n, 0)
 
     def rec(prefix, remaining, bound):
         if remaining == 0:
@@ -105,4 +128,4 @@ def enumerate_box(m: int, n: int) -> Iterator[Partition]:
         for p in range(bound, -1, -1):
             yield from rec(prefix + [p], remaining - 1, p)
 
-    yield from rec([], n, m)
+    return rec([], n, m)

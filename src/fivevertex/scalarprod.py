@@ -34,7 +34,7 @@ from math import comb
 
 from .confluent import det_ratio_labelled, sign_pairs
 from .linalg import Matrix, det
-from .partitions import _refuse_non_int
+from .partitions import _require_int
 from .ratfunc import Poly, taylor
 from .scalars import exact_div, exact_pow, is_inexact, rational_sqrt
 
@@ -55,8 +55,9 @@ class IntermediateSpec:
         object.__setattr__(self, "u", tuple(self.u))
         object.__setattr__(self, "v", tuple(self.v))
         object.__setattr__(self, "w", tuple(self.w))
-        if not 0 <= self.n <= self.N <= self.M:
-            raise ValueError("need 0 <= n <= N <= M")
+        object.__setattr__(self, "M", _require_int("M", self.M, 0))
+        object.__setattr__(self, "N", _require_int("N", self.N, 0, self.M))
+        object.__setattr__(self, "n", _require_int("n", self.n, 0, self.N))
         if len(self.u) != self.n or len(self.v) != self.N or len(self.w) != self.M:
             raise ValueError("parameter list lengths do not match (n, N, M)")
 
@@ -66,8 +67,7 @@ def scalar_product_det(u, v, alpha, M):
 
     This is the intermediate product at n = N with every w_l = 1.
     """
-    _refuse_non_int(M, "M")
-    u, v = tuple(u), tuple(v)
+    u, v, M = tuple(u), tuple(v), _require_int("M", M, 0)
     if len(v) != len(u):
         raise ValueError("need equally many u and v parameters")
     return intermediate_scalar_det(IntermediateSpec(len(u), u, v, (1,) * M, alpha, M, len(u)))
@@ -162,8 +162,7 @@ def recursion_check(spec: IntermediateSpec) -> bool:
     square; complex alpha goes through cmath.sqrt.
     """
     n, u, v, w, alpha, M, N = spec.n, spec.u, spec.v, spec.w, spec.alpha, spec.M, spec.N
-    if n < 1:
-        raise ValueError("recursion needs at least one C-operator (n >= 1)")
+    _require_int("n", n, 1)  # the recursion freezes a C-operator's row
     sqrt_alpha = cmath.sqrt(alpha) if is_inexact(alpha) else rational_sqrt(alpha)
     w_special = w[M - N + n - 1]
     w_prod = 1
@@ -192,7 +191,7 @@ def norm_det(u, alpha, M, method: str = "det"):
     determinant.  Computable off-shell, but equals the u = v limit of the
     scalar product only on-shell.
     """
-    u = list(u)
+    u, M = list(u), _require_int("M", M, 0)
     n = len(u)
     if n == 0:
         return 1

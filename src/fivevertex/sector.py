@@ -16,10 +16,11 @@ binomial(M,n) configuration bases is made only when an operator is asked
 for (``build_monodromy_element``, ``transfer_matrix``, ``hamiltonian``).
 
 A ``SectorOperator`` is a ``linalg.Matrix`` labelled with its source and
-target sectors and ring size; the matrix arithmetic is ``Matrix``'s, and the
-labels only refuse compositions and sums whose sectors do not fit.  A sector
-outside 0..M has dimension zero, so an element that leaves the ring's
-sectors composes to the zero operator with no special case.
+target sectors and ring size, ints (``partitions._require_int``); the matrix
+arithmetic is ``Matrix``'s, and the labels only refuse compositions and sums
+whose sectors do not fit.  A sector outside 0..M has dimension zero, so an
+element that leaves the ring's sectors composes to the zero operator with no
+special case.
 
 Integer lane.  When every u/w_j is a Fraction and alpha is an int or a
 Fraction, site j's weights a1, d and e are scaled by D_j, the lcm of their
@@ -55,7 +56,7 @@ from math import comb, lcm
 from numbers import Integral
 
 from .linalg import Matrix
-from .partitions import _refuse_non_int
+from .partitions import _require_int
 from .scalars import COMPLEX_EQ_TOL, exact_div, is_inexact, is_zero
 from .vertex import ModelParameters, f_weight, g_weight, l_weights, r_matrix
 
@@ -83,15 +84,13 @@ _KIND_AUX = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
 
 
 def sector_dim(M: int, n: int) -> int:
-    _refuse_non_int(M, "M")
-    _refuse_non_int(n)
+    M, n = _require_int("M", M), _require_int("n", n)
     return comb(M, n) if 0 <= n <= M else 0
 
 
 def sector_basis(M: int, n: int):
     """Configurations of the n-particle sector as sorted position tuples."""
-    _refuse_non_int(M, "M")
-    _refuse_non_int(n)
+    M, n = _require_int("M", M), _require_int("n", n)
     if not 0 <= n <= M:
         return ()
     return tuple(combinations(range(1, M + 1), n))
@@ -112,10 +111,9 @@ class SectorOperator(Matrix):
     __slots__ = ("source", "target", "M")
 
     def __init__(self, data, source, target, M):
-        super().__init__(data, shape=(sector_dim(M, target), sector_dim(M, source)))
-        self.source = source
-        self.target = target
-        self.M = M
+        self.source, self.target = _require_int("source", source), _require_int("target", target)
+        self.M = M = _require_int("M", M)
+        super().__init__(data, shape=(sector_dim(M, self.target), sector_dim(M, self.source)))
 
     @classmethod
     def zero(cls, source, target, M):
@@ -307,7 +305,7 @@ def build_monodromy_element(kind, u, params: ModelParameters, n: int,
     """
     if kind not in _KIND_AUX:
         raise ValueError(f"unknown monodromy element {kind!r}")
-    _refuse_non_int(n)
+    n = _require_int("n", n)
     return _element(kind, _site_tables(u, params), params.M, n, strict)
 
 
@@ -324,7 +322,7 @@ def _element(kind, sites, M: int, n: int, strict: bool = True) -> SectorOperator
 
 def transfer_matrix(u, params: ModelParameters, n: int) -> SectorOperator:
     """tau(u) = A(u) + D(u) on the n-particle sector."""
-    _refuse_non_int(n)
+    n = _require_int("n", n)
     sites = _site_tables(u, params)
     return _element("A", sites, params.M, n) + _element("D", sites, params.M, n)
 
@@ -335,7 +333,7 @@ def hamiltonian(params: ModelParameters, n: int) -> SectorOperator:
     Columns are source configurations; at alpha = 1 every column sums to
     zero and H is the TASEP generator.
     """
-    _refuse_non_int(n)
+    n = _require_int("n", n)
     M, alpha = params.M, params.alpha
     src = sector_basis(M, n)
     index = basis_index(M, n)
@@ -549,7 +547,7 @@ class Relations:
         Valid on every sector including the boundaries, where overflowing
         elements act as zero-dimensional operators.
         """
-        _refuse_non_int(n)
+        n = _require_int("n", n)
         u, v = self.u, self.v
         coeffs = (1, f_weight(u, v), f_weight(v, u), g_weight(u, v), g_weight(v, u))
         at_u, at_v = self._at
@@ -576,7 +574,7 @@ class Relations:
         Refuses what ``transfer_matrix`` refuses, in its order: a non-int n,
         u = 0, a sector outside 0..M, then v = 0.
         """
-        _refuse_non_int(n)
+        n = _require_int("n", n)
         self._sites(1)
         _refuse_overflow("A", self.params.M, n)
         t_u, t_v = (_sum(at("A", n), at("D", n)) for at in self._at)

@@ -65,7 +65,7 @@ from math import comb
 import numpy as np
 
 from .confluent import det_ratios, sign_pairs
-from .partitions import Partition, _refuse_non_int
+from .partitions import Partition, _require_int
 from .ratfunc import RatFunc
 from .scalars import COINCIDENCE_TOL, cleared_field, exact_div, is_zero, numer_denom
 
@@ -211,17 +211,11 @@ def box_plan(m, n):
     call returns the same tuple, whose arrays are read-only.
     """
     # refused before the memo, which would take 2.0 for 2
-    _refuse_non_int(m, "m")
-    _refuse_non_int(n, "n")
-    return _box_plan(int(m), int(n))
+    return _box_plan(_require_int("m", m, 0), _require_int("n", n, 1))
 
 
 @cache
 def _box_plan(m, n):
-    if m < 0 or n < 0:
-        raise ValueError("box dimensions must be nonnegative")
-    if n == 0:
-        raise ValueError("the branching rule needs at least one variable, got n = 0")
     # below[a, L] = binomial(a + L, L), the number of partitions of L parts at most a
     below = np.array([[comb(a + L, L) for L in range(n + 1)] for a in range(m + 1)])
     passes = []
@@ -337,8 +331,9 @@ def grothendieck_box_cleared(z, beta, m, dual: bool = False):
     """
     z = list(z)
     n = len(z)
-    # no variable: the box holds the empty partition alone, whose polynomial is 1
-    passes = box_plan(m, n)[1] if n else box_plan(m, 1)[1][:0]
+    # box_plan's m is an int; with no variable the box holds the empty partition alone (G = 1)
+    m, passes = box_plan(m, max(n, 1))
+    passes = passes[:n]
     if dual:
         _refuse_dual_poles(z, beta)
     clear = cleared_field([*z, beta]) is not None

@@ -55,8 +55,9 @@ tracked: that set is inserted analytically.  ``beta``
 generalizes the equations to (1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j),
 as needed by the orthogonality relation (beta = -1 is the TASEP point).  A
 sector that gives fewer or more than binomial(M,N) sets raises, naming every
-subset without a new set and why; so does one past the binomial(12,6) cap,
-or N outside 1..M-1.
+subset without a new set and why; so does one past the binomial(12,6) cap.  Sizes
+(N in 1..M-1) and numbers (a finite beta, t >= 0) are refused up front by
+``partitions._require_int`` and ``_require_finite``.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ import numpy as np
 
 from .confluent import sign_pairs
 from .identities import _sum_columns, grothendieck_sum_det, orthogonality_weight
-from .partitions import ParticleConfiguration, _refuse_non_int, config_to_partition
+from .partitions import ParticleConfiguration, _require_finite, _require_int, config_to_partition
 from .ratfunc import taylor
 from .sector import hamiltonian, sector_basis
 from .symfunc import BialternantStack, box_plan, grothendieck_box
@@ -127,11 +128,6 @@ class BetheSolution:
         return max(self.residuals) if self.residuals else 0.0
 
 
-def _check_time(t):
-    if not 0 <= t < np.inf:
-        raise ValueError(f"time must be finite and nonnegative, got t = {t}")
-
-
 @dataclass(frozen=True)
 class GreenQuery:
     """Transition probability query: initial and final configurations, time t."""
@@ -144,7 +140,7 @@ class GreenQuery:
         if self.initial.ring_size != self.final.ring_size \
                 or len(self.initial) != len(self.final):
             raise ValueError("initial and final configurations must share M and N")
-        _check_time(self.t)
+        _require_finite("t", self.t, 0)
 
 
 @dataclass
@@ -398,12 +394,8 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
     set gives no solution set; a shortfall raises, naming every such subset
     with the s its path reached and why.
     """
-    _refuse_non_int(M, "M")
-    _refuse_non_int(N, "N")
-    if not 1 <= N <= M - 1:
-        raise ValueError("need 1 <= N <= M-1 (N = M is the frozen ring)")
-    if not np.isfinite(complex(beta)):
-        raise ValueError(f"beta must be finite, got beta = {beta}")
+    M, N = _require_int("M", M, 2), _require_int("N", N, 1, M - 1)  # N = M: the frozen ring
+    _require_finite("beta", beta)
     requested, beta = beta, complex(beta)  # the Spectrum keeps the beta asked for
     expected = comb(M, N)
     if expected > comb(12, 6):
@@ -491,8 +483,7 @@ class Spectrum:
     """
 
     def __init__(self, solutions, M: int, N: int, beta=-1.0):
-        _refuse_non_int(M, "M")
-        _refuse_non_int(N, "N")
+        M, N = _require_int("M", M), _require_int("N", N)
         solutions = tuple(solutions)
         if len(solutions) != comb(M, N):
             raise RuntimeError(
@@ -582,9 +573,8 @@ class Spectrum:
         if complex(self.beta) != -1:
             raise ValueError(f"form factors need the TASEP point beta = -1, "
                              f"not this Spectrum's beta = {self.beta}")
-        terms = list(terms)
-        for coef, l, n in terms:
-            _check_window(l, n, self.M)
+        terms = [(coef, *_window(l, n, self.M)) for coef, l, n in terms]
+        for coef, _, _ in terms:
             if complex(coef).imag != 0:
                 raise ValueError(f"form-factor coefficients must be real, got coef = {coef!r}")
         z, N = self.roots, self.N
@@ -605,7 +595,7 @@ class Spectrum:
         or the right box vectors for a table; ``a`` a real combination of left
         vectors, so that a pair's two sets take conjugate values (``contract``).
         """
-        _check_time(t)
+        _require_finite("t", t, 0)
         total = a0 * self.stationary + self.contract(a * np.exp(self.energies * t), right)
         if (imag := np.max(np.abs(total.imag))) > 1e-7:
             raise RuntimeError(f"spectral sum came out non-real: imaginary part up to {imag:.3g}")
@@ -627,6 +617,7 @@ def _basis_order(M: int, N: int) -> np.ndarray:
 
 def _spectrum(solutions, M, N, beta=-1.0) -> Spectrum:
     """``solutions`` if it is a Spectrum of (M, N, beta), beta compared by value; None solves."""
+    M, N = _require_int("M", M, 2), _require_int("N", N, 1, M - 1)
     if solutions is None:
         return bethe_solve(M, N, beta)
     if not isinstance(solutions, Spectrum):
@@ -655,7 +646,7 @@ def green_function_table(M: int, N: int, t: float, solutions=None) -> np.ndarray
     ``Spectrum.evolve`` on the two box matrices, contracted for all pairs at
     once; used for all-pairs sweeps against the master-equation oracle.
     """
-    _check_time(t)
+    _require_finite("t", t, 0)
     spec = _spectrum(solutions, M, N)
     left, right = (v[spec.basis_order()] for v in spec.box_vectors())
     return spec.evolve(left, 1, right, t)
@@ -686,9 +677,10 @@ def expectation(observable, x: ParticleConfiguration, t: float, solutions=None):
     return spec.evolve(a, a_mat.real.sum(), spec.right(config_to_partition(x)), t)
 
 
-def _check_window(l, n, M):
-    if not (-l + 1 <= n <= M):
-        raise ValueError("window length must satisfy -l+1 <= n <= M")
+def _window(l, n, M):
+    """(l, n) as ints, refused by name unless the window s_l ... s_(l+n-1) has -l+1 <= n <= M."""
+    l = _require_int("l", l)
+    return l, _require_int("n", n, 1 - l, M)
 
 
 def form_factor_sum(l: int, n: int, z, M: int):
@@ -701,10 +693,9 @@ def form_factor_sum(l: int, n: int, z, M: int):
 
     the primal summation determinant; coincident z take its confluent limit.
     """
-    for value, name in ((l, "l"), (n, "n"), (M, "M")):
-        _refuse_non_int(value, name)
+    M = _require_int("M", M)
+    l, n = _window(l, n, M)
     z = list(z)
-    _check_window(l, n, M)
     pref = 1
     for zj in z:
         pref = pref * zj ** (l + n - 1)
@@ -713,11 +704,13 @@ def form_factor_sum(l: int, n: int, z, M: int):
 
 def density_terms(i: int):
     """A = n_i = 1 - s_i as signed window terms (coef, l, n)."""
+    i = _require_int("i", i)
     return [(1, 1, 0), (-1, i, 1)]
 
 
 def current_terms(i: int):
     """A = j_i = (1 - s_i) s_{i+1} as signed window terms (coef, l, n)."""
+    i = _require_int("i", i)
     return [(1, i + 1, 1), (-1, i, 2)]
 
 
@@ -729,7 +722,8 @@ def expectation_via_form_factors(terms, x: ParticleConfiguration, t: float, solu
 
 def sector_generator(M: int, N: int) -> np.ndarray:
     """The TASEP generator (alpha = 1 Hamiltonian) as a float matrix."""
-    gen = np.array(hamiltonian(ModelParameters(alpha=1, M=M), N).data, dtype=float)
+    gen = np.array(hamiltonian(ModelParameters(alpha=1, M=M), _require_int("N", N)).data,
+                   dtype=float)
     col_sums = gen.sum(axis=0)
     if np.max(np.abs(col_sums)) > 1e-12:
         raise AssertionError("generator columns must sum to zero")
@@ -742,9 +736,8 @@ def master_oracle(x: ParticleConfiguration, t: float) -> SectorState:
     Requires M <= 12 and a finite t >= 0.
     """
     M, N = x.ring_size, len(x)
-    if M > 12:
-        raise ValueError("dense oracle limited to M <= 12")
-    _check_time(t)
+    _require_int("M", M, hi=12)  # the dense generator's expm
+    _require_finite("t", t, 0)
     from scipy.linalg import expm  # slow to import, so kept out of the CLI start-up
     column = sector_basis(M, N).index(x.positions)
     return SectorState(expm(sector_generator(M, N) * t)[:, column], M, N)

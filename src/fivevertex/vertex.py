@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .linalg import Matrix
+from .partitions import _require_int
 from .scalars import exact_div, exact_pow, is_zero
 
 
@@ -40,8 +41,7 @@ class ModelParameters:
     w: tuple = None
 
     def __post_init__(self):
-        if not isinstance(self.M, int) or self.M < 0:
-            raise ValueError(f"M must be a nonnegative int, got {self.M!r}")
+        object.__setattr__(self, "M", _require_int("M", self.M, 0))
         w = self.w if self.w is not None else (1,) * self.M
         w = tuple(w)
         if len(w) != self.M:

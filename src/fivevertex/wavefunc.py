@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from .confluent import PointTable, det_ratio_columns, sign_pairs
 from .linalg import Matrix
-from .partitions import ParticleConfiguration, _refuse_non_int
+from .partitions import ParticleConfiguration, _require_int
 from .ratfunc import RatFunc
 from .scalars import cache_key, eq, exact_div, exact_pow, is_inexact, is_zero
 
@@ -86,7 +86,7 @@ def wavefunction_dets(configs, v, alpha, M, dual: bool = False):
     does.  A configuration outside 1 <= x_1 < ... < x_N <= M is refused, and
     a refused call leaves the kept table as it was.
     """
-    _refuse_non_int(M, "M")
+    M = _require_int("M", M, 0)
     v = list(v)
     n = len(v)
     positions = []
@@ -128,7 +128,7 @@ def _sector_table(v, alpha, M, dual):
 
 def step_overlap_value(u, alpha, M):
     """Closed form <psi({u}_N)|12...N> = alpha^(N(N-1)/2) prod u^(N-1) (alpha u - 1/u)^(M-N)."""
-    n = len(u)
+    n, M = len(u), _require_int("M", M, 0)
     out = alpha ** (n * (n - 1) // 2)
     for uj in u:
         out = out * uj ** (n - 1) * (alpha * uj - exact_pow(uj, -1)) ** (M - n)
@@ -137,7 +137,7 @@ def step_overlap_value(u, alpha, M):
 
 def staircase_overlap_value(u, alpha, M):
     """Closed form for x_j = 2j-1: prod (alpha u - 1/u)^(M-2N+1) prod_{j<k} (alpha^2 u_j^2 u_k^2 - 1)."""
-    n = len(u)
+    n, M = len(u), _require_int("M", M, 0)
     out = 1
     for uj in u:
         out = out * (alpha * uj - exact_pow(uj, -1)) ** (M - 2 * n + 1)
@@ -233,11 +233,8 @@ def matrix_product_build(u, alpha) -> MatrixProductState:
     starting from A_1 = diag(u_1, alpha u_1 - 1/u_1), B_1 = |1><0|.
     """
     u = tuple(u)
-    if not u:
-        raise ValueError("need at least one spectral parameter")
-    if len(u) > 6:
-        raise ValueError("matrix product is a verification artifact, capped at n <= 6 "
-                         "(2^n auxiliary dimension); use the determinants instead")
+    # a verification artifact of 2^n auxiliary dimension: the determinants serve larger n
+    _require_int("len(u)", len(u), 1, 6)
     for uj in u:
         if is_zero(uj, 0) or is_zero(alpha * uj * uj - 1, 0):
             raise ZeroDivisionError("matrix product needs u != 0 and alpha u^2 != 1")
@@ -290,6 +287,7 @@ def wavefunction_trace(x, u, alpha, M, mps: MatrixProductState = None, dual: boo
     dual=False gives <x|psi({u}_N)> (C-string against Q = |1^N><0^N|).  A
     configuration outside 1 <= x_1 < ... < x_N <= M is refused.
     """
+    M = _require_int("M", M, 0)
     pos = _positions(x, M)
     n = len(pos)
     if mps is None:
@@ -334,7 +332,7 @@ def dual_wavefunction_sum(u, alpha, M):
 
 
 def _weighted_sum(v, alpha, M, dual):
-    v = list(v)
+    v, M = list(v), _require_int("M", M, 0)
     n = len(v)
     cols = [RatFunc([(_sum_weight(alpha, M, m), j - 1 - m, 0) for m in range(j)])
             for j in range(1, n)]

@@ -116,12 +116,14 @@ def test_scalar_check_takes_n_equal_to_m_and_refuses_the_rest(capsys):
     assert code == 0
     assert json.loads(out)["result"]["passed"] is True
     # M = 1 has no second site for the w-swap and used to raise IndexError
-    for M, N in [(1, 1), (3, 0), (3, 4)]:
+    for M, N, message in [(1, 1, "--M must be an int >= 2, got --M = 1"),
+                          (3, 0, "--N must be an int in 1..3, got --N = 0"),
+                          (3, 4, "--N must be an int in 1..3, got --N = 4")]:
         code = run(["scalar", "check", "--M", str(M), "--N", str(N)])
         captured = capsys.readouterr()
         assert code == 1, (M, N)
         assert captured.out == ""
-        assert captured.err == "error: need M >= 2 and 1 <= N <= M\n"
+        assert captured.err == f"error: {message}\n"
 
 
 def test_vertex_checks(capsys):
@@ -137,10 +139,10 @@ def test_vertex_checks(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["commutation-check", "--M", "-2"], "M must be a nonnegative int, got -2"),
-    (["commutation-check", "--M", "11"], "commutation-check takes --M up to 10, got 11"),
-    (["rll-check", "--draws", "0"], "--draws must be at least 1, got 0"),
-    (["ybe-check", "--draws", "-3"], "--draws must be at least 1, got -3"),
+    (["commutation-check", "--M", "-2"], "--M must be an int in 0..10, got --M = -2"),
+    (["commutation-check", "--M", "11"], "--M must be an int in 0..10, got --M = 11"),
+    (["rll-check", "--draws", "0"], "--draws must be an int >= 1, got --draws = 0"),
+    (["ybe-check", "--draws", "-3"], "--draws must be an int >= 1, got --draws = -3"),
 ])
 def test_vertex_checks_refuse_a_bad_size_up_front(capsys, argv, message):
     # -2 sites used to fail as "need one inhomogeneity per site", M = 20 to
@@ -215,7 +217,7 @@ def test_tasep_refuses_a_bad_time(capsys, action, t):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == f"error: time must be finite and nonnegative, got t = {float(t)}\n"
+    assert captured.err == f"error: t must be a finite number >= 0, got t = {float(t)}\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -228,9 +230,9 @@ def test_tasep_refuses_a_bad_time(capsys, action, t):
     (["relax", "--M", "6", "--N", "1", "--from", "1,2", "--observable", "density:1"],
      "configuration 1,2 has 2 particles, not N = 1"),
     (["relax", "--M", "6", "--N", "2", "--from", "1,2", "--observable", "density:7"],
-     "observable site 7 outside 1..6"),
+     "observable site must be an int in 1..6, got observable site = 7"),
     (["relax", "--M", "6", "--N", "2", "--from", "1,2", "--observable", "current:-3"],
-     "observable site -3 outside 1..6"),
+     "observable site must be an int in 1..6, got observable site = -3"),
     (["relax", "--M", "6", "--N", "2", "--from", "1,2", "--observable", "density:x"],
      "--observable needs density:<site> or current:<site> with an integer site, "
      "got 'density:x'"),
@@ -284,7 +286,7 @@ def test_non_finite_beta_is_refused_up_front(capsys, argv):
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: beta must be finite, got beta = {float(argv[-1])}\n"
+    assert captured.err == f"error: beta must be a finite number, got beta = {float(argv[-1])}\n"
 
 
 def test_orthogonality_command(capsys):

@@ -222,8 +222,12 @@ def test_sum_det_below_the_box_is_the_empty_sum():
             for beta in (F(-1), F(1, 2), -1):
                 assert grothendieck_sum_det(M, N, z[:N], beta) == 0
                 assert grothendieck_sum_det(M, N, y[:N], beta, dual=True) == 0
-            with pytest.raises(ValueError, match="box dimensions must be nonnegative"):
+            # named by the caller's N, not by the box side M - N
+            message = f"N must be an int in 0..{M}, got N = {N}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 cauchy_lhs(M, N, z[:N], y[:N], F(-1))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                grothendieck_sum_check(M, N, z[:N], F(-1))
 
 
 def test_sum_rejects_beta_zero(rng):
@@ -331,27 +335,27 @@ def test_a_float_size_is_refused_by_name():
     # as an integer"), or named m, the box side, rather than the argument passed
     two, beta = _THREE[:2], F(1, 4)
     for call, message in ((lambda: orthogonality_check(6.0, 3, -0.5, (0,), (0,), None),
-                           "M must be an int, got M = 6.0"),
+                           "M must be an int >= 2, got M = 6.0"),
                           (lambda: orthogonality_check(6, 3.0, -0.5, (0,), (0,), None),
-                           "N must be an int, got N = 3.0"),
+                           "N must be an int in 1..5, got N = 3.0"),
                           (lambda: cauchy_lhs(4.0, 2, two, two, beta),
-                           "M must be an int, got M = 4.0"),
+                           "M must be an int >= 0, got M = 4.0"),
                           (lambda: cauchy_lhs(4, 2.0, two, two, beta),
-                           "N must be an int, got N = 2.0"),
+                           "N must be an int in 0..4, got N = 2.0"),
                           (lambda: cauchy_rhs(4.0, 2, two, two, beta),
                            "M must be an int, got M = 4.0"),
                           (lambda: cauchy_rhs(4, 2.0, two, two, beta),
                            "N must be an int, got N = 2.0"),
                           (lambda: grothendieck_sum_det(4.0, 2, two, beta),
-                           "M must be an int, got M = 4.0"),
+                           "M must be an int >= 0, got M = 4.0"),
                           (lambda: grothendieck_sum_check(4.0, 2, two, beta),
-                           "M must be an int, got M = 4.0"),
+                           "M must be an int >= 0, got M = 4.0"),
                           (lambda: grothendieck_sum_check(4, 2.0, two, beta, dual=True),
-                           "N must be an int, got N = 2.0"),
+                           "N must be an int in 0..4, got N = 2.0"),
                           (lambda: cauchy_infinite_check(2.0, two, two, beta),
-                           "N must be an int, got N = 2.0"),
+                           "N must be an int >= 0, got N = 2.0"),
                           (lambda: cauchy_infinite_check(2, two, two, beta, M_max=3.0),
-                           "M_max must be an int, got M_max = 3.0")):
+                           "M_max must be an int >= 1, got M_max = 3.0")):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             call()
 

@@ -1,5 +1,6 @@
 """Box partitions, ring configurations, and their bijection."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -62,8 +63,10 @@ def test_invalid_inputs():
 
 def test_box_sizes_must_be_ints():
     # enumerate_box(2.0, 2) used to fail inside range() with a TypeError
-    for m, n, name in ((2.0, 2, "m"), (2, 2.0, "n"), (Fraction(2), 2, "m")):
-        with pytest.raises(ValueError, match=f"^{name} must be an int, got {name} = "):
+    for m, n, message in ((2.0, 2, "m must be an int >= 0, got m = 2.0"),
+                          (2, 2.0, "n must be an int >= 0, got n = 2.0"),
+                          (Fraction(2), 2, "m must be an int >= 0, got m = Fraction(2, 1)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             list(enumerate_box(m, n))
     assert len(list(enumerate_box(np.int64(2), 2))) == 6
 

@@ -291,5 +291,5 @@ def test_float_lane_intermediate_matches_exact(u):
 
 def test_a_float_size_is_refused_by_name():
     # used to end in "can't multiply sequence by non-int of type 'float'"
-    with pytest.raises(ValueError, match=r"^M must be an int, got M = 2\.0$"):
+    with pytest.raises(ValueError, match=r"^M must be an int >= 0, got M = 2\.0$"):
         scalar_product_det([F(1, 2)], [F(1, 3)], 1, 2.0)

@@ -28,3 +28,16 @@ def test_the_only_hidden_slot_is_the_one_the_fixture_empties():
             slots |= {f"{path.stem}.{t.id}" for t in targets
                       if isinstance(t, ast.Name) and t.id.startswith("_last_")}
     assert slots == {"wavefunc._last_sector"}
+
+
+def test_every_size_and_number_refusal_is_worded_in_one_place():
+    # partitions._require_int and _require_finite word every such refusal; a
+    # hand-worded copy elsewhere would drift from the one message form
+    wording = {path.name for path in ROOT.glob("src/fivevertex/*.py")
+               if re.search(r"must be an int|must be a finite", path.read_text())}
+    assert wording == {"partitions.py"}
+    for name in ("_refuse_non_int", "_check_time"):
+        paths = (*ROOT.glob("src/fivevertex/*.py"), *ROOT.glob("tests/*.py"))
+        users = [path.name for path in paths
+                 if name in path.read_text() and path.name != "test_sources.py"]
+        assert users == [], name

@@ -1,5 +1,6 @@
 """Schur/Grothendieck evaluators against tableau and symbolic oracles."""
 
+import re
 from fractions import Fraction as F
 from itertools import permutations
 from math import comb
@@ -436,8 +437,10 @@ def test_box_plan_is_kept_read_only():
     # would take 2.0 for 2 and True for 1
     plan = box_plan(2, 2)
     assert box_plan(2, 2) is plan and box_plan(np.int64(2), 2) is plan
-    for m, n, name in ((2.0, 2, "m"), (2, 2.0, "n"), (2, True, "n")):
-        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+    for m, n, message in ((2.0, 2, "m must be an int >= 0, got m = 2.0"),
+                          (2, 2.0, "n must be an int >= 1, got n = 2.0"),
+                          (2, True, "n must be an int >= 1, got n = True")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             box_plan(m, n)
     for arrays in plan[1]:
         for array in arrays:
@@ -453,10 +456,10 @@ def test_grothendieck_box_refusals():
         grothendieck_box([[0.5, 0]], -1.0, plan, dual=True)
     with pytest.raises(ZeroDivisionError, match="1 \\+ beta/z"):
         grothendieck_box([[0.5, 1.0]], -1.0, plan, dual=True)
-    for m, n, name in ((2.0, 2, "m"), (2, 2.0, "n")):
-        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+    for m, n, message in ((2.0, 2, "m must be an int >= 0, got m = 2.0"),
+                          (2, 2.0, "n must be an int >= 1, got n = 2.0"),
+                          (-1, 2, "m must be an int >= 0, got m = -1"),
+                          # the branching rule needs at least one variable
+                          (2, 0, "n must be an int >= 1, got n = 0")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             box_plan(m, n)
-    with pytest.raises(ValueError, match="box dimensions must be nonnegative"):
-        box_plan(-1, 2)
-    with pytest.raises(ValueError, match="at least one variable"):
-        box_plan(2, 0)

@@ -53,7 +53,9 @@ def test_bethe_rejects_bad_sector():
 def test_bethe_solve_refuses_a_non_int_sector(M, N, name):
     # a float M or N used to raise a TypeError from itertools, and a bool N an
     # internal "TypeError: an integer is required"
-    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+    message = (f"M must be an int >= 2, got M = {M!r}" if name == "M"
+               else f"N must be an int in 1..{M - 1}, got N = {N!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         bethe_solve(M, N)
 
 
@@ -183,9 +185,10 @@ def test_form_factor_window_bounds(rng):
 
 def test_form_factor_sum_refuses_a_float_size_by_name():
     # a float M used to end in comb's TypeError inside the summation determinant
-    for args, name in (((1, 1, [0.5], 6.0), "M"), ((1.0, 1, [0.5], 6), "l"),
-                       ((1, 1.0, [0.5], 6), "n")):
-        with pytest.raises(ValueError, match=rf"^{name} must be an int, got {name} = "):
+    for args, message in (((1, 1, [0.5], 6.0), "M must be an int, got M = 6.0"),
+                          ((1.0, 1, [0.5], 6), "l must be an int, got l = 1.0"),
+                          ((1, 1.0, [0.5], 6), "n must be an int in 0..6, got n = 1.0")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             form_factor_sum(*args)
 
 
@@ -227,7 +230,8 @@ def test_solver_cap():
 def test_bethe_solve_refuses_a_non_finite_beta(beta):
     # these used to track every path and report a completeness failure with
     # one "stalled ... at s = 0" line per subset
-    with pytest.raises(ValueError, match=re.escape(f"beta must be finite, got beta = {beta}")):
+    message = f"beta must be a finite number, got beta = {beta!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         bethe_solve(4, 2, beta)
 
 
@@ -236,7 +240,7 @@ def test_master_oracle_and_green_query_refuse_a_bad_time(t):
     # t < 0 used to give "probabilities" outside [0, 1], t = inf all zeros,
     # and a Green query took nan and inf
     x0 = PC((1, 2), 6)
-    message = re.escape(f"time must be finite and nonnegative, got t = {t}")
+    message = f"^{re.escape(f't must be a finite number >= 0, got t = {t!r}')}$"
     with pytest.raises(ValueError, match=message):
         master_oracle(x0, t)
     with pytest.raises(ValueError, match=message):
@@ -257,7 +261,7 @@ def test_every_contraction_refuses_a_bad_time(entry):
             "expectation_via_form_factors":
                 lambda t: expectation_via_form_factors(density_terms(1), x0, t, sols)}[entry]
     for t in (-1.0, float("nan"), float("inf")):
-        message = re.escape(f"time must be finite and nonnegative, got t = {t}")
+        message = f"^{re.escape(f't must be a finite number >= 0, got t = {t!r}')}$"
         with pytest.raises(ValueError, match=message):
             call(t)
 
@@ -346,7 +350,7 @@ def test_stacked_form_factors_refuse_the_windows_the_scalar_sum_refuses():
             # a refused window anywhere in the terms refuses the whole call
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 spec.form_factors([(1, 1, 0), (1, l, n)])
-            assert str(exc) == "window length must satisfy -l+1 <= n <= M"
+            assert str(exc) == f"n must be an int in {1 - l}..{M}, got n = {n}"
             continue
         # n < 0 windows wrap around the ring; both paths still agree
         stacked = spec.form_factors([(1, 1, 0), (1, l, n)])[0][0] - base

@@ -439,5 +439,5 @@ def test_a_float_size_is_refused_by_name():
     for call in (lambda: wavefunction_det((1,), [F(1, 2)], 1, 4.0),
                  lambda: wavefunction_dets([(1,)], [F(1, 2)], 1, 4.0),
                  lambda: dual_wavefunction_det((1,), [F(1, 2)], 1, 4.0)):
-        with pytest.raises(ValueError, match=r"^M must be an int, got M = 4\.0$"):
+        with pytest.raises(ValueError, match=r"^M must be an int >= 0, got M = 4\.0$"):
             call()
