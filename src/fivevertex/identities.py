@@ -36,7 +36,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .confluent import det_ratio_columns, det_ratio_labelled
-from .partitions import _require_int
+from .partitions import _require_int, box_rank
 from .ratfunc import RatFunc, taylor
 from .scalars import cleared_field, cleared_quotient, exact_div, is_inexact, is_zero, numer_denom
 from .symfunc import _parts, grothendieck_box_cleared
@@ -260,14 +260,7 @@ def _box_row(name, lam, M, N):
         raise ValueError(f"{name}: {exc}") from None
     if parts and parts[0] > M - N:
         raise ValueError(f"{name} = {parts} lies outside the {M - N}^{N} box")
-    # the partitions before lam agree with it before some part i and exceed lam_i
-    # there, at most the part above (M - N for i = 1); there are binomial(a + L, L)
-    # partitions of L parts at most a
-    row, above = 0, M - N
-    for i, part in enumerate(parts):
-        row += comb(above + N - i, N - i) - comb(part + N - i, N - i)
-        above = part
-    return row
+    return box_rank(parts, M - N)
 
 
 def orthogonality_check(M, N, beta, lam, mu, solutions=None):

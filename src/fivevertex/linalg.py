@@ -27,6 +27,7 @@ from operator import floordiv
 
 import numpy as np
 
+from .partitions import _require_int
 from .scalars import COMPLEX_EQ_TOL, exact_div, is_inexact, is_zero
 
 
@@ -49,10 +50,12 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols):
+        rows, cols = _require_int("rows", rows, 0), _require_int("cols", cols, 0)
         return cls([[0] * cols for _ in range(rows)], shape=(rows, cols))
 
     @classmethod
     def identity(cls, n):
+        n = _require_int("n", n, 0)
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __getitem__(self, rc):

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from math import comb
 from numbers import Integral
 from typing import Iterator
+
+import numpy as np
 
 
 def _bounds(lo, hi):
@@ -43,11 +46,11 @@ def _require_finite(name, value, lo=None):
 
 
 def _integers(values, what):
-    """``values`` as a tuple of ints; refuses an entry that is not integral."""
+    """``values`` as a tuple of ints; refuses an entry that is not integral, or a bool."""
     values = tuple(values)
     ints = tuple(int(x) for x in values)
     for x, i in zip(values, ints):
-        if x != i:
+        if x != i or isinstance(x, (bool, np.bool_)):
             raise ValueError(f"{what} must be integers, got {x!r}")
     return ints
 
@@ -129,3 +132,32 @@ def enumerate_box(m: int, n: int) -> Iterator[Partition]:
             yield from rec(prefix + [p], remaining - 1, p)
 
     return rec([], n, m)
+
+
+def box_rank(parts, m):
+    """The ``enumerate_box(m, N)`` row of one partition, a tuple of N parts, as an int, or of
+    each partition of an (..., N) int array of parts, as an array; parts that are not weakly
+    decreasing ints in 0..m are refused.  The partitions before lam agree with it before some
+    part i and exceed lam_i there, at most the part above (m for i = 1).  A tuple is summed
+    in Python ints, at a twentieth of numpy's per-call cost."""
+    m = _require_int("m", m, 0)
+    if isinstance(parts, tuple):
+        n, row, above = len(parts), 0, m
+        for i, p in enumerate(parts):
+            if type(p) is not int and (isinstance(p, bool) or not isinstance(p, Integral)) \
+                    or not 0 <= p <= above:
+                break
+            row, above = row + comb(above + n - i, n - i) - comb(p + n - i, n - i), p
+        else:
+            return row
+    else:
+        parts = np.asarray(parts)
+        if parts.dtype.kind in "iu" and np.all(parts >= 0) and np.all(parts[..., :1] <= m) \
+                and np.all(parts[..., 1:] <= parts[..., :-1]):
+            # below[a, L] = binomial(a + L, L) for a up to the largest part, and a = m last
+            n, top = parts.shape[-1], int(parts.max(initial=0)) + 1
+            below = np.array([[comb(a + L, L) for L in range(n + 1)] for a in (*range(top), m)])
+            above = np.concatenate([np.full_like(parts[..., :1], top), parts[..., :-1]], axis=-1)
+            sizes = np.arange(n, 0, -1)
+            return (below[above, sizes] - below[parts, sizes]).sum(axis=-1)
+    raise ValueError(f"parts must be weakly decreasing ints in 0..{m}, got {parts!r}")

@@ -19,12 +19,11 @@ between the partitions.  ``grothendieck_eval`` and
 ``dual_grothendieck_eval`` are its one-partition case.  It is also the
 bialternant oracle of the branching lanes below.
 
-``BialternantStack`` is the complex float lane for many points at once.  It
-keeps one table of the powers z^e of its (S, N) points, grown on demand, and
-``evals`` gathers the bialternant tensors of a list of partitions from it,
-(P, S, N, N) a bounded chunk at a time, through stacked LU determinants; a
-single partition is its one-partition case.  The scalar evaluators are its
-exact-lane oracle.
+``bialternants`` is the complex float lane for one partition at many
+points: its (S, N, N) bialternant matrices at the rows of an (S, N) array go
+through ``stacked_ratio``, one stacked LU divided by the row Vandermondes,
+which ``tasep.Spectrum``'s window form factors share.  The scalar evaluators
+are its exact-lane oracle.
 
 ``grothendieck_box`` is the float lane for the whole m^N box at many points.
 Each row of the lattice adds one spectral parameter, so G and Gbar branch one
@@ -65,13 +64,10 @@ from math import comb
 import numpy as np
 
 from .confluent import det_ratios, sign_pairs
-from .partitions import Partition, _require_int
+from .partitions import Partition, _require_int, box_rank
 from .ratfunc import RatFunc
 from .scalars import COINCIDENCE_TOL, cleared_field, exact_div, is_zero, numer_denom
 
-# the most matrix entries, P * S * N * N, of one stacked determinant in
-# ``BialternantStack.evals``: its temporaries stay near 256 kB whatever the box
-_CHUNK_ENTRIES = 1 << 14
 # the most entries, rows * edges, of one pass of ``grothendieck_box``: its
 # temporaries stay near 1 MB whatever the box (larger chunks measured slower)
 _BOX_CHUNK = 1 << 15
@@ -146,55 +142,44 @@ def grothendieck_evals(lams, z, beta, dual: bool = False):
     return ratios if sign_pairs(n) > 0 else [-ratio for ratio in ratios]
 
 
-class BialternantStack:
-    """G_lambda(z_s; beta), or Gbar_lambda with ``dual``, at every row z_s of an (S, N) array.
+def stacked_ratio(matrices, z) -> np.ndarray:
+    """det(matrices[s]) / prod_(j<k)(z_sj - z_sk) at every row z_s of an (S, N) array: one
+    stacked LU over the (S, N, N) ``matrices``."""
+    return np.linalg.det(matrices) / np.prod(_gaps(z), axis=1)
 
-    The lambda-independent factors (1 + beta z)^k or (1 + beta/z)^-k, the row
-    Vandermondes prod_{j<k} (z_j - z_k) and one table of the powers z^e are
-    computed once; the table grows when a partition asks for a larger e.
-    ``evals`` gives many partitions as stacked complex determinants, a chunk
-    of at most ``_CHUNK_ENTRIES`` matrix entries at a time.  There is no
-    confluent limit here, so variables of a row that coincide within
-    ``COINCIDENCE_TOL`` raise, as do (for the dual) a zero variable or a
-    1 + beta/z that is exactly zero.
-    """
 
-    def __init__(self, z, beta, dual: bool = False):
-        z = np.asarray(z, dtype=complex)
-        n = z.shape[1]
-        j, k = np.triu_indices(n, 1)
-        gaps = z[:, j] - z[:, k]
-        if np.any(np.abs(gaps) <= COINCIDENCE_TOL):
-            raise ValueError("coincident variables need the confluent scalar evaluators")
-        if dual and np.any(z == 0):
-            raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
-        base = 1 + beta / z if dual else 1 + beta * z
-        if dual and n > 1 and np.any(base == 0):
-            raise ZeroDivisionError("vanishing (1 + beta/z) with negative exponent")
-        self._factors = base[:, :, None] ** ((-1 if dual else 1) * np.arange(n))
-        self._z = z[:, :, None]
-        self._powers = self._z ** np.arange(n)  # [s, j, e] = z_sj^e
-        self.vandermonde = np.prod(gaps, axis=1)
+def _gaps(z):
+    """z_sj - z_sk for j < k at the rows of an (S, N) array; ``stacked_ratio`` takes no
+    confluent limit, so variables of a row that coincide within ``COINCIDENCE_TOL`` raise."""
+    j, k = np.triu_indices(z.shape[1], 1)
+    gaps = z[:, j] - z[:, k]
+    if np.any(np.abs(gaps) <= COINCIDENCE_TOL):
+        raise ValueError("coincident variables need the confluent scalar evaluators")
+    return gaps
 
-    def __call__(self, lam) -> np.ndarray:
-        return self.evals([lam])[0]
 
-    def evals(self, lams) -> np.ndarray:
-        """(P, S): the polynomial of each of the P partitions ``lams`` at every row."""
-        rows, n = self._z.shape[:2]
-        exps = np.array([_parts(lam, n) for lam in lams], dtype=int).reshape(-1, n) \
-            + n - 1 - np.arange(n)
-        have = self._powers.shape[2]
-        top = int(exps.max(initial=0)) + 1
-        if top > have:
-            self._powers = np.concatenate([self._powers, self._z ** np.arange(have, top)], axis=2)
-        out = np.empty((len(exps), rows), dtype=complex)
-        step = max(1, _CHUNK_ENTRIES // max(1, rows * n * n))
-        for i in range(0, len(exps), step):
-            # [p, s, j, k] = z_sj^(exps[p, k]), the bialternant of partition p at row s
-            block = np.moveaxis(self._powers[:, :, exps[i:i + step]], 2, 0)
-            out[i:i + step] = np.linalg.det(block * self._factors) / self.vandermonde
-        return out
+def _bases(z, beta, dual):
+    """1 + beta z, or 1 + beta/z with ``dual``, at the rows of an (S, N) array; the dual
+    refuses a zero variable and, at N >= 2, a 1 + beta/z that is exactly zero."""
+    if not dual:
+        return 1 + beta * z
+    if np.any(z == 0):
+        raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
+    base = 1 + beta / z
+    if z.shape[1] > 1 and np.any(base == 0):
+        raise ZeroDivisionError("vanishing (1 + beta/z) with negative exponent")
+    return base
+
+
+def bialternants(z, beta, lam, dual: bool = False) -> np.ndarray:
+    """G_lam(z_s; beta), or Gbar_lam with ``dual``, at every row z_s of an (S, N) array: one
+    ``stacked_ratio`` of the matrices z_sj^(lam_k+N-1-k) (1 + beta z_sj)^k, k from 0, or
+    (1 + beta/z_sj)^-k for the dual, with the refusals of ``_gaps`` and ``_bases``."""
+    z = np.asarray(z, dtype=complex)
+    n = z.shape[1]
+    base, k = _bases(z, beta, dual), np.arange(n)
+    exps = np.array(_parts(lam, n)) + n - 1 - k
+    return stacked_ratio(z[:, :, None] ** exps * base[:, :, None] ** (-k if dual else k), z)
 
 
 def box_plan(m, n):
@@ -216,8 +201,6 @@ def box_plan(m, n):
 
 @cache
 def _box_plan(m, n):
-    # below[a, L] = binomial(a + L, L), the number of partitions of L parts at most a
-    below = np.array([[comb(a + L, L) for L in range(n + 1)] for a in range(m + 1)])
     passes = []
     for k in range(1, n + 1):
         lam = np.array(list(combinations_with_replacement(range(m, -1, -1), k))).reshape(-1, k)
@@ -232,15 +215,10 @@ def _box_plan(m, n):
         for i in range(k - 2, -1, -1):
             mu[:, i] = lam[:, i + 1] + t % widths[:, i]
             t //= widths[:, i]
-        # mu's place among the partitions of k-1 parts: those before it agree with
-        # it before some part i and exceed mu_i there, at most the part above (m for i = 1)
-        above = np.concatenate([np.full((len(edge), 1), m), mu[:, :-1]], axis=1)
-        sizes = np.arange(k - 1, 0, -1)
-        rank = (below[above, sizes] - below[mu, sizes]).sum(axis=1)
         d = lam.sum(axis=1) - mu.sum(axis=1)
         r = np.sum(mu > lam[:, 1:], axis=1)
         r_dual = np.sum(mu < lam[:, :-1], axis=1)
-        arrays = (starts, rank, d * n + r, d * n + r_dual)
+        arrays = (starts, box_rank(mu, m), d * n + r, d * n + r_dual)
         for a in arrays:
             a.flags.writeable = False
         passes.append(arrays)
@@ -281,14 +259,7 @@ def grothendieck_box(z, beta, plan, dual: bool = False) -> np.ndarray:
     z = np.asarray(z, dtype=np.clongdouble)
     if z.ndim != 2 or z.shape[1] != n:
         raise ValueError(f"need rows of N = {n} variables, got shape {z.shape}")
-    if dual:
-        if np.any(z == 0):
-            raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
-        base = 1 + beta / z
-        if n > 1 and np.any(base == 0):
-            raise ZeroDivisionError("vanishing (1 + beta/z) with negative exponent")
-    else:
-        base = 1 + beta * z
+    base = _bases(z, beta, dual)
     rows = len(z)
     out = np.empty((comb(m + n, n), rows), dtype=complex)
     step = max(1, _BOX_CHUNK // max(len(p[1]) for p in passes))

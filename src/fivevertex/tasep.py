@@ -25,9 +25,9 @@ pair up at real beta, where the Bethe equations have real coefficients.  The
 stacked float lane evaluates the rows at once.  The whole box of vectors
 G_mu(z_s) and Gbar_lam(1/z_s) comes from the one-variable branching rule
 (``symfunc.grothendieck_box``, no determinant); a single partition's vector
-from stacked LU bialternants (``symfunc.BialternantStack``); the window form
-factors from one determinant of the summation columns per distinct window
-length, with the scalar ``form_factor_sum`` as the exact lane and their oracle.
+(``symfunc.bialternants``) and the window form factors, one determinant of the summation
+columns per distinct window length, share one stacked LU, ``symfunc.stacked_ratio``,
+with the scalar ``form_factor_sum`` as the form factors' exact lane and oracle.
 
 The solver continues in beta from the free-fermion point beta = 0, where
 the equations decouple into z^M = (-1)^(N-1) and every N-subset of those M
@@ -64,17 +64,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .confluent import sign_pairs
 from .identities import _sum_columns, grothendieck_sum_det, orthogonality_weight
-from .partitions import ParticleConfiguration, _require_finite, _require_int, config_to_partition
+from .partitions import (ParticleConfiguration, _require_finite, _require_int, box_rank,
+                         config_to_partition)
 from .ratfunc import taylor
 from .sector import hamiltonian, sector_basis
-from .symfunc import BialternantStack, box_plan, grothendieck_box
+from .symfunc import _bases, _gaps, bialternants, box_plan, grothendieck_box, stacked_ratio
 from .vertex import ModelParameters
 
 __all__ = [
@@ -475,11 +476,11 @@ class Spectrum:
     vectors, and the order that puts them in ``sector_basis`` order for the
     Green tables, are built on first use and kept.
 
-    The request picks the algorithm.  ``left(mu)`` and ``right(lam)``, one
-    partition, take stacked LU bialternants; ``box_vectors``, every
-    partition, takes the branching rule's passes over the variables, in
-    ``np.clongdouble`` (``symfunc.grothendieck_box``).  The two agree to the
-    LU's rounding: within 1.6e-14 of the largest value up to (12,9).
+    The request picks the algorithm.  ``left(mu)``, ``right(lam)`` and each window length
+    of ``form_factors`` take one ``symfunc.stacked_ratio`` over the rows, whose refusals are
+    made up front; ``box_vectors``, every partition, takes the branching rule's passes, in
+    ``np.clongdouble`` (``symfunc.grothendieck_box``).  The two agree to the LU's
+    rounding: within 1.6e-14 of the largest value up to (12,9).
     """
 
     def __init__(self, solutions, M: int, N: int, beta=-1.0):
@@ -502,9 +503,9 @@ class Spectrum:
         # energies are undefined at beta = 0, where only left/right are used
         self.energies = np.array([np.nan if s.energy is None else s.energy for s in proper],
                                  dtype=complex)[rows]
-        self._left = BialternantStack(self.roots, beta)
-        self._dual = BialternantStack(1 / self.roots, beta, dual=True)
-        self._box = self._order = None
+        _gaps(self.roots)
+        _gaps(1 / self.roots)
+        _bases(1 / self.roots, beta, True)
 
     def __len__(self):
         return len(self.solutions)
@@ -531,11 +532,11 @@ class Spectrum:
 
     def left(self, mu) -> np.ndarray:
         """G_mu(z_s; beta) over the rows."""
-        return self._left(mu)
+        return bialternants(self.roots, self.beta, mu)
 
     def right(self, lam) -> np.ndarray:
         """w_s Gbar_lam(1/z_s; beta) over the rows."""
-        return self.weights * self._dual(lam)
+        return self.weights * bialternants(1 / self.roots, self.beta, lam, dual=True)
 
     def box_vectors(self):
         """left and right for every partition of the box, stacked in ``enumerate_box`` order.
@@ -544,20 +545,25 @@ class Spectrum:
         One ``box_plan`` serves both sides; the reciprocals 1/z_s are taken in
         ``np.clongdouble``, the precision of the branching sums.
         """
-        if self._box is None:
-            plan = box_plan(self.M - self.N, self.N)
-            self._box = (grothendieck_box(self.roots, self.beta, plan),
-                         self.weights * grothendieck_box(1 / self.roots.astype(np.clongdouble),
-                                                         self.beta, plan, dual=True))
-            for v in self._box:
-                v.flags.writeable = False
         return self._box
+
+    @cached_property
+    def _box(self):
+        plan = box_plan(self.M - self.N, self.N)
+        box = (grothendieck_box(self.roots, self.beta, plan),
+               self.weights * grothendieck_box(1 / self.roots.astype(np.clongdouble),
+                                               self.beta, plan, dual=True))
+        for v in box:
+            v.flags.writeable = False
+        return box
 
     def basis_order(self) -> np.ndarray:
         """The ``box_vectors`` row of each configuration, in ``sector_basis`` order; built once."""
-        if self._order is None:
-            self._order = _basis_order(self.M, self.N)
         return self._order
+
+    @cached_property
+    def _order(self):
+        return _basis_order(self.M, self.N)
 
     def form_factors(self, terms):
         """(a, a0) of the window observable sum coef * s_l ... s_{l+n-1}, for ``evolve``.
@@ -581,8 +587,7 @@ class Spectrum:
         dets = {}
         for n in {n for _, _, n in terms}:
             values = taylor(_sum_columns(self.M - n, N, -1), z)[0]  # column k at z_sj
-            dets[n] = (np.linalg.det(np.stack(values, axis=-1))
-                       / (sign_pairs(N) * self._left.vandermonde))
+            dets[n] = sign_pairs(N) * stacked_ratio(np.stack(values, axis=-1), z)
         a = np.zeros(len(z), dtype=complex)
         for coef, l, n in terms:
             a += complex(coef) * (np.prod(z ** (l + n - 1), axis=1) * dets[n])
@@ -603,16 +608,10 @@ class Spectrum:
 
 
 def _basis_order(M: int, N: int) -> np.ndarray:
-    """The ``enumerate_box`` row of each configuration of (M, N), in ``sector_basis`` order.
-
-    Box row i holds the i-th partition lam, whose configuration
-    x_j = lam_(N-j+1) + j has the rank binomial(M,N) - 1 -
-    sum_j binomial(M - x_j, N - j + 1) in the lexicographic ``sector_basis``.
-    """
-    lam = np.array(list(combinations_with_replacement(range(M - N, -1, -1), N)), dtype=int)
-    x = lam.reshape(comb(M, N), N)[:, ::-1] + np.arange(1, N + 1)
-    binom = np.array([[comb(a, b) for b in range(N + 1)] for a in range(M + 1)])
-    return np.argsort(comb(M, N) - 1 - binom[M - x, np.arange(N, 0, -1)].sum(axis=1))
+    """The ``enumerate_box`` row of each configuration of (M, N), in ``sector_basis`` order:
+    the ``box_rank`` of its partition lam_j = x_(N-j+1) - N + j - 1."""
+    x = np.array(list(combinations(range(1, M + 1), N)), dtype=int).reshape(comb(M, N), N)
+    return box_rank(x[:, ::-1] + np.arange(N) - N, M - N)
 
 
 def _spectrum(solutions, M, N, beta=-1.0) -> Spectrum:

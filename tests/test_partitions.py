@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fivevertex.partitions import (ParticleConfiguration, Partition, config_to_partition,
-                                   enumerate_box, partition_to_config)
+from fivevertex.partitions import (ParticleConfiguration, Partition, box_rank,
+                                   config_to_partition, enumerate_box, partition_to_config)
 from fivevertex.sector import sector_basis
 
 
@@ -33,6 +33,22 @@ def test_round_trip(m_sites, data):
     lam = config_to_partition(x)
     assert partition_to_config(lam, m_sites) == x
     assert lam.box == (m_sites - n, n)
+
+
+def test_box_rank_is_the_enumerate_box_row():
+    # every box with m, n <= 5, the empty sectors n = 0 and m = 0 included: as one
+    # (P, n) array, one tuple at a time, and as an empty stack of partitions
+    for m in range(6):
+        for n in range(6):
+            box = [lam.parts for lam in enumerate_box(m, n)]
+            rows = box_rank(np.array(box, dtype=int).reshape(len(box), n), m)
+            assert rows.tolist() == list(range(len(box))), (m, n)
+            assert [box_rank(parts, m) for parts in box] == list(range(len(box)))
+            assert all(type(box_rank(parts, m)) is int for parts in box)
+            assert box_rank(np.zeros((0, n), dtype=int), m).shape == (0,)
+    # counts past int64 stay exact
+    assert box_rank((0, 0), 10 ** 20) == comb(10 ** 20 + 2, 2) - 1
+    assert box_rank(np.zeros((1, 2), dtype=int), 10 ** 20).tolist() == [comb(10 ** 20 + 2, 2) - 1]
 
 
 def test_enumerate_box_counts():

@@ -27,7 +27,8 @@ from fivevertex import cli, sector, symfunc, tasep
 from fivevertex.identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs,
                                    grothendieck_sum_check, grothendieck_sum_det,
                                    orthogonality_check, orthogonality_matrix, orthogonality_weight)
-from fivevertex.partitions import (ParticleConfiguration, Partition, enumerate_box,
+from fivevertex.linalg import Matrix
+from fivevertex.partitions import (ParticleConfiguration, Partition, box_rank, enumerate_box,
                                    partition_to_config)
 from fivevertex.scalarprod import IntermediateSpec, norm_det, recursion_check, scalar_product_det
 from fivevertex.sector import (ModelParameters, Relations, SectorOperator, basis_index,
@@ -89,6 +90,13 @@ REFUSALS = [
                "ring_size", (4.0, True, -1), " >= 0"),
     *_int_rows("enumerate_box", lambda m: enumerate_box(m, 2), "m", (2.0, True, -1), " >= 0"),
     *_int_rows("enumerate_box", lambda n: enumerate_box(2, n), "n", (2.0, True, -1), " >= 0"),
+    *_int_rows("box_rank", lambda m: box_rank((0, 0), m), "m", (2.0, True, -1), " >= 0"),
+    # linalg
+    *_int_rows("Matrix.zeros", lambda rows: Matrix.zeros(rows, 2), "rows", (2.5, True, -1),
+               " >= 0"),
+    *_int_rows("Matrix.zeros", lambda cols: Matrix.zeros(2, cols), "cols", (2.0, True, -1),
+               " >= 0"),
+    *_int_rows("Matrix.identity", Matrix.identity, "n", (2.0, True, -1), " >= 0"),
     # symfunc
     *_int_rows("box_plan", lambda m: box_plan(m, 2), "m", (2.0, True, -1), " >= 0"),
     *_int_rows("box_plan", lambda n: box_plan(2, n), "n", (2.0, True, 0), " >= 1"),
@@ -247,6 +255,22 @@ REFUSALS = [
      "box width must be an int >= 0, got box width = 2.5"),
     ("probe-bethe_solve-M-first", lambda: bethe_solve(-1, 1),
      "M must be an int >= 2, got M = -1"),
+    # a bool entry used to be taken as 1 or 0
+    ("probe-Partition-bool-part", lambda: Partition((True, 0), (2, 2)),
+     "parts must be integers, got True"),
+    ("probe-Partition-numpy-bool-part", lambda: Partition((1, np.False_), (2, 2)),
+     "parts must be integers, got np.False_"),
+    ("probe-ParticleConfiguration-bool-position", lambda: ParticleConfiguration((True, 2), 3),
+     "positions must be integers, got True"),
+    # box_rank's parts must be a partition in the box
+    ("probe-box_rank-outside", lambda: box_rank((3, 0), 2),
+     "parts must be weakly decreasing ints in 0..2, got (3, 0)"),
+    ("probe-box_rank-bool", lambda: box_rank((True, 0), 2),
+     "parts must be weakly decreasing ints in 0..2, got (True, 0)"),
+    ("probe-box_rank-increasing", lambda: box_rank([[1, 0], [0, 1]], 2),
+     "parts must be weakly decreasing ints in 0..2, got array([[1, 0],\n       [0, 1]])"),
+    ("probe-box_rank-float", lambda: box_rank(np.array([1.5, 0]), 2),
+     "parts must be weakly decreasing ints in 0..2, got array([1.5, 0. ])"),
 ]
 
 
@@ -267,6 +291,10 @@ NUMPY_INTS = [
     ("ParticleConfiguration", lambda I: ParticleConfiguration((1, 2), I(4))),
     ("partition_to_config", lambda I: partition_to_config(Partition((1, 0), (2, 2)), I(4))),
     ("enumerate_box", lambda I: list(enumerate_box(I(2), I(2)))),
+    ("box_rank", lambda I: box_rank([[I(1), I(0)], [I(2), I(2)]], I(2))),
+    ("box_rank-tuple", lambda I: box_rank((I(2), I(1)), I(2))),
+    ("Matrix.zeros", lambda I: Matrix.zeros(I(2), I(3))),
+    ("Matrix.identity", lambda I: Matrix.identity(I(2))),
     ("box_plan", lambda I: box_plan(I(2), I(2))),
     ("grothendieck_box_cleared", lambda I: grothendieck_box_cleared(Z, BETA, I(2))),
     ("cauchy_lhs", lambda I: cauchy_lhs(I(4), I(2), Z, Y, BETA)),
@@ -334,6 +362,10 @@ SIZED = [
      lambda s: partition_to_config(Partition((0,), (1, 1)), s), "ring_size"),
     ("enumerate_box-m", lambda s: enumerate_box(s, 2), "m"),
     ("enumerate_box-n", lambda s: enumerate_box(2, s), "n"),
+    ("box_rank-m", lambda s: box_rank((0,), s), "m"),
+    ("Matrix.zeros-rows", lambda s: Matrix.zeros(s, 2), "rows"),
+    ("Matrix.zeros-cols", lambda s: Matrix.zeros(2, s), "cols"),
+    ("Matrix.identity-n", Matrix.identity, "n"),
     ("box_plan-m", lambda s: box_plan(s, 2), "m"),
     ("box_plan-n", lambda s: box_plan(2, s), "n"),
     ("grothendieck_box_cleared-m", lambda s: grothendieck_box_cleared(Z, BETA, s), "m"),
@@ -414,7 +446,7 @@ SIZED = [
 def test_a_non_int_size_is_refused_by_name_before_any_work(call, name, size):
     _spec()  # solved before the solver is blocked
     with ExitStack() as stack:
-        for module, attr in ((tasep, "_free_roots"), (tasep, "BialternantStack"),
+        for module, attr in ((tasep, "_free_roots"), (tasep, "bialternants"),
                              (symfunc, "_box_plan"), (sector, "_sweep")):
             stack.enter_context(mock.patch.object(module, attr, _heavy))
         with pytest.raises(ValueError) as info:

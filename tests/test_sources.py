@@ -41,3 +41,31 @@ def test_every_size_and_number_refusal_is_worded_in_one_place():
         users = [path.name for path in paths
                  if name in path.read_text() and path.name != "test_sources.py"]
         assert users == [], name
+
+
+def test_the_float_determinants_are_taken_in_two_places():
+    # the Matrix lane (linalg.det) and the stacked lane (symfunc.stacked_ratio, which
+    # single-partition vectors and window form factors share) take every LAPACK determinant
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "det" \
+                    and ast.unparse(child.value) in ("np.linalg", "numpy.linalg"):
+                sites.append(where)
+            visit(child, where)
+
+    for path in sorted(ROOT.glob("src/fivevertex/*.py")):
+        text = path.read_text()
+        assert "from numpy.linalg import" not in text, path.name
+        visit(ast.parse(text), path.stem)
+    assert sorted(sites) == ["linalg.det", "symfunc.stacked_ratio"]
+    # the stacked class these replaced, and its chunk knob, stay gone
+    for name in ("BialternantStack", "_CHUNK_ENTRIES"):
+        paths = (*ROOT.glob("src/fivevertex/*.py"), *ROOT.glob("tests/*.py"))
+        users = [path.name for path in paths
+                 if name in path.read_text() and path.name != "test_sources.py"]
+        assert users == [], name

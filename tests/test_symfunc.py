@@ -10,7 +10,7 @@ import pytest
 
 from fivevertex.partitions import enumerate_box
 from fivevertex.scalars import cleared_quotient
-from fivevertex.symfunc import (BialternantStack, box_plan, dual_grothendieck_eval,
+from fivevertex.symfunc import (bialternants, box_plan, dual_grothendieck_eval,
                                grothendieck_box, grothendieck_box_cleared, grothendieck_eval,
                                grothendieck_evals, schur_eval)
 
@@ -189,14 +189,8 @@ def test_batched_evaluator_matches_scalar_calls(lane):
 
 
 @pytest.mark.parametrize("dual", [False, True])
-def test_stacked_evals_equal_the_one_determinant_per_partition_formula(monkeypatch, dual):
-    # the power table, grown as partitions ask for larger exponents, and the
-    # chunks give bit for bit z^exps * factors through one det per partition
-    import numpy as np
-
-    from fivevertex import symfunc
-    from fivevertex.symfunc import BialternantStack
-
+def test_stacked_evals_equal_the_one_determinant_per_partition_formula(dual):
+    # bialternants gives bit for bit z^exps * factors through one det per partition
     rng = np.random.default_rng(7)
     S, n, beta = 9, 3, -0.5
     z = rng.normal(size=(S, n)) + 1j * rng.normal(size=(S, n))
@@ -211,13 +205,23 @@ def test_stacked_evals_equal_the_one_determinant_per_partition_formula(monkeypat
         exps = np.array(tuple(lam.parts) + (0,) * (n - len(lam.parts))) + n - 1 - np.arange(n)
         return np.linalg.det(zz[:, :, None] ** exps * factors) / vandermonde
 
-    want = np.array([formula(lam) for lam in box])
-    for chunk in (1 << 15, 2 * S * n * n, 1):  # one chunk, several, one partition each
-        monkeypatch.setattr(symfunc, "_CHUNK_ENTRIES", chunk)
-        stack = BialternantStack(zz, beta, dual)
-        assert np.array_equal(stack(box[-1]), want[-1])  # the small table grows
-        assert np.array_equal(stack.evals(box[::-1]), want[::-1])
-        assert np.array_equal(BialternantStack(zz, beta, dual).evals(box), want)
+    for lam in box:
+        assert np.array_equal(bialternants(zz, beta, lam, dual), formula(lam)), lam
+
+
+def test_bialternants_refuse_what_the_stacked_ratio_cannot_take():
+    # no confluent limit: coincident variables of a row; for the dual a zero
+    # variable and, at N >= 2, a vanishing 1 + beta/z
+    z = np.array([[0.3, 0.25], [0.4, 0.4 + 1e-16]], dtype=complex)
+    for dual in (False, True):
+        with pytest.raises(ValueError, match="^coincident variables need the confluent"):
+            bialternants(z, -0.5, (1, 0), dual)
+    with pytest.raises(ZeroDivisionError, match="needs nonzero variables"):
+        bialternants([[0.5, 0]], -0.5, (1, 0), dual=True)
+    with pytest.raises(ZeroDivisionError, match="^vanishing \\(1 \\+ beta/z\\)"):
+        bialternants([[0.5, 0.25]], -0.5, (1, 0), dual=True)
+    # at N = 1 the column is z^lam (1 + beta/z)^0
+    assert bialternants([[0.5]], -0.5, (2,), dual=True)[0] == 0.25
 
 
 def test_batched_evaluator_over_a_rational_function_field():
@@ -257,18 +261,14 @@ def test_too_few_variables_rejected():
 @pytest.mark.parametrize("lam", [(-1,), (1, 2), (2, -1), (0, 1)])
 def test_non_partitions_are_refused(lam):
     # (-1,) used to give G = 2 at z = 1/2, beta = -1, and (1, 2) gave 1/36
-    import numpy as np
-
-    from fivevertex.symfunc import BialternantStack
-
     z = [F(1, 2), F(1, 3)][:len(lam)]
     zz = np.array([[0.25, 0.2][:len(lam)]], dtype=complex)
     for call in (lambda: grothendieck_eval(lam, z, -1),
                  lambda: dual_grothendieck_eval(lam, z, -1),
                  lambda: schur_eval(lam, z),
                  lambda: grothendieck_evals([(1,) * len(lam), lam], z, F(1, 2)),
-                 lambda: BialternantStack(zz, -0.5)(lam),
-                 lambda: BialternantStack(zz, -0.5, dual=True).evals([lam])):
+                 lambda: bialternants(zz, -0.5, lam),
+                 lambda: bialternants(zz, -0.5, lam, dual=True)):
         with pytest.raises(ValueError, match="^lam must have nonnegative, weakly decreasing"):
             call()
 
@@ -411,11 +411,11 @@ def test_cleared_box_is_the_bialternants(kind, z, beta):
 @pytest.mark.parametrize("beta", [-0.5, -0.8 + 0.3j])
 @pytest.mark.parametrize("dual", [False, True])
 def test_grothendieck_box_matches_the_stacked_determinants(beta, dual):
-    # the list form of BialternantStack.evals is the reference at distinct points
+    # one bialternants call per partition is the reference at distinct points
     points = np.random.default_rng(7)
     z = points.normal(size=(9, 4)) + 1j * points.normal(size=(9, 4))
     box = list(enumerate_box(3, 4))
-    want = BialternantStack(z, beta, dual=dual).evals(box)
+    want = np.array([bialternants(z, beta, lam, dual=dual) for lam in box])
     got = grothendieck_box(z, beta, box_plan(3, 4), dual=dual)
     assert got.shape == want.shape == (len(box), len(z))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
