@@ -6,8 +6,9 @@ eval``, ``identity cauchy|orthogonality|sum``, ``tasep
 bethe|green|oracle|relax`` and ``verify-all``.  Results are printed as one
 JSON object on stdout (``tasep relax`` emits its time series as CSV, per its
 interface), with fields command/inputs/result/provenance; ``--timing`` adds
-elapsed_ms, and to ``verify-all`` each criterion's elapsed_s, which are
-omitted by default so that identical seeds give byte-identical output.
+elapsed_ms, solve_ms (the Bethe solve's own milliseconds) to ``tasep bethe|green``
+and ``identity orthogonality``, and to ``verify-all`` each criterion's elapsed_s,
+which are omitted by default so that identical seeds give byte-identical output.
 ``verify-all`` writes its PASS/FAIL line per criterion to stderr.
 
 The seeded checks ``vertex rll-check|ybe-check``, ``scalar check`` and
@@ -21,7 +22,7 @@ command names its handler.  A handler takes the parsed arguments, returns
 its exit code and JSON payload (None when it prints its own output, as
 ``tasep relax`` does) and refuses bad input by raising ``ValueError``.
 ``run`` alone dispatches to it, turns a refusal into one ``error: ...`` line,
-adds ``--timing``'s elapsed_ms and prints the payload.
+adds ``--timing``'s solve_ms and elapsed_ms and prints the payload.
 
 Exact rationals serialize as "p/q" strings, complex numbers as [re, im]
 pairs.
@@ -67,6 +68,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonable(x):
+    # the commonest types first: no type below is a list, tuple, complex or float
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, (complex, np.complexfloating)):
+        return [float(x.real), float(x.imag)]
+    if isinstance(x, (np.floating, float)):
+        return float(x)
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, np.bool_):
@@ -75,18 +83,12 @@ def _jsonable(x):
         return x
     if isinstance(x, np.integer):
         return int(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (complex, np.complexfloating)):
-        return [float(x.real), float(x.imag)]
     if isinstance(x, Partition):
         return list(x.parts)
     if isinstance(x, ParticleConfiguration):
         return list(x.positions)
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     return str(x)
@@ -109,7 +111,8 @@ def _parser() -> _Parser:
     """The command table, built once per process; each leaf sets its ``handler``."""
     parser = _Parser(prog="fivevertex",
                      description="Five-vertex model / Grothendieck / TASEP engine")
-    parser.add_argument("--timing", action="store_true", help="include elapsed_ms in output")
+    parser.add_argument("--timing", action="store_true",
+                        help="include elapsed_ms (and solve_ms where a solve runs) in output")
     sub = parser.add_subparsers(dest="command", required=True)
     sector = argparse.ArgumentParser(add_help=False)
     sector.add_argument("--M", type=int, required=True)
@@ -260,8 +263,16 @@ def _identity_cauchy(args):
         "result": {"equal": case["equal"]}, "provenance": "determinant"}
 
 
+def _solve(args, beta=-1.0):
+    """``bethe_solve`` of the sector; with ``--timing`` its milliseconds go to ``run``."""
+    t0 = time.perf_counter()
+    sols = bethe_solve(args.M, args.N, beta=beta)
+    args.solve_ms = int((time.perf_counter() - t0) * 1000)
+    return sols
+
+
 def _identity_orthogonality(args):
-    sols = bethe_solve(args.M, args.N, beta=args.beta)
+    sols = _solve(args, args.beta)
     gram = orthogonality_matrix(args.M, args.N, args.beta, sols)
     worst = float(np.max(np.abs(gram - np.eye(len(gram)))))
     passed = worst <= 1e-8
@@ -289,7 +300,7 @@ def _configuration(positions, M, N) -> ParticleConfiguration:
 
 
 def _tasep_bethe(args):
-    sols = bethe_solve(args.M, args.N, beta=args.beta)
+    sols = _solve(args, args.beta)
     solutions = [{"roots": list(s.roots), "Y": s.Y, "energy": s.energy,
                   "residuals": list(s.residuals), "choice_id": s.choice_id,
                   "stationary": s.stationary} for s in sols]
@@ -306,7 +317,7 @@ def _tasep_green(args):
     return 0, {"command": "tasep green",
                "inputs": {"M": args.M, "N": args.N, "from": args.initial, "to": args.final,
                           "t": args.t},
-               "result": green_function(query), "provenance": "determinant"}
+               "result": green_function(query, _solve(args)), "provenance": "determinant"}
 
 
 def _tasep_oracle(args):
@@ -361,7 +372,7 @@ def _verify_all(args):
 
 def run(argv) -> int:
     """Entry point; returns the process exit code."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -373,7 +384,9 @@ def run(argv) -> int:
         return 1
     if payload is not None:
         if args.timing:
-            payload["elapsed_ms"] = int((time.time() - t0) * 1000)
+            if hasattr(args, "solve_ms"):
+                payload["solve_ms"] = args.solve_ms
+            payload["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)
         print(json.dumps(_jsonable(payload)))
     return code
 

@@ -148,12 +148,22 @@ def stacked_ratio(matrices, z) -> np.ndarray:
     return np.linalg.det(matrices) / np.prod(_gaps(z), axis=1)
 
 
+@cache
+def _pair_indices(n):
+    """``np.triu_indices(n, 1)``, the index pairs j < k of n variables; built once per n,
+    read-only."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def _gaps(z):
     """z_sj - z_sk for j < k at the rows of an (S, N) array; ``stacked_ratio`` takes no
     confluent limit, so variables of a row that coincide within ``COINCIDENCE_TOL`` raise."""
-    j, k = np.triu_indices(z.shape[1], 1)
+    j, k = _pair_indices(z.shape[1])
     gaps = z[:, j] - z[:, k]
-    if np.any(np.abs(gaps) <= COINCIDENCE_TOL):
+    if (np.abs(gaps) <= COINCIDENCE_TOL).any():
         raise ValueError("coincident variables need the confluent scalar evaluators")
     return gaps
 
@@ -163,10 +173,10 @@ def _bases(z, beta, dual):
     refuses a zero variable and, at N >= 2, a 1 + beta/z that is exactly zero."""
     if not dual:
         return 1 + beta * z
-    if np.any(z == 0):
+    if (z == 0).any():
         raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
     base = 1 + beta / z
-    if z.shape[1] > 1 and np.any(base == 0):
+    if z.shape[1] > 1 and (base == 0).any():
         raise ZeroDivisionError("vanishing (1 + beta/z) with negative exponent")
     return base
 

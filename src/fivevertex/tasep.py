@@ -38,20 +38,26 @@ complex ``GAMMA`` keeps the paths apart for real beta (the gamma trick of
 Sommese & Wampler, The Numerical Solution of Systems of Polynomials, 2005).
 All paths advance together, each with its own step: a predictor, then at
 most ``CORRECTOR_STEPS`` stacked Newton steps, accepted at
-max|F| <= ``CORRECTOR_TOL`` (1 + max|z^M Y|).  The predictor is the cubic
-Hermite through a path's last two accepted points and their tangents dz/ds,
-Euler on its first step.  ``choice_id`` is the subset, as indices into the
-beta = 0 roots in ``_canonical`` order.  Newton on the Bethe equations
-finishes every path that reached s = 1, stopping once a row's step is within
-a few ulps of its roots (one or two steps).  Every residual, Newton step and
-tangent comes from one kernel: the Jacobian of the equations is diagonal plus
-rank one, so Sherman-Morrison solves it in O(N) per set without forming a
-matrix.  Its denominator is g'(Y) for g(Y) = Y - prod_k (1 + beta z_k(Y)),
-where every root of a set solves P_Y(z) = (1+beta z)^N - (-1)^(N-1) Y z^M.
-Residuals, Y, energies, coincident roots and twins (``_first_kept_twins``)
-are checked on all endpoints at once.  At beta = -1 the subset of the N
-beta = 0 roots nearest 1, whose path ends on the stationary set, is not
-tracked: that set is inserted analytically.  ``beta``
+max|F| <= ``CORRECTOR_TOL`` (1 + max|z^M Y|); the corrector keeps every path
+of the step in place and masks the accepted ones, which stop moving.  The
+predictor is the cubic Hermite through a path's last two accepted points and
+their tangents dz/ds, Euler on its first step.  ``choice_id`` is the subset,
+as indices into the beta = 0 roots in ``_canonical`` order.  Newton on the
+Bethe equations finishes every path that reached s = 1, stopping once a row's
+step is within a few ulps of its roots (one or two steps).  Every residual and
+Jacobian comes from one kernel, ``_newton_kernel``; the Newton step and the
+tangent are solves of that Jacobian, each formed only where it is used: a
+step for the paths still correcting, the tangent once per step at the
+accepted points.  The Jacobian of the equations is diagonal plus rank one, so
+Sherman-Morrison solves it in O(N) per set without forming a matrix.  Its
+denominator is g'(Y) for g(Y) = Y - prod_k (1 + beta z_k(Y)), where every
+root of a set solves P_Y(z) = (1+beta z)^N - (-1)^(N-1) Y z^M.  The beta = 0
+roots and the subsets of a sector are built once per (M, N) and kept
+read-only.  Residuals, Y, energies, coincident roots and twins
+(``_first_kept_twins``) are checked on all endpoints at once, and the
+``Spectrum`` takes the roots and energies of the sets found as arrays.  At
+beta = -1 the subset of the N beta = 0 roots nearest 1, whose path ends on
+the stationary set, is not tracked: that set is inserted analytically.  ``beta``
 generalizes the equations to (1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j),
 as needed by the orthogonality relation (beta = -1 is the TASEP point).  A
 sector that gives fewer or more than binomial(M,N) sets raises, naming every
@@ -63,7 +69,7 @@ subset without a new set and why; so does one past the binomial(12,6) cap.  Size
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import combinations
 from math import comb
 
@@ -75,7 +81,8 @@ from .partitions import (ParticleConfiguration, _require_finite, _require_int, b
                          config_to_partition)
 from .ratfunc import taylor
 from .sector import hamiltonian, sector_basis
-from .symfunc import _bases, _gaps, bialternants, box_plan, grothendieck_box, stacked_ratio
+from .symfunc import (_bases, _gaps, _pair_indices, bialternants, box_plan, grothendieck_box,
+                      stacked_ratio)
 from .vertex import ModelParameters
 
 __all__ = [
@@ -162,9 +169,10 @@ class SectorState:
 
 
 def _canonical(z):
-    """Each row of z sorted by (real, imaginary) part rounded to 10 decimals, ties kept in order."""
-    order = np.lexsort((np.round(z.imag, 10), np.round(z.real, 10)), axis=-1)
-    return np.take_along_axis(z, order, axis=-1)
+    """Each row of z (S, N) sorted by (real, imaginary) part rounded to 10 decimals, ties
+    kept in order."""
+    order = np.lexsort((z.imag.round(10), z.real.round(10)), axis=-1)
+    return z[np.arange(len(z))[:, None], order]
 
 
 def _conjugate_partners(z, beta):
@@ -179,19 +187,34 @@ def _conjugate_partners(z, beta):
     rows = np.arange(len(z))
     if complex(beta).imag != 0:
         return rows
-    grid = lambda a: np.round(a, 9) + 0  # + 0 makes -0.0 the key 0.0
+    # each part rounded, as np.round rounds a complex array; + 0 makes -0.0 the key 0.0
+    grid = lambda a: a.view(float).round(9) + 0
     index = {row.tobytes(): t for t, row in enumerate(grid(z))}
     zc = _canonical(z.conj())
-    partner = np.array([index.get(row.tobytes(), -1) for row in grid(zc)], dtype=int)
-    partner[partner < 0] = rows[partner < 0]
-    close = np.all(_abs(z[partner] - zc) <= CONJUGATE_TOL * _abs(zc), axis=1)
+    partner = np.array([index.get(row.tobytes(), t) for t, row in enumerate(grid(zc))],
+                       dtype=int)
+    close = np.logical_and.reduce(_abs(z[partner] - zc) <= CONJUGATE_TOL * _abs(zc), axis=1)
     partner = np.where(close, partner, rows)
     return np.where(partner[partner] == rows, partner, rows)
 
 
+@cache
 def _free_roots(M, N):
-    """The beta = 0 roots, z^M = (-1)^(N-1), in canonical order."""
-    return _canonical(np.exp(1j * np.pi * (2 * np.arange(M) + (N - 1) % 2) / M))
+    """The beta = 0 roots, z^M = (-1)^(N-1), in canonical order; built once per (M, N),
+    read-only."""
+    roots = _canonical(np.exp(1j * np.pi * (2 * np.arange(M) + (N - 1) % 2) / M)[None])[0]
+    roots.flags.writeable = False
+    return roots
+
+
+@cache
+def _subsets(M, N):
+    """Every N-subset of range(M) in ``combinations`` order, as tuples and as an index
+    array; built once per (M, N), the array read-only."""
+    subsets = tuple(combinations(range(M), N))
+    index = np.array(subsets).reshape(len(subsets), N)
+    index.flags.writeable = False
+    return subsets, index
 
 
 def _free_point(beta) -> bool:
@@ -205,7 +228,7 @@ def _abs(z):
 
 
 def _newton_kernel(z, M, N, beta):
-    """F, (-1)^(N-1) z^M Y, J^-1 F and J^-1 dF/dbeta for each column of z (N, S).
+    """F, (-1)^(N-1) z^M Y and the Jacobian of each column of z (N, S).
 
     F_k = (1+beta z_k)^N - (-1)^(N-1) z_k^M Y with Y = prod_j (1+beta z_j);
     ``beta`` is a scalar or one value per column, (S,).  The Jacobian
@@ -214,42 +237,57 @@ def _newton_kernel(z, M, N, beta):
         a_k = P_Y'(z_k) = N beta (1+beta z_k)^(N-1) - (-1)^(N-1) M z_k^(M-1) Y,
         u_k = (-1)^(N-1) z_k^M,   c_l = beta prod_{j != l} (1+beta z_j),
 
-    so Sherman-Morrison solves it in O(N) per set, with the denominator
-    g'(Y) = 1 - sum_l c_l u_l / a_l of the Y-reduction.  The products over
-    j != l come from prefix and suffix products, without division.  A
-    singular set (some a_k = 0, or g'(Y) = 0) comes out non-finite.  The sets
-    are columns, held in C order, so that every operation runs along S.  The
-    sums over k add the rows in order (``_row_sum``), so a set's result is
-    bit for bit the same alone as in a batch.
+    so Sherman-Morrison solves it in O(N) per set (``_jacobian_solve``), with
+    the denominator g'(Y) = 1 - sum_l c_l u_l / a_l of the Y-reduction.  The
+    Newton step J^-1 F and the tangent J^-1 dF/dbeta (``_tangent``) are
+    formed from the returned Jacobian only where a caller needs them.  The
+    products over j != l come from prefix and suffix products, without
+    division.  A singular set (some a_k = 0, or g'(Y) = 0) solves to
+    non-finite values.  The sets are columns, held in C order, so that every
+    operation runs along S.  The sums over k add the rows in order
+    (``_row_sum``), so a set's result is bit for bit the same alone as in a
+    batch.
     """
     z = np.ascontiguousarray(z)
     sgn = (-1) ** (N - 1)
     pf = 1 + beta * z
-    before, after = np.ones_like(pf), np.ones_like(pf)
-    np.cumprod(pf[:-1], axis=0, out=before[1:])
-    np.cumprod(pf[:0:-1], axis=0, out=after[-2::-1])
-    cofactor = before * after
-    Y = before[-1] * pf[-1]
+    # the products of the first k and of the last k factors, k = 0..N-1, in order
+    products = np.empty((2,) + pf.shape, dtype=complex)
+    products[:, 0] = 1
+    np.multiply.accumulate(pf[:-1], axis=0, out=products[0, 1:])
+    np.multiply.accumulate(pf[:0:-1], axis=0, out=products[1, 1:])
+    cofactor = products[0] * products[1, ::-1]
+    # not the accumulate's last product: numpy's binary product can round differently
+    Y = products[0, -1] * pf[-1]
     pf_n1, z_m1 = pf ** (N - 1), z ** (M - 1)
     u = sgn * z_m1 * z
     zMY = u * Y
-    f = pf_n1 * pf - zMY
     a = N * beta * pf_n1 - sgn * M * z_m1 * Y
     c = beta * cofactor
-    dbeta = N * z * pf_n1 - u * _row_sum(z * cofactor)
-    ua, fa, da = u / a, f / a, dbeta / a
-    g_prime = 1 - _row_sum(c * ua)
-    return (f, zMY, fa + ua * (_row_sum(c * fa) / g_prime),
-            da + ua * (_row_sum(c * da) / g_prime))
+    ua = u / a
+    # what Sherman-Morrison takes, then what dF/dbeta takes
+    jacobian = (a, c, ua, 1 - _row_sum(c * ua), (z, N, pf_n1, u, cofactor))
+    return pf_n1 * pf - zMY, zMY, jacobian
+
+
+def _jacobian_solve(jacobian, rhs):
+    """J^-1 rhs for each column, by Sherman-Morrison on ``_newton_kernel``'s Jacobian."""
+    a, c, ua, g_prime, _ = jacobian
+    ra = rhs / a
+    return ra + ua * (_row_sum(c * ra) / g_prime)
+
+
+def _tangent(jacobian):
+    """J^-1 dF/dbeta for each column, with dF_k/dbeta = N z_k (1+beta z_k)^(N-1)
+    - u_k sum_l z_l prod_{j != l} (1+beta z_j)."""
+    z, N, pf_n1, u, cofactor = jacobian[4]
+    return _jacobian_solve(jacobian, N * z * pf_n1 - u * _row_sum(z * cofactor))
 
 
 def _row_sum(x):
-    """``x.sum(axis=0)``, adding the rows in order also for a single column.
-
-    numpy adds the rows of two or more columns in order, but sums a single
-    column pairwise, which rounds differently.
-    """
-    return x.sum(axis=0) if x.shape[1] > 1 else reduce(np.add, x)
+    """The rows of x (N, S) added in order: ``np.add.reduce`` along axis 0, and a
+    Python fold for a single column, which numpy would sum pairwise and round differently."""
+    return np.add.reduce(x, axis=0) if x.shape[1] > 1 else reduce(np.add, x)
 
 
 def _newton_polish(z, M, N, beta):
@@ -257,7 +295,7 @@ def _newton_polish(z, M, N, beta):
 
     A row stops once its own max|f| < 1e-15, when its Jacobian is singular,
     once the step it has just taken is within a few ulps of its roots,
-    max|step| <= 4 eps max|z|, or after 40 steps.
+    max|step| <= 4 eps max|z|, or after 40 steps.  No tangent is formed.
     """
     z = np.array(z, dtype=complex).T.copy()
     live = np.arange(z.shape[1])
@@ -265,19 +303,21 @@ def _newton_polish(z, M, N, beta):
         for _ in range(40):
             if not len(live):
                 break
-            f_val, _, step, _ = _newton_kernel(z[:, live], M, N, beta)
-            keep = ~(np.abs(f_val).max(axis=0) < 1e-15) & np.isfinite(step).all(axis=0)
+            f_val, _, jacobian = _newton_kernel(z[:, live], M, N, beta)
+            step = _jacobian_solve(jacobian, f_val)
+            keep = ~(np.maximum.reduce(np.abs(f_val), axis=0) < 1e-15) \
+                & np.isfinite(step).all(axis=0)
             live, step = live[keep], step[:, keep]
             z[:, live] -= step
-            floor = 4 * np.finfo(float).eps * np.abs(z[:, live]).max(axis=0)
-            live = live[~(np.abs(step).max(axis=0) <= floor)]
+            floor = 4 * np.finfo(float).eps * np.maximum.reduce(np.abs(z[:, live]), axis=0)
+            live = live[~(np.maximum.reduce(np.abs(step), axis=0) <= floor)]
     return z.T
 
 
 def _root_residuals(z, M, N, beta):
     """Per-root residuals |z^-M (1+beta z)^N - (-1)^(N-1) Y| and Y = prod(1+beta z), by row."""
     pf = 1 + beta * z
-    Y = np.prod(pf, axis=1)
+    Y = np.multiply.reduce(pf, axis=1)
     return np.abs(z ** (-M) * pf ** N - (-1) ** (N - 1) * Y[:, None]), Y
 
 
@@ -300,23 +340,29 @@ def _hermite(z0, dz0, s0, z1, dz1, s1, s):
 
     Written about the newer point s1: z1 + x dz1 + x^2 (3 e1 - e2) + x^3 (e2 - 2 e1)/d,
     with x = s - s1, d = s0 - s1, e1 = (z0 - z1 - d dz1)/d^2 and e2 = (dz0 - dz1)/d.
-    Columns whose s0 is NaN (no earlier point yet) take the Euler step z1 + x dz1.
+    Columns whose s0 is NaN (no earlier point yet) take the Euler step z1 + x dz1 (+ 0,
+    the zero bend, on the first step of all paths too).
     """
     x, d = s - s1, s0 - s1
+    euler = np.isnan(d)
+    if euler.all():
+        return z1 + x * dz1 + 0
     e1 = (z0 - z1 - d * dz1) / d ** 2
     e2 = (dz0 - dz1) / d
     bend = x ** 2 * (3 * e1 - e2 + x * (e2 - 2 * e1) / d)
-    return z1 + x * dz1 + np.where(np.isnan(d), 0, bend)
+    return z1 + x * dz1 + np.where(euler, 0, bend)
 
 
 def _track(z, M, N, beta):
     """Track each row of z (S, N), a solution set at beta = 0, along beta(s) to s = 1.
 
-    Each corrector evaluation also gives the tangent dz/ds, which is kept at
-    the accepted points: the predictor is the cubic Hermite through a path's
-    last two accepted points, Euler on its first step.  Returns the rows at
-    their last accepted s, and that s: 1 unless the path stalled, its step
-    halved below ``STEP_MIN``.
+    The corrector runs on every path of a step at once, with a mask of the
+    paths whose point is accepted: those stop moving, so the last evaluation
+    holds each path at the point it took, and the tangent dz/ds is formed
+    there, once per step.  The predictor is the cubic Hermite through a
+    path's last two accepted points, Euler on its first step.  Returns the
+    rows at their last accepted s, and that s: 1 unless the path stalled, its
+    step halved below ``STEP_MIN``.
     """
     z = np.array(z, dtype=complex).T.copy()  # a column per path, as the kernel takes them
     ends, reached = z.copy(), np.zeros(z.shape[1])
@@ -324,28 +370,29 @@ def _track(z, M, N, beta):
     s, h = np.zeros(len(paths)), np.full(len(paths), STEP_MAX)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         b, db = _path(s, beta)
-        dz = -_newton_kernel(z, M, N, b)[3] * db
+        dz = -_tangent(_newton_kernel(z, M, N, b)[2]) * db
         # the previous accepted point of each path, with its tangent
         z0, dz0, s0 = z, dz, np.full(len(paths), np.nan)
         while len(paths):
             s_new = np.minimum(s + h, 1.0)
             zc = _hermite(z0, dz0, s0, z, dz, s, s_new)
             b_new, db_new = _path(s_new, beta)
-            dzc = np.empty_like(zc)
-            ok = np.zeros(len(paths), dtype=bool)
-            todo, zk = np.arange(len(paths)), zc  # the columns still correcting, their points
             for k in range(CORRECTOR_STEPS + 1):
-                f, zMY, step, dzdb = _newton_kernel(zk, M, N, b_new[todo])
-                met = np.abs(f).max(axis=0) <= CORRECTOR_TOL * (1 + np.abs(zMY).max(axis=0))
-                done = todo[met]
-                ok[done] = True
-                zc[:, done], dzc[:, done] = zk[:, met], -dzdb[:, met] * db_new[done]
-                if k == CORRECTOR_STEPS or met.all():
+                f, zMY, jacobian = _newton_kernel(zc, M, N, b_new)
+                ok = np.maximum.reduce(np.abs(f), axis=0) \
+                    <= CORRECTOR_TOL * (1 + np.maximum.reduce(np.abs(zMY), axis=0))
+                every = ok.all()
+                if every or k == CORRECTOR_STEPS:
                     break
-                todo, zk = todo[~met], (zk - step)[:, ~met]
-            z0, dz0, s0 = np.where(ok, z, z0), np.where(ok, dz, dz0), np.where(ok, s, s0)
-            z, dz, s = np.where(ok, zc, z), np.where(ok, dzc, dz), np.where(ok, s_new, s)
-            h = np.where(ok, np.minimum(1.5 * h, STEP_MAX), h / 2)
+                np.subtract(zc, _jacobian_solve(jacobian, f), out=zc, where=~ok)
+            dzc = -_tangent(jacobian) * db_new
+            if every:
+                z0, dz0, s0, z, dz, s = z, dz, s, zc, dzc, s_new
+                h = np.minimum(1.5 * h, STEP_MAX)
+            else:
+                z0, dz0, s0 = np.where(ok, z, z0), np.where(ok, dz, dz0), np.where(ok, s, s0)
+                z, dz, s = np.where(ok, zc, z), np.where(ok, dzc, dz), np.where(ok, s_new, s)
+                h = np.where(ok, np.minimum(1.5 * h, STEP_MAX), h / 2)
             going = (s < 1) & (h >= STEP_MIN)
             if not going.all():
                 ends[:, paths[~going]], reached[paths[~going]] = z[:, ~going], s[~going]
@@ -370,6 +417,8 @@ def _first_kept_twins(z, rows):
     pairs = np.array([(i, k) for i, end in enumerate(ends) for k in range(i + 1, end)], dtype=int)
     a, b = order[pairs.reshape(-1, 2).T]
     for j in range(z.shape[1]):
+        if not len(a):
+            return {}
         close = _abs(z[a, j] - z[b, j]) <= DEDUP_TOL
         a, b = a[close], b[close]
     earlier = {}  # each row of a pair: its twins before it
@@ -402,19 +451,28 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
     if expected > comb(12, 6):
         raise ValueError(
             f"{expected} root-choice subsets exceed the desk-scale cap of {comb(12, 6)}")
-    subsets = list(combinations(range(M), N))
+    subsets, index = _subsets(M, N)
     start = _free_roots(M, N)
     if _free_point(beta):
         # all N-subsets solve the equations with Y = 1
-        z = start[np.array(subsets)]
+        z = start[index]
         res = _root_residuals(z, M, N, beta)[0]
         return Spectrum([BetheSolution(tuple(row), 1.0 + 0j, None, tuple(r), subset)
-                         for row, r, subset in zip(z, res, subsets)], M, N, requested)
+                         for row, r, subset in zip(z, res, subsets)], M, N, requested,
+                        roots=z, energies=np.full(len(z), np.nan, dtype=complex))
     tasep_point = abs(beta + 1) < 1e-15
     stationary = _stationary_choice(start, N) if tasep_point else None
-    tracked = [subset for subset in subsets if subset != stationary]
-    z, reached = _track(start[np.array(tracked)], M, N, beta)
-    z[reached == 1] = _newton_polish(z[reached == 1], M, N, beta)
+    tracked = subsets
+    if stationary in subsets:
+        skip = subsets.index(stationary)
+        tracked, index = subsets[:skip] + subsets[skip + 1:], np.concatenate(
+            (index[:skip], index[skip + 1:]))
+    z, reached = _track(start[index], M, N, beta)
+    done = reached == 1
+    if done.all():
+        z = _newton_polish(z, M, N, beta)
+    else:
+        z[done] = _newton_polish(z[done], M, N, beta)
     # every test, on all endpoints at once
     z = _canonical(z)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -422,39 +480,41 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
         # -N + alpha sum_j 1/z_j, summed column by column as the scalar sum
         alpha = -1 / beta
         energy = -N + alpha * sum(1 / z.T)
-    worst = np.max(res, axis=1)
-    j, k = np.triu_indices(N, 1)
-    coincident = np.any(_abs(z[:, j] - z[:, k]) <= DEDUP_TOL, axis=1)
-    twin_of = _first_kept_twins(z, np.flatnonzero(~(reached < 1) & (worst <= RESIDUAL_TOL)
-                                                  & ~coincident))
-    solutions = []
-    rejected = []  # (subset, reason) for every subset that gave no new solution set
-    if tasep_point:
-        rejected.append((stationary, "the stationary set (all roots at 1), inserted analytically"))
-    for r, subset in enumerate(tracked):
-        if reached[r] < 1:
-            rejected.append((subset, f"stalled (step below {STEP_MIN:g}) at s = {reached[r]:.6g}"))
-            continue
-        if not worst[r] <= RESIDUAL_TOL:
-            rejected.append((subset, f"residual {worst[r]:.3g} above {RESIDUAL_TOL:g} at s = 1"))
-            continue
-        if coincident[r]:
-            rejected.append((subset, "coincident roots at s = 1"))
-            continue
-        if r in twin_of:
-            rejected.append((subset, f"same solution set as choice {tracked[twin_of[r]]} at s = 1"))
-            continue
-        solutions.append(BetheSolution(tuple(z[r]), complex(Y[r]), complex(energy[r]),
-                                       tuple(res[r]), subset))
+    worst = np.maximum.reduce(res, axis=1)
+    j, k = _pair_indices(N)
+    coincident = np.logical_or.reduce(_abs(z[:, j] - z[:, k]) <= DEDUP_TOL, axis=1)
+    found = (~(reached < 1) & (worst <= RESIDUAL_TOL) & ~coincident).nonzero()[0]
+    twin_of = _first_kept_twins(z, found)
+    if twin_of:
+        found = np.array([r for r in found.tolist() if r not in twin_of], dtype=int)
+    solutions = [BetheSolution(roots, y, e, r, tracked[i]) for i, roots, y, e, r in zip(
+        found.tolist(), map(tuple, z[found]), Y[found].tolist(), energy[found].tolist(),
+        map(tuple, res[found]))]
     if tasep_point:
         solutions.append(BetheSolution((1.0 + 0j,) * N, 0j, 0j, (0.0,) * N,
                                        None, stationary=True))
     if len(solutions) != expected:
+        rejected = []  # (subset, reason) for every subset that gave no new solution set
+        if tasep_point:
+            rejected.append((stationary,
+                             "the stationary set (all roots at 1), inserted analytically"))
+        for r, subset in enumerate(tracked):
+            if reached[r] < 1:
+                rejected.append((subset, f"stalled (step below {STEP_MIN:g}) "
+                                         f"at s = {reached[r]:.6g}"))
+            elif not worst[r] <= RESIDUAL_TOL:
+                rejected.append((subset, f"residual {worst[r]:.3g} above {RESIDUAL_TOL:g} "
+                                         f"at s = 1"))
+            elif coincident[r]:
+                rejected.append((subset, "coincident roots at s = 1"))
+            elif r in twin_of:
+                rejected.append((subset, f"same solution set as choice {tracked[twin_of[r]]} "
+                                         f"at s = 1"))
         raise RuntimeError("\n".join(
             [f"completeness failure: {len(solutions)} of {expected} solution sets found; "
              f"choices without a new solution set:"]
             + [f"  {subset}: {why}" for subset, why in sorted(rejected)]))
-    return Spectrum(solutions, M, N, requested)
+    return Spectrum(solutions, M, N, requested, roots=z[found], energies=energy[found])
 
 
 class Spectrum:
@@ -476,6 +536,9 @@ class Spectrum:
     vectors, and the order that puts them in ``sector_basis`` order for the
     Green tables, are built on first use and kept.
 
+    ``roots`` and ``energies``, the arrays of the non-stationary sets in solve order, are
+    read off ``solutions`` unless the caller holds them already (``bethe_solve`` does).
+
     The request picks the algorithm.  ``left(mu)``, ``right(lam)`` and each window length
     of ``form_factors`` take one ``symfunc.stacked_ratio`` over the rows, whose refusals are
     made up front; ``box_vectors``, every partition, takes the branching rule's passes, in
@@ -483,26 +546,29 @@ class Spectrum:
     rounding: within 1.6e-14 of the largest value up to (12,9).
     """
 
-    def __init__(self, solutions, M: int, N: int, beta=-1.0):
+    def __init__(self, solutions, M: int, N: int, beta=-1.0, *, roots=None, energies=None):
         M, N = _require_int("M", M), _require_int("N", N)
         solutions = tuple(solutions)
         if len(solutions) != comb(M, N):
             raise RuntimeError(
                 f"incomplete Bethe solution set: {len(solutions)} of {comb(M, N)}")
-        for s in solutions:
-            if len(s.roots) != N:
-                raise ValueError(f"solution sets must hold N = {N} roots, found {len(s.roots)}")
-        proper = [s for s in solutions if not s.stationary]
+        if roots is None:  # else the caller's arrays of the non-stationary sets, in order
+            for s in solutions:
+                if len(s.roots) != N:
+                    raise ValueError(f"solution sets must hold N = {N} roots, "
+                                     f"found {len(s.roots)}")
+            proper = [s for s in solutions if not s.stationary]
+            roots = np.array([s.roots for s in proper], dtype=complex).reshape(-1, N)
+            # energies are undefined at beta = 0, where only left/right are used
+            energies = np.array([np.nan if s.energy is None else s.energy for s in proper],
+                                dtype=complex)
         self.solutions, self.M, self.N, self.beta = solutions, M, N, beta
-        self.stationary = (len(solutions) - len(proper)) / comb(M, N)
-        z = np.array([s.roots for s in proper], dtype=complex).reshape(-1, N)
-        partner, sets = _conjugate_partners(z, beta), np.arange(len(z))
-        rows = np.concatenate([np.flatnonzero(partner == sets), np.flatnonzero(partner > sets)])
-        self._pairs = int(np.sum(partner == sets))  # the first row that stands for a pair
-        self.roots = z[rows]
-        # energies are undefined at beta = 0, where only left/right are used
-        self.energies = np.array([np.nan if s.energy is None else s.energy for s in proper],
-                                 dtype=complex)[rows]
+        self.stationary = (len(solutions) - len(roots)) / comb(M, N)
+        partner, sets = _conjugate_partners(roots, beta), np.arange(len(roots))
+        single = partner == sets
+        rows = np.concatenate([single.nonzero()[0], (partner > sets).nonzero()[0]])
+        self._pairs = int(np.count_nonzero(single))  # the first row that stands for a pair
+        self.roots, self.energies = roots[rows], energies[rows]
         _gaps(self.roots)
         _gaps(1 / self.roots)
         _bases(1 / self.roots, beta, True)
@@ -516,7 +582,8 @@ class Spectrum:
     @cached_property
     def weights(self) -> np.ndarray:
         """w_s over the rows, on first use: a pole refuses contractions, not the solve."""
-        weights = orthogonality_weight(list(self.roots.T), self.beta, self.M, self.N)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weights = orthogonality_weight(list(self.roots.T), self.beta, self.M, self.N)
         if not np.all(np.isfinite(weights)):
             raise ZeroDivisionError("orthogonality weight has a pole at a Bethe root")
         return weights
@@ -598,11 +665,16 @@ class Spectrum:
 
         ``right`` is ``right(lam)`` of the initial configuration's partition,
         or the right box vectors for a table; ``a`` a real combination of left
-        vectors, so that a pair's two sets take conjugate values (``contract``).
+        vectors, so that a pair's two sets take conjugate values (``contract``).  E t may
+        overflow, where e^{E t} is 0 (Re E < 0); a total that is not finite is refused.
         """
         _require_finite("t", t, 0)
-        total = a0 * self.stationary + self.contract(a * np.exp(self.energies * t), right)
-        if (imag := np.max(np.abs(total.imag))) > 1e-7:
+        with np.errstate(over="ignore"):
+            decay = np.exp(self.energies * t)
+        total = a0 * self.stationary + self.contract(a * decay, right)
+        if not np.isfinite(total).all():
+            raise RuntimeError("spectral sum is not finite")
+        if (imag := np.abs(total.imag).max()) > 1e-7:
             raise RuntimeError(f"spectral sum came out non-real: imaginary part up to {imag:.3g}")
         return total.real if total.ndim else float(total.real)
 
@@ -720,13 +792,13 @@ def expectation_via_form_factors(terms, x: ParticleConfiguration, t: float, solu
 
 
 def sector_generator(M: int, N: int) -> np.ndarray:
-    """The TASEP generator (alpha = 1 Hamiltonian) as a float matrix."""
-    gen = np.array(hamiltonian(ModelParameters(alpha=1, M=M), _require_int("N", N)).data,
-                   dtype=float)
-    col_sums = gen.sum(axis=0)
-    if np.max(np.abs(col_sums)) > 1e-12:
-        raise AssertionError("generator columns must sum to zero")
-    return gen
+    """The TASEP generator (alpha = 1 Hamiltonian) as a float matrix.
+
+    Its entries are ints, so every column sums to exactly zero: each hop out of a
+    configuration is one unit of its diagonal.
+    """
+    return np.array(hamiltonian(ModelParameters(alpha=1, M=M), _require_int("N", N)).data,
+                    dtype=float)
 
 
 def master_oracle(x: ParticleConfiguration, t: float) -> SectorState:

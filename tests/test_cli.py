@@ -305,6 +305,32 @@ def test_timing_flag_adds_elapsed(capsys):
     assert "elapsed_ms" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["tasep", "bethe", "--M", "8", "--N", "4"],
+    ["tasep", "green", "--M", "8", "--N", "4", "--from", "1,2,3,4", "--to", "2,4,6,8",
+     "--t", "0.5"],
+    ["identity", "orthogonality", "--M", "8", "--N", "4", "--beta", "-0.5"],
+])
+def test_timing_flag_adds_the_solve_time(capsys, argv):
+    # the solve is part of the call, so it takes no longer than the call; without
+    # the flag the payload is the same bytes less the two timings
+    code, out = invoke(capsys, ["--timing", *argv])
+    payload = json.loads(out)
+    assert code == 0
+    assert list(payload)[-2:] == ["solve_ms", "elapsed_ms"]
+    assert 0 <= payload["solve_ms"] <= payload["elapsed_ms"]
+    del payload["solve_ms"], payload["elapsed_ms"]
+    assert invoke(capsys, argv) == (0, json.dumps(payload) + "\n")
+
+
+def test_green_at_a_huge_time_prints_the_stationary_value_and_no_warning():
+    # E t overflows for t = 1e308; e^{E t} is then 0 and only the stationary term is left
+    done = _fresh_python(["-m", "fivevertex.cli", "tasep", "green", "--M", "4", "--N", "2",
+                          "--from", "1,2", "--to", "3,4", "--t", "1e308"], timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["result"] == pytest.approx(1 / 6, abs=1e-15)
+
+
 def test_negative_rational_option_values(capsys):
     code, out = invoke(capsys, ["groth", "eval", "--lam", "2,1",
                                 "--z", "-1/2,1/3", "--beta", "-1/2"])

@@ -10,7 +10,7 @@ import pytest
 
 from fivevertex.partitions import enumerate_box
 from fivevertex.scalars import cleared_quotient
-from fivevertex.symfunc import (bialternants, box_plan, dual_grothendieck_eval,
+from fivevertex.symfunc import (_pair_indices, bialternants, box_plan, dual_grothendieck_eval,
                                grothendieck_box, grothendieck_box_cleared, grothendieck_eval,
                                grothendieck_evals, schur_eval)
 
@@ -430,6 +430,17 @@ def test_grothendieck_box_takes_coincident_variables(dual):
     want = np.array(grothendieck_evals(box, z, beta, dual), dtype=complex)
     got = grothendieck_box(np.array([z], dtype=float), float(beta), box_plan(2, 3), dual=dual)
     assert np.max(np.abs(got[:, 0] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_pair_indices_are_kept_read_only():
+    # np.triu_indices(n, 1), built once per n for every stacked Vandermonde
+    for n in range(1, 8):
+        pairs = _pair_indices(n)
+        assert _pair_indices(n) is pairs
+        assert all(np.array_equal(a, b) for a, b in zip(pairs, np.triu_indices(n, 1)))
+    for array in _pair_indices(3):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_box_plan_is_kept_read_only():

@@ -20,8 +20,9 @@ from fivevertex.symfunc import (box_plan, dual_grothendieck_eval, grothendieck_b
                                grothendieck_eval)
 from fivevertex.tasep import (CONJUGATE_TOL, CORRECTOR_STEPS, CORRECTOR_TOL, DEDUP_TOL, GAMMA,
                               RESIDUAL_TOL, STEP_MAX, STEP_MIN, GreenQuery, Spectrum, _canonical,
-                              _conjugate_partners, _free_roots, _newton_kernel, _newton_polish,
-                              _spectrum, _stationary_choice, _track,
+                              _conjugate_partners, _free_roots, _jacobian_solve, _newton_kernel,
+                              _newton_polish, _spectrum, _stationary_choice, _subsets, _tangent,
+                              _track,
                               bethe_solve,
                               current_terms, density_terms, expectation,
                               expectation_via_form_factors, form_factor_sum, green_function,
@@ -65,6 +66,66 @@ def test_energy_sum_equals_generator_trace():
     total = sum(s.energy for s in sols)
     trace = np.trace(sector_generator(M, N))
     assert abs(total - trace) < 1e-8
+
+
+def test_sector_generator_columns_sum_to_exactly_zero():
+    # every hop out of a configuration is one unit of its diagonal, in ints
+    for M in range(2, 9):
+        for N in range(1, M):
+            assert not np.any(sector_generator(M, N).sum(axis=0)), (M, N)
+
+
+def test_a_weight_pole_refuses_the_contractions_not_the_spectrum():
+    # N = 1 at beta = -1: a root at z = 1 is 0/0 in the weight's closed form, and
+    # 1 + beta/z = 0 is refused up front only at N >= 2
+    stationary = bethe_solve(2, 1)[1]
+    spec = Spectrum([tasep.BetheSolution((1 + 0j,), 0j, -1 + 0j, (0.0,), (0,)), stationary],
+                    2, 1)
+    with pytest.raises(ZeroDivisionError,
+                       match=r"^orthogonality weight has a pole at a Bethe root$"):
+        spec.right((0,))
+    assert spec.left((1,))[0] == 1
+
+
+def test_evolve_refuses_a_sum_that_is_not_real_or_not_finite():
+    # at complex beta no set has a conjugate partner, so G_mu Gbar_lam need not sum to a
+    # real number; a NaN left vector gives no number at all
+    spec = bethe_solve(4, 2, beta=0.3 + 0.2j)
+    with pytest.raises(RuntimeError,
+                       match=r"^spectral sum came out non-real: imaginary part up to 0\.763$"):
+        spec.evolve(spec.left((1, 0)), 1, spec.right((2, 1)), 0.5)
+    spec = bethe_solve(4, 2)
+    with pytest.raises(RuntimeError, match=r"^spectral sum is not finite$"):
+        spec.evolve(np.full(len(spec.roots), np.nan), 1, spec.right((1, 1)), 0.5)
+
+
+def test_expectation_refuses_an_observable_of_the_wrong_shape():
+    with pytest.raises(ValueError,
+                       match=r"^observable must be 6 x 6 on the configuration basis$"):
+        expectation(np.eye(5), PC((1, 2), 4), 0.5)
+
+
+def test_per_sector_constants_are_built_once_and_read_only():
+    subsets, index = _subsets(5, 2)
+    assert _subsets(5, 2)[1] is index and _free_roots(5, 2) is _free_roots(5, 2)
+    assert subsets == tuple(combinations(range(5), 2)) and index.tolist() == list(map(list, subsets))
+    free = np.exp(1j * np.pi * (2 * np.arange(5) + 1) / 5)
+    assert sorted(_free_roots(5, 2).tolist(), key=lambda w: (round(w.real, 10), round(w.imag, 10))) \
+        == _free_roots(5, 2).tolist()
+    assert np.max(np.abs(np.sort_complex(_free_roots(5, 2)) - np.sort_complex(free))) <= 1e-15
+    for array in (index, _free_roots(5, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("M, N, beta", [(4, 2, -1.0), (7, 3, -0.5), (6, 3, 0.0), (9, 8, -1.0)])
+def test_solver_arrays_give_the_spectrum_of_its_list(M, N, beta):
+    # bethe_solve hands its arrays to the Spectrum; read off the list they are the same bits
+    spec = bethe_solve(M, N, beta)
+    again = Spectrum(list(spec), M, N, beta)
+    for name in ("roots", "energies"):
+        assert getattr(spec, name).tobytes() == getattr(again, name).tobytes()
+    assert (spec._pairs, spec.stationary) == (again._pairs, again.stationary)
 
 
 def test_green_function_against_oracle():
@@ -828,6 +889,53 @@ def test_stacked_newton_polish_equals_row_by_row(monkeypatch):
     assert 1 in live
 
 
+def _kernel_outputs(z, M, N, beta):
+    """F, (-1)^(N-1) z^M Y, the Newton step J^-1 F and the tangent J^-1 dF/dbeta of the
+    columns of z, from ``_newton_kernel`` and the two solves of its Jacobian."""
+    f, zMY, jacobian = _newton_kernel(z, M, N, beta)
+    return f, zMY, _jacobian_solve(jacobian, f), _tangent(jacobian)
+
+
+def _four_output_kernel(z, M, N, beta):
+    """The solver's kernel as one function of four outputs, every operation in the order
+    the split kernel keeps: the reference for its bits."""
+    z = np.ascontiguousarray(z)
+    sgn = (-1) ** (N - 1)
+    pf = 1 + beta * z
+    before, after = np.ones_like(pf), np.ones_like(pf)
+    np.cumprod(pf[:-1], axis=0, out=before[1:])
+    np.cumprod(pf[:0:-1], axis=0, out=after[-2::-1])
+    cofactor = before * after
+    Y = before[-1] * pf[-1]
+    pf_n1, z_m1 = pf ** (N - 1), z ** (M - 1)
+    u = sgn * z_m1 * z
+    zMY = u * Y
+    f = pf_n1 * pf - zMY
+    a = N * beta * pf_n1 - sgn * M * z_m1 * Y
+    c = beta * cofactor
+    row_sum = lambda x: x.sum(axis=0) if x.shape[1] > 1 else sum(x[1:], x[0])
+    dbeta = N * z * pf_n1 - u * row_sum(z * cofactor)
+    ua, fa, da = u / a, f / a, dbeta / a
+    g_prime = 1 - row_sum(c * ua)
+    return (f, zMY, fa + ua * (row_sum(c * fa) / g_prime),
+            da + ua * (row_sum(c * da) / g_prime))
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.5, -1.5])
+def test_split_kernel_equals_the_four_output_kernel(beta):
+    # random points of 7 sectors, a scalar beta and one per column, and a lone column
+    rng = np.random.default_rng(17)
+    for M, N in [(2, 1), (5, 2), (7, 3), (9, 4), (9, 8), (12, 6), (12, 10)]:
+        z = 1.2 * (rng.normal(size=(N, 25)) + 1j * rng.normal(size=(N, 25)))
+        for b in (beta + 0j, beta + 0.3 * rng.normal(size=25) + 0.1j * rng.normal(size=25)):
+            for cols in (slice(None), slice(3, 4)):
+                bc = b[cols] if np.ndim(b) else b
+                got, want = _kernel_outputs(z[:, cols], M, N, bc), \
+                    _four_output_kernel(z[:, cols], M, N, bc)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), (M, N, beta)
+
+
 def test_newton_kernel_rounds_a_lone_set_as_in_a_batch():
     # one set alone in a call gives the bits of its column in a batched call
     rng = np.random.default_rng(13)
@@ -835,17 +943,17 @@ def test_newton_kernel_rounds_a_lone_set_as_in_a_batch():
         M = N + 3
         z = rng.normal(size=(N, 30)) + 1j * rng.normal(size=(N, 30))
         for beta in (-1.0 + 0j, rng.normal(size=30) + 0j):
-            batch = _newton_kernel(z, M, N, beta)
+            batch = _kernel_outputs(z, M, N, beta)
             for j in range(z.shape[1]):
-                one = _newton_kernel(z[:, j:j + 1], M, N,
-                                     beta[j:j + 1] if np.ndim(beta) else beta)
+                one = _kernel_outputs(z[:, j:j + 1], M, N,
+                                      beta[j:j + 1] if np.ndim(beta) else beta)
                 for got, want in zip(one, batch):
                     assert np.array_equal(got[:, 0], want[:, j]), (N, j)
 
 
 def _kernel_gaps(z, M, N, beta):
     """Per row, the relative gaps of the kernel's J^-1 F and J^-1 dF/dbeta from dense solves."""
-    f, zMY, step, dzdb = (v.T for v in _newton_kernel(z.T, M, N, beta))
+    f, zMY, step, dzdb = (v.T for v in _kernel_outputs(z.T, M, N, beta))
     gaps = []
     for r, row in enumerate(z):
         pf = 1 + beta * row
@@ -877,7 +985,7 @@ def test_newton_kernel_solves_the_dense_jacobian():
     # two roots at 1 (beta = -1) give a_1 = a_2 = 0, a singular Jacobian at f != 0
     singular = np.array([[1], [1], [0.5]], dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f, _, step, dzdb = _newton_kernel(singular, 7, 3, -1.0 + 0j)
+        f, _, step, dzdb = _kernel_outputs(singular, 7, 3, -1.0 + 0j)
     assert np.max(np.abs(f)) > 0
     assert not np.all(np.isfinite(step)) and not np.all(np.isfinite(dzdb))
 
