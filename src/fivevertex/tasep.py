@@ -570,8 +570,9 @@ class Spectrum:
         self._pairs = int(np.count_nonzero(single))  # the first row that stands for a pair
         self.roots, self.energies = roots[rows], energies[rows]
         _gaps(self.roots)
-        _gaps(1 / self.roots)
-        _bases(1 / self.roots, beta, True)
+        inverse = 1 / self.roots
+        _gaps(inverse)
+        _bases(inverse, beta, True)
 
     def __len__(self):
         return len(self.solutions)
