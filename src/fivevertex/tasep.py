@@ -487,9 +487,10 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
     twin_of = _first_kept_twins(z, found)
     if twin_of:
         found = np.array([r for r in found.tolist() if r not in twin_of], dtype=int)
-    solutions = [BetheSolution(roots, y, e, r, tracked[i]) for i, roots, y, e, r in zip(
-        found.tolist(), map(tuple, z[found]), Y[found].tolist(), energy[found].tolist(),
-        map(tuple, res[found]))]
+    solutions = [BetheSolution(roots, y, e, residuals, tracked[r])
+                 for r, roots, y, e, residuals in zip(
+                     found.tolist(), map(tuple, z[found]), Y[found].tolist(),
+                     energy[found].tolist(), map(tuple, res[found]))]
     if tasep_point:
         solutions.append(BetheSolution((1.0 + 0j,) * N, 0j, 0j, (0.0,) * N,
                                        None, stationary=True))
