@@ -163,7 +163,7 @@ def _gaps(z):
     confluent limit, so variables of a row that coincide within ``COINCIDENCE_TOL`` raise."""
     j, k = _pair_indices(z.shape[1])
     gaps = z[:, j] - z[:, k]
-    if (np.abs(gaps) <= COINCIDENCE_TOL).any():
+    if np.any(np.abs(gaps) <= COINCIDENCE_TOL):
         raise ValueError("coincident variables need the confluent scalar evaluators")
     return gaps
 
@@ -173,10 +173,10 @@ def _bases(z, beta, dual):
     refuses a zero variable and, at N >= 2, a 1 + beta/z that is exactly zero."""
     if not dual:
         return 1 + beta * z
-    if (z == 0).any():
+    if np.any(z == 0):
         raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
     base = 1 + beta / z
-    if z.shape[1] > 1 and (base == 0).any():
+    if z.shape[1] > 1 and np.any(base == 0):
         raise ZeroDivisionError("vanishing (1 + beta/z) with negative exponent")
     return base
 

@@ -54,10 +54,9 @@ denominator is g'(Y) for g(Y) = Y - prod_k (1 + beta z_k(Y)), where every
 root of a set solves P_Y(z) = (1+beta z)^N - (-1)^(N-1) Y z^M.  The beta = 0
 roots and the subsets of a sector are built once per (M, N) and kept
 read-only.  Residuals, Y, energies, coincident roots and twins
-(``_first_kept_twins``) are checked on all endpoints at once, and the
-``Spectrum`` takes the roots and energies of the sets found as arrays.  At
-beta = -1 the subset of the N beta = 0 roots nearest 1, whose path ends on
-the stationary set, is not tracked: that set is inserted analytically.  ``beta``
+(``_first_kept_twins``) are checked on all endpoints at once.  At beta = -1
+the subset of the N beta = 0 roots nearest 1, whose path ends on the
+stationary set, is not tracked: that set is inserted analytically.  ``beta``
 generalizes the equations to (1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j),
 as needed by the orthogonality relation (beta = -1 is the TASEP point).  A
 sector that gives fewer or more than binomial(M,N) sets raises, naming every
@@ -169,10 +168,9 @@ class SectorState:
 
 
 def _canonical(z):
-    """Each row of z (S, N) sorted by (real, imaginary) part rounded to 10 decimals, ties
-    kept in order."""
-    order = np.lexsort((z.imag.round(10), z.real.round(10)), axis=-1)
-    return z[np.arange(len(z))[:, None], order]
+    """Each row of z sorted by (real, imaginary) part rounded to 10 decimals, ties kept in order."""
+    order = np.lexsort((np.round(z.imag, 10), np.round(z.real, 10)), axis=-1)
+    return np.take_along_axis(z, order, axis=-1)
 
 
 def _conjugate_partners(z, beta):
@@ -187,13 +185,12 @@ def _conjugate_partners(z, beta):
     rows = np.arange(len(z))
     if complex(beta).imag != 0:
         return rows
-    # each part rounded, as np.round rounds a complex array; + 0 makes -0.0 the key 0.0
-    grid = lambda a: a.view(float).round(9) + 0
+    grid = lambda a: np.round(a, 9) + 0  # + 0 makes -0.0 the key 0.0
     index = {row.tobytes(): t for t, row in enumerate(grid(z))}
     zc = _canonical(z.conj())
     partner = np.array([index.get(row.tobytes(), t) for t, row in enumerate(grid(zc))],
                        dtype=int)
-    close = np.logical_and.reduce(_abs(z[partner] - zc) <= CONJUGATE_TOL * _abs(zc), axis=1)
+    close = np.all(_abs(z[partner] - zc) <= CONJUGATE_TOL * _abs(zc), axis=1)
     partner = np.where(close, partner, rows)
     return np.where(partner[partner] == rows, partner, rows)
 
@@ -202,7 +199,7 @@ def _conjugate_partners(z, beta):
 def _free_roots(M, N):
     """The beta = 0 roots, z^M = (-1)^(N-1), in canonical order; built once per (M, N),
     read-only."""
-    roots = _canonical(np.exp(1j * np.pi * (2 * np.arange(M) + (N - 1) % 2) / M)[None])[0]
+    roots = _canonical(np.exp(1j * np.pi * (2 * np.arange(M) + (N - 1) % 2) / M))
     roots.flags.writeable = False
     return roots
 
@@ -305,19 +302,18 @@ def _newton_polish(z, M, N, beta):
                 break
             f_val, _, jacobian = _newton_kernel(z[:, live], M, N, beta)
             step = _jacobian_solve(jacobian, f_val)
-            keep = ~(np.maximum.reduce(np.abs(f_val), axis=0) < 1e-15) \
-                & np.isfinite(step).all(axis=0)
+            keep = ~(np.abs(f_val).max(axis=0) < 1e-15) & np.isfinite(step).all(axis=0)
             live, step = live[keep], step[:, keep]
             z[:, live] -= step
-            floor = 4 * np.finfo(float).eps * np.maximum.reduce(np.abs(z[:, live]), axis=0)
-            live = live[~(np.maximum.reduce(np.abs(step), axis=0) <= floor)]
+            floor = 4 * np.finfo(float).eps * np.abs(z[:, live]).max(axis=0)
+            live = live[~(np.abs(step).max(axis=0) <= floor)]
     return z.T
 
 
 def _root_residuals(z, M, N, beta):
     """Per-root residuals |z^-M (1+beta z)^N - (-1)^(N-1) Y| and Y = prod(1+beta z), by row."""
     pf = 1 + beta * z
-    Y = np.multiply.reduce(pf, axis=1)
+    Y = np.prod(pf, axis=1)
     return np.abs(z ** (-M) * pf ** N - (-1) ** (N - 1) * Y[:, None]), Y
 
 
@@ -340,17 +336,13 @@ def _hermite(z0, dz0, s0, z1, dz1, s1, s):
 
     Written about the newer point s1: z1 + x dz1 + x^2 (3 e1 - e2) + x^3 (e2 - 2 e1)/d,
     with x = s - s1, d = s0 - s1, e1 = (z0 - z1 - d dz1)/d^2 and e2 = (dz0 - dz1)/d.
-    Columns whose s0 is NaN (no earlier point yet) take the Euler step z1 + x dz1 (+ 0,
-    the zero bend, on the first step of all paths too).
+    Columns whose s0 is NaN (no earlier point yet) take the Euler step z1 + x dz1.
     """
     x, d = s - s1, s0 - s1
-    euler = np.isnan(d)
-    if euler.all():
-        return z1 + x * dz1 + 0
     e1 = (z0 - z1 - d * dz1) / d ** 2
     e2 = (dz0 - dz1) / d
     bend = x ** 2 * (3 * e1 - e2 + x * (e2 - 2 * e1) / d)
-    return z1 + x * dz1 + np.where(euler, 0, bend)
+    return z1 + x * dz1 + np.where(np.isnan(d), 0, bend)
 
 
 def _track(z, M, N, beta):
@@ -379,20 +371,14 @@ def _track(z, M, N, beta):
             b_new, db_new = _path(s_new, beta)
             for k in range(CORRECTOR_STEPS + 1):
                 f, zMY, jacobian = _newton_kernel(zc, M, N, b_new)
-                ok = np.maximum.reduce(np.abs(f), axis=0) \
-                    <= CORRECTOR_TOL * (1 + np.maximum.reduce(np.abs(zMY), axis=0))
-                every = ok.all()
-                if every or k == CORRECTOR_STEPS:
+                ok = np.abs(f).max(axis=0) <= CORRECTOR_TOL * (1 + np.abs(zMY).max(axis=0))
+                if k == CORRECTOR_STEPS or ok.all():
                     break
                 np.subtract(zc, _jacobian_solve(jacobian, f), out=zc, where=~ok)
             dzc = -_tangent(jacobian) * db_new
-            if every:
-                z0, dz0, s0, z, dz, s = z, dz, s, zc, dzc, s_new
-                h = np.minimum(1.5 * h, STEP_MAX)
-            else:
-                z0, dz0, s0 = np.where(ok, z, z0), np.where(ok, dz, dz0), np.where(ok, s, s0)
-                z, dz, s = np.where(ok, zc, z), np.where(ok, dzc, dz), np.where(ok, s_new, s)
-                h = np.where(ok, np.minimum(1.5 * h, STEP_MAX), h / 2)
+            z0, dz0, s0 = np.where(ok, z, z0), np.where(ok, dz, dz0), np.where(ok, s, s0)
+            z, dz, s = np.where(ok, zc, z), np.where(ok, dzc, dz), np.where(ok, s_new, s)
+            h = np.where(ok, np.minimum(1.5 * h, STEP_MAX), h / 2)
             going = (s < 1) & (h >= STEP_MIN)
             if not going.all():
                 ends[:, paths[~going]], reached[paths[~going]] = z[:, ~going], s[~going]
@@ -417,8 +403,6 @@ def _first_kept_twins(z, rows):
     pairs = np.array([(i, k) for i, end in enumerate(ends) for k in range(i + 1, end)], dtype=int)
     a, b = order[pairs.reshape(-1, 2).T]
     for j in range(z.shape[1]):
-        if not len(a):
-            return {}
         close = _abs(z[a, j] - z[b, j]) <= DEDUP_TOL
         a, b = a[close], b[close]
     earlier = {}  # each row of a pair: its twins before it
@@ -458,21 +442,15 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
         z = start[index]
         res = _root_residuals(z, M, N, beta)[0]
         return Spectrum([BetheSolution(tuple(row), 1.0 + 0j, None, tuple(r), subset)
-                         for row, r, subset in zip(z, res, subsets)], M, N, requested,
-                        roots=z, energies=np.full(len(z), np.nan, dtype=complex))
+                         for row, r, subset in zip(z, res, subsets)], M, N, requested)
     tasep_point = abs(beta + 1) < 1e-15
     stationary = _stationary_choice(start, N) if tasep_point else None
     tracked = subsets
-    if stationary in subsets:
+    if stationary in subsets:  # inserted, not tracked
         skip = subsets.index(stationary)
-        tracked, index = subsets[:skip] + subsets[skip + 1:], np.concatenate(
-            (index[:skip], index[skip + 1:]))
+        tracked, index = subsets[:skip] + subsets[skip + 1:], np.delete(index, skip, axis=0)
     z, reached = _track(start[index], M, N, beta)
-    done = reached == 1
-    if done.all():
-        z = _newton_polish(z, M, N, beta)
-    else:
-        z[done] = _newton_polish(z[done], M, N, beta)
+    z[reached == 1] = _newton_polish(z[reached == 1], M, N, beta)
     # every test, on all endpoints at once
     z = _canonical(z)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -480,13 +458,12 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
         # -N + alpha sum_j 1/z_j, summed column by column as the scalar sum
         alpha = -1 / beta
         energy = -N + alpha * sum(1 / z.T)
-    worst = np.maximum.reduce(res, axis=1)
+    worst = np.max(res, axis=1)
     j, k = _pair_indices(N)
-    coincident = np.logical_or.reduce(_abs(z[:, j] - z[:, k]) <= DEDUP_TOL, axis=1)
-    found = (~(reached < 1) & (worst <= RESIDUAL_TOL) & ~coincident).nonzero()[0]
+    coincident = np.any(_abs(z[:, j] - z[:, k]) <= DEDUP_TOL, axis=1)
+    found = np.flatnonzero(~(reached < 1) & (worst <= RESIDUAL_TOL) & ~coincident)
     twin_of = _first_kept_twins(z, found)
-    if twin_of:
-        found = np.array([r for r in found.tolist() if r not in twin_of], dtype=int)
+    found = np.array([r for r in found.tolist() if r not in twin_of], dtype=int)
     solutions = [BetheSolution(roots, y, e, residuals, tracked[r])
                  for r, roots, y, e, residuals in zip(
                      found.tolist(), map(tuple, z[found]), Y[found].tolist(),
@@ -515,7 +492,7 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
             [f"completeness failure: {len(solutions)} of {expected} solution sets found; "
              f"choices without a new solution set:"]
             + [f"  {subset}: {why}" for subset, why in sorted(rejected)]))
-    return Spectrum(solutions, M, N, requested, roots=z[found], energies=energy[found])
+    return Spectrum(solutions, M, N, requested)
 
 
 class Spectrum:
@@ -537,9 +514,6 @@ class Spectrum:
     vectors, and the order that puts them in ``sector_basis`` order for the
     Green tables, are built on first use and kept.
 
-    ``roots`` and ``energies``, the arrays of the non-stationary sets in solve order, are
-    read off ``solutions`` unless the caller holds them already (``bethe_solve`` does).
-
     The request picks the algorithm.  ``left(mu)``, ``right(lam)`` and each window length
     of ``form_factors`` take one ``symfunc.stacked_ratio`` over the rows, whose refusals are
     made up front; ``box_vectors``, every partition, takes the branching rule's passes, in
@@ -547,29 +521,26 @@ class Spectrum:
     rounding: within 1.6e-14 of the largest value up to (12,9).
     """
 
-    def __init__(self, solutions, M: int, N: int, beta=-1.0, *, roots=None, energies=None):
+    def __init__(self, solutions, M: int, N: int, beta=-1.0):
         M, N = _require_int("M", M), _require_int("N", N)
         solutions = tuple(solutions)
         if len(solutions) != comb(M, N):
             raise RuntimeError(
                 f"incomplete Bethe solution set: {len(solutions)} of {comb(M, N)}")
-        if roots is None:  # else the caller's arrays of the non-stationary sets, in order
-            for s in solutions:
-                if len(s.roots) != N:
-                    raise ValueError(f"solution sets must hold N = {N} roots, "
-                                     f"found {len(s.roots)}")
-            proper = [s for s in solutions if not s.stationary]
-            roots = np.array([s.roots for s in proper], dtype=complex).reshape(-1, N)
-            # energies are undefined at beta = 0, where only left/right are used
-            energies = np.array([np.nan if s.energy is None else s.energy for s in proper],
-                                dtype=complex)
+        for s in solutions:
+            if len(s.roots) != N:
+                raise ValueError(f"solution sets must hold N = {N} roots, found {len(s.roots)}")
+        proper = [s for s in solutions if not s.stationary]
         self.solutions, self.M, self.N, self.beta = solutions, M, N, beta
-        self.stationary = (len(solutions) - len(roots)) / comb(M, N)
-        partner, sets = _conjugate_partners(roots, beta), np.arange(len(roots))
-        single = partner == sets
-        rows = np.concatenate([single.nonzero()[0], (partner > sets).nonzero()[0]])
-        self._pairs = int(np.count_nonzero(single))  # the first row that stands for a pair
-        self.roots, self.energies = roots[rows], energies[rows]
+        self.stationary = (len(solutions) - len(proper)) / comb(M, N)
+        z = np.array([s.roots for s in proper], dtype=complex).reshape(-1, N)
+        partner, sets = _conjugate_partners(z, beta), np.arange(len(z))
+        rows = np.concatenate([np.flatnonzero(partner == sets), np.flatnonzero(partner > sets)])
+        self._pairs = int(np.sum(partner == sets))  # the first row that stands for a pair
+        self.roots = z[rows]
+        # energies are undefined at beta = 0, where only left/right are used
+        self.energies = np.array([np.nan if s.energy is None else s.energy for s in proper],
+                                 dtype=complex)[rows]
         _gaps(self.roots)
         inverse = 1 / self.roots
         _gaps(inverse)
@@ -676,7 +647,7 @@ class Spectrum:
         total = a0 * self.stationary + self.contract(a * decay, right)
         if not np.isfinite(total).all():
             raise RuntimeError("spectral sum is not finite")
-        if (imag := np.abs(total.imag).max()) > 1e-7:
+        if (imag := np.max(np.abs(total.imag))) > 1e-7:
             raise RuntimeError(f"spectral sum came out non-real: imaginary part up to {imag:.3g}")
         return total.real if total.ndim else float(total.real)
 

@@ -118,16 +118,6 @@ def test_per_sector_constants_are_built_once_and_read_only():
             array[0] = 0
 
 
-@pytest.mark.parametrize("M, N, beta", [(4, 2, -1.0), (7, 3, -0.5), (6, 3, 0.0), (9, 8, -1.0)])
-def test_solver_arrays_give_the_spectrum_of_its_list(M, N, beta):
-    # bethe_solve hands its arrays to the Spectrum; read off the list they are the same bits
-    spec = bethe_solve(M, N, beta)
-    again = Spectrum(list(spec), M, N, beta)
-    for name in ("roots", "energies"):
-        assert getattr(spec, name).tobytes() == getattr(again, name).tobytes()
-    assert (spec._pairs, spec.stationary) == (again._pairs, again.stationary)
-
-
 def test_green_function_against_oracle():
     M, N = 6, 2
     sols = bethe_solve(M, N)
