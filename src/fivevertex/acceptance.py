@@ -131,17 +131,21 @@ def criterion_3_wavefunctions(seed: int = 103) -> dict:
 def _closed_form_failure():
     """Criterion 3's proofs of the step and staircase closed forms at N <= 3.
 
-    The closed forms are proved in the field QQ(alpha, u_1..u_N), whose
+    The closed forms are proved in the field Q(alpha, u_1..u_N), whose
     elements are stored as reduced fractions: a difference is the zero
     rational function exactly when its numerator is the zero polynomial.
-    Returns the first closed form the determinant misses, or None.
+    The field is built over ZZ: it is the same field, each element a ratio
+    of integer polynomials, and the Bareiss elimination and ``field.new`` of
+    the cleared lane then run on Python-int coefficients rather than
+    sympy's rationals.  Returns the first closed form the determinant
+    misses, or None.
     """
-    from sympy import QQ
+    from sympy import ZZ
     from sympy.polys.fields import field
 
     for N in range(1, 4):
         M = 2 * N + 1
-        _, alpha, *u = field(["a"] + [f"u{j}" for j in range(1, N + 1)], QQ)
+        _, alpha, *u = field(["a"] + [f"u{j}" for j in range(1, N + 1)], ZZ)
         step = dual_wavefunction_det(tuple(range(1, N + 1)), u, alpha, M)
         if step - step_overlap_value(u, alpha, M):
             return f"step closed form N={N}"

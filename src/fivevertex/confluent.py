@@ -40,7 +40,8 @@ Cleared lane.  Fraction-free elimination pays off on the entries of a
 ring with exact division (Bareiss, Math. Comp. 22 (1968) 565).  A table
 takes this lane when its points are ints and Fractions, at least one a
 Fraction, or all elements of one exact rational-function field such as
-criterion 3's QQ(alpha, u); when every column coefficient is an int or a
+criterion 3's Q(alpha, u), which is built over ZZ, so that its polynomial
+ring has int coefficients; when every column coefficient is an int or a
 Fraction; and when every ``lin`` entry is an int, a Fraction or an element
 of the points' field.  Each distinct column's coefficient denominators are
 cleared once, ``ratfunc.int_rows`` gives the rows of all of them as

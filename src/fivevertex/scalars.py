@@ -2,7 +2,7 @@
 
 Exact mode works with python ints, ``fractions.Fraction`` and elements of
 any field whose equality is canonical, such as a rational-function field
-QQ(alpha, u_1, ...) that stores its elements reduced: ``x == 0`` is then a
+Q(alpha, u_1, ...) that stores its elements reduced: ``x == 0`` is then a
 zero test and ``a / b`` an exact quotient, so identities are literal
 equalities.  Symbolic expression trees, whose ``==`` is only structural, are
 not exact scalars (``linalg.det`` refuses them).  Floating mode works with

@@ -34,7 +34,7 @@ result is then a Fraction at every entry whose path crosses an a1, d or e
 vertex, which the division reproduces; the one path through exchange
 vertices only, which flips every site, carries the int 1 there and is given
 back as that int.  Complex inputs, field elements such as criterion 3's
-QQ(alpha, u), and int inputs with some u/w_j an int take the generic path,
+Q(alpha, u), and int inputs with some u/w_j an int take the generic path,
 as does every Bethe state at M = 1.
 
 A ``Relations`` object checks the monodromy algebra at one (u, v) on every

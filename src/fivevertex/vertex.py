@@ -10,11 +10,26 @@ sitting at |00><00|, the two particle-exchange positions, |10><10| and
 g(v,u) = u*v/(u^2-v^2); together they satisfy the RLL relation and the
 Yang-Baxter equation, both checked here as exact 8x8 matrix identities.
 alpha = 1 is the TASEP point, alpha = 0 the four-vertex degeneration.
+
+The RLL, Yang-Baxter and R~ checks, and through RLL the Appendix A family,
+are one relation X Y Z == Z Y X of three two-site factors on a three-space
+chain.  Each factor is embedded through a fixed map from its 4x4 entries to
+the 8x8 entries they fill, one per space pair.  When every entry of the
+three factors is an int or a Fraction, each factor is first scaled by the
+lcm of its entries' denominators: both sides then carry the same nonzero
+factor d_X d_Y d_Z, so the verdict is that of the rational products, and
+every product is of ints.  Any other entry (complex, an element of a
+rational-function field, or such an entry beside rationals) leaves the
+factors as they are.  Int spectral values stay exact: 1/u is an int or a
+Fraction (``scalars.exact_pow``), never a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import permutations
+from math import lcm
 from typing import NamedTuple
 
 from .linalg import Matrix
@@ -111,45 +126,77 @@ def rtilde_matrix(u, alpha) -> Matrix:
     return Matrix([
         [u, 0, 0, 0],
         [0, 0, one, 0],
-        [0, one, alpha * (u - u ** -1), 0],
+        [0, one, alpha * (u - exact_pow(u, -1)), 0],
         [0, 0, 0, u],
     ])
 
 
+def _embedding(p, q):
+    """(row, col, i, j): the 8x8 entries that entry (i, j) of an operator on spaces p, q fills."""
+    cells = []
+    for col in range(8):
+        bits = [(col >> (2 - k)) & 1 for k in range(3)]
+        for i in range(4):
+            out = list(bits)
+            out[p], out[q] = divmod(i, 2)
+            cells.append((sum(b << (2 - k) for k, b in enumerate(out)), col, i,
+                          2 * bits[p] + bits[q]))
+    return tuple(cells)
+
+
+_EMBEDDINGS = {pos: _embedding(*pos) for pos in permutations(range(3), 2)}
+
+
 def embed_two_site(m4: Matrix, pos) -> Matrix:
     """Embed a two-site 4x4 operator at spaces ``pos`` of a three-space chain."""
-    p, q = pos
+    cells = _EMBEDDINGS.get(tuple(pos))
+    if cells is None:
+        raise ValueError(f"pos must be two distinct spaces of 0..2, got {pos!r}")
     out = [[0] * 8 for _ in range(8)]
-    for col in range(8):
-        bits = [(col >> (2 - i)) & 1 for i in range(3)]
-        cin = 2 * bits[p] + bits[q]
-        for rp in (0, 1):
-            for rq in (0, 1):
-                w = m4[2 * rp + rq, cin]
-                if is_zero(w, 0):
-                    continue
-                ob = list(bits)
-                ob[p], ob[q] = rp, rq
-                row = sum(b << (2 - i) for i, b in enumerate(ob))
-                out[row][col] = out[row][col] + w
+    data = m4.data
+    for row, col, i, j in cells:
+        w = data[i][j]
+        if not w == 0:
+            out[row][col] = w
     return Matrix(out)
 
 
+def _cleared(m4: Matrix) -> Matrix:
+    """A rational 4x4 factor scaled by the lcm of its entries' denominators: an int matrix."""
+    den = lcm(*(x.denominator for row in m4.data for x in row))
+    return Matrix([[x.numerator * (den // x.denominator) for x in row] for row in m4.data])
+
+
+def _relation_holds(x, y, z) -> bool:
+    """X Y Z == Z Y X for three (4x4 matrix, space pair) factors of the three-space chain.
+
+    With every entry an int or a Fraction, each factor is scaled by the lcm of
+    its denominators first (all or nothing), which scales both sides alike.
+    """
+    factors = (x, y, z)
+    if all(type(e) is int or type(e) is Fraction
+           for m4, _ in factors for row in m4.data for e in row):
+        factors = [(_cleared(m4), pos) for m4, pos in factors]
+    ex, ey, ez = (embed_two_site(m4, pos) for m4, pos in factors)
+    return ex * ey * ez == ez * ey * ex
+
+
 def rll_check(u, v, alpha, l_builder=None) -> bool:
-    """R_12(u,v) L_13(u) L_23(v) == L_23(v) L_13(u) R_12(u,v), exactly."""
+    """R_12(u,v) L_13(u) L_23(v) == L_23(v) L_13(u) R_12(u,v), exactly.
+
+    Through ``_relation_holds``: on int numerators when every weight is rational.
+    """
     build = l_builder if l_builder is not None else (lambda x: l_matrix(x, alpha))
-    r12 = embed_two_site(r_matrix(u, v), (0, 1))
-    l13u = embed_two_site(build(u), (0, 2))
-    l23v = embed_two_site(build(v), (1, 2))
-    return r12 * l13u * l23v == l23v * l13u * r12
+    return _relation_holds((r_matrix(u, v), (0, 1)), (build(u), (0, 2)), (build(v), (1, 2)))
 
 
 def ybe_check(u, v, w) -> bool:
-    """Yang-Baxter equation for the R-matrix, exactly on C^2 x C^2 x C^2."""
-    r12 = embed_two_site(r_matrix(u, v), (0, 1))
-    r13 = embed_two_site(r_matrix(u, w), (0, 2))
-    r23 = embed_two_site(r_matrix(v, w), (1, 2))
-    return r12 * r13 * r23 == r23 * r13 * r12
+    """Yang-Baxter equation for the R-matrix, exactly on C^2 x C^2 x C^2.
+
+    Through ``_relation_holds``: on int numerators when u, v and w are rational.
+    """
+    return _relation_holds((r_matrix(u, v), (0, 1)), (r_matrix(u, w), (0, 2)),
+                           (r_matrix(v, w), (1, 2)))
 
 
 def rtilde_check(u, w_j, w_k, alpha) -> bool:
@@ -157,14 +204,15 @@ def rtilde_check(u, w_j, w_k, alpha) -> bool:
 
     Spaces ordered (W_mu, V_j, V_k); this is the RLL relation on a common
     auxiliary space that makes the intermediate scalar products symmetric in
-    the first M-N+n inhomogeneities.
+    the first M-N+n inhomogeneities.  The ratios are ``exact_div``s, so int
+    arguments stay exact, and with rational arguments the relation is checked
+    on int numerators (``_relation_holds``).
     """
     if is_zero(w_j, 0) or is_zero(w_k, 0) or is_zero(u, 0):
         raise ZeroDivisionError("spectral arguments must be nonzero")
-    rt = embed_two_site(rtilde_matrix(w_j / w_k, alpha), (1, 2))
-    l_k = embed_two_site(l_matrix(u / w_k, alpha), (0, 2))
-    l_j = embed_two_site(l_matrix(u / w_j, alpha), (0, 1))
-    return rt * l_k * l_j == l_j * l_k * rt
+    return _relation_holds((rtilde_matrix(exact_div(w_j, w_k), alpha), (1, 2)),
+                           (l_matrix(exact_div(u, w_k), alpha), (0, 2)),
+                           (l_matrix(exact_div(u, w_j), alpha), (0, 1)))
 
 
 def ansatz_l_matrix(u, A, B, C, D, f):
@@ -177,7 +225,7 @@ def ansatz_l_matrix(u, A, B, C, D, f):
     return Matrix([
         [A * u * fu, 0, 0, 0],
         [0, 0, B * fu, 0],
-        [0, fu, (C * u - D * u ** -1) * fu, 0],
+        [0, fu, (C * u - D * exact_pow(u, -1)) * fu, 0],
         [0, 0, 0, C * u * fu],
     ])
 

@@ -25,7 +25,7 @@ its entries: the primal takes the columns s^(k-x_k) (alpha s - 1)^(x_k-1)
 with prefactor prod v^(M-1), the dual the columns
 s^(x_k-k) (alpha s - 1)^(M-x_k) with prefactor
 sign prod u^(2N-1-M), s = v^2.  So a complex overlap has no
-(alpha s - 1)^-x to lose digits to, and in QQ(alpha, u) the row
+(alpha s - 1)^-x to lose digits to, and in Q(alpha, u) the row
 denominators are powers of u alone.  The refusals at alpha v^2 = 1 are
 kept as the contract of both overlaps, where the formulas above have
 their pole.

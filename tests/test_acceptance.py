@@ -31,7 +31,7 @@ def test_criterion_03_wavefunction_master_check():
 @pytest.mark.parametrize("name, label", [("step_overlap_value", "step"),
                                          ("staircase_overlap_value", "staircase")])
 def test_criterion_03_rejects_a_wrong_closed_form(monkeypatch, name, label):
-    # M -> M+1 in one closed form must break its proof in QQ(alpha, u)
+    # M -> M+1 in one closed form must break its proof in Q(alpha, u)
     right = getattr(wavefunc, name)
     monkeypatch.setattr(acceptance, name, lambda u, alpha, M: right(u, alpha, M + 1))
     result = acceptance.criterion_3_wavefunctions()
@@ -40,7 +40,7 @@ def test_criterion_03_rejects_a_wrong_closed_form(monkeypatch, name, label):
 
 
 def test_criterion_03_closed_forms_take_no_polynomial_gcd(monkeypatch):
-    # the proofs in QQ(alpha, u) run on the polynomial-ring lane: Bareiss divides
+    # the proofs in Q(alpha, u) run on the polynomial-ring lane: Bareiss divides
     # exactly and the Vandermonde numerator is divided out before the one field.new,
     # so no multi-term gcd is left to take (taylor + field Bareiss on the columns with
     # their poles took 42)

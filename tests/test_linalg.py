@@ -82,6 +82,14 @@ def test_nonsquare_rejected():
         det(Matrix([[1, 2, 3], [4, 5, 6]]))
 
 
+def test_equality_with_another_type_or_shape_and_the_empty_determinant():
+    m = Matrix.identity(2)
+    assert m.__eq__([[1, 0], [0, 1]]) is NotImplemented and not m == [[1, 0], [0, 1]]
+    assert m != Matrix.identity(3) and m != Matrix([[1, 0]])
+    assert not Matrix.zeros(0, 2) == Matrix.zeros(2, 0)
+    assert det(Matrix.zeros(0, 0)) == 1 and det([]) == 1
+
+
 def test_complex_route_matches_exact():
     rows = [[1.0, 2.0], [3.0, 4.0]]
     assert abs(det(Matrix(rows)) - (-2)) < 1e-12

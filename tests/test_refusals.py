@@ -5,10 +5,13 @@ Sizes go through ``partitions._require_int`` and numbers through
 in lo..hi, got <name> = <value>" (or ">= lo", "<= hi", no bound) or "<name>
 must be a finite number, got ...".  ``REFUSALS`` holds, for every call site, a
 non-int, a bool and an out-of-range row (for a number: nan, inf, complex, None
-and bool), with the exact message; ``NUMPY_INTS`` shows that an np.int64 size
-gives what the int gives; the hypothesis sweep draws non-int sizes for every
-public name of the library modules that takes one (``acceptance`` and
-``sampling``, the seeded battery behind the CLI, take argparse ints).
+and bool), with the exact message, and beside them ``Matrix``'s shape refusals
+and the inhomogeneity and space-pair refusals of ``vertex``; ``POLES`` holds
+``vertex``'s zero-argument refusals (``ZeroDivisionError``); ``NUMPY_INTS``
+shows that an np.int64 size gives what the int gives; the hypothesis sweep
+draws non-int sizes for every public name of the library modules that takes
+one (``acceptance`` and ``sampling``, the seeded battery behind the CLI, take
+argparse ints).
 """
 
 from argparse import Namespace
@@ -27,7 +30,7 @@ from fivevertex import cli, sector, symfunc, tasep
 from fivevertex.identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs,
                                    grothendieck_sum_check, grothendieck_sum_det,
                                    orthogonality_check, orthogonality_matrix, orthogonality_weight)
-from fivevertex.linalg import Matrix
+from fivevertex.linalg import Matrix, det
 from fivevertex.partitions import (ParticleConfiguration, Partition, box_rank, enumerate_box,
                                    partition_to_config)
 from fivevertex.scalarprod import IntermediateSpec, norm_det, recursion_check, scalar_product_det
@@ -42,6 +45,7 @@ from fivevertex.wavefunc import (dual_wavefunction_det, dual_wavefunction_sum,
                                  matrix_product_build, staircase_overlap_value,
                                  step_overlap_value, wavefunction_det, wavefunction_dets,
                                  wavefunction_sum, wavefunction_trace)
+from fivevertex.vertex import embed_two_site, rtilde_check, rtilde_matrix
 
 Z, Y, BETA = [F(1, 2), F(1, 3)], [F(2), F(3)], F(1, 4)
 X = ParticleConfiguration((1, 2), 4)
@@ -97,6 +101,15 @@ REFUSALS = [
     *_int_rows("Matrix.zeros", lambda cols: Matrix.zeros(2, cols), "cols", (2.0, True, -1),
                " >= 0"),
     *_int_rows("Matrix.identity", Matrix.identity, "n", (2.0, True, -1), " >= 0"),
+    ("Matrix-shape", lambda: Matrix([[1, 2]], shape=(2, 1)), "data does not match shape"),
+    ("Matrix-ragged", lambda: Matrix([[1, 2], [3]]), "ragged rows"),
+    ("Matrix.__add__", lambda: Matrix.identity(2) + Matrix.zeros(2, 3), "shape mismatch"),
+    ("Matrix.__sub__", lambda: Matrix.zeros(3, 2) - Matrix.identity(2), "shape mismatch"),
+    ("Matrix.__mul__", lambda: Matrix.zeros(2, 3) * Matrix.identity(2),
+     "shape mismatch in product"),
+    ("Matrix.apply", lambda: Matrix.identity(2).apply([1]),
+     "vector length does not match the column count"),
+    ("det", lambda: det(Matrix.zeros(2, 3)), "determinant of a non-square matrix"),
     # symfunc
     *_int_rows("box_plan", lambda m: box_plan(m, 2), "m", (2.0, True, -1), " >= 0"),
     *_int_rows("box_plan", lambda n: box_plan(2, n), "n", (2.0, True, 0), " >= 1"),
@@ -178,6 +191,12 @@ REFUSALS = [
     # vertex
     *_int_rows("ModelParameters", lambda M: ModelParameters(1, M), "M", (4.0, True, -2, None, "3"),
                " >= 0"),
+    ("ModelParameters-w", lambda: ModelParameters(1, 3, w=(1, F(0), 2)),
+     "inhomogeneities must be nonzero"),
+    ("ModelParameters-w-count", lambda: ModelParameters(1, 3, w=(1, 2)),
+     "need one inhomogeneity per site"),
+    ("embed_two_site", lambda: embed_two_site(Matrix.identity(4), (1, 1)),
+     "pos must be two distinct spaces of 0..2, got (1, 1)"),
     # scalarprod: M, then N in 0..M, then n in 0..N
     *_int_rows("IntermediateSpec", lambda M: IntermediateSpec(1, (U,), (V,), (1,) * 3, 2, M, 1),
                "M", (3.0, True, -1), " >= 0"),
@@ -281,8 +300,24 @@ def test_refusal(call, message):
     assert str(info.value) == message
 
 
+# vertex's nonzero refusals, where a value would be divided by zero
+POLES = [
+    ("rtilde_matrix", lambda: rtilde_matrix(0, F(1, 2)), "R~ is singular at u = 0"),
+    ("rtilde_check-u", lambda: rtilde_check(F(0), 2, 3, 1), "spectral arguments must be nonzero"),
+    ("rtilde_check-w_j", lambda: rtilde_check(2, 0, 3, 1), "spectral arguments must be nonzero"),
+    ("rtilde_check-w_k", lambda: rtilde_check(2, 3, 0.0, 1), "spectral arguments must be nonzero"),
+]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(c, m, id=i) for i, c, m in POLES])
+def test_pole_refusal(call, message):
+    with pytest.raises(ZeroDivisionError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_the_table_ids_are_distinct():
-    ids = [i for i, _, _ in REFUSALS]
+    ids = [i for i, _, _ in REFUSALS + POLES]
     assert len(ids) == len(set(ids))
 
 

@@ -69,3 +69,35 @@ def test_the_float_determinants_are_taken_in_two_places():
         users = [path.name for path in paths
                  if name in path.read_text() and path.name != "test_sources.py"]
         assert users == [], name
+
+
+def test_the_relation_products_and_the_proof_field_are_each_in_one_place():
+    # rll_check, ybe_check and rtilde_check (and the Appendix A family through
+    # rll_check) take their 8x8 products in vertex._relation_holds, which clears
+    # rational factors to int numerators; a product chain compared elsewhere
+    # would skip that lane
+    products, embeds = [], []
+    for node in ast.parse((ROOT / "src/fivevertex/vertex.py").read_text()).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for child in ast.walk(node):
+            sides = (child.left, *child.comparators) if isinstance(child, ast.Compare) else ()
+            if any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                   and isinstance(side.left, ast.BinOp) for side in sides):
+                products.append(node.name)
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "embed_two_site":
+                embeds.append(node.name)
+    assert products == ["_relation_holds"] and embeds == ["_relation_holds"]
+    # the one rational-function field the package builds (criterion 3's proofs)
+    # is over ZZ, so its polynomial rings carry int coefficients
+    fields, rationals = [], []
+    for path in sorted(ROOT.glob("src/fivevertex/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # sympy's field(symbols, domain); dataclasses.field takes keywords only
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "field" \
+                    and node.args:
+                fields.append((path.stem, ast.unparse(node.args[-1])))
+            if isinstance(node, (ast.Name, ast.alias)) and "QQ" in (
+                    getattr(node, "id", None), getattr(node, "name", None)):
+                rationals.append(path.stem)
+    assert fields == [("acceptance", "ZZ")] and rationals == []

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from fivevertex import vertex
+from fivevertex.linalg import Matrix
 from fivevertex.vertex import (appendix_a_family_check, ansatz_l_matrix, embed_two_site,
                                f_weight, l_matrix, l_weights, r_matrix, rll_check,
                                rtilde_check, rtilde_matrix, ybe_check)
@@ -126,3 +128,181 @@ def test_appendix_family_random_and_violations(rng):
 def test_appendix_family_rejects_zero_function():
     with pytest.raises(ValueError):
         appendix_a_family_check(F(1), F(2), F(3), lambda u: 0)
+
+
+# ------------------------------------------------- the relation checks on int numerators
+
+def _reference_embed(m4, pos):
+    """The 4x4 operator on spaces ``pos`` tensored with 1, bit by bit: apart from vertex's maps."""
+    p, q = pos
+    out = [[0] * 8 for _ in range(8)]
+    for col in range(8):
+        bits = [(col >> (2 - i)) & 1 for i in range(3)]
+        for rp in (0, 1):
+            for rq in (0, 1):
+                w = m4[2 * rp + rq, 2 * bits[p] + bits[q]]
+                if w == 0:
+                    continue
+                ob = list(bits)
+                ob[p], ob[q] = rp, rq
+                out[sum(b << (2 - i) for i, b in enumerate(ob))][col] += w
+    return Matrix(out)
+
+
+def _reference_holds(*factors):
+    """X Y Z == Z Y X on the uncleared entries, embedded by the bit loop."""
+    x, y, z = (_reference_embed(m4, pos) for m4, pos in factors)
+    return x * y * z == z * y * x
+
+
+def _reference_rll(u, v, build):
+    return _reference_holds((r_matrix(u, v), (0, 1)), (build(u), (0, 2)), (build(v), (1, 2)))
+
+
+def _reference_ybe(u, v, w):
+    return _reference_holds((r_matrix(u, v), (0, 1)), (r_matrix(u, w), (0, 2)),
+                            (r_matrix(v, w), (1, 2)))
+
+
+def _reference_rtilde(u, wj, wk, alpha):
+    return _reference_holds((rtilde_matrix(F(wj) / wk, alpha), (1, 2)),
+                            (l_matrix(F(u) / wk, alpha), (0, 2)),
+                            (l_matrix(F(u) / wj, alpha), (0, 1)))
+
+
+def _draws(rng):
+    """Seeded (u, v, w, alpha) draws: Fractions, ints and the four-vertex point alpha = 0."""
+    draws = [(*distinct_squares(rng, 3), rand_fraction(rng)) for _ in range(8)]
+    draws += [(*distinct_squares(rng, 3), 0) for _ in range(3)]
+    draws += [(2, 3, 5, 1), (3, 7, 2, 2), (5, 2, 9, 0), (2, F(3, 4), 7, -3)]
+    return draws
+
+
+def test_relation_checks_match_the_uncleared_fraction_products(rng, monkeypatch):
+    cleared = []
+    clear = vertex._cleared
+    monkeypatch.setattr(vertex, "_cleared", lambda m4: cleared.append(1) or clear(m4))
+    draws = _draws(rng)
+    for u, v, w, alpha in draws:
+        a, c, d = (rand_fraction(rng) for _ in range(3))
+        checks = [
+            (rll_check(u, v, alpha), _reference_rll(u, v, lambda x: l_matrix(x, alpha))),
+            (ybe_check(u, v, w), _reference_ybe(u, v, w)),
+            (rtilde_check(u, v, w, alpha), _reference_rtilde(u, v, w, alpha)),
+        ]
+        for b in (a * d, a * d + 1):  # the family, and one that breaks B = AD
+            def build(x, b=b):
+                return ansatz_l_matrix(x, a, b, c, d, lambda t: t)
+            checks.append((rll_check(u, v, None, l_builder=build), _reference_rll(u, v, build)))
+        verdicts = [new for new, _ in checks]
+        assert verdicts == [ref for _, ref in checks], (u, v, w, alpha)
+        assert verdicts == [True, True, True, True, False], (u, v, w, alpha)
+    assert len(cleared) == 3 * 5 * len(draws)  # every factor of every draw was cleared
+
+
+def _perturbed(build, entry):
+    """``build`` with 1 added to one entry of the 4x4 matrix it returns."""
+    def wrong(*args):
+        m = build(*args)
+        m[entry] = m[entry] + 1
+        return m
+    return wrong
+
+
+_NONZERO = ((0, 0), (1, 2), (2, 1), (2, 2), (3, 3))
+
+
+@pytest.mark.parametrize("u, v, w, alpha", [(F(2, 3), F(5, 7), F(9, 5), F(3, 4)), (2, 3, 5, 2)])
+def test_one_wrong_entry_in_any_factor_breaks_each_relation(monkeypatch, u, v, w, alpha):
+    assert rll_check(u, v, alpha) and ybe_check(u, v, w) and rtilde_check(u, v, w, alpha)
+    for entry in _NONZERO:
+        # rll: R(u, v), L(u) and L(v)
+        with monkeypatch.context() as m:
+            m.setattr(vertex, "r_matrix", _perturbed(r_matrix, entry))
+            assert not rll_check(u, v, alpha), entry
+        for at in (u, v):
+            def build(x, at=at, entry=entry):
+                return _perturbed(l_matrix, entry)(x, alpha) if x == at else l_matrix(x, alpha)
+            assert not rll_check(u, v, alpha, l_builder=build), (entry, at)
+        # ybe: R(u, v), R(u, w) and R(v, w)
+        for pair in ((u, v), (u, w), (v, w)):
+            def r_at(a, b, pair=pair, entry=entry):
+                return _perturbed(r_matrix, entry)(a, b) if (a, b) == pair else r_matrix(a, b)
+            with monkeypatch.context() as m:
+                m.setattr(vertex, "r_matrix", r_at)
+                assert not ybe_check(u, v, w), (entry, pair)
+        # rtilde: R~(w_j / w_k), L(u / w_k) and L(u / w_j)
+        with monkeypatch.context() as m:
+            m.setattr(vertex, "rtilde_matrix", _perturbed(rtilde_matrix, entry))
+            assert not rtilde_check(u, v, w, alpha), entry
+        for at in (F(u) / w, F(u) / v):
+            def l_at(x, a, at=at, entry=entry):
+                return _perturbed(l_matrix, entry)(x, a) if x == at else l_matrix(x, a)
+            with monkeypatch.context() as m:
+                m.setattr(vertex, "l_matrix", l_at)
+                assert not rtilde_check(u, v, w, alpha), (entry, at)
+    assert not appendix_a_family_check(F(2), F(3), F(5), lambda x: x, B=F(10) + F(1, 7))
+
+
+def test_complex_and_field_factors_stay_unscaled(monkeypatch):
+    from sympy import ZZ
+    from sympy.polys.fields import field
+
+    def refuse(m4):
+        raise AssertionError("a factor was cleared off the all-rational lane")
+
+    _, a, x, y, z = field("a,x,y,z", ZZ)
+    u, v, w, alpha = 1.1 - 0.2j, 0.4 + 0.9j, 1.7 + 0.1j, 0.6 + 0.1j
+    cases = [
+        # complex factors
+        (lambda: rll_check(u, v, alpha),
+         lambda: _reference_rll(u, v, lambda t: l_matrix(t, alpha))),
+        (lambda: ybe_check(u, v, w), lambda: _reference_ybe(u, v, w)),
+        (lambda: rtilde_check(u, v, w, alpha),
+         lambda: _reference_holds((rtilde_matrix(v / w, alpha), (1, 2)),
+                                  (l_matrix(u / w, alpha), (0, 2)),
+                                  (l_matrix(u / v, alpha), (0, 1)))),
+        # field factors: the sympy branch of every product
+        (lambda: rll_check(x, y, a), lambda: _reference_rll(x, y, lambda t: l_matrix(t, a))),
+        (lambda: ybe_check(x, y, z), lambda: _reference_ybe(x, y, z)),
+        # a rational R beside complex L factors, and rational L factors beside a complex R~
+        (lambda: rll_check(F(2, 3), F(5, 7), alpha),
+         lambda: _reference_rll(F(2, 3), F(5, 7), lambda t: l_matrix(t, alpha))),
+        (lambda: rtilde_check(F(2, 3), F(5, 7), F(9, 5), 1j),
+         lambda: _reference_rtilde(F(2, 3), F(5, 7), F(9, 5), 1j)),
+        # a wrong complex entry is still seen
+        (lambda: rll_check(u, v, alpha, l_builder=_perturbed(lambda t: l_matrix(t, alpha), (2, 2))),
+         lambda: False),
+    ]
+    references = [reference() for _, reference in cases]
+    monkeypatch.setattr(vertex, "_cleared", refuse)
+    assert [check() for check, _ in cases] == references
+    assert references == [True] * 7 + [False]
+
+
+def test_embed_two_site_repr_matches_the_bit_loop(rng):
+    entries = [0, 3, -7, F(0), F(2, 3), 0.0, -0.0, 1.5, 0j, 2 - 1j, complex(0, -0.0)]
+    for _ in range(20):
+        m4 = Matrix([[rng.choice(entries) for _ in range(4)] for _ in range(4)])
+        for pos in ((0, 1), (0, 2), (1, 2)):
+            assert repr(embed_two_site(m4, pos)) == repr(_reference_embed(m4, pos)), (m4, pos)
+    assert repr(embed_two_site(r_matrix(F(2), F(1)), (0, 2))) \
+        == repr(_reference_embed(r_matrix(F(2), F(1)), (0, 2)))
+
+
+def test_int_spectral_values_stay_exact_in_the_vertex_checks(monkeypatch):
+    # 1/u, w_j/w_k and u/w_k were float at int arguments; they are exact_pow/exact_div now
+    def exact(m):
+        return all(type(x) in (int, F) for row in m.data for x in row)
+
+    assert rtilde_matrix(2, 1)[2, 2] == F(3, 2) and exact(rtilde_matrix(2, 1))
+    m = ansatz_l_matrix(2, 1, 1, 1, 1, lambda u: 1)
+    assert m[2, 2] == F(3, 2) and exact(m)
+    cleared = []
+    clear = vertex._cleared
+    monkeypatch.setattr(vertex, "_cleared", lambda m4: cleared.append(m4) or clear(m4))
+    assert rtilde_check(F(2, 3), 2, 3, F(1, 2)) and rll_check(2, 3, 1) and ybe_check(2, 3, 5)
+    assert len(cleared) == 9 and all(exact(m4) for m4 in cleared)
+    # the R~ factor is that of the Fraction arguments
+    assert repr(cleared[0]) == repr(rtilde_matrix(F(2, 3), F(1, 2)))
+
