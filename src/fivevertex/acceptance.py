@@ -307,11 +307,8 @@ def summation_case(rng: Random, M: int, N: int, beta=None) -> dict:
 
     The primal and dual sums need 1 + beta z_j != 0 and 1 + beta/z_j != 0:
     a drawn beta is drawn again until clear of them, and under a given beta
-    z is drawn again.
+    z is drawn again.  ``grothendieck_sum_check`` refuses a given beta = 0.
     """
-    if beta == 0:
-        raise ValueError("the summation determinants need beta != 0")
-
     def on_pole(z, beta):
         return any(1 + beta * zj == 0 or 1 + beta / zj == 0 for zj in z)
 

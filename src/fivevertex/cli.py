@@ -77,21 +77,11 @@ def _jsonable(x):
         return float(x)
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, (bool, int, str)) or x is None:
-        return x
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, Partition):
-        return list(x.parts)
-    if isinstance(x, ParticleConfiguration):
-        return list(x.positions)
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x.tolist()]
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    return str(x)
+    return x  # bool, int, str or None: no payload holds another type
 
 
 def _parse_fraction(text: str) -> Fraction:

@@ -10,23 +10,17 @@ f(t), f'(t), ..., f^{(r-1)}(t)/(r-1)!, the closed-form coefficients of
 ``ratfunc.taylor``, and the within-group Vandermonde factors cancel, leaving
 the across-group factor prod_{g<h} (t_h - t_g)^{r_g r_h}.  With all points
 distinct every group is one point and this is the plain determinant ratio.
-Every determinant ratio of the package goes through ``det_ratios``, which
-takes many column sets at the same points, or its one-set case
-``det_ratio_columns``: G and Gbar over a whole box of partitions, the
+Every determinant ratio of the package goes through ``det_ratio_columns``
+or, for a caller that keeps its table, ``PointTable``: G and Gbar, the
 wavefunctions, the weighted summation determinants and, via
-``det_ratio_labelled``, the scalar products and the Cauchy kernel.  What
-depends only on the points is done once per call: the grouping, the cross
-factor, and the rows of every distinct column (shared between sets by
-identity), which each set slices; per set there remains its determinant.
+``det_ratio_labelled``, the scalar products and the Cauchy kernel.
 
-That point side is a ``PointTable`` over a union of columns, and
-``det_ratios`` is its one-shot use.  A caller may keep a table and ask it
-for the ratios of further picks of its columns: ``wavefunc`` keeps the
-table of all columns (k, x_k) of a sector, so one configuration at a time
-costs one determinant.  On the cleared lane (below) the table holds the
-rows of every column from the start, which is cheap; off it a column is
-evaluated the first time a pick names it, because a field element's
-arithmetic is not.
+A ``PointTable`` holds the point side of one set of columns: the grouping,
+the cross factor and the rows of every column, all taken at construction,
+and each ``ratios`` pick of its columns costs one determinant.
+``det_ratio_columns`` is a table of its columns picked once; ``wavefunc``
+keeps the table of all columns (k, x_k) of a sector, so one configuration
+at a time costs one determinant.
 
 Columns may themselves depend on a label t_k and be divided by the label
 Vandermonde prod_{j<k} (t_k - t_j) as well (``det_ratio_labelled``: the
@@ -43,12 +37,12 @@ Fraction, or all elements of one exact rational-function field such as
 criterion 3's Q(alpha, u), which is built over ZZ, so that its polynomial
 ring has int coefficients; when every column coefficient is an int or a
 Fraction; and when every ``lin`` entry is an int, a Fraction or an element
-of the points' field.  Each distinct column's coefficient denominators are
+of the points' field.  Each column's coefficient denominators are
 cleared once, ``ratfunc.int_rows`` gives the rows of all of them as
 numerators over one denominator per row, once per point group (ints at
 Fraction points, polynomial-ring elements at field points), and the cross
 factor prod (p_h q_g - p_g q_h) / (q_h q_g) is taken in the same ring
-once.  Per set ``linalg.det`` runs Bareiss on the sliced matrix, whose
+once.  Per pick ``linalg.det`` runs Bareiss on the sliced matrix, whose
 divisions stay exact in the ring without a gcd, and one
 ``Fraction(num, den)`` or ``field.new(num, den)`` ends the ratio.  At
 distinct field points the cross numerator divides the alternant's
@@ -166,23 +160,21 @@ def _cleared_lane(columns, groups):
 
 
 class PointTable:
-    """The point side of ``det_ratios``: one union of columns at one point set.
+    """One set of columns at one point set, for the determinant ratios of picks of them.
 
-    The grouping and the cross factor are taken once, and on the cleared
-    lane the rows of every column with their denominators; off it a
-    column's rows are evaluated when a ``ratios`` call first picks it, so a
-    kept table of a whole sector pays no field arithmetic for columns no
-    pick names.  Each column is held as its entries, one per row.
+    The grouping, the cross factor and the rows of every column are taken
+    at construction: on the cleared lane as numerators with their
+    denominators, off it by one ``taylor`` call per point group.  Each
+    column is held as its entries, one per row.  A kept table answers
+    each later pick at one determinant.
     """
 
     def __init__(self, columns, points):
-        self.columns = columns
         self.groups = group_points(points)
         lane = _cleared_lane(columns, self.groups)
         self.lane = lane is not None
         if self.lane:
             field, rows, self.den, self.col_dens = lane
-            self.cols = list(zip(*rows))
             self.cross_num, self.cross_den = _cleared_cross(self.groups)
             if field is Fraction:
                 self.new, self.exact_cross = Fraction, False
@@ -194,19 +186,11 @@ class PointTable:
                 # prod (p_h q_g - p_g q_h) in the polynomial ring
                 self.exact_cross = all(count == 1 for _, count in self.groups)
         else:
-            self.cols = [None] * len(columns)
+            rows = []
+            for t, count in self.groups:
+                rows.extend(taylor(columns, t, count))
             self.cross = _cross_factor(self.groups)
-
-    def _evaluate(self, picks):
-        """The rows of the columns ``picks`` name and no earlier call evaluated."""
-        todo = list(dict.fromkeys(k for pick in picks for k in pick if self.cols[k] is None))
-        if not todo:
-            return
-        rows = []
-        for t, count in self.groups:
-            rows.extend(taylor([self.columns[k] for k in todo], t, count))
-        for k, col in zip(todo, zip(*rows)):
-            self.cols[k] = col
+        self.cols = list(zip(*rows))
 
     def ratios(self, picks):
         """The determinant ratio of each pick, a list of one index into ``columns`` per point.
@@ -230,34 +214,8 @@ class PointTable:
                     den *= self.col_dens[k]
                 out.append(self.new(num * self.cross_den, den))
             return out
-        self._evaluate(picks)
         return [exact_div(det(list(zip(*(cols[k] for k in pick)))), self.cross)
                 for pick in picks]
-
-
-def det_ratios(column_sets, points):
-    """``[det_ratio_columns(columns, points) for columns in column_sets]``.
-
-    The one-shot use of ``PointTable``: the sets' distinct columns (shared
-    between sets by identity) are its union, so everything that depends
-    only on the points is done once, and each set slices its columns out of
-    the shared rows; only its determinant is its own.  A set that
-    ``det_ratio_columns`` refuses makes the whole call refuse, with the same
-    exception.
-    """
-    if any(len(columns) != len(points) for columns in column_sets):
-        raise ValueError("need as many columns as points")
-    union, position, picks = [], {}, []  # by identity: a Fraction's hash is slow
-    for columns in column_sets:
-        pick = []
-        for col in columns:
-            k = position.get(id(col))
-            if k is None:
-                k = position[id(col)] = len(union)
-                union.append(col)
-            pick.append(k)
-        picks.append(pick)
-    return PointTable(union, points).ratios(picks)
 
 
 def det_ratio_columns(columns, points):
@@ -265,9 +223,11 @@ def det_ratio_columns(columns, points):
 
     ``columns`` are ``ratfunc.RatFunc`` term sums in the row variable; a
     point of multiplicity r gets its first r Taylor coefficients as rows.
-    The one-set case of ``det_ratios``.
+    One ``PointTable`` of the columns, picked once.
     """
-    return det_ratios([columns], points)[0]
+    if len(columns) != len(points):
+        raise ValueError("need as many columns as points")
+    return PointTable(columns, points).ratios([range(len(columns))])[0]
 
 
 def det_ratio_labelled(column_at, labels, points, fixed=()):

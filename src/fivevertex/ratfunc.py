@@ -93,9 +93,6 @@ class Poly:
         """The polynomial as a column, one monomial term per coefficient."""
         return RatFunc([(c, i, 0) for i, c in enumerate(self.c)])
 
-    def __repr__(self):
-        return f"Poly({self.c!r})"
-
 
 class RatFunc:
     """One column sum_i c_i t^(a_i) (A + B t)^(k_i); ``terms`` holds (c_i, a_i, k_i)."""

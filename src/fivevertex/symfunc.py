@@ -11,12 +11,10 @@ column's first r Taylor coefficients as rows of the confluent determinant
 limit.  This is what makes z -> (1,...,1) limits such as
 G_lambda(1^N; -1) = 1 computable directly.
 
-``grothendieck_evals`` is the exact lane for one partition or any list of
-them at one point set: the variables are checked once (for the dual, a zero
-variable and a pole z_j + beta = 0), a column is built once per distinct
-exponent pair, and one ``confluent.det_ratios`` call shares the point work
-between the partitions.  ``grothendieck_eval`` and
-``dual_grothendieck_eval`` are its one-partition case.  It is also the
+``grothendieck_eval`` and ``dual_grothendieck_eval`` are the exact lane for
+one partition at one point set: the parts are checked, then for the dual a
+zero variable and a pole z_j + beta = 0, and the N columns of the partition
+go to one ``confluent.det_ratio_columns`` call.  They are also the
 bialternant oracle of the branching lanes below.
 
 ``bialternants`` is the complex float lane for one partition at many
@@ -63,7 +61,7 @@ from math import comb
 
 import numpy as np
 
-from .confluent import det_ratios, sign_pairs
+from .confluent import det_ratio_columns, sign_pairs
 from .partitions import Partition, _require_int, box_rank
 from .ratfunc import RatFunc
 from .scalars import COINCIDENCE_TOL, cleared_field, exact_div, is_zero, numer_denom
@@ -93,12 +91,12 @@ def schur_eval(lam, z):
 
 def grothendieck_eval(lam, z, beta):
     """Grothendieck polynomial G_lambda(z; beta)."""
-    return grothendieck_evals([lam], z, beta)[0]
+    return _bialternant(lam, z, beta, False)
 
 
 def dual_grothendieck_eval(lam, z, beta):
     """Dual Grothendieck polynomial Gbar_lambda(z; beta); needs z_j != 0."""
-    return grothendieck_evals([lam], z, beta, dual=True)[0]
+    return _bialternant(lam, z, beta, True)
 
 
 def _refuse_dual_poles(z, beta):
@@ -113,33 +111,21 @@ def _refuse_dual_poles(z, beta):
                 raise ZeroDivisionError(f"dual Grothendieck pole at z_{j} + beta = 0")
 
 
-def grothendieck_evals(lams, z, beta, dual: bool = False):
-    """[G_lambda(z; beta) for lambda in lams], or Gbar_lambda with ``dual``.
-
-    The variables are checked once, and ``confluent.det_ratios`` does the
-    point work once for every lambda; a column is shared by every partition
-    that has its exponents.
-    """
+def _bialternant(lam, z, beta, dual):
+    """G_lambda(z; beta), or Gbar_lambda with ``dual``: the parts are checked first, then
+    the dual's poles, and the N columns go to one ``confluent.det_ratio_columns``."""
     z = list(z)
     n = len(z)
-    parts = [_parts(lam, n) for lam in lams]
+    parts = _parts(lam, n)
     if dual:
         _refuse_dual_poles(z, beta)
         lin = (beta, 1)
     else:
         lin = (1, beta)
-    columns, column_sets = {}, []
-    for p in parts:
-        cols = []
-        for k in range(n):
-            key = (p[k] + n - 1, -k) if dual else (p[k] + n - 1 - k, k)
-            col = columns.get(key)
-            if col is None:
-                col = columns[key] = RatFunc([(1, *key)], lin)
-            cols.append(col)
-        column_sets.append(cols)
-    ratios = det_ratios(column_sets, z)
-    return ratios if sign_pairs(n) > 0 else [-ratio for ratio in ratios]
+    columns = [RatFunc([(1, parts[k] + n - 1, -k) if dual else (1, parts[k] + n - 1 - k, k)],
+                       lin) for k in range(n)]
+    ratio = det_ratio_columns(columns, z)
+    return ratio if sign_pairs(n) > 0 else -ratio
 
 
 def stacked_ratio(matrices, z) -> np.ndarray:
@@ -308,7 +294,7 @@ def grothendieck_box_cleared(z, beta, m, dual: bool = False):
     Otherwise (complex points, say) the passes run on the values and den is 1,
     or the dual's prod_j (1+beta/y_j)^(N-1).  No determinant is taken, and
     variables may coincide; the dual refuses a zero variable and, for N >= 2,
-    a pole z_j + beta = 0, as ``grothendieck_evals`` does.
+    a pole z_j + beta = 0, as ``dual_grothendieck_eval`` does.
     """
     z = list(z)
     n = len(z)

@@ -105,10 +105,12 @@ def l_matrix(u, alpha) -> Matrix:
 
 def r_matrix(u, v) -> Matrix:
     """R-matrix with f(v,u), g(v,u) entries; pole at u^2 = v^2."""
-    if is_zero(u * u - v * v, 0):
+    den = u * u - v * v
+    if is_zero(den, 0):
         raise ZeroDivisionError("R-matrix pole at u^2 = v^2")
-    f = f_weight(v, u)
-    g = g_weight(v, u)
+    # f(v, u) and g(v, u), over the one denominator
+    f = exact_div(u * u, den)
+    g = exact_div(v * u, den)
     one = f - f + 1
     return Matrix([
         [f, 0, 0, 0],

@@ -4,6 +4,7 @@ Run with -s to see the one-line pass/fail report per criterion; the same
 battery backs ``fivevertex verify-all --level desk``.
 """
 
+import numpy as np
 import pytest
 
 from fivevertex import acceptance, wavefunc
@@ -75,6 +76,24 @@ def test_criterion_08_green_functions():
 
 def test_criterion_09_orthogonality():
     _run(acceptance.criterion_9_orthogonality)
+
+
+def test_criterion_09_names_the_worst_pair(monkeypatch):
+    # an identity off by 1e-6 at one (lam, mu) of the 4^2 box fails on that pair
+    from fivevertex.partitions import enumerate_box
+
+    box = list(enumerate_box(4, 2))
+    i, k = 4, 9
+
+    def gram(M, N, beta):
+        out = np.eye(len(box))
+        out[i, k] += 1e-6
+        return out
+
+    monkeypatch.setattr(acceptance, "orthogonality_matrix", gram)
+    result = acceptance.criterion_9_orthogonality()
+    assert not result["passed"]
+    assert result["detail"] == f"beta=-1.0, lam={box[i].parts}, mu={box[k].parts}"
 
 
 def test_criterion_10_observables():

@@ -149,15 +149,15 @@ def test_box_sums_keep_the_type_of_the_term_by_term_sum():
     import sympy
     from sympy.polys.fields import field
 
-    from fivevertex.symfunc import grothendieck_evals
+    from fivevertex.symfunc import dual_grothendieck_eval, grothendieck_eval
 
     K, z1, z2, y1, y2, b = field("z1,z2,y1,y2,beta", sympy.QQ)
     for z, y, beta in (([F(1, 2), F(-1, 3)], [F(3, 4), F(2, 5)], F(1, 5)),
                        ([F(2, 3), F(2, 3)], [F(1, 4), F(1, 4)], F(-1, 2)),
                        ([z1, z2], [y1, y2], b), ([z1, z1], [y1, K(2)], F(1, 3))):
         box = list(enumerate_box(2, 2))
-        want = sum(g * h for g, h in zip(grothendieck_evals(box, z, beta),
-                                         grothendieck_evals(box, y, beta, dual=True)))
+        want = sum(grothendieck_eval(lam, z, beta) * dual_grothendieck_eval(lam, y, beta)
+                   for lam in box)
         got = cauchy_lhs(4, 2, z, y, beta)
         assert got == want and type(got) is type(want)
         if type(z[0]) is F:
@@ -177,7 +177,7 @@ def test_box_sums_take_no_determinant(monkeypatch):
     counted = lambda *args, **kwargs: calls.append(1) or det(*args, **kwargs)  # noqa: E731
     for module in (linalg, confluent):
         monkeypatch.setattr(module, "det", counted)
-    monkeypatch.setattr(symfunc, "det_ratios", no_bialternants)
+    monkeypatch.setattr(symfunc, "det_ratio_columns", no_bialternants)
     z, y, beta = [F(1, 2), F(-1, 3), F(2, 5)], [F(3, 4), F(-1, 2), F(1, 5)], F(1, 5)
     cauchy_lhs(6, 3, z, y, beta)
     cauchy_infinite_check(3, z, y, beta, M_max=6)

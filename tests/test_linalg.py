@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivevertex.linalg import Matrix, det
-from fivevertex.confluent import det_ratio_columns, det_ratio_labelled, det_ratios
+from fivevertex.confluent import PointTable, det_ratio_columns, det_ratio_labelled
 from fivevertex.ratfunc import RatFunc, int_rows, taylor
 
 from conftest import force_generic_path, outcome, rand_fraction
@@ -370,6 +370,15 @@ def _draw_lin(rng, points):
             return lin
 
 
+def _union_table(pool, picks, points):
+    """The ratios of ``picks`` of ``pool`` from one ``PointTable`` over the picked columns,
+    in the order they are first picked."""
+    union = list(dict.fromkeys(k for pick in picks for k in pick))
+    position = {k: i for i, k in enumerate(union)}
+    table = PointTable([pool[k] for k in union], points)
+    return table.ratios([[position[k] for k in pick] for pick in picks])
+
+
 def test_integer_lane_matches_a_naive_reference():
     # distinct and confluent points, rows and labels coincident at once, against
     # Fraction ** powers, a generic det and the Vandermondes taken directly
@@ -385,12 +394,11 @@ def test_integer_lane_matches_a_naive_reference():
         if any(type(p) is F for p in points):
             assert type(got) is F
 
-        # several sets at the same points, sharing columns of two lins, in one call
+        # several picks at the same points, sharing columns of two lins, from one table
         other = _draw_lin(set_rng, points)
         pool = columns + [(_draw_terms(set_rng, set_rng.randint(1, 3)), other) for _ in range(3)]
-        funcs = [RatFunc(t, l) for t, l in pool]
         picks = [[set_rng.randrange(len(pool)) for _ in range(n)] for _ in range(4)]
-        batch = det_ratios([[funcs[k] for k in pick] for pick in picks], points)
+        batch = _union_table([RatFunc(t, l) for t, l in pool], picks, points)
         for pick, got in zip(picks, batch):
             assert got == _reference([pool[k] for k in pick], points)
             if any(type(p) is F for p in points):
@@ -445,8 +453,9 @@ def _lane_point(rng, lane):
 
 @pytest.mark.parametrize("lane", ["int", "fraction", "mixed", "complex"])
 def test_batched_ratios_match_one_set_calls(lane):
-    # det_ratios against one det_ratio_columns call per set, in repr (types, and the
-    # complex lane's bits, included), with coincident points and zero-base refusals
+    # the picks of one PointTable over their columns against one det_ratio_columns call
+    # per pick, in repr (types, and the complex lane's bits, included), with coincident
+    # points and zero-base refusals
     rng = Random(47)
     for _ in range(150):
         n = rng.randint(0, 4)
@@ -457,14 +466,13 @@ def test_batched_ratios_match_one_set_calls(lane):
         pool = [RatFunc([(_lane_point(rng, lane) or 1, rng.randint(-1, 4), rng.randint(-2, 2))
                          for _ in range(rng.randint(1, 2))], rng.choice(lins))
                 for _ in range(n + 3)]
-        sets = [[rng.choice(pool) for _ in range(n)] for _ in range(rng.randint(1, 4))]
-        batch = outcome(lambda: det_ratios(sets, points))
-        one_by_one = outcome(lambda: [det_ratio_columns(cols, points) for cols in sets])
+        picks = [[rng.randrange(len(pool)) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        batch = outcome(lambda: _union_table(pool, picks, points))
+        one_by_one = outcome(lambda: [det_ratio_columns([pool[k] for k in pick], points)
+                                      for pick in picks])
         assert batch == one_by_one
-    # a set of the wrong length is refused as the one-set call refuses it
-    sets = [[RatFunc([(1, 0, 0)])], [RatFunc([(1, 0, 0)])] * 2]
-    assert outcome(lambda: det_ratios(sets, [F(1, 2)])) \
-        == outcome(lambda: [det_ratio_columns(cols, [F(1, 2)]) for cols in sets]) \
+    # a set of the wrong length is refused
+    assert outcome(lambda: det_ratio_columns([RatFunc([(1, 0, 0)])] * 2, [F(1, 2)])) \
         == "ValueError: need as many columns as points"
 
 
@@ -481,8 +489,9 @@ def test_points_of_two_fields_or_beside_fractions_stay_generic(monkeypatch):
     for points in mixed:
         assert confluent._lane_field(confluent.group_points(points)) is None
     # a lin or a coefficient of another field, or a field-valued coefficient
+    groups = confluent.group_points([z1, z2])
     for cols in ([RatFunc([(1, 1, 1)], (1, w)), columns[1]], [RatFunc([(beta, 1, 0)]), columns[1]]):
-        assert not confluent.PointTable(cols, [z1, z2]).lane
+        assert confluent._cleared_lane(cols, groups) is None
     assert confluent.PointTable(columns, [z1, z2]).lane
     lane = [outcome(lambda: det_ratio_columns(columns, points)) for points in mixed]
     force_generic_path(monkeypatch)

@@ -5,9 +5,10 @@ Sizes go through ``partitions._require_int`` and numbers through
 in lo..hi, got <name> = <value>" (or ">= lo", "<= hi", no bound) or "<name>
 must be a finite number, got ...".  ``REFUSALS`` holds, for every call site, a
 non-int, a bool and an out-of-range row (for a number: nan, inf, complex, None
-and bool), with the exact message, and beside them ``Matrix``'s shape refusals
-and the inhomogeneity and space-pair refusals of ``vertex``; ``POLES`` holds
-``vertex``'s zero-argument refusals (``ZeroDivisionError``); ``NUMPY_INTS``
+and bool), with the exact message, and beside them ``Matrix``'s shape refusals,
+the inhomogeneity and space-pair refusals of ``vertex`` and the summation
+sums' beta = 0; ``POLES`` holds ``vertex``'s zero-argument refusals
+(``ZeroDivisionError``); ``NUMPY_INTS``
 shows that an np.int64 size gives what the int gives; the hypothesis sweep
 draws non-int sizes for every public name of the library modules that takes
 one (``acceptance`` and ``sampling``, the seeded battery behind the CLI, take
@@ -19,6 +20,7 @@ from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from functools import cache
 from io import StringIO
+from random import Random
 from unittest import mock
 
 import numpy as np
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fivevertex import cli, sector, symfunc, tasep
+from fivevertex import acceptance, cli, sector, symfunc, tasep
 from fivevertex.identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs,
                                    grothendieck_sum_check, grothendieck_sum_det,
                                    orthogonality_check, orthogonality_matrix, orthogonality_weight)
@@ -52,6 +54,8 @@ X = ParticleConfiguration((1, 2), 4)
 PARAMS = ModelParameters(F(1, 2), 3)
 U, V = F(2, 3), F(3, 5)
 NAN, INF = float("nan"), float("inf")
+ZERO_BETA = ("the summation determinants carry negative powers of beta; "
+             "use the Schur specialization for beta = 0")
 
 
 @cache
@@ -290,6 +294,11 @@ REFUSALS = [
      "parts must be weakly decreasing ints in 0..2, got array([[1, 0],\n       [0, 1]])"),
     ("probe-box_rank-float", lambda: box_rank(np.array([1.5, 0]), 2),
      "parts must be weakly decreasing ints in 0..2, got array([1.5, 0. ])"),
+    # beta = 0 gives no summation determinant: refused once, by grothendieck_sum_check
+    ("summation_case-beta=0", lambda: acceptance.summation_case(Random(1), 4, 2, beta=0),
+     ZERO_BETA),
+    ("cli identity sum --beta 0",
+     lambda: _cli("identity", "sum", "--M", "4", "--N", "2", "--beta", "0"), ZERO_BETA),
 ]
 
 

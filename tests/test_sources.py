@@ -101,3 +101,14 @@ def test_the_relation_products_and_the_proof_field_are_each_in_one_place():
                     getattr(node, "id", None), getattr(node, "name", None)):
                 rationals.append(path.stem)
     assert fields == [("acceptance", "ZZ")] and rationals == []
+
+
+def test_one_exact_ratio_path():
+    # every exact determinant ratio is a PointTable pick: the multi-set det_ratios,
+    # the grothendieck_evals list lane and the table's lazily evaluated rows stay gone
+    paths = (*ROOT.glob("src/fivevertex/*.py"), *ROOT.glob("tests/*.py"))
+    for name in ("det_ratios", "grothendieck_evals", "_evaluate"):
+        word = re.compile(rf"\b{name}\b")
+        users = [path.name for path in paths
+                 if word.search(path.read_text()) and path.name != "test_sources.py"]
+        assert users == [], name

@@ -12,9 +12,9 @@ from fivevertex.partitions import enumerate_box
 from fivevertex.scalars import cleared_quotient
 from fivevertex.symfunc import (_pair_indices, bialternants, box_plan, dual_grothendieck_eval,
                                grothendieck_box, grothendieck_box_cleared, grothendieck_eval,
-                               grothendieck_evals, schur_eval)
+                               schur_eval)
 
-from conftest import distinct_squares, force_generic_path, outcome, rand_fraction
+from conftest import distinct_squares, force_generic_path, rand_fraction
 
 
 def semistandard_tableaux_count(shape, max_entry):
@@ -129,7 +129,8 @@ def test_bialternant_oracle_symbolic_box():
 
 
 def test_dual_rejects_zero_variable():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="^dual Grothendieck polynomial needs nonzero "
+                                                "variables$"):
         dual_grothendieck_eval((1,), [F(0), F(2)], F(1, 2))
 
 
@@ -146,46 +147,17 @@ def test_dual_pole_refused_before_any_column(monkeypatch):
     def no_determinant(*args):
         raise AssertionError("a determinant was set up at a pole")
 
-    monkeypatch.setattr(symfunc, "det_ratios", no_determinant)
+    monkeypatch.setattr(symfunc, "det_ratio_columns", no_determinant)
     with pytest.raises(ZeroDivisionError, match=r"^dual Grothendieck pole at z_2 \+ beta = 0$"):
         dual_grothendieck_eval((2, 1), [F(1, 3), F(1, 2), F(2)], F(-1, 2))
     with pytest.raises(ZeroDivisionError, match=r"z_1 \+ beta = 0"):
         dual_grothendieck_eval((1, 1), [F(-3, 2), F(-3, 2)], F(3, 2))
 
 
-@pytest.mark.parametrize("lane", ["int", "fraction", "complex"])
-def test_batched_evaluator_matches_scalar_calls(lane):
-    # one grothendieck_evals call over a list of partitions against one scalar call per
-    # partition, in repr: types and the complex lane's bits included, with coincident
-    # variables, zero variables and z_j + beta = 0 poles refused alike
-    from random import Random
-
-    rng = Random(53)
-
-    def draw():
-        if lane == "int":
-            return rng.randint(-2, 3)
-        if lane == "complex":
-            return complex(rng.randint(-3, 3), rng.randint(-3, 3)) / 4
-        return F(rng.randint(-4, 4), rng.randint(1, 3))
-
-    for _ in range(120):
-        n = rng.randint(1, 4)
-        z = [draw() for _ in range(n)]
-        if n >= 2 and rng.random() < 0.4:
-            z[-1] = z[0]
-        beta = rng.choice([0, draw(), -z[0]])
-        box = list(enumerate_box(rng.randint(0, 3), n))
-        lams = box[:1] + [lam for lam in box[1:] if rng.random() < 0.6]
-        for dual, scalar in ((False, grothendieck_eval), (True, dual_grothendieck_eval)):
-            batch = outcome(lambda: grothendieck_evals(lams, z, beta, dual))
-            one_by_one = outcome(lambda: [scalar(lam, z, beta) for lam in lams])
-            assert batch == one_by_one
-    # a partition with more parts than variables, in the same words
-    lams = [(1,), (1, 1, 1)]
-    assert outcome(lambda: grothendieck_evals(lams, [F(1, 2), F(1, 3)], 1)) \
-        == outcome(lambda: [grothendieck_eval(lam, [F(1, 2), F(1, 3)], 1) for lam in lams]) \
-        == "ValueError: partition has 3 parts but only 2 variables"
+def _box_oracle(box, z, beta, dual):
+    """The scalar evaluator at every partition of ``box``: the box lanes' bialternant oracle."""
+    scalar = dual_grothendieck_eval if dual else grothendieck_eval
+    return [scalar(lam, z, beta) for lam in box]
 
 
 @pytest.mark.parametrize("dual", [False, True])
@@ -228,13 +200,12 @@ def test_batched_evaluator_over_a_rational_function_field():
     import sympy
     from sympy.polys.fields import field
 
-    # field elements take the polynomial-ring lane, here with a coincident variable
-    # (Taylor rows)
+    # the cleared box over QQ(z1, z2, beta) against the scalar evaluators, which take
+    # the polynomial-ring lane, here with a coincident variable (Taylor rows)
     _, z1, z2, beta = field("z1,z2,beta", sympy.QQ)
-    lams = list(enumerate_box(2, 3))
-    for dual, scalar in ((False, grothendieck_eval), (True, dual_grothendieck_eval)):
-        assert grothendieck_evals(lams, [z1, z2, z1], beta, dual) \
-            == [scalar(lam, [z1, z2, z1], beta) for lam in lams]
+    z, box = [z1, z2, z1], list(enumerate_box(2, 3))
+    for dual in (False, True):
+        assert _cleared_values(z, beta, 2, dual) == _box_oracle(box, z, beta, dual)
 
 
 def test_dual_single_variable_is_regular_at_minus_beta():
@@ -254,8 +225,12 @@ def test_result_types_follow_the_inputs():
 
 
 def test_too_few_variables_rejected():
-    with pytest.raises(ValueError):
-        schur_eval((2, 1, 1), [F(1), F(2)])
+    # the parts are refused before the dual's zero variable and pole
+    for call in (lambda: schur_eval((2, 1, 1), [F(1), F(2)]),
+                 lambda: grothendieck_eval((2, 1, 1), [1, 2], 1),
+                 lambda: dual_grothendieck_eval((2, 1, 1), [0, F(-1, 2)], F(1, 2))):
+        with pytest.raises(ValueError, match="^partition has 3 parts but only 2 variables$"):
+            call()
 
 
 @pytest.mark.parametrize("lam", [(-1,), (1, 2), (2, -1), (0, 1)])
@@ -266,7 +241,6 @@ def test_non_partitions_are_refused(lam):
     for call in (lambda: grothendieck_eval(lam, z, -1),
                  lambda: dual_grothendieck_eval(lam, z, -1),
                  lambda: schur_eval(lam, z),
-                 lambda: grothendieck_evals([(1,) * len(lam), lam], z, F(1, 2)),
                  lambda: bialternants(zz, -0.5, lam),
                  lambda: bialternants(zz, -0.5, lam, dual=True)):
         with pytest.raises(ValueError, match="^lam must have nonnegative, weakly decreasing"):
@@ -351,9 +325,9 @@ def test_field_points_match_the_generic_path(monkeypatch, dual):
              ([K(2), K(3), K(5)], beta), ([K(2), K(2), K(3)], K(1) / 3), ([K(2)], F(1, 2))]
     for z, _ in cases:
         assert confluent._lane_field(confluent.group_points(z)) is K
-    lane = [grothendieck_evals(list(enumerate_box(2, len(z))), z, b, dual) for z, b in cases]
+    lane = [_box_oracle(enumerate_box(2, len(z)), z, b, dual) for z, b in cases]
     force_generic_path(monkeypatch)
-    generic = [grothendieck_evals(list(enumerate_box(2, len(z))), z, b, dual) for z, b in cases]
+    generic = [_box_oracle(enumerate_box(2, len(z)), z, b, dual) for z, b in cases]
     assert lane == generic
     assert repr(lane) == repr(generic)
 
@@ -377,7 +351,7 @@ def test_box_plan_branches_to_the_bialternants_exactly(rng, draw):
     box = list(enumerate_box(m, n))
     assert len(box_plan(m, n)[1][-1][0]) == len(box) == comb(m + n, n)
     for dual in (False, True):
-        assert _cleared_values(z, beta, m, dual) == grothendieck_evals(box, z, beta, dual)
+        assert _cleared_values(z, beta, m, dual) == _box_oracle(box, z, beta, dual)
 
 
 def _point_sets():
@@ -396,7 +370,7 @@ def _point_sets():
 
 @pytest.mark.parametrize("kind, z, beta", _point_sets())
 def test_cleared_box_is_the_bialternants(kind, z, beta):
-    # every box with m <= 4 and N <= 5: the cleared lane equals grothendieck_evals
+    # every box with m <= 4 and N <= 5: the cleared lane equals the scalar evaluators
     # by ==, and by type off the int points (a Fraction in, a Fraction out); over
     # QQ(z, beta) to N = 3 only, as the bialternant oracle takes 10-80 s per side at N = 5
     for n in range(1, len(z) + 1):
@@ -404,7 +378,7 @@ def test_cleared_box_is_the_bialternants(kind, z, beta):
             box = list(enumerate_box(m, n))
             for dual in (False, True):
                 got = _cleared_values(z[:n], beta, m, dual)
-                want = grothendieck_evals(box, z[:n], beta, dual)
+                want = _box_oracle(box, z[:n], beta, dual)
                 assert got == want, (kind, m, n, dual)
                 if kind != "int":
                     assert [type(g) for g in got] == [type(w) for w in want]
@@ -427,7 +401,7 @@ def test_grothendieck_box_takes_coincident_variables(dual):
     z = [F(2, 3), F(2, 3), F(-1, 5)]
     beta = F(-1, 2)
     box = list(enumerate_box(2, 3))
-    want = np.array(grothendieck_evals(box, z, beta, dual), dtype=complex)
+    want = np.array(_box_oracle(box, z, beta, dual), dtype=complex)
     got = grothendieck_box(np.array([z], dtype=float), float(beta), box_plan(2, 3), dual=dual)
     assert np.max(np.abs(got[:, 0] - want)) <= 1e-15 * np.max(np.abs(want))
 

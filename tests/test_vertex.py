@@ -7,7 +7,7 @@ import pytest
 from fivevertex import vertex
 from fivevertex.linalg import Matrix
 from fivevertex.vertex import (appendix_a_family_check, ansatz_l_matrix, embed_two_site,
-                               f_weight, l_matrix, l_weights, r_matrix, rll_check,
+                               f_weight, g_weight, l_matrix, l_weights, r_matrix, rll_check,
                                rtilde_check, rtilde_matrix, ybe_check)
 
 from conftest import distinct_squares, rand_fraction
@@ -56,6 +56,20 @@ def test_f_weight_complementarity(rng):
 def test_r_matrix_pole():
     with pytest.raises(ZeroDivisionError):
         r_matrix(F(2), F(-2))
+
+
+def test_r_matrix_entries_are_the_weights(rng):
+    # over the one denominator u^2 - v^2, f and g are f_weight(v, u) and g_weight(v, u)
+    # in repr: int, Fraction, complex and field arguments
+    from sympy import ZZ
+    from sympy.polys.fields import field
+
+    _, x, y = field("x,y", ZZ)
+    for u, v in [(2, 3), (3, 0), tuple(distinct_squares(rng, 2)), (F(1, 2), 3),
+                 (1.1 - 0.2j, 0.4 + 0.9j), (x, y), (x, 2)]:
+        r, f, g = r_matrix(u, v), f_weight(v, u), g_weight(v, u)
+        assert [repr(r[i, j]) for i, j in ((0, 0), (3, 3), (1, 2), (2, 1))] \
+            == [repr(f)] * 2 + [repr(g)] * 2, (u, v)
 
 
 def test_rll_random_and_degenerations(rng):
