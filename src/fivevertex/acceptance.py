@@ -6,6 +6,15 @@ tolerance and returns a dict with ``name``, ``passed`` and a short
 ``fivevertex verify-all --level desk`` drives: it adds each criterion's
 ``elapsed_s`` and writes one pass/fail line per criterion to stderr.
 
+A criterion's body is a generator of check records ``(deviation, budget,
+detail)``, one per check, in a fixed order.  An exact check yields its
+mismatch (a bool) against budget 0, and a float check the deviation it
+measures against its tolerance.  Criteria 1, 2 and 7 yield their elapsed
+seconds last, against their time budget, with the success detail (which
+names the budget).  ``_verdict`` folds the records: the first one with
+``not deviation <= budget`` fails the criterion with its detail, so a NaN
+deviation fails, and no record after it is drawn or computed.
+
 The seeded identity checks are drawn one case at a time:
 ``integrability_case``, ``scalar_product_case``, ``cauchy_case`` and
 ``summation_case`` each draw their inputs clear of every pole and return
@@ -17,6 +26,7 @@ check.
 
 from __future__ import annotations
 
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -40,8 +50,22 @@ from .wavefunc import (dual_wavefunction_det, dual_wavefunction_sum, step_overla
                        staircase_overlap_value, wavefunction_dets, wavefunction_sum)
 
 
-def _result(name, passed, detail):
-    return {"name": name, "passed": bool(passed), "detail": detail}
+def _verdict(name, records, success_detail):
+    """Fail at the first record whose deviation is not within its budget, else pass."""
+    for deviation, budget, detail in records:
+        if not deviation <= budget:  # not ``>``: a NaN deviation fails
+            return {"name": name, "passed": False, "detail": detail}
+    return {"name": name, "passed": True, "detail": success_detail}
+
+
+def _criterion(name, success_detail):
+    """Make a generator of check records a criterion that returns their ``_verdict``."""
+    def wrap(records):
+        @functools.wraps(records)
+        def criterion(*args, **kwargs):
+            return _verdict(name, records(*args, **kwargs), success_detail)
+        return criterion
+    return wrap
 
 
 def integrability_case(rng: Random) -> dict:
@@ -52,27 +76,26 @@ def integrability_case(rng: Random) -> dict:
             "ybe": ybe_check(u, v, w), "rtilde": rtilde_check(u, v, w, alpha)}
 
 
-def criterion_1_integrability(seed: int = 101) -> dict:
+@_criterion("1 integrability", "50+50+50 relations, 20+20 families, budget 10s")
+def criterion_1_integrability(seed: int = 101):
     """RLL/YBE/R~ at 50 exact random draws each; Appendix A family, 20 + 20."""
     t0 = time.perf_counter()
     rng = Random(seed)
     for _ in range(50):
         case = integrability_case(rng)
-        if not (case["rll"] and case["ybe"] and case["rtilde"]):
-            return _result("1 integrability", False, "relation failed")
+        yield not (case["rll"] and case["ybe"] and case["rtilde"]), 0, "relation failed"
     for _ in range(20):
         a, c, d = (rand_fraction(rng) for _ in range(3))
-        if not appendix_a_family_check(a, c, d, lambda x: x):
-            return _result("1 integrability", False, "valid family rejected")
+        yield not appendix_a_family_check(a, c, d, lambda x: x), 0, "valid family rejected"
     for _ in range(20):
         a, c, d = (rand_fraction(rng) for _ in range(3))
-        if appendix_a_family_check(a, c, d, lambda x: 1, B=a * d + rand_fraction(rng)):
-            return _result("1 integrability", False, "violated family accepted")
-    return _result("1 integrability", time.perf_counter() - t0 < 10,
-                   "50+50+50 relations, 20+20 families, budget 10s")
+        yield (appendix_a_family_check(a, c, d, lambda x: 1, B=a * d + rand_fraction(rng)), 0,
+               "violated family accepted")
+    yield time.perf_counter() - t0, 10, "50+50+50 relations, 20+20 families, budget 10s"
 
 
-def criterion_2_operator_algebra(seed: int = 102) -> dict:
+@_criterion("2 operator algebra", "commutation M<=5, RTT M<=5, [tau,tau] M<=6, budget 60s")
+def criterion_2_operator_algebra(seed: int = 102):
     """Monodromy commutation relations and RTT exactly (M <= 5/4), [tau,tau] (M <= 6)."""
     t0 = time.perf_counter()
     rng = Random(seed)
@@ -82,24 +105,22 @@ def criterion_2_operator_algebra(seed: int = 102) -> dict:
         relations = Relations(u, v, ModelParameters(alpha=alpha, M=M))
         for n in range(M + 1):
             checks = relations.commutation(n)
-            if not all(checks.values()):
-                return _result("2 operator algebra", False,
-                               f"commutation failed at M={M}, n={n}: {checks}")
+            yield not all(checks.values()), 0, f"commutation failed at M={M}, n={n}: {checks}"
     for M in range(1, 6):
         u, v = distinct_square_fractions(rng, 2)
-        if not Relations(u, v, ModelParameters(alpha=rand_fraction(rng), M=M)).rtt():
-            return _result("2 operator algebra", False, f"RTT failed at M={M}")
+        relations = Relations(u, v, ModelParameters(alpha=rand_fraction(rng), M=M))
+        yield not relations.rtt(), 0, f"RTT failed at M={M}"
     for M in range(1, 7):
         u, v = distinct_square_fractions(rng, 2)
         relations = Relations(u, v, ModelParameters(alpha=rand_fraction(rng), M=M))
         for n in range(M + 1):
-            if not relations.transfer_commute(n):
-                return _result("2 operator algebra", False, f"[tau,tau] != 0 at M={M}")
-    return _result("2 operator algebra", time.perf_counter() - t0 < 60,
-                   "commutation M<=5, RTT M<=5, [tau,tau] M<=6, budget 60s")
+            yield not relations.transfer_commute(n), 0, f"[tau,tau] != 0 at M={M}"
+    yield time.perf_counter() - t0, 60, "commutation M<=5, RTT M<=5, [tau,tau] M<=6, budget 60s"
 
 
-def criterion_3_wavefunctions(seed: int = 103) -> dict:
+@_criterion("3 wavefunction master",
+            "all configs M<=5 N<=3 x 10 draws exact; closed forms symbolic N<=3")
+def criterion_3_wavefunctions(seed: int = 103):
     """Determinants equal oracle elements exactly (M <= 5, N <= 3, 10 draws);
     step and staircase closed forms reproduced symbolically at N <= 3."""
     rng = Random(seed)
@@ -115,20 +136,12 @@ def criterion_3_wavefunctions(seed: int = 103) -> dict:
                 bras = zip(wavefunction_dets(basis, u, alpha, M, dual=True),
                            dual_bethe_state(u, params))
                 for x, (ket, ket_oracle), (bra, bra_oracle) in zip(basis, kets, bras):
-                    if ket != ket_oracle:
-                        return _result("3 wavefunction master", False,
-                                       f"<x|psi> mismatch at M={M}, N={N}, x={x}")
-                    if bra != bra_oracle:
-                        return _result("3 wavefunction master", False,
-                                       f"<psi|x> mismatch at M={M}, N={N}, x={x}")
-    failure = _closed_form_failure()
-    if failure:
-        return _result("3 wavefunction master", False, failure)
-    return _result("3 wavefunction master", True,
-                   "all configs M<=5 N<=3 x 10 draws exact; closed forms symbolic N<=3")
+                    yield ket != ket_oracle, 0, f"<x|psi> mismatch at M={M}, N={N}, x={x}"
+                    yield bra != bra_oracle, 0, f"<psi|x> mismatch at M={M}, N={N}, x={x}"
+    yield from _closed_form_records()
 
 
-def _closed_form_failure():
+def _closed_form_records():
     """Criterion 3's proofs of the step and staircase closed forms at N <= 3.
 
     The closed forms are proved in the field Q(alpha, u_1..u_N), whose
@@ -137,8 +150,8 @@ def _closed_form_failure():
     The field is built over ZZ: it is the same field, each element a ratio
     of integer polynomials, and the Bareiss elimination and ``field.new`` of
     the cleared lane then run on Python-int coefficients rather than
-    sympy's rationals.  Returns the first closed form the determinant
-    misses, or None.
+    sympy's rationals.  Yields one record per closed form, its mismatch
+    against budget 0.
     """
     from sympy import ZZ
     from sympy.polys.fields import field
@@ -147,12 +160,10 @@ def _closed_form_failure():
         M = 2 * N + 1
         _, alpha, *u = field(["a"] + [f"u{j}" for j in range(1, N + 1)], ZZ)
         step = dual_wavefunction_det(tuple(range(1, N + 1)), u, alpha, M)
-        if step - step_overlap_value(u, alpha, M):
-            return f"step closed form N={N}"
+        yield bool(step - step_overlap_value(u, alpha, M)), 0, f"step closed form N={N}"
         stair = dual_wavefunction_det(tuple(2 * j - 1 for j in range(1, N + 1)), u, alpha, M)
-        if stair - staircase_overlap_value(u, alpha, M):
-            return f"staircase closed form N={N}"
-    return None
+        yield (bool(stair - staircase_overlap_value(u, alpha, M)), 0,
+               f"staircase closed form N={N}")
 
 
 def scalar_product_case(rng: Random, M: int, N: int) -> dict:
@@ -189,24 +200,26 @@ def scalar_product_case(rng: Random, M: int, N: int) -> dict:
             "intermediate": values, "checks": checks}
 
 
-def criterion_4_scalar_products(seed: int = 104) -> dict:
+@_criterion("4 scalar products",
+            "scalar/intermediate determinants oracle-exact, all four product properties, "
+            "u/v/w symmetry, homogeneous limit, norm forms, M<=5 N<=3")
+def criterion_4_scalar_products(seed: int = 104):
     """Scalar-product and intermediate determinants vs oracle (inhomogeneous w),
     the four intermediate-product properties, and the norm reductions."""
     rng = Random(seed)
     for M in range(2, 6):
         for N in range(1, min(3, M) + 1):
             case = scalar_product_case(rng, M, N)
-            failed = [name for name, ok in case["checks"].items() if not ok]
-            if failed:
-                return _result("4 scalar products", False, f"{failed[0]} at M={M}, N={N}")
+            for name, ok in case["checks"].items():
+                yield not ok, 0, f"{name} at M={M}, N={N}"
             alpha, u_full, v, w = case["alpha"], case["u"], case["v"], case["w"]
             params_h = ModelParameters(alpha=alpha, M=M)
             params_w = ModelParameters(alpha=alpha, M=M, w=w)
             # homogeneous scalar product vs oracle
             bra = dual_bethe_state(u_full, params_h)
             ket = bethe_state(v, params_h)
-            if case["scalar_product"] != sum(b * k for b, k in zip(bra, ket)):
-                return _result("4 scalar products", False, f"scalar product at M={M}, N={N}")
+            yield (case["scalar_product"] != sum(b * k for b, k in zip(bra, ket)), 0,
+                   f"scalar product at M={M}, N={N}")
             # intermediate products for all n, inhomogeneous, vs oracle
             ket_w = bethe_state(v, params_w)
             for n in range(N + 1):
@@ -220,9 +233,7 @@ def criterion_4_scalar_products(seed: int = 104) -> dict:
                     vec = build_monodromy_element("C", u_full[k], params_w, N - k).apply(vec)
                 bra_cfg = tuple(range(M - N + n + 1, M + 1))
                 oracle = vec[sector_basis(M, N - n).index(bra_cfg)]
-                if val != oracle:
-                    return _result("4 scalar products", False,
-                                   f"intermediate product at M={M}, N={N}, n={n}")
+                yield val != oracle, 0, f"intermediate product at M={M}, N={N}, n={n}"
                 if n >= 1:
                     # Property 1: symmetry in w_1..w_{M-N+n}
                     w_perm = list(w)
@@ -230,11 +241,10 @@ def criterion_4_scalar_products(seed: int = 104) -> dict:
                     w_perm[i], w_perm[j] = w_perm[j], w_perm[i]
                     spec_p = IntermediateSpec(n, tuple(u_full[:n]), tuple(v),
                                               tuple(w_perm), alpha, M, N)
-                    if intermediate_scalar_det(spec_p) != val:
-                        return _result("4 scalar products", False, "w-permutation symmetry")
+                    yield intermediate_scalar_det(spec_p) != val, 0, "w-permutation symmetry"
                     # Property 3: recursion (the case checks n = N)
-                    if n < N and not recursion_check(spec):
-                        return _result("4 scalar products", False, "frozen-row recursion")
+                    if n < N:
+                        yield not recursion_check(spec), 0, "frozen-row recursion"
             # Property 2: prod u^(M+2n-2N-1) S is a polynomial of degree M-N+n-1 in u_n^2
             n = N
             degree = M - N + n - 1
@@ -255,11 +265,7 @@ def criterion_4_scalar_products(seed: int = 104) -> dict:
                     if i != j:
                         term = term * (held_s - sj) / (si - sj)
                 interp = interp + term
-            if interp != held_val:
-                return _result("4 scalar products", False, "polynomial-degree property")
-    return _result("4 scalar products", True,
-                   "scalar/intermediate determinants oracle-exact, all four product properties, "
-                   "u/v/w symmetry, homogeneous limit, norm forms, M<=5 N<=3")
+            yield interp != held_val, 0, "polynomial-degree property"
 
 
 def cauchy_case(rng: Random, M: int, N: int, beta=None) -> dict:
@@ -278,28 +284,25 @@ def cauchy_case(rng: Random, M: int, N: int, beta=None) -> dict:
             "equal": cauchy_lhs(M, N, z, y, beta) == cauchy_rhs(M, N, z, y, beta)}
 
 
-def criterion_5_cauchy(seed: int = 105) -> dict:
+@_criterion("5 cauchy", "exact for M<=6 N<=3 x 20 draws; Schur case; truncation <= 1e-10")
+def criterion_5_cauchy(seed: int = 105):
     """Exact Cauchy identity (M <= 6, N <= 3, 20 draws), Schur case, M -> infinity."""
     rng = Random(seed)
     for M in range(2, 7):
         for N in range(1, min(3, M) + 1):
             for draw in range(20):
                 case = cauchy_case(rng, M, N)
-                if not case["equal"]:
-                    return _result("5 cauchy", False, f"mismatch at M={M}, N={N}")
+                yield not case["equal"], 0, f"mismatch at M={M}, N={N}"
                 if draw == 0:
                     # at beta = 0 both G and Gbar are the Schur polynomials
                     z, y = case["z"], case["y"]
-                    if cauchy_lhs(M, N, z, y, 0) != cauchy_rhs(M, N, z, y, 0):
-                        return _result("5 cauchy", False, "beta=0 Schur case")
+                    yield (cauchy_lhs(M, N, z, y, 0) != cauchy_rhs(M, N, z, y, 0), 0,
+                           "beta=0 Schur case")
     small = [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)]
     z = small[:2]
     y = [Fraction(3, 4), Fraction(-1, 2)]
     report = cauchy_infinite_check(2, z, y, Fraction(1, 5), M_max=45)
-    if not report["converged"]:
-        return _result("5 cauchy", False, "M->infinity truncation did not reach 1e-10")
-    return _result("5 cauchy", True,
-                   "exact for M<=6 N<=3 x 20 draws; Schur case; truncation <= 1e-10")
+    yield report["distances"][-1], 1e-10, "M->infinity truncation did not reach 1e-10"
 
 
 def summation_case(rng: Random, M: int, N: int, beta=None) -> dict:
@@ -324,7 +327,8 @@ def summation_case(rng: Random, M: int, N: int, beta=None) -> dict:
             "dual": grothendieck_sum_check(M, N, z, beta, dual=True)}
 
 
-def criterion_6_summation(seed: int = 106) -> dict:
+@_criterion("6 summation", "wavefunction + Grothendieck sums enumeration-exact, M<=6 N<=3")
+def criterion_6_summation(seed: int = 106):
     """Wavefunction and Grothendieck weighted sums equal enumeration exactly (M <= 6, N <= 3)."""
     rng = Random(seed)
     for M in range(2, 7):
@@ -339,44 +343,41 @@ def criterion_6_summation(seed: int = 106) -> dict:
                                    wavefunction_dets(basis, u, alpha, M, dual=True)):
                 enum_wave += alpha ** (M * N - sum(x)) * ket
                 enum_dual += alpha ** (sum(x) - N) * bra
-            if wavefunction_sum(v, alpha, M) != enum_wave:
-                return _result("6 summation", False, f"wavefunction sum M={M} N={N}")
-            if dual_wavefunction_sum(u, alpha, M) != enum_dual:
-                return _result("6 summation", False, f"dual wavefunction sum M={M} N={N}")
+            yield wavefunction_sum(v, alpha, M) != enum_wave, 0, f"wavefunction sum M={M} N={N}"
+            yield (dual_wavefunction_sum(u, alpha, M) != enum_dual, 0,
+                   f"dual wavefunction sum M={M} N={N}")
             case = summation_case(rng, M, N)
-            if not case["primal"]:
-                return _result("6 summation", False, f"Grothendieck sum M={M} N={N}")
-            if not case["dual"]:
-                return _result("6 summation", False, f"dual Grothendieck sum M={M} N={N}")
-    return _result("6 summation", True, "wavefunction + Grothendieck sums enumeration-exact, M<=6 N<=3")
+            yield not case["primal"], 0, f"Grothendieck sum M={M} N={N}"
+            yield not case["dual"], 0, f"dual Grothendieck sum M={M} N={N}"
 
 
-def criterion_7_bethe_completeness() -> dict:
+@_criterion("7 bethe completeness",
+            "(4,2)...(8,4) complete, residuals <= 1e-10, spectra match, budget 300s")
+def criterion_7_bethe_completeness():
     """Counts, residuals <= 1e-10, energy multiset vs sector spectrum (1e-7)."""
     from scipy.optimize import linear_sum_assignment
     t0 = time.perf_counter()
     for (M, N) in [(4, 2), (5, 2), (6, 2), (6, 3), (8, 4)]:
         sols = bethe_solve(M, N)
-        if len(sols) != comb(M, N):
-            return _result("7 bethe completeness", False, f"count at ({M},{N})")
-        worst = max(s.max_residual for s in sols)
-        if worst > 1e-10:
-            return _result("7 bethe completeness", False,
-                           f"residual {worst:.2e} at ({M},{N})")
+        yield len(sols) != comb(M, N), 0, f"count at ({M},{N})"
+        worst = np.max([s.max_residual for s in sols])  # a NaN residual propagates
+        yield worst, 1e-10, f"residual {worst:.2e} at ({M},{N})"
         energies = np.array([s.energy for s in sols])
         spectrum = np.linalg.eigvals(sector_generator(M, N))
         cost = np.abs(energies[:, None] - spectrum[None, :])
         rows, cols = linear_sum_assignment(cost)
-        if cost[rows, cols].max() > 1e-7:
-            return _result("7 bethe completeness", False,
-                           f"energy multiset at ({M},{N}): {cost[rows, cols].max():.2e}")
-        if any(s.energy.real > -1e-9 for s in sols if not s.stationary):
-            return _result("7 bethe completeness", False, "nonnegative excited energy")
-    return _result("7 bethe completeness", time.perf_counter() - t0 < 300,
-                   "(4,2)...(8,4) complete, residuals <= 1e-10, spectra match, budget 300s")
+        gap = cost[rows, cols].max()
+        yield gap, 1e-7, f"energy multiset at ({M},{N}): {gap:.2e}"
+        for s in sols:
+            if not s.stationary:
+                yield s.energy.real, -1e-9, "nonnegative excited energy"
+    yield (time.perf_counter() - t0, 300,
+           "(4,2)...(8,4) complete, residuals <= 1e-10, spectra match, budget 300s")
 
 
-def criterion_8_green_functions() -> dict:
+@_criterion("8 green functions",
+            "(6,2)+(6,3), t in {0.1,1,10} vs oracle 1e-8; t=0 delta; t=200 uniform; sum rule")
+def criterion_8_green_functions():
     """All-pairs Green functions vs the matrix-exponential oracle at 1e-8."""
     from scipy.linalg import expm
     for (M, N) in [(6, 2), (6, 3)]:
@@ -385,45 +386,36 @@ def criterion_8_green_functions() -> dict:
         dim = comb(M, N)
         for t in (0.1, 1.0, 10.0):
             table = green_function_table(M, N, t, spec)
-            oracle = expm(gen * t)
-            if np.max(np.abs(table - oracle)) > 1e-8:
-                return _result("8 green functions", False,
-                               f"t={t} ({M},{N}): {np.max(np.abs(table - oracle)):.2e}")
-            if table.min() < -1e-8 or table.max() > 1 + 1e-8:
-                return _result("8 green functions", False, "probability range")
+            dev = np.max(np.abs(table - expm(gen * t)))
+            yield dev, 1e-8, f"t={t} ({M},{N}): {dev:.2e}"
+            yield (not (table.min() >= -1e-8 and table.max() <= 1 + 1e-8), 0,
+                   "probability range")
         t0_table = green_function_table(M, N, 0.0, spec)
-        if np.max(np.abs(t0_table - np.eye(dim))) > 1e-7:
-            return _result("8 green functions", False, f"t=0 delta at ({M},{N})")
+        yield np.max(np.abs(t0_table - np.eye(dim))), 1e-7, f"t=0 delta at ({M},{N})"
         t_inf = green_function_table(M, N, 200.0, spec)
-        if np.max(np.abs(t_inf - 1 / dim)) > 1e-8:
-            return _result("8 green functions", False, f"t=200 uniform at ({M},{N})")
+        yield np.max(np.abs(t_inf - 1 / dim)), 1e-8, f"t=200 uniform at ({M},{N})"
         x0 = ParticleConfiguration(tuple(range(1, N + 1)), M)
-        if abs(sum_rule_check(x0, 1.0, spec) - 1) > 1e-8:
-            return _result("8 green functions", False, f"sum rule at ({M},{N})")
-    return _result("8 green functions", True,
-                   "(6,2)+(6,3), t in {0.1,1,10} vs oracle 1e-8; t=0 delta; t=200 uniform; sum rule")
+        yield abs(sum_rule_check(x0, 1.0, spec) - 1), 1e-8, f"sum rule at ({M},{N})"
 
 
-def criterion_9_orthogonality() -> dict:
+@_criterion("9 orthogonality",
+            "delta property on the 4^2 box for beta in {-1,-1/2}; beta=0 roots on circle")
+def criterion_9_orthogonality():
     """Orthogonality delta property (1e-8) at M=6, N=2 for beta in {-1, -1/2}; beta=0 circle."""
     M, N = 6, 2
     box = list(enumerate_box(M - N, N))
     for beta in (-1.0, -0.5):
         dev = np.abs(orthogonality_matrix(M, N, beta) - np.eye(len(box)))
-        if dev.max() > 1e-8:
-            i, k = np.unravel_index(dev.argmax(), dev.shape)
-            return _result("9 orthogonality", False,
-                           f"beta={beta}, lam={box[i].parts}, mu={box[k].parts}")
-    sols0 = bethe_solve(M, N, beta=0.0)
-    for sol in sols0:
+        i, k = np.unravel_index(dev.argmax(), dev.shape)  # argmax takes the first NaN
+        yield dev.max(), 1e-8, f"beta={beta}, lam={box[i].parts}, mu={box[k].parts}"
+    for sol in bethe_solve(M, N, beta=0.0):
         for zj in sol.roots:
-            if abs(abs(zj) - 1) > 1e-12:
-                return _result("9 orthogonality", False, "beta=0 root off unit circle")
-    return _result("9 orthogonality", True,
-                   "delta property on the 4^2 box for beta in {-1,-1/2}; beta=0 roots on circle")
+            yield abs(abs(zj) - 1), 1e-12, "beta=0 root off unit circle"
 
 
-def criterion_10_observables() -> dict:
+@_criterion("10 observables",
+            "density and current at site 1 match the oracle on t = 0..10 step 0.5")
+def criterion_10_observables():
     """Density and current relaxation vs the oracle at 1e-8, (M,N)=(6,2), t = 0..10 (0.5)."""
     M, N = 6, 2
     spec = bethe_solve(M, N)
@@ -444,11 +436,7 @@ def criterion_10_observables() -> dict:
         for (a, a0), diag, label in observables:
             got = spec.evolve(a, a0, right, t)
             want = float(np.ones(len(vec)) @ diag @ vec)
-            if abs(got - want) > 1e-8:
-                return _result("10 observables", False,
-                               f"{label} at t={t}: |{got} - {want}|")
-    return _result("10 observables", True,
-                   "density and current at site 1 match the oracle on t = 0..10 step 0.5")
+            yield abs(got - want), 1e-8, f"{label} at t={t}: |{got} - {want}|"
 
 
 ALL_CRITERIA = [

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from math import comb, gcd
 
-from .scalars import exact_div, exact_pow, numer_denom
+from .scalars import cache_key, exact_div, exact_pow, numer_denom
 
 
 class Poly:
@@ -124,8 +124,10 @@ def taylor(columns, t, r: int = 1):
     """The first r Taylor coefficients at t of every column, as r rows.
 
     Row i holds f^(i)(t)/i! for each column f; with r = 1 that is the single
-    row of values f(t).  Powers of t and of each column's A + B t are shared
-    between terms and columns.  With r = 1 and no negative power, t may also
+    row of values f(t).  Powers of t are shared between terms and columns,
+    and powers of A + B t between columns whose lins are interchangeable
+    (``scalars.cache_key``), so each column's entries are the ones it has
+    alone, in value and type.  With r = 1 and no negative power, t may also
     be a numpy array of complex points; each row entry is then an array of
     values of that shape (an empty column gives zeros).
     """
@@ -133,10 +135,11 @@ def taylor(columns, t, r: int = 1):
     t_memo, lin_memo = {}, {}
     rows = [[] for _ in range(r)]
     for col in columns:
-        entry = lin_memo.get(col.lin)
+        key = tuple(map(cache_key, col.lin))
+        entry = lin_memo.get(key)
         if entry is None:
             a_, b_ = col.lin
-            entry = lin_memo[col.lin] = (a_ + b_ * t, b_, {})
+            entry = lin_memo[key] = (a_ + b_ * t, b_, {})
         base, b, l_memo = entry
         if r == 1:  # the plain value: the convolution's extra exact arithmetic is slow
             total = zero

@@ -193,8 +193,6 @@ def norm_det(u, alpha, M, method: str = "det"):
     """
     u, M = list(u), _require_int("M", M, 0)
     n = len(u)
-    if n == 0:
-        return 1
     diag = []
     for uj in u:
         inv2 = uj ** -2

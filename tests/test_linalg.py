@@ -118,6 +118,12 @@ def test_equality_is_exact_for_exact_entries_and_tolerant_for_floats(monkeypatch
     assert a == Matrix([[1 + 1e-12, 0.5], [3, 1e-12j]])  # float entries keep the tolerance
     assert a != Matrix([[1 + 1e-6, 0.5], [3, 0]])
     assert Matrix([[True]]) == Matrix([[1]])
+    # elements of a rational-function field compare by their exact difference
+    from sympy import ZZ
+    from sympy.polys.fields import field
+
+    _, x = field("x", ZZ)
+    assert Matrix([[x, 1]]) == Matrix([[x, F(1)]]) and Matrix([[x, 1]]) != Matrix([[x + 1, 1]])
 
     # int and Fraction pairs compare by == alone, with no float test
     def refuse(x):
@@ -273,6 +279,28 @@ def test_taylor_rows_match_sympy_series(rng):
             for i in range(r):
                 coeff = sympy.Rational(series.coeff(h, i))
                 assert F(ints[i][0], dens[i]) == F(int(coeff.p), int(coeff.q)) * d
+
+
+def test_each_column_takes_its_own_lin_whatever_else_is_in_the_call():
+    # equal lins of three types: an int, a Fraction and a field-element lin give
+    # entries of their own type, alone or beside each other
+    from sympy import ZZ
+    from sympy.polys.fields import field
+
+    K, _ = field("x", ZZ)
+    columns = [RatFunc(terms, lin) for lin in ((1, 2), (1, F(2)), (K(1), K(2)))
+               for terms in ([(1, 0, 1)], [(1, 1, 1)], [(3, 1, 2), (1, 0, 1)])]
+    for t, r in ((3, 1), (F(1, 3), 2)):
+        for order in (columns, columns[::-1]):
+            rows = taylor(order, t, r)
+            for k, col in enumerate(order):
+                alone = [row[0] for row in taylor([col], t, r)]
+                together = [row[k] for row in rows]
+                assert together == alone
+                assert [type(x) for x in together] == [type(x) for x in alone]
+    a, b = RatFunc([(1, 0, 1)], (1, 2)), RatFunc([(1, 1, 1)], (1, F(2)))
+    ratio = det_ratio_columns([a, b], [1, 3])
+    assert ratio == 21 and type(ratio) is F
 
 
 def test_column_poles_raise():

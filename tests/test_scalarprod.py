@@ -87,6 +87,30 @@ def test_recursion_and_its_failure_modes(rng):
     assert upper != (2 * factor) * lower
 
 
+def test_recursion_check_rejects_a_wrong_frozen_row(monkeypatch, rng):
+    # the n-particle product off by one at the frozen points fails the check
+    from fivevertex import scalarprod
+
+    M, N, n = 4, 2, 1
+    spec = IntermediateSpec(n, tuple(distinct_squares(rng, n)), tuple(distinct_squares(rng, N)),
+                            tuple(distinct_squares(rng, M)), F(9, 16), M, N)
+    right = scalarprod.intermediate_scalar_det
+    monkeypatch.setattr(scalarprod, "intermediate_scalar_det",
+                        lambda s: right(s) + (s.n == n))
+    assert recursion_check(spec) is False
+
+
+def test_empty_products_are_the_int_one():
+    # no particles: the intermediate product (on any number of sites) and the norm are 1
+    for M, alpha in ((0, F(4)), (1, 4), (3, 2.0 + 0j)):
+        w = tuple(F(k + 2) for k in range(M))
+        value = intermediate_scalar_det(IntermediateSpec(0, (), (), w, alpha, M, 0))
+        assert value == 1 and type(value) is int
+        for method in ("det", "sylvester"):
+            norm = norm_det([], alpha, M, method)
+            assert norm == 1 and type(norm) is int
+
+
 def test_norm_single_particle_closed_form(rng):
     # det Q~ at N = 1 collapses to M u^-2 / (alpha - u^-2)
     alpha = rand_fraction(rng)

@@ -106,6 +106,10 @@ def test_sector_labels_chain_and_guard(rng):
     scaled = 3 * ba - ba.scale(2)
     assert (scaled.source, scaled.target) == (2, 3)
     assert scaled == ba
+    # on the right, a scalar scales and a plain Matrix multiplies without labels
+    assert isinstance(ba * 2, SectorOperator) and ba * 2 == ba.scale(2)
+    plain = ba * Matrix.identity(ba.cols)
+    assert type(plain) is Matrix and plain.data == ba.data
     with pytest.raises(ValueError):
         b1 * b2  # B(u) on sector 1 cannot follow an operator into sector 3
     # A on sectors 1 and 3 of four sites: equal 4 x 4 shapes, different sectors

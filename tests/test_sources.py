@@ -112,3 +112,37 @@ def test_one_exact_ratio_path():
         users = [path.name for path in paths
                  if word.search(path.read_text()) and path.name != "test_sources.py"]
         assert users == [], name
+
+
+def test_acceptance_fails_a_criterion_in_one_place():
+    # every criterion is a generator of check records folded by acceptance._verdict,
+    # whose `not deviation <= budget` fails a NaN; a verdict built elsewhere would skip it
+    verdicts = []
+    for node in ast.parse((ROOT / "src/fivevertex/acceptance.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            verdicts += [(node.name, ast.unparse(value)) for child in ast.walk(node)
+                         if isinstance(child, ast.Dict)
+                         for key, value in zip(child.keys, child.values)
+                         if isinstance(key, ast.Constant) and key.value == "passed"]
+    assert sorted(verdicts) == [("_verdict", "False"), ("_verdict", "True")]
+
+
+def test_all_criteria_are_the_ten_numbered_functions_in_order():
+    # the benchmark calls getattr(acceptance, name)(seed) for criteria 1-6 and
+    # name() for 7-10, by the names in ALL_CRITERIA
+    import inspect
+
+    from fivevertex import acceptance
+
+    names = [criterion.__name__ for criterion in acceptance.ALL_CRITERIA]
+    assert [int(name.split("_")[1]) for name in names] == list(range(1, 11))
+    assert sorted(names) == sorted(name for name in vars(acceptance)
+                                   if re.fullmatch(r"criterion_\d+_\w+", name))
+    for k, criterion in enumerate(acceptance.ALL_CRITERIA, start=1):
+        assert getattr(acceptance, criterion.__name__) is criterion
+        params = list(inspect.signature(criterion).parameters.values())
+        if k <= 6:
+            assert [(p.name, p.kind, p.default) for p in params] == \
+                [("seed", inspect.Parameter.POSITIONAL_OR_KEYWORD, 100 + k)]
+        else:
+            assert params == []
