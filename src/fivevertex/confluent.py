@@ -31,39 +31,37 @@ Rows and columns may be confluent at once.  Coincidence is decided by exact
 equality for exact scalars and by ``COINCIDENCE_TOL`` for complex ones.
 
 Cleared lane.  Fraction-free elimination pays off on the entries of a
-ring with exact division (Bareiss, Math. Comp. 22 (1968) 565).  A table
-takes this lane when its points are ints and Fractions, at least one a
-Fraction, or all elements of one exact rational-function field such as
-criterion 3's Q(alpha, u), which is built over ZZ, so that its polynomial
-ring has int coefficients; when every column coefficient is an int or a
-Fraction; and when every ``lin`` entry is an int, a Fraction or an element
-of the points' field.  Each column's coefficient denominators are
-cleared once, ``ratfunc.int_rows`` gives the rows of all of them as
-numerators over one denominator per row, once per point group (ints at
-Fraction points, polynomial-ring elements at field points), and the cross
-factor prod (p_h q_g - p_g q_h) / (q_h q_g) is taken in the same ring
-once.  Per pick ``linalg.det`` runs Bareiss on the sliced matrix, whose
-divisions stay exact in the ring without a gcd, and one
-``Fraction(num, den)`` or ``field.new(num, den)`` ends the ratio.  At
-distinct field points the cross numerator divides the alternant's
-numerator exactly and is divided out first, so ``field.new`` cancels only
-the rows' own denominators (powers of u for the wavefunction columns).  On
-these inputs the generic path's result is an element of the same field,
-and Fractions and field elements are stored reduced, so the lane returns
-the same value, type and ``repr``; ``det_ratio_labelled`` divides it by the
-labels' cross factor as before.  All-int inputs, which may give an int,
-complex points, points of two fields, field points beside Fractions and
-field-valued coefficients take the generic ``taylor`` + Bareiss path.
+ring with exact division (Bareiss, Math. Comp. 22 (1968) 565).  Every exact
+table takes this lane: one ``scalars.cleared_type`` over its points, lins
+and coefficients names the ring, the ints, or the polynomial ring of the one
+exact rational-function field whose elements some inputs are (criterion 3's
+Q(alpha, u) is built over ZZ, so that ring has int coefficients); elements
+of two fields are refused by name.  Each column's coefficient denominators
+are cleared once (``scalars.cleared``, by the lcm in that ring),
+``ratfunc.int_rows`` gives the rows of all columns as numerators over one
+denominator per row, once per point group, and the cross factor
+prod (p_h q_g - p_g q_h) / (q_h q_g) is taken in the same ring once.  Per
+pick ``linalg.det`` runs Bareiss on the sliced matrix, whose divisions stay
+exact in the ring without a gcd, and one ``scalars.cleared_quotient`` ends the
+ratio in the type ``cleared_type`` gives the pick's own inputs: an element
+of the field if one of them is, else a Fraction if one of them is, else an
+int where the ratio is integral.  At distinct points that are all field
+elements the cross numerator divides the alternant's numerator exactly and
+is divided out first, so ``field.new`` cancels only the rows' own
+denominators (powers of u for the wavefunction columns).  Fractions and
+field elements are stored reduced, so the value and its type fix the
+``repr``; ``det_ratio_labelled`` divides it by the labels' cross factor.
+The generic ``taylor`` + Bareiss path serves inexact inputs alone.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from itertools import chain
 
 from .linalg import det
 from .ratfunc import RatFunc, int_rows, taylor
-from .scalars import COINCIDENCE_TOL, cleared_field, exact_div, is_inexact, numer_denom
+from .scalars import (COINCIDENCE_TOL, cleared, cleared_quotient, cleared_type, exact_div,
+                      is_inexact, numer_denom)
 
 
 def group_points(points):
@@ -93,26 +91,6 @@ def _cross_factor(groups):
     return cross
 
 
-def _rational(x) -> bool:
-    return type(x) is int or type(x) is Fraction
-
-
-def _lane_field(groups):
-    """The cleared lane's field at ``groups``: ``Fraction``, a rational-function field, or None.
-
-    ``Fraction`` when every point is an int or a Fraction and some point is
-    a Fraction; the points' field when every point is an element of one
-    exact rational-function field; None (the generic path) otherwise.
-    """
-    points = [t for t, _ in groups]
-    field = cleared_field(points)
-    if field is Fraction:
-        return Fraction if any(type(t) is Fraction for t in points) else None
-    if field is None or any(getattr(t, "field", None) is not field for t in points):
-        return None  # field points beside ints or Fractions take the generic path
-    return field
-
-
 def _cleared_cross(groups):
     """``_cross_factor`` of the cleared lane's groups as (numerator, denominator)."""
     parts = [numer_denom(t) for t, _ in groups]
@@ -127,36 +105,25 @@ def _cleared_cross(groups):
 
 
 def _cleared_lane(columns, groups):
-    """The cleared lane's rows of ``columns`` at ``groups``: (field, rows, den, col_dens).
+    """The cleared lane's rows of exact ``columns`` at ``groups``: (rows, den, col_dens).
 
     Row entry [i][k] over den * col_dens[k] is the generic path's entry, with
     den the product of the row denominators and col_dens[k] the lcm of column
-    k's coefficient denominators.  Returns None off the lane, which is taken
-    when ``_lane_field`` names a field, every coefficient is an int or a
-    Fraction, and every ``lin`` an int, a Fraction or an element of the
-    points' field.  The generic path's ratio is then always an element of
-    that field, which ``Fraction(num, den)`` or ``field.new(num, den)``
-    reproduces.
+    k's coefficient denominators (``scalars.cleared``).
     """
-    field = _lane_field(groups)
-    if field is None:
-        return None
-    cleared, col_dens = [], []
+    cleared_columns, col_dens = [], []
     for col in columns:
-        if not (all(_rational(x) or getattr(x, "field", None) is field for x in col.lin)
-                and all(_rational(c) for c, _, _ in col.terms)):
-            return None
-        d = lcm(*(c.denominator for c, _, _ in col.terms))
-        cleared.append(RatFunc([(c.numerator * (d // c.denominator), a, k)
-                                for c, a, k in col.terms], col.lin))
+        nums, d = cleared([c for c, _, _ in col.terms])
+        terms = [(n, a, k) for n, (_, a, k) in zip(nums, col.terms)]
+        cleared_columns.append(RatFunc(terms, col.lin))
         col_dens.append(d)
     rows, den = [], 1
     for t, count in groups:
-        block, dens = int_rows(cleared, t, count)
+        block, dens = int_rows(cleared_columns, t, count)
         rows.extend(block)
         for d in dens:
             den *= d
-    return field, rows, den, col_dens
+    return rows, den, col_dens
 
 
 class PointTable:
@@ -164,27 +131,31 @@ class PointTable:
 
     The grouping, the cross factor and the rows of every column are taken
     at construction: on the cleared lane as numerators with their
-    denominators, off it by one ``taylor`` call per point group.  Each
-    column is held as its entries, one per row.  A kept table answers
-    each later pick at one determinant.
+    denominators, off it (inexact inputs) by one ``taylor`` call per point
+    group.  Each column is held as its entries, one per row.  A kept table
+    answers each later pick at one determinant.  A pick's ratio has the type
+    ``scalars.cleared_type`` gives its own inputs, the points and the picked
+    columns' coefficients and lins, whatever the table's other columns are.
     """
 
     def __init__(self, columns, points):
+        own = [[*col.lin, *(c for c, _, _ in col.terms)] for col in columns]
+        kind = cleared_type(chain(points, *own))
         self.groups = group_points(points)
-        lane = _cleared_lane(columns, self.groups)
-        self.lane = lane is not None
+        lane = kind is not None and _cleared_lane(columns, self.groups)
+        self.lane = bool(lane)
         if self.lane:
-            field, rows, self.den, self.col_dens = lane
+            rows, self.den, self.col_dens = lane
             self.cross_num, self.cross_den = _cleared_cross(self.groups)
-            if field is Fraction:
-                self.new, self.exact_cross = Fraction, False
-            else:
-                ring = field.ring
-                self.new = lambda num, den: field.new(ring(num), ring(den))
-                # at distinct points each entry of a row is a form of one degree in the
-                # point's (numerator, denominator), so the alternant is a multiple of
-                # prod (p_h q_g - p_g q_h) in the polynomial ring
-                self.exact_cross = all(count == 1 for _, count in self.groups)
+            # a pick's own inputs give the table's type when the points or each column do
+            self.kind, self.points, self.own = kind, points, own
+            self.mixed = (cleared_type(points) is not kind
+                          and any(cleared_type(inputs) is not kind for inputs in own))
+            # at distinct field points each entry of a row is a form of one degree in the
+            # point's (numerator, denominator), so the alternant is a multiple of
+            # prod (p_h q_g - p_g q_h) in the polynomial ring
+            self.exact_cross = all(count == 1 and getattr(t, "field", None) is kind
+                                   for t, count in self.groups)
         else:
             rows = []
             for t, count in self.groups:
@@ -196,8 +167,7 @@ class PointTable:
         """The determinant ratio of each pick, a list of one index into ``columns`` per point.
 
         Per pick only the slice of the table's columns, one ``linalg.det``
-        and, on the cleared lane, one ``Fraction(num, den)`` or
-        ``field.new(num, den)`` remain.
+        and, on the cleared lane, one ``scalars.cleared_quotient`` remain.
         """
         if not self.groups:
             return [1] * len(picks)
@@ -212,7 +182,9 @@ class PointTable:
                     den = den * self.cross_num
                 for k in pick:
                     den *= self.col_dens[k]
-                out.append(self.new(num * self.cross_den, den))
+                kind = self.kind if not self.mixed else cleared_type(
+                    chain(self.points, *(self.own[k] for k in pick)))
+                out.append(cleared_quotient(num * self.cross_den, den, kind))
             return out
         return [exact_div(det(list(zip(*(cols[k] for k in pick)))), self.cross)
                 for pick in picks]

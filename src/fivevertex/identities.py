@@ -24,10 +24,11 @@ Taylor rows; the dual refuses a zero y, as Gbar(y) does.
 The box sides take no determinant: ``symfunc.grothendieck_box_cleared``
 branches the whole box one variable at a time, on numerators cleared over
 one denominator per side at ints, Fractions and field elements, so a box
-sum is one dot product and a single ``Fraction`` or ``field.new`` at the
-end, in the type the term-by-term sum would have.  ``cauchy_infinite_check``
-reads every partial sum off one M_max^N box per side.  A size (M, N, M_max)
-outside its range is refused by its own name (``partitions._require_int``).
+sum is one dot product and a single ``scalars.cleared_quotient`` at the
+end, in the type the determinant ratios' rule gives (``scalars.cleared_type``).
+``cauchy_infinite_check`` reads every partial sum off one M_max^N box per
+side.  A size (M, N, M_max) outside its range is refused by its own name
+(``partitions._require_int``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import comb
 from .confluent import det_ratio_columns, det_ratio_labelled
 from .partitions import _require_int, box_rank
 from .ratfunc import RatFunc, taylor
-from .scalars import cleared_field, cleared_quotient, exact_div, is_inexact, is_zero, numer_denom
+from .scalars import cleared_quotient, cleared_type, exact_div, is_inexact, is_zero, numer_denom
 from .symfunc import _parts, grothendieck_box_cleared
 
 
@@ -58,9 +59,10 @@ def cauchy_lhs(M, N, z, y, beta):
     M, N = _require_int("M", M, 0), _require_int("N", N, 0, M)
     z, y = list(z), list(y)
     _check_counts(N, z, y)
+    kind = cleared_type([*z, *y, beta])  # refuses two fields before any arithmetic
     g, g_den = grothendieck_box_cleared(z, beta, M - N)
     h, h_den = grothendieck_box_cleared(y, beta, M - N, dual=True)
-    return cleared_quotient(g @ h, g_den * h_den, [*z, *y, beta])
+    return cleared_quotient(g @ h, g_den * h_den, kind)
 
 
 def _kernel_coefficients(M, N, beta):
@@ -123,7 +125,7 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
             product = exact_div(product, 1 - zj * yk)
     g, g_den = grothendieck_box_cleared(z, beta, M_max)
     h, h_den = grothendieck_box_cleared(y, beta, M_max, dual=True)
-    terms, scalars = g * h, [*z, *y, beta]
+    terms, kind = g * h, cleared_type([*z, *y, beta])
     # enumerate_box puts lam_1 = m before lam_1 < m: the shell of the m^N box less the
     # (m-1)^N box sits just before the last binomial(m - 1 + N, N) rows
     running = terms[-1]  # the empty partition
@@ -131,7 +133,7 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
     distances = []
     for m in range(1, M_max + 1):
         running = running + terms[-comb(m + N, N):-comb(m - 1 + N, N)].sum()
-        partials.append(cleared_quotient(running, g_den * h_den, scalars))
+        partials.append(cleared_quotient(running, g_den * h_den, kind))
         distances.append(abs(complex(partials[-1] - product)))
     monotone = all(distances[i + 1] <= distances[i] + 1e-15 for i in range(len(distances) - 1))
     return {
@@ -214,15 +216,15 @@ def grothendieck_sum_check(M, N, z, beta, dual: bool = False) -> bool:
     _refuse_zero_beta(beta)
     m = M - N
     g, den = grothendieck_box_cleared(z, beta, m, dual)
-    scalars = [*z, beta]
-    a, b = numer_denom(-beta) if cleared_field(scalars) is not None else (-beta, 1)
+    kind = cleared_type([*z, beta])
+    a, b = numer_denom(-beta) if kind is not None else (-beta, 1)
     if dual:
         a, b = b, a
     powers = [a ** w * b ** (m * N - w) for w in range(m * N + 1)]
     # the box's partitions in enumerate_box order, as the rows of g
     box = combinations_with_replacement(range(m, -1, -1), N)
     total = cleared_quotient(sum(powers[sum(lam)] * gi for lam, gi in zip(box, g)),
-                             den * b ** (m * N), scalars)
+                             den * b ** (m * N), kind)
     diff = total - grothendieck_sum_det(M, N, z, beta, dual)
     return is_zero(diff, 1e-9 if is_inexact(diff) else 0)
 

@@ -25,14 +25,17 @@ zero base raises ``ZeroDivisionError``.  Coefficients and points may be
 ints, Fractions, complex numbers or elements of an exact field.
 
 ``int_rows`` is the same convolution without division, for columns with
-int coefficients at a point t = p/q that is a Fraction or an element of a
-rational-function field: each row is a list of numerators over one row
-denominator, built from nonnegative powers of p, q and the numerator and
-denominator of A + B t and of B, so no ``Fraction`` or field element is
-formed and no gcd is taken per entry.  The numerators are ints at a
-Fraction point and polynomial-ring elements at a field point.
-``confluent`` takes it for both (see there); ``taylor`` stays the path for
-every other scalar.
+coefficients cleared to ints or to elements of a field's polynomial ring, at
+a point t = p/q that is an int, a Fraction or an element of that field: each
+row is a list of numerators over one row denominator, built from
+nonnegative powers of p, q and the numerator and denominator of A + B t and
+of B, so no ``Fraction`` or field element is formed and no gcd is taken per
+entry.  The numerators are ints when every input is rational and
+polynomial-ring elements otherwise.  ``confluent`` takes it for every exact
+table (see there).  ``taylor`` serves what is left: inexact points, such as
+the float lane's complex scalars and numpy root arrays, the Taylor
+coefficients in the label of ``det_ratio_labelled``'s columns, and the
+generic path against which the tests check the cleared lane.
 
 ``Poly`` is the dense polynomial from which ``scalarprod`` builds its
 scalar-product columns: products of linear factors, and the exact quotient
@@ -179,13 +182,13 @@ def taylor(columns, t, r: int = 1):
 def int_rows(columns, t, r: int = 1):
     """``taylor`` without division: r rows of numerators and one denominator per row.
 
-    The columns' coefficients must be ints.  t and every ``lin`` are ints or
-    Fractions, and then the numerators and denominators are ints; or t is an
-    element of a rational-function field and every ``lin`` an int, a
-    Fraction or an element of that field, and then they are elements of its
-    polynomial ring.  Returns ``(rows, dens)`` with rows[i][k] / dens[i]
+    The columns' coefficients are ints, t and every ``lin`` ints or
+    Fractions, and then the numerators and denominators are ints; or some of
+    them are elements of one rational-function field (the coefficients of its
+    polynomial ring), the rest rational, and then they are elements of that
+    ring.  Returns ``(rows, dens)`` with rows[i][k] / dens[i]
     equal to ``taylor(columns, t, r)[i][k]``.  With t = p/q, A + B t = Ln/Ld
-    and B = Bn/Bd, every term of a coefficient is an int times
+    and B = Bn/Bd, every term of an entry is a cleared coefficient times
     p^e q^-e Ln^f Ld^-f Bn^g Bd^-g; the row denominator
     p^-lo q^hi Ln^-flo Ld^fhi Bd^ghi, over the exponent ranges of the row
     (widened to hold 0), leaves only nonnegative powers in the row.  Ln/Ld

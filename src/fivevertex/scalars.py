@@ -12,7 +12,7 @@ not exact scalars (``linalg.det`` refuses them).  Floating mode works with
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -72,39 +72,66 @@ def numer_denom(x):
     return x.numer, x.denom
 
 
-def cleared_field(values):
-    """The field in which ``numer_denom`` clears all of ``values``, or None.
+def cleared_type(values):
+    """The type of an exact quotient whose inputs are ``values``: the exact lane's one rule.
 
-    ``Fraction`` when every value is an int or a Fraction; otherwise the one
-    exact rational-function field whose elements the values are, ints and
-    Fractions beside them allowed.  None for anything else: a complex value,
-    elements of two fields, or of a field over an inexact domain.
+    The one exact rational-function field whose elements some values are,
+    ints and Fractions beside them allowed; otherwise ``Fraction`` when some
+    value is a Fraction; otherwise ``int``, which ``exact_div`` keeps where
+    the quotient is integral.  ``numer_denom`` clears all of ``values`` in
+    that type.  None for anything else: a complex value, or an element of a
+    field over an inexact domain.  Elements of two fields are refused by name.
     """
-    field = Fraction
+    field, fraction = None, False
     for x in values:
-        if type(x) is int or type(x) is Fraction:
-            continue
-        parent = getattr(x, "field", None)
-        if (getattr(parent, "ring", None) is None or not parent.domain.is_Exact
-                or field is not Fraction and field is not parent):
-            return None
-        field = parent
-    return field
+        if type(x) is Fraction:
+            fraction = True
+        elif type(x) is not int:
+            parent = getattr(x, "field", None)
+            if getattr(parent, "ring", None) is None or not parent.domain.is_Exact:
+                return None
+            if field is not None and field is not parent:
+                raise ValueError(f"elements of two fields: {field} and {parent}")
+            field = parent
+    return field if field is not None else Fraction if fraction else int
 
 
-def cleared_quotient(num, den, values):
-    """num / den as the arithmetic of ``values`` would give it, after ``numer_denom`` cleared them.
+def cleared(values):
+    """(nums, den): nums[i] / den == values[i], with den the lcm of the values' denominators.
 
-    A ``Fraction`` when some value is one, ``field.new`` in a rational-function
-    field, and otherwise ``exact_div``: an int where it divides, and the plain
-    quotient for values that were not cleared.
+    Ints when every value is an int or a Fraction; elements of the polynomial
+    ring of the values' field otherwise, with the lcm taken in that ring.
     """
-    field = cleared_field(values)
-    if field is Fraction and any(type(x) is Fraction for x in values):
-        return Fraction(num, den)
-    if field is not None and field is not Fraction:
-        return field.new(field.ring(num), field.ring(den))
-    return exact_div(num, den)
+    kind = cleared_type(values)
+    if kind is int:
+        return list(values), 1
+    if kind is Fraction:
+        den = lcm(*(x.denominator for x in values))
+        return [x.numerator * (den // x.denominator) for x in values], den
+    ring, parts = kind.ring, [numer_denom(x) for x in values]
+    den = ring.one
+    for _, d in parts:
+        den = den.lcm(ring(d))
+    return [n * den.exquo(ring(d)) for n, d in parts], den
+
+
+def cleared_quotient(num, den, kind):
+    """num / den in ``kind``, a ``cleared_type``; the plain ``exact_div`` for None.
+
+    num and den are ints, or elements of the polynomial ring of a field kind.
+    For an int or a Fraction kind they may also be ring elements of a
+    rational ratio, as in a table that shares its row denominators with a
+    column of a field: num is then a rational multiple of den, the ratio of
+    their leading coefficients.
+    """
+    if kind is None:
+        return exact_div(num, den)
+    if kind is int or kind is Fraction:
+        if type(num) is not int or type(den) is not int:
+            n, d = getattr(num, "LC", num), getattr(den, "LC", den)
+            num, den = n.numerator * d.denominator, n.denominator * d.numerator
+        return Fraction(num, den) if kind is Fraction else exact_div(num, den)
+    return kind.new(kind.ring(num), kind.ring(den))
 
 
 def exact_pow(x, e):

@@ -52,12 +52,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, product
-from math import comb, lcm
+from math import comb
 from numbers import Integral
 
 from .linalg import Matrix
 from .partitions import _require_int
-from .scalars import COMPLEX_EQ_TOL, exact_div, is_inexact, is_zero
+from .scalars import COMPLEX_EQ_TOL, cleared, exact_div, is_inexact, is_zero
 from .vertex import ModelParameters, f_weight, g_weight, l_weights, r_matrix
 
 __all__ = [
@@ -189,10 +189,7 @@ def _site_tables(u, params: ModelParameters):
     lane = type(params.alpha) in (int, Fraction) and all(type(v.a1) is Fraction
                                                           for v in vertices.values())
     for key, (a1, _, _, d, e) in vertices.items():
-        dj = 1
-        if lane:
-            dj = lcm(a1.denominator, d.denominator, e.denominator)
-            a1, d, e = (x.numerator * (dj // x.denominator) for x in (a1, d, e))
+        (a1, d, e), dj = cleared([a1, d, e]) if lane else ((a1, d, e), 1)
         vertices[key] = dj, a1, d, e
     tables, den = [], 1
     for j, wj in enumerate(params.w, start=1):
@@ -533,8 +530,7 @@ class Relations:
         """``coeffs`` scaled by the lcm of their denominators on the lane, if all are rational."""
         if not (self._lane and all(type(c) is int or type(c) is Fraction for c in coeffs)):
             return coeffs
-        den = lcm(*(c.denominator for c in coeffs))
-        return [c.numerator * (den // c.denominator) for c in coeffs]
+        return cleared(coeffs)[0]
 
     def commutation(self, n: int) -> dict:
         """The four quadratic relations of the monodromy algebra on sector n.

@@ -64,7 +64,7 @@ import numpy as np
 from .confluent import det_ratio_columns, sign_pairs
 from .partitions import Partition, _require_int, box_rank
 from .ratfunc import RatFunc
-from .scalars import COINCIDENCE_TOL, cleared_field, exact_div, is_zero, numer_denom
+from .scalars import COINCIDENCE_TOL, cleared_type, exact_div, is_zero, numer_denom
 
 # the most entries, rows * edges, of one pass of ``grothendieck_box``: its
 # temporaries stay near 1 MB whatever the box (larger chunks measured slower)
@@ -284,7 +284,7 @@ def grothendieck_box_cleared(z, beta, m, dual: bool = False):
 
     The exact lane of ``grothendieck_box``: the same passes over the edges of
     ``box_plan(m, N)``, on an object array.  When z and beta are ints, Fractions or
-    elements of one exact rational-function field (``scalars.cleared_field``),
+    elements of one exact rational-function field (``scalars.cleared_type``),
     each variable's weights z^d (1+beta z)^r, or y^d (1+beta/y)^r' for the
     dual, are cleared by ``scalars.numer_denom`` (z = p/q, 1 + beta z = b/c)
     to p^d q^(m-d) b^r c^(N-1-r) over q^m c^(N-1): the numerators are ints
@@ -303,7 +303,7 @@ def grothendieck_box_cleared(z, beta, m, dual: bool = False):
     passes = passes[:n]
     if dual:
         _refuse_dual_poles(z, beta)
-    clear = cleared_field([*z, beta]) is not None
+    clear = cleared_type([*z, beta]) is not None
     tables, den = [], 1
     for zj in z:
         base = 1 + exact_div(beta, zj) if dual else 1 + beta * zj

@@ -29,12 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
 from typing import NamedTuple
 
 from .linalg import Matrix
 from .partitions import _require_int
-from .scalars import exact_div, exact_pow, is_zero
+from .scalars import cleared, exact_div, exact_pow, is_zero
 
 
 class VertexWeights(NamedTuple):
@@ -165,8 +164,8 @@ def embed_two_site(m4: Matrix, pos) -> Matrix:
 
 def _cleared(m4: Matrix) -> Matrix:
     """A rational 4x4 factor scaled by the lcm of its entries' denominators: an int matrix."""
-    den = lcm(*(x.denominator for row in m4.data for x in row))
-    return Matrix([[x.numerator * (den // x.denominator) for x in row] for row in m4.data])
+    nums, _ = cleared([x for row in m4.data for x in row])
+    return Matrix([nums[i:i + 4] for i in range(0, 16, 4)])
 
 
 def _relation_holds(x, y, z) -> bool:

@@ -20,6 +20,18 @@ def force_generic_path(monkeypatch):
     forget_kept_tables()
 
 
+def record_lanes(monkeypatch):
+    """A list to which every later ``PointTable`` appends whether it took the cleared lane."""
+    lanes, init = [], confluent.PointTable.__init__
+
+    def recorded(self, columns, points):
+        init(self, columns, points)
+        lanes.append(self.lane)
+
+    monkeypatch.setattr(confluent.PointTable, "__init__", recorded)
+    return lanes
+
+
 @pytest.fixture(autouse=True)
 def _cold_start():
     # every test starts from an empty slot, whatever ran before it

@@ -165,6 +165,40 @@ def test_box_sums_keep_the_type_of_the_term_by_term_sum():
             assert [type(p) for p in partials] == [F] * 3
 
 
+def test_cauchy_identity_over_a_function_field():
+    # over QQ(beta, z, y) the two sides are rational functions: their equality at
+    # (4,3) is the identity itself at that size, not a sample of it
+    import sympy
+    from sympy.polys.fields import field
+
+    _, beta, *zy = field("beta,z1,z2,z3,y1,y2,y3", sympy.QQ)
+    z, y = zy[:3], zy[3:]
+    assert cauchy_lhs(4, 3, z, y, beta) == cauchy_rhs(4, 3, z, y, beta)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_summation_formulas_over_a_function_field(dual):
+    # the weighted sums over the 2^3 box against their determinants, over QQ(beta, z)
+    import sympy
+    from sympy.polys.fields import field
+
+    _, beta, *z = field("beta,z1,z2,z3", sympy.QQ)
+    assert grothendieck_sum_check(5, 3, z, beta, dual)
+
+
+def test_box_sums_refuse_two_fields_by_name():
+    import sympy
+    from sympy.polys.fields import field
+
+    K, z1, z2 = field("z1,z2", sympy.QQ)
+    L, w1, w2 = field("w1,w2", sympy.QQ)
+    message = f"^elements of two fields: {re.escape(str(K))} and {re.escape(str(L))}$"
+    for call in (lambda: cauchy_lhs(4, 2, [z1, z2], [w1, w2], F(1, 2)),
+                 lambda: grothendieck_sum_check(4, 2, [z1, z2], w1)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_box_sums_take_no_determinant(monkeypatch):
     # the box side branches on cleared numerators: no bialternant, no linalg.det;
     # grothendieck_sum_check takes just the determinants of its other side

@@ -12,7 +12,7 @@ from fivevertex.linalg import Matrix, det
 from fivevertex.confluent import PointTable, det_ratio_columns, det_ratio_labelled
 from fivevertex.ratfunc import RatFunc, int_rows, taylor
 
-from conftest import force_generic_path, outcome, rand_fraction
+from conftest import force_generic_path, outcome, rand_fraction, record_lanes
 
 
 def det_cofactor(rows):
@@ -504,23 +504,116 @@ def test_batched_ratios_match_one_set_calls(lane):
         == "ValueError: need as many columns as points"
 
 
-def test_points_of_two_fields_or_beside_fractions_stay_generic(monkeypatch):
+def test_field_points_beside_rationals_take_the_lane_and_two_fields_are_refused(monkeypatch):
+    import re
+
     import sympy
     from sympy.polys.fields import field
 
     from fivevertex import confluent
 
     K, z1, z2, beta = field("z1,z2,beta", sympy.QQ)
-    _, w = field("w", sympy.QQ)
+    L, w = field("w", sympy.QQ)
     columns = [RatFunc([(1, 2, 0)], (1, beta)), RatFunc([(1, 0, 1)], (1, beta))]
-    mixed = ([z1, F(1, 2)], [F(1, 2), z1], [z1, 3], [z1, w])
-    for points in mixed:
-        assert confluent._lane_field(confluent.group_points(points)) is None
-    # a lin or a coefficient of another field, or a field-valued coefficient
-    groups = confluent.group_points([z1, z2])
-    for cols in ([RatFunc([(1, 1, 1)], (1, w)), columns[1]], [RatFunc([(beta, 1, 0)]), columns[1]]):
-        assert confluent._cleared_lane(cols, groups) is None
-    assert confluent.PointTable(columns, [z1, z2]).lane
-    lane = [outcome(lambda: det_ratio_columns(columns, points)) for points in mixed]
+    # field points beside Fractions and ints, a field-valued coefficient, and lins of
+    # the field at rational points
+    cases = [(columns, points) for points in ([z1, F(1, 2)], [F(1, 2), z1], [z1, 3], [z1, z2])]
+    cases += [([RatFunc([(beta, 1, 0)]), columns[1]], [z1, z2]),
+              ([RatFunc([(1, 1, 1)], (1, beta)), RatFunc([(F(1, 2), 0, 0)])], [F(1, 3), 2])]
+    lanes = record_lanes(monkeypatch)
+    lane = [outcome(lambda: det_ratio_columns(cols, points)) for cols, points in cases]
+    assert lanes == [True] * len(cases)
+    # points of two fields, or a lin of another field, are refused by name before any row
+    monkeypatch.setattr(confluent, "int_rows", None)
+    monkeypatch.setattr(confluent, "taylor", None)
+    message = f"^elements of two fields: {re.escape(str(K))} and {re.escape(str(L))}$"
+    for cols, points in ((columns, [z1, w]),
+                         ([RatFunc([(1, 1, 1)], (1, w)), columns[1]], [z1, z2])):
+        with pytest.raises(ValueError, match=message):
+            PointTable(cols, points)
+    monkeypatch.undo()
     force_generic_path(monkeypatch)
-    assert lane == [outcome(lambda: det_ratio_columns(columns, points)) for points in mixed]
+    assert lane == [outcome(lambda: det_ratio_columns(cols, points)) for cols, points in cases]
+
+
+def _kind_scalar(rng, kind, gens):
+    """A scalar of ``kind``: "int", "fraction", "mixed" (either), "field" (an element of
+    the field of ``gens``) or "beside" (any of these)."""
+    if kind == "beside":
+        kind = rng.choice(["field", "mixed"])
+    if kind == "mixed":
+        kind = rng.choice(["int", "fraction"])
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "fraction":
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+    return rng.choice(gens) * rng.randint(1, 2) + rng.randint(-1, 1)
+
+
+def _has_type(value, kind):
+    """Whether ``value`` has the type ``kind`` of ``scalars.cleared_type``: an int kind
+    gives an int where the value is integral."""
+    if kind is int:
+        return type(value) is (int if value.denominator == 1 else F)
+    if kind is F:
+        return type(value) is F
+    return value.field is kind
+
+
+# the kinds of (points, lins, coefficients) of each kind of exact table; the columns of
+# a table mix their lins and coefficients with ints, so a pick may have a lower type
+# than its table
+_TABLE_KINDS = {
+    "int": ("int", "int", "int"),
+    "fraction": ("fraction", "fraction", "fraction"),
+    "mixed": ("mixed", "mixed", "mixed"),
+    "field-points": ("field", "mixed", "mixed"),
+    "field-lins": ("mixed", "field", "mixed"),
+    "field-coefficients": ("mixed", "mixed", "field"),
+    "field-points-beside-rationals": ("beside", "mixed", "mixed"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_TABLE_KINDS))
+def test_a_ratio_depends_on_its_own_inputs_alone(monkeypatch, kind):
+    # every exact table takes the cleared lane; each pick of a table over several columns
+    # is, in repr, its one-pick table's ratio, of the type scalars.cleared_type gives
+    # the pick's own points, coefficients and lins; the values are the generic path's
+    import sympy
+    from sympy.polys.fields import field
+
+    from fivevertex.scalars import cleared_type
+
+    _, *gens = field("a,b,c", sympy.QQ)
+    point_kind, lin_kind, coeff_kind = _TABLE_KINDS[kind]
+    rng = Random(53)
+    lanes = record_lanes(monkeypatch)
+    draws = []
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        points = [_kind_scalar(rng, point_kind, gens) for _ in range(n)]
+        if n >= 2 and rng.random() < 0.3:
+            points[-1] = points[0]
+        lins = [(1, _kind_scalar(rng, lin_kind, gens)), (_kind_scalar(rng, "int", gens), 1)]
+        pool = [RatFunc([(_kind_scalar(rng, rng.choice([coeff_kind, "int"]), gens) or 1,
+                          rng.randint(-1, 3), rng.randint(-1, 2))
+                         for _ in range(rng.randint(1, 2))], rng.choice(lins))
+                for _ in range(n + 2)]
+        picks = [[rng.randrange(len(pool)) for _ in range(n)] for _ in range(3)]
+        batch = outcome(lambda: _union_table(pool, picks, points))
+        assert batch == outcome(lambda: [det_ratio_columns([pool[k] for k in pick], points)
+                                         for pick in picks])
+        if "Error: " in batch:
+            continue  # a zero base, refused alike
+        ratios = _union_table(pool, picks, points)
+        for pick, got in zip(picks, ratios):
+            own = points + [x for k in pick
+                            for x in (*pool[k].lin, *(c for c, _, _ in pool[k].terms))]
+            assert _has_type(got, cleared_type(own))
+        draws.append((pool, picks, points, ratios))
+    assert len(draws) > 15 and lanes and all(lanes)
+    force_generic_path(monkeypatch)
+    for pool, picks, points, ratios in draws:
+        # a field's constant and a Fraction of one value differ by the field's zero
+        generic = [det_ratio_columns([pool[k] for k in pick], points) for pick in picks]
+        assert all(a - b == 0 for a, b in zip(ratios, generic))

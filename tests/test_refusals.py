@@ -6,8 +6,9 @@ in lo..hi, got <name> = <value>" (or ">= lo", "<= hi", no bound) or "<name>
 must be a finite number, got ...".  ``REFUSALS`` holds, for every call site, a
 non-int, a bool and an out-of-range row (for a number: nan, inf, complex, None
 and bool), with the exact message, and beside them ``Matrix``'s shape refusals,
-the inhomogeneity and space-pair refusals of ``vertex`` and the summation
-sums' beta = 0; ``POLES`` holds ``vertex``'s zero-argument refusals
+the inhomogeneity and space-pair refusals of ``vertex``, the summation
+sums' beta = 0 and ``scalars.rational_sqrt``'s; ``POLES`` holds ``vertex``'s
+zero-argument refusals and ``scalars.exact_div``'s int zero divisor
 (``ZeroDivisionError``); ``NUMPY_INTS``
 shows that an np.int64 size gives what the int gives; the hypothesis sweep
 draws non-int sizes for every public name of the library modules that takes
@@ -36,6 +37,7 @@ from fivevertex.linalg import Matrix, det
 from fivevertex.partitions import (ParticleConfiguration, Partition, box_rank, enumerate_box,
                                    partition_to_config)
 from fivevertex.scalarprod import IntermediateSpec, norm_det, recursion_check, scalar_product_det
+from fivevertex.scalars import exact_div, rational_sqrt
 from fivevertex.sector import (ModelParameters, Relations, SectorOperator, basis_index,
                                build_monodromy_element, commutation_checks, hamiltonian,
                                sector_basis, sector_dim, transfer_commute, transfer_matrix)
@@ -299,6 +301,11 @@ REFUSALS = [
      ZERO_BETA),
     ("cli identity sum --beta 0",
      lambda: _cli("identity", "sum", "--M", "4", "--N", "2", "--beta", "0"), ZERO_BETA),
+    # a rational square root needs a nonnegative perfect square
+    ("rational_sqrt-negative", lambda: rational_sqrt(F(-4, 9)),
+     "negative rational has no rational square root"),
+    ("rational_sqrt-non-square", lambda: rational_sqrt(F(2, 9)),
+     "2/9 is not a perfect rational square"),
 ]
 
 
@@ -315,6 +322,8 @@ POLES = [
     ("rtilde_check-u", lambda: rtilde_check(F(0), 2, 3, 1), "spectral arguments must be nonzero"),
     ("rtilde_check-w_j", lambda: rtilde_check(2, 0, 3, 1), "spectral arguments must be nonzero"),
     ("rtilde_check-w_k", lambda: rtilde_check(2, 3, 0.0, 1), "spectral arguments must be nonzero"),
+    # an int quotient by zero, in the words of 1 / 0
+    ("exact_div-int", lambda: exact_div(1, 0), "division by zero"),
 ]
 
 

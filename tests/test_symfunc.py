@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from fivevertex.partitions import enumerate_box
-from fivevertex.scalars import cleared_quotient
+from fivevertex.scalars import cleared_quotient, cleared_type
 from fivevertex.symfunc import (_pair_indices, bialternants, box_plan, dual_grothendieck_eval,
                                grothendieck_box, grothendieck_box_cleared, grothendieck_eval,
                                schur_eval)
 
-from conftest import distinct_squares, force_generic_path, rand_fraction
+from conftest import distinct_squares, force_generic_path, rand_fraction, record_lanes
 
 
 def semistandard_tableaux_count(shape, max_entry):
@@ -312,20 +312,20 @@ def test_grothendieck_matches_set_valued_tableaux(rng, n):
 @pytest.mark.parametrize("dual", [False, True])
 def test_field_points_match_the_generic_path(monkeypatch, dual):
     # G and Gbar over QQ(z, beta) on the polynomial-ring lane against taylor + field
-    # Bareiss, == and repr: distinct and coincident points, N = 1 (no cross factor)
-    # and the field's constants
+    # Bareiss, == and repr: distinct and coincident points, N = 1 (no cross factor),
+    # the field's constants, field points beside rationals and rational points with a
+    # field beta
     import sympy
     from sympy.polys.fields import field
-
-    from fivevertex import confluent
 
     K, z1, z2, z3, beta = field("z1,z2,z3,beta", sympy.QQ)
     cases = [([z1, z2, z3], beta), ([z1, z1, z2], beta), ([z2, z1, z1], beta),
              ([z1, z1, z1], beta), ([z3], beta), ([z1, z2], F(-1, 2)),
-             ([K(2), K(3), K(5)], beta), ([K(2), K(2), K(3)], K(1) / 3), ([K(2)], F(1, 2))]
-    for z, _ in cases:
-        assert confluent._lane_field(confluent.group_points(z)) is K
+             ([K(2), K(3), K(5)], beta), ([K(2), K(2), K(3)], K(1) / 3), ([K(2)], F(1, 2)),
+             ([z1, F(1, 2), 3], beta), ([z1, 3, z1], F(1, 3)), ([2, F(1, 3), 2], beta)]
+    lanes = record_lanes(monkeypatch)
     lane = [_box_oracle(enumerate_box(2, len(z)), z, b, dual) for z, b in cases]
+    assert lanes and all(lanes)
     force_generic_path(monkeypatch)
     generic = [_box_oracle(enumerate_box(2, len(z)), z, b, dual) for z, b in cases]
     assert lane == generic
@@ -335,7 +335,7 @@ def test_field_points_match_the_generic_path(monkeypatch, dual):
 def _cleared_values(z, beta, m, dual):
     """``grothendieck_box_cleared``'s numerators, each divided by its denominator."""
     nums, den = grothendieck_box_cleared(z, beta, m, dual)
-    return [cleared_quotient(num, den, [*z, beta]) for num in nums]
+    return [cleared_quotient(num, den, cleared_type([*z, beta])) for num in nums]
 
 
 @pytest.mark.parametrize("draw", range(12))
