@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from numbers import Integral
 
 import numpy as np
 
@@ -27,6 +28,16 @@ _INEXACT = (float, complex, np.floating, np.complexfloating)
 
 def is_inexact(x) -> bool:
     return isinstance(x, _INEXACT)
+
+
+def plain_int(x):
+    """``x`` as a Python int when it is integral (a numpy int, say), else ``x`` itself.
+
+    A numpy int is no exact scalar: ``cleared_type`` takes it for inexact,
+    and its quotients are floats.  Integral inputs are taken as ints where a
+    lane is decided.
+    """
+    return int(x) if isinstance(x, Integral) else x
 
 
 def cache_key(x):

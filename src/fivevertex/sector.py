@@ -22,20 +22,23 @@ whose sectors do not fit.  A sector outside 0..M has dimension zero, so an
 element that leaves the ring's sectors composes to the zero operator with no
 special case.
 
-Integer lane.  When every u/w_j is a Fraction and alpha is an int or a
-Fraction, site j's weights a1, d and e are scaled by D_j, the lcm of their
-denominators, and the exchange vertices b and c weigh D_j too, so every
-vertex path carries exactly one factor per site: the sweep runs on ints and
-an entry is its int over prod_j D_j, with no Fraction formed on the way.
-``build_monodromy_element`` (and so ``transfer_matrix``) divides once per
-entry; ``bethe_state`` and ``dual_bethe_state`` contract ints over one
-running denominator and divide once per output entry.  The generic path's
-result is then a Fraction at every entry whose path crosses an a1, d or e
-vertex, which the division reproduces; the one path through exchange
-vertices only, which flips every site, carries the int 1 there and is given
-back as that int.  Complex inputs, field elements such as criterion 3's
-Q(alpha, u), and int inputs with some u/w_j an int take the generic path,
-as does every Bethe state at M = 1.
+Exact lane.  One ``scalars.cleared_type`` over a call's inputs, its
+spectral values beside alpha and w, picks the sweep's lane and the type of
+its output, the rule every determinant ratio of the package follows.
+Integral inputs (numpy ints, say) are taken as ints first.  On an exact
+lane, site j's weights a1, d and e are cleared by ``scalars.cleared`` to
+numerators over D_j, the lcm of their denominators (ints, or elements of
+the polynomial ring of the inputs' field), and the exchange vertices b and
+c weigh D_j too, so every vertex path carries exactly one factor per site:
+an entry is its numerator over prod_j D_j, with no quotient formed on the
+way.  ``build_monodromy_element`` (and so ``transfer_matrix``) divides once
+per entry, and ``bethe_state`` and ``dual_bethe_state`` contract numerators
+over one running denominator and divide once per output entry, each by one
+``scalars.cleared_quotient``: a Fraction for Fraction inputs, an int where
+the quotient is integral for all-int inputs, an element of the field for
+field inputs such as criterion 3's Q(alpha, u).  On the ``None`` lane
+(complex inputs, or a field over an inexact domain) the weights are
+``l_weights``' own, the denominator is 1 and nothing is divided.
 
 A ``Relations`` object checks the monodromy algebra at one (u, v) on every
 sector without multiplying matrices: each relation is one vanishing
@@ -49,15 +52,14 @@ package is tested against matrix elements produced here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, product
 from math import comb
-from numbers import Integral
 
 from .linalg import Matrix
 from .partitions import _require_int
-from .scalars import COMPLEX_EQ_TOL, cleared, exact_div, is_inexact, is_zero
+from .scalars import (COMPLEX_EQ_TOL, cleared, cleared_quotient, cleared_type, exact_div,
+                      is_inexact, is_zero, plain_int)
 from .vertex import ModelParameters, f_weight, g_weight, l_weights, r_matrix
 
 __all__ = [
@@ -166,17 +168,24 @@ def _row_index(M, n):
     return {_mask(cfg): i for i, cfg in enumerate(sector_basis(M, n))}
 
 
-def _site_tables(u, params: ModelParameters):
+def _lane(values, params: ModelParameters):
+    """``values`` with integral ones as ints, and the ``cleared_type`` of them, alpha and w."""
+    values = [plain_int(x) for x in values]
+    return values, cleared_type([*values, params.alpha, *params.w])
+
+
+def _site_tables(u, params: ModelParameters, lane):
     """Per-site branch tables of L_j(u/w_j), site 1 first, and their denominator.
 
     A sweep state is keyed by ``mask << 1 | aux``, so site j is bit j of the
     key.  The table of site j is indexed by 2*aux + occ and lists each
     admissible vertex as (key xor, weight).  The exchange vertices b and c
     flip the auxiliary bit and site j; a weight ``None`` carries the
-    amplitude over without a multiplication.  Off the integer lane the
-    weights are ``l_weights``' own, b and c are ``None`` and the denominator
-    is None; on it they are scaled by D_j (b and c weigh D_j, ``None`` when
-    D_j = 1) and the denominator is prod_j D_j.  Refuses u = 0.
+    amplitude over without a multiplication.  On an exact ``lane`` a1, d
+    and e are cleared to numerators over D_j, b and c weigh D_j (``None``
+    when D_j = 1) and the denominator is prod_j D_j; on the ``None`` lane
+    the weights are ``l_weights``' own, b and c are ``None`` and the
+    denominator is 1.  Refuses u = 0.
     """
     if is_zero(u, 0):
         raise ZeroDivisionError("monodromy elements are singular at u = 0")
@@ -185,12 +194,9 @@ def _site_tables(u, params: ModelParameters):
     vertices = {}
     for wj in params.w:
         if id(wj) not in vertices:
-            vertices[id(wj)] = l_weights(exact_div(u, wj), params.alpha)
-    lane = type(params.alpha) in (int, Fraction) and all(type(v.a1) is Fraction
-                                                          for v in vertices.values())
-    for key, (a1, _, _, d, e) in vertices.items():
-        (a1, d, e), dj = cleared([a1, d, e]) if lane else ((a1, d, e), 1)
-        vertices[key] = dj, a1, d, e
+            a1, _, _, d, e = l_weights(exact_div(u, wj), params.alpha)
+            (a1, d, e), dj = ((a1, d, e), 1) if lane is None else cleared([a1, d, e])
+            vertices[id(wj)] = dj, a1, d, e
     tables, den = [], 1
     for j, wj in enumerate(params.w, start=1):
         dj, a1, d, e = vertices[id(wj)]
@@ -198,7 +204,12 @@ def _site_tables(u, params: ModelParameters):
         unit = dj if dj != 1 else None
         flip = 1 | (1 << j)
         tables.append((j, (((0, a1),), ((flip, unit),), ((flip, unit), (0, d)), ((0, e),))))
-    return tables, den if lane else None
+    return tables, den
+
+
+def _quotient(num, den, lane):
+    """num / den in the ``lane``'s type; ``num`` itself on the ``None`` lane, where den is 1."""
+    return num if lane is None else cleared_quotient(num, den, lane)
 
 
 def _sweep(state, tables):
@@ -219,18 +230,17 @@ def _refuse_overflow(kind, M: int, n: int):
         raise ValueError(f"sector overflow: {kind} cannot act on sector {n} of {M} sites")
 
 
-def _columns(kind, sites, M: int, n: int, strict: bool = True):
+def _columns(kind, tables, M: int, n: int, strict: bool = True):
     """The entries of element ``kind`` on sector n, column by column.
 
-    ``sites`` is ``_site_tables``' result at the element's spectral value.
+    ``tables`` are ``_site_tables``' tables at the element's spectral value.
     Returns ``(col, row mask, entry)`` for every entry a vertex path reaches,
     grouped by ascending column; no other entry can be nonzero.  Every column
     of the source basis is swept at once, its index held in the key bits
     above site M.  The vertices conserve particles + aux, so an exit with
-    aux = a_out always lands in the target sector.  Off the integer lane an
-    entry is its value; on it an entry is an int over the tables'
-    denominator, the exchange-only path's included.  Refuses (if ``strict``)
-    a sector overflow.
+    aux = a_out always lands in the target sector.  An entry is its
+    numerator over the tables' denominator.  Refuses (if ``strict``) a
+    sector overflow.
     """
     if strict:
         _refuse_overflow(kind, M, n)
@@ -242,51 +252,22 @@ def _columns(kind, sites, M: int, n: int, strict: bool = True):
              for col, cfg in enumerate(sector_basis(M, n)) if a_out or M not in cfg}
     sites_mask = (1 << shift) - 1
     return [(key >> shift, (key & sites_mask) >> 1, amp)
-            for key, amp in _sweep(state, sites[0]).items() if key & 1 == a_out]
+            for key, amp in _sweep(state, tables).items() if key & 1 == a_out]
 
 
-def _values(kind, entries, den, M: int, n: int):
-    """``_columns``' entries as the generic path's values: one division each on the lane.
+def _bethe_steps(kind, params: ModelParameters, values, sectors):
+    """The ``_columns`` of ``kind`` at each spectral value of ``values``, on its sector.
 
-    The generic path multiplies no weight along the path through exchange
-    vertices only, so that entry is the int 1 there.  The path flips every
-    site, so aux alternates along it: it starts from the sites 1 + b_in,
-    3 + b_in, ... and leaves with aux = (b_in + M) mod 2.
+    Returns (entries per step, den, lane): a contraction of the steps'
+    numerators is a numerator over den, which is 1 on the ``None`` lane.
     """
-    if den is None:
-        return entries
-    a_out, b_in = _KIND_AUX[kind]
-    unit = None
-    alternating = tuple(range(1 + b_in, M + 1, 2))
-    if len(alternating) == n and (b_in + M) % 2 == a_out:
-        unit = (sector_basis(M, n).index(alternating), ((1 << M) - 1) ^ _mask(alternating))
-    return [(col, mask, 1 if (col, mask) == unit else Fraction(amp, den))
-            for col, mask, amp in entries]
-
-
-def _bethe_steps(kind, params: ModelParameters, steps):
-    """The ``_columns`` of ``kind`` at each (spectral value, sector) of ``steps``.
-
-    Returns (entries per step, den): on the integer lane the entries of every
-    step are ints and a contraction of them is an int over den; otherwise den
-    is None and they are values.  A lane Bethe state is a Fraction at every
-    entry on the generic path too when M >= 2: each step reaches every entry
-    of its target (B from the row less its last particle, C down to the
-    column less its first), and the first step's paths all cross an a1, d or
-    e vertex, so from there on every term is a Fraction.  At M = 1 the one
-    step is the exchange-only path, whose int 1 only the generic path keeps.
-    """
-    M = params.M
-    cols = []
-    for x, n in steps:
-        sites = _site_tables(x, params)
-        cols.append((_columns(kind, sites, M, n), sites[1], n))
-    if not cols or M < 2 or any(den is None for _, den, _ in cols):
-        return [_values(kind, entries, den, M, n) for entries, den, n in cols], None
-    den = 1
-    for _, d, _ in cols:
+    values, lane = _lane(values, params)
+    steps, den = [], 1
+    for x, n in zip(values, sectors):
+        tables, d = _site_tables(x, params, lane)
+        steps.append(_columns(kind, tables, params.M, n))
         den *= d
-    return [entries for entries, _, _ in cols], den
+    return steps, den, lane
 
 
 def build_monodromy_element(kind, u, params: ModelParameters, n: int,
@@ -303,25 +284,28 @@ def build_monodromy_element(kind, u, params: ModelParameters, n: int,
     if kind not in _KIND_AUX:
         raise ValueError(f"unknown monodromy element {kind!r}")
     n = _require_int("n", n)
-    return _element(kind, _site_tables(u, params), params.M, n, strict)
+    (u,), lane = _lane([u], params)
+    return _element(kind, _site_tables(u, params, lane), lane, params.M, n, strict)
 
 
-def _element(kind, sites, M: int, n: int, strict: bool = True) -> SectorOperator:
-    """``build_monodromy_element`` from the site tables of its spectral value."""
+def _element(kind, sites, lane, M: int, n: int, strict: bool = True) -> SectorOperator:
+    """``build_monodromy_element`` from the site tables of its spectral value, on ``lane``."""
     a_out, b_in = _KIND_AUX[kind]
     n_out = n + (b_in - a_out)
     row_of = _row_index(M, n_out)
+    tables, den = sites
     entries = [[0] * sector_dim(M, n) for _ in range(len(row_of))]
-    for col, mask, amp in _values(kind, _columns(kind, sites, M, n, strict), sites[1], M, n):
-        entries[row_of[mask]][col] = amp
+    for col, mask, amp in _columns(kind, tables, M, n, strict):
+        entries[row_of[mask]][col] = _quotient(amp, den, lane)
     return SectorOperator(entries, n, n_out, M)
 
 
 def transfer_matrix(u, params: ModelParameters, n: int) -> SectorOperator:
     """tau(u) = A(u) + D(u) on the n-particle sector."""
     n = _require_int("n", n)
-    sites = _site_tables(u, params)
-    return _element("A", sites, params.M, n) + _element("D", sites, params.M, n)
+    (u,), lane = _lane([u], params)
+    sites = _site_tables(u, params, lane)
+    return _element("A", sites, lane, params.M, n) + _element("D", sites, lane, params.M, n)
 
 
 def hamiltonian(params: ModelParameters, n: int) -> SectorOperator:
@@ -351,13 +335,9 @@ def hamiltonian(params: ModelParameters, n: int) -> SectorOperator:
     return SectorOperator(entries, n, n, M)
 
 
-def _divided(vec, den):
-    return vec if den is None else [Fraction(x, den) for x in vec]
-
-
 def bethe_state(v_list, params: ModelParameters):
     """prod_j B(v_j) |Omega> as an amplitude vector on the len(v)-sector."""
-    steps, den = _bethe_steps("B", params, [(v, k) for k, v in enumerate(v_list)])
+    steps, den, lane = _bethe_steps("B", params, v_list, range(len(v_list)))
     vec = [1]
     for k, entries in enumerate(steps):
         row_of = _row_index(params.M, k + 1)
@@ -366,12 +346,12 @@ def bethe_state(v_list, params: ModelParameters):
             r = row_of[mask]
             out[r] = out[r] + amp * vec[col]
         vec = out
-    return _divided(vec, den)
+    return [_quotient(x, den, lane) for x in vec]
 
 
 def dual_bethe_state(u_list, params: ModelParameters):
     """<Omega| prod_j C(u_j) as an amplitude covector on the len(u)-sector."""
-    steps, den = _bethe_steps("C", params, [(u, k + 1) for k, u in enumerate(u_list)])
+    steps, den, lane = _bethe_steps("C", params, u_list, range(1, len(u_list) + 1))
     bra = [1]
     for k, entries in enumerate(steps):
         row_of = _row_index(params.M, k)
@@ -381,7 +361,7 @@ def dual_bethe_state(u_list, params: ModelParameters):
         for col, r, amp in sorted((col, row_of[mask], amp) for col, mask, amp in entries):
             out[col] = out[col] + bra[r] * amp
         bra = out
-    return _divided(bra, den)
+    return [_quotient(x, den, lane) for x in bra]
 
 
 def _a_func(u, params):
@@ -432,20 +412,15 @@ def transfer_eigenvalue(u, u_set, params: ModelParameters):
     return term_a + term_d
 
 
-def _sparse_element(kind, sites, M: int, n: int, lane: bool) -> dict:
+def _sparse_element(kind, tables, M: int, n: int) -> dict:
     """The non-strict element ``kind`` on sector n as ``{source mask: [(target mask, entry)]}``.
 
-    On the integer lane each entry is its int numerator over the tables'
-    denominator; off it the entry is its value, divided through ``_values``
-    when these tables are on the lane and the other spectral value's are
-    not.  A source configuration no vertex path leaves is absent.
+    Each entry is its numerator over the tables' denominator.  A source
+    configuration no vertex path leaves is absent.
     """
-    entries = _columns(kind, sites, M, n, strict=False)
-    if not lane:
-        entries = _values(kind, entries, sites[1], M, n)
     masks = [_mask(cfg) for cfg in sector_basis(M, n)]
     out = {}
-    for col, row, amp in entries:
+    for col, row, amp in _columns(kind, tables, M, n, strict=False):
         out.setdefault(masks[col], []).append((row, amp))
     return out
 
@@ -496,18 +471,17 @@ class Relations:
     ``COMPLEX_EQ_TOL`` times the larger of 1 and a column's largest term.
     The object holds the site tables of u and of v, each built by the first
     check that needs it, and every ``_sparse_element`` (kind, sector, value),
-    swept on first use and kept for the object's lifetime.  The lane is
-    decided once, from the two tables.  On it the entries are the sweep's
-    int numerators, so both sides of a relation sit over den_u den_v, and a
-    check clears its coefficients (f and g, or the R-matrix entries) of
-    their denominators when they are ints or Fractions (not at M = 0 with
-    complex u, say, where the tables hold no weight), so that the
-    combination is one of ints.  Off it the entries are the generic path's.
-    Integral u and v (numpy ints, say) are taken as ints, keeping f and g exact.
+    swept on first use and kept for the object's lifetime.  The lane is the
+    ``cleared_type`` of u, v, alpha and w, integral u and v (numpy ints, say)
+    taken as ints.  Every term pairs an element at u with one at v, so it
+    sits over den_u den_v; on an exact lane a check clears its coefficients
+    (f and g, or the R-matrix entries) of their denominators too, so that
+    the combination is one of numerators.  On the ``None`` lane the entries
+    are products of ``l_weights``' own and the coefficients are unscaled.
     """
 
     def __init__(self, u, v, params: ModelParameters):
-        u, v = (int(x) if isinstance(x, Integral) else x for x in (u, v))
+        (u, v), self.lane = _lane((u, v), params)
         self.u, self.v, self.params = u, v, params
         self.inexact = any(is_inexact(x) for x in (u, v, params.alpha, *params.w))
         self._tables = []  # the site tables of u, then of v
@@ -515,22 +489,19 @@ class Relations:
     def _sites(self, count: int):
         """Build the site tables of the first ``count`` of (u, v): refuses u = 0, then v = 0."""
         for x in (self.u, self.v)[len(self._tables):count]:
-            self._tables.append(_site_tables(x, self.params))
+            self._tables.append(_site_tables(x, self.params, self.lane)[0])
 
     @cached_property
     def _at(self) -> list:
-        """``at(kind, n)`` at u and at v, the element swept on first use; sets ``_lane``."""
+        """``at(kind, n)`` at u and at v, the element swept on first use."""
         self._sites(2)
-        self._lane = all(den is not None for _, den in self._tables)
-        # the getters hold M and the lane, not self, which would make a reference cycle
-        return [cache(lambda kind, n, sites=sites, M=self.params.M, lane=self._lane:
-                      _sparse_element(kind, sites, M, n, lane)) for sites in self._tables]
+        # the getters hold M, not self, which would make a reference cycle
+        return [cache(lambda kind, n, tables=tables, M=self.params.M:
+                      _sparse_element(kind, tables, M, n)) for tables in self._tables]
 
     def _cleared(self, coeffs) -> list:
-        """``coeffs`` scaled by the lcm of their denominators on the lane, if all are rational."""
-        if not (self._lane and all(type(c) is int or type(c) is Fraction for c in coeffs)):
-            return coeffs
-        return cleared(coeffs)[0]
+        """``coeffs`` scaled by the lcm of their denominators on an exact lane."""
+        return coeffs if self.lane is None else cleared(coeffs)[0]
 
     def commutation(self, n: int) -> dict:
         """The four quadratic relations of the monodromy algebra on sector n.

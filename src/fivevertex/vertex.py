@@ -14,12 +14,13 @@ alpha = 1 is the TASEP point, alpha = 0 the four-vertex degeneration.
 The RLL, Yang-Baxter and R~ checks, and through RLL the Appendix A family,
 are one relation X Y Z == Z Y X of three two-site factors on a three-space
 chain.  Each factor is embedded through a fixed map from its 4x4 entries to
-the 8x8 entries they fill, one per space pair.  When every entry of the
-three factors is an int or a Fraction, each factor is first scaled by the
-lcm of its entries' denominators: both sides then carry the same nonzero
-factor d_X d_Y d_Z, so the verdict is that of the rational products, and
-every product is of ints.  Any other entry (complex, an element of a
-rational-function field, or such an entry beside rationals) leaves the
+the 8x8 entries they fill, one per space pair.  The exact lane's one rule,
+``scalars.cleared_type`` over the entries of the three factors, decides
+whether they are cleared: on an exact lane each factor is first scaled by
+the lcm of its entries' denominators (``scalars.cleared``), so both sides
+carry the same nonzero factor d_X d_Y d_Z, the verdict is that of the
+unscaled products, and every product is of ints, or of elements of the
+polynomial ring of the entries' field.  A complex entry anywhere leaves the
 factors as they are.  Int spectral values stay exact: 1/u is an int or a
 Fraction (``scalars.exact_pow``), never a float.
 """
@@ -27,13 +28,12 @@ Fraction (``scalars.exact_pow``), never a float.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
 
 from .linalg import Matrix
 from .partitions import _require_int
-from .scalars import cleared, exact_div, exact_pow, is_zero
+from .scalars import cleared, cleared_type, exact_div, exact_pow, is_zero, plain_int
 
 
 class VertexWeights(NamedTuple):
@@ -48,7 +48,10 @@ class VertexWeights(NamedTuple):
 
 @dataclass(frozen=True)
 class ModelParameters:
-    """Ring size M, deformation alpha, and inhomogeneities w (default all 1)."""
+    """Ring size M, deformation alpha, and inhomogeneities w (default all 1).
+
+    An integral alpha or w_j (a numpy int, say) is kept as a Python int.
+    """
 
     alpha: object
     M: int
@@ -56,8 +59,8 @@ class ModelParameters:
 
     def __post_init__(self):
         object.__setattr__(self, "M", _require_int("M", self.M, 0))
-        w = self.w if self.w is not None else (1,) * self.M
-        w = tuple(w)
+        object.__setattr__(self, "alpha", plain_int(self.alpha))
+        w = tuple(map(plain_int, self.w)) if self.w is not None else (1,) * self.M
         if len(w) != self.M:
             raise ValueError("need one inhomogeneity per site")
         if any(is_zero(wj, 0) for wj in w):
@@ -163,7 +166,7 @@ def embed_two_site(m4: Matrix, pos) -> Matrix:
 
 
 def _cleared(m4: Matrix) -> Matrix:
-    """A rational 4x4 factor scaled by the lcm of its entries' denominators: an int matrix."""
+    """A 4x4 factor scaled by the lcm of its entries' denominators (``scalars.cleared``)."""
     nums, _ = cleared([x for row in m4.data for x in row])
     return Matrix([nums[i:i + 4] for i in range(0, 16, 4)])
 
@@ -171,12 +174,12 @@ def _cleared(m4: Matrix) -> Matrix:
 def _relation_holds(x, y, z) -> bool:
     """X Y Z == Z Y X for three (4x4 matrix, space pair) factors of the three-space chain.
 
-    With every entry an int or a Fraction, each factor is scaled by the lcm of
-    its denominators first (all or nothing), which scales both sides alike.
+    When the entries of all three have an exact ``scalars.cleared_type``, each
+    factor is cleared of its denominators first (all or nothing), which
+    scales both sides alike.
     """
     factors = (x, y, z)
-    if all(type(e) is int or type(e) is Fraction
-           for m4, _ in factors for row in m4.data for e in row):
+    if cleared_type([e for m4, _ in factors for row in m4.data for e in row]) is not None:
         factors = [(_cleared(m4), pos) for m4, pos in factors]
     ex, ey, ez = (embed_two_site(m4, pos) for m4, pos in factors)
     return ex * ey * ez == ez * ey * ex
@@ -185,7 +188,7 @@ def _relation_holds(x, y, z) -> bool:
 def rll_check(u, v, alpha, l_builder=None) -> bool:
     """R_12(u,v) L_13(u) L_23(v) == L_23(v) L_13(u) R_12(u,v), exactly.
 
-    Through ``_relation_holds``: on int numerators when every weight is rational.
+    Through ``_relation_holds``: on cleared numerators when every weight is exact.
     """
     build = l_builder if l_builder is not None else (lambda x: l_matrix(x, alpha))
     return _relation_holds((r_matrix(u, v), (0, 1)), (build(u), (0, 2)), (build(v), (1, 2)))
@@ -194,7 +197,7 @@ def rll_check(u, v, alpha, l_builder=None) -> bool:
 def ybe_check(u, v, w) -> bool:
     """Yang-Baxter equation for the R-matrix, exactly on C^2 x C^2 x C^2.
 
-    Through ``_relation_holds``: on int numerators when u, v and w are rational.
+    Through ``_relation_holds``: on cleared numerators when u, v and w are exact.
     """
     return _relation_holds((r_matrix(u, v), (0, 1)), (r_matrix(u, w), (0, 2)),
                            (r_matrix(v, w), (1, 2)))
@@ -206,8 +209,8 @@ def rtilde_check(u, w_j, w_k, alpha) -> bool:
     Spaces ordered (W_mu, V_j, V_k); this is the RLL relation on a common
     auxiliary space that makes the intermediate scalar products symmetric in
     the first M-N+n inhomogeneities.  The ratios are ``exact_div``s, so int
-    arguments stay exact, and with rational arguments the relation is checked
-    on int numerators (``_relation_holds``).
+    arguments stay exact, and with exact arguments the relation is checked
+    on cleared numerators (``_relation_holds``).
     """
     if is_zero(w_j, 0) or is_zero(w_k, 0) or is_zero(u, 0):
         raise ZeroDivisionError("spectral arguments must be nonzero")

@@ -8,9 +8,10 @@ non-int, a bool and an out-of-range row (for a number: nan, inf, complex, None
 and bool), with the exact message, and beside them ``Matrix``'s shape refusals,
 the inhomogeneity and space-pair refusals of ``vertex``, the summation
 sums' beta = 0 and ``scalars.rational_sqrt``'s; ``POLES`` holds ``vertex``'s
-zero-argument refusals and ``scalars.exact_div``'s int zero divisor
-(``ZeroDivisionError``); ``NUMPY_INTS``
-shows that an np.int64 size gives what the int gives; the hypothesis sweep
+zero-argument refusals, ``norm_det``'s poles and ``scalars.exact_div``'s
+int zero divisor (``ZeroDivisionError``); ``NUMPY_INTS`` shows that an
+np.int64 size, or spectral value, alpha or w of the sector oracle, gives
+what the int gives; the hypothesis sweep
 draws non-int sizes for every public name of the library modules that takes
 one (``acceptance`` and ``sampling``, the seeded battery behind the CLI, take
 argparse ints).
@@ -39,8 +40,9 @@ from fivevertex.partitions import (ParticleConfiguration, Partition, box_rank, e
 from fivevertex.scalarprod import IntermediateSpec, norm_det, recursion_check, scalar_product_det
 from fivevertex.scalars import exact_div, rational_sqrt
 from fivevertex.sector import (ModelParameters, Relations, SectorOperator, basis_index,
-                               build_monodromy_element, commutation_checks, hamiltonian,
-                               sector_basis, sector_dim, transfer_commute, transfer_matrix)
+                               bethe_state, build_monodromy_element, commutation_checks,
+                               dual_bethe_state, hamiltonian, sector_basis, sector_dim,
+                               transfer_commute, transfer_matrix)
 from fivevertex.symfunc import box_plan, grothendieck_box_cleared
 from fivevertex.tasep import (GreenQuery, SectorState, Spectrum, bethe_solve, current_terms,
                               density_terms, expectation, form_factor_sum, green_function_table,
@@ -188,6 +190,8 @@ REFUSALS = [
     *_int_rows("SectorOperator", lambda M: SectorOperator([[1]], 0, 0, M), "M", (2.0, True)),
     *_int_rows("build_monodromy_element", lambda n: build_monodromy_element("B", U, PARAMS, n),
                "n", (1.0, True)),
+    ("build_monodromy_element-kind", lambda: build_monodromy_element("E", U, PARAMS, 1),
+     "unknown monodromy element 'E'"),
     *_int_rows("transfer_matrix", lambda n: transfer_matrix(U, PARAMS, n), "n", (1.0, True)),
     *_int_rows("hamiltonian", lambda n: hamiltonian(PARAMS, n), "n", (1.0, True)),
     *_int_rows("Relations.commutation", lambda n: Relations(U, V, PARAMS).commutation(n), "n",
@@ -210,9 +214,14 @@ REFUSALS = [
                "N", (1.0, True, 4), " in 0..3"),
     *_int_rows("IntermediateSpec", lambda n: IntermediateSpec(n, (U,), (V,), (1,) * 3, 2, 3, 1),
                "n", (1.0, True, 2), " in 0..1"),
+    ("IntermediateSpec-lengths", lambda: IntermediateSpec(1, (U, V), (V,), (1,) * 3, 2, 3, 1),
+     "parameter list lengths do not match (n, N, M)"),
     *_int_rows("scalar_product_det", lambda M: scalar_product_det([U], [V], 2, M), "M",
                (2.0, True, -1), " >= 0"),
+    ("scalar_product_det-lengths", lambda: scalar_product_det([U], [U, V], 2, 3),
+     "need equally many u and v parameters"),
     *_int_rows("norm_det", lambda M: norm_det([U], 2, M), "M", (2.0, True, -1), " >= 0"),
+    ("norm_det-method", lambda: norm_det([U], 2, 3, "lu"), "unknown method 'lu'"),
     *_int_rows("recursion_check",
                lambda n: recursion_check(IntermediateSpec(n, (), (V,), (1,) * 3, 4, 3, 1)), "n",
                (0,), " >= 1"),
@@ -252,6 +261,12 @@ REFUSALS = [
     *_int_rows("cli relax", lambda i: _cli("tasep", "relax", "--M", "6", "--N", "2", "--from",
                                            "1,2", "--observable", f"current:{i}"),
                "observable site", (7, 0), " in 1..6"),
+    ("cli relax --observable", lambda: _cli("tasep", "relax", "--M", "6", "--N", "2", "--from",
+                                            "1,2", "--observable", "speed:1"),
+     "unknown observable 'speed:1'"),
+    ("cli relax --t-grid", lambda: _cli("tasep", "relax", "--M", "6", "--N", "2", "--from", "1,2",
+                                        "--observable", "density:1", "--t-grid", "0:10"),
+     "bad t-grid '0:10', expected start:stop:step"),
     # inputs that came out as a silent number or an internal TypeError before every
     # size and number went through the two helpers
     ("probe-ModelParameters-bool", lambda: ModelParameters(1, True),
@@ -316,12 +331,16 @@ def test_refusal(call, message):
     assert str(info.value) == message
 
 
-# vertex's nonzero refusals, where a value would be divided by zero
+# vertex's nonzero refusals and norm_det's poles, where a value would be divided by zero
 POLES = [
     ("rtilde_matrix", lambda: rtilde_matrix(0, F(1, 2)), "R~ is singular at u = 0"),
     ("rtilde_check-u", lambda: rtilde_check(F(0), 2, 3, 1), "spectral arguments must be nonzero"),
     ("rtilde_check-w_j", lambda: rtilde_check(2, 0, 3, 1), "spectral arguments must be nonzero"),
     ("rtilde_check-w_k", lambda: rtilde_check(2, 3, 0.0, 1), "spectral arguments must be nonzero"),
+    ("norm_det-pole", lambda: norm_det([F(2)], F(1, 4), 3),
+     "norm determinant pole at alpha = u^-2"),
+    ("norm_det-sylvester", lambda: norm_det([1], -1, 2, "sylvester"),
+     "Sylvester reduction needs alpha N + (M-N) u^-2 != 0; use method='det'"),
     # an int quotient by zero, in the words of 1 / 0
     ("exact_div-int", lambda: exact_div(1, 0), "division by zero"),
 ]
@@ -379,6 +398,16 @@ NUMPY_INTS = [
     ("commutation_checks", lambda I: commutation_checks(U, V, PARAMS, I(1))),
     ("transfer_commute", lambda I: transfer_commute(U, V, PARAMS, I(1))),
     ("ModelParameters", lambda I: ModelParameters(1, I(4))),
+    # spectral values, alpha and w: a numpy int used to reach float arithmetic
+    ("ModelParameters-alpha-w", lambda I: ModelParameters(I(2), 3, w=(I(1), I(2), 3))),
+    ("bethe_state-values", lambda I: bethe_state([I(2), I(3)], ModelParameters(1, 4))),
+    ("dual_bethe_state-values",
+     lambda I: dual_bethe_state([I(2), 3], ModelParameters(I(2), 4, w=(1, I(2), 1, 3)))),
+    ("build_monodromy_element-u",
+     lambda I: build_monodromy_element("D", I(2), ModelParameters(1, 4), 2).data),
+    ("transfer_matrix-u", lambda I: transfer_matrix(I(3), ModelParameters(I(1), 3), 1).data),
+    ("commutation_checks-values",
+     lambda I: commutation_checks(I(2), I(3), ModelParameters(I(1), 3, w=(1, I(2), 3)), 1)),
     ("IntermediateSpec", lambda I: IntermediateSpec(I(1), (U,), (V,), (1,) * 3, 2, I(3), I(1))),
     ("scalar_product_det", lambda I: scalar_product_det([U], [V], 2, I(2))),
     ("norm_det", lambda I: norm_det([U], 2, I(2))),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fivevertex.linalg import Matrix
-from fivevertex.scalars import exact_div, is_zero
+from fivevertex.scalars import cleared_quotient, cleared_type, exact_div, is_zero, numer_denom
 from fivevertex import sector, vertex
 from fivevertex.sector import (ModelParameters, Relations, SectorOperator, basis_index,
                                bethe_residual, bethe_state, build_monodromy_element,
@@ -397,11 +397,17 @@ def _path_entries(kind, u, params, n):
     return out
 
 
-def _path_element(kind, u, params, n):
+def _typed(x, lane):
+    """The reference value ``x`` in the type of ``lane``, a ``cleared_type``; x itself for None."""
+    return x if lane is None else cleared_quotient(*numer_denom(x), lane)
+
+
+def _path_element(kind, u, params, n, lane=None):
+    """Element ``kind`` from ``_path_entries``: each reached entry ``_typed``, 0 elsewhere."""
     a_out, b_in = _KINDS[kind]
     entries = _path_entries(kind, u, params, n)
     cols = len(sector_basis(params.M, n))
-    return [[entries.get((r, c), 0) for c in range(cols)]
+    return [[_typed(entries[r, c], lane) if (r, c) in entries else 0 for c in range(cols)]
             for r in range(len(sector_basis(params.M, n + b_in - a_out)))]
 
 
@@ -422,12 +428,12 @@ def _path_state(x_list, params, dual):
 
 
 def _parity_cases(rng):
-    """(params, spectral values) draws for the integer-lane parity test."""
+    """(params, spectral values) draws for the lane parity test."""
     from sympy import QQ
     from sympy.polys.fields import field
 
     cases = []
-    for M in (1, 2, 3):  # exchange-only paths, and the int 1 of M = 1
+    for M in (1, 2, 3):  # exchange-only paths, the one path of M = 1 among them
         cases.append((ModelParameters(rand_fraction(rng), M), distinct_squares(rng, M)))
     for alpha in (F(1), F(1, 4)):  # v v' = 1 cancels entries to Fraction(0, 1)
         cases.append((ModelParameters(alpha, 4), [F(2), F(1, 2), F(1), F(-2)]))
@@ -439,7 +445,8 @@ def _parity_cases(rng):
     cases.append((ModelParameters(F(2, 3), 4), [2, 3, -1]))
     cases.append((ModelParameters(3, 4, w=(1, 2, F(1, 2), 3)), [2, F(1, 3), 6]))
     cases.append((ModelParameters(F(3), 3, w=(F(2), F(1, 3), 1)), [F(4), 2, F(-1, 5)]))
-    # complex inputs take the generic path, bit for bit
+    # complex inputs take the None lane, bit for bit; the empty state beside a
+    # Fraction alpha is the Fraction lane's
     cases.append((ModelParameters(0.7 - 0.2j, 4, w=(1, F(1, 2), 2, 1)),
                   [0.9 + 0.3j, F(2, 3), -1.1 + 0.5j]))
     cases.append((ModelParameters(F(3, 4), 3), [1.5 + 0.25j, 0.5 - 1j]))
@@ -450,27 +457,31 @@ def _parity_cases(rng):
 
 
 def test_integer_lane_matches_the_generic_path_in_value_and_type(rng):
-    # repr compares types too: Fraction(1, 1) is not the exchange-only path's
-    # int 1, nor int 0 a cancelled Fraction(0, 1)
-    from fivevertex.sector import _site_tables
-
+    # repr compares types too: every value is the path reference's, in the type
+    # of the call's cleared_type over its spectral values, alpha and w
+    # (Fraction(1, 1) on the exchange-only path of Fraction inputs, an int
+    # where all-int inputs give an integral value); the None lane's values are
+    # the reference's own, bit for bit
     lane_draws = 0
     for params, x_list in _parity_cases(rng):
         M = params.M
         for length in range(min(len(x_list), M) + 1):
+            x = x_list[:length]
+            lane = cleared_type([*x, params.alpha, *params.w])
             for dual in (False, True):
-                x = x_list[:length]
                 got = outcome(lambda: (dual_bethe_state if dual else bethe_state)(x, params))
-                assert got == outcome(lambda: _path_state(x, params, dual)), (params, x, dual)
+                typed = outcome(lambda: [_typed(y, lane) for y in _path_state(x, params, dual)])
+                assert got == typed, (params, x, dual)
         for u in x_list:
-            lane_draws += _site_tables(u, params)[1] is not None
+            lane = cleared_type([u, params.alpha, *params.w])
+            lane_draws += lane is not None
             for kind, (a_out, b_in) in _KINDS.items():
                 for n in range(-1, M + 2):
                     in_range = 0 <= n <= M and 0 <= n + b_in - a_out <= M
                     for strict in (False, True) if in_range else (False,):
                         got = outcome(lambda: build_monodromy_element(kind, u, params, n,
                                                                       strict=strict).data)
-                        assert got == outcome(lambda: _path_element(kind, u, params, n)), \
+                        assert got == outcome(lambda: _path_element(kind, u, params, n, lane)), \
                             (params, u, kind, n, strict)
     assert lane_draws >= 20
 
@@ -526,7 +537,7 @@ def _reference_tau(u, v, params, n):
 
 
 def _relation_cases(rng):
-    """(params, u, v) draws for the relation-check parity test, on and off the lane."""
+    """(params, u, v) draws for the relation-check parity test, on every lane."""
     from sympy import QQ
     from sympy.polys.fields import field
 
@@ -536,9 +547,9 @@ def _relation_cases(rng):
         cases.append((ModelParameters(rand_fraction(rng), M), u, v))
     u, v = distinct_squares(rng, 2)
     cases += [
-        (ModelParameters(2, 4), 3, 5),  # int, every u/w_j integral: off the lane
+        (ModelParameters(2, 4), 3, 5),  # all ints, every u/w_j integral: the int lane
         (ModelParameters(F(1, 3), 3, w=(1, 2, 3)), 2, 5),  # int values, some u/w_j Fractions
-        (ModelParameters(1, 4), 2, u),  # mixed: u off the lane, v on it
+        (ModelParameters(1, 4), 2, u),  # an int u beside a Fraction v
         (ModelParameters(rand_fraction(rng), 4, w=(u, 2, F(1, 3), v)), F(3, 2), 2),
         (ModelParameters(rand_fraction(rng), 5, w=tuple(distinct_squares(rng, 5))), u, v),
         (ModelParameters(0, 3), u, v),  # the four-vertex point
@@ -557,13 +568,10 @@ def _relation_cases(rng):
 
 def test_relation_checks_match_dense_matrix_arithmetic(rng):
     # outcome compares the dicts, bools and exceptions (class and message)
-    from fivevertex.sector import _site_tables
-
     lane_draws = 0
     for params, u, v in _relation_cases(rng):
         M = params.M
-        lane_draws += all(not is_zero(x, 0) and _site_tables(x, params)[1] is not None
-                          for x in (u, v))
+        lane_draws += cleared_type([u, v, params.alpha, *params.w]) is not None
         for n in range(-1, M + 2):
             assert outcome(lambda: commutation_checks(u, v, params, n)) \
                 == outcome(lambda: _reference_commutation(u, v, params, n)), (params, u, v, n)
@@ -575,18 +583,25 @@ def test_relation_checks_match_dense_matrix_arithmetic(rng):
     assert lane_draws >= 10
 
 
-@pytest.mark.parametrize("lane", [True, False, "complex"])
-def test_relation_checks_fail_on_a_wrong_coefficient(monkeypatch, lane):
-    from fivevertex.sector import _site_tables
+def _lane_draw(lane):
+    """(u, v, params, their cleared_type): all ints, Fractions, QQ(a, x, y) or complex."""
+    from sympy import QQ
+    from sympy.polys.fields import field
 
-    # on the lane every u/w_j is a Fraction; off it every u/w_j is an int;
-    # complex coefficients are changed by a relative 1e-6 instead of by 1
-    if lane == "complex":
-        u, v, params = 1.5 - 0.5j, 0.25 + 1j, ModelParameters(1.25 + 0.5j, 3)
-    else:
-        u, v = (F(2, 3), F(5, 4)) if lane else (2, 5)
-        params = ModelParameters(F(1, 2) if lane else 3, 3)
-        assert all((_site_tables(x, params)[1] is not None) == lane for x in (u, v))
+    if lane == "field":
+        field_, a, x, y = field("a,x,y", QQ)
+        return x, y, ModelParameters(a, 3, w=(1, 2, 1)), field_
+    return {"int": (2, 6, ModelParameters(3, 3, w=(1, 2, 1)), int),
+            "fraction": (F(2, 3), F(5, 4), ModelParameters(F(1, 2), 3, w=(1, 2, 1)), F),
+            "complex": (1.5 - 0.5j, 0.25 + 1j, ModelParameters(1.25 + 0.5j, 3, w=(1, 2, 1)), None),
+            }[lane]
+
+
+@pytest.mark.parametrize("lane", ["int", "fraction", "field", "complex"])
+def test_relation_checks_fail_on_a_wrong_coefficient(monkeypatch, lane):
+    # exact coefficients are changed by 1, complex ones by a relative 1e-6
+    u, v, params, kind = _lane_draw(lane)
+    assert cleared_type([u, v, params.alpha, *params.w]) is kind
     assert all(commutation_checks(u, v, params, 1).values()) and rtt_check(u, v, params)
 
     def wrong(x):
@@ -618,20 +633,22 @@ def test_complex_relation_checks_hold_at_large_entries():
         assert all(commutation_checks(1.5 - 0.6j, F(-3), params, n).values()), n
 
 
-@pytest.mark.parametrize("lane", [True, False])
-def test_transfer_commute_fails_for_transfer_matrices_of_two_models(monkeypatch, lane):
+@pytest.mark.parametrize("exact", [True, False])
+def test_transfer_commute_fails_for_transfer_matrices_of_two_models(monkeypatch, exact):
     # d + 1 on the sites where u/w_j = v (sites 1 and 3) takes tau(v) out of
     # the commuting family of tau(u); a shift on every site would keep it in
-    u, v = (F(2, 3), F(5, 4)) if lane else (2, 6)
-    params = ModelParameters(F(1, 2) if lane else 3, 3, w=(1, 2, 1))
-    for n in range(4):
-        assert transfer_commute(u, v, params, n)
+    for lane in ("int", "fraction", "field") if exact else ("complex",):
+        u, v, params, _ = _lane_draw(lane)
+        for n in range(4):
+            assert transfer_commute(u, v, params, n)
 
-    def shifted(x, alpha):
-        weights = l_weights(x, alpha)
-        return weights._replace(d=weights.d + 1) if x == v else weights
-    monkeypatch.setattr(sector, "l_weights", shifted)
-    assert [transfer_commute(u, v, params, n) for n in range(4)] == [True, False, False, True]
+        def shifted(x, alpha, v=v):
+            weights = l_weights(x, alpha)
+            return weights._replace(d=weights.d + 1) if x == v else weights
+        with monkeypatch.context() as m:
+            m.setattr(sector, "l_weights", shifted)
+            assert [transfer_commute(u, v, params, n) for n in range(4)] \
+                == [True, False, False, True], lane
 
 
 _REFUSAL_ORDER = {"commutation": ("n", "fg", "u", "v"),
@@ -692,8 +709,8 @@ def test_a_sweep_over_sectors_builds_each_element_once(monkeypatch, lane):
     params = ModelParameters(F(1, 2) if lane else 1.25 + 0.5j, 5)
     built = []
     build = sector._sparse_element
-    monkeypatch.setattr(sector, "_sparse_element", lambda kind, sites, M, n, lane:
-                        built.append((kind, n, id(sites))) or build(kind, sites, M, n, lane))
+    monkeypatch.setattr(sector, "_sparse_element", lambda kind, tables, M, n:
+                        built.append((kind, n, id(tables))) or build(kind, tables, M, n))
     relations = Relations(u, v, params)
     for n in range(params.M + 1):
         assert all(relations.commutation(n).values())
@@ -712,8 +729,8 @@ def test_a_sweep_over_sectors_builds_each_element_once(monkeypatch, lane):
 
 
 @pytest.mark.parametrize("u,v,params", [
-    (F(2, 3), F(5, 7), ModelParameters(F(1, 2), 4)),  # the integer lane
-    (2, 5, ModelParameters(3, 4)),  # exact off the lane: every u/w_j an int
+    (F(2, 3), F(5, 7), ModelParameters(F(1, 2), 4)),  # the Fraction lane
+    (2, 5, ModelParameters(3, 4)),  # the int lane, every u/w_j an int
     (1.5 - 0.5j, 0.25 + 1j, ModelParameters(1.25 + 0.5j, 4)),  # complex
     # numpy ints used to reach exact_div's float a / b, so f and g were rounded
     # and CB, AB, DB and RTT failed where Python ints pass

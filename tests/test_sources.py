@@ -74,7 +74,7 @@ def test_the_float_determinants_are_taken_in_two_places():
 def test_the_relation_products_and_the_proof_field_are_each_in_one_place():
     # rll_check, ybe_check and rtilde_check (and the Appendix A family through
     # rll_check) take their 8x8 products in vertex._relation_holds, which clears
-    # rational factors to int numerators; a product chain compared elsewhere
+    # exact factors of their denominators; a product chain compared elsewhere
     # would skip that lane
     products, embeds = [], []
     for node in ast.parse((ROOT / "src/fivevertex/vertex.py").read_text()).body:
@@ -146,3 +146,29 @@ def test_all_criteria_are_the_ten_numbered_functions_in_order():
                 [("seed", inspect.Parameter.POSITIONAL_OR_KEYWORD, 100 + k)]
         else:
             assert params == []
+
+
+def test_only_scalars_decides_an_exact_lane_by_type():
+    # scalars.cleared_type is the exact lane's one rule; a `type(x) is Fraction`
+    # or an (int, Fraction) test elsewhere would grow a rule of its own.
+    # linalg.det and Matrix.__eq__ use theirs to pick an algorithm, not a lane
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Compare) and isinstance(child.left, ast.Call) \
+                    and ast.unparse(child.left.func) == "type" \
+                    and any(ast.unparse(c) == "Fraction" for c in child.comparators):
+                sites.append(where)
+            if isinstance(child, ast.Tuple) \
+                    and {"int", "Fraction"} <= {ast.unparse(e) for e in child.elts}:
+                sites.append(where)
+            visit(child, where)
+
+    for path in sorted(ROOT.glob("src/fivevertex/*.py")):
+        if path.stem != "scalars":
+            visit(ast.parse(path.read_text()), path.stem)
+    assert sorted(sites) == ["linalg.Matrix.__eq__", "linalg.det"]

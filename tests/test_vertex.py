@@ -144,7 +144,7 @@ def test_appendix_family_rejects_zero_function():
         appendix_a_family_check(F(1), F(2), F(3), lambda u: 0)
 
 
-# ------------------------------------------------- the relation checks on int numerators
+# --------------------------------------------- the relation checks on cleared numerators
 
 def _reference_embed(m4, pos):
     """The 4x4 operator on spaces ``pos`` tensored with 1, bit by bit: apart from vertex's maps."""
@@ -258,17 +258,13 @@ def test_one_wrong_entry_in_any_factor_breaks_each_relation(monkeypatch, u, v, w
     assert not appendix_a_family_check(F(2), F(3), F(5), lambda x: x, B=F(10) + F(1, 7))
 
 
-def test_complex_and_field_factors_stay_unscaled(monkeypatch):
-    from sympy import ZZ
-    from sympy.polys.fields import field
-
+def test_complex_factors_stay_unscaled(monkeypatch):
+    # a complex entry in any factor gives the None cleared_type: no factor is cleared
     def refuse(m4):
-        raise AssertionError("a factor was cleared off the all-rational lane")
+        raise AssertionError("a factor was cleared on the None lane")
 
-    _, a, x, y, z = field("a,x,y,z", ZZ)
     u, v, w, alpha = 1.1 - 0.2j, 0.4 + 0.9j, 1.7 + 0.1j, 0.6 + 0.1j
     cases = [
-        # complex factors
         (lambda: rll_check(u, v, alpha),
          lambda: _reference_rll(u, v, lambda t: l_matrix(t, alpha))),
         (lambda: ybe_check(u, v, w), lambda: _reference_ybe(u, v, w)),
@@ -276,9 +272,6 @@ def test_complex_and_field_factors_stay_unscaled(monkeypatch):
          lambda: _reference_holds((rtilde_matrix(v / w, alpha), (1, 2)),
                                   (l_matrix(u / w, alpha), (0, 2)),
                                   (l_matrix(u / v, alpha), (0, 1)))),
-        # field factors: the sympy branch of every product
-        (lambda: rll_check(x, y, a), lambda: _reference_rll(x, y, lambda t: l_matrix(t, a))),
-        (lambda: ybe_check(x, y, z), lambda: _reference_ybe(x, y, z)),
         # a rational R beside complex L factors, and rational L factors beside a complex R~
         (lambda: rll_check(F(2, 3), F(5, 7), alpha),
          lambda: _reference_rll(F(2, 3), F(5, 7), lambda t: l_matrix(t, alpha))),
@@ -291,7 +284,41 @@ def test_complex_and_field_factors_stay_unscaled(monkeypatch):
     references = [reference() for _, reference in cases]
     monkeypatch.setattr(vertex, "_cleared", refuse)
     assert [check() for check, _ in cases] == references
-    assert references == [True] * 7 + [False]
+    assert references == [True] * 5 + [False]
+
+
+def test_field_factors_are_cleared_into_their_ring(monkeypatch):
+    # as on the determinant side, field factors are cleared into the field's
+    # polynomial ring, and the verdicts are those of the uncleared products
+    from sympy import ZZ
+    from sympy.polys.fields import field
+
+    k, a, x, y, z = field("a,x,y,z", ZZ)
+    cleared, clear = [], vertex._cleared
+
+    def recorded(m4):
+        out = clear(m4)
+        cleared.append(all(type(e) is int or e.ring == k.ring for row in out.data for e in row))
+        return out
+
+    cases = [
+        (lambda: rll_check(x, y, a), lambda: _reference_rll(x, y, lambda t: l_matrix(t, a))),
+        (lambda: ybe_check(x, y, z), lambda: _reference_ybe(x, y, z)),
+        (lambda: rtilde_check(x, y, z, a),
+         lambda: _reference_holds((rtilde_matrix(y / z, a), (1, 2)),
+                                  (l_matrix(x / z, a), (0, 2)), (l_matrix(x / y, a), (0, 1)))),
+        # field factors beside a rational R
+        (lambda: rll_check(F(2, 3), F(5, 7), a),
+         lambda: _reference_rll(F(2, 3), F(5, 7), lambda t: l_matrix(t, a))),
+        # a wrong field entry is still seen
+        (lambda: rll_check(x, y, a, l_builder=_perturbed(lambda t: l_matrix(t, a), (2, 2))),
+         lambda: False),
+    ]
+    references = [reference() for _, reference in cases]
+    monkeypatch.setattr(vertex, "_cleared", recorded)
+    assert [check() for check, _ in cases] == references
+    assert references == [True] * 4 + [False]
+    assert cleared == [True] * 3 * len(cases)
 
 
 def test_embed_two_site_repr_matches_the_bit_loop(rng):

@@ -282,6 +282,30 @@ def test_scalar_loop_equals_the_batched_call(lane, dual):
     assert [repr(one(x, v, alpha, M)) for x in basis[::-1]] == cold[::-1]
 
 
+@pytest.mark.parametrize("lane", ["int", "fraction", "complex", "field"])
+def test_determinant_overlaps_equal_the_oracle_type_for_type(lane):
+    # every configuration with M <= 5 and N <= 3, M = 1 included.  Fraction and
+    # field overlaps equal the oracle's in type and repr; int ones in value
+    # (their type comes from pref * ratio), complex ones within 1e-10 relative
+    _, v_all, alpha = _lane(lane)
+    for M in range(1, 6):
+        params = ModelParameters(alpha, M)
+        for N in range(1, min(3, M) + 1):
+            v, basis = v_all[:N], sector_basis(M, N)
+            for dual, oracle in ((False, bethe_state), (True, dual_bethe_state)):
+                dets = wavefunction_dets(basis, v, alpha, M, dual=dual)
+                states = oracle(v, params)
+                assert len(dets) == len(states) == len(basis)
+                if lane == "complex":
+                    assert all(abs(d - s) <= 1e-10 * abs(s) for d, s in zip(dets, states)), \
+                        (M, N, dual)
+                elif lane == "int":
+                    assert dets == states, (M, N, dual)
+                else:
+                    assert [(type(x), repr(x)) for x in dets] \
+                        == [(type(x), repr(x)) for x in states], (M, N, dual)
+
+
 def test_equal_parameters_of_other_types_are_other_keys():
     # int 2, Fraction(2) and 2.0 compare equal, so do 0.0 and -0.0 and the
     # constants of two fields; each builds its own table
