@@ -43,15 +43,15 @@ denominator per row, once per point group, and the cross factor
 prod (p_h q_g - p_g q_h) / (q_h q_g) is taken in the same ring once.  Per
 pick ``linalg.det`` runs Bareiss on the sliced matrix, whose divisions stay
 exact in the ring without a gcd, and one ``scalars.cleared_quotient`` ends the
-ratio in the type ``cleared_type`` gives the pick's own inputs: an element
-of the field if one of them is, else a Fraction if one of them is, else an
-int where the ratio is integral.  At distinct points that are all field
-elements the cross numerator divides the alternant's numerator exactly and
-is divided out first, so ``field.new`` cancels only the rows' own
-denominators (powers of u for the wavefunction columns).  Fractions and
-field elements are stored reduced, so the value and its type fix the
-``repr``; ``det_ratio_labelled`` divides it by the labels' cross factor.
-The generic ``taylor`` + Bareiss path serves inexact inputs alone.
+ratio in the table's one type, the ``cleared_type`` of all its inputs (for
+``det_ratio_columns``, its own): an element of the field if one of them is,
+else a Fraction if one of them is, else an int where the ratio is integral.
+At distinct points that are all field elements the cross numerator divides
+the alternant's numerator exactly and is divided out first, so ``field.new``
+cancels only the rows' own denominators (powers of u for the wavefunction
+columns).  Fractions and field elements are stored reduced, so the value and
+its type fix the ``repr``; ``det_ratio_labelled`` divides it by the labels'
+cross factor.  The generic ``taylor`` + Bareiss path serves inexact inputs alone.
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ class PointTable:
     at construction: on the cleared lane as numerators with their
     denominators, off it (inexact inputs) by one ``taylor`` call per point
     group.  Each column is held as its entries, one per row.  A kept table
-    answers each later pick at one determinant.  A pick's ratio has the type
-    ``scalars.cleared_type`` gives its own inputs, the points and the picked
-    columns' coefficients and lins, whatever the table's other columns are.
+    answers each later pick at one determinant.  Every pick's ratio has the
+    table's type, the ``scalars.cleared_type`` of the points and of every
+    column's lin and coefficients, whichever columns the pick takes.
     """
 
     def __init__(self, columns, points):
@@ -147,10 +147,7 @@ class PointTable:
         if self.lane:
             rows, self.den, self.col_dens = lane
             self.cross_num, self.cross_den = _cleared_cross(self.groups)
-            # a pick's own inputs give the table's type when the points or each column do
-            self.kind, self.points, self.own = kind, points, own
-            self.mixed = (cleared_type(points) is not kind
-                          and any(cleared_type(inputs) is not kind for inputs in own))
+            self.kind = kind
             # at distinct field points each entry of a row is a form of one degree in the
             # point's (numerator, denominator), so the alternant is a multiple of
             # prod (p_h q_g - p_g q_h) in the polynomial ring
@@ -182,9 +179,7 @@ class PointTable:
                     den = den * self.cross_num
                 for k in pick:
                     den *= self.col_dens[k]
-                kind = self.kind if not self.mixed else cleared_type(
-                    chain(self.points, *(self.own[k] for k in pick)))
-                out.append(cleared_quotient(num * self.cross_den, den, kind))
+                out.append(cleared_quotient(num * self.cross_den, den, self.kind))
             return out
         return [exact_div(det(list(zip(*(cols[k] for k in pick)))), self.cross)
                 for pick in picks]

@@ -33,13 +33,12 @@ side.  A size (M, N, M_max) outside its range is refused by its own name
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from math import comb
 
 from .confluent import det_ratio_columns, det_ratio_labelled
 from .partitions import _require_int, box_rank
 from .ratfunc import RatFunc, taylor
-from .scalars import cleared_quotient, cleared_type, exact_div, is_inexact, is_zero, numer_denom
+from .scalars import cleared_quotient, cleared_type, exact_div, is_inexact, is_zero
 from .symfunc import _parts, grothendieck_box_cleared
 
 
@@ -48,6 +47,11 @@ def _check_counts(N, *sides):
     for side in sides:
         if len(side) != N:
             raise ValueError(f"need N = {N} variables, got {len(side)}")
+
+
+def _refuse_zero_y(y):
+    if any(is_zero(yk, 0) for yk in y):
+        raise ZeroDivisionError("the dual variables need y_k != 0, as Gbar(y) does")
 
 
 def cauchy_lhs(M, N, z, y, beta):
@@ -91,8 +95,7 @@ def cauchy_rhs(M, N, z, y, beta):
     M, N = _require_int("M", M), _require_int("N", N)
     z, y = list(z), list(y)
     _check_counts(N, z, y)
-    if any(is_zero(yk, 0) for yk in y):
-        raise ZeroDivisionError("the dual variables need y_k != 0, as Gbar(y) does")
+    _refuse_zero_y(y)
     coeffs = _kernel_coefficients(M, N, beta)
 
     def column_at(t, r):
@@ -108,18 +111,20 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
     Requires |z_j y_k| < 1 for every pair; returns the partial sums over the
     m^N boxes, their distances to the closed-form product, and a monotone
     convergence flag.  Every partial sum comes from one cleared M_max^N box
-    per side, whose last binomial(m + N, N) rows are the m^N box.
+    per side, whose last binomial(m + N, N) rows are the m^N box.  A zero y
+    is refused, as Gbar(y) refuses it.
     """
     N, M_max = _require_int("N", N, 0), _require_int("M_max", M_max, 1)
     z, y = list(z), list(y)
     _check_counts(N, z, y)
+    _refuse_zero_y(y)
     for zj in z:
         for yk in y:
             if abs(complex(zj * yk)) >= 1:
                 raise ValueError("divergent input: need |z_j y_k| < 1 for all pairs")
     product = 1
     for j in range(N):
-        product = product * ((1 + beta * z[j]) / (1 + beta * y[j] ** -1)) ** (N - 1)
+        product = product * exact_div(1 + beta * z[j], 1 + exact_div(beta, y[j])) ** (N - 1)
     for zj in z:
         for yk in y:
             product = exact_div(product, 1 - zj * yk)
@@ -194,8 +199,7 @@ def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
     _refuse_zero_beta(beta)
     if not dual:
         return det_ratio_columns(_sum_columns(M, N, beta), z)
-    if any(is_zero(yk, 0) for yk in z):
-        raise ZeroDivisionError("the dual variables need y_k != 0, as Gbar(y) does")
+    _refuse_zero_y(z)
     pref = 1
     for yk in z:
         pref = pref * yk ** (M - 1)
@@ -205,27 +209,20 @@ def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
 def grothendieck_sum_check(M, N, z, beta, dual: bool = False) -> bool:
     """Weighted sum over the box against the determinant form, exactly.
 
-    The sum of (-beta)^|lam| G_lam(z), or (-beta)^(-|lam|) Gbar_lam(z), is
-    one dot product of cleared numerators (``symfunc.grothendieck_box_cleared``):
-    with -beta = a/b the weights are a^|lam| b^(mN - |lam|) over b^(mN), m = M - N,
-    and a and b trade places for the dual.
+    The weights are a rescaling of the variables: (-beta)^|lam| G_lam(z; beta)
+    = G_lam(-beta z; -1) and (-beta)^(-|lam|) Gbar_lam(y; beta) = Gbar_lam(-y/beta; -1),
+    so the weighted sum is the plain sum of one ``symfunc.grothendieck_box_cleared``
+    box at the scaled variables, ended by one ``scalars.cleared_quotient`` in the
+    type of z and beta.  Sizes, counts, beta = 0 and two fields are refused first.
     """
     M, N = _require_int("M", M, 0), _require_int("N", N, 0, M)
     z = list(z)
     _check_counts(N, z)
     _refuse_zero_beta(beta)
-    m = M - N
-    g, den = grothendieck_box_cleared(z, beta, m, dual)
-    kind = cleared_type([*z, beta])
-    a, b = numer_denom(-beta) if kind is not None else (-beta, 1)
-    if dual:
-        a, b = b, a
-    powers = [a ** w * b ** (m * N - w) for w in range(m * N + 1)]
-    # the box's partitions in enumerate_box order, as the rows of g
-    box = combinations_with_replacement(range(m, -1, -1), N)
-    total = cleared_quotient(sum(powers[sum(lam)] * gi for lam, gi in zip(box, g)),
-                             den * b ** (m * N), kind)
-    diff = total - grothendieck_sum_det(M, N, z, beta, dual)
+    kind = cleared_type([*z, beta])  # refuses two fields before any arithmetic
+    scaled = [exact_div(-zj, beta) if dual else -beta * zj for zj in z]
+    g, den = grothendieck_box_cleared(scaled, -1, M - N, dual)
+    diff = cleared_quotient(sum(g), den, kind) - grothendieck_sum_det(M, N, z, beta, dual)
     return is_zero(diff, 1e-9 if is_inexact(diff) else 0)
 
 

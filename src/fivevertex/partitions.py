@@ -4,12 +4,16 @@ A configuration 1 <= x_1 < ... < x_N <= M of N particles on M sites
 corresponds bijectively to the diagram lambda inside the (M-N)^N box via
 
     lambda_j = x_{N-j+1} - N + j - 1,        x_j = lambda_{N-j+1} + j.
+
+``box_parts`` spells the one order of a box's partitions; ``enumerate_box``,
+``box_rank`` and the box plans of ``symfunc`` follow it.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 from numbers import Integral
 from typing import Iterator
@@ -120,18 +124,16 @@ def partition_to_config(lam: Partition, ring_size: int) -> ParticleConfiguration
     return ParticleConfiguration(positions, ring_size)
 
 
-def enumerate_box(m: int, n: int) -> Iterator[Partition]:
-    """All partitions in the m^n box, parts lexicographically decreasing; m, n checked up front."""
+def box_parts(m: int, n: int) -> Iterator[tuple]:
+    """The parts of every partition in the m^n box, as tuples, in the one box order:
+    lexicographically decreasing.  m, n are checked up front."""
     m, n = _require_int("m", m, 0), _require_int("n", n, 0)
+    return combinations_with_replacement(range(m, -1, -1), n)
 
-    def rec(prefix, remaining, bound):
-        if remaining == 0:
-            yield Partition(tuple(prefix), (m, n))
-            return
-        for p in range(bound, -1, -1):
-            yield from rec(prefix + [p], remaining - 1, p)
 
-    return rec([], n, m)
+def enumerate_box(m: int, n: int) -> Iterator[Partition]:
+    """The ``Partition`` of each row of ``box_parts(m, n)``, in its order; m, n checked up front."""
+    return (Partition(parts, (m, n)) for parts in box_parts(m, n))
 
 
 def box_rank(parts, m):

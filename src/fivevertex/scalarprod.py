@@ -36,7 +36,7 @@ from .confluent import det_ratio_labelled, sign_pairs
 from .linalg import Matrix, det
 from .partitions import _require_int
 from .ratfunc import Poly, taylor
-from .scalars import exact_div, exact_pow, is_inexact, rational_sqrt
+from .scalars import exact_div, exact_pow, is_inexact, is_zero, rational_sqrt
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,21 @@ def intermediate_scalar_det(spec: IntermediateSpec):
     K(s, u_j^2) of the module docstring; the other N - n columns are the
     products prod_{l != M-N+j} (alpha s - w_l^2) / w_l.  Coincident u-squares
     take Taylor columns in the label u^2, coincident v-squares Taylor rows.
+    Equal squares among the last N - n w_l, where the formula is 0/0, are
+    refused up front.
     """
     n, u, v, w, alpha, M, N = spec.n, spec.u, spec.v, spec.w, spec.alpha, spec.M, spec.N
     if N == 0:
         return 1
     w_sq = [x * x for x in w]
+    pref = 1
+    for j in range(M - N + n + 1, M + 1):
+        for k in range(j + 1, M + 1):
+            gap = w_sq[j - 1] - w_sq[k - 1]
+            if is_zero(gap, 0):
+                raise ValueError("the last N - n inhomogeneities need distinct squares, "
+                                 f"got w_{j}^2 = w_{k}^2")
+            pref = exact_div(pref, gap)
     w_prod = 1
     for wl in w:
         w_prod = w_prod * wl
@@ -128,10 +138,6 @@ def intermediate_scalar_det(spec: IntermediateSpec):
             poly = poly * Poly([-w_sq[l - 1], alpha])
             denom = denom * w[l - 1]
         fixed.append((poly * exact_div(1, denom)).column())
-    pref = 1
-    for j in range(M - N + n + 1, M + 1):
-        for k in range(j + 1, M + 1):
-            pref = exact_div(pref, w_sq[j - 1] - w_sq[k - 1])
     for uj in u:
         pref = pref * exact_div(alpha ** (N - n), w_prod * w_prod) * exact_pow(uj, 2 * N - 1 - M)
     for vk in v:
@@ -148,7 +154,7 @@ def domain_wall_value(spec: IntermediateSpec):
     out = alpha ** (N * (N - 1) // 2)
     for vj in v:
         for k in range(1, M - N + 1):
-            out = out * (alpha * vj / w[k - 1] - w[k - 1] / vj)
+            out = out * (exact_div(alpha * vj, w[k - 1]) - exact_div(w[k - 1], vj))
         out = out * vj ** (N - 1)
     for j in range(M - N + 1, M + 1):
         out = exact_div(out, w[j - 1] ** (N - 1))
@@ -174,8 +180,8 @@ def recursion_check(spec: IntermediateSpec) -> bool:
         u_n = sign * w_special / sqrt_alpha
         upper = IntermediateSpec(n, u[:n - 1] + (u_n,), v, w, alpha, M, N)
         s_upper = intermediate_scalar_det(upper)
-        factor = (alpha ** (N - n) * sqrt_alpha ** (-(M - 1)) * sign ** (M - 1)
-                  * w_special ** M / w_prod)
+        factor = exact_div(alpha ** (N - n) * exact_pow(sqrt_alpha, -(M - 1)) * sign ** (M - 1)
+                           * w_special ** M, w_prod)
         diff = s_upper - factor * s_lower
         tol = 1e-9 if is_inexact(diff) else 0
         if not (abs(diff) <= tol if is_inexact(diff) else diff == 0):
@@ -195,11 +201,11 @@ def norm_det(u, alpha, M, method: str = "det"):
     n = len(u)
     diag = []
     for uj in u:
-        inv2 = uj ** -2
+        inv2 = exact_pow(uj, -2)
         denom = alpha - inv2
         if is_inexact(denom) and abs(denom) < 1e-300 or (not is_inexact(denom) and denom == 0):
             raise ZeroDivisionError("norm determinant pole at alpha = u^-2")
-        diag.append((alpha * n + (M - n) * inv2) / denom)
+        diag.append(exact_div(alpha * n + (M - n) * inv2, denom))
     if method == "det":
         q = Matrix([[(diag[j] if j == k else 0) - 1 for k in range(n)] for j in range(n)])
         dq = det(q)

@@ -129,19 +129,14 @@ def cleared(values):
 def cleared_quotient(num, den, kind):
     """num / den in ``kind``, a ``cleared_type``; the plain ``exact_div`` for None.
 
-    num and den are ints, or elements of the polynomial ring of a field kind.
-    For an int or a Fraction kind they may also be ring elements of a
-    rational ratio, as in a table that shares its row denominators with a
-    column of a field: num is then a rational multiple of den, the ratio of
-    their leading coefficients.
+    num and den are ints for an int or a Fraction kind, and ints or elements
+    of the field's polynomial ring for a field kind: the numerators that
+    ``cleared`` gives the same inputs whose ``cleared_type`` is ``kind``.
     """
-    if kind is None:
+    if kind is Fraction:
+        return Fraction(num, den)
+    if kind is None or kind is int:
         return exact_div(num, den)
-    if kind is int or kind is Fraction:
-        if type(num) is not int or type(den) is not int:
-            n, d = getattr(num, "LC", num), getattr(den, "LC", den)
-            num, den = n.numerator * d.denominator, n.denominator * d.numerator
-        return Fraction(num, den) if kind is Fraction else exact_div(num, den)
     return kind.new(kind.ring(num), kind.ring(den))
 
 

@@ -56,13 +56,12 @@ box, so a sum over the box is one dot product and one division at the end.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 
 from .confluent import det_ratio_columns, sign_pairs
-from .partitions import Partition, _require_int, box_rank
+from .partitions import Partition, _require_int, box_parts, box_rank
 from .ratfunc import RatFunc
 from .scalars import COINCIDENCE_TOL, cleared_type, exact_div, is_zero, numer_denom
 
@@ -199,7 +198,7 @@ def box_plan(m, n):
 def _box_plan(m, n):
     passes = []
     for k in range(1, n + 1):
-        lam = np.array(list(combinations_with_replacement(range(m, -1, -1), k))).reshape(-1, k)
+        lam = np.array(list(box_parts(m, k))).reshape(-1, k)
         # mu_i runs over lam_(i+1) .. lam_i: edge t of a lam is that box's t-th point
         widths = lam[:, :-1] - lam[:, 1:] + 1
         counts = np.prod(widths, axis=1)

@@ -225,6 +225,30 @@ def test_box_sums_take_no_determinant(monkeypatch):
         calls.clear()
 
 
+def test_box_sums_at_complex_points(monkeypatch, rng):
+    # off the exact lane the box sides run grothendieck_box_cleared's value branch and
+    # scalars.cleared_quotient's None branch: cauchy_lhs against cauchy_rhs, and each
+    # weighted sum's difference from its determinant (the value grothendieck_sum_check
+    # tests), relative to max(1, |determinant side|), at seeded points for M <= 7, N <= 3
+    from fivevertex import identities
+
+    diffs, is_zero = [], identities.is_zero
+    monkeypatch.setattr(identities, "is_zero", lambda x, tol: diffs.append(x) or is_zero(x, tol))
+    point = lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))  # noqa: E731
+    worst = 0.0
+    for N in range(4):
+        for M in range(N, 8):
+            z, y, beta = [point() for _ in range(N)], [point() for _ in range(N)], point()
+            rhs = cauchy_rhs(M, N, z, y, beta)
+            worst = max(worst, abs(cauchy_lhs(M, N, z, y, beta) - rhs) / max(1, abs(rhs)))
+            for dual, x in ((False, z), (True, y)):
+                assert grothendieck_sum_check(M, N, x, beta, dual)
+                diff = diffs[-1]  # the check's last zero test
+                det = grothendieck_sum_det(M, N, x, beta, dual)
+                worst = max(worst, abs(diff) / max(1, abs(det)))
+    assert worst <= 1e-12
+
+
 def test_sum_single_variable_hand_check(rng):
     M, N = 3, 1
     z = [rand_fraction(rng)]

@@ -479,11 +479,22 @@ def _lane_point(rng, lane):
     return rng.choice([rng.randint(-3, 3), F(rng.randint(-6, 6), rng.randint(1, 4))])
 
 
+def _table_type(pool, picks, points):
+    """``scalars.cleared_type`` of ``_union_table``'s table: its points and every picked
+    column's lin and coefficients."""
+    from fivevertex.scalars import cleared_type
+
+    union = dict.fromkeys(k for pick in picks for k in pick)
+    return cleared_type(points + [x for k in union
+                                  for x in (*pool[k].lin, *(c for c, _, _ in pool[k].terms))])
+
+
 @pytest.mark.parametrize("lane", ["int", "fraction", "mixed", "complex"])
 def test_batched_ratios_match_one_set_calls(lane):
     # the picks of one PointTable over their columns against one det_ratio_columns call
-    # per pick, in repr (types, and the complex lane's bits, included), with coincident
-    # points and zero-base refusals
+    # per pick, with coincident points and zero-base refusals: in repr (types, and the
+    # complex lane's bits, included) where the pick's own inputs have the table's type;
+    # a mixed table's pick has the table's type and the one-pick table's value
     rng = Random(47)
     for _ in range(150):
         n = rng.randint(0, 4)
@@ -498,7 +509,13 @@ def test_batched_ratios_match_one_set_calls(lane):
         batch = outcome(lambda: _union_table(pool, picks, points))
         one_by_one = outcome(lambda: [det_ratio_columns([pool[k] for k in pick], points)
                                       for pick in picks])
-        assert batch == one_by_one
+        if lane != "mixed" or "Error: " in one_by_one:
+            assert batch == one_by_one
+            continue
+        singles = [det_ratio_columns([pool[k] for k in pick], points) for pick in picks]
+        kind = _table_type(pool, picks, points)
+        for got, single in zip(_union_table(pool, picks, points), singles):
+            assert got - single == 0 and _has_type(got, kind)
     # a set of the wrong length is refused
     assert outcome(lambda: det_ratio_columns([RatFunc([(1, 0, 0)])] * 2, [F(1, 2)])) \
         == "ValueError: need as many columns as points"
@@ -561,8 +578,8 @@ def _has_type(value, kind):
 
 
 # the kinds of (points, lins, coefficients) of each kind of exact table; the columns of
-# a table mix their lins and coefficients with ints, so a pick may have a lower type
-# than its table
+# a table mix their lins and coefficients with ints, so a pick's own inputs may have a
+# lower type than its table
 _TABLE_KINDS = {
     "int": ("int", "int", "int"),
     "fraction": ("fraction", "fraction", "fraction"),
@@ -576,13 +593,11 @@ _TABLE_KINDS = {
 
 @pytest.mark.parametrize("kind", list(_TABLE_KINDS))
 def test_a_ratio_depends_on_its_own_inputs_alone(monkeypatch, kind):
-    # every exact table takes the cleared lane; each pick of a table over several columns
-    # is, in repr, its one-pick table's ratio, of the type scalars.cleared_type gives
-    # the pick's own points, coefficients and lins; the values are the generic path's
+    # every exact table takes the cleared lane; the value of each pick of a table over
+    # several columns is its one-pick table's ratio and the generic path's, and its type
+    # is the one scalars.cleared_type gives the table's points, coefficients and lins
     import sympy
     from sympy.polys.fields import field
-
-    from fivevertex.scalars import cleared_type
 
     _, *gens = field("a,b,c", sympy.QQ)
     point_kind, lin_kind, coeff_kind = _TABLE_KINDS[kind]
@@ -601,15 +616,16 @@ def test_a_ratio_depends_on_its_own_inputs_alone(monkeypatch, kind):
                 for _ in range(n + 2)]
         picks = [[rng.randrange(len(pool)) for _ in range(n)] for _ in range(3)]
         batch = outcome(lambda: _union_table(pool, picks, points))
-        assert batch == outcome(lambda: [det_ratio_columns([pool[k] for k in pick], points)
-                                         for pick in picks])
-        if "Error: " in batch:
-            continue  # a zero base, refused alike
+        one_by_one = outcome(lambda: [det_ratio_columns([pool[k] for k in pick], points)
+                                      for pick in picks])
+        if "Error: " in one_by_one:
+            assert batch == one_by_one  # a zero base, refused alike
+            continue
         ratios = _union_table(pool, picks, points)
-        for pick, got in zip(picks, ratios):
-            own = points + [x for k in pick
-                            for x in (*pool[k].lin, *(c for c, _, _ in pool[k].terms))]
-            assert _has_type(got, cleared_type(own))
+        singles = [det_ratio_columns([pool[k] for k in pick], points) for pick in picks]
+        table_type = _table_type(pool, picks, points)
+        for got, single in zip(ratios, singles):
+            assert got - single == 0 and _has_type(got, table_type)
         draws.append((pool, picks, points, ratios))
     assert len(draws) > 15 and lanes and all(lanes)
     force_generic_path(monkeypatch)

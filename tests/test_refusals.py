@@ -6,10 +6,13 @@ in lo..hi, got <name> = <value>" (or ">= lo", "<= hi", no bound) or "<name>
 must be a finite number, got ...".  ``REFUSALS`` holds, for every call site, a
 non-int, a bool and an out-of-range row (for a number: nan, inf, complex, None
 and bool), with the exact message, and beside them ``Matrix``'s shape refusals,
-the inhomogeneity and space-pair refusals of ``vertex``, the summation
-sums' beta = 0 and ``scalars.rational_sqrt``'s; ``POLES`` holds ``vertex``'s
-zero-argument refusals, ``norm_det``'s poles and ``scalars.exact_div``'s
-int zero divisor (``ZeroDivisionError``); ``NUMPY_INTS`` shows that an
+the parts, positions and sizes of ``partitions`` and ``wavefunc``, the
+inhomogeneity and space-pair refusals of ``vertex`` and ``scalarprod``, the
+summation sums' beta = 0 and ``scalars.rational_sqrt``'s; ``POLES`` holds
+``vertex``'s zero-argument refusals, the poles of ``norm_det`` and of the
+matrix product, a zero y of ``cauchy_infinite_check`` and
+``scalars.exact_div``'s int zero divisor (``ZeroDivisionError``);
+``NUMPY_INTS`` shows that an
 np.int64 size, or spectral value, alpha or w of the sector oracle, gives
 what the int gives; the hypothesis sweep
 draws non-int sizes for every public name of the library modules that takes
@@ -37,7 +40,8 @@ from fivevertex.identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs
 from fivevertex.linalg import Matrix, det
 from fivevertex.partitions import (ParticleConfiguration, Partition, box_rank, enumerate_box,
                                    partition_to_config)
-from fivevertex.scalarprod import IntermediateSpec, norm_det, recursion_check, scalar_product_det
+from fivevertex.scalarprod import (IntermediateSpec, intermediate_scalar_det, norm_det,
+                                   recursion_check, scalar_product_det)
 from fivevertex.scalars import exact_div, rational_sqrt
 from fivevertex.sector import (ModelParameters, Relations, SectorOperator, basis_index,
                                bethe_state, build_monodromy_element, commutation_checks,
@@ -103,6 +107,10 @@ REFUSALS = [
     *_int_rows("enumerate_box", lambda m: enumerate_box(m, 2), "m", (2.0, True, -1), " >= 0"),
     *_int_rows("enumerate_box", lambda n: enumerate_box(2, n), "n", (2.0, True, -1), " >= 0"),
     *_int_rows("box_rank", lambda m: box_rank((0, 0), m), "m", (2.0, True, -1), " >= 0"),
+    ("Partition-parts", lambda: Partition((1,), (2, 2)), "expected 2 parts, got 1"),
+    ("Partition-box", lambda: Partition((3, 0), (2, 2)), "partition (3, 0) outside box 2^2"),
+    ("ParticleConfiguration-ring", lambda: ParticleConfiguration((0, 2), 4),
+     "positions (0, 2) outside ring of size 4"),
     # linalg
     *_int_rows("Matrix.zeros", lambda rows: Matrix.zeros(rows, 2), "rows", (2.5, True, -1),
                " >= 0"),
@@ -225,6 +233,10 @@ REFUSALS = [
     *_int_rows("recursion_check",
                lambda n: recursion_check(IntermediateSpec(n, (), (V,), (1,) * 3, 4, 3, 1)), "n",
                (0,), " >= 1"),
+    # equal squares there make the formula 0/0
+    ("intermediate_scalar_det-w",
+     lambda: intermediate_scalar_det(IntermediateSpec(0, (), (U, V), (1, 2, -2), 2, 3, 2)),
+     "the last N - n inhomogeneities need distinct squares, got w_2^2 = w_3^2"),
     # wavefunc
     *_int_rows("wavefunction_dets", lambda M: wavefunction_dets([(1,)], [U], 2, M), "M",
                (4.0, True, -1), " >= 0"),
@@ -239,6 +251,14 @@ REFUSALS = [
     *_int_rows("matrix_product_build",
                lambda n: matrix_product_build([F(1, k + 2) for k in range(n)], 2), "len(u)",
                (0, 7), " in 1..6"),
+    ("wavefunction_dets-size", lambda: wavefunction_dets([(1, 2)], [U], 2, 4),
+     "configuration size must match the number of parameters"),
+    ("wavefunction_trace-size", lambda: wavefunction_trace((1, 2), [U], 2, 4),
+     "matrix product state size must match the configuration"),
+    # two spectral parameters 1e-9 apart: the frame change divides by their difference,
+    # and the float split can no longer classify the entries
+    ("matrix_product_build-degenerate", lambda: matrix_product_build([0.5, 0.5 + 1e-9, 3.0], 2.0),
+     "degenerate spectral parameters break the operator split"),
     # cli: argparse hands the handlers ints, which the rows by exit code reach
     *_int_rows("cli --draws", lambda d: cli._vertex_relation(Namespace(draws=d, seed=1,
                                                                        action="rll-check")),
@@ -341,6 +361,11 @@ POLES = [
      "norm determinant pole at alpha = u^-2"),
     ("norm_det-sylvester", lambda: norm_det([1], -1, 2, "sylvester"),
      "Sylvester reduction needs alpha N + (M-N) u^-2 != 0; use method='det'"),
+    ("matrix_product_build-pole", lambda: matrix_product_build([U, 0], 2),
+     "matrix product needs u != 0 and alpha u^2 != 1"),
+    # y = 0 used to reach Python's own "0.0 cannot be raised to a negative power"
+    ("cauchy_infinite_check-y", lambda: cauchy_infinite_check(2, Z, [F(0), F(1, 3)], BETA),
+     "the dual variables need y_k != 0, as Gbar(y) does"),
     # an int quotient by zero, in the words of 1 / 0
     ("exact_div-int", lambda: exact_div(1, 0), "division by zero"),
 ]

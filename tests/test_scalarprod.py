@@ -111,6 +111,33 @@ def test_empty_products_are_the_int_one():
             assert norm == 1 and type(norm) is int
 
 
+# closed forms and determinants of integral arguments, given as ints or as Fractions
+_SPEC = ((2, 3), (1, 2, 5))  # v and w of a domain-wall spec at (M, N) = (3, 2), alpha = 1
+INT_LANE = [
+    ("norm_det", lambda c: norm_det([c(2)], c(3), 3)),
+    ("norm_det-sylvester", lambda c: norm_det([c(2)], c(3), 3, "sylvester")),
+    ("norm_det-two", lambda c: norm_det([c(2), c(3)], c(1), 4)),
+    ("norm_det-two-sylvester", lambda c: norm_det([c(2), c(3)], c(1), 4, "sylvester")),
+    ("domain_wall_value", lambda c: domain_wall_value(
+        IntermediateSpec(0, (), tuple(map(c, _SPEC[0])), tuple(map(c, _SPEC[1])), c(1), 3, 2))),
+    ("intermediate_scalar_det", lambda c: intermediate_scalar_det(
+        IntermediateSpec(0, (), tuple(map(c, _SPEC[0])), tuple(map(c, _SPEC[1])), c(1), 3, 2))),
+    ("recursion_check", lambda c: recursion_check(
+        IntermediateSpec(1, (c(2),), (c(3),), tuple(map(c, _SPEC[1])), c(4), 3, 1))),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=i) for i, c in INT_LANE])
+def test_int_arguments_stay_on_the_exact_lane(call):
+    # the int call equals the Fraction call, and its type follows scalars.cleared_type:
+    # an int where the value is integral, else a Fraction (norm_det([2], 3, 3) was a
+    # complex 17.45..., domain_wall_value a float 2.4)
+    exact, got = call(F), call(int)
+    assert got == exact and type(exact) in (F, bool)
+    if type(exact) is F:
+        assert type(got) is (int if exact.denominator == 1 else F)
+
+
 def test_norm_single_particle_closed_form(rng):
     # det Q~ at N = 1 collapses to M u^-2 / (alpha - u^-2)
     alpha = rand_fraction(rng)

@@ -172,3 +172,34 @@ def test_only_scalars_decides_an_exact_lane_by_type():
         if path.stem != "scalars":
             visit(ast.parse(path.read_text()), path.stem)
     assert sorted(sites) == ["linalg.Matrix.__eq__", "linalg.det"]
+
+
+def _function(module, qualname):
+    """The ast node of ``qualname`` (``Class.method`` or ``function``) in a package module."""
+    node = ast.parse((ROOT / "src/fivevertex" / f"{module}.py").read_text())
+    for name in qualname.split("."):
+        node = next(child for child in node.body
+                    if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == name)
+    return node
+
+
+def _calls(node):
+    return {ast.unparse(child.func) for child in ast.walk(node) if isinstance(child, ast.Call)}
+
+
+def test_the_symmetric_function_layer_makes_each_decision_once():
+    # the box order is spelled in partitions alone, and the box plans read it without
+    # building a Partition per row
+    spellers = [path.name for path in ROOT.glob("src/fivevertex/*.py")
+                if "combinations_with_replacement" in path.read_text()]
+    assert spellers == ["partitions.py"]
+    assert {"box_parts"} <= _calls(_function("symfunc", "_box_plan"))
+    assert not {"Partition", "enumerate_box"} & _calls(_function("symfunc", "_box_plan"))
+    # a table's picks take the table's one type, which scalars.cleared_quotient takes
+    # as it is: no per-pick cleared_type, no leading-coefficient branch
+    assert "cleared_type" not in _calls(_function("confluent", "PointTable.ratios"))
+    assert ".LC" not in (ROOT / "src/fivevertex/scalars.py").read_text()
+    # the weighted sums are one box at rescaled variables: no weight table, no second box
+    calls = _calls(_function("identities", "grothendieck_sum_check"))
+    assert "grothendieck_box_cleared" in calls
+    assert not {"numer_denom", "box_parts", "enumerate_box"} & calls
