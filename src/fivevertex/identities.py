@@ -33,12 +33,13 @@ side.  A size (M, N, M_max) outside its range is refused by its own name
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
 from .confluent import det_ratio_columns, det_ratio_labelled
 from .partitions import _require_int, box_rank
 from .ratfunc import RatFunc, taylor
-from .scalars import cleared_quotient, cleared_type, exact_div, is_inexact, is_zero
+from .scalars import (cleared_quotient, cleared_type, exact_div, in_type, is_inexact, is_zero,
+                      plain_int)
 from .symfunc import _parts, grothendieck_box_cleared
 
 
@@ -61,7 +62,7 @@ def cauchy_lhs(M, N, z, y, beta):
     denominator (``symfunc.grothendieck_box_cleared``), divided once.
     """
     M, N = _require_int("M", M, 0), _require_int("N", N, 0, M)
-    z, y = list(z), list(y)
+    z, y, beta = [plain_int(x) for x in z], [plain_int(x) for x in y], plain_int(beta)
     _check_counts(N, z, y)
     kind = cleared_type([*z, *y, beta])  # refuses two fields before any arithmetic
     g, g_den = grothendieck_box_cleared(z, beta, M - N)
@@ -93,7 +94,7 @@ def cauchy_rhs(M, N, z, y, beta):
     rows, coincident y the Taylor columns in y of the kernel's coefficients.
     """
     M, N = _require_int("M", M), _require_int("N", N)
-    z, y = list(z), list(y)
+    z, y, beta = [plain_int(x) for x in z], [plain_int(x) for x in y], plain_int(beta)
     _check_counts(N, z, y)
     _refuse_zero_y(y)
     coeffs = _kernel_coefficients(M, N, beta)
@@ -102,7 +103,7 @@ def cauchy_rhs(M, N, z, y, beta):
         return [RatFunc([(c, i, 0) if i < M else (c, 0, i - M) for i, c in enumerate(row)],
                         (1, beta)) for row in taylor(coeffs, t, r)]
 
-    return det_ratio_labelled(column_at, y, z)
+    return in_type(det_ratio_labelled(column_at, y, z), cleared_type([*z, *y, beta]))
 
 
 def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
@@ -115,16 +116,15 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
     is refused, as Gbar(y) refuses it.
     """
     N, M_max = _require_int("N", N, 0), _require_int("M_max", M_max, 1)
-    z, y = list(z), list(y)
+    z, y, beta = [plain_int(x) for x in z], [plain_int(x) for x in y], plain_int(beta)
     _check_counts(N, z, y)
     _refuse_zero_y(y)
     for zj in z:
         for yk in y:
             if abs(complex(zj * yk)) >= 1:
                 raise ValueError("divergent input: need |z_j y_k| < 1 for all pairs")
-    product = 1
-    for j in range(N):
-        product = product * exact_div(1 + beta * z[j], 1 + exact_div(beta, y[j])) ** (N - 1)
+    product = prod(exact_div(1 + beta * zj, 1 + exact_div(beta, yj)) ** (N - 1)
+                   for zj, yj in zip(z, y))
     for zj in z:
         for yk in y:
             product = exact_div(product, 1 - zj * yk)
@@ -194,16 +194,15 @@ def grothendieck_sum_det(M, N, z, beta, dual: bool = False):
     sums over that box; this side never enumerates it.
     """
     M, N = _require_int("M", M, 0), _require_int("N", N, 0)
-    z = list(z)
+    z, beta = [plain_int(x) for x in z], plain_int(beta)
     _check_counts(N, z)
     _refuse_zero_beta(beta)
+    kind = cleared_type([*z, beta])
     if not dual:
-        return det_ratio_columns(_sum_columns(M, N, beta), z)
+        return in_type(det_ratio_columns(_sum_columns(M, N, beta), z), kind)
     _refuse_zero_y(z)
-    pref = 1
-    for yk in z:
-        pref = pref * yk ** (M - 1)
-    return pref * det_ratio_columns(_sum_columns(M, N, beta, dual=True), z)
+    pref = prod(yk ** (M - 1) for yk in z)
+    return in_type(pref * det_ratio_columns(_sum_columns(M, N, beta, dual=True), z), kind)
 
 
 def grothendieck_sum_check(M, N, z, beta, dual: bool = False) -> bool:
@@ -216,7 +215,7 @@ def grothendieck_sum_check(M, N, z, beta, dual: bool = False) -> bool:
     type of z and beta.  Sizes, counts, beta = 0 and two fields are refused first.
     """
     M, N = _require_int("M", M, 0), _require_int("N", N, 0, M)
-    z = list(z)
+    z, beta = [plain_int(x) for x in z], plain_int(beta)
     _check_counts(N, z)
     _refuse_zero_beta(beta)
     kind = cleared_type([*z, beta])  # refuses two fields before any arithmetic
@@ -231,6 +230,7 @@ def orthogonality_weight(z, beta, M, N):
     D_j = M + (M-N) beta z_j, prod_{j!=k} (z_j - z_k) prod_j z_j^(1-N) (1 + beta z_j)
     / (prod_j D_j + sum_j beta z_j prod_{k!=j} D_k), finite where a D_j vanishes."""
     M, N = _require_int("M", M), _require_int("N", N)
+    z, beta = [plain_int(x) for x in z], plain_int(beta)
     num, den, terms, power = 1, 1, 0, 1  # terms: sum_j beta z_j prod_{k!=j} D_k so far
     for j, zj in enumerate(z):
         d = M + (M - N) * beta * zj

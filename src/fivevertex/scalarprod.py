@@ -30,18 +30,22 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .confluent import det_ratio_labelled, sign_pairs
 from .linalg import Matrix, det
 from .partitions import _require_int
 from .ratfunc import Poly, taylor
-from .scalars import exact_div, exact_pow, is_inexact, is_zero, rational_sqrt
+from .scalars import (cleared_type, exact_div, exact_pow, in_type, is_inexact, is_zero, plain_int,
+                      rational_sqrt)
 
 
 @dataclass(frozen=True)
 class IntermediateSpec:
-    """Parameters of S({u}_n | {v}_N | {w}): n C-operators against N B-operators."""
+    """Parameters of S({u}_n | {v}_N | {w}): n C-operators against N B-operators.
+
+    Integral u, v, w and alpha (numpy ints, say) are kept as ints.
+    """
 
     n: int
     u: tuple
@@ -52,9 +56,9 @@ class IntermediateSpec:
     N: int
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "v", tuple(self.v))
-        object.__setattr__(self, "w", tuple(self.w))
+        for name in ("u", "v", "w"):
+            object.__setattr__(self, name, tuple(map(plain_int, getattr(self, name))))
+        object.__setattr__(self, "alpha", plain_int(self.alpha))
         object.__setattr__(self, "M", _require_int("M", self.M, 0))
         object.__setattr__(self, "N", _require_int("N", self.N, 0, self.M))
         object.__setattr__(self, "n", _require_int("n", self.n, 0, self.N))
@@ -113,9 +117,7 @@ def intermediate_scalar_det(spec: IntermediateSpec):
                 raise ValueError("the last N - n inhomogeneities need distinct squares, "
                                  f"got w_{j}^2 = w_{k}^2")
             pref = exact_div(pref, gap)
-    w_prod = 1
-    for wl in w:
-        w_prod = w_prod * wl
+    w_prod = prod(w)
     # Q(s) = prod_{l <= M-N+n} (alpha s - w_l^2); binomially when the w_l are equal,
     # as they are in scalar_product_det (no power 0 is taken, to keep the products' types)
     m_q = M - N + n
@@ -145,7 +147,7 @@ def intermediate_scalar_det(spec: IntermediateSpec):
     m = M - N + 1
     ratio = det_ratio_labelled(lambda t, r: _kernel_columns(q, m, t, r),
                                [x * x for x in u], [x * x for x in v], fixed)
-    return pref * (sign_pairs(n) * ratio)
+    return in_type(pref * (sign_pairs(n) * ratio), cleared_type([*u, *v, *w, alpha]))
 
 
 def domain_wall_value(spec: IntermediateSpec):
@@ -158,7 +160,7 @@ def domain_wall_value(spec: IntermediateSpec):
         out = out * vj ** (N - 1)
     for j in range(M - N + 1, M + 1):
         out = exact_div(out, w[j - 1] ** (N - 1))
-    return out
+    return in_type(out, cleared_type([*v, *w, alpha]))
 
 
 def recursion_check(spec: IntermediateSpec) -> bool:
@@ -171,9 +173,7 @@ def recursion_check(spec: IntermediateSpec) -> bool:
     _require_int("n", n, 1)  # the recursion freezes a C-operator's row
     sqrt_alpha = cmath.sqrt(alpha) if is_inexact(alpha) else rational_sqrt(alpha)
     w_special = w[M - N + n - 1]
-    w_prod = 1
-    for wl in w:
-        w_prod = w_prod * wl
+    w_prod = prod(w)
     lower = IntermediateSpec(n - 1, u[:n - 1], v, w, alpha, M, N)
     s_lower = intermediate_scalar_det(lower)
     for sign in (1, -1):
@@ -182,9 +182,7 @@ def recursion_check(spec: IntermediateSpec) -> bool:
         s_upper = intermediate_scalar_det(upper)
         factor = exact_div(alpha ** (N - n) * exact_pow(sqrt_alpha, -(M - 1)) * sign ** (M - 1)
                            * w_special ** M, w_prod)
-        diff = s_upper - factor * s_lower
-        tol = 1e-9 if is_inexact(diff) else 0
-        if not (abs(diff) <= tol if is_inexact(diff) else diff == 0):
+        if not is_zero(s_upper - factor * s_lower, 1e-9):
             return False
     return True
 
@@ -197,7 +195,7 @@ def norm_det(u, alpha, M, method: str = "det"):
     determinant.  Computable off-shell, but equals the u = v limit of the
     scalar product only on-shell.
     """
-    u, M = list(u), _require_int("M", M, 0)
+    u, alpha, M = [plain_int(x) for x in u], plain_int(alpha), _require_int("M", M, 0)
     n = len(u)
     diag = []
     for uj in u:
@@ -221,11 +219,9 @@ def norm_det(u, alpha, M, method: str = "det"):
         dq = prod_diag * (1 - inv_sum)
     else:
         raise ValueError(f"unknown method {method!r}")
-    pref = 1
-    for uj in u:
-        pref = pref * uj ** (2 * (M + n - 1))
+    pref = prod(uj ** (2 * (M + n - 1)) for uj in u)
     for j in range(n):
         for k in range(n):
             if j != k:
                 pref = exact_div(pref, u[j] * u[j] - u[k] * u[k])
-    return pref * dq
+    return in_type(pref * dq, cleared_type([*u, alpha]))

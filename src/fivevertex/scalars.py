@@ -140,6 +140,14 @@ def cleared_quotient(num, den, kind):
     return kind.new(kind.ring(num), kind.ring(den))
 
 
+def in_type(x, kind):
+    """``x`` in ``kind``, the ``cleared_type`` of its inputs: an integral product of
+    Fractions on the int lane, ``Fraction(n, 1)``, is the int n; anything else is ``x``."""
+    if kind is int and type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 def exact_pow(x, e):
     """x^e; a negative power of an int stays exact, and of an exact zero raises."""
     if e >= 0:

@@ -10,10 +10,12 @@ come from ``vertex.l_weights`` once per site and spectral value.  Every
 column of a source sector is swept at once, so an element's entries come
 out column by column with only the entries a vertex path reaches.
 
-``bethe_state`` and ``dual_bethe_state`` contract those entries with the
-current (co)vector and build no matrix; a dense matrix between
-binomial(M,n) configuration bases is made only when an operator is asked
-for (``build_monodromy_element``, ``transfer_matrix``, ``hamiltonian``).
+``bethe_state`` and ``dual_bethe_state`` sweep the whole (dual) state
+through each spectral value's site tables, the ket from site 1 to M, the
+bra from M back to 1 (each vertex reads the same from either side); a dense
+matrix between binomial(M,n) configuration bases is made only when an
+operator is asked for (``build_monodromy_element``, ``transfer_matrix``,
+``hamiltonian``).
 
 A ``SectorOperator`` is a ``linalg.Matrix`` labelled with its source and
 target sectors and ring size, ints (``partitions._require_int``); the matrix
@@ -32,13 +34,13 @@ the polynomial ring of the inputs' field), and the exchange vertices b and
 c weigh D_j too, so every vertex path carries exactly one factor per site:
 an entry is its numerator over prod_j D_j, with no quotient formed on the
 way.  ``build_monodromy_element`` (and so ``transfer_matrix``) divides once
-per entry, and ``bethe_state`` and ``dual_bethe_state`` contract numerators
-over one running denominator and divide once per output entry, each by one
-``scalars.cleared_quotient``: a Fraction for Fraction inputs, an int where
-the quotient is integral for all-int inputs, an element of the field for
-field inputs such as criterion 3's Q(alpha, u).  On the ``None`` lane
-(complex inputs, or a field over an inexact domain) the weights are
-``l_weights``' own, the denominator is 1 and nothing is divided.
+per entry, and the states once per output entry, by the product of their
+values' denominators, each by one ``scalars.cleared_quotient``: a Fraction
+for Fraction inputs, an int where the quotient is integral for all-int
+inputs, an element of the field for field inputs such as criterion 3's
+Q(alpha, u).  On the ``None`` lane (complex inputs, or a field over an
+inexact domain) the weights are ``l_weights``' own, the denominator is 1
+and nothing is divided; a state's float sums follow the sweep's order.
 
 A ``Relations`` object checks the monodromy algebra at one (u, v) on every
 sector without multiplying matrices: each relation is one vanishing
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
 from .linalg import Matrix
 from .partitions import _require_int
@@ -163,11 +165,6 @@ def _mask(cfg):
     return sum(1 << (x - 1) for x in cfg)
 
 
-def _row_index(M, n):
-    """Position in the sector-n basis of each configuration mask."""
-    return {_mask(cfg): i for i, cfg in enumerate(sector_basis(M, n))}
-
-
 def _lane(values, params: ModelParameters):
     """``values`` with integral ones as ints, and the ``cleared_type`` of them, alpha and w."""
     values = [plain_int(x) for x in values]
@@ -213,13 +210,17 @@ def _quotient(num, den, lane):
 
 
 def _sweep(state, tables):
-    """Push the amplitudes ``{key: amp}`` through the sites of ``tables`` in order."""
+    """Push the amplitudes ``{key: amp}`` through the sites of ``tables`` in order.
+
+    Paths that meet on a key add; a key reached once keeps its amplitude (-0.0 too).
+    """
     for j, table in tables:
         swept = {}
         for key, amp in state.items():
             for flip, weight in table[((key & 1) << 1) | ((key >> j) & 1)]:
-                # no out repeats: keys equal off bit j and aux share a column, which fixes both
-                swept[key ^ flip] = amp if weight is None else amp * weight
+                out, term = key ^ flip, amp if weight is None else amp * weight
+                prev = swept.get(out)
+                swept[out] = term if prev is None else prev + term
         state = swept
     return state
 
@@ -237,8 +238,9 @@ def _columns(kind, tables, M: int, n: int, strict: bool = True):
     Returns ``(col, row mask, entry)`` for every entry a vertex path reaches,
     grouped by ascending column; no other entry can be nonzero.  Every column
     of the source basis is swept at once, its index held in the key bits
-    above site M.  The vertices conserve particles + aux, so an exit with
-    aux = a_out always lands in the target sector.  An entry is its
+    above site M, so no two paths meet on a key.  The vertices conserve
+    particles + aux, so an exit with aux = a_out always lands in the target
+    sector.  An entry is its
     numerator over the tables' denominator.  Refuses (if ``strict``) a
     sector overflow.
     """
@@ -253,21 +255,6 @@ def _columns(kind, tables, M: int, n: int, strict: bool = True):
     sites_mask = (1 << shift) - 1
     return [(key >> shift, (key & sites_mask) >> 1, amp)
             for key, amp in _sweep(state, tables).items() if key & 1 == a_out]
-
-
-def _bethe_steps(kind, params: ModelParameters, values, sectors):
-    """The ``_columns`` of ``kind`` at each spectral value of ``values``, on its sector.
-
-    Returns (entries per step, den, lane): a contraction of the steps'
-    numerators is a numerator over den, which is 1 on the ``None`` lane.
-    """
-    values, lane = _lane(values, params)
-    steps, den = [], 1
-    for x, n in zip(values, sectors):
-        tables, d = _site_tables(x, params, lane)
-        steps.append(_columns(kind, tables, params.M, n))
-        den *= d
-    return steps, den, lane
 
 
 def build_monodromy_element(kind, u, params: ModelParameters, n: int,
@@ -292,7 +279,7 @@ def _element(kind, sites, lane, M: int, n: int, strict: bool = True) -> SectorOp
     """``build_monodromy_element`` from the site tables of its spectral value, on ``lane``."""
     a_out, b_in = _KIND_AUX[kind]
     n_out = n + (b_in - a_out)
-    row_of = _row_index(M, n_out)
+    row_of = {_mask(cfg): i for i, cfg in enumerate(sector_basis(M, n_out))}
     tables, den = sites
     entries = [[0] * sector_dim(M, n) for _ in range(len(row_of))]
     for col, mask, amp in _columns(kind, tables, M, n, strict):
@@ -337,45 +324,39 @@ def hamiltonian(params: ModelParameters, n: int) -> SectorOperator:
 
 def bethe_state(v_list, params: ModelParameters):
     """prod_j B(v_j) |Omega> as an amplitude vector on the len(v)-sector."""
-    steps, den, lane = _bethe_steps("B", params, v_list, range(len(v_list)))
-    vec = [1]
-    for k, entries in enumerate(steps):
-        row_of = _row_index(params.M, k + 1)
-        out = [0] * len(row_of)
-        for col, mask, amp in entries:
-            r = row_of[mask]
-            out[r] = out[r] + amp * vec[col]
-        vec = out
-    return [_quotient(x, den, lane) for x in vec]
+    return _state("B", v_list, params)
 
 
 def dual_bethe_state(u_list, params: ModelParameters):
     """<Omega| prod_j C(u_j) as an amplitude covector on the len(u)-sector."""
-    steps, den, lane = _bethe_steps("C", params, u_list, range(1, len(u_list) + 1))
-    bra = [1]
-    for k, entries in enumerate(steps):
-        row_of = _row_index(params.M, k)
-        out = [0] * sector_dim(params.M, k + 1)
-        # each column sums its rows in ascending order, as the product bra * C
-        # would, so that float amplitudes round alike
-        for col, r, amp in sorted((col, row_of[mask], amp) for col, mask, amp in entries):
-            out[col] = out[col] + bra[r] * amp
-        bra = out
-    return [_quotient(x, den, lane) for x in bra]
+    return _state("C", u_list, params)
+
+
+def _state(kind, values, params: ModelParameters):
+    """The vacuum ket through B, or bra through C, at each of ``values`` in turn: the state
+    enters with the aux bit the element takes in (the bra, swept from site M back, with the
+    one C gives out) and is kept where it leaves with the other."""
+    values, lane = _lane(values, params)
+    a_out, b_in = _KIND_AUX[kind]
+    enter, leave, order = (b_in, a_out, 1) if kind == "B" else (a_out, b_in, -1)
+    state, den = {enter: 1}, 1
+    for n, x in enumerate(values):
+        tables, d = _site_tables(x, params, lane)
+        # the source sector of C is the one the bra is taken to
+        _refuse_overflow(kind, params.M, n + a_out)
+        swept = _sweep(state, tables[::order])
+        state = {key ^ leave ^ enter: amp for key, amp in swept.items() if key & 1 == leave}
+        den *= d
+    return [_quotient(state.get(_mask(cfg) << 1 | enter, 0), den, lane)
+            for cfg in sector_basis(params.M, len(values))]
 
 
 def _a_func(u, params):
-    out = 1
-    for wj in params.w:
-        out = out * exact_div(u, wj)
-    return out
+    return prod(exact_div(u, wj) for wj in params.w)
 
 
 def _d_func(u, params):
-    out = 1
-    for wj in params.w:
-        out = out * (exact_div(params.alpha * u, wj) - exact_div(wj, u))
-    return out
+    return prod(exact_div(params.alpha * u, wj) - exact_div(wj, u) for wj in params.w)
 
 
 def bethe_residual(u_set, params: ModelParameters):

@@ -63,7 +63,7 @@ import numpy as np
 from .confluent import det_ratio_columns, sign_pairs
 from .partitions import Partition, _require_int, box_parts, box_rank
 from .ratfunc import RatFunc
-from .scalars import COINCIDENCE_TOL, cleared_type, exact_div, is_zero, numer_denom
+from .scalars import COINCIDENCE_TOL, cleared_type, exact_div, is_zero, numer_denom, plain_int
 
 # the most entries, rows * edges, of one pass of ``grothendieck_box``: its
 # temporaries stay near 1 MB whatever the box (larger chunks measured slower)
@@ -113,7 +113,7 @@ def _refuse_dual_poles(z, beta):
 def _bialternant(lam, z, beta, dual):
     """G_lambda(z; beta), or Gbar_lambda with ``dual``: the parts are checked first, then
     the dual's poles, and the N columns go to one ``confluent.det_ratio_columns``."""
-    z = list(z)
+    z, beta = [plain_int(x) for x in z], plain_int(beta)
     n = len(z)
     parts = _parts(lam, n)
     if dual:
@@ -295,7 +295,7 @@ def grothendieck_box_cleared(z, beta, m, dual: bool = False):
     variables may coincide; the dual refuses a zero variable and, for N >= 2,
     a pole z_j + beta = 0, as ``dual_grothendieck_eval`` does.
     """
-    z = list(z)
+    z, beta = [plain_int(x) for x in z], plain_int(beta)
     n = len(z)
     # box_plan's m is an int; with no variable the box holds the empty partition alone (G = 1)
     m, passes = box_plan(m, max(n, 1))

@@ -43,14 +43,16 @@ are implemented; their agreement is one of the package's master checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .confluent import PointTable, det_ratio_columns, sign_pairs
 from .linalg import Matrix
 from .partitions import ParticleConfiguration, _require_int
 from .ratfunc import RatFunc
-from .scalars import cache_key, eq, exact_div, exact_pow, is_inexact, is_zero
+from .scalars import (cache_key, cleared_type, eq, exact_div, exact_pow, in_type, is_inexact,
+                      is_zero, plain_int)
 
-from math import comb
+from math import comb, prod
 
 
 def _positions(x, M):
@@ -87,7 +89,7 @@ def wavefunction_dets(configs, v, alpha, M, dual: bool = False):
     a refused call leaves the kept table as it was.
     """
     M = _require_int("M", M, 0)
-    v = list(v)
+    v, alpha = [plain_int(x) for x in v], plain_int(alpha)
     n = len(v)
     positions = []
     for x in configs:
@@ -101,7 +103,8 @@ def wavefunction_dets(configs, v, alpha, M, dual: bool = False):
     pref, index, table = sector
     ratios = table.ratios([[index[kx] for kx in enumerate(pos, 1)] for pos in positions])
     _last_sector[:] = key, sector
-    return [pref * ratio for ratio in ratios]
+    kind = cleared_type([*v, alpha])
+    return [in_type(pref * ratio, kind) for ratio in ratios]
 
 
 def _sector_table(v, alpha, M, dual):
@@ -129,22 +132,22 @@ def _sector_table(v, alpha, M, dual):
 def step_overlap_value(u, alpha, M):
     """Closed form <psi({u}_N)|12...N> = alpha^(N(N-1)/2) prod u^(N-1) (alpha u - 1/u)^(M-N)."""
     n, M = len(u), _require_int("M", M, 0)
+    u, alpha = [plain_int(x) for x in u], plain_int(alpha)
     out = alpha ** (n * (n - 1) // 2)
     for uj in u:
         out = out * uj ** (n - 1) * (alpha * uj - exact_pow(uj, -1)) ** (M - n)
-    return out
+    return in_type(out, cleared_type([*u, alpha]))
 
 
 def staircase_overlap_value(u, alpha, M):
     """Closed form for x_j = 2j-1: prod (alpha u - 1/u)^(M-2N+1) prod_{j<k} (alpha^2 u_j^2 u_k^2 - 1)."""
     n, M = len(u), _require_int("M", M, 0)
-    out = 1
-    for uj in u:
-        out = out * (alpha * uj - exact_pow(uj, -1)) ** (M - 2 * n + 1)
+    u, alpha = [plain_int(x) for x in u], plain_int(alpha)
+    out = prod((alpha * uj - exact_pow(uj, -1)) ** (M - 2 * n + 1) for uj in u)
     for j in range(n):
         for k in range(j + 1, n):
             out = out * (alpha ** 2 * u[j] ** 2 * u[k] ** 2 - 1)
-    return out
+    return in_type(out, cleared_type([*u, alpha]))
 
 
 @dataclass
@@ -187,38 +190,54 @@ class MatrixProductState:
 
 def _block2(tl, tr, bl, br):
     """Assemble a 2x2 block matrix (new auxiliary bit is the outer index)."""
-    dim = tl.rows
-    out = []
-    for r in range(dim):
-        out.append(list(tl.data[r]) + list(tr.data[r]))
-    for r in range(dim):
-        out.append(list(bl.data[r]) + list(br.data[r]))
-    return Matrix(out)
+    return Matrix([a + b for a, b in zip(tl.data, tr.data)]
+                  + [a + b for a, b in zip(bl.data, br.data)])
+
+
+# the least relative gap of two float exchange weights: the frame change divides by their
+# difference, so the trace is within about 1e-16 / gap of the determinants (1.9e-10 at 1.1e-6)
+_Q_GAP = 1e-6
+# a float split entry that matches no q_j is a rounding residue below this share of the
+# largest |entry| (residues measured up to 1e-8 at n = 6; matched ratios within 7e-16)
+_RESIDUE = 1e-6
+
+
+def _refuse_degenerate(q_weights):
+    """Refuse two exchange weights equal, or for floats within a relative ``_Q_GAP``."""
+    for (j, qj), (k, qk) in combinations(enumerate(q_weights, start=1), 2):
+        if is_zero(qj - qk, _Q_GAP * max(abs(qj), abs(qk)) if is_inexact(qj - qk) else 0):
+            raise ValueError("degenerate spectral parameters break the operator split: "
+                             f"the exchange weights q_{j} and q_{k} agree within a "
+                             f"relative {_Q_GAP:g}")
 
 
 def _split_by_weight(mat, a_diag, q_weights, conjugation="B"):
     """Split entries of ``mat`` by their exchange weight against diag(a_diag).
 
     For B-type operators the entry (r, c) belongs to parameter j when
-    a_diag[c]/a_diag[r] equals q_j; for C-type when a_diag[r]/a_diag[c]
-    does.  Unclassifiable nonzero entries mean the spectral parameters are
-    degenerate.
+    a_diag[c]/a_diag[r] equals q_j (for floats to within half of ``_Q_GAP``,
+    relatively); for C-type when a_diag[r]/a_diag[c] does.  A float entry
+    that matches no q_j and is below ``_RESIDUE`` times the largest |entry|
+    is a rounding residue and dropped; any other unclassifiable nonzero
+    entry is refused.
     """
     dim = mat.rows
+    scale = max((abs(x) for row in mat.data for x in row if is_inexact(x)), default=0)
     split = {j: Matrix.zeros(dim, dim) for j in range(1, len(q_weights) + 1)}
     for r in range(dim):
         for c in range(dim):
             val = mat[r, c]
-            if is_zero(val, 0 if not is_inexact(val) else 1e-14):
+            if is_zero(val, 0):
                 continue
             ratio = (exact_div(a_diag[c], a_diag[r]) if conjugation == "B"
                      else exact_div(a_diag[r], a_diag[c]))
             for j, q in enumerate(q_weights, start=1):
-                if eq(ratio, q, 1e-9):
+                if eq(ratio, q, _Q_GAP / 2 * abs(q) if is_inexact(q) else 0):
                     split[j][r, c] = val
                     break
             else:
-                raise ValueError("degenerate spectral parameters break the operator split")
+                if not is_zero(val, _RESIDUE * scale):
+                    raise ValueError("degenerate spectral parameters break the operator split")
     return split
 
 
@@ -232,7 +251,7 @@ def matrix_product_build(u, alpha) -> MatrixProductState:
 
     starting from A_1 = diag(u_1, alpha u_1 - 1/u_1), B_1 = |1><0|.
     """
-    u = tuple(u)
+    u, alpha = tuple(plain_int(x) for x in u), plain_int(alpha)
     # a verification artifact of 2^n auxiliary dimension: the determinants serve larger n
     _require_int("len(u)", len(u), 1, 6)
     for uj in u:
@@ -248,6 +267,7 @@ def matrix_product_build(u, alpha) -> MatrixProductState:
     g_inv = Matrix.identity(2)
     a_diag = [u1, d1]
     q_weights = [exact_div(uj, alpha * uj - exact_pow(uj, -1)) for uj in u]
+    _refuse_degenerate(q_weights)
     for step in range(1, len(u)):
         t = u[step]
         dt = alpha * t - exact_pow(t, -1)
@@ -296,10 +316,7 @@ def wavefunction_trace(x, u, alpha, M, mps: MatrixProductState = None, dual: boo
         raise ValueError("matrix product state size must match the configuration")
     a_mat = mps.A
     x_mat = mps.B if dual else mps.C
-    powers = [pos[0] - 1]
-    for k in range(1, n):
-        powers.append(pos[k] - pos[k - 1] - 1)
-    powers.append(M - pos[-1])
+    powers = [pos[0] - 1, *(b - a - 1 for a, b in zip(pos, pos[1:])), M - pos[-1]]
     result = Matrix.identity(a_mat.rows)
     for k in range(n + 1):
         for _ in range(powers[k]):
@@ -307,7 +324,7 @@ def wavefunction_trace(x, u, alpha, M, mps: MatrixProductState = None, dual: boo
         if k < n:
             result = x_mat * result
     top = 2 ** n - 1
-    return result[top, 0] if dual else result[0, top]
+    return in_type(result[top, 0] if dual else result[0, top], cleared_type([*mps.u, mps.alpha]))
 
 
 def _sum_weight(alpha, M, m):
@@ -332,7 +349,7 @@ def dual_wavefunction_sum(u, alpha, M):
 
 
 def _weighted_sum(v, alpha, M, dual):
-    v, M = list(v), _require_int("M", M, 0)
+    v, alpha, M = [plain_int(x) for x in v], plain_int(alpha), _require_int("M", M, 0)
     n = len(v)
     cols = [RatFunc([(_sum_weight(alpha, M, m), j - 1 - m, 0) for m in range(j)])
             for j in range(1, n)]
@@ -340,9 +357,5 @@ def _weighted_sum(v, alpha, M, dual):
         top = RatFunc([(-_sum_weight(alpha, M, m), n - 1 - m, 0)
                        for m in range(max(n - 1, 1), M + 1)])
         cols = [top] + cols[::-1] if dual else cols + [top]
-    pref = 1
-    for vj in v:
-        pref = pref * vj ** (M + 1)
-    if dual:
-        pref = pref * sign_pairs(n)
-    return pref * det_ratio_columns(cols, [vj * vj for vj in v])
+    pref = prod(vj ** (M + 1) for vj in v) * (sign_pairs(n) if dual else 1)
+    return in_type(pref * det_ratio_columns(cols, [vj * vj for vj in v]), cleared_type([*v, alpha]))

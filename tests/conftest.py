@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -49,3 +50,13 @@ def outcome(call):
         return repr(call())
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def has_type(value, kind):
+    """Whether ``value`` has the type ``kind`` of ``scalars.cleared_type``: an int kind
+    gives an int where the value is integral."""
+    if kind is int:
+        return type(value) is (int if value.denominator == 1 else Fraction)
+    if kind is Fraction:
+        return type(value) is Fraction
+    return value.field is kind

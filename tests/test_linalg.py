@@ -12,7 +12,7 @@ from fivevertex.linalg import Matrix, det
 from fivevertex.confluent import PointTable, det_ratio_columns, det_ratio_labelled
 from fivevertex.ratfunc import RatFunc, int_rows, taylor
 
-from conftest import force_generic_path, outcome, rand_fraction, record_lanes
+from conftest import force_generic_path, has_type, outcome, rand_fraction, record_lanes
 
 
 def det_cofactor(rows):
@@ -515,7 +515,7 @@ def test_batched_ratios_match_one_set_calls(lane):
         singles = [det_ratio_columns([pool[k] for k in pick], points) for pick in picks]
         kind = _table_type(pool, picks, points)
         for got, single in zip(_union_table(pool, picks, points), singles):
-            assert got - single == 0 and _has_type(got, kind)
+            assert got - single == 0 and has_type(got, kind)
     # a set of the wrong length is refused
     assert outcome(lambda: det_ratio_columns([RatFunc([(1, 0, 0)])] * 2, [F(1, 2)])) \
         == "ValueError: need as many columns as points"
@@ -567,16 +567,6 @@ def _kind_scalar(rng, kind, gens):
     return rng.choice(gens) * rng.randint(1, 2) + rng.randint(-1, 1)
 
 
-def _has_type(value, kind):
-    """Whether ``value`` has the type ``kind`` of ``scalars.cleared_type``: an int kind
-    gives an int where the value is integral."""
-    if kind is int:
-        return type(value) is (int if value.denominator == 1 else F)
-    if kind is F:
-        return type(value) is F
-    return value.field is kind
-
-
 # the kinds of (points, lins, coefficients) of each kind of exact table; the columns of
 # a table mix their lins and coefficients with ints, so a pick's own inputs may have a
 # lower type than its table
@@ -625,7 +615,7 @@ def test_a_ratio_depends_on_its_own_inputs_alone(monkeypatch, kind):
         singles = [det_ratio_columns([pool[k] for k in pick], points) for pick in picks]
         table_type = _table_type(pool, picks, points)
         for got, single in zip(ratios, singles):
-            assert got - single == 0 and _has_type(got, table_type)
+            assert got - single == 0 and has_type(got, table_type)
         draws.append((pool, picks, points, ratios))
     assert len(draws) > 15 and lanes and all(lanes)
     force_generic_path(monkeypatch)

@@ -14,7 +14,9 @@ matrix product, a zero y of ``cauchy_infinite_check`` and
 ``scalars.exact_div``'s int zero divisor (``ZeroDivisionError``);
 ``NUMPY_INTS`` shows that an
 np.int64 size, or spectral value, alpha or w of the sector oracle, gives
-what the int gives; the hypothesis sweep
+what the int gives, and ``NUMPY_VALUES`` that an np.int64 value, beta,
+alpha or w of the determinant side gives the int's value in the int's
+type; the hypothesis sweep
 draws non-int sizes for every public name of the library modules that takes
 one (``acceptance`` and ``sampling``, the seeded battery behind the CLI, take
 argparse ints).
@@ -40,14 +42,15 @@ from fivevertex.identities import (cauchy_infinite_check, cauchy_lhs, cauchy_rhs
 from fivevertex.linalg import Matrix, det
 from fivevertex.partitions import (ParticleConfiguration, Partition, box_rank, enumerate_box,
                                    partition_to_config)
-from fivevertex.scalarprod import (IntermediateSpec, intermediate_scalar_det, norm_det,
-                                   recursion_check, scalar_product_det)
+from fivevertex.scalarprod import (IntermediateSpec, domain_wall_value, intermediate_scalar_det,
+                                   norm_det, recursion_check, scalar_product_det)
 from fivevertex.scalars import exact_div, rational_sqrt
 from fivevertex.sector import (ModelParameters, Relations, SectorOperator, basis_index,
                                bethe_state, build_monodromy_element, commutation_checks,
                                dual_bethe_state, hamiltonian, sector_basis, sector_dim,
                                transfer_commute, transfer_matrix)
-from fivevertex.symfunc import box_plan, grothendieck_box_cleared
+from fivevertex.symfunc import (box_plan, dual_grothendieck_eval, grothendieck_box_cleared,
+                                grothendieck_eval, schur_eval)
 from fivevertex.tasep import (GreenQuery, SectorState, Spectrum, bethe_solve, current_terms,
                               density_terms, expectation, form_factor_sum, green_function_table,
                               master_oracle, sector_generator, sum_rule_check)
@@ -256,9 +259,10 @@ REFUSALS = [
     ("wavefunction_trace-size", lambda: wavefunction_trace((1, 2), [U], 2, 4),
      "matrix product state size must match the configuration"),
     # two spectral parameters 1e-9 apart: the frame change divides by their difference,
-    # and the float split can no longer classify the entries
+    # so exchange weights that close are refused up front, by name
     ("matrix_product_build-degenerate", lambda: matrix_product_build([0.5, 0.5 + 1e-9, 3.0], 2.0),
-     "degenerate spectral parameters break the operator split"),
+     "degenerate spectral parameters break the operator split: the exchange weights q_1 and "
+     "q_2 agree within a relative 1e-06"),
     # cli: argparse hands the handlers ints, which the rows by exit code reach
     *_int_rows("cli --draws", lambda d: cli._vertex_relation(Namespace(draws=d, seed=1,
                                                                        action="rll-check")),
@@ -452,6 +456,61 @@ NUMPY_INTS = [
 @pytest.mark.parametrize("call", [pytest.param(c, id=i) for i, c in NUMPY_INTS])
 def test_a_numpy_int_size_gives_what_the_int_gives(call):
     assert repr(call(np.int64)) == repr(call(int))
+
+
+# spectral values, beta, alpha and w of the determinant side: a numpy int used to give a
+# numpy float (grothendieck_eval, cauchy_lhs, grothendieck_sum_check) or numpy's own
+# "Integers to negative integer powers are not allowed."
+NUMPY_VALUES = [
+    ("schur_eval", lambda I: schur_eval((2, 1), [I(2), I(3)])),
+    ("grothendieck_eval", lambda I: grothendieck_eval((2, 1), [I(2), I(3)], I(1))),
+    ("dual_grothendieck_eval", lambda I: dual_grothendieck_eval((2, 1), [I(2), I(3)], I(1))),
+    ("grothendieck_box_cleared", lambda I: grothendieck_box_cleared([I(2), I(3)], I(1), 2)),
+    ("grothendieck_box_cleared-dual",
+     lambda I: grothendieck_box_cleared([I(2), I(3)], I(1), 2, dual=True)),
+    ("cauchy_lhs", lambda I: cauchy_lhs(4, 2, [I(2), I(3)], [I(5), I(7)], I(1))),
+    ("cauchy_rhs", lambda I: cauchy_rhs(4, 2, [I(2), I(3)], [I(5), I(7)], I(1))),
+    ("cauchy_infinite_check",
+     lambda I: cauchy_infinite_check(2, [F(1, 3), F(1, 5)], [F(1, 2), F(1, 7)], I(2), 3)),
+    ("grothendieck_sum_det", lambda I: grothendieck_sum_det(4, 2, [I(2), I(3)], I(2))),
+    ("grothendieck_sum_det-dual",
+     lambda I: grothendieck_sum_det(4, 2, [I(2), I(3)], I(2), dual=True)),
+    ("grothendieck_sum_check", lambda I: grothendieck_sum_check(4, 2, [I(2), I(3)], I(1))),
+    ("orthogonality_weight", lambda I: orthogonality_weight([I(2), I(3)], I(-1), 4, 2)),
+    ("scalar_product_det", lambda I: scalar_product_det([I(2), I(3)], [I(5), I(7)], I(1), 4)),
+    ("intermediate_scalar_det", lambda I: intermediate_scalar_det(
+        IntermediateSpec(1, (I(2),), (I(3), I(5)), (1, I(2), 3, I(5)), I(1), 4, 2))),
+    ("domain_wall_value", lambda I: domain_wall_value(
+        IntermediateSpec(0, (), (I(3), I(5)), (1, I(2), 3, I(5)), I(2), 4, 2))),
+    ("recursion_check",
+     lambda I: recursion_check(IntermediateSpec(1, (I(2),), (I(3),), (1, I(2), 5), I(4), 3, 1))),
+    ("norm_det", lambda I: norm_det([I(2), I(3)], I(1), 4)),
+    ("norm_det-sylvester", lambda I: norm_det([I(2), I(3)], I(1), 4, "sylvester")),
+    ("wavefunction_dets",
+     lambda I: wavefunction_dets([(1, 2), (1, 3), (2, 5)], [I(2), I(3)], I(1), 5)),
+    ("wavefunction_det", lambda I: wavefunction_det((1, 3), [I(2), I(3)], I(1), 5)),
+    ("dual_wavefunction_det", lambda I: dual_wavefunction_det((1, 3), [I(2), I(3)], I(1), 5)),
+    ("step_overlap_value", lambda I: step_overlap_value([I(2), I(3)], I(1), 5)),
+    ("staircase_overlap_value", lambda I: staircase_overlap_value([I(2), I(3)], I(1), 5)),
+    ("wavefunction_trace", lambda I: wavefunction_trace((1, 3), [I(2), I(3)], I(1), 5)),
+    ("matrix_product_build", lambda I: matrix_product_build([I(2), I(3)], I(1)).A.data),
+    ("wavefunction_sum", lambda I: wavefunction_sum([I(2), I(3)], I(1), 5)),
+    ("dual_wavefunction_sum", lambda I: dual_wavefunction_sum([I(2), I(3)], I(1), 5)),
+]
+
+
+def _same(a, b):
+    """Whether a and b agree in value (``a - b == 0``) and in type, item by item."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple, np.ndarray)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a - b == 0
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=i) for i, c in NUMPY_VALUES])
+def test_a_numpy_int_value_gives_what_the_int_gives(call):
+    assert _same(call(np.int64), call(int))
 
 
 def _heavy(*args, **kwargs):

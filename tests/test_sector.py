@@ -18,7 +18,7 @@ from fivevertex.sector import (ModelParameters, Relations, SectorOperator, basis
                                transfer_matrix)
 from fivevertex.vertex import f_weight, g_weight, l_matrix, l_weights, r_matrix
 
-from conftest import distinct_squares, outcome, rand_fraction
+from conftest import distinct_squares, has_type, outcome, rand_fraction
 
 
 def mat_solve(a, b):
@@ -337,14 +337,52 @@ def test_sector_blocks_match_the_full_space_monodromy(rng, M):
         assert dual_bethe_state(v, params) == [bra[bits] for bits in configs]
 
 
+def _chain_cases(rng):
+    """(params, values) with inhomogeneous w on the int, Fraction and field lanes."""
+    from sympy import QQ
+    from sympy.polys.fields import field
+
+    cases = []
+    for M in (4, 5, 7):
+        cases.append((ModelParameters(rng.randint(2, 4), M,
+                                      w=tuple(rng.choice((1, 2, 3)) for _ in range(M))),
+                      [rng.choice((-3, -2, 2, 3, 5)) for _ in range(4)]))
+        cases.append((ModelParameters(rand_fraction(rng), M, w=tuple(distinct_squares(rng, M))),
+                      distinct_squares(rng, 4)))
+    _, a, x, y = field("a,x,y", QQ)
+    cases.append((ModelParameters(a, 4, w=(1, 2, F(1, 2), 1)), [x, y, 2 * x]))
+    return cases
+
+
+def test_bethe_states_are_products_of_built_elements(rng):
+    # the states share no contraction with the elements: B(v_1)...B(v_N) applied to the
+    # vacuum ket and the vacuum bra taken through C(u_1)...C(u_N), as Matrix products
+    for params, values in _chain_cases(rng):
+        M = params.M
+        for length in range(len(values) + 1):
+            x = values[:length]
+            lane = cleared_type([*x, params.alpha, *params.w])
+            ket, bra = Matrix([[1]]), Matrix([[1]])
+            for n, xk in enumerate(x):
+                ket = build_monodromy_element("B", xk, params, n) * ket
+                bra = bra * build_monodromy_element("C", xk, params, n + 1)
+            for got, want in ((bethe_state(x, params), [row[0] for row in ket.data]),
+                              (dual_bethe_state(x, params), bra.data[0])):
+                assert len(got) == comb(M, length)
+                assert all(g - y == 0 for g, y in zip(got, want)), (params, x)
+                assert all(has_type(g, lane) for g in got), (params, x)
+
+
 def test_int_spectral_parameters_stay_exact():
     # Every division and negative power of a spectral parameter stays in the
-    # exact lane: int inputs give the values of the same Fraction inputs.
+    # exact lane: int inputs give the values of the same Fraction inputs, an int
+    # where the value is integral (the determinant side used to give Fraction(n, 1))
     from fivevertex.vertex import l_weights
-    from fivevertex.wavefunc import dual_wavefunction_det, wavefunction_det
+    from fivevertex.wavefunc import (dual_wavefunction_det, step_overlap_value,
+                                     wavefunction_det, wavefunction_dets, wavefunction_trace)
 
     def exact(values):
-        return all(isinstance(x, (int, F)) for x in values)
+        return all(has_type(x, int) for x in values)
 
     params, params_f = ModelParameters(1, 5), ModelParameters(F(1), 5)
     ket, bra = bethe_state([2, 3], params), dual_bethe_state([2, 3], params)
@@ -355,7 +393,11 @@ def test_int_spectral_parameters_stay_exact():
     assert l_weights(2, 1).d == F(3, 2) and exact(l_weights(2, 1))
     psi = wavefunction_det((1, 3), [2, 3], 1, 5)
     dual = dual_wavefunction_det((1, 3), [2, 3], 1, 5)
-    assert exact([psi, dual]) and (psi, dual) == (1260, 560)
+    trace = wavefunction_trace((1, 3), [2, 3], 1, 5)
+    step = step_overlap_value([2, 3], 1, 5)
+    assert exact([psi, dual, trace, step]) and (psi, dual, trace, step) == (1260, 560, 560, 384)
+    psis = wavefunction_dets([(1, 2), (1, 3), (2, 5)], [2, 3], 1, 5)
+    assert exact(psis) and psis == [1296, 1260, F(2402, 3)]
     inhomogeneous = ModelParameters(2, 3, w=(1, 2, 3))
     assert exact(build_monodromy_element("D", 5, inhomogeneous, 1).data[0])
     assert exact(bethe_residual([2, 3], inhomogeneous))
@@ -412,7 +454,7 @@ def _path_element(kind, u, params, n, lane=None):
 
 
 def _path_state(x_list, params, dual):
-    """The (dual) Bethe state from ``_path_entries``, summed in the oracle's order."""
+    """The (dual) Bethe state from ``_path_entries``, contracted one column after another."""
     vec = [1]
     for k, x in enumerate(x_list):
         out = [0] * comb(params.M, k + 1)
@@ -445,8 +487,9 @@ def _parity_cases(rng):
     cases.append((ModelParameters(F(2, 3), 4), [2, 3, -1]))
     cases.append((ModelParameters(3, 4, w=(1, 2, F(1, 2), 3)), [2, F(1, 3), 6]))
     cases.append((ModelParameters(F(3), 3, w=(F(2), F(1, 3), 1)), [F(4), 2, F(-1, 5)]))
-    # complex inputs take the None lane, bit for bit; the empty state beside a
-    # Fraction alpha is the Fraction lane's
+    # complex inputs take the None lane (elements bit for bit, states within
+    # _COLUMN_BUDGET); the empty state beside a Fraction alpha is the Fraction
+    # lane's
     cases.append((ModelParameters(0.7 - 0.2j, 4, w=(1, F(1, 2), 2, 1)),
                   [0.9 + 0.3j, F(2, 3), -1.1 + 0.5j]))
     cases.append((ModelParameters(F(3, 4), 3), [1.5 + 0.25j, 0.5 - 1j]))
@@ -460,8 +503,9 @@ def test_integer_lane_matches_the_generic_path_in_value_and_type(rng):
     # repr compares types too: every value is the path reference's, in the type
     # of the call's cleared_type over its spectral values, alpha and w
     # (Fraction(1, 1) on the exchange-only path of Fraction inputs, an int
-    # where all-int inputs give an integral value); the None lane's values are
-    # the reference's own, bit for bit
+    # where all-int inputs give an integral value); the None lane's elements
+    # are the reference's own, bit for bit, and its states are held to the
+    # reference within _COLUMN_BUDGET
     lane_draws = 0
     for params, x_list in _parity_cases(rng):
         M = params.M
@@ -469,7 +513,11 @@ def test_integer_lane_matches_the_generic_path_in_value_and_type(rng):
             x = x_list[:length]
             lane = cleared_type([*x, params.alpha, *params.w])
             for dual in (False, True):
-                got = outcome(lambda: (dual_bethe_state if dual else bethe_state)(x, params))
+                state = dual_bethe_state if dual else bethe_state
+                if lane is None:
+                    _assert_near(state(x, params), _path_state(x, params, dual))
+                    continue
+                got = outcome(lambda: state(x, params))
                 typed = outcome(lambda: [_typed(y, lane) for y in _path_state(x, params, dual)])
                 assert got == typed, (params, x, dual)
         for u in x_list:
@@ -484,6 +532,58 @@ def test_integer_lane_matches_the_generic_path_in_value_and_type(rng):
                         assert got == outcome(lambda: _path_element(kind, u, params, n, lane)), \
                             (params, u, kind, n, strict)
     assert lane_draws >= 20
+
+
+# The None lane's states against references, relative to the reference's largest |entry|.
+# Measured worst over test_float_states_are_held_to_references' draws, for the sweep and
+# for the former column-by-column contraction: 1.3e-14 and 1.5e-14 against the exact lane
+# at dyadic inputs, on states whose paths cancel (their absolute sums reach 130 and 290
+# times the largest |entry|); 1.3e-15 and 0 against that column order.
+_TRUTH_BUDGET = 2e-14
+_COLUMN_BUDGET = 1e-14
+
+
+def _assert_near(got, ref, budget=_COLUMN_BUDGET):
+    scale = max(abs(y) for y in ref)
+    assert len(got) == len(ref)
+    assert all(abs(g - y) <= budget * scale for g, y in zip(got, ref)), (got, ref)
+
+
+def _float_draw(rng, complex_inputs: bool):
+    """(params, values) with M <= 7 and N <= 4, w inhomogeneous half the time.
+
+    Complex inputs, or real floats that are exact dyadic rationals, so that
+    ``Fraction(x)`` is the same value on the exact lane.
+    """
+    if complex_inputs:
+        def draw():
+            return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        alpha = draw()
+    else:
+        def draw():
+            return rng.choice((-1, 1)) * rng.randint(1, 24) / 8
+        alpha = rng.randint(-8, 8) / 4
+    M = rng.randint(1, 7)
+    values = [draw() for _ in range(rng.randint(0, min(M, 4)))]
+    if rng.random() < 0.5:
+        w = tuple(draw() if complex_inputs else rng.randint(1, 12) / 4 for _ in range(M))
+        return ModelParameters(alpha, M, w=w), values
+    return ModelParameters(alpha, M), values
+
+
+def test_float_states_are_held_to_references(rng):
+    # the None lane's accuracy contract: the sweep adds paths in its own order, so its
+    # states are held to references, not to the bits of a summation order
+    for _ in range(200):
+        params, values = _float_draw(rng, complex_inputs=False)
+        exact = ModelParameters(F(params.alpha), params.M, w=tuple(map(F, params.w)))
+        for state in (bethe_state, dual_bethe_state):
+            _assert_near(state(values, params), state([F(x) for x in values], exact),
+                         _TRUTH_BUDGET)
+    for _ in range(200):
+        params, values = _float_draw(rng, complex_inputs=True)
+        for dual, state in ((False, bethe_state), (True, dual_bethe_state)):
+            _assert_near(state(values, params), _path_state(values, params, dual))
 
 
 def _reference_commutation(u, v, params, n):

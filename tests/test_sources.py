@@ -203,3 +203,16 @@ def test_the_symmetric_function_layer_makes_each_decision_once():
     calls = _calls(_function("identities", "grothendieck_sum_check"))
     assert "grothendieck_box_cleared" in calls
     assert not {"numer_denom", "box_parts", "enumerate_box"} & calls
+
+
+def test_the_bethe_states_are_one_sweep():
+    # both states sweep the whole (dual) state through the site tables of each value:
+    # no per-step column contraction, and no reordering of the bra's sums
+    source = (ROOT / "src/fivevertex/sector.py").read_text()
+    assert not re.search(r"\b_bethe_steps\b", source)
+    for name in ("bethe_state", "dual_bethe_state", "_state"):
+        assert "sorted" not in _calls(_function("sector", name)), name
+    assert _calls(_function("sector", "bethe_state")) == {"_state"}
+    assert _calls(_function("sector", "dual_bethe_state")) == {"_state"}
+    assert {"_sweep", "_site_tables"} <= _calls(_function("sector", "_state"))
+    assert "_columns" not in _calls(_function("sector", "_state"))

@@ -146,6 +146,17 @@ def test_degenerate_parameters_rejected(rng):
         matrix_product_build([u1, u1], alpha)
 
 
+@pytest.mark.parametrize("u, alpha", [([10.0, 20.0, 30.0], 1.0), ([10, 20, 30], 1)])
+def test_well_separated_parameters_build_in_either_lane(u, alpha):
+    # the float split's zero test is relative to the matrix's largest |entry|: a rounding
+    # residue of 2.8e-14 beside entries near 900 used to be refused as degenerate
+    M = 5
+    mps = matrix_product_build(u, alpha)
+    for x in combinations(range(1, M + 1), 3):
+        det_value = dual_wavefunction_det(x, u, alpha, M)
+        assert abs(wavefunction_trace(x, u, alpha, M, mps) - det_value) <= 1e-12 * abs(det_value)
+
+
 def test_sum_single_particle_two_sites(rng):
     alpha = rand_fraction(rng)
     (v,) = spectral(rng, 1, alpha)
