@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from math import comb, gcd
 
-from .scalars import cache_key, exact_div, exact_pow, numer_denom
+from .scalars import cache_key, exact_div, exact_pow, is_inexact, numer_denom
 
 
 class Poly:
@@ -77,12 +77,12 @@ class Poly:
     def quotient(self, root):
         """Quotient by (t - root) of a polynomial that vanishes at root.
 
-        Synthetic division from the leading coefficient when |root| <= 1 and
-        from the constant term otherwise, so that the float lane's rounding
-        is damped, not amplified, by powers of root.
+        Synthetic division from the leading coefficient, or from the constant
+        term for an inexact root with |root| > 1, so that float rounding is
+        damped, not amplified, by powers of root; an exact root has no |root|.
         """
         c, out, acc = self.c, [], 0
-        if abs(root) <= 1:
+        if not is_inexact(root) or abs(root) <= 1:
             for x in reversed(c[1:]):
                 acc = acc * root + x
                 out.append(acc)

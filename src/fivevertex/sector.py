@@ -366,6 +366,7 @@ def bethe_residual(u_set, params: ModelParameters):
     -u_j^2/u_k^2 = -1, which makes a vanishing residual equivalent to the
     z-form Bethe equations under z = alpha - u^{-2}.  Refuses a zero root.
     """
+    u_set = [plain_int(u) for u in u_set]
     if any(is_zero(u, 0) for u in u_set):
         raise ZeroDivisionError("Bethe residuals are singular at a zero root")
     n = len(u_set)
@@ -385,6 +386,7 @@ def transfer_eigenvalue(u, u_set, params: ModelParameters):
     Valid on the state built from an on-shell set {u}_N; u must avoid the
     poles u^2 = u_j^2.
     """
+    u = plain_int(u)  # each u_j goes through f_weight, which takes it as an int
     term_a = _a_func(u, params)
     term_d = _d_func(u, params)
     for uj in u_set:

@@ -21,13 +21,9 @@ removable pole at z_j y_k = 1 has to be resolved.  The stationary solution
 returns these data as a ``Spectrum``, which every quantity below (Green function
 and table, sum rule, expectations) takes, or None to solve; each is one
 ``Spectrum.contract`` over one row per conjugate pair of solution sets, which
-pair up at real beta, where the Bethe equations have real coefficients.  The
-stacked float lane evaluates the rows at once.  The whole box of vectors
-G_mu(z_s) and Gbar_lam(1/z_s) comes from the one-variable branching rule
-(``symfunc.grothendieck_box``, no determinant); a single partition's vector
-(``symfunc.bialternants``) and the window form factors, one determinant of the summation
-columns per distinct window length, share one stacked LU, ``symfunc.stacked_ratio``,
-with the scalar ``form_factor_sum`` as the form factors' exact lane and oracle.
+pair up at real beta, where the Bethe equations have real coefficients.
+``Spectrum`` says which stacked algorithm evaluates which of its vectors; the
+scalar ``form_factor_sum`` is the form factors' exact lane and oracle.
 
 The solver continues in beta from the free-fermion point beta = 0, where
 the equations decouple into z^M = (-1)^(N-1) and every N-subset of those M
@@ -36,33 +32,35 @@ roots is a solution set (Hao, Nepomechie & Sommese, Phys. Rev. E 88 (2013)
 tracked along beta(s) = s beta + ``GAMMA`` s (1-s) from s = 0 to s = 1; the
 complex ``GAMMA`` keeps the paths apart for real beta (the gamma trick of
 Sommese & Wampler, The Numerical Solution of Systems of Polynomials, 2005).
-All paths advance together, each with its own step: a predictor, then at
-most ``CORRECTOR_STEPS`` stacked Newton steps, accepted at
-max|F| <= ``CORRECTOR_TOL`` (1 + max|z^M Y|); the corrector keeps every path
-of the step in place and masks the accepted ones, which stop moving.  The
-predictor is the cubic Hermite through a path's last two accepted points and
-their tangents dz/ds, Euler on its first step.  ``choice_id`` is the subset,
-as indices into the beta = 0 roots in ``_canonical`` order.  Newton on the
-Bethe equations finishes every path that reached s = 1, stopping once a row's
-step is within a few ulps of its roots (one or two steps).  Every residual and
-Jacobian comes from one kernel, ``_newton_kernel``; the Newton step and the
-tangent are solves of that Jacobian, each formed only where it is used: a
-step for the paths still correcting, the tangent once per step at the
-accepted points.  The Jacobian of the equations is diagonal plus rank one, so
-Sherman-Morrison solves it in O(N) per set without forming a matrix.  Its
-denominator is g'(Y) for g(Y) = Y - prod_k (1 + beta z_k(Y)), where every
-root of a set solves P_Y(z) = (1+beta z)^N - (-1)^(N-1) Y z^M.  The beta = 0
-roots and the subsets of a sector are built once per (M, N) and kept
-read-only.  Residuals, Y, energies, coincident roots and twins
-(``_first_kept_twins``) are checked on all endpoints at once.  At beta = -1
-the subset of the N beta = 0 roots nearest 1, whose path ends on the
-stationary set, is not tracked: that set is inserted analytically.  ``beta``
+All paths advance together, each with its own step (``_track``), and Newton
+finishes those that reached s = 1 (``_newton_polish``); every residual and
+Jacobian comes from ``_newton_kernel``, whose Jacobian, diagonal plus rank
+one, Sherman-Morrison solves in O(N) per set.  ``choice_id`` is the subset,
+as indices into the beta = 0 roots in ``_canonical`` order.  ``beta``
 generalizes the equations to (1+beta z_k)^N = (-1)^(N-1) z_k^M prod(1+beta z_j),
-as needed by the orthogonality relation (beta = -1 is the TASEP point).  A
-sector that gives fewer or more than binomial(M,N) sets raises, naming every
-subset without a new set and why; so does one past the binomial(12,6) cap.  Sizes
-(N in 1..M-1) and numbers (a finite beta, t >= 0) are refused up front by
-``partitions._require_int`` and ``_require_finite``.
+as the orthogonality relation needs; one rule, ``_tasep_point``, tells the
+TASEP point beta = -1, where the stationary set is inserted analytically and
+form factors exist.  All 66 sectors with binomial(M,N) <= 924 are complete at
+beta in {-1, -1/2}.  Below beta = -1 paths can still end on one another's set:
+most such sectors raise, but (6,2) and (6,4) at beta = -2 return one singular
+set twice, 1.1e-8 apart.  Sizes (N in 1..M-1; a numpy int is an int, a bool
+is not), numbers (a finite beta, t >= 0) and sectors past the binomial(12,6)
+cap are refused up front (``partitions._require_int``, ``_require_finite``).
+
+One matcher, ``_close_rows``, tells whether two root sets are the same: the
+row pairs of a and b within a tolerance root by root.  It sorts b by Re of
+root 0, takes each row's candidates in a window twice the largest tolerance
+wide by ``searchsorted``, and cuts them down root by root.  Twins
+(``_first_kept_twins``) are endpoints within ``DEDUP_TOL``, each pair of rows
+once; conjugate partners (``_conjugate_partners``) hold each other's
+canonical conjugate within ``CONJUGATE_TOL`` relative, the pairing mutual.
+
+One verdict per tracked path says why it gives no solution set, or None: the
+first of a stall (its step below ``STEP_MIN`` before s = 1), a residual above
+``RESIDUAL_TOL``, coincident roots, and a twin among the paths still kept.
+The sets are the paths whose verdict is None; a sector that gives fewer or
+more than binomial(M,N) sets raises a completeness failure that lists every
+other verdict (and the inserted stationary set), so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -174,25 +172,36 @@ def _canonical(z):
 
 
 def _conjugate_partners(z, beta):
-    """Each row's conjugate partner among the canonical root sets z: a row t != s
-    holding conj(z_s) root by root within ``CONJUGATE_TOL`` relative, the pairing
-    mutual, else s itself.  Only real beta pairs rows.
-
-    Candidates come from rounding to the 1e-9 grid, on which sets more than
-    ``DEDUP_TOL`` apart differ; a partner that rounds across a grid line is
-    missed, and its set is then a row of its own.
-    """
+    """Each row's conjugate partner among the canonical root sets z (as the module
+    docstring says), else the row itself.  Only real beta pairs rows."""
     rows = np.arange(len(z))
     if complex(beta).imag != 0:
         return rows
-    grid = lambda a: np.round(a, 9) + 0  # + 0 makes -0.0 the key 0.0
-    index = {row.tobytes(): t for t, row in enumerate(grid(z))}
     zc = _canonical(z.conj())
-    partner = np.array([index.get(row.tobytes(), t) for t, row in enumerate(grid(zc))],
-                       dtype=int)
-    close = np.all(_abs(z[partner] - zc) <= CONJUGATE_TOL * _abs(zc), axis=1)
-    partner = np.where(close, partner, rows)
+    partner = rows.copy()
+    s, t = _close_rows(zc, z, CONJUGATE_TOL * _abs(zc))
+    partner[s] = t
     return np.where(partner[partner] == rows, partner, rows)
+
+
+def _close_rows(a, b, tol):
+    """The row pairs (i, k), as two index arrays, with |a_ij - b_kj| <= tol_ij at every root j,
+    tol a scalar or one value per entry of a; b None matches a against itself, each pair once."""
+    own = b is None
+    b = a if own else b
+    tol = np.broadcast_to(tol, a.shape)
+    order = np.argsort(b[:, 0].real, kind="stable")
+    re, width = b[order, 0].real, 2 * tol.max(initial=0)
+    i = order if own else np.arange(len(a))  # own: sorted, each row with those after it
+    key = a[i, 0].real
+    starts = np.arange(1, len(a) + 1) if own else np.searchsorted(re, key - width)
+    counts = np.searchsorted(re, key + width, side="right") - starts
+    i = np.repeat(i, counts)
+    k = order[np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(len(i))]
+    for j in range(a.shape[1]):
+        close = _abs(a[i, j] - b[k, j]) <= tol[i, j]
+        i, k = i[close], k[close]
+    return i, k
 
 
 @cache
@@ -217,6 +226,11 @@ def _subsets(M, N):
 def _free_point(beta) -> bool:
     """Whether ``beta`` is the free-fermion point beta = 0, where nothing is tracked."""
     return abs(beta) < 1e-15
+
+
+def _tasep_point(beta) -> bool:
+    """Whether ``beta`` is the TASEP point beta = -1: a stationary set, and form factors."""
+    return abs(beta + 1) < 1e-15
 
 
 def _abs(z):
@@ -392,27 +406,13 @@ def _first_kept_twins(z, rows):
 
     Taken in order, a row is kept unless an earlier kept row is its twin, one
     within ``DEDUP_TOL`` of it root by root; a rejected row names the first.
-    Twins are within ``DEDUP_TOL`` in Re z_0 too, so the candidate pairs are
-    the rows that are close in Re z_0 (in a window twice as wide, against
-    rounding), cut down root by root; only rows of a remaining pair are taken
-    in order.
+    The twin pairs come from ``_close_rows``, taken by their later row.
     """
-    order = rows[np.argsort(z[rows, 0].real, kind="stable")]
-    re = z[order, 0].real
-    ends = np.searchsorted(re, re + 2 * DEDUP_TOL, side="right")
-    pairs = np.array([(i, k) for i, end in enumerate(ends) for k in range(i + 1, end)], dtype=int)
-    a, b = order[pairs.reshape(-1, 2).T]
-    for j in range(z.shape[1]):
-        close = _abs(z[a, j] - z[b, j]) <= DEDUP_TOL
-        a, b = a[close], b[close]
-    earlier = {}  # each row of a pair: its twins before it
-    for x, y in zip(a.tolist(), b.tolist()):
-        earlier.setdefault(max(x, y), []).append(min(x, y))
+    x, y = (rows[side] for side in _close_rows(z[rows], None, DEDUP_TOL))
     twin_of = {}
-    for r in sorted(earlier):
-        kept = [k for k in earlier[r] if k not in twin_of]
-        if kept:
-            twin_of[r] = min(kept)
+    for r, twin in sorted(zip(np.maximum(x, y).tolist(), np.minimum(x, y).tolist())):
+        if r not in twin_of and twin not in twin_of:
+            twin_of[r] = twin
     return twin_of
 
 
@@ -420,13 +420,10 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
     """All binomial(M,N) solution sets of the z-form Bethe equations, as their ``Spectrum``.
 
     Every N-subset of the beta = 0 roots is tracked to ``beta`` and polished
-    by Newton; ``choice_id`` is that subset.  For beta = -1 the stationary set
-    (all roots at 1, Y = 0) is inserted analytically, and the subset whose
-    path ends there (the N beta = 0 roots nearest 1) is not tracked: Newton
-    would accept its endpoint cluster as a surplus set.  A path that stalls,
-    or ends off the residual target, on coincident roots or on another path's
-    set gives no solution set; a shortfall raises, naming every such subset
-    with the s its path reached and why.
+    by Newton, and gives a set unless its verdict names why not.  At beta = -1
+    the subset whose path ends on the stationary set (the N beta = 0 roots
+    nearest 1) is not tracked, as Newton would accept its endpoint cluster as
+    a surplus set.
     """
     M, N = _require_int("M", M, 2), _require_int("N", N, 1, M - 1)  # N = M: the frozen ring
     _require_finite("beta", beta)
@@ -443,7 +440,7 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
         res = _root_residuals(z, M, N, beta)[0]
         return Spectrum([BetheSolution(tuple(row), 1.0 + 0j, None, tuple(r), subset)
                          for row, r, subset in zip(z, res, subsets)], M, N, requested)
-    tasep_point = abs(beta + 1) < 1e-15
+    tasep_point = _tasep_point(beta)
     stationary = _stationary_choice(start, N) if tasep_point else None
     tracked = subsets
     if stationary in subsets:  # inserted, not tracked
@@ -458,12 +455,16 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
         # -N + alpha sum_j 1/z_j, summed column by column as the scalar sum
         alpha = -1 / beta
         energy = -N + alpha * sum(1 / z.T)
-    worst = np.max(res, axis=1)
     j, k = _pair_indices(N)
     coincident = np.any(_abs(z[:, j] - z[:, k]) <= DEDUP_TOL, axis=1)
-    found = np.flatnonzero(~(reached < 1) & (worst <= RESIDUAL_TOL) & ~coincident)
-    twin_of = _first_kept_twins(z, found)
-    found = np.array([r for r in found.tolist() if r not in twin_of], dtype=int)
+    # one verdict per path: why it gives no solution set, None when it gives one
+    why = [f"stalled (step below {STEP_MIN:g}) at s = {s:.6g}" if s < 1
+           else f"residual {w:.3g} above {RESIDUAL_TOL:g} at s = 1" if not w <= RESIDUAL_TOL
+           else "coincident roots at s = 1" if c else None
+           for s, w, c in zip(reached.tolist(), res.max(axis=1).tolist(), coincident.tolist())]
+    for r, twin in _first_kept_twins(z, np.flatnonzero([x is None for x in why])).items():
+        why[r] = f"same solution set as choice {tracked[twin]} at s = 1"
+    found = np.flatnonzero([x is None for x in why])
     solutions = [BetheSolution(roots, y, e, residuals, tracked[r])
                  for r, roots, y, e, residuals in zip(
                      found.tolist(), map(tuple, z[found]), Y[found].tolist(),
@@ -472,26 +473,14 @@ def bethe_solve(M: int, N: int, beta=-1.0) -> Spectrum:
         solutions.append(BetheSolution((1.0 + 0j,) * N, 0j, 0j, (0.0,) * N,
                                        None, stationary=True))
     if len(solutions) != expected:
-        rejected = []  # (subset, reason) for every subset that gave no new solution set
+        rejected = [(subset, reason) for subset, reason in zip(tracked, why) if reason is not None]
         if tasep_point:
             rejected.append((stationary,
                              "the stationary set (all roots at 1), inserted analytically"))
-        for r, subset in enumerate(tracked):
-            if reached[r] < 1:
-                rejected.append((subset, f"stalled (step below {STEP_MIN:g}) "
-                                         f"at s = {reached[r]:.6g}"))
-            elif not worst[r] <= RESIDUAL_TOL:
-                rejected.append((subset, f"residual {worst[r]:.3g} above {RESIDUAL_TOL:g} "
-                                         f"at s = 1"))
-            elif coincident[r]:
-                rejected.append((subset, "coincident roots at s = 1"))
-            elif r in twin_of:
-                rejected.append((subset, f"same solution set as choice {tracked[twin_of[r]]} "
-                                         f"at s = 1"))
         raise RuntimeError("\n".join(
             [f"completeness failure: {len(solutions)} of {expected} solution sets found; "
              f"choices without a new solution set:"]
-            + [f"  {subset}: {why}" for subset, why in sorted(rejected)]))
+            + [f"  {subset}: {reason}" for subset, reason in sorted(rejected)]))
     return Spectrum(solutions, M, N, requested)
 
 
@@ -510,15 +499,15 @@ class Spectrum:
 
     where a is a left vector (G_mu(z_s), or a real combination of them) and
     a0 its value at the stationary point, where every G_mu is 1; with real
-    coefficients, each takes conjugate values on a pair's two sets.  The box
-    vectors, and the order that puts them in ``sector_basis`` order for the
-    Green tables, are built on first use and kept.
+    coefficients, each takes conjugate values on a pair's two sets.
 
     The request picks the algorithm.  ``left(mu)``, ``right(lam)`` and each window length
-    of ``form_factors`` take one ``symfunc.stacked_ratio`` over the rows, whose refusals are
-    made up front; ``box_vectors``, every partition, takes the branching rule's passes, in
-    ``np.clongdouble`` (``symfunc.grothendieck_box``).  The two agree to the LU's
-    rounding: within 1.6e-14 of the largest value up to (12,9).
+    of ``form_factors`` take one ``symfunc.stacked_ratio`` over the rows; ``box_vectors``,
+    every partition, takes the branching rule's passes, in ``np.clongdouble``
+    (``symfunc.grothendieck_box``).  The two agree to the LU's rounding: within 1.6e-14
+    of the largest value up to (12,9).  Their refusals (coincident roots, a vanishing
+    1 + beta/z at N >= 2) are made when the Spectrum is built, as are those of a list
+    that is not binomial(M,N) sets of N roots and of an M or N that is not an int.
     """
 
     def __init__(self, solutions, M: int, N: int, beta=-1.0):
@@ -614,9 +603,9 @@ class Spectrum:
         are evaluated on every row at once and taken through one stacked
         determinant, divided by the Vandermonde; each term multiplies it by
         prod_j z_j^(l+n-1) of its own set.  The windows are TASEP observables,
-        so a Spectrum at beta != -1 is refused, and so is a non-real coef.
+        so a Spectrum off ``_tasep_point`` is refused, and so is a non-real coef.
         """
-        if complex(self.beta) != -1:
+        if not _tasep_point(self.beta):
             raise ValueError(f"form factors need the TASEP point beta = -1, "
                              f"not this Spectrum's beta = {self.beta}")
         terms = [(coef, *_window(l, n, self.M)) for coef, l, n in terms]

@@ -21,8 +21,8 @@ the lcm of its entries' denominators (``scalars.cleared``), so both sides
 carry the same nonzero factor d_X d_Y d_Z, the verdict is that of the
 unscaled products, and every product is of ints, or of elements of the
 polynomial ring of the entries' field.  A complex entry anywhere leaves the
-factors as they are.  Int spectral values stay exact: 1/u is an int or a
-Fraction (``scalars.exact_pow``), never a float.
+factors as they are.  Integral inputs are taken as ints (``scalars.plain_int``),
+so 1/u is an int or a Fraction (``scalars.exact_pow``), never a float.
 """
 
 from __future__ import annotations
@@ -78,16 +78,19 @@ def _fg_denominator(a, b):
 
 def f_weight(a, b):
     """f(a, b) = b^2 / (b^2 - a^2)."""
+    a, b = plain_int(a), plain_int(b)
     return exact_div(b * b, _fg_denominator(a, b))
 
 
 def g_weight(a, b):
     """g(a, b) = a*b / (b^2 - a^2)."""
+    a, b = plain_int(a), plain_int(b)
     return exact_div(a * b, _fg_denominator(a, b))
 
 
 def l_weights(u, alpha) -> VertexWeights:
     """Five-vertex weights (u, 1, 1, alpha*u - 1/u, alpha*u); u must be nonzero."""
+    u, alpha = plain_int(u), plain_int(alpha)
     if is_zero(u, 0):
         raise ZeroDivisionError("L-operator is singular at u = 0")
     one = u ** 0
@@ -107,6 +110,7 @@ def l_matrix(u, alpha) -> Matrix:
 
 def r_matrix(u, v) -> Matrix:
     """R-matrix with f(v,u), g(v,u) entries; pole at u^2 = v^2."""
+    u, v = plain_int(u), plain_int(v)
     den = u * u - v * v
     if is_zero(den, 0):
         raise ZeroDivisionError("R-matrix pole at u^2 = v^2")
@@ -124,6 +128,7 @@ def r_matrix(u, v) -> Matrix:
 
 def rtilde_matrix(u, alpha) -> Matrix:
     """The quantum-quantum intertwiner R~(u) (acts on V_j x V_k)."""
+    u, alpha = plain_int(u), plain_int(alpha)
     if is_zero(u, 0):
         raise ZeroDivisionError("R~ is singular at u = 0")
     one = u ** 0
@@ -212,6 +217,7 @@ def rtilde_check(u, w_j, w_k, alpha) -> bool:
     arguments stay exact, and with exact arguments the relation is checked
     on cleared numerators (``_relation_holds``).
     """
+    u, w_j, w_k = map(plain_int, (u, w_j, w_k))
     if is_zero(w_j, 0) or is_zero(w_k, 0) or is_zero(u, 0):
         raise ZeroDivisionError("spectral arguments must be nonzero")
     return _relation_holds((rtilde_matrix(exact_div(w_j, w_k), alpha), (1, 2)),
@@ -225,6 +231,7 @@ def ansatz_l_matrix(u, A, B, C, D, f):
     d1 = A*u*f(u), d2 = f(u), d3 = B*f(u), d4 = (C*u - D/u)*f(u),
     d5 = C*u*f(u); the family solves the RLL relation iff B = A*D.
     """
+    u = plain_int(u)
     fu = f(u)
     return Matrix([
         [A * u * fu, 0, 0, 0],

@@ -58,6 +58,8 @@ from fivevertex.wavefunc import (dual_wavefunction_det, dual_wavefunction_sum,
                                  matrix_product_build, staircase_overlap_value,
                                  step_overlap_value, wavefunction_det, wavefunction_dets,
                                  wavefunction_sum, wavefunction_trace)
+from fivevertex.vertex import (ansatz_l_matrix, f_weight, g_weight, l_matrix, l_weights,
+                               r_matrix, rll_check, rtilde_matrix)
 from fivevertex.vertex import embed_two_site, rtilde_check, rtilde_matrix
 
 Z, Y, BETA = [F(1, 2), F(1, 3)], [F(2), F(3)], F(1, 4)
@@ -458,9 +460,10 @@ def test_a_numpy_int_size_gives_what_the_int_gives(call):
     assert repr(call(np.int64)) == repr(call(int))
 
 
-# spectral values, beta, alpha and w of the determinant side: a numpy int used to give a
-# numpy float (grothendieck_eval, cauchy_lhs, grothendieck_sum_check) or numpy's own
-# "Integers to negative integer powers are not allowed."
+# spectral values, beta, alpha and w of the determinant side, the vertex weights and the
+# sector's closed forms: a numpy int used to give a numpy float (grothendieck_eval,
+# cauchy_lhs, grothendieck_sum_check, r_matrix, f_weight, bethe_residual) or numpy's own
+# "Integers to negative integer powers are not allowed." (l_weights, rll_check)
 NUMPY_VALUES = [
     ("schur_eval", lambda I: schur_eval((2, 1), [I(2), I(3)])),
     ("grothendieck_eval", lambda I: grothendieck_eval((2, 1), [I(2), I(3)], I(1))),
@@ -496,6 +499,17 @@ NUMPY_VALUES = [
     ("matrix_product_build", lambda I: matrix_product_build([I(2), I(3)], I(1)).A.data),
     ("wavefunction_sum", lambda I: wavefunction_sum([I(2), I(3)], I(1), 5)),
     ("dual_wavefunction_sum", lambda I: dual_wavefunction_sum([I(2), I(3)], I(1), 5)),
+    ("f_weight", lambda I: f_weight(I(2), I(3))),
+    ("g_weight", lambda I: g_weight(I(2), I(3))),
+    ("l_weights", lambda I: l_weights(I(2), I(3))),
+    ("l_matrix", lambda I: l_matrix(I(2), I(3)).data),
+    ("r_matrix", lambda I: r_matrix(I(2), I(3)).data),
+    ("rtilde_matrix", lambda I: rtilde_matrix(I(2), I(3)).data),
+    ("ansatz_l_matrix", lambda I: ansatz_l_matrix(I(2), 1, 2, 3, 2, lambda u: u).data),
+    ("rll_check", lambda I: rll_check(I(2), I(3), I(1))),
+    ("bethe_residual", lambda I: sector.bethe_residual([I(2), I(3)], ModelParameters(I(2), 4))),
+    ("transfer_eigenvalue",
+     lambda I: sector.transfer_eigenvalue(I(5), [I(2), I(3)], ModelParameters(I(2), 4))),
 ]
 
 

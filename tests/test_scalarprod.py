@@ -313,6 +313,24 @@ def test_scalar_product_with_both_groups_coincident(u, v, M):
     assert scalar_product_det(u, v, alpha, M) == oracle
 
 
+@pytest.mark.parametrize("M, N", [(5, 2), (5, 3)])
+def test_scalar_product_det_is_the_oracle_over_a_rational_function_field(M, N):
+    # a proof, not a sample: over QQ(alpha, u, v) the determinant is <psi(u)|psi(v)>
+    # of the sector oracle; the kernel's quotient by s - u^2 used to take abs() of a
+    # field element and raise TypeError, constants of the field included
+    from sympy import QQ
+    from sympy.polys.fields import field
+
+    K, alpha, *g = field(",".join(["a"] + [f"u{j}" for j in range(N)]
+                                  + [f"v{j}" for j in range(N)]), QQ)
+    u, v = g[:N], g[N:]
+    params = ModelParameters(alpha=alpha, M=M)
+    oracle = sum(x * y for x, y in zip(dual_bethe_state(u, params), bethe_state(v, params)))
+    assert scalar_product_det(u, v, alpha, M) - oracle == 0
+    constant = scalar_product_det([K(2), K(3)], [K(5), K(7)], K(1), 5)
+    assert constant - scalar_product_det([F(2), F(3)], [F(5), F(7)], F(1), 5) == 0
+
+
 @pytest.mark.parametrize("d", [1e-6, 1e-9, 1e-11])
 def test_float_lane_near_the_removable_point_u_equals_v(d):
     # v_1 = u_1 (1 + d) is within d of the entry's removable s = u^2 point;

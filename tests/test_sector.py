@@ -586,6 +586,39 @@ def test_float_states_are_held_to_references(rng):
             _assert_near(state(values, params), _path_state(values, params, dual))
 
 
+# The None lane's states against the exact lane, relative to each entry's absolute path
+# sum: the same sweep over weights that are the sums of their terms' absolute values
+# (|x|, 1, 1, |alpha x| + |1/x|, |alpha x|) at x = u/w_j.  A path is a product of the
+# L = N M weights it crosses, each within 3 eps of its absolute term sum (x, alpha x and
+# 1/x rounded at most twice, d's difference once), taken through at most L products and
+# L additions; so |float - exact| <= 5 L eps times that sum, whatever the paths cancel.
+# Measured worst over the test's draws: 0.54 L eps (3.2 eps at L = 6).
+_SWEEP_ROUNDINGS = 5
+
+
+def _absolute_weights(x, alpha):
+    """``l_weights`` with each weight the sum of its terms' absolute values."""
+    return vertex.VertexWeights(abs(x), 1, 1, abs(alpha * x) + abs(1 / x), abs(alpha * x))
+
+
+def test_float_states_are_held_to_their_absolute_path_sums(rng, monkeypatch):
+    # a bar free of the states' conditioning: _TRUTH_BUDGET, relative to the largest
+    # |entry|, holds on its own draws, but other draws reach 7.2e-13 of it on states
+    # whose absolute path sums are 7,700 times their largest |entry|
+    eps = F(np.finfo(float).eps)
+    for _ in range(1000):
+        params, values = _float_draw(rng, complex_inputs=False)
+        exact = ModelParameters(F(params.alpha), params.M, w=tuple(map(F, params.w)))
+        budget = _SWEEP_ROUNDINGS * len(values) * params.M * eps
+        for state in (bethe_state, dual_bethe_state):
+            got, want = state(values, params), state([F(x) for x in values], exact)
+            with monkeypatch.context() as patched:
+                patched.setattr(sector, "l_weights", _absolute_weights)
+                bar = state(values, params)
+            assert all(abs(F(g) - y) <= budget * F(b) for g, y, b in zip(got, want, bar)), \
+                (params, values, state.__name__)
+
+
 def _reference_commutation(u, v, params, n):
     """``commutation_checks`` as dense ``Matrix`` arithmetic on built elements."""
     def el(kind, x, m):

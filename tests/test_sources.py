@@ -216,3 +216,22 @@ def test_the_bethe_states_are_one_sweep():
     assert _calls(_function("sector", "dual_bethe_state")) == {"_state"}
     assert {"_sweep", "_site_tables"} <= _calls(_function("sector", "_state"))
     assert "_columns" not in _calls(_function("sector", "_state"))
+
+
+def test_the_bethe_layer_makes_each_decision_once():
+    # twins and conjugate partners are found by the one root-set matcher: no rounding grid
+    for name in ("_first_kept_twins", "_conjugate_partners"):
+        assert "_close_rows" in _calls(_function("tasep", name)), name
+    tree = ast.parse((ROOT / "src/fivevertex/tasep.py").read_text())
+    rounders = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and "np.round" in _calls(node)}
+    assert rounders == {"_canonical"}  # the canonical order's sort keys
+    # one TASEP-point rule, taken by the solver and by the form factors
+    source = (ROOT / "src/fivevertex/tasep.py").read_text()
+    assert "!= -1" not in source and source.count("beta + 1") == 1
+    assert "_tasep_point" in _calls(_function("tasep", "bethe_solve"))
+    assert "_tasep_point" in _calls(_function("tasep", "Spectrum.form_factors"))
+    # one verdict per path: each rejection reason is spelled once
+    for reason in ("stalled (step below", "above {RESIDUAL_TOL:g}", "coincident roots at s = 1",
+                   "same solution set as choice", "(all roots at 1), inserted analytically"):
+        assert source.count(reason) == 1, reason

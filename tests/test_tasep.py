@@ -683,6 +683,35 @@ def test_complex_beta_pairs_no_sets():
     assert np.array_equal(_conjugate_partners(z, -1.0 + 1e-6j), np.arange(len(z)))
 
 
+def test_a_partner_across_a_rounding_grid_line_is_found():
+    # 1.1e-16 relative apart, the set and its conjugate round to either side of a
+    # 1e-9 grid line: the former grid lookup missed the pair and left two rows
+    z = np.array([[0.3000000005 + 0.4j], [0.30000000050000003 - 0.4j]])
+    assert _conjugate_partners(z, -1.0).tolist() == [1, 0]
+
+
+def test_close_rows_finds_every_close_pair_once():
+    # against a brute-force comparison of every pair of rows, root by root: clusters
+    # of near-copies whose spread straddles the tolerances, against another set of
+    # rows with a tolerance per entry, and against itself, each pair of distinct rows once
+    rng = np.random.default_rng(5)
+    centres = rng.normal(size=(15, 3)) + 1j * rng.normal(size=(15, 3))
+
+    def near_copies(count):
+        spread = rng.uniform(-1, 1, (2, count, 3))
+        return centres[rng.integers(0, 15, count)] + 1e-9 * (spread[0] + 1j * spread[1])
+
+    a, b = near_copies(120), near_copies(90)
+    tol = 1e-9 * rng.uniform(0.5, 2, a.shape)
+    close = np.all(tasep._abs(a[:, None] - b[None]) <= tol[:, None], axis=2)
+    i, k = tasep._close_rows(a, b, tol)
+    assert sorted(zip(i.tolist(), k.tolist())) == list(zip(*np.nonzero(close)))
+    own = np.all(tasep._abs(a[:, None] - a[None]) <= DEDUP_TOL, axis=2)
+    i, k = tasep._close_rows(a, None, DEDUP_TOL)
+    pairs = sorted((min(x, y), max(x, y)) for x, y in zip(i.tolist(), k.tolist()))
+    assert pairs == [(x, y) for x, y in zip(*np.nonzero(own)) if x < y] and len(pairs) > 20
+
+
 @pytest.mark.parametrize("beta", [-1.0, -0.5])
 def test_a_set_moved_off_its_partner_is_evaluated_with_it(beta, monkeypatch):
     # the moved set and its former partner each become a row of their own
@@ -1053,6 +1082,23 @@ def test_each_rejection_reason_reaches_the_report(monkeypatch):
     ]
 
 
+def test_a_completeness_failure_accounts_for_every_tracked_subset(monkeypatch):
+    # (10,4) at beta = -3/2 falls one set short: every subset is either a set the
+    # solve built (its choice_id) or named in the message with its reason, never both
+    built, solution = [], tasep.BetheSolution
+    monkeypatch.setattr(tasep, "BetheSolution",
+                        lambda *args, **kwargs: built.append(solution(*args, **kwargs)))
+    with pytest.raises(RuntimeError) as info:
+        bethe_solve(10, 4, -1.5)
+    head, *lines = str(info.value).splitlines()
+    named = [tuple(map(int, re.fullmatch(r"  \(([\d, ]+)\): .+", line).group(1).split(", ")))
+             for line in lines]
+    found = [s.choice_id for s in built]
+    assert sorted(found + named) == list(combinations(range(10), 4))
+    assert head == (f"completeness failure: {len(found)} of 210 solution sets found; "
+                    f"choices without a new solution set:") and named
+
+
 def _row_by_row_twins(z, rows):
     """The twin search as a loop: each row against every row kept before it."""
     kept, twin_of = [], {}
@@ -1261,6 +1307,20 @@ def test_form_factors_refuse_a_spectrum_off_the_tasep_point():
     message = "form factors need the TASEP point beta = -1, not this Spectrum's beta = -0.5"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         spec.form_factors([(1, 1, 0)])
+
+
+@pytest.mark.parametrize("M, N", [(6, 2), (9, 4)])
+def test_one_ulp_off_the_tasep_point_is_the_tasep_point(M, N):
+    # the solver and the form factors take one rule: beta = -1 + 2^-53 inserts the
+    # stationary set, and its form factors used to be refused as off the TASEP point.
+    # They match beta = -1's within 1e-12 of the largest (measured 3.3e-15 at (6,2) and
+    # 2.6e-14 at (9,4)); the roots move by about 3e-16
+    near, at = bethe_solve(M, N, -1 + 2 ** -53), _solve_once(M, N, -1.0)
+    assert near.stationary == at.stationary == 1 / comb(M, N)
+    terms = density_terms(2) + current_terms(3)
+    (a, a0), (want, want0) = near.form_factors(terms), at.form_factors(terms)
+    assert a0 == want0 and near._pairs == at._pairs
+    assert np.max(np.abs(a - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_one_box_per_solve_along_a_chain_of_calls(monkeypatch):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from fivevertex import vertex
@@ -346,4 +347,12 @@ def test_int_spectral_values_stay_exact_in_the_vertex_checks(monkeypatch):
     assert len(cleared) == 9 and all(exact(m4) for m4 in cleared)
     # the R~ factor is that of the Fraction arguments
     assert repr(cleared[0]) == repr(rtilde_matrix(F(2, 3), F(1, 2)))
+    # numpy ints are taken as ints: the three checks clear the same exact factors (rll_check
+    # raised numpy's "Integers to negative integer powers", and rtilde_check took a float
+    # w_j/w_k to a tolerance)
+    cleared.clear()
+    I = np.int64
+    assert rtilde_check(I(2), I(3), I(5), I(1)) and rll_check(I(2), I(3), I(1)) \
+        and ybe_check(I(2), I(3), I(5))
+    assert len(cleared) == 9 and all(exact(m4) for m4 in cleared)
 
