@@ -38,8 +38,8 @@ from math import comb, prod
 from .confluent import det_ratio_columns, det_ratio_labelled
 from .partitions import _require_int, box_rank
 from .ratfunc import RatFunc, taylor
-from .scalars import (cleared_quotient, cleared_type, exact_div, in_type, is_inexact, is_zero,
-                      plain_int)
+from .scalars import (as_number, cleared_quotient, cleared_type, exact_div, in_type, is_inexact,
+                      is_zero, plain_int)
 from .symfunc import _parts, grothendieck_box_cleared
 
 
@@ -113,15 +113,16 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
     m^N boxes, their distances to the closed-form product, and a monotone
     convergence flag.  Every partial sum comes from one cleared M_max^N box
     per side, whose last binomial(m + N, N) rows are the m^N box.  A zero y
-    is refused, as Gbar(y) refuses it.
+    is refused, as Gbar(y) refuses it, and so is a non-constant field element.
     """
     N, M_max = _require_int("N", N, 0), _require_int("M_max", M_max, 1)
     z, y, beta = [plain_int(x) for x in z], [plain_int(x) for x in y], plain_int(beta)
     _check_counts(N, z, y)
     _refuse_zero_y(y)
+    as_number("beta", beta)
     for zj in z:
         for yk in y:
-            if abs(complex(zj * yk)) >= 1:
+            if abs(complex(as_number("z", zj) * as_number("y", yk))) >= 1:
                 raise ValueError("divergent input: need |z_j y_k| < 1 for all pairs")
     product = prod(exact_div(1 + beta * zj, 1 + exact_div(beta, yj)) ** (N - 1)
                    for zj, yj in zip(z, y))
@@ -139,7 +140,7 @@ def cauchy_infinite_check(N, z, y, beta, M_max: int = 40) -> dict:
     for m in range(1, M_max + 1):
         running = running + terms[-comb(m + N, N):-comb(m - 1 + N, N)].sum()
         partials.append(cleared_quotient(running, g_den * h_den, kind))
-        distances.append(abs(complex(partials[-1] - product)))
+        distances.append(abs(complex(as_number("distance", partials[-1] - product))))
     monotone = all(distances[i + 1] <= distances[i] + 1e-15 for i in range(len(distances) - 1))
     return {
         "product": product,

@@ -36,8 +36,8 @@ from .confluent import det_ratio_labelled, sign_pairs
 from .linalg import Matrix, det
 from .partitions import _require_int
 from .ratfunc import Poly, taylor
-from .scalars import (cleared_type, exact_div, exact_pow, in_type, is_inexact, is_zero, plain_int,
-                      rational_sqrt)
+from .scalars import (as_number, cleared_type, exact_div, exact_pow, in_type, is_inexact, is_zero,
+                      plain_int, rational_sqrt)
 
 
 @dataclass(frozen=True)
@@ -167,11 +167,12 @@ def recursion_check(spec: IntermediateSpec) -> bool:
     """Freezing the top row: S at u_n = +-alpha^(-1/2) w_{M-N+n} reduces to n-1.
 
     Both signs are tested.  Exact mode needs alpha to be a perfect rational
-    square; complex alpha goes through cmath.sqrt.
+    square, a field constant taken by its value; complex alpha goes through cmath.sqrt.
     """
     n, u, v, w, alpha, M, N = spec.n, spec.u, spec.v, spec.w, spec.alpha, spec.M, spec.N
     _require_int("n", n, 1)  # the recursion freezes a C-operator's row
-    sqrt_alpha = cmath.sqrt(alpha) if is_inexact(alpha) else rational_sqrt(alpha)
+    sqrt_alpha = cmath.sqrt(alpha) if is_inexact(alpha) \
+        else rational_sqrt(as_number("alpha", alpha))
     w_special = w[M - N + n - 1]
     w_prod = prod(w)
     lower = IntermediateSpec(n - 1, u[:n - 1], v, w, alpha, M, N)

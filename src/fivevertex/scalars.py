@@ -157,6 +157,15 @@ def exact_pow(x, e):
     return exact_div(1, x ** -e) if isinstance(x, int) else x ** e
 
 
+def as_number(name, x):
+    """``x`` as a number: a field constant as its value, a non-constant element refused."""
+    if getattr(getattr(x, "field", None), "ring", None) is None:
+        return x
+    if (value := x.as_expr()).free_symbols:
+        raise ValueError(f"{name} must be a number or a constant of its field, got {name} = {x}")
+    return Fraction(int(value.p), int(value.q)) if value.is_Rational else complex(value)
+
+
 def rational_sqrt(x) -> Fraction:
     """Square root of a perfect-square rational, as a ``Fraction``."""
     f = Fraction(x)

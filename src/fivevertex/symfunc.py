@@ -24,17 +24,13 @@ which ``tasep.Spectrum``'s window form factors share.  The scalar evaluators
 are its exact-lane oracle.
 
 ``grothendieck_box`` is the float lane for the whole m^N box at many points.
-Each row of the lattice adds one spectral parameter, so G and Gbar branch one
+Each row of the lattice adds one spectral parameter, so G branches one
 variable at a time over interlacing partitions mu < lam, lam_(i+1) <= mu_i <= lam_i
 (Buch's set-valued tableaux taken row by row, Acta Math. 189 (2002) 37):
 
     G_lam(z_1..z_n) = sum_(mu<lam) G_mu(z_1..z_(n-1)) z_n^(|lam|-|mu|) (1+beta z_n)^r,
-        r  = #{i : mu_i > lam_(i+1)},
-    Gbar_lam(y)     = prod_j (1+beta/y_j)^(1-N) H_lam(y),
-    H_lam(y_1..y_n) = sum_(mu<lam) H_mu(y_1..y_(n-1)) y_n^(|lam|-|mu|) (1+beta/y_n)^r',
-        r' = #{i < n : mu_i < lam_i},  H_() = 1,
+        r = #{i : mu_i > lam_(i+1)}.
 
-where H_lam = det[ y_j^(lam_k) (y_j+beta)^(N-k) ] / prod_(j<k)(y_j - y_k).
 ``box_plan`` lays out the interlacing edges once per (m, N), memoized with
 read-only arrays, and each variable is one gather, one multiply and one
 ``np.add.reduceat`` over them: no determinant and no division by a
@@ -44,6 +40,12 @@ tableau monomials, which cancel at Bethe roots, and in complex128 they lose
 up to 8.8e-13 relative to a set's largest value at (12,9).  Where
 ``np.clongdouble`` is 80-bit extended (eps 1.1e-19, x86 Linux) the box is
 more accurate than the stacked LU; where it is plain double, it is not.
+
+Every dual value of the box lanes is the one primal branching taken at
+``box_plan``'s permutation lam -> lam^c, lam^c_i = m - lam_(N+1-i), by the
+analogue on the m^N box of s_lam(1/z) (prod z)^m = s_lam^c(z) (Macdonald,
+Symmetric Functions and Hall Polynomials, 2nd ed., 1995, Ch. I):
+Gbar_lam(1/z; beta) (prod_j z_j)^m prod_j (1+beta z_j)^(N-1) = G_lam^c(z; beta).
 
 ``grothendieck_box_cleared`` is the exact lane for the whole m^N box at one
 point set, as the Cauchy and summation sums over a box need: the same passes
@@ -153,39 +155,26 @@ def _gaps(z):
     return gaps
 
 
-def _bases(z, beta, dual):
-    """1 + beta z, or 1 + beta/z with ``dual``, at the rows of an (S, N) array; the dual
-    refuses a zero variable and, at N >= 2, a 1 + beta/z that is exactly zero."""
-    if not dual:
-        return 1 + beta * z
-    if np.any(z == 0):
-        raise ZeroDivisionError("dual Grothendieck polynomial needs nonzero variables")
-    base = 1 + beta / z
-    if z.shape[1] > 1 and np.any(base == 0):
-        raise ZeroDivisionError("vanishing (1 + beta/z) with negative exponent")
-    return base
-
-
-def bialternants(z, beta, lam, dual: bool = False) -> np.ndarray:
-    """G_lam(z_s; beta), or Gbar_lam with ``dual``, at every row z_s of an (S, N) array: one
-    ``stacked_ratio`` of the matrices z_sj^(lam_k+N-1-k) (1 + beta z_sj)^k, k from 0, or
-    (1 + beta/z_sj)^-k for the dual, with the refusals of ``_gaps`` and ``_bases``."""
+def bialternants(z, beta, lam) -> np.ndarray:
+    """G_lam(z_s; beta) at every row z_s of an (S, N) array: one ``stacked_ratio`` of the
+    matrices z_sj^(lam_k+N-1-k) (1 + beta z_sj)^k, k from 0, with the refusals of ``_gaps``."""
     z = np.asarray(z, dtype=complex)
     n = z.shape[1]
-    base, k = _bases(z, beta, dual), np.arange(n)
+    k = np.arange(n)
     exps = np.array(_parts(lam, n)) + n - 1 - k
-    return stacked_ratio(z[:, :, None] ** exps * base[:, :, None] ** (-k if dual else k), z)
+    return stacked_ratio(z[:, :, None] ** exps * (1 + beta * z)[:, :, None] ** k, z)
 
 
 def box_plan(m, n):
-    """The interlacing edges of the m^n box for ``grothendieck_box``: (m, passes).
+    """The interlacing edges and the complement of the m^n box: (m, passes, complement).
 
     Pass k (k = 1..n) takes the partitions mu with k-1 parts to those lam with
     k parts, all at most m and in ``enumerate_box`` order, along every pair
-    mu < lam.  It is (starts, mu, primal, dual): the first edge of each lam
-    (the edges come grouped by lam), each edge's mu, and each edge's weight
-    as the index d n + r into a row's table of z^d (1+beta z)^r, with
-    d = |lam| - |mu| and r the primal count, or the dual count r'.
+    mu < lam.  It is (starts, mu, weight): the first edge of each lam (the
+    edges come grouped by lam), each edge's mu, and each edge's weight as the
+    index d n + r into a row's table of z^d (1+beta z)^r, with d = |lam| - |mu|
+    and r = #{i : mu_i > lam_(i+1)}.  complement[i] is the row of lam^c for the
+    lam of row i (module docstring).
 
     The plan depends on (m, n) alone and is built once per pair: a repeated
     call returns the same tuple, whose arrays are read-only.
@@ -212,21 +201,21 @@ def _box_plan(m, n):
             t //= widths[:, i]
         d = lam.sum(axis=1) - mu.sum(axis=1)
         r = np.sum(mu > lam[:, 1:], axis=1)
-        r_dual = np.sum(mu < lam[:, :-1], axis=1)
-        arrays = (starts, box_rank(mu, m), d * n + r, d * n + r_dual)
-        for a in arrays:
-            a.flags.writeable = False
-        passes.append(arrays)
-    return m, tuple(passes)
+        passes.append((starts, box_rank(mu, m), d * n + r))
+    # the last pass's lam at each first edge: the box's partitions, in its order
+    complement = box_rank(m - lam[starts, ::-1], m)
+    for a in (*(a for p in passes for a in p), complement):
+        a.flags.writeable = False
+    return m, tuple(passes), complement
 
 
-def _branch(values, tables, passes, dual):
+def _branch(values, tables, passes):
     """The passes of the branching rule: ``values`` (1, ...) at no variable to the box's.
 
     ``tables[j]`` holds variable j's weights at the indices d n + r of a plan's edges.
     """
-    for table, (starts, mu, primal, dual_w) in zip(tables, passes):
-        values = np.add.reduceat(values[mu] * table[dual_w if dual else primal], starts, axis=0)
+    for table, (starts, mu, weight) in zip(tables, passes):
+        values = np.add.reduceat(values[mu] * table[weight], starts, axis=0)
     return values
 
 
@@ -239,34 +228,28 @@ def _powers(x, top):
     return out
 
 
-def grothendieck_box(z, beta, plan, dual: bool = False) -> np.ndarray:
-    """(P, S): G_lam(z_s; beta), or Gbar_lam with ``dual``, for every lam of the box
-    of ``plan = box_plan(m, N)`` in ``enumerate_box`` order, at every row z_s of an (S, N) array.
+def grothendieck_box(z, beta, plan) -> np.ndarray:
+    """(P, S): G_lam(z_s; beta) for every lam of the box of ``plan = box_plan(m, N)`` in
+    ``enumerate_box`` order, at every row z_s of an (S, N) array.
 
     One pass per variable over the plan's edges, in ``np.clongdouble``, a
     chunk of rows at a time so that a pass holds at most ``_BOX_CHUNK``
-    entries.  Variables may coincide; for the dual a zero variable, or a
-    1 + beta/z that is exactly zero, raises.  ``z`` given as ``np.clongdouble``
-    is taken at that precision (the reciprocals of complex roots, say).
+    entries.  Variables may coincide.
     """
-    m, passes = plan
+    m, passes, _ = plan
     n = len(passes)
     z = np.asarray(z, dtype=np.clongdouble)
     if z.ndim != 2 or z.shape[1] != n:
         raise ValueError(f"need rows of N = {n} variables, got shape {z.shape}")
-    base = _bases(z, beta, dual)
-    rows = len(z)
-    out = np.empty((comb(m + n, n), rows), dtype=complex)
+    out = np.empty((comb(m + n, n), len(z)), dtype=complex)
     step = max(1, _BOX_CHUNK // max(len(p[1]) for p in passes))
-    for i in range(0, rows, step):
-        zc, bc = z[i:i + step].T, base[i:i + step].T
-        # table[j, d n + r, s] = z_sj^d base_sj^r
-        table = (_powers(zc, m)[:, :, None] * _powers(bc, n - 1)[:, None]).reshape(
+    for i in range(0, len(z), step):
+        zc = z[i:i + step].T
+        # table[j, d n + r, s] = z_sj^d (1 + beta z_sj)^r
+        table = (_powers(zc, m)[:, :, None] * _powers(1 + beta * zc, n - 1)[:, None]).reshape(
             n, (m + 1) * n, -1)
-        values = _branch(np.ones((1, zc.shape[1]), dtype=np.clongdouble), table, passes, dual)
-        if dual and n > 1:
-            values /= np.prod(bc, axis=0) ** (n - 1)
-        out[:, i:i + step] = values
+        out[:, i:i + step] = _branch(np.ones((1, zc.shape[1]), dtype=np.clongdouble), table,
+                                     passes)
     return out
 
 
@@ -284,31 +267,31 @@ def grothendieck_box_cleared(z, beta, m, dual: bool = False):
     The exact lane of ``grothendieck_box``: the same passes over the edges of
     ``box_plan(m, N)``, on an object array.  When z and beta are ints, Fractions or
     elements of one exact rational-function field (``scalars.cleared_type``),
-    each variable's weights z^d (1+beta z)^r, or y^d (1+beta/y)^r' for the
-    dual, are cleared by ``scalars.numer_denom`` (z = p/q, 1 + beta z = b/c)
-    to p^d q^(m-d) b^r c^(N-1-r) over q^m c^(N-1): the numerators are ints
-    or polynomials of the field's ring, and den is their one common
-    denominator, prod_j q_j^m c_j^(N-1); for the dual, whose prefactor
-    (1+beta/y)^(1-N) = (c/b)^(N-1) cancels the c's, prod_j q_j^m b_j^(N-1).
-    Otherwise (complex points, say) the passes run on the values and den is 1,
-    or the dual's prod_j (1+beta/y_j)^(N-1).  No determinant is taken, and
-    variables may coincide; the dual refuses a zero variable and, for N >= 2,
-    a pole z_j + beta = 0, as ``dual_grothendieck_eval`` does.
+    each variable's weights z^d (1+beta z)^r are cleared by ``scalars.numer_denom``
+    (z = p/q, 1 + beta z = b/c) to p^d q^(m-d) b^r c^(N-1-r) over q^m c^(N-1): the
+    numerators are ints or polynomials of the field's ring, and den is their one common
+    denominator, prod_j q_j^m c_j^(N-1).  Otherwise (complex points, say) the passes run
+    on the values and den is 1.  No determinant is taken, and variables may coincide.
+    The dual is the primal at z_j = 1/y_j taken at ``box_plan``'s complement, over
+    den = prod_j p_j^m b_j^(N-1); a zero y_j and, for N >= 2, a pole y_j + beta = 0 are
+    refused first, as ``dual_grothendieck_eval`` refuses them.
     """
     z, beta = [plain_int(x) for x in z], plain_int(beta)
     n = len(z)
     # box_plan's m is an int; with no variable the box holds the empty partition alone (G = 1)
-    m, passes = box_plan(m, max(n, 1))
+    m, passes, complement = box_plan(m, max(n, 1))
     passes = passes[:n]
     if dual:
         _refuse_dual_poles(z, beta)
+        z = [exact_div(1, yj) for yj in z]
     clear = cleared_type([*z, beta]) is not None
     tables, den = [], 1
     for zj in z:
-        base = 1 + exact_div(beta, zj) if dual else 1 + beta * zj
+        base = 1 + beta * zj
         (p, q), (b, c) = (numer_denom(zj), numer_denom(base)) if clear else ((zj, 1), (base, 1))
-        den = den * q ** m * (b if dual else c) ** (n - 1)
+        den = den * (p ** m * b ** (n - 1) if dual else q ** m * c ** (n - 1))
         powers = _objects([p ** d * q ** (m - d) for d in range(m + 1)])
         tables.append(np.multiply.outer(powers, _objects([b ** r * c ** (n - 1 - r)
                                                            for r in range(n)])).ravel())
-    return _branch(_objects([1]), tables, passes, dual), den
+    nums = _branch(_objects([1]), tables, passes)
+    return (nums[complement] if dual and n else nums), den

@@ -74,11 +74,11 @@ import numpy as np
 
 from .confluent import sign_pairs
 from .identities import _sum_columns, grothendieck_sum_det, orthogonality_weight
-from .partitions import (ParticleConfiguration, _require_finite, _require_int, box_rank,
-                         config_to_partition)
+from .partitions import (ParticleConfiguration, Partition, _require_finite, _require_int,
+                         box_rank, config_to_partition)
 from .ratfunc import taylor
 from .sector import hamiltonian, sector_basis
-from .symfunc import (_bases, _gaps, _pair_indices, bialternants, box_plan, grothendieck_box,
+from .symfunc import (_gaps, _pair_indices, _parts, bialternants, box_plan, grothendieck_box,
                       stacked_ratio)
 from .vertex import ModelParameters
 
@@ -501,17 +501,17 @@ class Spectrum:
     a0 its value at the stationary point, where every G_mu is 1; with real
     coefficients, each takes conjugate values on a pair's two sets.
 
-    The request picks the algorithm.  ``left(mu)``, ``right(lam)`` and each window length
-    of ``form_factors`` take one ``symfunc.stacked_ratio`` over the rows; ``box_vectors``,
+    The request picks the algorithm.  ``left(mu)`` and each window length of
+    ``form_factors`` take one ``symfunc.stacked_ratio`` over the rows; ``box_vectors``,
     every partition, takes the branching rule's passes, in ``np.clongdouble``
-    (``symfunc.grothendieck_box``).  The two agree to the LU's rounding: within 1.6e-14
-    of the largest value up to (12,9).  Their refusals (coincident roots, a vanishing
-    1 + beta/z at N >= 2) are made when the Spectrum is built, as are those of a list
-    that is not binomial(M,N) sets of N roots and of an M or N that is not an int.
+    (``symfunc.grothendieck_box``).  right(lam) is w_s c_s left(lam^c) with c_s =
+    prod_j z_sj^(N-M) (1 + beta z_sj)^(1-N) (``symfunc``'s complement duality).  The
+    Spectrum refuses coincident roots, the pole of c_s (N >= 2), a sector off
+    1 <= N <= M - 1 and a list that is not binomial(M,N) sets of N roots.
     """
 
     def __init__(self, solutions, M: int, N: int, beta=-1.0):
-        M, N = _require_int("M", M), _require_int("N", N)
+        M, N = _require_int("M", M, 2), _require_int("N", N, 1, M - 1)
         solutions = tuple(solutions)
         if len(solutions) != comb(M, N):
             raise RuntimeError(
@@ -531,9 +531,8 @@ class Spectrum:
         self.energies = np.array([np.nan if s.energy is None else s.energy for s in proper],
                                  dtype=complex)[rows]
         _gaps(self.roots)
-        inverse = 1 / self.roots
-        _gaps(inverse)
-        _bases(inverse, beta, True)
+        if N > 1 and np.any(1 + beta * self.roots == 0):
+            raise ZeroDivisionError("vanishing (1 + beta/z) with negative exponent")
 
     def __len__(self):
         return len(self.solutions)
@@ -564,24 +563,30 @@ class Spectrum:
         return bialternants(self.roots, self.beta, mu)
 
     def right(self, lam) -> np.ndarray:
-        """w_s Gbar_lam(1/z_s; beta) over the rows."""
-        return self.weights * bialternants(1 / self.roots, self.beta, lam, dual=True)
+        """w_s Gbar_lam(1/z_s; beta) = w_s c_s G_lam^c(z_s; beta) over the rows, lam in the box."""
+        m = self.M - self.N
+        parts = Partition(_parts(lam, self.N), (m, self.N)).parts  # refuses a lam off the box
+        return self._dual_scale * self.left(tuple(m - p for p in reversed(parts)))
+
+    @cached_property
+    def _dual_scale(self):
+        """w_s c_s over the rows, c_s formed in ``np.clongdouble`` and rounded once."""
+        z = self.roots.astype(np.clongdouble)
+        c = np.prod(z ** (self.M - self.N) * (1 + self.beta * z) ** (self.N - 1), axis=1)
+        return (self.weights / c).astype(complex)
 
     def box_vectors(self):
         """left and right for every partition of the box, stacked in ``enumerate_box`` order.
 
         Built on the first call and kept: later calls return the same read-only arrays.
-        One ``box_plan`` serves both sides; the reciprocals 1/z_s are taken in
-        ``np.clongdouble``, the precision of the branching sums.
         """
         return self._box
 
     @cached_property
     def _box(self):
         plan = box_plan(self.M - self.N, self.N)
-        box = (grothendieck_box(self.roots, self.beta, plan),
-               self.weights * grothendieck_box(1 / self.roots.astype(np.clongdouble),
-                                               self.beta, plan, dual=True))
+        left = grothendieck_box(self.roots, self.beta, plan)
+        box = left, self._dual_scale * left[plan[2]]
         for v in box:
             v.flags.writeable = False
         return box

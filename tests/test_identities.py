@@ -115,6 +115,29 @@ def test_infinite_limit_rejects_divergent_input():
         cauchy_infinite_check(1, [F(2)], [F(1)], 0, M_max=5)
 
 
+def test_infinite_limit_takes_field_constants_by_value():
+    # the truncation tests took complex() of a field element, a TypeError; constants of
+    # QQ(x) now give the Fraction call's values, in the field, and a non-constant
+    # element is refused by name before any box is built
+    import sympy
+    from sympy.polys.fields import field
+
+    K, x = field("x", sympy.QQ)
+    got = cauchy_infinite_check(2, [K(1) / 3, K(1) / 5], [K(1) / 2, K(1) / 7], K(2), 3)
+    want = cauchy_infinite_check(2, [F(1, 3), F(1, 5)], [F(1, 2), F(1, 7)], F(2), 3)
+    assert got["product"] - want["product"] == 0 and type(got["product"]) is type(K(1))
+    assert len(got["partials"]) == 3
+    assert all(a - b == 0 for a, b in zip(got["partials"], want["partials"]))
+    assert got["distances"] == want["distances"]
+    assert (got["monotone"], got["converged"]) == (want["monotone"], want["converged"])
+    for args, name in (([[x / 3, K(1) / 5], [K(1) / 2, K(1) / 7], K(2)], "z"),
+                       ([[K(1) / 3, K(1) / 5], [K(1) / 2, x], K(2)], "y"),
+                       ([[K(1) / 3, K(1) / 5], [K(1) / 2, K(1) / 7], x], "beta")):
+        with pytest.raises(ValueError, match=f"^{name} must be a number or a constant of its "
+                                             f"field, got {name} = "):
+            cauchy_infinite_check(2, *args, 3)
+
+
 def test_infinite_partials_are_the_box_sums():
     # the partial sum at m is the sum over the whole m^N box, shell by shell
     z, y, beta = [F(1, 3), F(1, 4)], [F(1, 2), F(2, 5)], F(1, 6)

@@ -166,8 +166,10 @@ REFUSALS = [
     *_int_rows("bethe_solve", lambda N: bethe_solve(4, N), "N", (2.0, True, 4), " in 1..3"),
     *_finite_rows("bethe_solve", lambda beta: bethe_solve(4, 2, beta), "beta",
                   (NAN, INF, complex(-1, INF), None, True, "x")),
-    *_int_rows("Spectrum", lambda M: Spectrum(list(_spec()), M, 2), "M", (4.0, True)),
-    *_int_rows("Spectrum", lambda N: Spectrum(list(_spec()), 4, N), "N", (2.0, True)),
+    *_int_rows("Spectrum", lambda M: Spectrum(list(_spec()), M, 2), "M", (4.0, True, 1),
+               " >= 2"),
+    *_int_rows("Spectrum", lambda N: Spectrum(list(_spec()), 4, N), "N", (2.0, True, 0, 4),
+               " in 1..3"),
     *_int_rows("spectral data", lambda M: green_function_table(M, 2, 1.0, _spec()), "M",
                (4.0, True, 1), " >= 2"),
     *_int_rows("spectral data", lambda N: orthogonality_matrix(4, N, -1.0, _spec()), "N",

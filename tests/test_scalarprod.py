@@ -100,6 +100,32 @@ def test_recursion_check_rejects_a_wrong_frozen_row(monkeypatch, rng):
     assert recursion_check(spec) is False
 
 
+def test_recursion_check_takes_a_field_constant_alpha_by_value(monkeypatch):
+    # rational_sqrt took Fraction() of a field element, a TypeError; constants of QQ(x)
+    # now give the Fraction call's verdict, also on a wrong frozen row, and a
+    # non-constant alpha is refused by name
+    import sympy
+    from sympy.polys.fields import field
+
+    from fivevertex import scalarprod
+
+    K, x = field("x", sympy.QQ)
+
+    def verdicts(kind):
+        spec = IntermediateSpec(1, (kind(2),), (kind(3),), (kind(1), kind(2), kind(5)), kind(4),
+                                3, 1)
+        return [recursion_check(spec)]
+
+    right = scalarprod.intermediate_scalar_det
+    got, want = verdicts(K), verdicts(F)
+    monkeypatch.setattr(scalarprod, "intermediate_scalar_det", lambda s: right(s) + (s.n == 1))
+    got, want = got + verdicts(K), want + verdicts(F)
+    assert want == [True, False] and all(a - b == 0 for a, b in zip(got, want))
+    with pytest.raises(ValueError, match=r"^alpha must be a number or a constant of its field, "
+                                         r"got alpha = x\*\*2$"):
+        recursion_check(IntermediateSpec(1, (K(2),), (K(3),), (K(1), K(2), K(5)), x ** 2, 3, 1))
+
+
 def test_empty_products_are_the_int_one():
     # no particles: the intermediate product (on any number of sites) and the norm are 1
     for M, alpha in ((0, F(4)), (1, 4), (3, 2.0 + 0j)):

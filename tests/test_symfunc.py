@@ -3,7 +3,7 @@
 import re
 from fractions import Fraction as F
 from itertools import permutations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -160,40 +160,76 @@ def _box_oracle(box, z, beta, dual):
     return [scalar(lam, z, beta) for lam in box]
 
 
-@pytest.mark.parametrize("dual", [False, True])
-def test_stacked_evals_equal_the_one_determinant_per_partition_formula(dual):
+def _stacked_formula(z, beta, lam, dual=False):
+    """det(z^exps * factors) / Vandermonde, one determinant per row, for G_lam(z), or with
+    ``dual`` the dual bialternant of Gbar_lam(z): the stacked LU of each side."""
+    n = z.shape[1]
+    base = 1 + beta / z if dual else 1 + beta * z
+    factors = base[:, :, None] ** ((-1 if dual else 1) * np.arange(n))
+    j, k = np.triu_indices(n, 1)
+    exps = np.array(tuple(lam.parts) + (0,) * (n - len(lam.parts))) + n - 1 - np.arange(n)
+    return np.linalg.det(z[:, :, None] ** exps * factors) / np.prod(z[:, j] - z[:, k], axis=1)
+
+
+def _dual_box(y, beta, plan):
+    """Gbar_lam(y_s; beta) for the box of ``plan``, by complement duality: the primal box at
+    z = 1/y, at the plan's complement, over (prod_j z_j)^m prod_j (1 + beta z_j)^(N-1)."""
+    z = 1 / np.asarray(y, dtype=np.clongdouble)
+    scale = np.prod(z, axis=1) ** plan[0] * np.prod(1 + beta * z, axis=1) ** (z.shape[1] - 1)
+    return (grothendieck_box(z, beta, plan)[plan[2]] / scale).astype(complex)
+
+
+def test_stacked_evals_equal_the_one_determinant_per_partition_formula():
     # bialternants gives bit for bit z^exps * factors through one det per partition
     rng = np.random.default_rng(7)
     S, n, beta = 9, 3, -0.5
     z = rng.normal(size=(S, n)) + 1j * rng.normal(size=(S, n))
-    box = list(enumerate_box(4, n))
-    zz = 1 / z if dual else z
-    base = 1 + beta / zz if dual else 1 + beta * zz
-    factors = base[:, :, None] ** ((-1 if dual else 1) * np.arange(n))
-    j, k = np.triu_indices(n, 1)
-    vandermonde = np.prod(zz[:, j] - zz[:, k], axis=1)
-
-    def formula(lam):
-        exps = np.array(tuple(lam.parts) + (0,) * (n - len(lam.parts))) + n - 1 - np.arange(n)
-        return np.linalg.det(zz[:, :, None] ** exps * factors) / vandermonde
-
-    for lam in box:
-        assert np.array_equal(bialternants(zz, beta, lam, dual), formula(lam)), lam
+    for lam in enumerate_box(4, n):
+        assert np.array_equal(bialternants(z, beta, lam), _stacked_formula(z, beta, lam)), lam
 
 
 def test_bialternants_refuse_what_the_stacked_ratio_cannot_take():
-    # no confluent limit: coincident variables of a row; for the dual a zero
-    # variable and, at N >= 2, a vanishing 1 + beta/z
+    # no confluent limit: coincident variables of a row
     z = np.array([[0.3, 0.25], [0.4, 0.4 + 1e-16]], dtype=complex)
-    for dual in (False, True):
-        with pytest.raises(ValueError, match="^coincident variables need the confluent"):
-            bialternants(z, -0.5, (1, 0), dual)
-    with pytest.raises(ZeroDivisionError, match="needs nonzero variables"):
-        bialternants([[0.5, 0]], -0.5, (1, 0), dual=True)
-    with pytest.raises(ZeroDivisionError, match="^vanishing \\(1 \\+ beta/z\\)"):
-        bialternants([[0.5, 0.25]], -0.5, (1, 0), dual=True)
-    # at N = 1 the column is z^lam (1 + beta/z)^0
-    assert bialternants([[0.5]], -0.5, (2,), dual=True)[0] == 0.25
+    with pytest.raises(ValueError, match="^coincident variables need the confluent"):
+        bialternants(z, -0.5, (1, 0))
+
+
+def _complement_pairs(m, n):
+    """(lam, lam^c) over the m^n box, lam^c read from ``box_plan``'s complement."""
+    box = list(enumerate_box(m, n))
+    return [(lam, box[c]) for lam, c in zip(box, box_plan(m, n)[2])]
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (3, 3), (4, 3), (2, 4)])
+def test_the_complement_identity_over_a_rational_function_field(m, n):
+    # Gbar_lam(y) (prod_j z_j)^m prod_j (1 + beta z_j)^(n-1) = G_lam^c(z) at z = 1/y, proved
+    # over QQ(y, beta) for every lam of the box by the two scalar bialternants
+    import sympy
+    from sympy.polys.fields import field
+
+    _, *gens = field("y1,y2,y3,y4,beta", sympy.QQ)
+    y, beta = gens[:n], gens[-1]
+    z = [1 / yj for yj in y]
+    scale = prod(z) ** m * prod(1 + beta * zj for zj in z) ** (n - 1)
+    for lam, lam_c in _complement_pairs(m, n):
+        assert dual_grothendieck_eval(lam, y, beta) * scale \
+            - grothendieck_eval(lam_c, z, beta) == 0, lam
+
+
+def test_the_complement_identity_at_seeded_complex_points():
+    # the same identity by the scalar evaluators at complex points and a complex beta,
+    # within 1e-12 of the box's largest value (measured: 1.2e-14 at (3,5))
+    rng = np.random.default_rng(11)
+    for m, n in [(3, 2), (3, 3), (4, 3), (2, 4), (3, 5)]:
+        y = list(rng.normal(size=n) + 1j * rng.normal(size=n))
+        beta = complex(rng.normal(), rng.normal())
+        z = [1 / yj for yj in y]
+        scale = prod(z) ** m * prod(1 + beta * zj for zj in z) ** (n - 1)
+        pairs = _complement_pairs(m, n)
+        want = np.array([grothendieck_eval(lam_c, z, beta) for _, lam_c in pairs])
+        got = np.array([dual_grothendieck_eval(lam, y, beta) * scale for lam, _ in pairs])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (m, n)
 
 
 def test_batched_evaluator_over_a_rational_function_field():
@@ -241,8 +277,7 @@ def test_non_partitions_are_refused(lam):
     for call in (lambda: grothendieck_eval(lam, z, -1),
                  lambda: dual_grothendieck_eval(lam, z, -1),
                  lambda: schur_eval(lam, z),
-                 lambda: bialternants(zz, -0.5, lam),
-                 lambda: bialternants(zz, -0.5, lam, dual=True)):
+                 lambda: bialternants(zz, -0.5, lam)):
         with pytest.raises(ValueError, match="^lam must have nonnegative, weakly decreasing"):
             call()
 
@@ -385,24 +420,32 @@ def test_cleared_box_is_the_bialternants(kind, z, beta):
 @pytest.mark.parametrize("beta", [-0.5, -0.8 + 0.3j])
 @pytest.mark.parametrize("dual", [False, True])
 def test_grothendieck_box_matches_the_stacked_determinants(beta, dual):
-    # one bialternants call per partition is the reference at distinct points
+    # one stacked determinant per partition is the reference at distinct points: the
+    # primal's is bialternants, the dual's the dual bialternant, which the box meets
+    # by complement duality
     points = np.random.default_rng(7)
     z = points.normal(size=(9, 4)) + 1j * points.normal(size=(9, 4))
-    box = list(enumerate_box(3, 4))
-    want = np.array([bialternants(z, beta, lam, dual=dual) for lam in box])
-    got = grothendieck_box(z, beta, box_plan(3, 4), dual=dual)
+    box, plan = list(enumerate_box(3, 4)), box_plan(3, 4)
+    if dual:
+        want = np.array([_stacked_formula(z, beta, lam, dual=True) for lam in box])
+        got = _dual_box(z, beta, plan)
+    else:
+        want = np.array([bialternants(z, beta, lam) for lam in box])
+        got = grothendieck_box(z, beta, plan)
     assert got.shape == want.shape == (len(box), len(z))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dual", [False, True])
 def test_grothendieck_box_takes_coincident_variables(dual):
-    # no Vandermonde is divided out, so equal variables need no confluent limit
+    # no Vandermonde is divided out, so equal variables need no confluent limit, and
+    # none is needed by the complement duality either
     z = [F(2, 3), F(2, 3), F(-1, 5)]
     beta = F(-1, 2)
-    box = list(enumerate_box(2, 3))
+    box, plan = list(enumerate_box(2, 3)), box_plan(2, 3)
     want = np.array(_box_oracle(box, z, beta, dual), dtype=complex)
-    got = grothendieck_box(np.array([z], dtype=float), float(beta), box_plan(2, 3), dual=dual)
+    rows = np.array([z], dtype=float)
+    got = _dual_box(rows, float(beta), plan) if dual else grothendieck_box(rows, float(beta), plan)
     assert np.max(np.abs(got[:, 0] - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -427,20 +470,15 @@ def test_box_plan_is_kept_read_only():
                           (2, True, "n must be an int >= 1, got n = True")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             box_plan(m, n)
-    for arrays in plan[1]:
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+    for array in (*(a for arrays in plan[1] for a in arrays), plan[2]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_grothendieck_box_refusals():
     plan = box_plan(2, 2)
     with pytest.raises(ValueError, match=r"need rows of N = 2 variables, got shape \(1, 3\)"):
         grothendieck_box([[0.5, 0.25, 0.125]], -1.0, plan)
-    with pytest.raises(ZeroDivisionError, match="nonzero variables"):
-        grothendieck_box([[0.5, 0]], -1.0, plan, dual=True)
-    with pytest.raises(ZeroDivisionError, match="1 \\+ beta/z"):
-        grothendieck_box([[0.5, 1.0]], -1.0, plan, dual=True)
     for m, n, message in ((2.0, 2, "m must be an int >= 0, got m = 2.0"),
                           (2, 2.0, "n must be an int >= 1, got n = 2.0"),
                           (-1, 2, "m must be an int >= 0, got m = -1"),

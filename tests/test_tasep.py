@@ -384,6 +384,20 @@ def test_green_tables_match_expm_over_the_solver_domain():
                 assert np.max(error) <= MOMENT_BUDGETS[k], (M, N, k)
 
 
+def test_the_box_complement_is_the_time_reversal_of_every_sector():
+    # lam -> lam^c, box_plan's complement, is on configurations the particle-hole
+    # exchange with a reflection of the ring, which reverses the hops: a permutation P
+    # of the sector basis with H[P][:, P] = H^T exactly, checked with no Bethe root
+    for M in range(2, 13):
+        for N in range(1, M):
+            if comb(M, N) > comb(12, 6):
+                continue
+            order = tasep._basis_order(M, N)  # the box row of each configuration
+            P = np.argsort(order)[box_plan(M - N, N)[2][order]]
+            generator = sector_generator(M, N)
+            assert np.array_equal(generator[P][:, P], generator.T), (M, N)
+
+
 def test_stacked_form_factors_match_the_scalar_sum_over_every_window():
     # every sector with M <= 10 and every window n = 0..M, l = 1..M, including
     # n = M, where the top column's sum is empty (a zero column, also at N = 1).
@@ -424,8 +438,11 @@ def test_stacked_form_factors_refuse_the_windows_the_scalar_sum_refuses():
 
 @pytest.mark.parametrize("M, N, beta", [(7, 3, -1.0), (7, 3, -0.5), (11, 8, -1.0)])
 def test_box_vectors_equal_the_per_partition_calls(M, N, beta):
-    # the box comes from the branching rule, a single partition from the LU:
-    # two algorithms, which agree to the LU's own rounding
+    # the box comes from the branching rule, a single partition from the LU (right(lam)
+    # through left(lam^c)): two algorithms, which agree to the LU's own rounding.  Over
+    # the domain at beta = -1 and -1/2 right(lam) sits within 1.4e-13 of the box, relative
+    # to its set's largest value, and within 8.1e-14 of the largest over all sets (the worst
+    # at (12,9), beta = -1)
     spec = _solve_once(M, N, beta)
     box = list(enumerate_box(M - N, N))
     left, right = spec.box_vectors()
@@ -458,19 +475,22 @@ def _bialternant_40(parts, z, beta, dual):
 @pytest.mark.parametrize("M, N", [(11, 8), (12, 6), (12, 9)])
 def test_box_entries_match_a_40_digit_bialternant(M, N, beta, rng):
     # the branching sums cancel at Bethe roots; in clongdouble they keep every
-    # entry within 1e-15 of its set's largest value (the LU: up to 8.5e-14)
+    # entry within 1e-15 of its set's largest value (the LU: up to 8.5e-14).  The
+    # dual side is the primal box by complement duality, c_s G_lam^c(z_s) with c_s
+    # formed in clongdouble as Spectrum forms it, against the dual bialternant
     box = [lam.parts for lam in enumerate_box(M - N, N)]
     plan = box_plan(M - N, N)
     z = np.array([s.roots for s in _solve_once(M, N, beta) if not s.stationary])
     rows = z[rng.sample(range(len(z)), 3)]
-    for dual in (False, True):
-        got = grothendieck_box(1 / rows.astype(np.clongdouble) if dual else rows, beta, plan,
-                               dual=dual)
+    left = grothendieck_box(rows, beta, plan)
+    x = rows.astype(np.clongdouble)
+    scale = np.prod(x, axis=1) ** (M - N) * np.prod(1 + beta * x, axis=1) ** (N - 1)
+    for dual, got in ((False, left), (True, (left[plan[2]] / scale).astype(complex))):
         for s in range(len(rows)):
-            scale = np.max(np.abs(got[:, s]))
+            largest = np.max(np.abs(got[:, s]))
             for i in rng.sample(range(len(box)), 6) + [0, len(box) - 1]:
                 want = _bialternant_40(box[i], rows[s], beta, dual)
-                assert abs(got[i, s] - want) <= 1e-15 * scale, (dual, box[i])
+                assert abs(got[i, s] - want) <= 1e-15 * largest, (dual, box[i])
 
 
 def test_green_table_rows_follow_the_sector_basis():
@@ -531,12 +551,17 @@ def test_spectrum_refuses_degenerate_input():
     M, N = 6, 2
     spec = bethe_solve(M, N)
     sols = list(spec)
-    # a float size used to end in comb's TypeError; a bool is not an int either
-    for size, message in (((6.0, 2), "M must be an int, got M = 6.0"),
-                          ((6, 2.0), "N must be an int, got N = 2.0"),
-                          ((6, True), "N must be an int, got N = True")):
+    # a float size used to end in comb's TypeError; a bool is not an int either, and
+    # N = 0 (one stationary set of no roots) ended in numpy's reshape error
+    for size, message in (((6.0, 2), "M must be an int >= 2, got M = 6.0"),
+                          ((6, 2.0), "N must be an int in 1..5, got N = 2.0"),
+                          ((6, True), "N must be an int in 1..5, got N = True"),
+                          ((6, 0), "N must be an int in 1..5, got N = 0")):
         with pytest.raises(ValueError, match=re.escape(message)):
             Spectrum(sols, *size)
+    empty = tasep.BetheSolution((), 1 + 0j, 0j, (), (), stationary=True)
+    with pytest.raises(ValueError, match=re.escape("N must be an int in 1..5, got N = 0")):
+        Spectrum([empty], 6, 0)
     with pytest.raises(RuntimeError, match="incomplete"):
         Spectrum(sols[:-1], M, N)
     # the degenerate set replaces one that a pair's row would have stood
@@ -664,10 +689,10 @@ def test_determinants_run_on_the_evaluated_sets_only(M, N, beta, monkeypatch):
     monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(a.shape[-3]) or det(a))
     monkeypatch.setattr(tasep, "grothendieck_box",
                         lambda z, *a, **k: branched.append(len(z)) or box(z, *a, **k))
-    # the box is the branching rule on the rows, without a determinant
+    # the box is one branching computation on the rows, without a determinant
     left, right = spec.box_vectors()
     assert left.shape == right.shape == (comb(M, N), len(rows))
-    assert branched == [len(rows), len(rows)] and dets == []
+    assert branched == [len(rows)] and dets == []
     spec.right((1,))
     if beta == -1:
         spec.form_factors(density_terms(2) + current_terms(3))
@@ -1340,7 +1365,7 @@ def test_one_ulp_off_the_tasep_point_is_the_tasep_point(M, N):
 def test_one_box_per_solve_along_a_chain_of_calls(monkeypatch):
     # a caller that holds bethe_solve's result builds its box vectors once: the
     # Green tables at three times and the sum rule at beta = -1, and every
-    # orthogonality pair at beta = -1/2, two boxes (primal and dual) per solve
+    # orthogonality pair at beta = -1/2, one branching computation per solve
     M, N = 8, 4
     built = []
     box = tasep.grothendieck_box
@@ -1350,10 +1375,10 @@ def test_one_box_per_solve_along_a_chain_of_calls(monkeypatch):
     for t in (0.5, 1.0, 2.0):
         green_function_table(M, N, t, spec)
     assert abs(sum_rule_check(PC((1, 3, 5, 7), M), 1.0, spec) - 1) <= 1e-8
-    assert len(built) == 2
+    assert len(built) == 1
     half = bethe_solve(M, N, -0.5)
     partitions = list(enumerate_box(M - N, N))
     for lam in partitions:
         for mu in partitions:
             orthogonality_check(M, N, -0.5, lam, mu, half)
-    assert len(built) == 4
+    assert len(built) == 2
