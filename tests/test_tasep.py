@@ -562,6 +562,9 @@ def test_spectrum_refuses_degenerate_input():
     empty = tasep.BetheSolution((), 1 + 0j, 0j, (), (), stationary=True)
     with pytest.raises(ValueError, match=re.escape("N must be an int in 1..5, got N = 0")):
         Spectrum([empty], 6, 0)
+    # right(lam) is left(lam^c), which only a lam of the 4^2 box has
+    with pytest.raises(ValueError, match=re.escape("partition (5, 0) outside box 4^2")):
+        spec.right((5,))
     with pytest.raises(RuntimeError, match="incomplete"):
         Spectrum(sols[:-1], M, N)
     # the degenerate set replaces one that a pair's row would have stood
