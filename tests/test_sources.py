@@ -203,6 +203,10 @@ def test_the_symmetric_function_layer_makes_each_decision_once():
     calls = _calls(_function("identities", "grothendieck_sum_check"))
     assert "grothendieck_box_cleared" in calls
     assert not {"numer_denom", "box_parts", "enumerate_box"} & calls
+    # one Grothendieck evaluator: the float lanes and the passes take no dual, whose
+    # values come from the primal box through the plan's complement
+    for name in ("bialternants", "grothendieck_box", "_branch"):
+        assert "dual" not in [a.arg for a in _function("symfunc", name).args.args], name
 
 
 def test_the_bethe_states_are_one_sweep():
